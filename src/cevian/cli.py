@@ -65,7 +65,15 @@ def _load_points(path, expected):
         raise GeometryError(
             f'coords file must contain {{"points": [...]}} with {expected} points'
         )
-    return [np.asarray([float(x) for x in p]) for p in pts]
+    for p in pts:
+        if not (isinstance(p, list) and all(type(x) in (int, float) for x in p)):
+            raise GeometryError(f"coords point {p!r} is not a list of numbers")
+    if len({len(p) for p in pts}) != 1:
+        raise GeometryError("coords points do not all have the same dimension")
+    try:
+        return [np.array(p, dtype=float) for p in pts]
+    except OverflowError:
+        raise GeometryError("coords point is out of floating-point range") from None
 
 
 def _triangle_from_args(args) -> TriangleSides:
@@ -303,6 +311,10 @@ def cmd_tet(args) -> dict:
                 tet_centers.projection_of_center(k, edges, face).as_tuple()
             )
         if args.point_dists:
+            if not all(d >= 0.0 and math.isfinite(d) for d in args.point_dists):
+                raise GeometryError(
+                    f"--point-dists {args.point_dists} must be finite and "
+                    "nonnegative")
             keys = ("pa2", "pb2", "pc2", "pd2")
             sq = {key: v * v for key, v in zip(keys, args.point_dists)}
             section["point"] = list(
@@ -549,7 +561,7 @@ def _verify_tetra_case(rng, suites, rtol, atol):
     for x, y in zip(beta_poly, beta_det):
         suites["tet.circumcenter"].check(abs(x - y),
                                          1e-8 * max(abs(x), abs(y), 0.05), inst)
-    q_oracle = oracle.definitional_center4(tet, "Q")
+    q_oracle = points["Q"]
     suites["tet.circumcenter"].check(
         float(np.linalg.norm(oracle.point_from_components(tet, comps["Q"])
                              - q_oracle)) / emax, 1e-8, inst)
@@ -561,8 +573,9 @@ def _verify_tetra_case(rng, suites, rtol, atol):
     suites["tet.metrics"].check(abs(vol - vol_oracle) / vol_oracle, 1e-9, inst)
     r = tet_metrics.inradius(edges)
     icenter = points["I"]
+    normals, offsets, _ = tet.planes
     dists = [abs(float(np.dot(nrm, icenter) - off))
-             for nrm, off, _ in (oracle._face_plane(tet, f) for f in FACES)]
+             for nrm, off in zip(normals, offsets)]
     suites["tet.metrics"].check(abs(r - min(dists)) / r, 1e-9, inst)
     rr = tet_metrics.circumradius(edges)
     rr_oracle = float(np.linalg.norm(q_oracle - tet.pa))
@@ -714,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--rtol", type=float,
-                       default=float(os.environ.get(RTOL_ENV_VAR, "1e-9")))
+                       help=f"default ${RTOL_ENV_VAR}, else 1e-9")
         p.add_argument("--atol", type=float, default=1e-12)
 
     tri = sub.add_parser("tri", help="triangle reports")
@@ -754,18 +767,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tolerances(args):
+    """Fill in the rtol default from the environment and reject tolerances
+    that are not finite and nonnegative."""
+    if args.rtol is None:
+        raw = os.environ.get(RTOL_ENV_VAR, "1e-9")
+        try:
+            args.rtol = float(raw)
+        except ValueError:
+            raise GeometryError(f"{RTOL_ENV_VAR}={raw!r} is not a number") from None
+    for name in ("rtol", "atol"):
+        value = getattr(args, name)
+        if not (value >= 0.0 and math.isfinite(value)):
+            raise GeometryError(f"{name} = {value!r} must be finite and nonnegative")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        if args.cases < 1:
-            print("error: --cases must be at least 1", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        return cmd_verify(args)
     try:
-        report = cmd_tri(args) if args.command == "tri" else cmd_tet(args)
+        _check_tolerances(args)
+        if args.command == "verify":
+            if args.cases < 1:
+                raise GeometryError("--cases must be at least 1")
+            if args.seed < 0:
+                raise GeometryError("--seed must be nonnegative")
+        else:
+            report = cmd_tri(args) if args.command == "tri" else cmd_tet(args)
     except GeometryError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.command == "verify":
+        return cmd_verify(args)
     report["tolerance"] = {"rtol": args.rtol, "atol": args.atol}
     print(render_report(report, args.format))
     return EXIT_OK

@@ -5,6 +5,12 @@ computes every center, distance, area, and volume straight from its defining
 property (vertex means, equidistance solves, perpendicularity systems).
 Nothing here touches the closed-form length-only formulas, so agreement
 between the two paths is a real certification and not a tautology.
+
+Each embedded shape is immutable and carries its own frame: the triangle's
+three inward side lines and the tetrahedron's four inward face planes (with
+their areas).  A frame is built from the shape's coordinates on first use,
+in one stacked computation, and then shared by every center solve,
+projection and area that needs it; nothing is shared between shapes.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +53,32 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 
+# Row i of a tetrahedron frame is face list(FACES)[i], the face opposite vertex
+# "ABCD"[i]; _FACE_ROWS holds its vertex indices (A = 0 .. D = 3) in cyclic order.
+_FACE_INDEX = {face: i for i, face in enumerate(FACES)}
+_FACE_ROWS = np.array([["ABCD".index(v) for v in FACES[f]] for f in FACES])
+
+
+def _rowdot(u, v):
+    """Dot product of each row of u with the same row of v, rounded exactly
+    as np.dot rounds one pair (a reduction along an axis rounds otherwise)."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _inward_unit_normals(normals, base, inside):
+    """Scale each row of ``normals`` to unit length and flip it to point from
+    its row of ``base`` toward its row of ``inside``; also return the norms."""
+    norms = np.sqrt(_rowdot(normals, normals))
+    normals = normals / norms[:, None]
+    normals[_rowdot(normals, inside - base) < 0.0] *= -1.0
+    return normals, norms
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
 
 def _solve(matrix, rhs):
     m = np.asarray(matrix, dtype=float)
@@ -60,7 +93,7 @@ def _solve(matrix, rhs):
     return np.linalg.solve(m, np.asarray(rhs, dtype=float))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddedTriangle:
     """Vertices in the canonical plane gauge: pa at the origin, pb on the
     positive x-axis, pc above it."""
@@ -75,8 +108,21 @@ class EmbeddedTriangle:
     def vertices(self):
         return (self.pa, self.pb, self.pc)
 
+    @cached_property
+    def side_lines(self):
+        """(normals, offsets) of the side lines a = BC, b = CA, c = AB, one
+        row each: unit normals pointing into the triangle, and offset =
+        normal . (point on the side).  Read-only, built on first use."""
+        verts = np.stack(self.vertices())
+        p1 = np.roll(verts, -1, axis=0)  # B, C, A
+        d = np.roll(verts, -2, axis=0) - p1  # C - B, A - C, B - A
+        normals, _ = _inward_unit_normals(
+            np.column_stack([-d[:, 1], d[:, 0]]), p1, verts)
+        offsets = _rowdot(normals, p1)
+        return _frozen(normals, offsets)
 
-@dataclass
+
+@dataclass(frozen=True)
 class EmbeddedTetra:
     """Vertices in the canonical space gauge: pa at the origin, pb on the
     positive x-axis, pc in the z = 0 plane with positive y, pd above it."""
@@ -95,6 +141,19 @@ class EmbeddedTetra:
     def face_vertices(self, face: str):
         key = canonical_face(face)
         return tuple(self.vertex(v) for v in FACES[key])
+
+    @cached_property
+    def planes(self):
+        """(normals (4, 3), offsets (4,), areas (4,)) of the face planes, one
+        row per face in FACES order: unit normals pointing at the opposite
+        vertex, offset = normal . (point on the face), and area = half the
+        norm of the edge cross product.  Read-only, built on first use."""
+        verts = np.stack(self.vertices())
+        v1, v2, v3 = np.moveaxis(verts[_FACE_ROWS], 1, 0)
+        normals, norms = _inward_unit_normals(
+            np.cross(v2 - v1, v3 - v1), v1, verts)
+        offsets = _rowdot(normals, v1)
+        return _frozen(normals, offsets, 0.5 * norms)
 
 
 def embed_triangle(sides: TriangleSides) -> EmbeddedTriangle:
@@ -139,27 +198,11 @@ def embed_tetra(edges: TetraEdges) -> EmbeddedTetra:
 # --------------------------------------------------------------------------
 # definitional centers, 2D
 
-def _line_unit_normal_toward(p1, p2, inside):
-    """Unit normal of the line p1-p2 pointing toward the point ``inside``."""
-    d = p2 - p1
-    n = np.array([-d[1], d[0]])
-    n = n / np.linalg.norm(n)
-    if np.dot(n, inside - p1) < 0.0:
-        n = -n
-    return n
-
-
 def _equidistant_point2(tri: EmbeddedTriangle, signs):
     """Solve for (x, y, rho) with signed distance sign_i * rho to each side
     line, normals pointing into the triangle.  Sides ordered a, b, c."""
-    pa, pb, pc = tri.vertices()
-    sides = ((pb, pc, pa), (pc, pa, pb), (pa, pb, pc))  # (end1, end2, opposite)
-    rows, rhs = [], []
-    for (p1, p2, opp), sg in zip(sides, signs):
-        n = _line_unit_normal_toward(p1, p2, opp)
-        rows.append([n[0], n[1], -sg])
-        rhs.append(np.dot(n, p1))
-    sol = _solve(rows, rhs)
+    normals, offsets = tri.side_lines
+    sol = _solve(np.column_stack([normals, np.negative(signs)]), offsets)
     return sol[:2], sol[2]
 
 
@@ -201,37 +244,24 @@ def definitional_center(tri: EmbeddedTriangle, kind: str) -> np.ndarray:
 def _face_plane(tet: EmbeddedTetra, face: str):
     """(unit inward normal, offset, area) of one face plane; the normal
     points toward the opposite vertex and offset = normal . (point on face)."""
-    key = canonical_face(face)
-    v1, v2, v3 = tet.face_vertices(key)
-    opp = tet.vertex(FACE_OPPOSITE[key])
-    n = np.cross(v2 - v1, v3 - v1)
-    area = 0.5 * np.linalg.norm(n)
-    n = n / np.linalg.norm(n)
-    if np.dot(n, opp - v1) < 0.0:
-        n = -n
-    return n, float(np.dot(n, v1)), float(area)
+    i = _FACE_INDEX[canonical_face(face)]
+    normals, offsets, areas = tet.planes
+    return normals[i], float(offsets[i]), float(areas[i])
 
 
 def oracle_face_areas(tet: EmbeddedTetra) -> dict:
     """Face areas from cross products, keyed by the opposite vertex."""
-    out = {}
-    for face, opp in FACE_OPPOSITE.items():
-        _, _, area = _face_plane(tet, face)
-        out[opp] = area
-    return out
+    return dict(zip(FACE_OPPOSITE.values(), tet.planes[2].tolist()))
 
 
 def _equidistant_point3(tet: EmbeddedTetra, flipped_vertex=None):
     """Solve for (x, y, z, rho) equidistant from the four face planes; the
     signed distance to the face opposite ``flipped_vertex`` (if any) is
     -rho instead of +rho."""
-    rows, rhs = [], []
-    for face, opp in FACE_OPPOSITE.items():
-        n, off, _ = _face_plane(tet, face)
-        sg = -1.0 if opp == flipped_vertex else 1.0
-        rows.append([n[0], n[1], n[2], -sg])
-        rhs.append(off)
-    sol = _solve(rows, rhs)
+    normals, offsets, _ = tet.planes
+    signs = [-1.0 if opp == flipped_vertex else 1.0
+             for opp in FACE_OPPOSITE.values()]
+    sol = _solve(np.column_stack([normals, np.negative(signs)]), offsets)
     return sol[:3], sol[3]
 
 

@@ -223,6 +223,15 @@ def validate_triangle(a: float, b: float, c: float) -> TriangleSides:
 
 _EDGE_NAMES = ("ab", "ac", "ad", "bc", "cd", "db")
 
+# (x, y) vertex-name pair -> edge field, for both orders and either case.
+_EDGE_FIELD = {
+    (p, q): name
+    for name in _EDGE_NAMES
+    for u, v in (name, name[::-1])
+    for p in (u, u.upper())
+    for q in (v, v.upper())
+}
+
 # Each face's edges in the face's cyclic vertex order (V1V2, V2V3, V3V1).
 _FACE_EDGE_NAMES = {
     "BCD": ("bc", "cd", "db"),
@@ -315,14 +324,10 @@ class TetraEdges:
         return (self.ab, self.ac, self.ad, self.bc, self.cd, self.db)
 
     def length(self, x: str, y: str) -> float:
-        """Length of the edge between vertices x and y (order-free)."""
-        key = "".join(sorted((x.lower(), y.lower())))
-        # sorted lowercase pairs: ab, ac, ad, bc, cd and bd->db
-        if key == "bd":
-            key = "db"
+        """Length of the edge between vertices x and y (order- and case-free)."""
         try:
-            return getattr(self, key)
-        except AttributeError:
+            return getattr(self, _EDGE_FIELD[x, y])
+        except (KeyError, TypeError):
             raise GeometryError(f"no edge between {x!r} and {y!r}") from None
 
     def face_sides(self, face: str) -> TriangleSides:

@@ -140,6 +140,60 @@ def test_coords_file_unreadable(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("points", [
+    [[0, 0], [5, "x"], [3.2, 2.4]],    # non-numeric entry
+    [[0, 0], [5, True], [3.2, 2.4]],   # JSON true is not a coordinate
+    [[0, 0], [5, 0, 0], [3.2, 2.4]],   # mixed dimension
+    [[0, 0], "50", [3.2, 2.4]],        # a point that is not a list
+])
+def test_coords_file_malformed_point(tmp_path, capsys, points):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"points": points}))
+    code, out, err = run_cli(capsys, "tri", "--coords", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: GeometryError: coords point")
+
+
+@pytest.mark.parametrize("argv", [
+    ("tri", "--sides", "3", "4", "5", "--rtol", "-1"),
+    ("tri", "--sides", "3", "4", "5", "--atol=-1e-12"),
+    ("tet", "--edges", "3", "3", "3", "2", "2", "2", "--rtol=-1e-9"),
+    ("tet", "--edges", "3", "3", "3", "2", "2", "2", "--atol", "-0.5"),
+    ("verify", "--cases", "1", "--rtol=-1e-9"),
+    ("verify", "--cases", "1", "--atol", "-1"),
+    ("verify", "--cases", "1", "--rtol", "nan"),
+])
+def test_negative_tolerance_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: GeometryError: ")
+    assert "must be finite and nonnegative" in err
+
+
+def test_negative_point_dist_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "tet", "--edges", "3", "3", "3", "2", "2",
+                             "2", "--project", "BCD",
+                             "--point-dists", "1.2", "-1.1", "0.9", "1.4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: GeometryError: --point-dists")
+
+
+def test_non_numeric_env_rtol_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("CEVIAN_TOL_RTOL", "tight")
+    code, out, err = run_cli(capsys, "tri", "--sides", "3", "4", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: GeometryError: CEVIAN_TOL_RTOL")
+    # an explicit --rtol does not read the variable
+    code, out, _ = run_cli(capsys, "tri", "--sides", "3", "4", "5",
+                           "--centers", "G", "--rtol", "1e-6")
+    assert code == 0
+    assert json.loads(out)["tolerance"]["rtol"] == 1e-6
+
+
 def test_env_var_overrides_rtol(capsys, monkeypatch):
     monkeypatch.setenv("CEVIAN_TOL_RTOL", "1e-6")
     code, out, _ = run_cli(capsys, "tri", "--sides", "3", "4", "5",
@@ -151,6 +205,13 @@ def test_env_var_overrides_rtol(capsys, monkeypatch):
 def test_verify_zero_cases_rejected(capsys):
     code, _, err = run_cli(capsys, "verify", "--cases", "0")
     assert code == 2
+
+
+def test_verify_negative_seed_rejected(capsys):
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--cases", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: GeometryError: --seed")
 
 
 def test_verify_small_run_passes(capsys):

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cevian.core_model import (
+    FACES,
+    FACE_OPPOSITE,
     ParallelSide,
     PowerIncenter,
     ThroughVertex,
@@ -163,3 +166,87 @@ def test_projection_foot_is_orthogonal():
     drop = p - foot
     for u, v in ((tet.pb, tet.pc), (tet.pc, tet.pd)):
         assert abs(float(np.dot(drop, u - v))) < 1e-10
+
+
+# ---------------------------------------------------------------- frames
+
+def _random_tetras():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        yield oracle.EmbeddedTetra(*rng.uniform(-1.0, 1.0, size=(4, 3)))
+    yield oracle.embed_tetra(IRREGULAR)
+    # near-flat: D a hair above the base plane, on either side of it
+    for height in (1e-6, -1e-9):
+        yield oracle.EmbeddedTetra(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]),
+                                   np.array([0.3, 0.9, 0.0]), np.array([0.4, 0.3, height]))
+
+
+@pytest.mark.parametrize("tet", list(_random_tetras()))
+def test_face_planes_match_cross_products(tet):
+    for face in FACES:
+        v1, v2, v3 = tet.face_vertices(face)
+        opp = tet.vertex(FACE_OPPOSITE[face])
+        cross = np.cross(v2 - v1, v3 - v1)
+        want = cross / np.linalg.norm(cross)
+        if np.dot(want, opp - v1) < 0.0:
+            want = -want
+        n, off, area = oracle._face_plane(tet, face)
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
+        assert float(np.dot(n, opp - v1)) > 0.0
+        np.testing.assert_allclose(n, want, rtol=0, atol=1e-15)
+        assert off == pytest.approx(float(np.dot(want, v1)), rel=1e-14, abs=1e-15)
+        assert area == pytest.approx(0.5 * float(np.linalg.norm(cross)), rel=1e-14)
+    assert oracle.oracle_face_areas(tet) == {
+        FACE_OPPOSITE[f]: oracle._face_plane(tet, f)[2] for f in FACES}
+
+
+def _random_triangles():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        yield oracle.EmbeddedTriangle(*rng.uniform(-1.0, 1.0, size=(3, 2)))
+    yield oracle.embed_triangle(SCALENE)
+    yield oracle.EmbeddedTriangle(np.array([0.0, 0.0]), np.array([1.0, 0.0]),
+                                  np.array([0.4, -1e-9]))
+
+
+@pytest.mark.parametrize("tri", list(_random_triangles()))
+def test_side_lines_match_edge_normals(tri):
+    normals, offsets = tri.side_lines
+    for row, (p1, p2, opp) in enumerate(((tri.pb, tri.pc, tri.pa),
+                                         (tri.pc, tri.pa, tri.pb),
+                                         (tri.pa, tri.pb, tri.pc))):
+        d = p2 - p1
+        want = np.array([-d[1], d[0]]) / np.linalg.norm(d)
+        if np.dot(want, opp - p1) < 0.0:
+            want = -want
+        n = normals[row]
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
+        assert float(np.dot(n, opp - p1)) > 0.0
+        np.testing.assert_allclose(n, want, rtol=0, atol=1e-15)
+        assert offsets[row] == pytest.approx(float(np.dot(want, p1)), rel=1e-14, abs=1e-15)
+
+
+def test_frames_cannot_go_stale():
+    tri = oracle.embed_triangle(SCALENE)
+    tet = oracle.embed_tetra(IRREGULAR)
+    assert tet.planes is tet.planes and tri.side_lines is tri.side_lines
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tet.pa = np.zeros(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tri.pa = np.zeros(2)
+    for array in (*tet.planes, *tri.side_lines, oracle._face_plane(tet, "ABC")[0]):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_ill_conditioned_systems_still_warn():
+    flat_tri = oracle.EmbeddedTriangle(np.array([0.0, 0.0]), np.array([1.0, 0.0]),
+                                       np.array([0.5, 1e-14]))
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        oracle.definitional_center(flat_tri, "I")
+    flat_tet = oracle.EmbeddedTetra(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]),
+                                    np.array([0.3, 0.9, 0.0]), np.array([0.4, 0.3, 1e-14]))
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        oracle.definitional_center4(flat_tet, "I")
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        oracle.definitional_center4(flat_tet, "Q")

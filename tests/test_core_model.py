@@ -10,6 +10,7 @@ from cevian.core_model import (
     DegenerateDenominator,
     FACES,
     FaceTriangleInequalityViolated,
+    GeometryError,
     IRVector3,
     InconsistentFaces,
     NonPositiveLength,
@@ -75,6 +76,27 @@ def test_edge_accessors():
     face = edges.face_sides("ABC")
     # opposite-vertex convention: a = BC, b = CA, c = AB
     assert face.as_tuple() == (5.0, 4.0, 3.0)
+
+
+def test_edge_length_every_spelling():
+    edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
+    want = {"AB": 3.0, "AC": 4.0, "AD": 5.0, "BC": 5.0, "CD": 6.0, "DB": 7.0}
+    spellings = 0
+    for (x, y), length in want.items():
+        for u, v in ((x, y), (y, x)):
+            for case in (str.upper, str.lower):
+                assert edges.length(case(u), case(v)) == length
+                spellings += 1
+        assert edges.length(x.lower(), y) == length  # mixed case
+    assert spellings == 24
+
+
+@pytest.mark.parametrize("bad", [("A", "A"), ("b", "b"), ("a", "e"), ("AB", "C"),
+                                 ("", "a"), (1, "a"), ("a", None), (["a"], "b")])
+def test_edge_length_rejects_non_edges(bad):
+    edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
+    with pytest.raises(GeometryError):
+        edges.length(*bad)
 
 
 def test_gram_term_positive_for_realizable_input():
