@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from itertools import combinations
@@ -128,10 +129,6 @@ def _tri_kind(tok):
 
 # --------------------------------------------------------------------------
 # report assembly
-
-def _center_token(kind) -> str:
-    return str(kind)
-
 
 def cmd_tri(args) -> dict:
     sides = _triangle_from_args(args)
@@ -251,7 +248,7 @@ def cmd_tet(args) -> dict:
             except GeometryError as exc:
                 entry["ir_faces"] = None
                 entry["ir_error"] = type(exc).__name__
-            section[_center_token(k)] = entry
+            section[str(k)] = entry
         report["centers"] = section
 
     if args.distances:
@@ -716,8 +713,21 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 # argument parsing
 
+# argparse takes only "-1" and "-.5" for negative values; "-1e-9", "-inf"
+# and "-nan" would otherwise read as unknown options instead of reaching
+# the typed checks on lengths, tolerances and distances
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cevian",
         description="Triangle and tetrahedron centers from side/edge lengths, "
                     "with an independent coordinate oracle.",

@@ -18,7 +18,9 @@ module implements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 __all__ = [
     "GeometryError",
@@ -41,6 +43,8 @@ __all__ = [
     "DEFAULT_TOL",
     "TriangleSides",
     "TetraEdges",
+    "FaceAreas",
+    "CircumAux",
     "Components3",
     "Components4",
     "DeltaComponents",
@@ -156,9 +160,6 @@ class Tolerance:
     def close(self, x: float, y: float) -> bool:
         return abs(x - y) <= self.atol + self.rtol * max(abs(x), abs(y))
 
-    def is_zero(self, x: float, scale: float = 1.0) -> bool:
-        return abs(x) <= self.atol + self.rtol * abs(scale)
-
 
 DEFAULT_TOL = Tolerance()
 
@@ -273,9 +274,12 @@ def edge_polynomials(edges) -> dict:
 def gram_volume_term(edges) -> float:
     """t1 - t2 - t3: positive iff the six lengths realize a tetrahedron.
 
-    Equals 36 * V**2 for a realizable edge set.  No validation is done here;
+    Equals 36 * V**2 for a realizable edge set.  A TetraEdges carries the
+    value its volume gate computed; raw lengths are not validated here, and
     the caller interprets nonpositive values.
     """
+    if isinstance(edges, TetraEdges):
+        return edges.volume_term
     p = edge_polynomials(edges)
     return p["t1"] - p["t2"] - p["t3"]
 
@@ -290,8 +294,54 @@ def _six(edges):
 
 
 @dataclass(frozen=True)
+class FaceAreas:
+    """Heron areas of the four faces, each keyed by its opposite vertex,
+    plus their sum s (the total surface area)."""
+
+    s_a: float
+    s_b: float
+    s_c: float
+    s_d: float
+    s: float
+
+    def of(self, vertex: str) -> float:
+        return getattr(self, "s_" + vertex.lower())
+
+    def opposite_sum(self, vertex: str) -> float:
+        """T^X = s - 2*S^X: the other three areas minus this one."""
+        return self.s - 2.0 * self.of(vertex)
+
+    def as_dict(self) -> dict:
+        return {"s_a": self.s_a, "s_b": self.s_b, "s_c": self.s_c,
+                "s_d": self.s_d, "s": self.s}
+
+
+@dataclass(frozen=True)
+class CircumAux:
+    """Circumcenter weight polynomials u_a..u_d (degree 6 in the edges) and
+    their sum u, which equals 144 * volume^2."""
+
+    u_a: float
+    u_b: float
+    u_c: float
+    u_d: float
+    u: float
+
+    def of(self, vertex: str) -> float:
+        return getattr(self, "u_" + vertex.lower())
+
+
+@dataclass(frozen=True)
 class TetraEdges:
-    """Edge lengths of tetrahedron ABCD in the order AB, AC, AD, BC, CD, DB."""
+    """Edge lengths of tetrahedron ABCD in the order AB, AC, AD, BC, CD, DB.
+
+    Construction validates the lengths.  The invariants the center and
+    metric formulas share are derived from the six lengths once per
+    instance and then read by every caller: ``volume_term`` (set by the
+    volume gate), and on first use the ``squared`` edge table, the
+    ``face_areas`` and the circumcenter weights ``circum_aux``.  None of
+    them takes part in equality, hashing or repr.
+    """
 
     ab: float
     ac: float
@@ -299,6 +349,7 @@ class TetraEdges:
     bc: float
     cd: float
     db: float
+    volume_term: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _EDGE_NAMES:
@@ -319,6 +370,7 @@ class TetraEdges:
                 f"edge set does not realize a nondegenerate tetrahedron "
                 f"(volume term {gram:.6g})"
             )
+        object.__setattr__(self, "volume_term", gram)
 
     def as_tuple(self):
         return (self.ab, self.ac, self.ad, self.bc, self.cd, self.db)
@@ -330,14 +382,61 @@ class TetraEdges:
         except (KeyError, TypeError):
             raise GeometryError(f"no edge between {x!r} and {y!r}") from None
 
+    @cached_property
+    def squared(self) -> MappingProxyType:
+        """Read-only table of ``length(x, y) ** 2``, keyed like ``length`` by
+        the vertex-letter pair (x, y) in either order and case."""
+        sq = {name: getattr(self, name) ** 2 for name in _EDGE_NAMES}
+        return MappingProxyType({pair: sq[name] for pair, name in _EDGE_FIELD.items()})
+
+    @cached_property
+    def face_areas(self) -> FaceAreas:
+        """The four face areas, each k_invariant's sqrt(K)/4 on the face's
+        sides (a, b, c) = (V2V3, V3V1, V1V2).  A face whose K is not
+        positive raises GeometryError on every access (a raise is not
+        cached)."""
+        by_vertex = {}
+        for face, opp in FACE_OPPOSITE.items():
+            e12, e23, e31 = (getattr(self, n) for n in _FACE_EDGE_NAMES[face])
+            a2, b2, c2 = e23 * e23, e31 * e31, e12 * e12
+            k = (a2 + b2 + c2) ** 2 - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
+            if k <= 0.0:
+                raise GeometryError(f"nonpositive squared-area invariant {k}")
+            by_vertex[opp] = 0.25 * math.sqrt(k)
+        return FaceAreas(by_vertex["A"], by_vertex["B"], by_vertex["C"],
+                         by_vertex["D"], math.fsum(by_vertex.values()))
+
+    @cached_property
+    def circum_aux(self) -> CircumAux:
+        """Circumcenter weights: for each vertex V with opposite face
+        (X, Y, Z),
+
+            u_V = sum over face edges e, with R the face vertex off e, of
+                  (delta2f - e^2) * e^2 * VR^2   minus   XY^2*YZ^2*ZX^2,
+
+        where delta2f is half the face's sum of squared edges.  u_V/u are
+        the circumcenter's components, and u = 4*(t1 - t2 - t3) > 0.
+        """
+        sq = self.squared
+        vals = {}
+        for face, opp in FACE_OPPOSITE.items():
+            v1, v2, v3 = FACES[face]
+            e12, e23, e31 = sq[v1, v2], sq[v2, v3], sq[v3, v1]
+            delta2f = 0.5 * (e12 + e23 + e31)
+            vals[opp] = (
+                (delta2f - e12) * e12 * sq[opp, v3]
+                + (delta2f - e23) * e23 * sq[opp, v1]
+                + (delta2f - e31) * e31 * sq[opp, v2]
+                - e12 * e23 * e31
+            )
+        return CircumAux(vals["A"], vals["B"], vals["C"], vals["D"],
+                         math.fsum(vals.values()))
+
     def face_sides(self, face: str) -> TriangleSides:
         """The face triangle's sides with a = V2V3, b = V3V1, c = V1V2."""
         key = canonical_face(face)
         e12, e23, e31 = (getattr(self, n) for n in _FACE_EDGE_NAMES[key])
         return TriangleSides(a=e23, b=e31, c=e12)
-
-    def polynomials(self) -> dict:
-        return edge_polynomials(self.as_tuple())
 
 
 def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:

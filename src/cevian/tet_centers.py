@@ -9,16 +9,15 @@ E_A..E_D, and the power family with weights (S^X)^n for any real n.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .core_model import (
+    CircumAux,
     Components3,
     Components4,
     DEFAULT_TOL,
     ExcenterDenominatorZero,
     FACES,
     FACE_OPPOSITE,
+    FaceAreas,
     GeometryError,
     IRVector3,
     PowerIncenter,
@@ -30,7 +29,6 @@ from .core_model import (
     shared_edge_residuals,
     tetra_components_from_face_pair,
 )
-from .tri_metrics import area_determinant
 
 __all__ = [
     "TET_CENTER_KINDS",
@@ -70,97 +68,34 @@ def parse_tet_center(token):
     )
 
 
-@dataclass(frozen=True)
-class FaceAreas:
-    """Heron areas of the four faces, each keyed by its opposite vertex,
-    plus their sum s (the total surface area)."""
-
-    s_a: float
-    s_b: float
-    s_c: float
-    s_d: float
-    s: float
-
-    def of(self, vertex: str) -> float:
-        return getattr(self, "s_" + vertex.lower())
-
-    def opposite_sum(self, vertex: str) -> float:
-        """T^X = s - 2*S^X: the other three areas minus this one."""
-        return self.s - 2.0 * self.of(vertex)
-
-    def as_dict(self) -> dict:
-        return {"s_a": self.s_a, "s_b": self.s_b, "s_c": self.s_c,
-                "s_d": self.s_d, "s": self.s}
-
-
 def face_areas(edges: TetraEdges) -> FaceAreas:
-    by_vertex = {}
-    for face, opp in FACE_OPPOSITE.items():
-        by_vertex[opp] = area_determinant(edges.face_sides(face))
-    total = math.fsum(by_vertex.values())
-    return FaceAreas(by_vertex["A"], by_vertex["B"], by_vertex["C"],
-                     by_vertex["D"], total)
-
-
-@dataclass(frozen=True)
-class CircumAux:
-    """Circumcenter weight polynomials u_a..u_d (degree 6 in the edges) and
-    their sum u, which equals 144 * volume^2."""
-
-    u_a: float
-    u_b: float
-    u_c: float
-    u_d: float
-    u: float
-
-    def of(self, vertex: str) -> float:
-        return getattr(self, "u_" + vertex.lower())
+    """The four face areas and their sum, built once per edge set."""
+    return edges.face_areas
 
 
 def circum_aux(edges: TetraEdges) -> CircumAux:
-    """Circumcenter weights: for each vertex V with opposite face (X, Y, Z),
-
-        u_V = sum over face edges e, with R the face vertex off e, of
-              (delta2f - e^2) * e^2 * VR^2   minus   XY^2*YZ^2*ZX^2,
-
-    where delta2f is half the face's sum of squared edges.  u_V/u are the
-    circumcenter's components, and u = 4*(t1 - t2 - t3) > 0.
-    """
-    vals = {}
-    for face, opp in FACE_OPPOSITE.items():
-        v1, v2, v3 = FACES[face]
-        e12 = edges.length(v1, v2) ** 2
-        e23 = edges.length(v2, v3) ** 2
-        e31 = edges.length(v3, v1) ** 2
-        delta2f = 0.5 * (e12 + e23 + e31)
-        acc = (
-            (delta2f - e12) * e12 * edges.length(opp, v3) ** 2
-            + (delta2f - e23) * e23 * edges.length(opp, v1) ** 2
-            + (delta2f - e31) * e31 * edges.length(opp, v2) ** 2
-            - e12 * e23 * e31
-        )
-        vals[opp] = acc
-    total = math.fsum(vals.values())
-    return CircumAux(vals["A"], vals["B"], vals["C"], vals["D"], total)
+    """The circumcenter weights u_A..u_D and their sum, built once per edge
+    set; see TetraEdges.circum_aux for the formula."""
+    return edges.circum_aux
 
 
 def tet_center_components(kind, edges: TetraEdges) -> Components4:
     """Components (weights summing to 1) of the requested center."""
     k = parse_tet_center(kind)
     if isinstance(k, PowerIncenter):
-        fa = face_areas(edges)
+        fa = edges.face_areas
         return Components4(*(fa.of(v) ** k.n for v in "ABCD"))
     if k == "G":
         return Components4(1.0, 1.0, 1.0, 1.0)
     if k == "I":
-        fa = face_areas(edges)
+        fa = edges.face_areas
         return Components4(fa.s_a, fa.s_b, fa.s_c, fa.s_d)
     if k == "Q":
-        aux = circum_aux(edges)
+        aux = edges.circum_aux
         return Components4(aux.u_a, aux.u_b, aux.u_c, aux.u_d)
     # escribed-sphere centers: sign flip at the named vertex
     vertex = k[-1]
-    fa = face_areas(edges)
+    fa = edges.face_areas
     if fa.opposite_sum(vertex) <= DEFAULT_TOL.atol * fa.s:
         raise ExcenterDenominatorZero(
             f"surface minus twice the face area opposite {vertex} is not "
@@ -196,9 +131,8 @@ def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
 def _face_geometry(edges: TetraEdges, face: str):
     key = canonical_face(face)
     v1, v2, v3 = FACES[key]
-    e12 = edges.length(v1, v2) ** 2
-    e23 = edges.length(v2, v3) ** 2
-    e31 = edges.length(v3, v1) ** 2
+    sq = edges.squared
+    e12, e23, e31 = sq[v1, v2], sq[v2, v3], sq[v3, v1]
     delta2f = 0.5 * (e12 + e23 + e31)
     # identity: sum of (delta2f - e^2)*e^2 over the face edges = 8*area^2
     eight_sq = (delta2f - e12) * e12 + (delta2f - e23) * e23 + (delta2f - e31) * e31
@@ -230,7 +164,7 @@ def vertex_projection_components(edges: TetraEdges, face: str) -> Components3:
     the tetrahedron's altitude from that vertex)."""
     key = canonical_face(face)
     opp = FACE_OPPOSITE[key]
-    sq = {"p" + v.lower() + "2": edges.length(opp, v) ** 2 for v in FACES[key]}
+    sq = {"p" + v.lower() + "2": edges.squared[opp, v] for v in FACES[key]}
     sq["p" + opp.lower() + "2"] = 0.0
     return projection_components(edges, sq, key)
 
@@ -257,7 +191,7 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components3:
     foot = vertex_projection_components(edges, key).as_tuple()
     if k == "G":
         return Components3(*((1.0 + f) / 4.0 for f in foot))
-    fa = face_areas(edges)
+    fa = edges.face_areas
     opp = FACE_OPPOSITE[key]
     own = fa.of(opp)  # the face's own area is the one opposite its off-vertex
     vals = [(fa.of(v) + own * f) / fa.s for v, f in zip((v1, v2, v3), foot)]

@@ -27,7 +27,7 @@ from .core_model import (
     component_difference,
     gram_volume_term,
 )
-from .tet_centers import TET_CENTER_KINDS, circum_aux, face_areas, tet_center_components
+from .tet_centers import TET_CENTER_KINDS, tet_center_components
 
 __all__ = [
     "TetDistanceReport",
@@ -74,7 +74,7 @@ def volume(edges: TetraEdges) -> float:
 
 def inradius(edges: TetraEdges) -> float:
     """r = sqrt(t1 - t2 - t3) / (2*S) — equivalently 3V/S."""
-    return math.sqrt(gram_volume_term(edges)) / (2.0 * face_areas(edges).s)
+    return math.sqrt(gram_volume_term(edges)) / (2.0 * edges.face_areas.s)
 
 
 def _opposite_products(edges: TetraEdges):
@@ -103,7 +103,7 @@ def circumradius_forms(edges: TetraEdges) -> dict:
     ps = 0.0
     half = 0.0
     for x, y in _PAIRS:
-        sq = edges.length(x, y) ** 2
+        sq = edges.squared[x, y]
         ps += by[x] * by[y] * sq
         half += (by[x] + by[y]) * sq
     return {
@@ -151,7 +151,8 @@ def _sqrt_clamped(sq: float, scale: float, grain: float = 0.0) -> float:
 
 def _pair_terms(vals, edges: TetraEdges):
     by = dict(zip(_VERTS, vals))
-    return [by[x] * by[y] * edges.length(x, y) ** 2 for x, y in _PAIRS]
+    sq = edges.squared
+    return [by[x] * by[y] * sq[x, y] for x, y in _PAIRS]
 
 
 def dist_origin_to_center4(oa: float, ob: float, oc: float, od: float,
@@ -234,13 +235,14 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     S^2*U^2*IQ^2.
     """
     r2 = circumradius(edges) ** 2
-    fa = face_areas(edges)
-    aux = circum_aux(edges)
+    fa = edges.face_areas
+    aux = edges.circum_aux
     s_by = {v: fa.of(v) for v in _VERTS}
     u_by = {v: aux.of(v) for v in _VERTS}
+    sq = edges.squared
 
     def pair_sum(w):
-        return math.fsum(w[x] * w[y] * edges.length(x, y) ** 2 for x, y in _PAIRS)
+        return math.fsum(w[x] * w[y] * sq[x, y] for x, y in _PAIRS)
 
     qg = r2 - math.fsum(e * e for e in edges.as_tuple()) / 16.0
     qi = r2 - pair_sum(s_by) / fa.s ** 2
@@ -255,15 +257,13 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
     guards for the generic engine): QG, QI, GI, GQ, IQ, and the families
     GE_X, IE_X, QE_X, E_XE_Y, all in terms of face areas S^X, their
     complements T^X = S - 2*S^X, and the circumcenter weights U_X."""
-    fa = face_areas(edges)
-    aux = circum_aux(edges)
+    fa = edges.face_areas
+    aux = edges.circum_aux
     s = {v: fa.of(v) for v in _VERTS}
     t = {v: fa.opposite_sum(v) for v in _VERTS}
     u = {v: aux.of(v) for v in _VERTS}
     stot, utot = fa.s, aux.u
-    e2 = {}
-    for x, y in _PAIRS:
-        e2[x + y] = e2[y + x] = edges.length(x, y) ** 2
+    e2 = edges.squared
     r2 = circumradius(edges) ** 2
 
     def root(x):
@@ -271,21 +271,21 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
 
     out = {
         "QG": 0.25 * root(16.0 * r2 - math.fsum(e * e for e in edges.as_tuple())),
-        "QI": root(r2 - math.fsum(s[x] * s[y] * e2[x + y] for x, y in _PAIRS) / stot ** 2),
-        "GI": root(-math.fsum((s[x] - stot / 4.0) * (s[y] - stot / 4.0) * e2[x + y]
+        "QI": root(r2 - math.fsum(s[x] * s[y] * e2[x, y] for x, y in _PAIRS) / stot ** 2),
+        "GI": root(-math.fsum((s[x] - stot / 4.0) * (s[y] - stot / 4.0) * e2[x, y]
                               for x, y in _PAIRS)) / stot,
-        "GQ": root(-math.fsum((4.0 * u[x] - utot) * (4.0 * u[y] - utot) * e2[x + y]
+        "GQ": root(-math.fsum((4.0 * u[x] - utot) * (4.0 * u[y] - utot) * e2[x, y]
                               for x, y in _PAIRS)) / (4.0 * utot),
         "IQ": root(-math.fsum((stot * u[x] - s[x] * utot) * (stot * u[y] - s[y] * utot)
-                              * e2[x + y] for x, y in _PAIRS)) / (stot * utot),
+                              * e2[x, y] for x, y in _PAIRS)) / (stot * utot),
     }
     for x in _VERTS:
         others = [v for v in _VERTS if v != x]
-        inc = math.fsum(s[x] * s[y] * e2[x + y] for y in others)
-        non = math.fsum(s[y] * s[z] * e2[y + z] for y, z in combinations(others, 2))
-        ge = math.fsum((4.0 * s[x] + t[x]) * (4.0 * s[y] - t[x]) * e2[x + y]
+        inc = math.fsum(s[x] * s[y] * e2[x, y] for y in others)
+        non = math.fsum(s[y] * s[z] * e2[y, z] for y, z in combinations(others, 2))
+        ge = math.fsum((4.0 * s[x] + t[x]) * (4.0 * s[y] - t[x]) * e2[x, y]
                        for y in others)
-        ge -= math.fsum((4.0 * s[y] - t[x]) * (4.0 * s[z] - t[x]) * e2[y + z]
+        ge -= math.fsum((4.0 * s[y] - t[x]) * (4.0 * s[z] - t[x]) * e2[y, z]
                         for y, z in combinations(others, 2))
         out[f"GE_{x}"] = root(ge) / (4.0 * t[x])
         out[f"IE_{x}"] = root((stot ** 2 - t[x] ** 2) * inc
@@ -293,11 +293,11 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
         out[f"QE_{x}"] = root(r2 - (non - inc) / t[x] ** 2)
     for x, y in _PAIRS:
         z, w = (v for v in _VERTS if v not in (x, y))
-        acc = s[x] * s[y] * (t[x] + t[y]) ** 2 * e2[x + y]
-        acc -= (t[x] ** 2 - t[y] ** 2) * (s[x] * s[z] * e2[x + z]
-                                          + s[x] * s[w] * e2[x + w])
-        acc += (t[x] ** 2 - t[y] ** 2) * (s[y] * s[z] * e2[y + z]
-                                          + s[y] * s[w] * e2[y + w])
-        acc -= (t[x] - t[y]) ** 2 * s[z] * s[w] * e2[z + w]
+        acc = s[x] * s[y] * (t[x] + t[y]) ** 2 * e2[x, y]
+        acc -= (t[x] ** 2 - t[y] ** 2) * (s[x] * s[z] * e2[x, z]
+                                          + s[x] * s[w] * e2[x, w])
+        acc += (t[x] ** 2 - t[y] ** 2) * (s[y] * s[z] * e2[y, z]
+                                          + s[y] * s[w] * e2[y, w])
+        acc -= (t[x] - t[y]) ** 2 * s[z] * s[w] * e2[z, w]
         out[f"E_{x}E_{y}"] = root(acc) / (t[x] * t[y])
     return out

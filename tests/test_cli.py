@@ -181,6 +181,24 @@ def test_negative_point_dist_is_input_error(capsys):
     assert err.startswith("error: GeometryError: --point-dists")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("tri", "--sides", "3", "4", "5", "--rtol", "-1e-9"),
+     "GeometryError: rtol = -1e-09 must be finite and nonnegative"),
+    (("tri", "--sides", "3", "4", "-5e0"),
+     "NonPositiveLength: side c = -5.0"),
+    (("tet", "--edges", "1", "1", "1", "1", "1", "1", "--project", "ABC",
+      "--point-dists", "1", "1", "1", "-1e0"),
+     "GeometryError: --point-dists [1.0, 1.0, 1.0, -1.0] must be finite"),
+    (("tri", "--sides", "3", "4", "5", "--atol", "-inf"),
+     "GeometryError: atol = -inf must be finite and nonnegative"),
+])
+def test_negative_exponent_values_reach_typed_checks(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + message)
+
+
 def test_non_numeric_env_rtol_is_input_error(capsys, monkeypatch):
     monkeypatch.setenv("CEVIAN_TOL_RTOL", "tight")
     code, out, err = run_cli(capsys, "tri", "--sides", "3", "4", "5")

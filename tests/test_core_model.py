@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from cevian.core_model import (
     Components4,
     DegenerateDenominator,
     FACES,
+    FACE_OPPOSITE,
     FaceTriangleInequalityViolated,
     GeometryError,
     IRVector3,
@@ -18,6 +21,7 @@ from cevian.core_model import (
     PowerIncenter,
     Tolerance,
     TriangleInequalityViolated,
+    TetraEdges,
     TriangleSides,
     component_difference,
     components_from_ir3,
@@ -25,6 +29,7 @@ from cevian.core_model import (
     edge_polynomials,
     face_components_from_tetra,
     fractional_ratio_determinant,
+    gram_volume_term,
     ir_from_components3,
     shared_edge_residuals,
     tetra_components_from_face_pair,
@@ -33,6 +38,7 @@ from cevian.core_model import (
     vertex_foot_ratios3,
     vertex_foot_ratios4,
 )
+from cevian.tri_metrics import area_determinant
 
 
 # ---------------------------------------------------------------- validation
@@ -102,6 +108,110 @@ def test_edge_length_rejects_non_edges(bad):
 def test_gram_term_positive_for_realizable_input():
     polys = edge_polynomials((3, 4, 5, 5, 6, 7))
     assert polys["t1"] - polys["t2"] - polys["t3"] > 0.0
+
+
+# ---------------------------------------------------------------- cached invariants
+
+def _edges_of_points(p):
+    d = lambda i, j: math.dist(p[i], p[j])
+    return validate_tetrahedron(d(0, 1), d(0, 2), d(0, 3), d(1, 2), d(2, 3), d(3, 1))
+
+
+def _invariant_tetras():
+    rng = random.Random(7)
+    for _ in range(20):
+        yield _edges_of_points([[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(4)])
+    yield validate_tetrahedron(1, 1, 1, 1, 1, 1)
+    # near-flat: D just above the base plane (close to the volume gate), and
+    # a needle face ABC under a low apex
+    yield _edges_of_points([(0, 0, 0), (1, 0, 0), (0.3, 0.9, 0), (0.4, 0.3, 1e-5)])
+    yield _edges_of_points([(0, 0, 0), (1, 0, 0), (0.5, 1e-3, 0), (0.4, 0.3, 3e-3)])
+
+
+def _circum_from_scratch(edges):
+    vals = {}
+    for face, opp in FACE_OPPOSITE.items():
+        v1, v2, v3 = FACES[face]
+        e12 = edges.length(v1, v2) ** 2
+        e23 = edges.length(v2, v3) ** 2
+        e31 = edges.length(v3, v1) ** 2
+        delta2f = 0.5 * (e12 + e23 + e31)
+        vals[opp] = (
+            (delta2f - e12) * e12 * edges.length(opp, v3) ** 2
+            + (delta2f - e23) * e23 * edges.length(opp, v1) ** 2
+            + (delta2f - e31) * e31 * edges.length(opp, v2) ** 2
+            - e12 * e23 * e31
+        )
+    return vals
+
+
+@pytest.mark.parametrize("edges", list(_invariant_tetras()))
+def test_cached_invariants_match_from_scratch(edges):
+    fa = edges.face_areas
+    for face, opp in FACE_OPPOSITE.items():
+        assert fa.of(opp) == area_determinant(edges.face_sides(face))
+    assert fa.s == math.fsum(fa.of(v) for v in "ABCD")
+
+    aux = edges.circum_aux
+    want = _circum_from_scratch(edges)
+    assert [aux.of(v) for v in "ABCD"] == [want[v] for v in "ABCD"]
+    assert aux.u == math.fsum(want.values())
+
+    spellings = 0
+    for x, y in ("AB", "AC", "AD", "BC", "CD", "DB"):
+        for u, v in ((x, y), (y, x)):
+            for case in (str.upper, str.lower):
+                assert edges.squared[case(u), case(v)] == edges.length(case(u), case(v)) ** 2
+                spellings += 1
+    assert spellings == 24
+    with pytest.raises(TypeError):
+        edges.squared["A", "B"] = 0.0
+
+    assert gram_volume_term(edges) == gram_volume_term(edges.as_tuple())
+    assert edges.volume_term == gram_volume_term(edges.as_tuple())
+
+
+def test_face_areas_bitwise_over_many_tetrahedra():
+    # x ** 2 and x * x differ in the last bit for about 0.1 % of floats on
+    # some C libraries, so only many shapes show which one a formula uses
+    rng = random.Random(11)
+    for _ in range(2000):
+        try:
+            edges = _edges_of_points([[rng.random() for _ in range(3)] for _ in range(4)])
+        except NotRealizable:
+            continue
+        fa = edges.face_areas
+        for face, opp in FACE_OPPOSITE.items():
+            assert fa.of(opp) == area_determinant(edges.face_sides(face))
+
+
+@pytest.mark.parametrize("edges", list(_invariant_tetras())[:3])
+def test_filled_cache_keeps_value_semantics(edges):
+    for name in ("squared", "face_areas", "circum_aux"):
+        getattr(edges, name)
+    fresh = validate_tetrahedron(*edges.as_tuple())
+    assert edges == fresh
+    assert hash(edges) == hash(fresh)
+    assert repr(edges) == repr(fresh)
+    assert dataclasses.replace(edges) == fresh
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        edges.ab = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        edges.volume_term = 1.0
+
+
+def test_nonpositive_face_invariant_raises_on_every_access():
+    # an edge set the volume gate rejects, built without validation: face
+    # ABC keeps strict triangle inequalities, but its K rounds to below 0
+    edges = object.__new__(TetraEdges)
+    for name, v in zip(("ab", "ac", "ad", "bc", "cd", "db"),
+                       (0.9039744671490588, 0.5898063027663567, 1.0,
+                        0.31416816438270223, 1.0, 1.0)):
+        object.__setattr__(edges, name, v)
+    for _ in range(2):
+        with pytest.raises(GeometryError, match="nonpositive squared-area invariant"):
+            edges.face_areas
+    assert "face_areas" not in vars(edges)
 
 
 # ---------------------------------------------------------------- components

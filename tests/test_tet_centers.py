@@ -14,6 +14,8 @@ from cevian.core_model import (
 from cevian import coord_oracle as oracle
 from cevian.tet_centers import (
     TET_CENTER_KINDS,
+    CircumAux,
+    FaceAreas,
     circum_aux,
     concurrency_conditions,
     face_areas,
@@ -75,6 +77,16 @@ def test_pyramid_incenter_components():
 def test_pyramid_circumcenter_components_exact():
     got = tet_center_components("Q", PYRAMID).as_tuple()
     assert got == pytest.approx((19 / 46, 9 / 46, 9 / 46, 9 / 46), rel=1e-14)
+
+
+def test_face_areas_and_circum_aux_are_the_cached_invariants():
+    edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
+    assert face_areas(edges) is face_areas(edges) is edges.face_areas
+    assert circum_aux(edges) is circum_aux(edges) is edges.circum_aux
+    assert isinstance(face_areas(edges), FaceAreas)
+    assert isinstance(circum_aux(edges), CircumAux)
+    # nothing is shared between equal instances
+    assert face_areas(validate_tetrahedron(3, 4, 5, 5, 6, 7)) is not edges.face_areas
 
 
 def test_circum_aux_values_and_volume_link():
