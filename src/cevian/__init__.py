@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .core_model import (  # noqa: F401
     Components3,
     Components4,
-    DeltaComponents,
     GeometryError,
     IRVector3,
     PowerIncenter,

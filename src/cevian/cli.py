@@ -33,6 +33,7 @@ from .core_model import (
     PowerIncenter,
     TetraEdges,
     TriangleSides,
+    dist_between_centers,
     edge_polynomials,
     face_components_from_tetra,
     fractional_ratio_determinant,
@@ -127,6 +128,21 @@ def _tri_kind(tok):
     return k
 
 
+# each transcribed triangle distance form and the center pair it measures
+_TRI_FORM_PAIRS = (("IE_A", ("I", "E_A")), ("IE_B", ("I", "E_B")), ("IE_C", ("I", "E_C")),
+                   ("E_AE_B", ("E_A", "E_B")), ("E_BE_C", ("E_B", "E_C")),
+                   ("E_CE_A", ("E_C", "E_A")), ("QG", ("Q", "G")), ("QI", ("Q", "I")))
+
+
+def _pair_distances(table) -> dict:
+    """A pair table's distances keyed by each pair in both orders; swapping
+    a pair negates both factors of every term, so the value is the same."""
+    out = {}
+    for rep in table:
+        out[rep.pair] = out[rep.pair[::-1]] = rep.distance
+    return out
+
+
 # --------------------------------------------------------------------------
 # report assembly
 
@@ -179,16 +195,10 @@ def cmd_tri(args) -> dict:
             }
         # dual-path residuals for the independently transcribed forms
         forms = tri_metrics.transcribed_closed_forms(sides)
-        engine = {
-            "IE_A": ("I", "E_A"), "IE_B": ("I", "E_B"), "IE_C": ("I", "E_C"),
-            "E_AE_B": ("E_A", "E_B"), "E_BE_C": ("E_B", "E_C"),
-            "E_CE_A": ("E_C", "E_A"), "QG": ("Q", "G"), "QI": ("Q", "I"),
-        }
-        comps = {k: tri_centers.center_components(k, sides)
-                 for k in tri_centers.TRI_CENTER_KINDS}
+        dist = _pair_distances(table)
         residuals = {}
-        for key, (k1, k2) in engine.items():
-            d = tri_metrics.dist_between_centers(comps[k1], comps[k2], sides)
+        for key, pair in _TRI_FORM_PAIRS:
+            d = dist[pair]
             residuals[key] = abs(d - forms[key]) / max(d, forms[key], 1e-300)
         report["distances"] = section
         report["transcribed_residuals"] = residuals
@@ -266,7 +276,7 @@ def cmd_tet(args) -> dict:
                 if not tok:
                     continue
                 k1, k2 = _parse_pair(tok, tet_centers.parse_tet_center)
-                d = tet_metrics.dist_between_centers4(
+                d = dist_between_centers(
                     tet_centers.tet_center_components(k1, edges),
                     tet_centers.tet_center_components(k2, edges), edges)
                 section[f"{k1}:{k2}"] = {
@@ -464,7 +474,8 @@ def _verify_triangle_case(rng, suites, rtol, atol):
         suites["tri.centers"].check(
             oracle.frame_equation_residual(tri, c, reference), tol_len, inst)
 
-    for rep in tri_metrics.center_pair_table(sides):
+    table = tri_metrics.center_pair_table(sides)
+    for rep in table:
         want = float(np.linalg.norm(points[rep.pair[0]] - points[rep.pair[1]]))
         suites["tri.distances"].check(abs(rep.distance - want), tol_len, inst)
 
@@ -472,11 +483,9 @@ def _verify_triangle_case(rng, suites, rtol, atol):
     # one ulp under the radical into ~sqrt(eps), which no relative tolerance
     # on the roots can absorb
     forms = tri_metrics.transcribed_closed_forms(sides)
-    for key, (k1, k2) in (("IE_A", ("I", "E_A")), ("IE_B", ("I", "E_B")),
-                          ("IE_C", ("I", "E_C")), ("E_AE_B", ("E_A", "E_B")),
-                          ("E_BE_C", ("E_B", "E_C")), ("E_CE_A", ("E_C", "E_A")),
-                          ("QG", ("Q", "G")), ("QI", ("Q", "I"))):
-        d2 = tri_metrics.dist_between_centers(comps[k1], comps[k2], sides) ** 2
+    dist = _pair_distances(table)
+    for key, pair in _TRI_FORM_PAIRS:
+        d2 = dist[pair] ** 2
         f2 = forms[key] ** 2
         suites["tri.closed_forms"].check(
             abs(d2 - f2), 1e-9 * max(d2, f2) + 1e-13 * perim * perim, inst)
@@ -583,14 +592,16 @@ def _verify_tetra_case(rng, suites, rtol, atol):
 
     # centroid-incenter: transcribed form vs engine vs oracle
     forms = tet_metrics.transcribed_closed_forms4(edges)
-    gi_engine = tet_metrics.dist_between_centers4(comps["G"], comps["I"], edges)
+    table = tet_metrics.center_pair_table4(edges)
+    dist = _pair_distances(table)
+    gi_engine = dist["G", "I"]
     gi_oracle = float(np.linalg.norm(points["G"] - points["I"]))
     suites["tet.GI"].check(
         abs(forms["GI"] ** 2 - gi_engine ** 2),
         1e-9 * max(gi_engine, forms["GI"]) ** 2 + 1e-13 * emax * emax, inst)
     suites["tet.GI"].check(abs(gi_engine - gi_oracle), tol_len, inst)
 
-    for rep in tet_metrics.center_pair_table4(edges):
+    for rep in table:
         want = float(np.linalg.norm(points[rep.pair[0]] - points[rep.pair[1]]))
         suites["tet.distances"].check(abs(rep.distance - want),
                                       tol_len * cond(*rep.pair), inst)
@@ -606,7 +617,7 @@ def _verify_tetra_case(rng, suites, rtol, atol):
     for x, y in combinations("ABCD", 2):
         engine_of[f"E_{x}E_{y}"] = (f"E_{x}", f"E_{y}")
     for key, (k1, k2) in engine_of.items():
-        d2 = tet_metrics.dist_between_centers4(comps[k1], comps[k2], edges) ** 2
+        d2 = dist[k1, k2] ** 2
         f2 = forms[key] ** 2
         suites["tet.closed_forms"].check(
             abs(d2 - f2),

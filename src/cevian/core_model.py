@@ -1,4 +1,5 @@
-"""Shared data types, validation, and the weight/ratio algebra.
+"""Shared data types, validation, the weight/ratio algebra and the distance
+engine.
 
 A point P attached to a triangle ABC (or tetrahedron ABCD) is described by
 its *components*: the unique weights summing to 1 such that
@@ -12,7 +13,8 @@ cevian from X through P cuts the opposite side, with lambda_XY = -XM/MY...
 more precisely, for the foot M of the cevian from the remaining vertex,
 lambda_XY = XM/MY as a signed ratio along the side XY.  The two descriptions
 convert into each other by simple quotients, which is what most of this
-module implements.
+module implements.  Distances are quadratic forms in the components over the
+shape's squared-edge matrix E; see the engine at the end.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
+from itertools import combinations
 
 __all__ = [
     "GeometryError",
@@ -47,7 +49,6 @@ __all__ = [
     "CircumAux",
     "Components3",
     "Components4",
-    "DeltaComponents",
     "IRVector3",
     "PowerIncenter",
     "VERTICES",
@@ -59,7 +60,6 @@ __all__ = [
     "edge_polynomials",
     "components_from_ir3",
     "ir_from_components3",
-    "component_difference",
     "fractional_ratio_determinant",
     "vertex_foot_ratios3",
     "vertex_foot_ratios4",
@@ -67,6 +67,13 @@ __all__ = [
     "tetra_components_from_face_pair",
     "shared_edge_residuals",
     "concurrency_defect",
+    "DistanceReport",
+    "pair_sum",
+    "dist_between_centers",
+    "dist_origin_to_center",
+    "dist_vertex_to_center",
+    "dist_vertex_to_foot",
+    "pair_table",
 ]
 
 
@@ -205,6 +212,13 @@ class TriangleSides:
                     f"triangle inequality {pair} fails for sides ({a}, {b}, {c})"
                 )
 
+    @cached_property
+    def E(self) -> tuple:
+        """Squared-edge matrix: E[i][j] = |V_i V_j|^2 for vertices (A, B, C)
+        = (0, 1, 2), a symmetric tuple of tuples with a zero diagonal."""
+        a2, b2, c2 = self.a * self.a, self.b * self.b, self.c * self.c
+        return ((0.0, c2, b2), (c2, 0.0, a2), (b2, a2, 0.0))
+
     @property
     def semiperimeter(self) -> float:
         return 0.5 * (self.a + self.b + self.c)
@@ -338,7 +352,7 @@ class TetraEdges:
     Construction validates the lengths.  The invariants the center and
     metric formulas share are derived from the six lengths once per
     instance and then read by every caller: ``volume_term`` (set by the
-    volume gate), and on first use the ``squared`` edge table, the
+    volume gate), and on first use the squared-edge matrix ``E``, the
     ``face_areas`` and the circumcenter weights ``circum_aux``.  None of
     them takes part in equality, hashing or repr.
     """
@@ -383,11 +397,12 @@ class TetraEdges:
             raise GeometryError(f"no edge between {x!r} and {y!r}") from None
 
     @cached_property
-    def squared(self) -> MappingProxyType:
-        """Read-only table of ``length(x, y) ** 2``, keyed like ``length`` by
-        the vertex-letter pair (x, y) in either order and case."""
-        sq = {name: getattr(self, name) ** 2 for name in _EDGE_NAMES}
-        return MappingProxyType({pair: sq[name] for pair, name in _EDGE_FIELD.items()})
+    def E(self) -> tuple:
+        """Squared-edge matrix: E[i][j] = |V_i V_j|^2 for vertices
+        (A, B, C, D) = (0, 1, 2, 3), a symmetric tuple of tuples with a zero
+        diagonal."""
+        ab, ac, ad, bc, cd, db = (x * x for x in self.as_tuple())
+        return ((0.0, ab, ac, ad), (ab, 0.0, bc, db), (ac, bc, 0.0, cd), (ad, db, cd, 0.0))
 
     @cached_property
     def face_areas(self) -> FaceAreas:
@@ -417,16 +432,17 @@ class TetraEdges:
         where delta2f is half the face's sum of squared edges.  u_V/u are
         the circumcenter's components, and u = 4*(t1 - t2 - t3) > 0.
         """
-        sq = self.squared
+        e = self.E
         vals = {}
         for face, opp in FACE_OPPOSITE.items():
-            v1, v2, v3 = FACES[face]
-            e12, e23, e31 = sq[v1, v2], sq[v2, v3], sq[v3, v1]
+            v1, v2, v3 = map(VERTICES.index, FACES[face])
+            eo = e[VERTICES.index(opp)]
+            e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
             delta2f = 0.5 * (e12 + e23 + e31)
             vals[opp] = (
-                (delta2f - e12) * e12 * sq[opp, v3]
-                + (delta2f - e23) * e23 * sq[opp, v1]
-                + (delta2f - e31) * e31 * sq[opp, v2]
+                (delta2f - e12) * e12 * eo[v3]
+                + (delta2f - e23) * e23 * eo[v1]
+                + (delta2f - e31) * e31 * eo[v2]
                 - e12 * e23 * e31
             )
         return CircumAux(vals["A"], vals["B"], vals["C"], vals["D"],
@@ -498,17 +514,6 @@ class Components4:
 
     def of(self, vertex: str) -> float:
         return self.as_tuple()[VERTICES.index(vertex.upper())]
-
-
-@dataclass(frozen=True)
-class DeltaComponents:
-    """Entrywise difference of two component vectors; entries sum to 0."""
-
-    values: tuple
-
-    @property
-    def arity(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -589,14 +594,6 @@ def ir_from_components3(c: Components3) -> IRVector3:
         if abs(v) <= DEFAULT_TOL.atol:
             raise ZeroComponent(f"{name} ~ 0: point on a side line, ratios undefined")
     return IRVector3(ab / aa, ac / ab, aa / ac)
-
-
-def component_difference(c1, c2) -> DeltaComponents:
-    """Entrywise c2 - c1 for two component vectors of the same arity."""
-    t1, t2 = c1.as_tuple(), c2.as_tuple()
-    if len(t1) != len(t2):
-        raise GeometryError("component arities differ")
-    return DeltaComponents(tuple(y - x for x, y in zip(t1, t2)))
 
 
 def fractional_ratio_determinant(lam_al: float, lam_bm: float, lam_cn: float) -> float:
@@ -737,3 +734,125 @@ def shared_edge_residuals(face_components: dict) -> dict:
 def concurrency_defect(face_components: dict) -> float:
     """Largest shared-edge ratio disagreement; see shared_edge_residuals."""
     return max(shared_edge_residuals(face_components).values())
+
+
+# --------------------------------------------------------------------------
+# the distance engine
+#
+# One algebra for triangles and tetrahedra (the Cayley-Menger / Gram forms of
+# M. Fiedler, Matrices and Graphs in Geometry, 2011).  With the shape's
+# squared-edge matrix E and the pair sum
+#
+#     ps(w) = sum over vertex pairs i < j of w_i * w_j * E_ij = (1/2) w^T E w,
+#
+# the distance between the points with components beta and beta' is
+# d^2 = -ps(beta' - beta), and an origin O with vertex distances o_i is at
+# OP^2 = sum_i beta_i * o_i^2 - ps(beta) from the point beta.  The arity n
+# (3 or 4) is the shape's; vertices are indices 0..n-1.
+
+_PAIRS = {n: tuple(combinations(range(n), 2)) for n in (3, 4)}
+
+
+@dataclass(frozen=True)
+class DistanceReport:
+    pair: tuple
+    squared_distance: float
+    distance: float
+
+
+def _sqrt_clamped(sq: float, scale: float, grain: float = 0.0) -> float:
+    """sqrt with a small negative window clamped to zero.
+
+    ``scale`` is the magnitude of the terms that were subtracted to get
+    ``sq``; anything below -atol*scale is a genuine inconsistency.  ``grain``
+    widens the window by an absolute amount for callers whose inputs are
+    themselves rounded (coincident centers produce squared distances that are
+    pure noise, far below any relative window).
+    """
+    window = DEFAULT_TOL.atol * max(scale, 1e-300) + grain
+    if sq < -window:
+        raise NegativeSquaredDistance(
+            f"squared distance {sq:.6g} is negative beyond rounding (scale {scale:.6g})"
+        )
+    return math.sqrt(sq) if sq > 0.0 else 0.0
+
+
+def pair_sum(weights, shape) -> tuple:
+    """(ps(w), sum of |w_i * w_j * E_ij|) for a sequence of one weight per
+    vertex of ``shape``; the second value is the scale any cancellation in
+    the first is measured against."""
+    e = shape.E
+    if len(weights) != len(e):
+        raise GeometryError(f"{len(weights)} weights given for a shape with {len(e)} vertices")
+    terms = [weights[i] * weights[j] * e[i][j] for i, j in _PAIRS[len(e)]]
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+def _vertex_index(vertex: str, shape) -> int:
+    key = str(vertex).upper()
+    if key not in VERTICES[:len(shape.E)]:
+        raise GeometryError(f"unknown vertex {vertex!r}")
+    return VERTICES.index(key)
+
+
+def _origin_distance(osq, weights, shape) -> float:
+    """OP from the squared vertex distances ``osq`` of the origin O."""
+    ps, ps_scale = pair_sum(weights, shape)
+    if len(osq) != len(weights):
+        raise GeometryError(f"{len(osq)} vertex distances given for a shape with "
+                            f"{len(weights)} vertices")
+    vertex = [w * o for w, o in zip(weights, osq)]
+    return _sqrt_clamped(math.fsum(vertex) - ps, math.fsum(map(abs, vertex)) + ps_scale)
+
+
+def dist_origin_to_center(dists, comps, shape) -> float:
+    """Distance from an origin O, given only its distances to the shape's
+    vertices (in vertex order), to the point realizing ``comps``.
+
+    O may be any point in space; the formula only sees the distances.
+    Raises NegativeSquaredDistance when the given distances are not
+    realizable by any spatial point.
+    """
+    if not all(0.0 <= o < math.inf for o in dists):
+        raise GeometryError(f"vertex distances {tuple(dists)} must be finite and nonnegative")
+    return _origin_distance([o * o for o in dists], comps.as_tuple(), shape)
+
+
+def dist_vertex_to_center(vertex: str, comps, shape) -> float:
+    """Distance from a vertex ("A", "B", ...) to the point realizing ``comps``."""
+    return _origin_distance(shape.E[_vertex_index(vertex, shape)], comps.as_tuple(), shape)
+
+
+def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
+    """Full cevian length from a vertex through the point to the opposite
+    side or face: AL = AP / |1 - alpha_A| (and likewise)."""
+    ap = dist_vertex_to_center(vertex, comps, shape)
+    alpha = comps.as_tuple()[_vertex_index(vertex, shape)]
+    if abs(1.0 - alpha) <= DEFAULT_TOL.atol:
+        raise UnitComponent(f"component at {vertex.upper()} ~ 1: cevian foot undefined")
+    return ap / abs(1.0 - alpha)
+
+
+def dist_between_centers(c1, c2, shape) -> float:
+    """Distance between the points realizing two component vectors."""
+    w1, w2 = c1.as_tuple(), c2.as_tuple()
+    if len(w1) != len(w2):
+        raise GeometryError("component arities differ")
+    ps, scale = pair_sum([y - x for x, y in zip(w1, w2)], shape)
+    # the deltas carry absolute rounding ~eps * (component magnitude); when
+    # the centers coincide that noise is all that remains, so the window for
+    # a negative square needs an absolute floor at its square
+    grain = 0.0
+    if ps > 0.0:
+        grain = (8.0 * 2.3e-16 * max(map(abs, w1 + w2))) ** 2 * 0.5 * sum(map(sum, shape.E))
+    return _sqrt_clamped(-ps, scale, grain)
+
+
+def pair_table(comps: dict, shape) -> list:
+    """A DistanceReport for every unordered pair of the named component
+    vectors, in the mapping's order (21 pairs for seven centers)."""
+    out = []
+    for k1, k2 in combinations(comps, 2):
+        d = dist_between_centers(comps[k1], comps[k2], shape)
+        out.append(DistanceReport(pair=(k1, k2), squared_distance=d * d, distance=d))
+    return out

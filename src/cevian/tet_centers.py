@@ -23,6 +23,7 @@ from .core_model import (
     PowerIncenter,
     TetraEdges,
     Tolerance,
+    VERTICES,
     ZeroComponent,
     canonical_face,
     face_components_from_tetra,
@@ -131,8 +132,9 @@ def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
 def _face_geometry(edges: TetraEdges, face: str):
     key = canonical_face(face)
     v1, v2, v3 = FACES[key]
-    sq = edges.squared
-    e12, e23, e31 = sq[v1, v2], sq[v2, v3], sq[v3, v1]
+    e = edges.E
+    i1, i2, i3 = map(VERTICES.index, FACES[key])
+    e12, e23, e31 = e[i1][i2], e[i2][i3], e[i3][i1]
     delta2f = 0.5 * (e12 + e23 + e31)
     # identity: sum of (delta2f - e^2)*e^2 over the face edges = 8*area^2
     eight_sq = (delta2f - e12) * e12 + (delta2f - e23) * e23 + (delta2f - e31) * e31
@@ -163,9 +165,8 @@ def vertex_projection_components(edges: TetraEdges, face: str) -> Components3:
     """Projection of the face's opposite vertex onto the face (the foot of
     the tetrahedron's altitude from that vertex)."""
     key = canonical_face(face)
-    opp = FACE_OPPOSITE[key]
-    sq = {"p" + v.lower() + "2": edges.squared[opp, v] for v in FACES[key]}
-    sq["p" + opp.lower() + "2"] = 0.0
+    row = edges.E[VERTICES.index(FACE_OPPOSITE[key])]
+    sq = {"p" + v.lower() + "2": d for v, d in zip(VERTICES, row)}
     return projection_components(edges, sq, key)
 
 

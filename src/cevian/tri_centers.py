@@ -14,9 +14,9 @@ from .core_model import (
     IRVector3,
     RightAngleOrthocenter,
     TriangleSides,
-    component_difference,
     components_from_ir3,
     ir_from_components3,
+    pair_sum,
 )
 
 __all__ = [
@@ -142,8 +142,8 @@ def euler_relation(sides: TriangleSides) -> dict:
     g = center_components("G", sides)
     h = center_components("H", sides)
     q = center_components("Q", sides)
-    d_gh = component_difference(g, h).values
-    d_gq = component_difference(g, q).values
+    d_gh = [y - x for x, y in zip(g.as_tuple(), h.as_tuple())]
+    d_gq = [y - x for x, y in zip(g.as_tuple(), q.as_tuple())]
     denom = math.fsum(x * x for x in d_gq)
     if denom <= 1e-28 or max(abs(x) for x in d_gq) <= 1e-14:
         return {"gh_over_gq": -2.0, "collinearity_residual": 0.0}
@@ -153,9 +153,7 @@ def euler_relation(sides: TriangleSides) -> dict:
     # quadratic form that measures center-pair distances converts it to a
     # length; Heron on the three nearly-collinear distances would lose half
     # the precision instead.
-    ra, rb, rc = (x - ratio * y for x, y in zip(d_gh, d_gq))
-    a, b, c = sides.as_tuple()
-    sq = -math.fsum((rb * rc * a * a, rc * ra * b * b, ra * rb * c * c))
+    sq = -pair_sum([x - ratio * y for x, y in zip(d_gh, d_gq)], sides)[0]
     residual = math.sqrt(sq) if sq > 0.0 else 0.0
     return {"gh_over_gq": ratio, "collinearity_residual": residual}
 

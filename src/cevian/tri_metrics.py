@@ -1,38 +1,35 @@
 """Edge-length-only triangle metrics.
 
-One generic distance engine powers everything: for a point with components
-alpha, define the pair sum
+The distances come from the engine in core_model and are re-exported here:
+for a point with components alpha, with the pair sum
 
-    ps(alpha) = alpha_b*alpha_c*a^2 + alpha_c*alpha_a*b^2 + alpha_a*alpha_b*c^2.
+    ps(alpha) = alpha_b*alpha_c*a^2 + alpha_c*alpha_a*b^2 + alpha_a*alpha_b*c^2,
 
-Then the distance from any origin O with vertex distances (oa, ob, oc) is
+the distance from any origin O with vertex distances (oa, ob, oc) is
 OP^2 = alpha_a*oa^2 + alpha_b*ob^2 + alpha_c*oc^2 - ps(alpha), the distance
-between two component vectors is the same quadratic evaluated on their
-difference (with a sign flip), and the circumcenter distance is
-QP^2 = R^2 - ps(alpha).  A handful of algebraically simple closed forms are
-transcribed separately as independent regression guards.
+between two component vectors is -ps of their difference, and the
+circumcenter distance is QP^2 = R^2 - ps(alpha).  This module holds the
+triangle-specific metrics; a handful of algebraically simple closed forms
+are transcribed separately as independent regression guards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
 
 from .core_model import (
-    Components3,
-    DEFAULT_TOL,
-    DeltaComponents,
     GeometryError,
-    NegativeSquaredDistance,
     TriangleSides,
-    UnitComponent,
-    component_difference,
+    dist_between_centers,
+    dist_origin_to_center,
+    dist_vertex_to_center,
+    dist_vertex_to_foot,
+    pair_sum,
+    pair_table,
 )
 from .tri_centers import TRI_CENTER_KINDS, center_components
 
 __all__ = [
-    "TriDistanceReport",
     "area_determinant",
     "k_invariant",
     "circumradius",
@@ -47,13 +44,6 @@ __all__ = [
     "inequality_slacks",
     "transcribed_closed_forms",
 ]
-
-
-@dataclass(frozen=True)
-class TriDistanceReport:
-    pair: tuple
-    squared_distance: float
-    distance: float
 
 
 def _triple(sides):
@@ -90,121 +80,20 @@ def circumradius(sides: TriangleSides) -> float:
     return a * b * c / (4.0 * area_determinant(sides))
 
 
-def _sqrt_clamped(sq: float, scale: float, grain: float = 0.0) -> float:
-    """sqrt with a small negative window clamped to zero.
-
-    ``scale`` is the magnitude of the terms that were subtracted to get
-    ``sq``; anything below -atol*scale is a genuine inconsistency.  ``grain``
-    widens the window by an absolute amount for callers whose inputs are
-    themselves rounded (coincident centers produce squared distances that are
-    pure noise, far below any relative window).
-    """
-    window = DEFAULT_TOL.atol * max(scale, 1e-300) + grain
-    if sq < -window:
-        raise NegativeSquaredDistance(
-            f"squared distance {sq:.6g} is negative beyond rounding (scale {scale:.6g})"
-        )
-    return math.sqrt(sq) if sq > 0.0 else 0.0
-
-
-def _pair_sum(alpha, sides) -> float:
-    aa, ab, ac = alpha
-    a, b, c = sides.as_tuple()
-    return ab * ac * a * a + ac * aa * b * b + aa * ab * c * c
-
-
-def dist_origin_to_center(oa: float, ob: float, oc: float, comps: Components3,
-                          sides: TriangleSides) -> float:
-    """Distance from an origin O, given only its vertex distances, to the
-    point realizing ``comps``.
-
-    O may be any point in space (not necessarily in the plane); the formula
-    only sees the three distances.  Raises NegativeSquaredDistance when the
-    given distances are not realizable by any spatial point.
-    """
-    aa, ab, ac = comps.as_tuple()
-    vertex_part = aa * oa * oa + ab * ob * ob + ac * oc * oc
-    ps = _pair_sum(comps.as_tuple(), sides)
-    scale = abs(aa) * oa * oa + abs(ab) * ob * ob + abs(ac) * oc * oc + _abs_pair_sum(
-        comps.as_tuple(), sides
-    )
-    return _sqrt_clamped(vertex_part - ps, scale)
-
-
-def _abs_pair_sum(alpha, sides) -> float:
-    aa, ab, ac = alpha
-    a, b, c = sides.as_tuple()
-    return abs(ab * ac) * a * a + abs(ac * aa) * b * b + abs(aa * ab) * c * c
-
-
-def _delta_sq(delta: DeltaComponents, sides: TriangleSides):
-    da, db, dc = delta.values
-    a, b, c = sides.as_tuple()
-    terms = (db * dc * a * a, dc * da * b * b, da * db * c * c)
-    return -math.fsum(terms), math.fsum(abs(t) for t in terms)
-
-
-def dist_between_centers(c1: Components3, c2: Components3,
-                         sides: TriangleSides) -> float:
-    """Distance between the points realizing two component vectors."""
-    sq, scale = _delta_sq(component_difference(c1, c2), sides)
-    # the deltas carry absolute rounding ~eps * (component magnitude); when
-    # the centers coincide that noise is all that remains, so the negative
-    # window needs an absolute floor at its square
-    m = max(abs(v) for v in c1.as_tuple() + c2.as_tuple())
-    grain = (8.0 * 2.3e-16 * m) ** 2 * sum(s * s for s in sides.as_tuple())
-    return _sqrt_clamped(sq, scale, grain)
-
-
-_VERTEX_DISTS = {
-    "A": lambda a, b, c: (0.0, c, b),
-    "B": lambda a, b, c: (c, 0.0, a),
-    "C": lambda a, b, c: (b, a, 0.0),
-}
-
-
-def dist_vertex_to_center(vertex: str, comps: Components3,
-                          sides: TriangleSides) -> float:
-    """Distance from a vertex to the point realizing ``comps``."""
-    key = vertex.upper()
-    if key not in _VERTEX_DISTS:
-        raise GeometryError(f"unknown vertex {vertex!r}")
-    oa, ob, oc = _VERTEX_DISTS[key](*sides.as_tuple())
-    return dist_origin_to_center(oa, ob, oc, comps, sides)
-
-
-def dist_vertex_to_foot(vertex: str, comps: Components3,
-                        sides: TriangleSides) -> float:
-    """Full cevian length from a vertex through the point to the opposite
-    side: AL = AP / |1 - alpha_a| (and cyclic)."""
-    key = vertex.upper()
-    alpha = dict(zip("ABC", comps.as_tuple()))[key]
-    if abs(1.0 - alpha) <= DEFAULT_TOL.atol:
-        raise UnitComponent(f"component at {key} ~ 1: cevian foot undefined")
-    return dist_vertex_to_center(key, comps, sides) / abs(1.0 - alpha)
-
-
-def dist_circumcenter_to_center(comps: Components3, sides: TriangleSides) -> float:
-    """Distance from the circumcenter: QP^2 = R^2 - ps(alpha)."""
+def dist_circumcenter_to_center(comps, sides: TriangleSides) -> float:
+    """Distance from the circumcenter, the origin at distance R from every
+    vertex: QP^2 = R^2 - ps(alpha)."""
     r = circumradius(sides)
-    ps = _pair_sum(comps.as_tuple(), sides)
-    scale = r * r + _abs_pair_sum(comps.as_tuple(), sides)
-    return _sqrt_clamped(r * r - ps, scale)
+    return dist_origin_to_center((r, r, r), comps, sides)
 
 
 def center_pair_table(sides: TriangleSides) -> list:
     """All 21 unordered center-pair distances, in the fixed kind order
     (G, I, H, Q, E_A, E_B, E_C)."""
-    comps = {k: center_components(k, sides) for k in TRI_CENTER_KINDS}
-    out = []
-    for k1, k2 in combinations(TRI_CENTER_KINDS, 2):
-        sq, scale = _delta_sq(component_difference(comps[k1], comps[k2]), sides)
-        d = _sqrt_clamped(sq, scale)
-        out.append(TriDistanceReport(pair=(k1, k2), squared_distance=d * d, distance=d))
-    return out
+    return pair_table({k: center_components(k, sides) for k in TRI_CENTER_KINDS}, sides)
 
 
-def ict_areas(comps: Components3, sides: TriangleSides) -> dict:
+def ict_areas(comps, sides: TriangleSides) -> dict:
     """Areas of the three sub-triangles a point cuts off: the area over side
     AB is |alpha_c| * Area (and cyclic).  For interior points they sum to
     the full area."""
@@ -213,7 +102,7 @@ def ict_areas(comps: Components3, sides: TriangleSides) -> dict:
     return {"s_abp": abs(ac) * s, "s_bcp": abs(aa) * s, "s_cap": abs(ab) * s}
 
 
-def ict_altitudes(comps: Components3, sides: TriangleSides) -> dict:
+def ict_altitudes(comps, sides: TriangleSides) -> dict:
     """Distances from the realized point to the three side lines:
     h over AB = 2*|alpha_c|*Area/c (and cyclic)."""
     s = area_determinant(sides)
@@ -243,18 +132,11 @@ def inequality_slacks(sides: TriangleSides) -> dict:
 
     qg = r2 - (a2 + b2 + c2) / 9.0
     qi = r2 - a * b * c / (2.0 * p)
-    qh = r2 - _pair_sum(center_components("H", sides).as_tuple(), sides)
-
-    wa, wb, wc = 3.0 * a - 2.0 * p, 3.0 * b - 2.0 * p, 3.0 * c - 2.0 * p
-    gi = -(wb * wc * a2 + wc * wa * b2 + wa * wb * c2)
-
-    ha, hb, hc = 3.0 * db * dc - k, 3.0 * dc * da - k, 3.0 * da * db - k
-    gh = -(hb * hc * a2 + hc * ha * b2 + ha * hb * c2)
-
-    ia = 2.0 * p * db * dc - a * k
-    ib = 2.0 * p * dc * da - b * k
-    ic = 2.0 * p * da * db - c * k
-    ih = -(ib * ic * a2 + ic * ia * b2 + ia * ib * c2)
+    qh = r2 - pair_sum(center_components("H", sides).as_tuple(), sides)[0]
+    gi = -pair_sum([3.0 * x - 2.0 * p for x in (a, b, c)], sides)[0]
+    gh = -pair_sum([3.0 * db * dc - k, 3.0 * dc * da - k, 3.0 * da * db - k], sides)[0]
+    ih = -pair_sum([2.0 * p * db * dc - a * k, 2.0 * p * dc * da - b * k,
+                    2.0 * p * da * db - c * k], sides)[0]
 
     return {"QG": qg, "QI": qi, "QH": qh, "GI": gi, "GH": gh, "IH": ih}
 

@@ -52,7 +52,6 @@ from cevian.tet_metrics import (
     center_pair_table4,
     circumradius,
     crelle_check,
-    dist_between_centers4,
     inradius,
     tet_inequality_slacks,
     transcribed_closed_forms4,
@@ -267,19 +266,19 @@ def test_criterion_7_centroid_incenter_showcase():
     for edges, tet, pts in tet_corpus():
         g = tet_center_components("G", edges)
         i = tet_center_components("I", edges)
-        engine = dist_between_centers4(g, i, edges)
+        engine = dist_between_centers(g, i, edges)
         form = transcribed_closed_forms4(edges)["GI"]
         want = float(np.linalg.norm(pts["G"] - pts["I"]))
         worst = max(worst, abs(form - engine) / max(engine, 1e-300))
         worst = max(worst, abs(engine - want) / max(want, 1e-300))
     pyramid = validate_tetrahedron(3, 3, 3, 2, 2, 2)
-    from cevian.tet_metrics import dist_vertex4
+    from cevian.core_model import dist_vertex_to_center
 
-    ag = dist_vertex4("A", tet_center_components("G", pyramid), pyramid)
+    ag = dist_vertex_to_center("A", tet_center_components("G", pyramid), pyramid)
     want = abs(math.sqrt(3) - 2 * math.sqrt(2)) / (
         math.sqrt(3) + 6 * math.sqrt(2)) * ag
-    got = dist_between_centers4(tet_center_components("G", pyramid),
-                                tet_center_components("I", pyramid), pyramid)
+    got = dist_between_centers(tet_center_components("G", pyramid),
+                               tet_center_components("I", pyramid), pyramid)
     pyr_rel = abs(got - want) / want
     ok = worst <= 1e-9 and pyr_rel <= 1e-12
     record(7, ok, f"form = engine = oracle worst rel {worst:.2e}; pyramid "

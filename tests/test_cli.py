@@ -97,6 +97,21 @@ def test_distance_pair_selection(capsys):
     assert max(doc["transcribed_residuals"].values()) < 1e-9
 
 
+def test_equilateral_distance_table(capsys):
+    # G, I, H and Q coincide: their pair distances are 0, not an error
+    code, out, _ = run_cli(capsys, "tri", "--sides", "0.3", "0.3", "0.3",
+                           "--distances", "all")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["distances"]) == 21
+    coincident = [k for k in doc["distances"]
+                  if set(k.split(":")) <= {"G", "I", "H", "Q"}]
+    assert len(coincident) == 6
+    for key in coincident:
+        assert doc["distances"][key]["distance"] == 0.0
+        assert doc["distances"][key]["squared_distance"] == 0.0
+
+
 def test_power_center_in_pair_token(capsys):
     code, out, _ = run_cli(capsys, "tet", "--edges", "3", "3", "3", "2", "2",
                            "2", "--distances", "G:power:2")

@@ -16,6 +16,7 @@ from cevian.core_model import (
     GeometryError,
     IRVector3,
     InconsistentFaces,
+    NegativeSquaredDistance,
     NonPositiveLength,
     NotRealizable,
     PowerIncenter,
@@ -23,14 +24,20 @@ from cevian.core_model import (
     TriangleInequalityViolated,
     TetraEdges,
     TriangleSides,
-    component_difference,
+    _sqrt_clamped,
     components_from_ir3,
     concurrency_defect,
+    dist_between_centers,
+    dist_origin_to_center,
+    dist_vertex_to_center,
+    dist_vertex_to_foot,
     edge_polynomials,
     face_components_from_tetra,
     fractional_ratio_determinant,
     gram_volume_term,
     ir_from_components3,
+    pair_sum,
+    pair_table,
     shared_edge_residuals,
     tetra_components_from_face_pair,
     validate_tetrahedron,
@@ -157,18 +164,56 @@ def test_cached_invariants_match_from_scratch(edges):
     assert [aux.of(v) for v in "ABCD"] == [want[v] for v in "ABCD"]
     assert aux.u == math.fsum(want.values())
 
-    spellings = 0
-    for x, y in ("AB", "AC", "AD", "BC", "CD", "DB"):
-        for u, v in ((x, y), (y, x)):
-            for case in (str.upper, str.lower):
-                assert edges.squared[case(u), case(v)] == edges.length(case(u), case(v)) ** 2
-                spellings += 1
-    assert spellings == 24
-    with pytest.raises(TypeError):
-        edges.squared["A", "B"] = 0.0
-
     assert gram_volume_term(edges) == gram_volume_term(edges.as_tuple())
     assert edges.volume_term == gram_volume_term(edges.as_tuple())
+
+
+def _invariant_triangles():
+    rng = random.Random(5)
+    for _ in range(20):
+        p = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(3)]
+        yield validate_triangle(math.dist(p[1], p[2]), math.dist(p[2], p[0]),
+                                math.dist(p[0], p[1]))
+    yield validate_triangle(1, 1, 1)
+    yield validate_triangle(1, 1, 2 - 1e-7)
+
+
+@pytest.mark.parametrize("shape", list(_invariant_tetras()) + list(_invariant_triangles()))
+def test_squared_edge_matrix(shape):
+    e = shape.E
+    n = len(e)
+    assert all(isinstance(row, tuple) and len(row) == n for row in e)
+    for i in range(n):
+        assert e[i][i] == 0.0
+        for j in range(n):
+            assert e[i][j] == e[j][i]
+    names = "ABCD"[:n]
+    if n == 4:
+        lengths = {(x, y): shape.length(x, y) for x in names for y in names if x != y}
+    else:
+        lengths = {("B", "C"): shape.a, ("C", "A"): shape.b, ("A", "B"): shape.c}
+    for (x, y), length in lengths.items():
+        assert e[names.index(x)][names.index(y)] == length * length
+    assert len({frozenset(k) for k in lengths}) == n * (n - 1) // 2
+    assert shape.E is e
+    with pytest.raises(TypeError):
+        e[0][1] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shape.E = e
+
+
+def test_squared_edge_matrix_multiplies_over_many_shapes():
+    # every length is squared with x * x; ** 2 differs from it in the last
+    # bit for 12 of the 12000 edges drawn here
+    rng = random.Random(13)
+    for _ in range(2000):
+        edges = _edges_of_points([[rng.random() for _ in range(3)] for _ in range(4)])
+        ab, ac, ad, bc, cd, db = edges.as_tuple()
+        assert edges.E == ((0.0, ab * ab, ac * ac, ad * ad), (ab * ab, 0.0, bc * bc, db * db),
+                           (ac * ac, bc * bc, 0.0, cd * cd), (ad * ad, db * db, cd * cd, 0.0))
+        a, b, c = edges.face_sides("ABC").as_tuple()
+        sides = validate_triangle(a, b, c)
+        assert sides.E == ((0.0, c * c, b * b), (c * c, 0.0, a * a), (b * b, a * a, 0.0))
 
 
 def test_face_areas_bitwise_over_many_tetrahedra():
@@ -187,7 +232,7 @@ def test_face_areas_bitwise_over_many_tetrahedra():
 
 @pytest.mark.parametrize("edges", list(_invariant_tetras())[:3])
 def test_filled_cache_keeps_value_semantics(edges):
-    for name in ("squared", "face_areas", "circum_aux"):
+    for name in ("E", "face_areas", "circum_aux"):
         getattr(edges, name)
     fresh = validate_tetrahedron(*edges.as_tuple())
     assert edges == fresh
@@ -348,6 +393,61 @@ def test_inconsistent_face_pair_raises():
         tetra_components_from_face_pair(f1, bad)
 
 
-def test_component_difference_sums_to_zero():
-    d = component_difference(Components3(1, 2, 3), Components3(3, 2, 1))
-    assert sum(d.values) == pytest.approx(0.0, abs=1e-15)
+# ---------------------------------------------------------------- distance engine
+
+def test_sqrt_clamp_window():
+    assert _sqrt_clamped(-1e-15, 1.0) == 0.0
+    with pytest.raises(NegativeSquaredDistance):
+        _sqrt_clamped(-1e-3, 1.0)
+
+
+TRI = validate_triangle(3, 4, 5)
+TET = validate_tetrahedron(3, 4, 5, 5, 6, 7)
+C3 = Components3(0.2, 0.3, 0.5)
+C4 = Components4(0.1, 0.2, 0.3, 0.4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pair_sum((0.2, 0.3, 0.5), TET),
+    lambda: pair_sum((0.1, 0.2, 0.3, 0.4), TRI),
+    lambda: dist_between_centers(C4, C4, TRI),
+    lambda: dist_between_centers(C3, C3, TET),
+    lambda: dist_between_centers(C3, C4, TRI),
+    lambda: dist_between_centers(C4, C3, TET),
+    lambda: dist_origin_to_center((1.0, 1.0, 1.0, 1.0), C4, TRI),
+    lambda: dist_origin_to_center((1.0, 1.0, 1.0), C3, TET),
+    lambda: dist_origin_to_center((1.0, 1.0, 1.0, 1.0), C3, TRI),
+    lambda: dist_origin_to_center((1.0, 1.0, 1.0), C4, TET),
+    lambda: dist_vertex_to_center("A", C4, TRI),
+    lambda: dist_vertex_to_center("D", C3, TET),
+    lambda: dist_vertex_to_foot("A", C4, TRI),
+    lambda: dist_vertex_to_foot("D", C3, TET),
+    lambda: pair_table({"P": C3, "P'": C3}, TET),
+    lambda: pair_table({"P": C4, "P'": C4}, TRI),
+], ids=lambda f: str(f.__code__.co_firstlineno))
+def test_engine_rejects_weights_that_do_not_fit_the_shape(call):
+    with pytest.raises(GeometryError):
+        call()
+
+
+@pytest.mark.parametrize("dists", [(math.nan, 4.0, 3.0), (math.inf, 4.0, 3.0),
+                                   (-5.0, 4.0, 3.0)])
+def test_engine_rejects_bad_origin_distances(dists):
+    with pytest.raises(GeometryError):
+        dist_origin_to_center(dists, C3, TRI)
+
+
+@pytest.mark.parametrize("vertex", ["D", "E", "", 0, None])
+def test_engine_rejects_unknown_vertices(vertex):
+    with pytest.raises(GeometryError):
+        dist_vertex_to_center(vertex, C3, TRI)
+
+
+def test_engine_pair_sum_is_half_the_quadratic_form():
+    for shape, w in ((TRI, (0.7, -0.2, 0.5)), (TET, (0.4, -0.1, 0.3, 0.4))):
+        e = shape.E
+        n = len(w)
+        full = 0.5 * math.fsum(w[i] * w[j] * e[i][j] for i in range(n) for j in range(n))
+        ps, scale = pair_sum(w, shape)
+        assert ps == pytest.approx(full, rel=1e-14)
+        assert scale >= abs(ps)

@@ -4,7 +4,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cevian.core_model import PowerIncenter, validate_tetrahedron
+from cevian.core_model import (
+    Components3,
+    GeometryError,
+    PowerIncenter,
+    dist_between_centers,
+    dist_vertex_to_center,
+    dist_vertex_to_foot,
+    validate_tetrahedron,
+)
 from cevian import coord_oracle as oracle
 from cevian.tet_centers import TET_CENTER_KINDS, circum_aux, face_areas, tet_center_components
 from cevian.tet_metrics import (
@@ -12,10 +20,7 @@ from cevian.tet_metrics import (
     circumradius,
     circumradius_forms,
     crelle_check,
-    dist_between_centers4,
     dist_circum4,
-    dist_foot4,
-    dist_vertex4,
     inradius,
     metrics_summary,
     tet_inequality_slacks,
@@ -91,14 +96,14 @@ def test_u_polynomial_is_volume_squared_scaled():
 
 def test_vertex_distance_pyramid():
     g = tet_center_components("G", PYRAMID)
-    assert dist_vertex4("A", g, PYRAMID) == pytest.approx(
+    assert dist_vertex_to_center("A", g, PYRAMID) == pytest.approx(
         math.sqrt(69) / 4, rel=1e-12)
 
 
 def test_vertex_distance_regular_reaches_circumradius():
     g = tet_center_components("G", REGULAR)
     for v in "ABCD":
-        assert dist_vertex4(v, g, REGULAR) == pytest.approx(
+        assert dist_vertex_to_center(v, g, REGULAR) == pytest.approx(
             math.sqrt(6) / 4, rel=1e-12)
 
 
@@ -107,8 +112,8 @@ def test_foot_distances_complement_vertex_distances():
     # equals one minus the vertex component
     i = tet_center_components("I", IRREGULAR)
     for v in "ABCD":
-        ap = dist_vertex4(v, i, IRREGULAR)
-        af = dist_foot4(v, i, IRREGULAR)
+        ap = dist_vertex_to_center(v, i, IRREGULAR)
+        af = dist_vertex_to_foot(v, i, IRREGULAR)
         assert ap / af == pytest.approx(1.0 - i.of(v), rel=1e-10)
 
 
@@ -116,7 +121,7 @@ def test_circum_distance_engine_agreement():
     i = tet_center_components("I", IRREGULAR)
     q = tet_center_components("Q", IRREGULAR)
     assert dist_circum4(i, IRREGULAR) == pytest.approx(
-        dist_between_centers4(q, i, IRREGULAR), rel=1e-11)
+        dist_between_centers(q, i, IRREGULAR), rel=1e-11)
 
 
 def test_pair_table_covers_and_matches_oracle():
@@ -132,12 +137,12 @@ def test_pair_table_covers_and_matches_oracle():
 
 def test_centroid_incenter_showcase_value():
     # for the (a=2, l=3) pyramid GI collapses to a closed ratio of AG
-    ag = dist_vertex4("A", tet_center_components("G", PYRAMID), PYRAMID)
+    ag = dist_vertex_to_center("A", tet_center_components("G", PYRAMID), PYRAMID)
     want = abs(math.sqrt(3) - 2 * math.sqrt(2)) / (
         math.sqrt(3) + 6 * math.sqrt(2)) * ag
     g = tet_center_components("G", PYRAMID)
     i = tet_center_components("I", PYRAMID)
-    assert dist_between_centers4(g, i, PYRAMID) == pytest.approx(
+    assert dist_between_centers(g, i, PYRAMID) == pytest.approx(
         want, rel=1e-12)
     assert transcribed_closed_forms4(PYRAMID)["GI"] == pytest.approx(
         want, rel=1e-12)
@@ -157,7 +162,7 @@ def test_transcribed_forms_match_engine(edges):
         pairs[f"E_{x}E_{y}"] = (f"E_{x}", f"E_{y}")
     emax2 = max(edges.as_tuple()) ** 2
     for key, (k1, k2) in pairs.items():
-        d2 = dist_between_centers4(comps[k1], comps[k2], edges) ** 2
+        d2 = dist_between_centers(comps[k1], comps[k2], edges) ** 2
         f2 = forms[key] ** 2
         assert abs(d2 - f2) <= 1e-9 * max(d2, f2) + 1e-12 * emax2, key
 
@@ -196,3 +201,8 @@ def test_circumcenter_weights_match_determinant_route():
             want.append(np.linalg.det(mc) / total)
         got = tet_center_components("Q", edges).as_tuple()
         assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+def test_mismatched_arity_is_a_typed_error():
+    with pytest.raises(GeometryError):
+        dist_circum4(Components3(0.2, 0.3, 0.5), IRREGULAR)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cevian.core_model import (
-    NegativeSquaredDistance,
+    Components4,
+    GeometryError,
     UnitComponent,
     validate_triangle,
 )
@@ -25,7 +26,6 @@ from cevian.tri_metrics import (
     inequality_slacks,
     k_invariant,
     transcribed_closed_forms,
-    _sqrt_clamped,
 )
 
 R345 = validate_triangle(3, 4, 5)
@@ -79,7 +79,7 @@ def test_circumcenter_distance_agrees_with_pair_engine():
 def test_origin_form_matches_vertex_form():
     i = center_components("I", R345)
     # origin at vertex A: distances to (A, B, C) are (0, c, b)
-    d = dist_origin_to_center(0.0, 5.0, 4.0, i, R345)
+    d = dist_origin_to_center((0.0, 5.0, 4.0), i, R345)
     assert d == pytest.approx(dist_vertex_to_center("A", i, R345), rel=1e-12)
 
 
@@ -167,7 +167,19 @@ def test_equilateral_excenter_spacing():
     assert forms["E_AE_B"] == pytest.approx(4.0, rel=1e-12)  # = 2a
 
 
-def test_sqrt_clamp_window():
-    assert _sqrt_clamped(-1e-15, 1.0) == 0.0
-    with pytest.raises(NegativeSquaredDistance):
-        _sqrt_clamped(-1e-3, 1.0)
+def test_pair_table_on_equilateral_triangles():
+    # G, I, H and Q coincide; their differences are pure rounding noise,
+    # which the table must clamp to zero instead of raising
+    rng = np.random.default_rng(3)
+    for side in rng.uniform(0.05, 5.0, size=2000):
+        sides = validate_triangle(side, side, side)
+        for rep in center_pair_table(sides):
+            if set(rep.pair) <= {"G", "I", "H", "Q"}:
+                assert rep.distance <= 1e-12 * side, rep
+            else:
+                assert rep.distance > 0.5 * side, rep
+
+
+def test_mismatched_arity_is_a_typed_error():
+    with pytest.raises(GeometryError):
+        dist_circumcenter_to_center(Components4(0.1, 0.2, 0.3, 0.4), R345)
