@@ -5,8 +5,7 @@ them."""
 __version__ = "0.1.0"
 
 from .core_model import (  # noqa: F401
-    Components3,
-    Components4,
+    Components,
     GeometryError,
     IRVector3,
     PowerIncenter,

@@ -262,28 +262,20 @@ def cmd_tet(args) -> dict:
         report["centers"] = section
 
     if args.distances:
-        section = {}
         if args.distances.lower() == "all":
-            for rep in tet_metrics.center_pair_table4(edges):
-                section[f"{rep.pair[0]}:{rep.pair[1]}"] = {
-                    "distance": rep.distance,
-                    "squared_distance": rep.squared_distance,
-                    "provenance": "closed-form",
-                }
+            pairs = list(combinations(tet_centers.TET_CENTER_KINDS, 2))
         else:
-            # computed directly so pairs may involve any power:<n> center
-            for tok in args.distances.split(","):
-                if not tok:
-                    continue
-                k1, k2 = _parse_pair(tok, tet_centers.parse_tet_center)
-                d = dist_between_centers(
-                    tet_centers.tet_center_components(k1, edges),
-                    tet_centers.tet_center_components(k2, edges), edges)
-                section[f"{k1}:{k2}"] = {
-                    "distance": d,
-                    "squared_distance": d * d,
-                    "provenance": "closed-form",
-                }
+            pairs = [_parse_pair(tok, tet_centers.parse_tet_center)
+                     for tok in args.distances.split(",") if tok]
+        comps = {k: tet_centers.tet_center_components(k, edges) for pair in pairs for k in pair}
+        section = {}
+        for k1, k2 in pairs:
+            d = dist_between_centers(comps[k1], comps[k2], edges)
+            section[f"{k1}:{k2}"] = {
+                "distance": d,
+                "squared_distance": d * d,
+                "provenance": "closed-form",
+            }
         report["distances"] = section
 
     if args.metrics:
@@ -428,7 +420,7 @@ def _random_tetra(rng):
     except GeometryError:
         return None
     fa = tet_centers.face_areas(edges)
-    if min(fa.opposite_sum(x) for x in "ABCD") < 1e-3 * fa.s:
+    if min(fa.opposite_sum(x) for x in range(4)) < 1e-3 * fa.s:
         return None
     return edges
 
@@ -545,7 +537,7 @@ def _verify_tetra_case(rng, suites, rtol, atol):
     # excenter checks get a condition allowance: E_X sits ~S/T^X edge lengths
     # out, so every fixed-precision path loses accuracy proportionally
     fa = tet_centers.face_areas(edges)
-    kappa = {f"E_{x}": max(1.0, fa.s / fa.opposite_sum(x)) for x in "ABCD"}
+    kappa = {f"E_{x}": max(1.0, fa.s / fa.opposite_sum(i)) for i, x in enumerate("ABCD")}
     cond = lambda *kinds: math.prod(kappa.get(k, 1.0) for k in kinds)
 
     kinds = list(tet_centers.TET_CENTER_KINDS) + [PowerIncenter(2.0)]

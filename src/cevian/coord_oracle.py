@@ -24,9 +24,8 @@ import numpy as np
 
 from .core_model import (
     FACES,
-    FACE_OPPOSITE,
-    Components3,
-    Components4,
+    FACE_INDICES,
+    Components,
     ExcenterDenominatorZero,
     GeometryError,
     NumericalCollapse,
@@ -54,9 +53,8 @@ __all__ = [
 _COND_LIMIT = 1e12
 
 # Row i of a tetrahedron frame is face list(FACES)[i], the face opposite vertex
-# "ABCD"[i]; _FACE_ROWS holds its vertex indices (A = 0 .. D = 3) in cyclic order.
-_FACE_INDEX = {face: i for i, face in enumerate(FACES)}
-_FACE_ROWS = np.array([["ABCD".index(v) for v in FACES[f]] for f in FACES])
+# i; _FACE_ROWS holds its vertex indices (A = 0 .. D = 3) in cyclic order.
+_FACE_ROWS = np.array([FACE_INDICES[f][:3] for f in FACES])
 
 
 def _rowdot(u, v):
@@ -244,14 +242,14 @@ def definitional_center(tri: EmbeddedTriangle, kind: str) -> np.ndarray:
 def _face_plane(tet: EmbeddedTetra, face: str):
     """(unit inward normal, offset, area) of one face plane; the normal
     points toward the opposite vertex and offset = normal . (point on face)."""
-    i = _FACE_INDEX[canonical_face(face)]
+    i = FACE_INDICES[canonical_face(face)][3]
     normals, offsets, areas = tet.planes
     return normals[i], float(offsets[i]), float(areas[i])
 
 
 def oracle_face_areas(tet: EmbeddedTetra) -> dict:
     """Face areas from cross products, keyed by the opposite vertex."""
-    return dict(zip(FACE_OPPOSITE.values(), tet.planes[2].tolist()))
+    return dict(zip("ABCD", tet.planes[2].tolist()))
 
 
 def _equidistant_point3(tet: EmbeddedTetra, flipped_vertex=None):
@@ -259,8 +257,7 @@ def _equidistant_point3(tet: EmbeddedTetra, flipped_vertex=None):
     signed distance to the face opposite ``flipped_vertex`` (if any) is
     -rho instead of +rho."""
     normals, offsets, _ = tet.planes
-    signs = [-1.0 if opp == flipped_vertex else 1.0
-             for opp in FACE_OPPOSITE.values()]
+    signs = [-1.0 if opp == flipped_vertex else 1.0 for opp in "ABCD"]
     sol = _solve(np.column_stack([normals, np.negative(signs)]), offsets)
     return sol[:3], sol[3]
 
@@ -311,7 +308,7 @@ def definitional_center4(tet: EmbeddedTetra, kind) -> np.ndarray:
 # frame algebra against coordinates
 
 def _component_values(components):
-    if isinstance(components, (Components3, Components4)):
+    if isinstance(components, Components):
         return components.as_tuple()
     return tuple(float(v) for v in components)
 

@@ -47,13 +47,12 @@ __all__ = [
     "TetraEdges",
     "FaceAreas",
     "CircumAux",
-    "Components3",
-    "Components4",
+    "Components",
     "IRVector3",
     "PowerIncenter",
     "VERTICES",
     "FACES",
-    "FACE_OPPOSITE",
+    "FACE_INDICES",
     "validate_triangle",
     "validate_tetrahedron",
     "gram_volume_term",
@@ -180,7 +179,17 @@ FACES = {
     "DAB": ("D", "A", "B"),
     "ABC": ("A", "B", "C"),
 }
-FACE_OPPOSITE = {"BCD": "A", "CDA": "B", "DAB": "C", "ABC": "D"}
+
+# The same faces by vertex index (A, B, C, D) = (0, 1, 2, 3): the face's three
+# vertices in cyclic order, then its opposite vertex.  Faces run in FACES
+# order, so the i-th face is the one opposite vertex i.  The closed forms read
+# per-vertex values through this table; letters stay at the user boundary.
+FACE_INDICES = {
+    "BCD": (1, 2, 3, 0),
+    "CDA": (2, 3, 0, 1),
+    "DAB": (3, 0, 1, 2),
+    "ABC": (0, 1, 2, 3),
+}
 
 
 def canonical_face(face: str) -> str:
@@ -237,15 +246,6 @@ def validate_triangle(a: float, b: float, c: float) -> TriangleSides:
 
 
 _EDGE_NAMES = ("ab", "ac", "ad", "bc", "cd", "db")
-
-# (x, y) vertex-name pair -> edge field, for both orders and either case.
-_EDGE_FIELD = {
-    (p, q): name
-    for name in _EDGE_NAMES
-    for u, v in (name, name[::-1])
-    for p in (u, u.upper())
-    for q in (v, v.upper())
-}
 
 # Each face's edges in the face's cyclic vertex order (V1V2, V2V3, V3V1).
 _FACE_EDGE_NAMES = {
@@ -309,40 +309,29 @@ def _six(edges):
 
 @dataclass(frozen=True)
 class FaceAreas:
-    """Heron areas of the four faces, each keyed by its opposite vertex,
-    plus their sum s (the total surface area)."""
+    """Heron areas S^A..S^D of the four faces in vertex order, each at the
+    index of the face's opposite vertex, plus their sum s (the total surface
+    area)."""
 
-    s_a: float
-    s_b: float
-    s_c: float
-    s_d: float
+    by_vertex: tuple
     s: float
 
-    def of(self, vertex: str) -> float:
-        return getattr(self, "s_" + vertex.lower())
-
-    def opposite_sum(self, vertex: str) -> float:
-        """T^X = s - 2*S^X: the other three areas minus this one."""
-        return self.s - 2.0 * self.of(vertex)
+    def opposite_sum(self, i: int) -> float:
+        """T^X = s - 2*S^X for vertex index i: the other three areas minus
+        this one."""
+        return self.s - 2.0 * self.by_vertex[i]
 
     def as_dict(self) -> dict:
-        return {"s_a": self.s_a, "s_b": self.s_b, "s_c": self.s_c,
-                "s_d": self.s_d, "s": self.s}
+        return dict(zip(("s_a", "s_b", "s_c", "s_d"), self.by_vertex), s=self.s)
 
 
 @dataclass(frozen=True)
 class CircumAux:
-    """Circumcenter weight polynomials u_a..u_d (degree 6 in the edges) and
-    their sum u, which equals 144 * volume^2."""
+    """Circumcenter weight polynomials U_A..U_D (degree 6 in the edges) in
+    vertex order, and their sum u, which equals 144 * volume^2."""
 
-    u_a: float
-    u_b: float
-    u_c: float
-    u_d: float
+    by_vertex: tuple
     u: float
-
-    def of(self, vertex: str) -> float:
-        return getattr(self, "u_" + vertex.lower())
 
 
 @dataclass(frozen=True)
@@ -389,13 +378,6 @@ class TetraEdges:
     def as_tuple(self):
         return (self.ab, self.ac, self.ad, self.bc, self.cd, self.db)
 
-    def length(self, x: str, y: str) -> float:
-        """Length of the edge between vertices x and y (order- and case-free)."""
-        try:
-            return getattr(self, _EDGE_FIELD[x, y])
-        except (KeyError, TypeError):
-            raise GeometryError(f"no edge between {x!r} and {y!r}") from None
-
     @cached_property
     def E(self) -> tuple:
         """Squared-edge matrix: E[i][j] = |V_i V_j|^2 for vertices
@@ -406,20 +388,19 @@ class TetraEdges:
 
     @cached_property
     def face_areas(self) -> FaceAreas:
-        """The four face areas, each k_invariant's sqrt(K)/4 on the face's
-        sides (a, b, c) = (V2V3, V3V1, V1V2).  A face whose K is not
-        positive raises GeometryError on every access (a raise is not
-        cached)."""
-        by_vertex = {}
-        for face, opp in FACE_OPPOSITE.items():
-            e12, e23, e31 = (getattr(self, n) for n in _FACE_EDGE_NAMES[face])
-            a2, b2, c2 = e23 * e23, e31 * e31, e12 * e12
+        """The four face areas, each k_invariant's sqrt(K)/4 on the squares
+        of the face's sides (a, b, c) = (V2V3, V3V1, V1V2), read from E.  A
+        face whose K is not positive raises GeometryError on every access (a
+        raise is not cached)."""
+        e = self.E
+        areas = []
+        for v1, v2, v3, _ in FACE_INDICES.values():
+            a2, b2, c2 = e[v2][v3], e[v3][v1], e[v1][v2]
             k = (a2 + b2 + c2) ** 2 - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
             if k <= 0.0:
                 raise GeometryError(f"nonpositive squared-area invariant {k}")
-            by_vertex[opp] = 0.25 * math.sqrt(k)
-        return FaceAreas(by_vertex["A"], by_vertex["B"], by_vertex["C"],
-                         by_vertex["D"], math.fsum(by_vertex.values()))
+            areas.append(0.25 * math.sqrt(k))
+        return FaceAreas(tuple(areas), math.fsum(areas))
 
     @cached_property
     def circum_aux(self) -> CircumAux:
@@ -433,26 +414,18 @@ class TetraEdges:
         the circumcenter's components, and u = 4*(t1 - t2 - t3) > 0.
         """
         e = self.E
-        vals = {}
-        for face, opp in FACE_OPPOSITE.items():
-            v1, v2, v3 = map(VERTICES.index, FACES[face])
-            eo = e[VERTICES.index(opp)]
+        vals = []
+        for v1, v2, v3, opp in FACE_INDICES.values():
+            eo = e[opp]
             e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
             delta2f = 0.5 * (e12 + e23 + e31)
-            vals[opp] = (
+            vals.append(
                 (delta2f - e12) * e12 * eo[v3]
                 + (delta2f - e23) * e23 * eo[v1]
                 + (delta2f - e31) * e31 * eo[v2]
                 - e12 * e23 * e31
             )
-        return CircumAux(vals["A"], vals["B"], vals["C"], vals["D"],
-                         math.fsum(vals.values()))
-
-    def face_sides(self, face: str) -> TriangleSides:
-        """The face triangle's sides with a = V2V3, b = V3V1, c = V1V2."""
-        key = canonical_face(face)
-        e12, e23, e31 = (getattr(self, n) for n in _FACE_EDGE_NAMES[key])
-        return TriangleSides(a=e23, b=e31, c=e12)
+        return CircumAux(tuple(vals), math.fsum(vals))
 
 
 def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
@@ -463,57 +436,42 @@ def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
 # --------------------------------------------------------------------------
 # components and ratios
 
-def _normalized(values, cls_name):
+def _normalized(values):
     total = math.fsum(values)
     scale = math.fsum(abs(v) for v in values) + 1.0
     if abs(total) <= DEFAULT_TOL.atol * scale:
         raise DegenerateDenominator(
-            f"{cls_name} weights {values} sum to ~0 and cannot be normalized"
+            f"weights {values} sum to ~0 and cannot be normalized"
         )
     return tuple(v / total for v in values)
 
 
 @dataclass(frozen=True)
-class Components3:
-    """Normalized weights (alpha_a, alpha_b, alpha_c) summing to 1.
-
-    For a face of a tetrahedron the three slots follow the face's cyclic
-    vertex order instead of literal A, B, C.
+class Components:
+    """Normalized weights summing to 1, one per vertex in vertex order:
+    (alpha_A, alpha_B, alpha_C) for a triangle, (beta_A, .., beta_D) for a
+    tetrahedron.  For a face of a tetrahedron the three slots follow the
+    face's cyclic vertex order.  Any other number of weights than 3 or 4
+    raises GeometryError.
     """
 
-    alpha_a: float
-    alpha_b: float
-    alpha_c: float
+    weights: tuple
 
     def __post_init__(self):
-        na, nb, nc = _normalized((self.alpha_a, self.alpha_b, self.alpha_c), "Components3")
-        object.__setattr__(self, "alpha_a", na)
-        object.__setattr__(self, "alpha_b", nb)
-        object.__setattr__(self, "alpha_c", nc)
+        vals = tuple(self.weights)
+        if len(vals) not in (3, 4):
+            raise GeometryError(f"components need 3 or 4 weights, got {len(vals)}")
+        object.__setattr__(self, "weights", _normalized(vals))
 
     def as_tuple(self):
-        return (self.alpha_a, self.alpha_b, self.alpha_c)
+        return self.weights
 
-
-@dataclass(frozen=True)
-class Components4:
-    """Normalized weights (beta_a, beta_b, beta_c, beta_d) summing to 1."""
-
-    beta_a: float
-    beta_b: float
-    beta_c: float
-    beta_d: float
-
-    def __post_init__(self):
-        vals = _normalized((self.beta_a, self.beta_b, self.beta_c, self.beta_d), "Components4")
-        for name, v in zip(("beta_a", "beta_b", "beta_c", "beta_d"), vals):
-            object.__setattr__(self, name, v)
-
-    def as_tuple(self):
-        return (self.beta_a, self.beta_b, self.beta_c, self.beta_d)
-
-    def of(self, vertex: str) -> float:
-        return self.as_tuple()[VERTICES.index(vertex.upper())]
+    def checked(self, n: int) -> tuple:
+        """The weights, after checking that there are n of them; every
+        function that needs components of one arity reads them here."""
+        if len(self.weights) != n:
+            raise GeometryError(f"{len(self.weights)} weights given where {n} are needed")
+        return self.weights
 
 
 @dataclass(frozen=True)
@@ -571,7 +529,7 @@ class IRVector3:
         return 1.0 / self.lambda_ca
 
 
-def components_from_ir3(ir: IRVector3) -> Components3:
+def components_from_ir3(ir: IRVector3) -> Components:
     """Components of the point with the given cevian ratios.
 
     alpha_a = 1 / (1 + lambda_ab + lambda_ac) and the other two follow by
@@ -584,12 +542,12 @@ def components_from_ir3(ir: IRVector3) -> Components3:
         raise DegenerateDenominator(
             "1 + lambda_ab + lambda_ac ~ 0: the point escapes to infinity"
         )
-    return Components3(1.0 / denom, lam_ab / denom, lam_ac / denom)
+    return Components((1.0 / denom, lam_ab / denom, lam_ac / denom))
 
 
-def ir_from_components3(c: Components3) -> IRVector3:
+def ir_from_components3(c: Components) -> IRVector3:
     """Inverse of components_from_ir3: quotients of consecutive components."""
-    aa, ab, ac = c.as_tuple()
+    aa, ab, ac = c.checked(3)
     for name, v in zip(("alpha_a", "alpha_b", "alpha_c"), (aa, ab, ac)):
         if abs(v) <= DEFAULT_TOL.atol:
             raise ZeroComponent(f"{name} ~ 0: point on a side line, ratios undefined")
@@ -605,14 +563,14 @@ def fractional_ratio_determinant(lam_al: float, lam_bm: float, lam_cn: float) ->
     return lam_al * lam_bm * lam_cn - (lam_al + lam_bm + lam_cn) - 2.0
 
 
-def vertex_foot_ratios3(c: Components3) -> dict:
+def vertex_foot_ratios3(c: Components) -> dict:
     """Vertex-to-foot ratios along each cevian of the point with components c.
 
     kappa_al = AP/AL = 1 - alpha_a (position of P along the full cevian);
     lam_al = AP/PL = kappa/(1-kappa).  The three kappas always sum to 2.
     """
     out = {}
-    for key, alpha in zip(("al", "bm", "cn"), c.as_tuple()):
+    for key, alpha in zip(("al", "bm", "cn"), c.checked(3)):
         if abs(alpha) <= DEFAULT_TOL.atol:
             raise ZeroComponent(f"component for cevian {key} ~ 0")
         if DEFAULT_TOL.close(alpha, 1.0):
@@ -623,17 +581,17 @@ def vertex_foot_ratios3(c: Components3) -> dict:
     return out
 
 
-def vertex_foot_ratios4(c: Components4) -> dict:
+def vertex_foot_ratios4(c: Components) -> dict:
     """kappa_x = 1 - beta_x for each vertex; the four kappas sum to 3."""
     out = {}
-    for key, beta in zip(("a", "b", "c", "d"), c.as_tuple()):
+    for key, beta in zip(("a", "b", "c", "d"), c.checked(4)):
         if DEFAULT_TOL.close(beta, 1.0):
             raise UnitComponent(f"beta_{key} ~ 1: point at vertex {key.upper()}")
         out["kap_" + key] = 1.0 - beta
     return out
 
 
-def face_components_from_tetra(beta: Components4, face: str) -> Components3:
+def face_components_from_tetra(beta: Components, face: str) -> Components:
     """Components, on one face, of where the vertex-to-point line pierces it.
 
     For face BCD (opposite A) the pierce point of line A-P has weights
@@ -641,21 +599,22 @@ def face_components_from_tetra(beta: Components4, face: str) -> Components3:
     the face's cyclic vertex order.
     """
     key = canonical_face(face)
-    opp = FACE_OPPOSITE[key]
-    denom = 1.0 - beta.of(opp)
+    w = beta.checked(4)
+    *verts, opp = FACE_INDICES[key]
+    denom = 1.0 - w[opp]
     if abs(denom) <= DEFAULT_TOL.atol:
+        name = VERTICES[opp]
         raise UnitComponent(
-            f"beta_{opp.lower()} ~ 1: line through {opp} is parallel to face {key}"
+            f"beta_{name.lower()} ~ 1: line through {name} is parallel to face {key}"
         )
-    vals = [beta.of(v) / denom for v in FACES[key]]
-    return Components3(*vals)
+    return Components(w[v] / denom for v in verts)
 
 
 def tetra_components_from_face_pair(
-    alpha_on_face_of_a: Components3,
-    alpha_on_face_of_b: Components3,
+    alpha_on_face_of_a: Components,
+    alpha_on_face_of_b: Components,
     tol: Tolerance = DEFAULT_TOL,
-) -> Components4:
+) -> Components:
     """Reassemble tetrahedron components from two face pierce points.
 
     ``alpha_on_face_of_a`` lives on face BCD (slots B, C, D) and
@@ -664,18 +623,18 @@ def tetra_components_from_face_pair(
     InconsistentFaces, which means the two pierce points do not belong to a
     single common point.
     """
-    a_b, a_c, a_d = alpha_on_face_of_a.as_tuple()  # weights of B, C, D
-    b_c, b_d, b_a = alpha_on_face_of_b.as_tuple()  # weights of C, D, A
+    a_b, a_c, a_d = alpha_on_face_of_a.checked(3)  # weights of B, C, D
+    b_c, b_d, b_a = alpha_on_face_of_b.checked(3)  # weights of C, D, A
     denom = 1.0 - b_a * a_b
     if abs(denom) <= tol.atol * (1.0 + abs(b_a * a_b)):
         raise DegenerateDenominator("1 - alpha_a*alpha_b ~ 0 while reassembling")
     kappa = (1.0 - b_a) / denom  # AP/AP_A along the cevian from A
-    beta = Components4(
+    beta = Components((
         b_a * (1.0 - a_b) / denom,
         kappa * a_b,
         kappa * a_c,
         kappa * a_d,
-    )
+    ))
     for face, given in (("BCD", alpha_on_face_of_a), ("CDA", alpha_on_face_of_b)):
         back = face_components_from_tetra(beta, face)
         worst = max(abs(x - y) for x, y in zip(back.as_tuple(), given.as_tuple()))
@@ -687,33 +646,32 @@ def tetra_components_from_face_pair(
     return beta
 
 
-# shared edges between face pairs and whether the second face states the
-# ratio in the opposite direction (so its reciprocal must be compared)
+# shared edges (as vertex indices x, y) between face pairs and whether the
+# second face states the ratio in the opposite direction (so its reciprocal
+# must be compared)
 _SHARED_EDGES = (
-    ("CD", "BCD", "CDA", False),
-    ("DB", "BCD", "DAB", True),
-    ("BC", "BCD", "ABC", False),
-    ("DA", "CDA", "DAB", False),
-    ("AC", "CDA", "ABC", True),
-    ("AB", "DAB", "ABC", False),
+    ("CD", (2, 3), "BCD", "CDA", False),
+    ("DB", (3, 1), "BCD", "DAB", True),
+    ("BC", (1, 2), "BCD", "ABC", False),
+    ("DA", (3, 0), "CDA", "DAB", False),
+    ("AC", (0, 2), "CDA", "ABC", True),
+    ("AB", (0, 1), "DAB", "ABC", False),
 )
 
 
-def _face_ratio(face: str, comps: Components3, edge: str) -> float:
-    """lambda_edge within the given face, from that face's components."""
-    order = FACES[face]
-    vals = dict(zip(order, comps.as_tuple()))
-    x, y = edge[0], edge[1]
+def _face_ratio(face: str, comps: Components, x: int, y: int) -> float:
+    """lambda_xy within the given face, from that face's components."""
+    vals = dict(zip(FACE_INDICES[face][:3], comps.checked(3)))
     if abs(vals[x]) <= DEFAULT_TOL.atol:
-        raise DegenerateDenominator(f"component of {x} on face {face} ~ 0")
+        raise DegenerateDenominator(f"component of {VERTICES[x]} on face {face} ~ 0")
     return vals[y] / vals[x]
 
 
 def shared_edge_residuals(face_components: dict) -> dict:
     """Per-edge disagreement of the section ratios implied by four face points.
 
-    ``face_components`` maps each face name to the Components3 of a point on
-    that face.  For every edge shared by two faces, both faces determine a
+    ``face_components`` maps each face name to the 3-weight Components of a
+    point on that face.  For every edge shared by two faces, both faces determine a
     ratio in which the respective point's cevian cuts that edge; all six
     pairs agree exactly when the four vertex-to-face-point lines pass
     through one common point.
@@ -722,9 +680,9 @@ def shared_edge_residuals(face_components: dict) -> dict:
     if sorted(comps) != sorted(FACES):
         raise GeometryError("need components for all four faces")
     out = {}
-    for edge, f1, f2, flip in _SHARED_EDGES:
-        r1 = _face_ratio(f1, comps[f1], edge)
-        r2 = _face_ratio(f2, comps[f2], edge if not flip else edge[::-1])
+    for edge, (x, y), f1, f2, flip in _SHARED_EDGES:
+        r1 = _face_ratio(f1, comps[f1], x, y)
+        r2 = _face_ratio(f2, comps[f2], *((y, x) if flip else (x, y)))
         if flip:
             r2 = 1.0 / r2
         out[edge] = abs(r1 - r2)
@@ -815,12 +773,13 @@ def dist_origin_to_center(dists, comps, shape) -> float:
     """
     if not all(0.0 <= o < math.inf for o in dists):
         raise GeometryError(f"vertex distances {tuple(dists)} must be finite and nonnegative")
-    return _origin_distance([o * o for o in dists], comps.as_tuple(), shape)
+    return _origin_distance([o * o for o in dists], comps.checked(len(shape.E)), shape)
 
 
 def dist_vertex_to_center(vertex: str, comps, shape) -> float:
     """Distance from a vertex ("A", "B", ...) to the point realizing ``comps``."""
-    return _origin_distance(shape.E[_vertex_index(vertex, shape)], comps.as_tuple(), shape)
+    return _origin_distance(shape.E[_vertex_index(vertex, shape)],
+                            comps.checked(len(shape.E)), shape)
 
 
 def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
@@ -835,9 +794,7 @@ def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
 
 def dist_between_centers(c1, c2, shape) -> float:
     """Distance between the points realizing two component vectors."""
-    w1, w2 = c1.as_tuple(), c2.as_tuple()
-    if len(w1) != len(w2):
-        raise GeometryError("component arities differ")
+    w1, w2 = c1.checked(len(shape.E)), c2.checked(len(shape.E))
     ps, scale = pair_sum([y - x for x, y in zip(w1, w2)], shape)
     # the deltas carry absolute rounding ~eps * (component magnitude); when
     # the centers coincide that noise is all that remains, so the window for

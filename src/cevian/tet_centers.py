@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from .core_model import (
     CircumAux,
-    Components3,
-    Components4,
+    Components,
     DEFAULT_TOL,
     ExcenterDenominatorZero,
     FACES,
-    FACE_OPPOSITE,
+    FACE_INDICES,
     FaceAreas,
     GeometryError,
     IRVector3,
@@ -80,30 +79,26 @@ def circum_aux(edges: TetraEdges) -> CircumAux:
     return edges.circum_aux
 
 
-def tet_center_components(kind, edges: TetraEdges) -> Components4:
+def tet_center_components(kind, edges: TetraEdges) -> Components:
     """Components (weights summing to 1) of the requested center."""
     k = parse_tet_center(kind)
     if isinstance(k, PowerIncenter):
-        fa = edges.face_areas
-        return Components4(*(fa.of(v) ** k.n for v in "ABCD"))
+        return Components(s ** k.n for s in edges.face_areas.by_vertex)
     if k == "G":
-        return Components4(1.0, 1.0, 1.0, 1.0)
+        return Components((1.0, 1.0, 1.0, 1.0))
     if k == "I":
-        fa = edges.face_areas
-        return Components4(fa.s_a, fa.s_b, fa.s_c, fa.s_d)
+        return Components(edges.face_areas.by_vertex)
     if k == "Q":
-        aux = edges.circum_aux
-        return Components4(aux.u_a, aux.u_b, aux.u_c, aux.u_d)
+        return Components(edges.circum_aux.by_vertex)
     # escribed-sphere centers: sign flip at the named vertex
-    vertex = k[-1]
+    x = VERTICES.index(k[-1])
     fa = edges.face_areas
-    if fa.opposite_sum(vertex) <= DEFAULT_TOL.atol * fa.s:
+    if fa.opposite_sum(x) <= DEFAULT_TOL.atol * fa.s:
         raise ExcenterDenominatorZero(
-            f"surface minus twice the face area opposite {vertex} is not "
+            f"surface minus twice the face area opposite {k[-1]} is not "
             f"safely positive; the escribed sphere escapes to infinity"
         )
-    vals = [(-1.0 if v == vertex else 1.0) * fa.of(v) for v in "ABCD"]
-    return Components4(*vals)
+    return Components((-1.0 if i == x else 1.0) * s for i, s in enumerate(fa.by_vertex))
 
 
 def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
@@ -114,34 +109,42 @@ def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
     Defined for any center with no vanishing component (G, I, and the
     excenters always qualify); ZeroComponent otherwise.
     """
-    beta = tet_center_components(kind, edges)
-    by_vertex = dict(zip("ABCD", beta.as_tuple()))
-    for v, val in by_vertex.items():
+    beta = tet_center_components(kind, edges).as_tuple()
+    for i, val in enumerate(beta):
         if abs(val) <= DEFAULT_TOL.atol:
-            raise ZeroComponent(f"component of {v} ~ 0: per-face ratios undefined")
+            raise ZeroComponent(f"component of {VERTICES[i]} ~ 0: per-face ratios undefined")
     out = {}
-    for face, (v1, v2, v3) in FACES.items():
-        out[face] = IRVector3(
-            by_vertex[v2] / by_vertex[v1],
-            by_vertex[v3] / by_vertex[v2],
-            by_vertex[v1] / by_vertex[v3],
-        )
+    for face, (v1, v2, v3, _) in FACE_INDICES.items():
+        out[face] = IRVector3(beta[v2] / beta[v1], beta[v3] / beta[v2], beta[v1] / beta[v3])
     return out
 
 
 def _face_geometry(edges: TetraEdges, face: str):
-    key = canonical_face(face)
-    v1, v2, v3 = FACES[key]
+    """The face's vertex indices (V1, V2, V3, opposite), its squared edges
+    (V1V2, V2V3, V3V1), their half sum delta2f, and 8 * area^2."""
+    verts = FACE_INDICES[canonical_face(face)]
+    v1, v2, v3, _ = verts
     e = edges.E
-    i1, i2, i3 = map(VERTICES.index, FACES[key])
-    e12, e23, e31 = e[i1][i2], e[i2][i3], e[i3][i1]
+    e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
     delta2f = 0.5 * (e12 + e23 + e31)
     # identity: sum of (delta2f - e^2)*e^2 over the face edges = 8*area^2
     eight_sq = (delta2f - e12) * e12 + (delta2f - e23) * e23 + (delta2f - e31) * e31
-    return key, (v1, v2, v3), (e12, e23, e31), delta2f, eight_sq
+    return verts, (e12, e23, e31), delta2f, eight_sq
 
 
-def projection_components(edges: TetraEdges, sq_dists: dict, face: str) -> Components3:
+def _projection(edges: TetraEdges, sq_by_vertex, face: str) -> Components:
+    """Face components of the projection of the point P whose squared
+    distance to vertex i is ``sq_by_vertex[i]`` (read for the face's three
+    vertices only)."""
+    (v1, v2, v3, _), (e12, e23, e31), delta2f, eight_sq = _face_geometry(edges, face)
+    d1, d2, d3 = sq_by_vertex[v1], sq_by_vertex[v2], sq_by_vertex[v3]
+    n1 = (delta2f - e23) * e23 + (delta2f - e31) * (d3 - d1) + (delta2f - e12) * (d2 - d1)
+    n2 = (delta2f - e31) * e31 + (delta2f - e12) * (d1 - d2) + (delta2f - e23) * (d3 - d2)
+    n3 = (delta2f - e12) * e12 + (delta2f - e23) * (d2 - d3) + (delta2f - e31) * (d1 - d3)
+    return Components((n1 / eight_sq, n2 / eight_sq, n3 / eight_sq))
+
+
+def projection_components(edges: TetraEdges, sq_dists: dict, face: str) -> Components:
     """Components, within one face, of the orthogonal projection of a point
     P onto that face's plane.
 
@@ -150,27 +153,21 @@ def projection_components(edges: TetraEdges, sq_dists: dict, face: str) -> Compo
     not used).  P may be anywhere in space; slots follow the face's cyclic
     vertex order.
     """
-    key, (v1, v2, v3), (e12, e23, e31), delta2f, eight_sq = _face_geometry(edges, face)
     try:
-        d1, d2, d3 = (float(sq_dists["p" + v.lower() + "2"]) for v in (v1, v2, v3))
+        sq = {i: float(sq_dists["p" + VERTICES[i].lower() + "2"])
+              for i in FACE_INDICES[canonical_face(face)][:3]}
     except KeyError as missing:
         raise GeometryError(f"sq_dists is missing key {missing}") from None
-    n1 = (delta2f - e23) * e23 + (delta2f - e31) * (d3 - d1) + (delta2f - e12) * (d2 - d1)
-    n2 = (delta2f - e31) * e31 + (delta2f - e12) * (d1 - d2) + (delta2f - e23) * (d3 - d2)
-    n3 = (delta2f - e12) * e12 + (delta2f - e23) * (d2 - d3) + (delta2f - e31) * (d1 - d3)
-    return Components3(n1 / eight_sq, n2 / eight_sq, n3 / eight_sq)
+    return _projection(edges, sq, face)
 
 
-def vertex_projection_components(edges: TetraEdges, face: str) -> Components3:
+def vertex_projection_components(edges: TetraEdges, face: str) -> Components:
     """Projection of the face's opposite vertex onto the face (the foot of
     the tetrahedron's altitude from that vertex)."""
-    key = canonical_face(face)
-    row = edges.E[VERTICES.index(FACE_OPPOSITE[key])]
-    sq = {"p" + v.lower() + "2": d for v, d in zip(VERTICES, row)}
-    return projection_components(edges, sq, key)
+    return _projection(edges, edges.E[FACE_INDICES[canonical_face(face)][3]], face)
 
 
-def projection_of_center(kind, edges: TetraEdges, face: str) -> Components3:
+def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
     """Closed-form components of a center's orthogonal projection onto a face.
 
     Q projects to the face's own circumcenter; G and I reduce affinely to
@@ -182,21 +179,20 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components3:
         raise GeometryError(
             f"projection closed form available for Q, G, I only, not {kind!r}"
         )
-    key, (v1, v2, v3), (e12, e23, e31), delta2f, eight_sq = _face_geometry(edges, face)
+    (v1, v2, v3, opp), (e12, e23, e31), delta2f, eight_sq = _face_geometry(edges, face)
     if k == "Q":
-        return Components3(
+        return Components((
             (delta2f - e23) * e23 / eight_sq,
             (delta2f - e31) * e31 / eight_sq,
             (delta2f - e12) * e12 / eight_sq,
-        )
-    foot = vertex_projection_components(edges, key).as_tuple()
+        ))
+    foot = vertex_projection_components(edges, face).as_tuple()
     if k == "G":
-        return Components3(*((1.0 + f) / 4.0 for f in foot))
+        return Components((1.0 + f) / 4.0 for f in foot)
     fa = edges.face_areas
-    opp = FACE_OPPOSITE[key]
-    own = fa.of(opp)  # the face's own area is the one opposite its off-vertex
-    vals = [(fa.of(v) + own * f) / fa.s for v, f in zip((v1, v2, v3), foot)]
-    return Components3(*vals)
+    s = fa.by_vertex
+    own = s[opp]  # the face's own area is the one opposite its off-vertex
+    return Components((s[v] + own * f) / fa.s for v, f in zip((v1, v2, v3), foot))
 
 
 def concurrency_conditions(edges: TetraEdges, face_components: dict,
@@ -205,7 +201,7 @@ def concurrency_conditions(edges: TetraEdges, face_components: dict,
 
     For each edge shared by two faces, both face points imply a section
     ratio on that edge; the six disagreements are the report's residuals.
-    When all six pass the tolerance, the common point's Components4 are
+    When all six pass the tolerance, the common point's Components are
     reassembled from two faces and round-tripped through all four.
 
     Returns a dict with "edge_residuals", "max_residual", "concurrent",

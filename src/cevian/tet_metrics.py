@@ -141,8 +141,7 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     r2 = circumradius(edges) ** 2
     fa = edges.face_areas
     aux = edges.circum_aux
-    s_by = [fa.of(v) for v in VERTICES]
-    u_by = [aux.of(v) for v in VERTICES]
+    s_by, u_by = fa.by_vertex, aux.by_vertex
 
     qg = r2 - math.fsum(e * e for e in edges.as_tuple()) / 16.0
     qi = r2 - pair_sum(s_by, edges)[0] / fa.s ** 2
@@ -159,9 +158,8 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
     complements T^X = S - 2*S^X, and the circumcenter weights U_X."""
     fa = edges.face_areas
     aux = edges.circum_aux
-    s = [fa.of(v) for v in VERTICES]
-    t = [fa.opposite_sum(v) for v in VERTICES]
-    u = [aux.of(v) for v in VERTICES]
+    s, u = fa.by_vertex, aux.by_vertex
+    t = [fa.opposite_sum(x) for x in range(4)]
     stot, utot = fa.s, aux.u
     e2 = edges.E
     r2 = circumradius(edges) ** 2

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 
 from .core_model import (
-    Components3,
+    Components,
     DEFAULT_TOL,
     GeometryError,
     IRVector3,
@@ -46,11 +46,12 @@ def _dots(sides: TriangleSides):
     D_B*D_C + D_C*D_A + D_A*D_B = a^2*D_A + b^2*D_B + c^2*D_C = 16*Area^2,
     which is what makes the orthocenter/circumcenter weights below total.
     """
-    a2, b2, c2 = sides.a ** 2, sides.b ** 2, sides.c ** 2
+    e = sides.E
+    a2, b2, c2 = e[1][2], e[2][0], e[0][1]
     return b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2
 
 
-def center_components(kind: str, sides: TriangleSides) -> Components3:
+def center_components(kind: str, sides: TriangleSides) -> Components:
     """Components (weights summing to 1) of the requested center.
 
     Parameters
@@ -68,18 +69,18 @@ def center_components(kind: str, sides: TriangleSides) -> Components3:
     k = _kind(kind)
     a, b, c = sides.as_tuple()
     if k == "G":
-        return Components3(1.0, 1.0, 1.0)
+        return Components((1.0, 1.0, 1.0))
     if k == "I":
-        return Components3(a, b, c)
+        return Components((a, b, c))
     if k == "H":
         da, db, dc = _dots(sides)
-        return Components3(db * dc, dc * da, da * db)
+        return Components((db * dc, dc * da, da * db))
     if k == "Q":
         da, db, dc = _dots(sides)
-        return Components3(a * a * da, b * b * db, c * c * dc)
+        return Components((a * a * da, b * b * db, c * c * dc))
     # excenters: sign flip at the named vertex
     signs = {"E_A": (-1, 1, 1), "E_B": (1, -1, 1), "E_C": (1, 1, -1)}[k]
-    return Components3(signs[0] * a, signs[1] * b, signs[2] * c)
+    return Components((signs[0] * a, signs[1] * b, signs[2] * c))
 
 
 def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
@@ -158,7 +159,7 @@ def euler_relation(sides: TriangleSides) -> dict:
     return {"gh_over_gq": ratio, "collinearity_residual": residual}
 
 
-def components_via_ratios(kind: str, sides: TriangleSides) -> Components3:
+def components_via_ratios(kind: str, sides: TriangleSides) -> Components:
     """Same components, derived through the cevian-ratio route (for
     cross-checking; raises wherever center_ir does)."""
     return components_from_ir3(center_ir(kind, sides))

@@ -97,17 +97,17 @@ def ict_areas(comps, sides: TriangleSides) -> dict:
     """Areas of the three sub-triangles a point cuts off: the area over side
     AB is |alpha_c| * Area (and cyclic).  For interior points they sum to
     the full area."""
+    aa, ab, ac = comps.checked(3)
     s = area_determinant(sides)
-    aa, ab, ac = comps.as_tuple()
     return {"s_abp": abs(ac) * s, "s_bcp": abs(aa) * s, "s_cap": abs(ab) * s}
 
 
 def ict_altitudes(comps, sides: TriangleSides) -> dict:
     """Distances from the realized point to the three side lines:
     h over AB = 2*|alpha_c|*Area/c (and cyclic)."""
+    aa, ab, ac = comps.checked(3)
     s = area_determinant(sides)
     a, b, c = sides.as_tuple()
-    aa, ab, ac = comps.as_tuple()
     return {
         "h_ab": 2.0 * abs(ac) * s / c,
         "h_bc": 2.0 * abs(aa) * s / a,

@@ -6,7 +6,7 @@ import pytest
 
 from cevian.core_model import (
     FACES,
-    FACE_OPPOSITE,
+    FACE_INDICES,
     ParallelSide,
     PowerIncenter,
     ThroughVertex,
@@ -185,7 +185,7 @@ def _random_tetras():
 def test_face_planes_match_cross_products(tet):
     for face in FACES:
         v1, v2, v3 = tet.face_vertices(face)
-        opp = tet.vertex(FACE_OPPOSITE[face])
+        opp = tet.vertex("ABCD"[FACE_INDICES[face][3]])
         cross = np.cross(v2 - v1, v3 - v1)
         want = cross / np.linalg.norm(cross)
         if np.dot(want, opp - v1) < 0.0:
@@ -197,7 +197,7 @@ def test_face_planes_match_cross_products(tet):
         assert off == pytest.approx(float(np.dot(want, v1)), rel=1e-14, abs=1e-15)
         assert area == pytest.approx(0.5 * float(np.linalg.norm(cross)), rel=1e-14)
     assert oracle.oracle_face_areas(tet) == {
-        FACE_OPPOSITE[f]: oracle._face_plane(tet, f)[2] for f in FACES}
+        "ABCD"[FACE_INDICES[f][3]]: oracle._face_plane(tet, f)[2] for f in FACES}
 
 
 def _random_triangles():

@@ -7,11 +7,10 @@ from hypothesis import given, strategies as st
 
 from cevian.core_model import (
     CevaViolation,
-    Components3,
-    Components4,
+    Components,
     DegenerateDenominator,
     FACES,
-    FACE_OPPOSITE,
+    FACE_INDICES,
     FaceTriangleInequalityViolated,
     GeometryError,
     IRVector3,
@@ -24,6 +23,7 @@ from cevian.core_model import (
     TriangleInequalityViolated,
     TetraEdges,
     TriangleSides,
+    VERTICES,
     _sqrt_clamped,
     components_from_ir3,
     concurrency_defect,
@@ -45,7 +45,9 @@ from cevian.core_model import (
     vertex_foot_ratios3,
     vertex_foot_ratios4,
 )
-from cevian.tri_metrics import area_determinant
+from cevian.tri_metrics import area_determinant, ict_altitudes, ict_areas
+
+FACE_OPPOSITE = {face: next(v for v in "ABCD" if v not in face) for face in FACES}
 
 
 # ---------------------------------------------------------------- validation
@@ -82,34 +84,31 @@ def test_flat_tetra_rejected():
         validate_tetrahedron(1, s, 1, 1, 1, s)
 
 
+def _lengths(edges):
+    """Edge length by vertex-letter pair, in both orders, from the fields."""
+    named = {"AB": edges.ab, "AC": edges.ac, "AD": edges.ad,
+             "BC": edges.bc, "CD": edges.cd, "DB": edges.db}
+    return {pair: v for (x, y), v in named.items() for pair in ((x, y), (y, x))}
+
+
+def _face_sides(edges, face):
+    """The face triangle's sides a = V2V3, b = V3V1, c = V1V2."""
+    v1, v2, v3 = FACES[face]
+    length = _lengths(edges)
+    return validate_triangle(length[v2, v3], length[v3, v1], length[v1, v2])
+
+
 def test_edge_accessors():
     edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
-    assert edges.length("a", "b") == 3.0
-    assert edges.length("b", "d") == edges.length("d", "b") == 7.0
-    face = edges.face_sides("ABC")
+    assert (edges.ab, edges.db) == (3.0, 7.0)
     # opposite-vertex convention: a = BC, b = CA, c = AB
-    assert face.as_tuple() == (5.0, 4.0, 3.0)
-
-
-def test_edge_length_every_spelling():
-    edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
-    want = {"AB": 3.0, "AC": 4.0, "AD": 5.0, "BC": 5.0, "CD": 6.0, "DB": 7.0}
-    spellings = 0
-    for (x, y), length in want.items():
-        for u, v in ((x, y), (y, x)):
-            for case in (str.upper, str.lower):
-                assert edges.length(case(u), case(v)) == length
-                spellings += 1
-        assert edges.length(x.lower(), y) == length  # mixed case
-    assert spellings == 24
-
-
-@pytest.mark.parametrize("bad", [("A", "A"), ("b", "b"), ("a", "e"), ("AB", "C"),
-                                 ("", "a"), (1, "a"), ("a", None), (["a"], "b")])
-def test_edge_length_rejects_non_edges(bad):
-    edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
-    with pytest.raises(GeometryError):
-        edges.length(*bad)
+    v1, v2, v3, opp = FACE_INDICES["ABC"]
+    face = [math.sqrt(edges.E[i][j]) for i, j in ((v2, v3), (v3, v1), (v1, v2))]
+    assert (face, opp) == ([5.0, 4.0, 3.0], 3)
+    assert list(FACE_INDICES) == list(FACES)
+    for opp, (face, (*verts, opp_index)) in enumerate(FACE_INDICES.items()):
+        assert [VERTICES[i] for i in verts] == list(FACES[face])
+        assert VERTICES[opp] == VERTICES[opp_index] == FACE_OPPOSITE[face]
 
 
 def test_gram_term_positive_for_realizable_input():
@@ -136,17 +135,18 @@ def _invariant_tetras():
 
 
 def _circum_from_scratch(edges):
+    length = _lengths(edges)
     vals = {}
     for face, opp in FACE_OPPOSITE.items():
         v1, v2, v3 = FACES[face]
-        e12 = edges.length(v1, v2) ** 2
-        e23 = edges.length(v2, v3) ** 2
-        e31 = edges.length(v3, v1) ** 2
+        e12 = length[v1, v2] ** 2
+        e23 = length[v2, v3] ** 2
+        e31 = length[v3, v1] ** 2
         delta2f = 0.5 * (e12 + e23 + e31)
         vals[opp] = (
-            (delta2f - e12) * e12 * edges.length(opp, v3) ** 2
-            + (delta2f - e23) * e23 * edges.length(opp, v1) ** 2
-            + (delta2f - e31) * e31 * edges.length(opp, v2) ** 2
+            (delta2f - e12) * e12 * length[opp, v3] ** 2
+            + (delta2f - e23) * e23 * length[opp, v1] ** 2
+            + (delta2f - e31) * e31 * length[opp, v2] ** 2
             - e12 * e23 * e31
         )
     return vals
@@ -156,12 +156,12 @@ def _circum_from_scratch(edges):
 def test_cached_invariants_match_from_scratch(edges):
     fa = edges.face_areas
     for face, opp in FACE_OPPOSITE.items():
-        assert fa.of(opp) == area_determinant(edges.face_sides(face))
-    assert fa.s == math.fsum(fa.of(v) for v in "ABCD")
+        assert fa.by_vertex[VERTICES.index(opp)] == area_determinant(_face_sides(edges, face))
+    assert fa.s == math.fsum(fa.by_vertex)
 
     aux = edges.circum_aux
     want = _circum_from_scratch(edges)
-    assert [aux.of(v) for v in "ABCD"] == [want[v] for v in "ABCD"]
+    assert list(aux.by_vertex) == [want[v] for v in "ABCD"]
     assert aux.u == math.fsum(want.values())
 
     assert gram_volume_term(edges) == gram_volume_term(edges.as_tuple())
@@ -189,7 +189,7 @@ def test_squared_edge_matrix(shape):
             assert e[i][j] == e[j][i]
     names = "ABCD"[:n]
     if n == 4:
-        lengths = {(x, y): shape.length(x, y) for x in names for y in names if x != y}
+        lengths = _lengths(shape)
     else:
         lengths = {("B", "C"): shape.a, ("C", "A"): shape.b, ("A", "B"): shape.c}
     for (x, y), length in lengths.items():
@@ -211,7 +211,7 @@ def test_squared_edge_matrix_multiplies_over_many_shapes():
         ab, ac, ad, bc, cd, db = edges.as_tuple()
         assert edges.E == ((0.0, ab * ab, ac * ac, ad * ad), (ab * ab, 0.0, bc * bc, db * db),
                            (ac * ac, bc * bc, 0.0, cd * cd), (ad * ad, db * db, cd * cd, 0.0))
-        a, b, c = edges.face_sides("ABC").as_tuple()
+        a, b, c = edges.bc, edges.ac, edges.ab  # face ABC
         sides = validate_triangle(a, b, c)
         assert sides.E == ((0.0, c * c, b * b), (c * c, 0.0, a * a), (b * b, a * a, 0.0))
 
@@ -227,7 +227,7 @@ def test_face_areas_bitwise_over_many_tetrahedra():
             continue
         fa = edges.face_areas
         for face, opp in FACE_OPPOSITE.items():
-            assert fa.of(opp) == area_determinant(edges.face_sides(face))
+            assert fa.by_vertex[VERTICES.index(opp)] == area_determinant(_face_sides(edges, face))
 
 
 @pytest.mark.parametrize("edges", list(_invariant_tetras())[:3])
@@ -262,21 +262,21 @@ def test_nonpositive_face_invariant_raises_on_every_access():
 # ---------------------------------------------------------------- components
 
 def test_components_renormalize():
-    c = Components3(2.0, 4.0, 6.0)
+    c = Components((2.0, 4.0, 6.0))
     assert math.isclose(sum(c.as_tuple()), 1.0, rel_tol=0, abs_tol=1e-15)
-    assert math.isclose(c.alpha_c, 0.5)
+    assert math.isclose(c.weights[2], 0.5)
 
 
 def test_components_degenerate_sum():
     with pytest.raises(DegenerateDenominator):
-        Components3(1.0, -2.0, 1.0)
+        Components((1.0, -2.0, 1.0))
 
 
 def test_components4_vertex_lookup():
-    c = Components4(1, 2, 3, 4)
-    assert c.of("D") == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        c.of("E")
+    c = Components((1, 2, 3, 4))
+    assert c.weights[3] == pytest.approx(0.4)
+    with pytest.raises(IndexError):
+        c.weights[4]
 
 
 def test_power_incenter_token():
@@ -313,7 +313,7 @@ simplex3 = st.tuples(
 
 @given(simplex3)
 def test_ir_component_roundtrip(raw):
-    c = Components3(*raw)
+    c = Components(raw)
     ir = ir_from_components3(c)
     assert ir.lambda_ab * ir.lambda_bc * ir.lambda_ca == pytest.approx(1.0)
     back = components_from_ir3(ir)
@@ -326,7 +326,7 @@ def test_foot_ratio_identities(raw):
     """The integral ratios along the three cevians sum to 2, the reciprocal
     fractions sum to 1, and the three fractional ratios satisfy the
     product-minus-sum determinant identity."""
-    c = Components3(*raw)
+    c = Components(raw)
     r = vertex_foot_ratios3(c)
     assert r["kap_al"] + r["kap_bm"] + r["kap_cn"] == pytest.approx(2.0)
     rec = sum(1.0 / (1.0 + r[k]) for k in ("lam_al", "lam_bm", "lam_cn"))
@@ -345,7 +345,7 @@ simplex4 = st.tuples(
 
 @given(simplex4)
 def test_foot_ratio_sum_tetra(raw):
-    r = vertex_foot_ratios4(Components4(*raw))
+    r = vertex_foot_ratios4(Components(raw))
     assert sum(r.values()) == pytest.approx(3.0)
 
 
@@ -353,7 +353,7 @@ def test_foot_ratio_sum_tetra(raw):
 
 @given(simplex4)
 def test_face_pair_reassembly(raw):
-    beta = Components4(*raw)
+    beta = Components(raw)
     f1 = face_components_from_tetra(beta, "BCD")
     f2 = face_components_from_tetra(beta, "CDA")
     back = tetra_components_from_face_pair(f1, f2)
@@ -362,14 +362,14 @@ def test_face_pair_reassembly(raw):
 
 
 def test_face_components_sum_to_one():
-    beta = Components4(0.1, 0.2, 0.3, 0.4)
+    beta = Components((0.1, 0.2, 0.3, 0.4))
     for face in FACES:
         f = face_components_from_tetra(beta, face)
         assert sum(f.as_tuple()) == pytest.approx(1.0)
 
 
 def test_shared_edge_residuals_vanish_for_consistent_faces():
-    beta = Components4(0.1, 0.2, 0.3, 0.4)
+    beta = Components((0.1, 0.2, 0.3, 0.4))
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
     res = shared_edge_residuals(faces)
     assert len(res) == 6
@@ -378,17 +378,17 @@ def test_shared_edge_residuals_vanish_for_consistent_faces():
 
 
 def test_tampered_faces_detected():
-    beta = Components4(0.1, 0.2, 0.3, 0.4)
+    beta = Components((0.1, 0.2, 0.3, 0.4))
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
     v = faces["ABC"].as_tuple()
-    faces["ABC"] = Components3(v[0] * 1.3, v[1], v[2])
+    faces["ABC"] = Components((v[0] * 1.3, v[1], v[2]))
     assert concurrency_defect(faces) > 1e-3
 
 
 def test_inconsistent_face_pair_raises():
-    beta = Components4(0.1, 0.2, 0.3, 0.4)
+    beta = Components((0.1, 0.2, 0.3, 0.4))
     f1 = face_components_from_tetra(beta, "BCD")
-    bad = Components3(0.5, 0.3, 0.2)
+    bad = Components((0.5, 0.3, 0.2))
     with pytest.raises(InconsistentFaces):
         tetra_components_from_face_pair(f1, bad)
 
@@ -403,8 +403,8 @@ def test_sqrt_clamp_window():
 
 TRI = validate_triangle(3, 4, 5)
 TET = validate_tetrahedron(3, 4, 5, 5, 6, 7)
-C3 = Components3(0.2, 0.3, 0.5)
-C4 = Components4(0.1, 0.2, 0.3, 0.4)
+C3 = Components((0.2, 0.3, 0.5))
+C4 = Components((0.1, 0.2, 0.3, 0.4))
 
 
 @pytest.mark.parametrize("call", [
@@ -427,6 +427,29 @@ C4 = Components4(0.1, 0.2, 0.3, 0.4)
 ], ids=lambda f: str(f.__code__.co_firstlineno))
 def test_engine_rejects_weights_that_do_not_fit_the_shape(call):
     with pytest.raises(GeometryError):
+        call()
+
+
+@pytest.mark.parametrize("weights", [(), (1.0,), (0.5, 0.5), (0.2,) * 5, (0.1,) * 10])
+def test_components_need_three_or_four_weights(weights):
+    with pytest.raises(GeometryError, match="3 or 4 weights"):
+        Components(weights)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: face_components_from_tetra(C3, "BCD"), id="face_components_from_tetra"),
+    pytest.param(lambda: ir_from_components3(C4), id="ir_from_components3"),
+    pytest.param(lambda: ict_areas(C4, TRI), id="ict_areas"),
+    pytest.param(lambda: ict_altitudes(C4, TRI), id="ict_altitudes"),
+    pytest.param(lambda: tetra_components_from_face_pair(C4, C3), id="face_pair_first"),
+    pytest.param(lambda: tetra_components_from_face_pair(C3, C4), id="face_pair_second"),
+    pytest.param(lambda: vertex_foot_ratios3(C4), id="vertex_foot_ratios3"),
+    pytest.param(lambda: vertex_foot_ratios4(C3), id="vertex_foot_ratios4"),
+    pytest.param(lambda: shared_edge_residuals({f: C4 for f in FACES}),
+                 id="shared_edge_residuals"),
+])
+def test_components_of_the_wrong_arity_raise_typed_errors(call):
+    with pytest.raises(GeometryError, match="weights given where"):
         call()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cevian.core_model import (
-    Components4,
+    Components,
     FACES,
     GeometryError,
     PowerIncenter,
@@ -48,9 +48,9 @@ def test_parse_center_tokens():
 
 def test_pyramid_face_areas():
     fa = face_areas(PYRAMID)
-    assert fa.of("A") == pytest.approx(SQRT3, rel=1e-12)   # base BCD
-    for v in "BCD":
-        assert fa.of(v) == pytest.approx(SQRT8, rel=1e-12)
+    assert fa.by_vertex[0] == pytest.approx(SQRT3, rel=1e-12)   # base BCD
+    for i in (1, 2, 3):
+        assert fa.by_vertex[i] == pytest.approx(SQRT8, rel=1e-12)
     assert fa.s == pytest.approx(SQRT3 + 3 * SQRT8, rel=1e-12)
 
 
@@ -91,9 +91,9 @@ def test_face_areas_and_circum_aux_are_the_cached_invariants():
 
 def test_circum_aux_values_and_volume_link():
     aux = circum_aux(PYRAMID)
-    assert aux.of("A") == pytest.approx(152.0, rel=1e-12)
-    for v in "BCD":
-        assert aux.of(v) == pytest.approx(72.0, rel=1e-12)
+    assert aux.by_vertex[0] == pytest.approx(152.0, rel=1e-12)
+    for i in (1, 2, 3):
+        assert aux.by_vertex[i] == pytest.approx(72.0, rel=1e-12)
     assert aux.u == pytest.approx(368.0, rel=1e-12)
     assert aux.u == pytest.approx(144.0 * volume(PYRAMID) ** 2, rel=1e-12)
 
@@ -120,10 +120,10 @@ def test_components_realize_definitional_centers(edges, kind):
 def test_ir_tensor_quotients_and_ceva():
     tensor = tet_center_ir_tensor("I", IRREGULAR)
     assert set(tensor) == set(FACES)
-    beta = tet_center_components("I", IRREGULAR)
+    beta = tet_center_components("I", IRREGULAR).weights
     for face, ir in tensor.items():
-        v1, v2, v3 = FACES[face]
-        assert ir.lambda_ab == pytest.approx(beta.of(v2) / beta.of(v1))
+        v1, v2, v3 = ("ABCD".index(v) for v in FACES[face])
+        assert ir.lambda_ab == pytest.approx(beta[v2] / beta[v1])
         prod = ir.lambda_ab * ir.lambda_bc * ir.lambda_ca
         assert prod == pytest.approx(1.0, abs=1e-12)
 
@@ -164,8 +164,8 @@ def test_vertex_projection_matches_oracle():
 
 def test_circumcenter_projects_to_face_circumcenter():
     c3 = projection_of_center("Q", IRREGULAR, "ABC")
-    sides = IRREGULAR.face_sides("ABC")
-    a2, b2, c2 = (x * x for x in sides.as_tuple())
+    # face ABC's sides a = BC, b = CA, c = AB
+    a2, b2, c2 = (x * x for x in (IRREGULAR.bc, IRREGULAR.ac, IRREGULAR.ab))
     w = (a2 * (b2 + c2 - a2), b2 * (c2 + a2 - b2), c2 * (a2 + b2 - c2))
     want = tuple(x / sum(w) for x in w)
     assert c3.as_tuple() == pytest.approx(want, rel=1e-12)
@@ -210,9 +210,7 @@ def test_perturbed_face_points_rejected():
     beta = tet_center_components("I", IRREGULAR)
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
     v = faces["BCD"].as_tuple()
-    from cevian.core_model import Components3
-
-    faces["BCD"] = Components3(v[0] * 1.05, v[1], v[2])
+    faces["BCD"] = Components((v[0] * 1.05, v[1], v[2]))
     rep = concurrency_conditions(IRREGULAR, faces)
     assert not rep["concurrent"]
     assert rep["max_residual"] > 1e-3

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cevian.core_model import (
-    Components3,
+    Components,
     GeometryError,
     PowerIncenter,
     dist_between_centers,
@@ -111,10 +111,10 @@ def test_foot_distances_complement_vertex_distances():
     # the center divides its cevian so that (vertex->center) / (vertex->foot)
     # equals one minus the vertex component
     i = tet_center_components("I", IRREGULAR)
-    for v in "ABCD":
+    for idx, v in enumerate("ABCD"):
         ap = dist_vertex_to_center(v, i, IRREGULAR)
         af = dist_vertex_to_foot(v, i, IRREGULAR)
-        assert ap / af == pytest.approx(1.0 - i.of(v), rel=1e-10)
+        assert ap / af == pytest.approx(1.0 - i.weights[idx], rel=1e-10)
 
 
 def test_circum_distance_engine_agreement():
@@ -205,4 +205,4 @@ def test_circumcenter_weights_match_determinant_route():
 
 def test_mismatched_arity_is_a_typed_error():
     with pytest.raises(GeometryError):
-        dist_circum4(Components3(0.2, 0.3, 0.5), IRREGULAR)
+        dist_circum4(Components((0.2, 0.3, 0.5)), IRREGULAR)

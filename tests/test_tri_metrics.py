@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cevian.core_model import (
-    Components4,
+    Components,
     GeometryError,
     UnitComponent,
     validate_triangle,
@@ -182,4 +182,4 @@ def test_pair_table_on_equilateral_triangles():
 
 def test_mismatched_arity_is_a_typed_error():
     with pytest.raises(GeometryError):
-        dist_circumcenter_to_center(Components4(0.1, 0.2, 0.3, 0.4), R345)
+        dist_circumcenter_to_center(Components((0.1, 0.2, 0.3, 0.4)), R345)
