@@ -28,15 +28,18 @@ from itertools import combinations
 import numpy as np
 
 from .core_model import (
+    CENTER_KINDS,
     FACES,
     GeometryError,
     PowerIncenter,
     TetraEdges,
     TriangleSides,
+    center_components,
     dist_between_centers,
     edge_polynomials,
     face_components_from_tetra,
     fractional_ratio_determinant,
+    parse_center,
     validate_tetrahedron,
     validate_triangle,
     vertex_foot_ratios3,
@@ -103,29 +106,22 @@ def _tetra_from_args(args) -> TetraEdges:
     return validate_tetrahedron(*args.edges)
 
 
-def _parse_center_list(raw, kinds, parse_one):
-    if raw is None or raw.lower() == "all":
-        return list(kinds)
-    return [parse_one(tok) for tok in raw.split(",") if tok]
+def _parse_center_list(raw, n):
+    if raw.lower() == "all":
+        return list(CENTER_KINDS[n])
+    return [parse_center(tok, n) for tok in raw.split(",") if tok]
 
 
-def _parse_pair(token, parse_one):
+def _parse_pair(token, n):
     # split at each ':' until both halves parse as center kinds (tokens like
     # "G:power:2" need the second colon kept together)
     positions = [i for i, ch in enumerate(token) if ch == ":"]
     for pos in positions:
         try:
-            return parse_one(token[:pos]), parse_one(token[pos + 1:])
+            return parse_center(token[:pos], n), parse_center(token[pos + 1:], n)
         except GeometryError:
             continue
     raise GeometryError(f"cannot parse center pair {token!r} (expected KIND:KIND)")
-
-
-def _tri_kind(tok):
-    k = str(tok).upper()
-    if k not in tri_centers.TRI_CENTER_KINDS:
-        raise GeometryError(f"unknown triangle center {tok!r}")
-    return k
 
 
 # each transcribed triangle distance form and the center pair it measures
@@ -146,6 +142,22 @@ def _pair_distances(table) -> dict:
 # --------------------------------------------------------------------------
 # report assembly
 
+def _centers_section(kinds, shape, key, ratios) -> dict:
+    """Each center's components and, under ``key``, its cevian ratios as
+    ``ratios(kind, shape)`` gives them, or None and the typed error's name."""
+    section = {}
+    for k in kinds:
+        entry = {"components": list(center_components(k, shape).as_tuple()),
+                 "provenance": "closed-form"}
+        try:
+            entry[key] = ratios(k, shape)
+        except GeometryError as exc:
+            entry[key] = None
+            entry["ir_error"] = type(exc).__name__
+        section[str(k)] = entry
+    return section
+
+
 def cmd_tri(args) -> dict:
     sides = _triangle_from_args(args)
     report = {
@@ -157,23 +169,11 @@ def cmd_tri(args) -> dict:
     }
     want_default = not (args.centers or args.distances or args.metrics
                         or args.inequalities or args.areas)
-    centers = _parse_center_list(
-        args.centers if args.centers else ("all" if want_default else None),
-        tri_centers.TRI_CENTER_KINDS, _tri_kind,
-    ) if (args.centers or want_default) else []
-
+    centers = (_parse_center_list(args.centers or "all", 3)
+               if (args.centers or want_default) else [])
     if centers:
-        section = {}
-        for k in centers:
-            comps = tri_centers.center_components(k, sides)
-            entry = {"components": list(comps.as_tuple()), "provenance": "closed-form"}
-            try:
-                entry["ir"] = list(tri_centers.center_ir(k, sides).as_tuple())
-            except GeometryError as exc:
-                entry["ir"] = None
-                entry["ir_error"] = type(exc).__name__
-            section[k] = entry
-        report["centers"] = section
+        report["centers"] = _centers_section(
+            centers, sides, "ir", lambda k, s: list(tri_centers.center_ir(k, s).as_tuple()))
 
     if args.distances:
         table = tri_metrics.center_pair_table(sides)
@@ -181,7 +181,7 @@ def cmd_tri(args) -> dict:
             wanted = None
         else:
             wanted = {
-                tuple(sorted(_parse_pair(tok, _tri_kind)))
+                tuple(sorted(_parse_pair(tok, 3)))
                 for tok in args.distances.split(",") if tok
             }
         section = {}
@@ -220,8 +220,8 @@ def cmd_tri(args) -> dict:
 
     if args.areas:
         section = {}
-        for k in (centers or list(tri_centers.TRI_CENTER_KINDS)):
-            comps = tri_centers.center_components(k, sides)
+        for k in (centers or CENTER_KINDS[3]):
+            comps = center_components(k, sides)
             entry = dict(tri_metrics.ict_areas(comps, sides))
             entry.update(tri_metrics.ict_altitudes(comps, sides))
             section[k] = entry
@@ -242,35 +242,22 @@ def cmd_tet(args) -> dict:
     }
     want_default = not (args.centers or args.distances or args.metrics
                         or args.inequalities or args.project)
-    centers = _parse_center_list(
-        args.centers if args.centers else ("all" if want_default else None),
-        tet_centers.TET_CENTER_KINDS, tet_centers.parse_tet_center,
-    ) if (args.centers or want_default) else []
-
+    centers = (_parse_center_list(args.centers or "all", 4)
+               if (args.centers or want_default) else [])
     if centers:
-        section = {}
-        for k in centers:
-            comps = tet_centers.tet_center_components(k, edges)
-            entry = {"components": list(comps.as_tuple()), "provenance": "closed-form"}
-            try:
-                tensor = tet_centers.tet_center_ir_tensor(k, edges)
-                entry["ir_faces"] = {f: list(v.as_tuple()) for f, v in sorted(tensor.items())}
-            except GeometryError as exc:
-                entry["ir_faces"] = None
-                entry["ir_error"] = type(exc).__name__
-            section[str(k)] = entry
-        report["centers"] = section
+        report["centers"] = _centers_section(centers, edges, "ir_faces", lambda k, e: {
+            f: list(v.as_tuple())
+            for f, v in sorted(tet_centers.tet_center_ir_tensor(k, e).items())})
 
     if args.distances:
         if args.distances.lower() == "all":
-            pairs = list(combinations(tet_centers.TET_CENTER_KINDS, 2))
+            pairs = list(combinations(CENTER_KINDS[4], 2))
         else:
-            pairs = [_parse_pair(tok, tet_centers.parse_tet_center)
-                     for tok in args.distances.split(",") if tok]
-        comps = {k: tet_centers.tet_center_components(k, edges) for pair in pairs for k in pair}
+            pairs = [_parse_pair(tok, 4) for tok in args.distances.split(",") if tok]
         section = {}
         for k1, k2 in pairs:
-            d = dist_between_centers(comps[k1], comps[k2], edges)
+            d = dist_between_centers(center_components(k1, edges),
+                                     center_components(k2, edges), edges)
             section[f"{k1}:{k2}"] = {
                 "distance": d,
                 "squared_distance": d * d,
@@ -454,8 +441,7 @@ def _verify_triangle_case(rng, suites, rtol, atol):
     tol_len = atol + rtol * perim
     tri = oracle.embed_triangle(sides)
 
-    comps = {k: tri_centers.center_components(k, sides)
-             for k in tri_centers.TRI_CENTER_KINDS}
+    comps = {k: center_components(k, sides) for k in CENTER_KINDS[3]}
     points = {}
     for k, c in comps.items():
         realized = oracle.point_from_components(tri, c)
@@ -540,11 +526,11 @@ def _verify_tetra_case(rng, suites, rtol, atol):
     kappa = {f"E_{x}": max(1.0, fa.s / fa.opposite_sum(i)) for i, x in enumerate("ABCD")}
     cond = lambda *kinds: math.prod(kappa.get(k, 1.0) for k in kinds)
 
-    kinds = list(tet_centers.TET_CENTER_KINDS) + [PowerIncenter(2.0)]
+    kinds = list(CENTER_KINDS[4]) + [PowerIncenter(2.0)]
     points = {}
     comps = {}
     for k in kinds:
-        c = tet_centers.tet_center_components(k, edges)
+        c = center_components(k, edges)
         comps[str(k)] = c
         realized = oracle.point_from_components(tet, c)
         reference = oracle.definitional_center4(tet, k)
@@ -579,7 +565,7 @@ def _verify_tetra_case(rng, suites, rtol, atol):
     rr_oracle = float(np.linalg.norm(q_oracle - tet.pa))
     suites["tet.metrics"].check(abs(rr - rr_oracle) / rr_oracle, 1e-9, inst)
     suites["tet.metrics"].check(tet_metrics.crelle_check(edges), 1e-9, inst)
-    aux = tet_centers.circum_aux(edges)
+    aux = edges.circum_aux
     suites["tet.metrics"].check(abs(aux.u - 144.0 * vol * vol) / aux.u, 1e-9, inst)
 
     # centroid-incenter: transcribed form vs engine vs oracle

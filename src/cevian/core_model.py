@@ -1,5 +1,5 @@
-"""Shared data types, validation, the weight/ratio algebra and the distance
-engine.
+"""Shared data types, validation, the weight/ratio algebra, the center rule
+and the distance engine.
 
 A point P attached to a triangle ABC (or tetrahedron ABCD) is described by
 its *components*: the unique weights summing to 1 such that
@@ -8,13 +8,11 @@ its *components*: the unique weights summing to 1 such that
 
 These are normalized barycentric coordinates; everything downstream (center
 formulas, distances, areas) is expressed through them.  The companion
-description is the *cevian ratio* lambda_XY: the signed ratio in which the
-cevian from X through P cuts the opposite side, with lambda_XY = -XM/MY...
-more precisely, for the foot M of the cevian from the remaining vertex,
-lambda_XY = XM/MY as a signed ratio along the side XY.  The two descriptions
-convert into each other by simple quotients, which is what most of this
-module implements.  Distances are quadratic forms in the components over the
-shape's squared-edge matrix E; see the engine at the end.
+description is the *cevian ratio* lambda_XY: for the foot M of the cevian
+through P from the remaining vertex, lambda_XY = XM/MY as a signed ratio
+along the side XY.  The two descriptions convert into each other by simple
+quotients.  Distances are quadratic forms in the components over the shape's
+squared-edge matrix E; see the engine at the end.
 """
 
 from __future__ import annotations
@@ -50,6 +48,9 @@ __all__ = [
     "Components",
     "IRVector3",
     "PowerIncenter",
+    "CENTER_KINDS",
+    "parse_center",
+    "center_components",
     "VERTICES",
     "FACES",
     "FACE_INDICES",
@@ -228,6 +229,18 @@ class TriangleSides:
         a2, b2, c2 = self.a * self.a, self.b * self.b, self.c * self.c
         return ((0.0, c2, b2), (c2, 0.0, a2), (b2, a2, 0.0))
 
+    @cached_property
+    def area(self) -> float:
+        """sqrt(K)/4 with K = 16*Area^2 from E; a K that is not positive
+        raises GeometryError on every access (a raise is not cached)."""
+        e = self.E
+        return _area(e[1][2], e[2][0], e[0][1])
+
+    @cached_property
+    def _centers(self) -> dict:
+        """center_components' per-instance cache: Components by kind."""
+        return {}
+
     @property
     def semiperimeter(self) -> float:
         return 0.5 * (self.a + self.b + self.c)
@@ -243,6 +256,19 @@ class TriangleSides:
 def validate_triangle(a: float, b: float, c: float) -> TriangleSides:
     """Check positivity and the three strict triangle inequalities."""
     return TriangleSides(float(a), float(b), float(c))
+
+
+def _k_invariant(a2: float, b2: float, c2: float) -> float:
+    """(a^2+b^2+c^2)^2 - 2(a^4+b^4+c^4) on the squared sides: 16*Area^2."""
+    return (a2 + b2 + c2) ** 2 - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
+
+
+def _area(a2: float, b2: float, c2: float) -> float:
+    """The area sqrt(K)/4 of the triangle with the given squared sides."""
+    k = _k_invariant(a2, b2, c2)
+    if k <= 0.0:
+        raise GeometryError(f"nonpositive squared-area invariant {k}")
+    return 0.25 * math.sqrt(k)
 
 
 _EDGE_NAMES = ("ab", "ac", "ad", "bc", "cd", "db")
@@ -342,8 +368,9 @@ class TetraEdges:
     metric formulas share are derived from the six lengths once per
     instance and then read by every caller: ``volume_term`` (set by the
     volume gate), and on first use the squared-edge matrix ``E``, the
-    ``face_areas`` and the circumcenter weights ``circum_aux``.  None of
-    them takes part in equality, hashing or repr.
+    ``face_areas``, the circumcenter weights ``circum_aux`` and the centers'
+    Components (see center_components).  None of them takes part in
+    equality, hashing or repr.
     """
 
     ab: float
@@ -388,18 +415,13 @@ class TetraEdges:
 
     @cached_property
     def face_areas(self) -> FaceAreas:
-        """The four face areas, each k_invariant's sqrt(K)/4 on the squares
-        of the face's sides (a, b, c) = (V2V3, V3V1, V1V2), read from E.  A
-        face whose K is not positive raises GeometryError on every access (a
-        raise is not cached)."""
+        """The four face areas, each sqrt(K)/4 on the squares of the face's
+        sides (a, b, c) = (V2V3, V3V1, V1V2), read from E.  A face whose K is
+        not positive raises GeometryError on every access (a raise is not
+        cached)."""
         e = self.E
-        areas = []
-        for v1, v2, v3, _ in FACE_INDICES.values():
-            a2, b2, c2 = e[v2][v3], e[v3][v1], e[v1][v2]
-            k = (a2 + b2 + c2) ** 2 - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
-            if k <= 0.0:
-                raise GeometryError(f"nonpositive squared-area invariant {k}")
-            areas.append(0.25 * math.sqrt(k))
+        areas = [_area(e[v2][v3], e[v3][v1], e[v1][v2])
+                 for v1, v2, v3, _ in FACE_INDICES.values()]
         return FaceAreas(tuple(areas), math.fsum(areas))
 
     @cached_property
@@ -427,6 +449,11 @@ class TetraEdges:
             )
         return CircumAux(tuple(vals), math.fsum(vals))
 
+    @cached_property
+    def _centers(self) -> dict:
+        """center_components' per-instance cache: Components by kind."""
+        return {}
+
 
 def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
     """Positivity, four face triangle inequalities, and the volume gate."""
@@ -437,6 +464,8 @@ def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
 # components and ratios
 
 def _normalized(values):
+    if not all(map(math.isfinite, values)):
+        raise GeometryError(f"weights {values} are not all finite")
     total = math.fsum(values)
     scale = math.fsum(abs(v) for v in values) + 1.0
     if abs(total) <= DEFAULT_TOL.atol * scale:
@@ -692,6 +721,98 @@ def shared_edge_residuals(face_components: dict) -> dict:
 def concurrency_defect(face_components: dict) -> float:
     """Largest shared-edge ratio disagreement; see shared_edge_residuals."""
     return max(shared_edge_residuals(face_components).values())
+
+
+# --------------------------------------------------------------------------
+# centers: one rule for both simplices
+#
+# G, I, the excenters E_X and the tetrahedron's power family are one rule on
+# the shape's facet contents, the content of the facet opposite each vertex:
+# the sides of a triangle, the face areas of a tetrahedron.  Only Q (and the
+# triangle's H) have their own polynomial weights per shape, the bordered
+# Cayley-Menger cofactors of M. Fiedler, Matrices and Graphs in Geometry, 2011.
+
+CENTER_KINDS = {
+    3: ("G", "I", "H", "Q", "E_A", "E_B", "E_C"),
+    4: ("G", "I", "Q", "E_A", "E_B", "E_C", "E_D"),
+}
+
+
+def parse_center(token, n: int):
+    """The center kind ``token`` names on an n-vertex simplex: one of
+    CENTER_KINDS[n] in any case, or on a tetrahedron a PowerIncenter, given
+    as one or as "power:<n>" (e.g. "power:2", "power:-0.5")."""
+    if n == 4 and isinstance(token, PowerIncenter):
+        return token
+    k = str(token).upper()
+    if k in CENTER_KINDS[n]:
+        return k
+    if n == 4 and k.startswith("POWER:"):
+        try:
+            return PowerIncenter(float(k.split(":", 1)[1]))
+        except ValueError:
+            raise GeometryError(f"bad power-center exponent in {token!r}") from None
+    shape, power = ("triangle", "") if n == 3 else ("tetrahedron", " or power:<n>")
+    raise GeometryError(f"unknown {shape} center {token!r}; "
+                        f"expected one of {CENTER_KINDS[n]}{power}")
+
+
+def _dots(sides: TriangleSides):
+    """D_A = b^2 + c^2 - a^2 = 2bc*cos(A) (and cyclic): zero exactly at a
+    right angle at A, negative when A is obtuse.  By the identity
+    D_B*D_C + D_C*D_A + D_A*D_B = a^2*D_A + b^2*D_B + c^2*D_C = 16*Area^2 the
+    H and Q weights never sum to zero, and unlike tangent or double-angle-sine
+    ratios they stay finite at a right angle, where they become the vertex
+    indicator / the hypotenuse midpoint."""
+    e = sides.E
+    a2, b2, c2 = e[1][2], e[2][0], e[0][1]
+    return b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2
+
+
+def _build_center(k, shape, n: int) -> Components:
+    """The Components of the parsed kind k on the n-vertex shape, uncached."""
+    if k == "G":
+        return Components((1.0,) * n)
+    if k in ("Q", "H"):
+        if n == 4:
+            return Components(shape.circum_aux.by_vertex)
+        da, db, dc = _dots(shape)
+        if k == "H":
+            return Components((db * dc, dc * da, da * db))
+        e = shape.E
+        return Components((e[1][2] * da, e[2][0] * db, e[0][1] * dc))
+    contents = shape.face_areas.by_vertex if n == 4 else shape.as_tuple()
+    if k == "I":
+        return Components(contents)
+    if isinstance(k, PowerIncenter):
+        try:
+            return Components(c ** k.n for c in contents)
+        except OverflowError:
+            raise GeometryError(f"the {k} weights overflow the float range") from None
+    # excenter E_X: the sign flips at X, and the weights' sum, the total
+    # content minus twice X's, must stay safely positive
+    x = VERTICES.index(k[-1])
+    total = math.fsum(contents)
+    if total - 2.0 * contents[x] <= DEFAULT_TOL.atol * total:
+        raise ExcenterDenominatorZero(
+            f"the facet contents' total minus twice the one opposite {k[-1]} is "
+            f"not safely positive; the excenter {k} escapes to infinity"
+        )
+    return Components((-1.0 if i == x else 1.0) * c for i, c in enumerate(contents))
+
+
+def center_components(kind, shape) -> Components:
+    """Components (weights summing to 1) of a center, named as parse_center
+    reads it, of a triangle or tetrahedron (the arity comes from
+    ``shape.E``).  They are built on the first request and cached on the
+    shape, so the same kind on the same shape is the same object; a raise is
+    not cached."""
+    n = len(shape.E)
+    k = parse_center(kind, n)
+    cache = shape._centers
+    if k not in cache:
+        cache[k] = _build_center(k, shape, n)
+    return cache[k]
 
 
 # --------------------------------------------------------------------------

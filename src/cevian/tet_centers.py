@@ -1,104 +1,51 @@
-"""Closed-form components for tetrahedron centers, per-face cevian-ratio
-tensors, and projection components onto faces — all from the six edge
-lengths.
+"""Per-face cevian-ratio tensors of tetrahedron centers, projection
+components onto faces, and concurrency certification, from the six edges.
 
-Supported centers: centroid G, incenter I (weights = opposite-face areas),
-circumcenter Q (polynomial weights U_X), the four escribed-sphere centers
-E_A..E_D, and the power family with weights (S^X)^n for any real n.
+The centers are G, I (weights = opposite-face areas), Q (polynomial weights
+U_X), the escribed-sphere centers E_A..E_D and the power family with weights
+(S^X)^n for any real n.  Their components come from the rule core_model
+shares with the triangle (center_components, here tet_center_components).
 """
 
 from __future__ import annotations
 
 from .core_model import (
-    CircumAux,
+    CENTER_KINDS,
     Components,
     DEFAULT_TOL,
-    ExcenterDenominatorZero,
     FACES,
     FACE_INDICES,
     FaceAreas,
     GeometryError,
     IRVector3,
-    PowerIncenter,
     TetraEdges,
     Tolerance,
     VERTICES,
     ZeroComponent,
     canonical_face,
+    center_components as tet_center_components,
     face_components_from_tetra,
+    parse_center,
     shared_edge_residuals,
     tetra_components_from_face_pair,
 )
 
 __all__ = [
     "TET_CENTER_KINDS",
-    "FaceAreas",
-    "CircumAux",
-    "parse_tet_center",
     "face_areas",
     "tet_center_components",
-    "circum_aux",
     "tet_center_ir_tensor",
     "projection_components",
     "projection_of_center",
     "concurrency_conditions",
 ]
 
-TET_CENTER_KINDS = ("G", "I", "Q", "E_A", "E_B", "E_C", "E_D")
-
-
-def parse_tet_center(token):
-    """Turn a kind token into "G"/"I"/"Q"/"E_X" or a PowerIncenter.
-
-    Accepts PowerIncenter instances, the named-kind strings, and
-    "power:<n>" strings (e.g. "power:2", "power:-0.5").
-    """
-    if isinstance(token, PowerIncenter):
-        return token
-    k = str(token).upper()
-    if k in TET_CENTER_KINDS:
-        return k
-    if k.startswith("POWER:"):
-        try:
-            return PowerIncenter(float(k.split(":", 1)[1]))
-        except ValueError:
-            raise GeometryError(f"bad power-center exponent in {token!r}") from None
-    raise GeometryError(
-        f"unknown center kind {token!r}; expected one of {TET_CENTER_KINDS} or power:<n>"
-    )
+TET_CENTER_KINDS = CENTER_KINDS[4]
 
 
 def face_areas(edges: TetraEdges) -> FaceAreas:
     """The four face areas and their sum, built once per edge set."""
     return edges.face_areas
-
-
-def circum_aux(edges: TetraEdges) -> CircumAux:
-    """The circumcenter weights u_A..u_D and their sum, built once per edge
-    set; see TetraEdges.circum_aux for the formula."""
-    return edges.circum_aux
-
-
-def tet_center_components(kind, edges: TetraEdges) -> Components:
-    """Components (weights summing to 1) of the requested center."""
-    k = parse_tet_center(kind)
-    if isinstance(k, PowerIncenter):
-        return Components(s ** k.n for s in edges.face_areas.by_vertex)
-    if k == "G":
-        return Components((1.0, 1.0, 1.0, 1.0))
-    if k == "I":
-        return Components(edges.face_areas.by_vertex)
-    if k == "Q":
-        return Components(edges.circum_aux.by_vertex)
-    # escribed-sphere centers: sign flip at the named vertex
-    x = VERTICES.index(k[-1])
-    fa = edges.face_areas
-    if fa.opposite_sum(x) <= DEFAULT_TOL.atol * fa.s:
-        raise ExcenterDenominatorZero(
-            f"surface minus twice the face area opposite {k[-1]} is not "
-            f"safely positive; the escribed sphere escapes to infinity"
-        )
-    return Components((-1.0 if i == x else 1.0) * s for i, s in enumerate(fa.by_vertex))
 
 
 def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
@@ -174,7 +121,7 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
     the opposite vertex's projection: the projection of sum(beta_V * V) is
     sum over face vertices plus beta_W * (projection of W).
     """
-    k = parse_tet_center(kind)
+    k = parse_center(kind, 4)
     if k not in ("Q", "G", "I"):
         raise GeometryError(
             f"projection closed form available for Q, G, I only, not {kind!r}"

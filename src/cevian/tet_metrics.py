@@ -21,6 +21,7 @@ from itertools import combinations
 from .core_model import (
     TetraEdges,
     VERTICES,
+    _PAIRS,
     dist_origin_to_center,
     gram_volume_term,
     pair_sum,
@@ -42,9 +43,6 @@ __all__ = [
     "transcribed_closed_forms4",
 ]
 
-_PAIRS = tuple(combinations(range(4), 2))
-
-
 @dataclass(frozen=True)
 class TetMetricsSummary:
     volume: float
@@ -63,17 +61,17 @@ def inradius(edges: TetraEdges) -> float:
     return math.sqrt(gram_volume_term(edges)) / (2.0 * edges.face_areas.s)
 
 
-def _opposite_products(edges: TetraEdges):
-    return (edges.ab * edges.cd, edges.bc * edges.ad, edges.ac * edges.db)
+def _crelle_product(edges: TetraEdges) -> float:
+    """q*(q - AB*CD)*(q - BC*AD)*(q - CA*BD), with q the half-sum of the
+    three opposite-edge products; it equals 36*V^2*R^2 (Crelle)."""
+    m1, m2, m3 = edges.ab * edges.cd, edges.bc * edges.ad, edges.ac * edges.db
+    q = 0.5 * (m1 + m2 + m3)
+    return q * (q - m1) * (q - m2) * (q - m3)
 
 
 def circumradius(edges: TetraEdges) -> float:
-    """R^2 = q*(q - AB*CD)*(q - BC*AD)*(q - CA*BD) / (t1 - t2 - t3),
-    with q the half-sum of the three opposite-edge products."""
-    m1, m2, m3 = _opposite_products(edges)
-    q = 0.5 * (m1 + m2 + m3)
-    num = q * (q - m1) * (q - m2) * (q - m3)
-    return math.sqrt(num / gram_volume_term(edges))
+    """R^2 = q*(q - AB*CD)*(q - BC*AD)*(q - CA*BD) / (t1 - t2 - t3)."""
+    return math.sqrt(_crelle_product(edges) / gram_volume_term(edges))
 
 
 def circumradius_forms(edges: TetraEdges) -> dict:
@@ -86,7 +84,7 @@ def circumradius_forms(edges: TetraEdges) -> dict:
     """
     beta = tet_center_components("Q", edges).as_tuple()
     e = edges.E
-    half = sum((beta[i] + beta[j]) * e[i][j] for i, j in _PAIRS)
+    half = sum((beta[i] + beta[j]) * e[i][j] for i, j in _PAIRS[4])
     return {
         "component_pair_sum": math.sqrt(pair_sum(beta, edges)[0]),
         "component_half_sum": math.sqrt(half / 8.0),
@@ -101,9 +99,7 @@ def crelle_check(edges: TetraEdges) -> float:
     really are independent pipelines and the residual is a genuine
     consistency measurement, not an algebraic tautology.
     """
-    m1, m2, m3 = _opposite_products(edges)
-    q = 0.5 * (m1 + m2 + m3)
-    rhs = q * (q - m1) * (q - m2) * (q - m3)
+    rhs = _crelle_product(edges)
     r2 = pair_sum(tet_center_components("Q", edges).as_tuple(), edges)[0]
     lhs = gram_volume_term(edges) * r2
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
@@ -169,13 +165,13 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
 
     out = {
         "QG": 0.25 * root(16.0 * r2 - math.fsum(e * e for e in edges.as_tuple())),
-        "QI": root(r2 - math.fsum(s[x] * s[y] * e2[x][y] for x, y in _PAIRS) / stot ** 2),
+        "QI": root(r2 - math.fsum(s[x] * s[y] * e2[x][y] for x, y in _PAIRS[4]) / stot ** 2),
         "GI": root(-math.fsum((s[x] - stot / 4.0) * (s[y] - stot / 4.0) * e2[x][y]
-                              for x, y in _PAIRS)) / stot,
+                              for x, y in _PAIRS[4])) / stot,
         "GQ": root(-math.fsum((4.0 * u[x] - utot) * (4.0 * u[y] - utot) * e2[x][y]
-                              for x, y in _PAIRS)) / (4.0 * utot),
+                              for x, y in _PAIRS[4])) / (4.0 * utot),
         "IQ": root(-math.fsum((stot * u[x] - s[x] * utot) * (stot * u[y] - s[y] * utot)
-                              * e2[x][y] for x, y in _PAIRS)) / (stot * utot),
+                              * e2[x][y] for x, y in _PAIRS[4])) / (stot * utot),
     }
     for x, name in enumerate(VERTICES):
         others = [v for v in range(4) if v != x]
@@ -189,7 +185,7 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
         out[f"IE_{name}"] = root((stot ** 2 - t[x] ** 2) * inc
                                  - (stot - t[x]) ** 2 * non) / (stot * t[x])
         out[f"QE_{name}"] = root(r2 - (non - inc) / t[x] ** 2)
-    for x, y in _PAIRS:
+    for x, y in _PAIRS[4]:
         z, w = (v for v in range(4) if v not in (x, y))
         acc = s[x] * s[y] * (t[x] + t[y]) ** 2 * e2[x][y]
         acc -= (t[x] ** 2 - t[y] ** 2) * (s[x] * s[z] * e2[x][z]

@@ -20,6 +20,8 @@ import math
 from .core_model import (
     GeometryError,
     TriangleSides,
+    _dots,
+    _k_invariant,
     dist_between_centers,
     dist_origin_to_center,
     dist_vertex_to_center,
@@ -62,22 +64,19 @@ def k_invariant(sides) -> float:
     zero or negative) even for degenerate inputs like (1, 1, 2).
     """
     a, b, c = _triple(sides)
-    a2, b2, c2 = a * a, b * b, c * c
-    return (a2 + b2 + c2) ** 2 - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
+    return _k_invariant(a * a, b * b, c * c)
 
 
 def area_determinant(sides: TriangleSides) -> float:
-    """Triangle area as sqrt(K)/4; agrees with Heron's formula."""
-    k = k_invariant(sides)
-    if k <= 0.0:
-        raise GeometryError(f"nonpositive squared-area invariant {k}")
-    return 0.25 * math.sqrt(k)
+    """Triangle area as sqrt(K)/4, agreeing with Heron's formula; the
+    TriangleSides computes it once and caches it."""
+    return sides.area
 
 
 def circumradius(sides: TriangleSides) -> float:
     """R = abc / (4 * Area)."""
     a, b, c = sides.as_tuple()
-    return a * b * c / (4.0 * area_determinant(sides))
+    return a * b * c / (4.0 * sides.area)
 
 
 def dist_circumcenter_to_center(comps, sides: TriangleSides) -> float:
@@ -98,7 +97,7 @@ def ict_areas(comps, sides: TriangleSides) -> dict:
     AB is |alpha_c| * Area (and cyclic).  For interior points they sum to
     the full area."""
     aa, ab, ac = comps.checked(3)
-    s = area_determinant(sides)
+    s = sides.area
     return {"s_abp": abs(ac) * s, "s_bcp": abs(aa) * s, "s_cap": abs(ab) * s}
 
 
@@ -106,7 +105,7 @@ def ict_altitudes(comps, sides: TriangleSides) -> dict:
     """Distances from the realized point to the three side lines:
     h over AB = 2*|alpha_c|*Area/c (and cyclic)."""
     aa, ab, ac = comps.checked(3)
-    s = area_determinant(sides)
+    s = sides.area
     a, b, c = sides.as_tuple()
     return {
         "h_ab": 2.0 * abs(ac) * s / c,
@@ -128,7 +127,7 @@ def inequality_slacks(sides: TriangleSides) -> dict:
     p = sides.semiperimeter
     k = k_invariant(sides)
     r2 = circumradius(sides) ** 2
-    da, db, dc = b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2
+    da, db, dc = _dots(sides)
 
     qg = r2 - (a2 + b2 + c2) / 9.0
     qi = r2 - a * b * c / (2.0 * p)

@@ -43,7 +43,6 @@ from cevian.tri_metrics import (
 )
 from cevian.tet_centers import (
     TET_CENTER_KINDS,
-    circum_aux,
     projection_components,
     projection_of_center,
     tet_center_components,
@@ -249,7 +248,7 @@ def test_criterion_6_metric_formulas():
         worst = max(worst, abs(circumradius(edges) - r_oracle) / r_oracle / 1e-9)
         worst = max(worst, crelle_check(edges) / 1e-9)
         worst = max(worst,
-                    abs(circum_aux(edges).u - 144.0 * v * v)
+                    abs(edges.circum_aux.u - 144.0 * v * v)
                     / (144.0 * v * v) / 1e-9)
     reg = validate_tetrahedron(1, 1, 1, 1, 1, 1)
     exact = (abs(volume(reg) - math.sqrt(2) / 12) / (math.sqrt(2) / 12),

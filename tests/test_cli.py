@@ -120,6 +120,16 @@ def test_power_center_in_pair_token(capsys):
     assert list(doc["distances"]) == ["G:power:2"]
 
 
+@pytest.mark.parametrize("flag", ["--centers", "--distances"])
+def test_power_center_overflow_is_input_error(capsys, flag):
+    token = "power:1000" if flag == "--centers" else "G:power:1000"
+    code, out, err = run_cli(capsys, "tet", "--edges", "3", "4", "5", "5", "6", "7",
+                             flag, token)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: GeometryError:") and "overflow" in err
+
+
 def test_csv_format_is_flat_sorted(capsys):
     code, out, _ = run_cli(capsys, "tri", "--sides", "3", "4", "5",
                            "--centers", "G", "--format", "csv")

@@ -230,15 +230,15 @@ def test_face_areas_bitwise_over_many_tetrahedra():
             assert fa.by_vertex[VERTICES.index(opp)] == area_determinant(_face_sides(edges, face))
 
 
-@pytest.mark.parametrize("edges", list(_invariant_tetras())[:3])
+@pytest.mark.parametrize("edges", list(_invariant_tetras())[:3] + [validate_triangle(3, 4, 5)])
 def test_filled_cache_keeps_value_semantics(edges):
-    for name in ("E", "face_areas", "circum_aux"):
+    for name in ("E", "face_areas", "circum_aux") if len(edges.E) == 4 else ("E", "area"):
         getattr(edges, name)
-    fresh = validate_tetrahedron(*edges.as_tuple())
+    _fill_center_cache(edges)  # edges3 is a triangle, with its area and centers cached
+    fresh = type(edges)(*edges.as_tuple())
     assert edges == fresh
-    assert hash(edges) == hash(fresh)
-    assert repr(edges) == repr(fresh)
-    assert dataclasses.replace(edges) == fresh
+    assert hash(edges) == hash(fresh) and repr(edges) == repr(fresh)
+    assert (copy := dataclasses.replace(edges)) == fresh and "_centers" not in vars(copy)
     with pytest.raises(dataclasses.FrozenInstanceError):
         edges.ab = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -474,3 +474,12 @@ def test_engine_pair_sum_is_half_the_quadratic_form():
         ps, scale = pair_sum(w, shape)
         assert ps == pytest.approx(full, rel=1e-14)
         assert scale >= abs(ps)
+
+
+def _fill_center_cache(shape):
+    """Builds every named center of ``shape``, which fills its center cache."""
+    from cevian.core_model import CENTER_KINDS, center_components
+
+    kinds = CENTER_KINDS[len(shape.E)]
+    comps = [center_components(kind, shape) for kind in kinds]
+    assert list(vars(shape)["_centers"].values()) == comps and len(comps) == len(kinds)

@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 
 from cevian.core_model import (
+    CircumAux,
     Components,
     FACES,
+    FaceAreas,
     GeometryError,
     PowerIncenter,
     face_components_from_tetra,
+    parse_center,
     validate_tetrahedron,
 )
 from cevian import coord_oracle as oracle
 from cevian.tet_centers import (
     TET_CENTER_KINDS,
-    CircumAux,
-    FaceAreas,
-    circum_aux,
     concurrency_conditions,
     face_areas,
-    parse_tet_center,
     projection_components,
     projection_of_center,
     tet_center_components,
@@ -38,12 +37,12 @@ SQRT8 = 2.0 * math.sqrt(2.0)
 
 
 def test_parse_center_tokens():
-    assert parse_tet_center("G") == "G"
-    assert parse_tet_center("e_a") == "E_A"
-    p = parse_tet_center("power:2")
+    assert parse_center("G", 4) == "G"
+    assert parse_center("e_a", 4) == "E_A"
+    p = parse_center("power:2", 4)
     assert isinstance(p, PowerIncenter) and p.n == 2.0
     with pytest.raises(GeometryError):
-        parse_tet_center("nope")
+        parse_center("nope", 4)
 
 
 def test_pyramid_face_areas():
@@ -82,15 +81,15 @@ def test_pyramid_circumcenter_components_exact():
 def test_face_areas_and_circum_aux_are_the_cached_invariants():
     edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
     assert face_areas(edges) is face_areas(edges) is edges.face_areas
-    assert circum_aux(edges) is circum_aux(edges) is edges.circum_aux
+    assert edges.circum_aux is edges.circum_aux
     assert isinstance(face_areas(edges), FaceAreas)
-    assert isinstance(circum_aux(edges), CircumAux)
+    assert isinstance(edges.circum_aux, CircumAux)
     # nothing is shared between equal instances
     assert face_areas(validate_tetrahedron(3, 4, 5, 5, 6, 7)) is not edges.face_areas
 
 
 def test_circum_aux_values_and_volume_link():
-    aux = circum_aux(PYRAMID)
+    aux = PYRAMID.circum_aux
     assert aux.by_vertex[0] == pytest.approx(152.0, rel=1e-12)
     for i in (1, 2, 3):
         assert aux.by_vertex[i] == pytest.approx(72.0, rel=1e-12)

@@ -14,7 +14,7 @@ from cevian.core_model import (
     validate_tetrahedron,
 )
 from cevian import coord_oracle as oracle
-from cevian.tet_centers import TET_CENTER_KINDS, circum_aux, face_areas, tet_center_components
+from cevian.tet_centers import TET_CENTER_KINDS, face_areas, tet_center_components
 from cevian.tet_metrics import (
     center_pair_table4,
     circumradius,
@@ -90,7 +90,7 @@ def test_summary_vs_oracle(edges):
 
 def test_u_polynomial_is_volume_squared_scaled():
     for edges in CORPUS:
-        assert circum_aux(edges).u == pytest.approx(
+        assert edges.circum_aux.u == pytest.approx(
             144.0 * volume(edges) ** 2, rel=1e-11)
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cevian.core_model import (
+    GeometryError,
     RightAngleOrthocenter,
     ZeroComponent,
+    components_from_ir3,
     validate_triangle,
 )
 from cevian import coord_oracle as oracle
@@ -13,7 +15,6 @@ from cevian.tri_centers import (
     TRI_CENTER_KINDS,
     center_components,
     center_ir,
-    components_via_ratios,
     euler_relation,
     excenter_segment_ratio,
 )
@@ -50,7 +51,7 @@ def test_excenter_components_sign_pattern():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(GeometryError, match="unknown triangle center"):
         center_components("X", R345)
 
 
@@ -77,7 +78,7 @@ def test_ir_consistent_with_components(sides, kind):
     except (RightAngleOrthocenter, ZeroComponent):
         pytest.skip("ratio vector undefined here")
     assert ir.lambda_ab * ir.lambda_bc * ir.lambda_ca == pytest.approx(1.0)
-    via = components_via_ratios(kind, sides)
+    via = components_from_ir3(ir)
     direct = center_components(kind, sides)
     for x, y in zip(via.as_tuple(), direct.as_tuple()):
         assert x == pytest.approx(y, abs=1e-12)
