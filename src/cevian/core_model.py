@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 
 __all__ = [
     "GeometryError",
@@ -74,6 +74,8 @@ __all__ = [
     "dist_vertex_to_center",
     "dist_vertex_to_foot",
     "pair_table",
+    "pair_distances",
+    "FORM_PAIRS",
 ]
 
 
@@ -394,8 +396,14 @@ class TetraEdges:
                 )
         polys = edge_polynomials(self.as_tuple())
         gram = polys["t1"] - polys["t2"] - polys["t3"]
-        # scale-aware strict positivity gate: delta2**3 has the same units
-        if not (gram > DEFAULT_TOL.atol * polys["delta2"] ** 3):
+        try:
+            # scale-aware strict positivity gate: delta2**3 has the same units
+            floor = DEFAULT_TOL.atol * polys["delta2"] ** 3
+        except OverflowError:
+            floor = math.nan
+        if not (math.isfinite(gram) and math.isfinite(floor)):
+            raise GeometryError(f"edges {self.as_tuple()} overflow the volume gate")
+        if not (gram > floor):
             raise NotRealizable(
                 f"edge set does not realize a nondegenerate tetrahedron "
                 f"(volume term {gram:.6g})"
@@ -463,11 +471,25 @@ def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
 # --------------------------------------------------------------------------
 # components and ratios
 
+def _magnitude_sum(values, what: str) -> float:
+    """fsum of |v| over ``values``, raising GeometryError where a term or
+    the sum is not finite (fsum's bare OverflowError included).  A finite
+    result bounds every partial sum of the values, so their own fsum cannot
+    overflow."""
+    try:
+        total = math.fsum(map(abs, values))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise GeometryError(f"{what} leaves the floating-point range")
+    return total
+
+
 def _normalized(values):
     if not all(map(math.isfinite, values)):
         raise GeometryError(f"weights {values} are not all finite")
+    scale = _magnitude_sum(values, "a weight sum") + 1.0
     total = math.fsum(values)
-    scale = math.fsum(abs(v) for v in values) + 1.0
     if abs(total) <= DEFAULT_TOL.atol * scale:
         raise DegenerateDenominator(
             f"weights {values} sum to ~0 and cannot be normalized"
@@ -642,7 +664,6 @@ def face_components_from_tetra(beta: Components, face: str) -> Components:
 def tetra_components_from_face_pair(
     alpha_on_face_of_a: Components,
     alpha_on_face_of_b: Components,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> Components:
     """Reassemble tetrahedron components from two face pierce points.
 
@@ -655,7 +676,7 @@ def tetra_components_from_face_pair(
     a_b, a_c, a_d = alpha_on_face_of_a.checked(3)  # weights of B, C, D
     b_c, b_d, b_a = alpha_on_face_of_b.checked(3)  # weights of C, D, A
     denom = 1.0 - b_a * a_b
-    if abs(denom) <= tol.atol * (1.0 + abs(b_a * a_b)):
+    if abs(denom) <= DEFAULT_TOL.atol * (1.0 + abs(b_a * a_b)):
         raise DegenerateDenominator("1 - alpha_a*alpha_b ~ 0 while reassembling")
     kappa = (1.0 - b_a) / denom  # AP/AP_A along the cevian from A
     beta = Components((
@@ -667,7 +688,7 @@ def tetra_components_from_face_pair(
     for face, given in (("BCD", alpha_on_face_of_a), ("CDA", alpha_on_face_of_b)):
         back = face_components_from_tetra(beta, face)
         worst = max(abs(x - y) for x, y in zip(back.as_tuple(), given.as_tuple()))
-        if worst > tol.atol + tol.rtol * 1.0:
+        if worst > DEFAULT_TOL.atol + DEFAULT_TOL.rtol * 1.0:
             raise InconsistentFaces(
                 f"face {face} round-trip defect {worst:.3g}: the two faces do not "
                 f"share a common point"
@@ -864,7 +885,8 @@ def pair_sum(weights, shape) -> tuple:
     if len(weights) != len(e):
         raise GeometryError(f"{len(weights)} weights given for a shape with {len(e)} vertices")
     terms = [weights[i] * weights[j] * e[i][j] for i, j in _PAIRS[len(e)]]
-    return math.fsum(terms), math.fsum(map(abs, terms))
+    scale = _magnitude_sum(terms, "a pair sum")
+    return math.fsum(terms), scale
 
 
 def _vertex_index(vertex: str, shape) -> int:
@@ -934,3 +956,18 @@ def pair_table(comps: dict, shape) -> list:
         d = dist_between_centers(comps[k1], comps[k2], shape)
         out.append(DistanceReport(pair=(k1, k2), squared_distance=d * d, distance=d))
     return out
+
+
+def pair_distances(table) -> dict:
+    """A pair table's distances keyed by each pair in both orders; swapping
+    a pair negates both factors of every term, so the value is the same."""
+    out = {}
+    for rep in table:
+        out[rep.pair] = out[rep.pair[::-1]] = rep.distance
+    return out
+
+
+# the center pair each transcribed distance form measures: a form's key is
+# the two kind names joined ("IE_A", "QG", "E_AE_B", ...)
+FORM_PAIRS = {k1 + k2: (k1, k2)
+              for n in CENTER_KINDS for k1, k2 in permutations(CENTER_KINDS[n], 2)}

@@ -19,7 +19,6 @@ from .core_model import (
     GeometryError,
     IRVector3,
     TetraEdges,
-    Tolerance,
     VERTICES,
     ZeroComponent,
     canonical_face,
@@ -142,8 +141,7 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
     return Components((s[v] + own * f) / fa.s for v, f in zip((v1, v2, v3), foot))
 
 
-def concurrency_conditions(edges: TetraEdges, face_components: dict,
-                           tol: Tolerance = DEFAULT_TOL) -> dict:
+def concurrency_conditions(edges: TetraEdges, face_components: dict) -> dict:
     """Check whether four per-face points come from one common point.
 
     For each edge shared by two faces, both face points imply a section
@@ -157,7 +155,7 @@ def concurrency_conditions(edges: TetraEdges, face_components: dict,
     comps = {canonical_face(k): v for k, v in face_components.items()}
     residuals = shared_edge_residuals(comps)
     max_residual = max(residuals.values())
-    concurrent = max_residual <= tol.atol + tol.rtol
+    concurrent = max_residual <= DEFAULT_TOL.atol + DEFAULT_TOL.rtol
     report = {
         "edge_residuals": residuals,
         "max_residual": max_residual,
@@ -167,17 +165,10 @@ def concurrency_conditions(edges: TetraEdges, face_components: dict,
     }
     if not concurrent:
         return report
-    beta = tetra_components_from_face_pair(comps["BCD"], comps["CDA"], tol=tol)
-    worst = 0.0
-    for face in FACES:
-        back = face_components_from_tetra(beta, face)
-        worst = max(
-            worst,
-            max(abs(x - y) for x, y in zip(back.as_tuple(), comps[face].as_tuple())),
-        )
-    report["components"] = beta
+    beta = tetra_components_from_face_pair(comps["BCD"], comps["CDA"])
+    worst = max(abs(x - y) for face in FACES for x, y in
+                zip(face_components_from_tetra(beta, face).as_tuple(), comps[face].as_tuple()))
     report["roundtrip_defect"] = worst
-    report["concurrent"] = worst <= tol.atol + tol.rtol
-    if not report["concurrent"]:
-        report["components"] = None
+    report["concurrent"] = worst <= DEFAULT_TOL.atol + DEFAULT_TOL.rtol
+    report["components"] = beta if report["concurrent"] else None
     return report

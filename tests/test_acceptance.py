@@ -27,7 +27,7 @@ from cevian.core_model import (
     vertex_foot_ratios4,
 )
 from cevian import coord_oracle as oracle
-from cevian.cli import _circum_components_det, _random_tetra, _random_triangle
+from cevian.verify import _circum_components_det, _random_tetra, _random_triangle
 from cevian.tri_centers import (
     TRI_CENTER_KINDS,
     center_components,

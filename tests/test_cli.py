@@ -1,9 +1,12 @@
 import json
+import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from cevian import cli
 from cevian.cli import main
 
 
@@ -273,3 +276,79 @@ def test_verify_subprocess_deterministic():
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
     assert "status PASS" in r1.stdout
+
+
+# full reports: every section each subcommand has
+FULL_TRI = ("--centers", "all", "--distances", "all", "--metrics", "--inequalities", "--areas")
+FULL_TET = ("--centers", "G,I,Q,E_A,E_B,E_C,E_D,power:2", "--distances", "all", "--metrics",
+            "--inequalities", "--project", "BCD")
+
+
+@pytest.mark.parametrize("command, option, points, pairs, full", [
+    ("tri", "sides", [[0.1, 0.2], [5.3, 0.7], [3.3, 2.9]],
+     ((1, 2), (2, 0), (0, 1)), FULL_TRI),                                 # BC CA AB
+    ("tet", "edges", [[0.1, 0.2, 0.3], [1.7, 0.1, 0.4], [0.2, 1.3, 0.5], [0.3, 0.4, 1.9]],
+     ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)), FULL_TET),       # AB AC AD BC CD DB
+])
+def test_coords_report_is_the_report_of_its_lengths(tmp_path, capsys, command, option, points,
+                                                     pairs, full):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"points": points}))
+    lengths = [repr(math.dist(points[i], points[j])) for i, j in pairs]
+    code, out, _ = run_cli(capsys, command, "--coords", str(f), *full)
+    assert code == 0
+    from_coords = json.loads(out)
+    code, out, _ = run_cli(capsys, command, f"--{option}", *lengths, *full)
+    assert code == 0
+    from_lengths = json.loads(out)
+    assert from_coords["input"].pop("source") == "coords"
+    assert from_lengths["input"].pop("source") == option
+    assert from_coords == from_lengths
+
+
+def test_reports_import_neither_numpy_nor_the_oracle(tmp_path):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1]]}))
+    runs = [["tri", "--sides", "3", "4", "5", *FULL_TRI],
+            ["tet", "--edges", "3", "4", "5", "5", "6", "7", *FULL_TET,
+             "--point-dists", "3", "4", "4", "5"],
+            ["tet", "--coords", str(f), *FULL_TET]]
+    script = (
+        "import contextlib, io, sys\n"
+        "from cevian.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in ('numpy', 'cevian.coord_oracle', 'cevian.verify')\n"
+        "                    if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[0, 0, 0] []"
+
+
+@pytest.mark.parametrize("argv", [
+    # pair_sum's fsum meets -inf + inf
+    ("tri", "--sides", "3e40", "4e40", "5e40", "--inequalities"),
+    ("tet", "--edges", "3e30", "4e30", "5e30", "5e30", "6e30", "7e30", "--inequalities"),
+    # the H weights are finite but their sum overflows in _normalized
+    ("tri", "--sides", "5.6e76", "7.28e76", "1.064e77", "--centers", "H"),
+    # the volume gate's delta2 ** 3 overflows
+    ("tet", "--edges", "3e60", "3e60", "3e60", "2e60", "2e60", "2e60"),
+])
+def test_float_range_overflow_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: GeometryError: ")
+
+
+def test_full_reports_over_the_float_range_never_crash(capsys):
+    for e in range(-300, 301, 10):
+        s = 10.0 ** e
+        for argv in (["tri", "--sides", *(repr(x * s) for x in (5.6, 7.28, 10.64)), *FULL_TRI],
+                     ["tet", "--edges", *(repr(x * s) for x in (3, 4, 5, 5, 6, 7)), *FULL_TET]):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code in (0, 2), argv
+            assert "NaN" not in out and "Infinity" not in out, argv
