@@ -10,7 +10,6 @@ from .core_model import (  # noqa: F401
     IRVector3,
     PowerIncenter,
     TetraEdges,
-    Tolerance,
     TriangleSides,
     validate_tetrahedron,
     validate_triangle,

@@ -259,8 +259,7 @@ def cmd_tet(args) -> dict:
                 raise GeometryError(
                     f"--point-dists {args.point_dists} must be finite and "
                     "nonnegative")
-            keys = ("pa2", "pb2", "pc2", "pd2")
-            sq = {key: v * v for key, v in zip(keys, args.point_dists)}
+            sq = [v * v for v in args.point_dists]
             section["point"] = list(
                 tet_centers.projection_components(edges, sq, face).as_tuple()
             )

@@ -6,11 +6,13 @@ property (vertex means, equidistance solves, perpendicularity systems).
 Nothing here touches the closed-form length-only formulas, so agreement
 between the two paths is a real certification and not a tautology.
 
-Each embedded shape is immutable and carries its own frame: the triangle's
-three inward side lines and the tetrahedron's four inward face planes (with
-their areas).  A frame is built from the shape's coordinates on first use,
-in one stacked computation, and then shared by every center solve,
-projection and area that needs it; nothing is shared between shapes.
+A triangle and a tetrahedron are one immutable type, an n-vertex simplex in
+n - 1 dimensions, and one center function serves both.  Each embedded
+simplex carries its own facet frame: for the facet (side line or face
+plane) opposite each vertex, its inward unit normal, offset and content
+(side length or face area).  The frame is built from the coordinates on
+first use, in one stacked computation, and then shared by every center
+solve, projection and area that needs it; nothing is shared between shapes.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .core_model import (
-    FACES,
     FACE_INDICES,
+    VERTICES,
     Components,
     ExcenterDenominatorZero,
     GeometryError,
@@ -35,11 +37,11 @@ from .core_model import (
     ThroughVertex,
     TriangleSides,
     canonical_face,
+    parse_center,
 )
 
 __all__ = [
-    "EmbeddedTriangle",
-    "EmbeddedTetra",
+    "EmbeddedSimplex",
     "embed_triangle",
     "embed_tetra",
     "definitional_center",
@@ -52,9 +54,11 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 
-# Row i of a tetrahedron frame is face list(FACES)[i], the face opposite vertex
-# i; _FACE_ROWS holds its vertex indices (A = 0 .. D = 3) in cyclic order.
-_FACE_ROWS = np.array([FACE_INDICES[f][:3] for f in FACES])
+# Row i of an n-vertex frame is the facet opposite vertex i; _FACET_ROWS[n]
+# holds its vertex indices in cyclic order i+1, ..., i+n-1, which for n = 4
+# is the order of FACE_INDICES (row i is face list(FACES)[i]).
+_FACET_ROWS = {n: np.array([[(i + j) % n for j in range(1, n)] for i in range(n)])
+               for n in (3, 4)}
 
 
 def _rowdot(u, v):
@@ -91,72 +95,48 @@ def _solve(matrix, rhs):
     return np.linalg.solve(m, np.asarray(rhs, dtype=float))
 
 
-@dataclass(frozen=True)
-class EmbeddedTriangle:
-    """Vertices in the canonical plane gauge: pa at the origin, pb on the
-    positive x-axis, pc above it."""
+@dataclass(frozen=True, eq=False)
+class EmbeddedSimplex:
+    """A triangle in the plane or a tetrahedron in space: ``vertices`` holds
+    one row per vertex, A, B, C (, D), stored read-only."""
 
-    pa: np.ndarray
-    pb: np.ndarray
-    pc: np.ndarray
+    vertices: np.ndarray
 
-    def vertex(self, name: str) -> np.ndarray:
-        return getattr(self, "p" + name.lower())
+    def __post_init__(self):
+        verts = np.array(self.vertices, dtype=float)
+        if verts.shape not in ((3, 2), (4, 3)):
+            raise GeometryError(
+                f"vertices of shape {verts.shape} embed neither a triangle "
+                "(3, 2) nor a tetrahedron (4, 3)")
+        verts.setflags(write=False)
+        object.__setattr__(self, "vertices", verts)
 
-    def vertices(self):
-        return (self.pa, self.pb, self.pc)
-
-    @cached_property
-    def side_lines(self):
-        """(normals, offsets) of the side lines a = BC, b = CA, c = AB, one
-        row each: unit normals pointing into the triangle, and offset =
-        normal . (point on the side).  Read-only, built on first use."""
-        verts = np.stack(self.vertices())
-        p1 = np.roll(verts, -1, axis=0)  # B, C, A
-        d = np.roll(verts, -2, axis=0) - p1  # C - B, A - C, B - A
-        normals, _ = _inward_unit_normals(
-            np.column_stack([-d[:, 1], d[:, 0]]), p1, verts)
-        offsets = _rowdot(normals, p1)
-        return _frozen(normals, offsets)
-
-
-@dataclass(frozen=True)
-class EmbeddedTetra:
-    """Vertices in the canonical space gauge: pa at the origin, pb on the
-    positive x-axis, pc in the z = 0 plane with positive y, pd above it."""
-
-    pa: np.ndarray
-    pb: np.ndarray
-    pc: np.ndarray
-    pd: np.ndarray
-
-    def vertex(self, name: str) -> np.ndarray:
-        return getattr(self, "p" + name.lower())
-
-    def vertices(self):
-        return (self.pa, self.pb, self.pc, self.pd)
-
-    def face_vertices(self, face: str):
-        key = canonical_face(face)
-        return tuple(self.vertex(v) for v in FACES[key])
+    def face_vertices(self, face: str) -> np.ndarray:
+        """A tetrahedron face's three vertices in its cyclic order."""
+        return self.vertices[list(FACE_INDICES[canonical_face(face)][:3])]
 
     @cached_property
-    def planes(self):
-        """(normals (4, 3), offsets (4,), areas (4,)) of the face planes, one
-        row per face in FACES order: unit normals pointing at the opposite
-        vertex, offset = normal . (point on the face), and area = half the
-        norm of the edge cross product.  Read-only, built on first use."""
-        verts = np.stack(self.vertices())
-        v1, v2, v3 = np.moveaxis(verts[_FACE_ROWS], 1, 0)
-        normals, norms = _inward_unit_normals(
-            np.cross(v2 - v1, v3 - v1), v1, verts)
-        offsets = _rowdot(normals, v1)
-        return _frozen(normals, offsets, 0.5 * norms)
+    def facets(self):
+        """(normals, offsets, contents) of the facets, one row per facet,
+        row i opposite vertex i: unit normals pointing into the simplex,
+        offset = normal . (point on the facet), and the facet's content, a
+        triangle's side length or a tetrahedron's face area (the norm of the
+        edge product over (n - 2)!).  Read-only, built on first use."""
+        verts = self.vertices
+        n = len(verts)
+        v1, *others = np.moveaxis(verts[_FACET_ROWS[n]], 1, 0)
+        edges = [v - v1 for v in others]
+        if n == 3:
+            normals = np.column_stack([-edges[0][:, 1], edges[0][:, 0]])
+        else:
+            normals = np.cross(*edges)
+        normals, norms = _inward_unit_normals(normals, v1, verts)
+        return _frozen(normals, _rowdot(normals, v1), norms / math.factorial(n - 2))
 
 
-def embed_triangle(sides: TriangleSides) -> EmbeddedTriangle:
-    """Place the triangle as pa = (0,0), pb = (c,0), pc in the upper half
-    plane, so that |pb-pc| = a, |pc-pa| = b, |pa-pb| = c."""
+def embed_triangle(sides: TriangleSides) -> EmbeddedSimplex:
+    """Place the triangle as A = (0,0), B = (c,0), C in the upper half
+    plane, so that |B-C| = a, |C-A| = b, |A-B| = c."""
     a, b, c = sides.a, sides.b, sides.c
     cx = (b * b + c * c - a * a) / (2.0 * c)
     cy2 = b * b - cx * cx
@@ -164,14 +144,10 @@ def embed_triangle(sides: TriangleSides) -> EmbeddedTriangle:
         raise NumericalCollapse(
             f"triangle ({a}, {b}, {c}) is numerically collinear in the embedding"
         )
-    return EmbeddedTriangle(
-        pa=np.array([0.0, 0.0]),
-        pb=np.array([c, 0.0]),
-        pc=np.array([cx, math.sqrt(cy2)]),
-    )
+    return EmbeddedSimplex([[0.0, 0.0], [c, 0.0], [cx, math.sqrt(cy2)]])
 
 
-def embed_tetra(edges: TetraEdges) -> EmbeddedTetra:
+def embed_tetra(edges: TetraEdges) -> EmbeddedSimplex:
     """Place the tetrahedron with A at the origin, B on +x, C in z = 0 with
     positive y, and D solved from three sphere equations with positive z."""
     ab, ac, ad, bc, cd, db = edges.as_tuple()
@@ -185,166 +161,113 @@ def embed_tetra(edges: TetraEdges) -> EmbeddedTetra:
     dz2 = ad * ad - dx * dx - dy * dy
     if dz2 <= 0.0:
         raise NumericalCollapse("apex height solved to a nonpositive square")
-    return EmbeddedTetra(
-        pa=np.array([0.0, 0.0, 0.0]),
-        pb=np.array([ab, 0.0, 0.0]),
-        pc=np.array([cx, cy, 0.0]),
-        pd=np.array([dx, dy, math.sqrt(dz2)]),
-    )
+    return EmbeddedSimplex([[0.0, 0.0, 0.0], [ab, 0.0, 0.0], [cx, cy, 0.0],
+                            [dx, dy, math.sqrt(dz2)]])
 
 
 # --------------------------------------------------------------------------
-# definitional centers, 2D
+# definitional centers
 
-def _equidistant_point2(tri: EmbeddedTriangle, signs):
-    """Solve for (x, y, rho) with signed distance sign_i * rho to each side
-    line, normals pointing into the triangle.  Sides ordered a, b, c."""
-    normals, offsets = tri.side_lines
-    sol = _solve(np.column_stack([normals, np.negative(signs)]), offsets)
-    return sol[:2], sol[2]
-
-
-def definitional_center(tri: EmbeddedTriangle, kind: str) -> np.ndarray:
-    """Classical triangle center from its defining property.
-
-    G: vertex mean.  I: equidistant from the three side lines (inside).
-    H: common point of two altitudes.  Q: equidistant from the vertices.
-    E_A, E_B, E_C: equidistant from the side lines with the sign flipped on
-    the side opposite the named vertex.
-    """
-    pa, pb, pc = tri.vertices()
-    k = kind.upper()
-    if k == "G":
-        return (pa + pb + pc) / 3.0
-    if k == "I":
-        point, _ = _equidistant_point2(tri, (1.0, 1.0, 1.0))
-        return point
-    if k in ("E_A", "E_B", "E_C"):
-        signs = [1.0, 1.0, 1.0]
-        signs["E_A E_B E_C".split().index(k)] = -1.0
-        point, _ = _equidistant_point2(tri, signs)
-        return point
-    if k == "Q":
-        rows = [2.0 * (pb - pa), 2.0 * (pc - pa)]
-        rhs = [np.dot(pb, pb) - np.dot(pa, pa), np.dot(pc, pc) - np.dot(pa, pa)]
-        return _solve(rows, rhs)
-    if k == "H":
-        # altitude from A is perpendicular to BC, from B perpendicular to CA
-        rows = [pc - pb, pa - pc]
-        rhs = [np.dot(pa, pc - pb), np.dot(pb, pa - pc)]
-        return _solve(rows, rhs)
-    raise GeometryError(f"unknown triangle center kind {kind!r}")
-
-
-# --------------------------------------------------------------------------
-# definitional centers, 3D
-
-def _face_plane(tet: EmbeddedTetra, face: str):
+def _face_plane(tet: EmbeddedSimplex, face: str):
     """(unit inward normal, offset, area) of one face plane; the normal
     points toward the opposite vertex and offset = normal . (point on face)."""
     i = FACE_INDICES[canonical_face(face)][3]
-    normals, offsets, areas = tet.planes
+    normals, offsets, areas = tet.facets
     return normals[i], float(offsets[i]), float(areas[i])
 
 
-def oracle_face_areas(tet: EmbeddedTetra) -> dict:
+def oracle_face_areas(tet: EmbeddedSimplex) -> dict:
     """Face areas from cross products, keyed by the opposite vertex."""
-    return dict(zip("ABCD", tet.planes[2].tolist()))
+    return dict(zip(VERTICES, tet.facets[2].tolist()))
 
 
-def _equidistant_point3(tet: EmbeddedTetra, flipped_vertex=None):
-    """Solve for (x, y, z, rho) equidistant from the four face planes; the
-    signed distance to the face opposite ``flipped_vertex`` (if any) is
-    -rho instead of +rho."""
-    normals, offsets, _ = tet.planes
-    signs = [-1.0 if opp == flipped_vertex else 1.0 for opp in "ABCD"]
-    sol = _solve(np.column_stack([normals, np.negative(signs)]), offsets)
-    return sol[:3], sol[3]
+def _equidistant_point(emb: EmbeddedSimplex, flipped=None) -> np.ndarray:
+    """The point at one signed distance rho from every facet, with the sign
+    flipped on the facet opposite vertex index ``flipped`` (if any)."""
+    normals, offsets, _ = emb.facets
+    signs = [-1.0 if i == flipped else 1.0 for i in range(len(offsets))]
+    return _solve(np.column_stack([normals, np.negative(signs)]), offsets)[:-1]
 
 
-def definitional_center4(tet: EmbeddedTetra, kind) -> np.ndarray:
-    """Tetrahedron center from its defining property.
+def definitional_center(emb: EmbeddedSimplex, kind) -> np.ndarray:
+    """Triangle or tetrahedron center from its defining property.
 
-    G: vertex mean.  I: equidistant from the four face planes, inside.
-    Q: equidistant from the vertices.  E_A..E_D: equidistant from the face
-    planes with the sign flipped on the face opposite the named vertex.
-    A PowerIncenter(n) instance weights each vertex by the n-th power of
-    the opposite face's area.
+    G: vertex mean.  I: equidistant from the facets (side lines or face
+    planes), inside.  E_X: equidistant from the facets with the sign flipped
+    on the facet opposite X.  Q: equidistant from the vertices.  On a
+    triangle, H: common point of two altitudes.  On a tetrahedron, a
+    PowerIncenter(n) weights each vertex by the n-th power of the opposite
+    face's area.  Kinds are named as ``core_model.parse_center`` reads them.
     """
-    pa, pb, pc, pd = tet.vertices()
-    if isinstance(kind, PowerIncenter):
-        areas = oracle_face_areas(tet)
-        weights = {v: areas[v] ** kind.n for v in "ABCD"}
-        total = sum(weights.values())
-        return sum(weights[v] * tet.vertex(v) for v in "ABCD") / total
-    k = str(kind).upper()
+    verts = emb.vertices
+    n = len(verts)
+    k = parse_center(kind, n)
+    if isinstance(k, PowerIncenter):
+        weights = [area ** k.n for area in emb.facets[2].tolist()]
+        return sum(w * v for w, v in zip(weights, verts)) / sum(weights)
     if k == "G":
-        return (pa + pb + pc + pd) / 4.0
+        return verts.sum(axis=0) / n
     if k == "I":
-        point, _ = _equidistant_point3(tet)
-        return point
-    if k in ("E_A", "E_B", "E_C", "E_D"):
-        vertex = k[-1]
-        areas = oracle_face_areas(tet)
-        surface = sum(areas.values())
-        if surface - 2.0 * areas[vertex] <= 1e-12 * surface:
-            raise ExcenterDenominatorZero(
-                f"surface minus twice face area is not positive for {k}"
-            )
-        point, _ = _equidistant_point3(tet, flipped_vertex=vertex)
-        return point
+        return _equidistant_point(emb)
     if k == "Q":
-        rows = [2.0 * (pb - pa), 2.0 * (pc - pa), 2.0 * (pd - pa)]
-        rhs = [
-            np.dot(pb, pb) - np.dot(pa, pa),
-            np.dot(pc, pc) - np.dot(pa, pa),
-            np.dot(pd, pd) - np.dot(pa, pa),
-        ]
-        return _solve(rows, rhs)
-    raise GeometryError(f"unknown tetrahedron center kind {kind!r}")
+        p0 = verts[0]
+        return _solve([2.0 * (p - p0) for p in verts[1:]],
+                      [np.dot(p, p) - np.dot(p0, p0) for p in verts[1:]])
+    if k == "H":
+        # altitude from A is perpendicular to BC, from B perpendicular to CA
+        pa, pb, pc = verts
+        return _solve([pc - pb, pa - pc], [np.dot(pa, pc - pb), np.dot(pb, pa - pc)])
+    x = VERTICES.index(k[-1])
+    contents = emb.facets[2].tolist()
+    total = sum(contents)
+    if total - 2.0 * contents[x] <= 1e-12 * total:
+        raise ExcenterDenominatorZero(
+            f"facet contents' total minus twice the one opposite {k[-1]} is "
+            f"not positive for {k}"
+        )
+    return _equidistant_point(emb, flipped=x)
+
+
+# the tetrahedron-only name, which perfbench's library workload still calls
+definitional_center4 = definitional_center
 
 
 # --------------------------------------------------------------------------
 # frame algebra against coordinates
 
-def _component_values(components):
+def _weights(embedded: EmbeddedSimplex, components) -> tuple:
+    """The components as floats, one per vertex of ``embedded``."""
     if isinstance(components, Components):
-        return components.as_tuple()
-    return tuple(float(v) for v in components)
+        vals = components.as_tuple()
+    else:
+        vals = tuple(float(v) for v in components)
+    if len(vals) != len(embedded.vertices):
+        raise GeometryError(f"{len(vals)} components do not fit a simplex "
+                            f"with {len(embedded.vertices)} vertices")
+    return vals
 
 
-def point_from_components(embedded, components) -> np.ndarray:
+def point_from_components(embedded: EmbeddedSimplex, components) -> np.ndarray:
     """Weighted vertex mean: sum of component_V * vertex_V."""
-    vals = _component_values(components)
-    verts = embedded.vertices()
-    if len(vals) != len(verts):
-        raise GeometryError(
-            f"{len(vals)} components do not fit a simplex with {len(verts)} vertices"
-        )
-    return sum(w * v for w, v in zip(vals, verts))
+    return sum(w * v for w, v in zip(_weights(embedded, components), embedded.vertices))
 
 
-def frame_equation_residual(embedded, components, point) -> float:
+def frame_equation_residual(embedded: EmbeddedSimplex, components, point) -> float:
     """Norm of sum of component_V * (vertex_V - point); zero exactly when
     the point realizes the components."""
-    vals = _component_values(components)
-    verts = embedded.vertices()
-    if len(vals) != len(verts):
-        raise GeometryError(
-            f"{len(vals)} components do not fit a simplex with {len(verts)} vertices"
-        )
+    vals = _weights(embedded, components)
     p = np.asarray(point, dtype=float)
-    return float(np.linalg.norm(sum(w * (v - p) for w, v in zip(vals, verts))))
+    return float(np.linalg.norm(sum(w * (v - p) for w, v in zip(vals, embedded.vertices))))
 
 
-def menelaus_product(tri: EmbeddedTriangle, line_point, line_dir) -> float:
+def menelaus_product(tri: EmbeddedSimplex, line_point, line_dir) -> float:
     """Product of the three signed section ratios a transversal line cuts on
     the side lines AB, BC, CA.  Equals -1 for every admissible line."""
     p0 = np.asarray(line_point, dtype=float)
     d = np.asarray(line_dir, dtype=float)
     if np.linalg.norm(d) == 0.0:
         raise GeometryError("line direction must be nonzero")
-    pa, pb, pc = tri.vertices()
+    pa, pb, pc = tri.vertices
     product = 1.0
     scale = max(np.linalg.norm(pb - pa), np.linalg.norm(pc - pb))
     for p, q in ((pa, pb), (pb, pc), (pc, pa)):
@@ -360,7 +283,7 @@ def menelaus_product(tri: EmbeddedTriangle, line_point, line_dir) -> float:
     return product
 
 
-def projection_foot_oracle(tet: EmbeddedTetra, point, face: str) -> np.ndarray:
+def projection_foot_oracle(tet: EmbeddedSimplex, point, face: str) -> np.ndarray:
     """Orthogonal projection of a point onto one face's plane."""
     n, off, _ = _face_plane(tet, face)
     p = np.asarray(point, dtype=float)

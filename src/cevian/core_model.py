@@ -39,8 +39,6 @@ __all__ = [
     "NumericalCollapse",
     "ParallelSide",
     "ThroughVertex",
-    "Tolerance",
-    "DEFAULT_TOL",
     "TriangleSides",
     "TetraEdges",
     "FaceAreas",
@@ -153,24 +151,15 @@ class ThroughVertex(GeometryError):
 
 
 # --------------------------------------------------------------------------
-# tolerance plumbing
+# tolerances: |x-y| <= ATOL + RTOL*max(|x|,|y|) counts as equal
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Mixed absolute/relative comparison: |x-y| <= atol + rtol*max(|x|,|y|)."""
-
-    rtol: float = 1e-9
-    atol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rtol < 0 or self.atol < 0:
-            raise ValueError("tolerances must be nonnegative")
-
-    def close(self, x: float, y: float) -> bool:
-        return abs(x - y) <= self.atol + self.rtol * max(abs(x), abs(y))
+ATOL = 1e-12
+RTOL = 1e-9
 
 
-DEFAULT_TOL = Tolerance()
+def _close(x: float, y: float) -> bool:
+    return abs(x - y) <= ATOL + RTOL * max(abs(x), abs(y))
+
 
 VERTICES = ("A", "B", "C", "D")
 
@@ -398,7 +387,7 @@ class TetraEdges:
         gram = polys["t1"] - polys["t2"] - polys["t3"]
         try:
             # scale-aware strict positivity gate: delta2**3 has the same units
-            floor = DEFAULT_TOL.atol * polys["delta2"] ** 3
+            floor = ATOL * polys["delta2"] ** 3
         except OverflowError:
             floor = math.nan
         if not (math.isfinite(gram) and math.isfinite(floor)):
@@ -490,7 +479,7 @@ def _normalized(values):
         raise GeometryError(f"weights {values} are not all finite")
     scale = _magnitude_sum(values, "a weight sum") + 1.0
     total = math.fsum(values)
-    if abs(total) <= DEFAULT_TOL.atol * scale:
+    if abs(total) <= ATOL * scale:
         raise DegenerateDenominator(
             f"weights {values} sum to ~0 and cannot be normalized"
         )
@@ -561,7 +550,7 @@ class IRVector3:
                     f"{name} = {v!r}: cevian ratio must be finite and nonzero"
                 )
         prod = self.lambda_ab * self.lambda_bc * self.lambda_ca
-        if not DEFAULT_TOL.close(prod, 1.0):
+        if not _close(prod, 1.0):
             raise CevaViolation(f"ratio product {prod!r} != 1")
 
     def as_tuple(self):
@@ -589,7 +578,7 @@ def components_from_ir3(ir: IRVector3) -> Components:
     lam_ab = ir.lambda_ab
     lam_ac = 1.0 / ir.lambda_ca
     denom = 1.0 + lam_ab + lam_ac
-    if abs(denom) <= DEFAULT_TOL.atol * (1.0 + abs(lam_ab) + abs(lam_ac)):
+    if abs(denom) <= ATOL * (1.0 + abs(lam_ab) + abs(lam_ac)):
         raise DegenerateDenominator(
             "1 + lambda_ab + lambda_ac ~ 0: the point escapes to infinity"
         )
@@ -600,7 +589,7 @@ def ir_from_components3(c: Components) -> IRVector3:
     """Inverse of components_from_ir3: quotients of consecutive components."""
     aa, ab, ac = c.checked(3)
     for name, v in zip(("alpha_a", "alpha_b", "alpha_c"), (aa, ab, ac)):
-        if abs(v) <= DEFAULT_TOL.atol:
+        if abs(v) <= ATOL:
             raise ZeroComponent(f"{name} ~ 0: point on a side line, ratios undefined")
     return IRVector3(ab / aa, ac / ab, aa / ac)
 
@@ -622,9 +611,9 @@ def vertex_foot_ratios3(c: Components) -> dict:
     """
     out = {}
     for key, alpha in zip(("al", "bm", "cn"), c.checked(3)):
-        if abs(alpha) <= DEFAULT_TOL.atol:
+        if abs(alpha) <= ATOL:
             raise ZeroComponent(f"component for cevian {key} ~ 0")
-        if DEFAULT_TOL.close(alpha, 1.0):
+        if _close(alpha, 1.0):
             raise UnitComponent(f"component for cevian {key} ~ 1: point at the vertex")
         kappa = 1.0 - alpha
         out["kap_" + key] = kappa
@@ -636,7 +625,7 @@ def vertex_foot_ratios4(c: Components) -> dict:
     """kappa_x = 1 - beta_x for each vertex; the four kappas sum to 3."""
     out = {}
     for key, beta in zip(("a", "b", "c", "d"), c.checked(4)):
-        if DEFAULT_TOL.close(beta, 1.0):
+        if _close(beta, 1.0):
             raise UnitComponent(f"beta_{key} ~ 1: point at vertex {key.upper()}")
         out["kap_" + key] = 1.0 - beta
     return out
@@ -653,7 +642,7 @@ def face_components_from_tetra(beta: Components, face: str) -> Components:
     w = beta.checked(4)
     *verts, opp = FACE_INDICES[key]
     denom = 1.0 - w[opp]
-    if abs(denom) <= DEFAULT_TOL.atol:
+    if abs(denom) <= ATOL:
         name = VERTICES[opp]
         raise UnitComponent(
             f"beta_{name.lower()} ~ 1: line through {name} is parallel to face {key}"
@@ -676,7 +665,7 @@ def tetra_components_from_face_pair(
     a_b, a_c, a_d = alpha_on_face_of_a.checked(3)  # weights of B, C, D
     b_c, b_d, b_a = alpha_on_face_of_b.checked(3)  # weights of C, D, A
     denom = 1.0 - b_a * a_b
-    if abs(denom) <= DEFAULT_TOL.atol * (1.0 + abs(b_a * a_b)):
+    if abs(denom) <= ATOL * (1.0 + abs(b_a * a_b)):
         raise DegenerateDenominator("1 - alpha_a*alpha_b ~ 0 while reassembling")
     kappa = (1.0 - b_a) / denom  # AP/AP_A along the cevian from A
     beta = Components((
@@ -688,7 +677,7 @@ def tetra_components_from_face_pair(
     for face, given in (("BCD", alpha_on_face_of_a), ("CDA", alpha_on_face_of_b)):
         back = face_components_from_tetra(beta, face)
         worst = max(abs(x - y) for x, y in zip(back.as_tuple(), given.as_tuple()))
-        if worst > DEFAULT_TOL.atol + DEFAULT_TOL.rtol * 1.0:
+        if worst > ATOL + RTOL * 1.0:
             raise InconsistentFaces(
                 f"face {face} round-trip defect {worst:.3g}: the two faces do not "
                 f"share a common point"
@@ -712,7 +701,7 @@ _SHARED_EDGES = (
 def _face_ratio(face: str, comps: Components, x: int, y: int) -> float:
     """lambda_xy within the given face, from that face's components."""
     vals = dict(zip(FACE_INDICES[face][:3], comps.checked(3)))
-    if abs(vals[x]) <= DEFAULT_TOL.atol:
+    if abs(vals[x]) <= ATOL:
         raise DegenerateDenominator(f"component of {VERTICES[x]} on face {face} ~ 0")
     return vals[y] / vals[x]
 
@@ -814,7 +803,7 @@ def _build_center(k, shape, n: int) -> Components:
     # content minus twice X's, must stay safely positive
     x = VERTICES.index(k[-1])
     total = math.fsum(contents)
-    if total - 2.0 * contents[x] <= DEFAULT_TOL.atol * total:
+    if total - 2.0 * contents[x] <= ATOL * total:
         raise ExcenterDenominatorZero(
             f"the facet contents' total minus twice the one opposite {k[-1]} is "
             f"not safely positive; the excenter {k} escapes to infinity"
@@ -869,7 +858,7 @@ def _sqrt_clamped(sq: float, scale: float, grain: float = 0.0) -> float:
     themselves rounded (coincident centers produce squared distances that are
     pure noise, far below any relative window).
     """
-    window = DEFAULT_TOL.atol * max(scale, 1e-300) + grain
+    window = ATOL * max(scale, 1e-300) + grain
     if sq < -window:
         raise NegativeSquaredDistance(
             f"squared distance {sq:.6g} is negative beyond rounding (scale {scale:.6g})"
@@ -930,7 +919,7 @@ def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
     side or face: AL = AP / |1 - alpha_A| (and likewise)."""
     ap = dist_vertex_to_center(vertex, comps, shape)
     alpha = comps.as_tuple()[_vertex_index(vertex, shape)]
-    if abs(1.0 - alpha) <= DEFAULT_TOL.atol:
+    if abs(1.0 - alpha) <= ATOL:
         raise UnitComponent(f"component at {vertex.upper()} ~ 1: cevian foot undefined")
     return ap / abs(1.0 - alpha)
 

@@ -10,9 +10,10 @@ shares with the triangle (center_components, here tet_center_components).
 from __future__ import annotations
 
 from .core_model import (
+    ATOL,
+    RTOL,
     CENTER_KINDS,
     Components,
-    DEFAULT_TOL,
     FACES,
     FACE_INDICES,
     FaceAreas,
@@ -57,7 +58,7 @@ def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
     """
     beta = tet_center_components(kind, edges).as_tuple()
     for i, val in enumerate(beta):
-        if abs(val) <= DEFAULT_TOL.atol:
+        if abs(val) <= ATOL:
             raise ZeroComponent(f"component of {VERTICES[i]} ~ 0: per-face ratios undefined")
     out = {}
     for face, (v1, v2, v3, _) in FACE_INDICES.items():
@@ -78,39 +79,29 @@ def _face_geometry(edges: TetraEdges, face: str):
     return verts, (e12, e23, e31), delta2f, eight_sq
 
 
-def _projection(edges: TetraEdges, sq_by_vertex, face: str) -> Components:
-    """Face components of the projection of the point P whose squared
-    distance to vertex i is ``sq_by_vertex[i]`` (read for the face's three
-    vertices only)."""
+def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
+    """Components, within one face, of the orthogonal projection of a point
+    P onto that face's plane.
+
+    ``sq_dists`` holds P's squared distances to the four vertices, in vertex
+    order A, B, C, D (the one to the face's opposite vertex is not used).
+    P may be anywhere in space; slots follow the face's cyclic vertex order.
+    """
+    sq = [float(d) for d in sq_dists]
+    if len(sq) != 4:
+        raise GeometryError(f"expected 4 squared vertex distances, got {len(sq)}")
     (v1, v2, v3, _), (e12, e23, e31), delta2f, eight_sq = _face_geometry(edges, face)
-    d1, d2, d3 = sq_by_vertex[v1], sq_by_vertex[v2], sq_by_vertex[v3]
+    d1, d2, d3 = sq[v1], sq[v2], sq[v3]
     n1 = (delta2f - e23) * e23 + (delta2f - e31) * (d3 - d1) + (delta2f - e12) * (d2 - d1)
     n2 = (delta2f - e31) * e31 + (delta2f - e12) * (d1 - d2) + (delta2f - e23) * (d3 - d2)
     n3 = (delta2f - e12) * e12 + (delta2f - e23) * (d2 - d3) + (delta2f - e31) * (d1 - d3)
     return Components((n1 / eight_sq, n2 / eight_sq, n3 / eight_sq))
 
 
-def projection_components(edges: TetraEdges, sq_dists: dict, face: str) -> Components:
-    """Components, within one face, of the orthogonal projection of a point
-    P onto that face's plane.
-
-    ``sq_dists`` holds P's squared distances to the four vertices under keys
-    "pa2", "pb2", "pc2", "pd2" (the one for the face's opposite vertex is
-    not used).  P may be anywhere in space; slots follow the face's cyclic
-    vertex order.
-    """
-    try:
-        sq = {i: float(sq_dists["p" + VERTICES[i].lower() + "2"])
-              for i in FACE_INDICES[canonical_face(face)][:3]}
-    except KeyError as missing:
-        raise GeometryError(f"sq_dists is missing key {missing}") from None
-    return _projection(edges, sq, face)
-
-
 def vertex_projection_components(edges: TetraEdges, face: str) -> Components:
     """Projection of the face's opposite vertex onto the face (the foot of
     the tetrahedron's altitude from that vertex)."""
-    return _projection(edges, edges.E[FACE_INDICES[canonical_face(face)][3]], face)
+    return projection_components(edges, edges.E[FACE_INDICES[canonical_face(face)][3]], face)
 
 
 def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
@@ -141,7 +132,7 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
     return Components((s[v] + own * f) / fa.s for v, f in zip((v1, v2, v3), foot))
 
 
-def concurrency_conditions(edges: TetraEdges, face_components: dict) -> dict:
+def concurrency_conditions(face_components: dict) -> dict:
     """Check whether four per-face points come from one common point.
 
     For each edge shared by two faces, both face points imply a section
@@ -155,7 +146,7 @@ def concurrency_conditions(edges: TetraEdges, face_components: dict) -> dict:
     comps = {canonical_face(k): v for k, v in face_components.items()}
     residuals = shared_edge_residuals(comps)
     max_residual = max(residuals.values())
-    concurrent = max_residual <= DEFAULT_TOL.atol + DEFAULT_TOL.rtol
+    concurrent = max_residual <= ATOL + RTOL
     report = {
         "edge_residuals": residuals,
         "max_residual": max_residual,
@@ -169,6 +160,6 @@ def concurrency_conditions(edges: TetraEdges, face_components: dict) -> dict:
     worst = max(abs(x - y) for face in FACES for x, y in
                 zip(face_components_from_tetra(beta, face).as_tuple(), comps[face].as_tuple()))
     report["roundtrip_defect"] = worst
-    report["concurrent"] = worst <= DEFAULT_TOL.atol + DEFAULT_TOL.rtol
+    report["concurrent"] = worst <= ATOL + RTOL
     report["components"] = beta if report["concurrent"] else None
     return report

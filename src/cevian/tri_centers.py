@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 
 from .core_model import (
+    ATOL,
     CENTER_KINDS,
-    DEFAULT_TOL,
     IRVector3,
     RightAngleOrthocenter,
     TriangleSides,
@@ -48,7 +48,7 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
         da, db, dc = _dots(sides)
         scale = a * a + b * b + c * c
         for name, d in (("A", da), ("B", db), ("C", dc)):
-            if abs(d) <= DEFAULT_TOL.atol * scale:
+            if abs(d) <= ATOL * scale:
                 raise RightAngleOrthocenter(
                     f"right angle at {name}: orthocenter ratios are undefined"
                 )

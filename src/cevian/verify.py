@@ -27,6 +27,7 @@ from .core_model import (
     face_components_from_tetra,
     fractional_ratio_determinant,
     pair_distances,
+    pair_table,
     validate_tetrahedron,
     validate_triangle,
     vertex_foot_ratios3,
@@ -129,6 +130,67 @@ def _circum_components_det(edges):
     return out
 
 
+# per arity: the transcribed distance forms and the inequality slacks
+_SHAPE_FORMS = {
+    3: (tri_metrics.transcribed_closed_forms, tri_metrics.inequality_slacks),
+    4: (tet_metrics.transcribed_closed_forms4, tet_metrics.tet_inequality_slacks),
+}
+
+
+def _verify_shared(shape, emb, scale, degree, allowance, suites, rtol, atol):
+    """Fill the suites both halves share (centers, distances, closed forms,
+    inequalities) for a triangle or tetrahedron and its embedding.
+
+    ``scale`` is the shape's length scale (a triangle's perimeter, a
+    tetrahedron's longest edge) and ``degree`` the degree of its inequality
+    slacks.  ``allowance`` maps an excenter to its condition allowance
+    (kinds it omits get 1.0): a check on a pair of centers widens by the
+    product of theirs.  Returns the components and oracle points by kind,
+    the pair distances and the transcribed forms, for the half's own checks.
+    """
+    n = len(shape.E)
+    half = "tri" if n == 3 else "tet"
+    inst = shape.as_tuple()
+    tol_len = atol + rtol * scale
+    allow = {k: allowance.get(k, 1.0) for k in CENTER_KINDS[n]}
+    forms_of, slacks_of = _SHAPE_FORMS[n]
+
+    comps, points = {}, {}
+    for k in CENTER_KINDS[n]:
+        comps[k] = center_components(k, shape)
+        points[k] = oracle.definitional_center(emb, k)
+        realized = oracle.point_from_components(emb, comps[k])
+        suites[half + ".centers"].check(
+            float(np.linalg.norm(realized - points[k])), tol_len * allow[k], inst)
+
+    table = pair_table(comps, shape)
+    for rep in table:
+        k1, k2 = rep.pair
+        want = float(np.linalg.norm(points[k1] - points[k2]))
+        suites[half + ".distances"].check(abs(rep.distance - want),
+                                          tol_len * (allow[k1] * allow[k2]), inst)
+
+    # compared on squared distances: near coincident centers the root turns
+    # one ulp under the radical into ~sqrt(eps), which no relative tolerance
+    # on the roots can absorb
+    forms = forms_of(shape)
+    dist = pair_distances(table)
+    for key, form in forms.items():
+        k1, k2 = FORM_PAIRS[key]
+        d2 = dist[k1, k2] ** 2
+        f2 = form ** 2
+        suites[half + ".closed_forms"].check(
+            abs(d2 - f2),
+            (1e-9 * max(d2, f2) + 1e-13 * scale * scale) * (allow[k1] * allow[k2]) ** 2,
+            inst)
+
+    # the slacks carry lengths to powers up to ``degree``
+    for slack in slacks_of(shape).values():
+        suites[half + ".inequalities"].check(
+            max(0.0, -slack), 1e-12 * max(1.0, scale ** degree), inst)
+    return comps, points, dist, forms
+
+
 def _verify_triangle_case(rng, suites, rtol, atol):
     sides = _random_triangle(rng)
     if sides is None:
@@ -137,33 +199,10 @@ def _verify_triangle_case(rng, suites, rtol, atol):
     perim = sides.perimeter
     tol_len = atol + rtol * perim
     tri = oracle.embed_triangle(sides)
-
-    comps = {k: center_components(k, sides) for k in CENTER_KINDS[3]}
-    points = {}
+    comps, points, _, _ = _verify_shared(sides, tri, perim, 4, {}, suites, rtol, atol)
     for k, c in comps.items():
-        realized = oracle.point_from_components(tri, c)
-        reference = oracle.definitional_center(tri, k)
-        points[k] = reference
         suites["tri.centers"].check(
-            float(np.linalg.norm(realized - reference)), tol_len, inst)
-        suites["tri.centers"].check(
-            oracle.frame_equation_residual(tri, c, reference), tol_len, inst)
-
-    table = tri_metrics.center_pair_table(sides)
-    for rep in table:
-        want = float(np.linalg.norm(points[rep.pair[0]] - points[rep.pair[1]]))
-        suites["tri.distances"].check(abs(rep.distance - want), tol_len, inst)
-
-    # compared on squared distances: near coincident centers the root turns
-    # one ulp under the radical into ~sqrt(eps), which no relative tolerance
-    # on the roots can absorb
-    forms = tri_metrics.transcribed_closed_forms(sides)
-    dist = pair_distances(table)
-    for key, form in forms.items():
-        d2 = dist[FORM_PAIRS[key]] ** 2
-        f2 = form ** 2
-        suites["tri.closed_forms"].check(
-            abs(d2 - f2), 1e-9 * max(d2, f2) + 1e-13 * perim * perim, inst)
+            oracle.frame_equation_residual(tri, c, points[k]), tol_len, inst)
 
     # identity family: cevian ratio products, kappa sums, reciprocal sums,
     # the three-ratio determinant, the Euler collinearity, Menelaus
@@ -171,12 +210,11 @@ def _verify_triangle_case(rng, suites, rtol, atol):
         ir = tri_centers.center_ir(k, sides)
         suites["tri.identities"].check(
             abs(ir.lambda_ab * ir.lambda_bc * ir.lambda_ca - 1.0), 1e-9, inst)
-    ratios = None
     try:
         ratios = vertex_foot_ratios3(comps["I"])
     except GeometryError:
         pass
-    if ratios is not None:
+    else:
         suites["tri.identities"].check(
             abs(ratios["kap_al"] + ratios["kap_bm"] + ratios["kap_cn"] - 2.0),
             1e-9, inst)
@@ -199,12 +237,6 @@ def _verify_triangle_case(rng, suites, rtol, atol):
             continue
         suites["tri.identities"].check(abs(prod + 1.0), 1e-9, inst)
         break
-
-    scale4 = perim ** 4
-    for key, slack in tri_metrics.inequality_slacks(sides).items():
-        # QG/QI/QH carry length^2; GI length^4; GH/IH higher degree
-        suites["tri.inequalities"].check(max(0.0, -slack), 1e-12 * max(1.0, scale4),
-                                         inst)
     return True
 
 
@@ -216,25 +248,19 @@ def _verify_tetra_case(rng, suites, rtol, atol):
     emax = max(inst)
     tol_len = atol + rtol * emax
     tet = oracle.embed_tetra(edges)
+    verts = tet.vertices
 
     # excenter checks get a condition allowance: E_X sits ~S/T^X edge lengths
     # out, so every fixed-precision path loses accuracy proportionally
     fa = tet_centers.face_areas(edges)
     kappa = {f"E_{x}": max(1.0, fa.s / fa.opposite_sum(i)) for i, x in enumerate("ABCD")}
-    cond = lambda *kinds: math.prod(kappa.get(k, 1.0) for k in kinds)
-
-    kinds = list(CENTER_KINDS[4]) + [PowerIncenter(2.0)]
-    points = {}
-    comps = {}
-    for k in kinds:
-        c = center_components(k, edges)
-        comps[str(k)] = c
-        realized = oracle.point_from_components(tet, c)
-        reference = oracle.definitional_center4(tet, k)
-        points[str(k)] = reference
-        suites["tet.centers"].check(
-            float(np.linalg.norm(realized - reference)),
-            tol_len * cond(str(k)), inst)
+    comps, points, dist, forms = _verify_shared(edges, tet, emax, 6, kappa, suites,
+                                                rtol, atol)
+    power = PowerIncenter(2.0)
+    c2 = center_components(power, edges)
+    suites["tet.centers"].check(
+        float(np.linalg.norm(oracle.point_from_components(tet, c2)
+                             - oracle.definitional_center(tet, power))), tol_len, inst)
 
     # circumcenter: polynomial weights vs determinant route vs oracle solve
     beta_poly = comps["Q"].as_tuple()
@@ -249,26 +275,22 @@ def _verify_tetra_case(rng, suites, rtol, atol):
 
     # metric formulas vs coordinate geometry
     vol = tet_metrics.volume(edges)
-    mat = np.column_stack([tet.pb - tet.pa, tet.pc - tet.pa, tet.pd - tet.pa])
-    vol_oracle = abs(float(np.linalg.det(mat))) / 6.0
+    vol_oracle = abs(float(np.linalg.det(np.column_stack(verts[1:] - verts[0])))) / 6.0
     suites["tet.metrics"].check(abs(vol - vol_oracle) / vol_oracle, 1e-9, inst)
     r = tet_metrics.inradius(edges)
     icenter = points["I"]
-    normals, offsets, _ = tet.planes
+    normals, offsets, _ = tet.facets
     dists = [abs(float(np.dot(nrm, icenter) - off))
              for nrm, off in zip(normals, offsets)]
     suites["tet.metrics"].check(abs(r - min(dists)) / r, 1e-9, inst)
     rr = tet_metrics.circumradius(edges)
-    rr_oracle = float(np.linalg.norm(q_oracle - tet.pa))
+    rr_oracle = float(np.linalg.norm(q_oracle - verts[0]))
     suites["tet.metrics"].check(abs(rr - rr_oracle) / rr_oracle, 1e-9, inst)
     suites["tet.metrics"].check(tet_metrics.crelle_check(edges), 1e-9, inst)
     aux = edges.circum_aux
     suites["tet.metrics"].check(abs(aux.u - 144.0 * vol * vol) / aux.u, 1e-9, inst)
 
     # centroid-incenter: transcribed form vs engine vs oracle
-    forms = tet_metrics.transcribed_closed_forms4(edges)
-    table = tet_metrics.center_pair_table4(edges)
-    dist = pair_distances(table)
     gi_engine = dist["G", "I"]
     gi_oracle = float(np.linalg.norm(points["G"] - points["I"]))
     suites["tet.GI"].check(
@@ -276,27 +298,12 @@ def _verify_tetra_case(rng, suites, rtol, atol):
         1e-9 * max(gi_engine, forms["GI"]) ** 2 + 1e-13 * emax * emax, inst)
     suites["tet.GI"].check(abs(gi_engine - gi_oracle), tol_len, inst)
 
-    for rep in table:
-        want = float(np.linalg.norm(points[rep.pair[0]] - points[rep.pair[1]]))
-        suites["tet.distances"].check(abs(rep.distance - want),
-                                      tol_len * cond(*rep.pair), inst)
-
-    for key, form in forms.items():
-        k1, k2 = FORM_PAIRS[key]
-        d2 = dist[k1, k2] ** 2
-        f2 = form ** 2
-        suites["tet.closed_forms"].check(
-            abs(d2 - f2),
-            (1e-9 * max(d2, f2) + 1e-13 * emax * emax) * cond(k1, k2) ** 2,
-            inst)
-
     # projections: random spatial point + the three center closed forms; each
     # closed-form foot is realized from its face components
     on_face = lambda c3, face: sum(
         w * v for w, v in zip(c3.as_tuple(), tet.face_vertices(face)))
     pt = rng.uniform(-0.5, 1.5, size=3)
-    sq = {"p" + n + "2": float(np.sum((pt - tet.vertex(n.upper())) ** 2))
-          for n in "abcd"}
+    sq = [float(np.sum((pt - v) ** 2)) for v in verts]
     feet = [(pt, face, tet_centers.projection_components(edges, sq, face)) for face in FACES]
     for kind in ("Q", "G", "I"):
         cpt = oracle.point_from_components(tet, comps[kind])
@@ -311,15 +318,9 @@ def _verify_tetra_case(rng, suites, rtol, atol):
     suites["tet.projections"].check(
         abs(float(np.linalg.norm(points["I"] - ifoot)) - r) / r, 1e-8, inst)
 
-    scale6 = emax ** 6
-    for key, slack in tet_metrics.tet_inequality_slacks(edges).items():
-        suites["tet.inequalities"].check(max(0.0, -slack),
-                                         1e-12 * max(1.0, scale6), inst)
-
     # concurrency: the power center's four face points reassemble to it
-    c2 = comps["power:2"]
     face_data = {f: face_components_from_tetra(c2, f) for f in FACES}
-    rep = tet_centers.concurrency_conditions(edges, face_data)
+    rep = tet_centers.concurrency_conditions(face_data)
     suites["tet.concurrency"].check(rep["max_residual"], 1e-9, inst)
     if rep["components"] is None:
         suites["tet.concurrency"].check(1.0, 1e-12, inst)

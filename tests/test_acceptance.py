@@ -99,7 +99,7 @@ def tet_corpus():
             if edges is None:
                 continue
             tet = oracle.embed_tetra(edges)
-            pts = {str(k): oracle.definitional_center4(tet, k)
+            pts = {str(k): oracle.definitional_center(tet, k)
                    for k in TET_KINDS}
             out.append((edges, tet, pts))
         _tet_cache = out
@@ -219,7 +219,7 @@ def test_criterion_5_tetra_center_realization_and_circumcenter_paths():
             worst = max(worst, res / (1e-9 * emax))
         beta_poly = tet_center_components("Q", edges).as_tuple()
         beta_det = _circum_components_det(edges)
-        mat = np.vstack([np.stack(tet.vertices()).T, np.ones(4)])
+        mat = np.vstack([tet.vertices.T, np.ones(4)])
         beta_solve = np.linalg.solve(mat, np.append(pts["Q"], 1.0))
         for trio in zip(beta_poly, beta_det, beta_solve):
             for x, y in combinations(trio, 2):
@@ -234,8 +234,7 @@ def test_criterion_5_tetra_center_realization_and_circumcenter_paths():
 def test_criterion_6_metric_formulas():
     worst = 0.0
     for edges, tet, pts in tet_corpus():
-        mat = np.column_stack([tet.pb - tet.pa, tet.pc - tet.pa,
-                               tet.pd - tet.pa])
+        mat = np.column_stack(tet.vertices[1:] - tet.vertices[0])
         v_oracle = abs(float(np.linalg.det(mat))) / 6.0
         v = volume(edges)
         worst = max(worst, abs(v - v_oracle) / v_oracle / 1e-9)
@@ -244,7 +243,7 @@ def test_criterion_6_metric_formulas():
                    for n, off, _ in (oracle._face_plane(tet, f)
                                      for f in FACES))
         worst = max(worst, abs(inradius(edges) - dmin) / dmin / 1e-9)
-        r_oracle = float(np.linalg.norm(pts["Q"] - tet.pa))
+        r_oracle = float(np.linalg.norm(pts["Q"] - tet.vertices[0]))
         worst = max(worst, abs(circumradius(edges) - r_oracle) / r_oracle / 1e-9)
         worst = max(worst, crelle_check(edges) / 1e-9)
         worst = max(worst,
@@ -324,8 +323,7 @@ def test_criterion_9_projection_components():
         emax = max(edges.as_tuple())
         rng = np.random.default_rng([SEED, 7 * idx + 5])
         p = rng.uniform(-0.5, 1.5, size=3)
-        sq = {f"p{v.lower()}2": float(np.sum((p - tet.vertex(v)) ** 2))
-              for v in "ABCD"}
+        sq = [float(np.sum((p - v) ** 2)) for v in tet.vertices]
         face = faces[idx % 4]
         c3 = projection_components(edges, sq, face)
         foot = sum(w * vv for w, vv in zip(c3.as_tuple(),

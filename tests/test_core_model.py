@@ -19,11 +19,11 @@ from cevian.core_model import (
     NonPositiveLength,
     NotRealizable,
     PowerIncenter,
-    Tolerance,
     TriangleInequalityViolated,
     TetraEdges,
     TriangleSides,
     VERTICES,
+    _close,
     _sqrt_clamped,
     components_from_ir3,
     concurrency_defect,
@@ -285,9 +285,9 @@ def test_power_incenter_token():
 
 
 def test_tolerance_close():
-    tol = Tolerance()
-    assert tol.close(1.0, 1.0 + 1e-12)
-    assert not tol.close(1.0, 1.001)
+    # equal within ATOL + RTOL * max(|x|, |y|)
+    assert _close(1.0, 1.0 + 1e-12)
+    assert not _close(1.0, 1.001)
 
 
 # ---------------------------------------------------------- ratio conversions

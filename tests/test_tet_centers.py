@@ -112,7 +112,7 @@ def test_components_realize_definitional_centers(edges, kind):
     tet = oracle.embed_tetra(edges)
     comps = tet_center_components(kind, edges)
     realized = oracle.point_from_components(tet, comps)
-    want = oracle.definitional_center4(tet, kind)
+    want = oracle.definitional_center(tet, kind)
     assert np.linalg.norm(realized - want) <= 1e-9 * max(edges.as_tuple())
 
 
@@ -141,8 +141,7 @@ def test_projection_of_random_point_matches_oracle():
     rng = np.random.default_rng(7)
     for _ in range(25):
         p = rng.uniform(-1.0, 2.0, size=3)
-        sq = {f"p{v.lower()}2": float(np.sum((p - tet.vertex(v)) ** 2))
-              for v in "ABCD"}
+        sq = [float(np.sum((p - v) ** 2)) for v in tet.vertices]
         for face in FACES:
             c3 = projection_components(IRREGULAR, sq, face)
             foot = sum(w * vv for w, vv in
@@ -151,11 +150,20 @@ def test_projection_of_random_point_matches_oracle():
             assert np.linalg.norm(foot - want) < 1e-10
 
 
+def test_projection_needs_four_squared_distances():
+    for sq in ((), (1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)):
+        with pytest.raises(GeometryError, match="4 squared vertex distances"):
+            projection_components(IRREGULAR, sq, "BCD")
+    # the opposite vertex's slot is read for its length, not its value
+    assert (projection_components(IRREGULAR, (1.0, 2.0, 3.0, 4.0), "ABC")
+            == projection_components(IRREGULAR, (1.0, 2.0, 3.0, 99.0), "ABC"))
+
+
 def test_vertex_projection_matches_oracle():
     tet = oracle.embed_tetra(PYRAMID)
     c3 = vertex_projection_components(PYRAMID, "BCD")
     foot = sum(w * v for w, v in zip(c3.as_tuple(), tet.face_vertices("BCD")))
-    want = oracle.projection_foot_oracle(tet, tet.pa, "BCD")
+    want = oracle.projection_foot_oracle(tet, tet.vertices[0], "BCD")
     assert np.linalg.norm(foot - want) < 1e-12
     # the apex of this pyramid drops onto the centroid of the regular base
     assert c3.as_tuple() == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
@@ -197,7 +205,7 @@ def test_centroid_projection_formula():
 def test_consistent_face_points_reassemble():
     beta = tet_center_components(PowerIncenter(2), IRREGULAR)
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
-    rep = concurrency_conditions(IRREGULAR, faces)
+    rep = concurrency_conditions(faces)
     assert rep["concurrent"]
     assert rep["max_residual"] < 1e-12
     assert rep["components"].as_tuple() == pytest.approx(beta.as_tuple(),
@@ -210,6 +218,6 @@ def test_perturbed_face_points_rejected():
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
     v = faces["BCD"].as_tuple()
     faces["BCD"] = Components((v[0] * 1.05, v[1], v[2]))
-    rep = concurrency_conditions(IRREGULAR, faces)
+    rep = concurrency_conditions(faces)
     assert not rep["concurrent"]
     assert rep["max_residual"] > 1e-3

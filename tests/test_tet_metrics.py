@@ -80,10 +80,10 @@ def test_circumradius_forms_agree(edges):
 def test_summary_vs_oracle(edges):
     tet = oracle.embed_tetra(edges)
     s = metrics_summary(edges)
-    mat = np.column_stack([tet.pb - tet.pa, tet.pc - tet.pa, tet.pd - tet.pa])
+    mat = np.column_stack(tet.vertices[1:] - tet.vertices[0])
     assert s.volume == pytest.approx(abs(np.linalg.det(mat)) / 6.0, rel=1e-10)
-    q = oracle.definitional_center4(tet, "Q")
-    assert s.circumradius == pytest.approx(np.linalg.norm(q - tet.pa),
+    q = oracle.definitional_center(tet, "Q")
+    assert s.circumradius == pytest.approx(np.linalg.norm(q - tet.vertices[0]),
                                            rel=1e-10)
     assert s.crelle_residual < 1e-10
 
@@ -128,7 +128,7 @@ def test_pair_table_covers_and_matches_oracle():
     table = center_pair_table4(IRREGULAR)
     assert len(table) == 21
     tet = oracle.embed_tetra(IRREGULAR)
-    pts = {k: oracle.definitional_center4(tet, k) for k in TET_CENTER_KINDS}
+    pts = {k: oracle.definitional_center(tet, k) for k in TET_CENTER_KINDS}
     emax = max(IRREGULAR.as_tuple())
     for rep in table:
         want = float(np.linalg.norm(pts[rep.pair[0]] - pts[rep.pair[1]]))
