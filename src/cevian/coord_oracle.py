@@ -13,6 +13,12 @@ plane) opposite each vertex, its inward unit normal, offset and content
 (side length or face area).  The frame is built from the coordinates on
 first use, in one stacked computation, and then shared by every center
 solve, projection and area that needs it; nothing is shared between shapes.
+
+Every function also takes a stack of simplices of one arity, vertices of
+shape (..., n, n - 1), and answers for each as if it stood alone: one
+stacked solve serves a block of shapes, and each value rounds exactly as
+the single-simplex call rounds it.  A single simplex is the stack with no
+leading dimension.
 """
 
 from __future__ import annotations
@@ -47,7 +53,10 @@ __all__ = [
     "definitional_center",
     "definitional_center4",
     "point_from_components",
+    "point_on_face",
     "frame_equation_residual",
+    "distance",
+    "facet_distances",
     "menelaus_product",
     "projection_foot_oracle",
 ]
@@ -62,16 +71,34 @@ _FACET_ROWS = {n: np.array([[(i + j) % n for j in range(1, n)] for i in range(n)
 
 
 def _rowdot(u, v):
-    """Dot product of each row of u with the same row of v, rounded exactly
-    as np.dot rounds one pair (a reduction along an axis rounds otherwise)."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+    """Dot product of each row of u with the same row of v, over leading
+    dimensions that broadcast, rounded exactly as np.dot rounds one pair (a
+    reduction along an axis rounds otherwise)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _norm(x):
+    """Euclidean norm of each row of x, rounded as np.linalg.norm of one."""
+    return np.sqrt(_rowdot(x, x))
+
+
+def _vertex_sum(terms, axis):
+    """Sum of ``terms`` over their vertex axis, added one vertex at a time
+    as the sum of a Python list adds them (an axis sum or a matmul rounds
+    otherwise)."""
+    return sum(np.moveaxis(terms, axis, 0))
+
+
+def _weighted_vertex_sum(weights, points):
+    """Sum of weights[..., i] * points[..., i, :] over the vertices i."""
+    return _vertex_sum(weights[..., None] * points, -2)
 
 
 def _inward_unit_normals(normals, base, inside):
     """Scale each row of ``normals`` to unit length and flip it to point from
     its row of ``base`` toward its row of ``inside``; also return the norms."""
-    norms = np.sqrt(_rowdot(normals, normals))
-    normals = normals / norms[:, None]
+    norms = _norm(normals)
+    normals = normals / norms[..., None]
     normals[_rowdot(normals, inside - base) < 0.0] *= -1.0
     return normals, norms
 
@@ -83,37 +110,41 @@ def _frozen(*arrays):
 
 
 def _solve(matrix, rhs):
+    """Solve every system of the stack; warn once, quoting the largest
+    condition number, if any system's exceeds ``_COND_LIMIT``."""
     m = np.asarray(matrix, dtype=float)
     cond = np.linalg.cond(m)
-    if cond > _COND_LIMIT:
+    ill = cond[cond > _COND_LIMIT]
+    if ill.size:
         warnings.warn(
-            f"ill-conditioned center system (cond = {cond:.3g}); "
+            f"ill-conditioned center system (cond = {ill.max():.3g}); "
             "result may lose precision",
             RuntimeWarning,
             stacklevel=3,
         )
-    return np.linalg.solve(m, np.asarray(rhs, dtype=float))
+    return np.linalg.solve(m, np.asarray(rhs, dtype=float)[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedSimplex:
     """A triangle in the plane or a tetrahedron in space: ``vertices`` holds
-    one row per vertex, A, B, C (, D), stored read-only."""
+    one row per vertex, A, B, C (, D), stored read-only.  Leading dimensions,
+    if any, stack simplices of one arity."""
 
     vertices: np.ndarray
 
     def __post_init__(self):
         verts = np.array(self.vertices, dtype=float)
-        if verts.shape not in ((3, 2), (4, 3)):
+        if verts.shape[-2:] not in ((3, 2), (4, 3)):
             raise GeometryError(
-                f"vertices of shape {verts.shape} embed neither a triangle "
-                "(3, 2) nor a tetrahedron (4, 3)")
+                f"vertices of shape {verts.shape} embed neither triangles "
+                "(..., 3, 2) nor tetrahedra (..., 4, 3)")
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
 
     def face_vertices(self, face: str) -> np.ndarray:
         """A tetrahedron face's three vertices in its cyclic order."""
-        return self.vertices[list(FACE_INDICES[canonical_face(face)][:3])]
+        return self.vertices[..., list(FACE_INDICES[canonical_face(face)][:3]), :]
 
     @cached_property
     def facets(self):
@@ -123,11 +154,11 @@ class EmbeddedSimplex:
         triangle's side length or a tetrahedron's face area (the norm of the
         edge product over (n - 2)!).  Read-only, built on first use."""
         verts = self.vertices
-        n = len(verts)
-        v1, *others = np.moveaxis(verts[_FACET_ROWS[n]], 1, 0)
+        n = verts.shape[-2]
+        v1, *others = np.moveaxis(verts[..., _FACET_ROWS[n], :], -2, 0)
         edges = [v - v1 for v in others]
         if n == 3:
-            normals = np.column_stack([-edges[0][:, 1], edges[0][:, 0]])
+            normals = np.stack([-edges[0][..., 1], edges[0][..., 0]], axis=-1)
         else:
             normals = np.cross(*edges)
         normals, norms = _inward_unit_normals(normals, v1, verts)
@@ -169,24 +200,28 @@ def embed_tetra(edges: TetraEdges) -> EmbeddedSimplex:
 # definitional centers
 
 def _face_plane(tet: EmbeddedSimplex, face: str):
-    """(unit inward normal, offset, area) of one face plane; the normal
-    points toward the opposite vertex and offset = normal . (point on face)."""
+    """(unit inward normal, offset, area) of one face plane of a single
+    tetrahedron; the normal points toward the opposite vertex and offset =
+    normal . (point on face)."""
     i = FACE_INDICES[canonical_face(face)][3]
     normals, offsets, areas = tet.facets
     return normals[i], float(offsets[i]), float(areas[i])
 
 
 def oracle_face_areas(tet: EmbeddedSimplex) -> dict:
-    """Face areas from cross products, keyed by the opposite vertex."""
-    return dict(zip(VERTICES, tet.facets[2].tolist()))
+    """Face areas from cross products, keyed by the opposite vertex (for a
+    stack, each a nested list over the stack)."""
+    return dict(zip(VERTICES, np.moveaxis(tet.facets[2], -1, 0).tolist()))
 
 
 def _equidistant_point(emb: EmbeddedSimplex, flipped=None) -> np.ndarray:
     """The point at one signed distance rho from every facet, with the sign
     flipped on the facet opposite vertex index ``flipped`` (if any)."""
     normals, offsets, _ = emb.facets
-    signs = [-1.0 if i == flipped else 1.0 for i in range(len(offsets))]
-    return _solve(np.column_stack([normals, np.negative(signs)]), offsets)[:-1]
+    column = np.full(offsets.shape + (1,), -1.0)
+    if flipped is not None:
+        column[..., flipped, :] = 1.0
+    return _solve(np.concatenate([normals, column], axis=-1), offsets)[..., :-1]
 
 
 def definitional_center(emb: EmbeddedSimplex, kind) -> np.ndarray:
@@ -200,27 +235,30 @@ def definitional_center(emb: EmbeddedSimplex, kind) -> np.ndarray:
     face's area.  Kinds are named as ``core_model.parse_center`` reads them.
     """
     verts = emb.vertices
-    n = len(verts)
+    n = verts.shape[-2]
     k = parse_center(kind, n)
     if isinstance(k, PowerIncenter):
-        weights = [area ** k.n for area in emb.facets[2].tolist()]
-        return sum(w * v for w, v in zip(weights, verts)) / sum(weights)
+        # Python's float power, which numpy's rounds otherwise
+        areas = emb.facets[2]
+        weights = np.reshape([a ** k.n for a in areas.ravel().tolist()], areas.shape)
+        return _weighted_vertex_sum(weights, verts) / _vertex_sum(weights, -1)[..., None]
     if k == "G":
-        return verts.sum(axis=0) / n
+        return verts.sum(axis=-2) / n
     if k == "I":
         return _equidistant_point(emb)
     if k == "Q":
-        p0 = verts[0]
-        return _solve([2.0 * (p - p0) for p in verts[1:]],
-                      [np.dot(p, p) - np.dot(p0, p0) for p in verts[1:]])
+        squares = _rowdot(verts, verts)
+        return _solve(2.0 * (verts[..., 1:, :] - verts[..., :1, :]),
+                      squares[..., 1:] - squares[..., :1])
     if k == "H":
         # altitude from A is perpendicular to BC, from B perpendicular to CA
-        pa, pb, pc = verts
-        return _solve([pc - pb, pa - pc], [np.dot(pa, pc - pb), np.dot(pb, pa - pc)])
+        pa, pb, pc = np.moveaxis(verts, -2, 0)
+        rows = np.stack([pc - pb, pa - pc], axis=-2)
+        return _solve(rows, _rowdot(np.stack([pa, pb], axis=-2), rows))
     x = VERTICES.index(k[-1])
-    contents = emb.facets[2].tolist()
-    total = sum(contents)
-    if total - 2.0 * contents[x] <= 1e-12 * total:
+    contents = emb.facets[2]
+    total = _vertex_sum(contents, -1)
+    if np.any(total - 2.0 * contents[..., x] <= 1e-12 * total):
         raise ExcenterDenominatorZero(
             f"facet contents' total minus twice the one opposite {k[-1]} is "
             f"not positive for {k}"
@@ -235,34 +273,62 @@ definitional_center4 = definitional_center
 # --------------------------------------------------------------------------
 # frame algebra against coordinates
 
-def _weights(embedded: EmbeddedSimplex, components) -> tuple:
-    """The components as floats, one per vertex of ``embedded``."""
+def _weights(embedded: EmbeddedSimplex, components) -> np.ndarray:
+    """The components as floats, one per vertex of ``embedded`` along the
+    last axis; a ``Components`` or a sequence, or an array (..., n) of them
+    that broadcasts against the stack."""
     if isinstance(components, Components):
-        vals = components.as_tuple()
-    else:
-        vals = tuple(float(v) for v in components)
-    if len(vals) != len(embedded.vertices):
-        raise GeometryError(f"{len(vals)} components do not fit a simplex "
-                            f"with {len(embedded.vertices)} vertices")
+        components = components.as_tuple()
+    vals = np.asarray(components, dtype=float)
+    n = embedded.vertices.shape[-2]
+    if vals.shape[-1:] != (n,):
+        raise GeometryError(f"components of shape {vals.shape} do not fit a "
+                            f"simplex with {n} vertices")
     return vals
 
 
 def point_from_components(embedded: EmbeddedSimplex, components) -> np.ndarray:
-    """Weighted vertex mean: sum of component_V * vertex_V."""
-    return sum(w * v for w, v in zip(_weights(embedded, components), embedded.vertices))
+    """Weighted vertex mean: sum of component_V * vertex_V, in vertex order."""
+    return _weighted_vertex_sum(_weights(embedded, components), embedded.vertices)
 
 
-def frame_equation_residual(embedded: EmbeddedSimplex, components, point) -> float:
+def point_on_face(tet: EmbeddedSimplex, face: str, components) -> np.ndarray:
+    """The point with barycentric components (one per face vertex, in the
+    face's cyclic order) on one face of a tetrahedron."""
+    vals = np.asarray(components, dtype=float)
+    if vals.shape[-1:] != (3,):
+        raise GeometryError(f"components of shape {vals.shape} do not fit a face")
+    return _weighted_vertex_sum(vals, tet.face_vertices(face))
+
+
+def frame_equation_residual(embedded: EmbeddedSimplex, components, point):
     """Norm of sum of component_V * (vertex_V - point); zero exactly when
-    the point realizes the components."""
-    vals = _weights(embedded, components)
+    the point realizes the components.  A float for a single simplex."""
     p = np.asarray(point, dtype=float)
-    return float(np.linalg.norm(sum(w * (v - p) for w, v in zip(vals, embedded.vertices))))
+    return _norm(_weighted_vertex_sum(_weights(embedded, components),
+                                      embedded.vertices - p[..., None, :]))
+
+
+def distance(p, q):
+    """Distance between points p and q, row by row over leading dimensions
+    that broadcast; a float for two single points."""
+    return _norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))
+
+
+def facet_distances(emb: EmbeddedSimplex, point) -> np.ndarray:
+    """Signed distance of the point from each facet (side line or face
+    plane), positive inside, one per facet opposite each vertex."""
+    normals, offsets, _ = emb.facets
+    return _rowdot(normals, np.asarray(point, dtype=float)[..., None, :]) - offsets
 
 
 def menelaus_product(tri: EmbeddedSimplex, line_point, line_dir) -> float:
     """Product of the three signed section ratios a transversal line cuts on
-    the side lines AB, BC, CA.  Equals -1 for every admissible line."""
+    the side lines AB, BC, CA of one triangle.  Equals -1 for every
+    admissible line."""
+    if tri.vertices.shape != (3, 2):
+        raise GeometryError(f"the Menelaus product needs one triangle, not "
+                            f"vertices of shape {tri.vertices.shape}")
     p0 = np.asarray(line_point, dtype=float)
     d = np.asarray(line_dir, dtype=float)
     if np.linalg.norm(d) == 0.0:
@@ -284,7 +350,13 @@ def menelaus_product(tri: EmbeddedSimplex, line_point, line_dir) -> float:
 
 
 def projection_foot_oracle(tet: EmbeddedSimplex, point, face: str) -> np.ndarray:
-    """Orthogonal projection of a point onto one face's plane."""
-    n, off, _ = _face_plane(tet, face)
+    """Orthogonal projection of a point onto one face's plane; over a stack
+    of tetrahedra, the points' leading dimensions broadcast against it."""
+    if tet.vertices.shape[-2:] != (4, 3):
+        raise GeometryError(f"faces are projected onto in tetrahedra, not in "
+                            f"vertices of shape {tet.vertices.shape}")
+    i = FACE_INDICES[canonical_face(face)][3]
+    normals, offsets, _ = tet.facets
+    n = normals[..., i, :]
     p = np.asarray(point, dtype=float)
-    return p - (np.dot(n, p) - off) * n
+    return p - (_rowdot(n, p) - offsets[..., i])[..., None] * n

@@ -6,6 +6,12 @@ tetrahedron from ``np.random.default_rng([seed, 2*i + 1])``, so a case's
 checks do not depend on the cases before it.  Each check lands in one suite,
 which keeps its worst residual/threshold ratio; the run passes iff every
 suite does.
+
+Each half runs in blocks of ``_BLOCK`` consecutive cases: the block's shapes
+are drawn and their closed forms built case by case, the oracle answers for
+the whole block in one stacked call per center kind or check site, and the
+checks are then made case by case, in the order a case-by-case run makes
+them, so every suite sees the same residuals in the same order.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from itertools import combinations
 
 import numpy as np
 
@@ -110,9 +117,10 @@ def _random_tetra(rng):
     return edges
 
 
-def _circum_components_det(edges):
-    """Circumcenter components via the 4x4 replaced-column determinant route
-    (independent of the polynomial weights)."""
+def _circum_systems(edges) -> np.ndarray:
+    """The 4x4 replaced-column determinant route to the circumcenter
+    components: the system matrix, then the matrix with column c replaced by
+    the right-hand side, for c = 0..3."""
     ab2, ac2, ad2, bc2, cd2, db2 = (x * x for x in edges.as_tuple())
     m = np.array([
         [1.0, 1.0, 1.0, 1.0],
@@ -120,15 +128,26 @@ def _circum_components_det(edges):
         [ac2 - ab2, bc2, -bc2, cd2 - db2],
         [ad2 - ac2, db2 - bc2, cd2, -cd2],
     ])
-    total = np.linalg.det(m)
-    rhs = np.array([1.0, 0.0, 0.0, 0.0])
-    out = []
+    systems = np.array([m] * 5)
     for col in range(4):
-        mc = m.copy()
-        mc[:, col] = rhs
-        out.append(np.linalg.det(mc) / total)
-    return out
+        systems[col + 1, :, col] = (1.0, 0.0, 0.0, 0.0)
+    return systems
 
+
+def _det_ratios(dets) -> list:
+    """Cramer's rule: each replaced-column determinant over the system's."""
+    return [d / dets[0] for d in dets[1:]]
+
+
+def _circum_components_det(edges):
+    """Circumcenter components via the 4x4 replaced-column determinant route
+    (independent of the polynomial weights)."""
+    return _det_ratios(np.linalg.det(_circum_systems(edges)).tolist())
+
+
+# cases per stacked oracle call: enough to amortize numpy's per-call cost,
+# few enough that a block's arrays stay small
+_BLOCK = 128
 
 # per arity: the transcribed distance forms and the inequality slacks
 _SHAPE_FORMS = {
@@ -137,16 +156,46 @@ _SHAPE_FORMS = {
 }
 
 
-def _verify_shared(shape, emb, scale, degree, allowance, suites, rtol, atol):
+class _BlockCenters:
+    """Both sides of the shared center checks for a block of shapes of one
+    arity and their stacked embedding.
+
+    ``comps`` holds each case's closed-form components by kind.  By kind,
+    over the block: the ``weights`` (N, n), the definitional ``points`` and
+    the ``realized`` points (N, d) as arrays, and the ``errors`` between the
+    two as a list; by pair of kinds, the definitional centers' ``distances``
+    as a list.
+    """
+
+    def __init__(self, shapes, emb):
+        kinds = CENTER_KINDS[emb.vertices.shape[-2]]
+        self.comps = [{k: center_components(k, s) for k in kinds} for s in shapes]
+        self.weights = {k: np.array([c[k].as_tuple() for c in self.comps]) for k in kinds}
+        self.points = {k: oracle.definitional_center(emb, k) for k in kinds}
+        self.realized = {k: oracle.point_from_components(emb, self.weights[k])
+                         for k in kinds}
+        self.errors = {k: oracle.distance(self.realized[k], self.points[k]).tolist()
+                       for k in kinds}
+        self.distances = {(k1, k2): oracle.distance(self.points[k1], self.points[k2]).tolist()
+                          for k1, k2 in combinations(kinds, 2)}
+
+
+def _stacked(embs) -> oracle.EmbeddedSimplex:
+    """One embedding holding the block's simplices."""
+    return oracle.EmbeddedSimplex(np.stack([e.vertices for e in embs]))
+
+
+def _verify_shared(shape, centers, case, scale, degree, allowance, suites, rtol, atol):
     """Fill the suites both halves share (centers, distances, closed forms,
-    inequalities) for a triangle or tetrahedron and its embedding.
+    inequalities) for case ``case`` of a block: its triangle or tetrahedron
+    and the block's ``_BlockCenters``.
 
     ``scale`` is the shape's length scale (a triangle's perimeter, a
     tetrahedron's longest edge) and ``degree`` the degree of its inequality
     slacks.  ``allowance`` maps an excenter to its condition allowance
     (kinds it omits get 1.0): a check on a pair of centers widens by the
-    product of theirs.  Returns the components and oracle points by kind,
-    the pair distances and the transcribed forms, for the half's own checks.
+    product of theirs.  Returns the pair distances and the transcribed
+    forms, for the half's own checks.
     """
     n = len(shape.E)
     half = "tri" if n == 3 else "tet"
@@ -155,18 +204,13 @@ def _verify_shared(shape, emb, scale, degree, allowance, suites, rtol, atol):
     allow = {k: allowance.get(k, 1.0) for k in CENTER_KINDS[n]}
     forms_of, slacks_of = _SHAPE_FORMS[n]
 
-    comps, points = {}, {}
     for k in CENTER_KINDS[n]:
-        comps[k] = center_components(k, shape)
-        points[k] = oracle.definitional_center(emb, k)
-        realized = oracle.point_from_components(emb, comps[k])
-        suites[half + ".centers"].check(
-            float(np.linalg.norm(realized - points[k])), tol_len * allow[k], inst)
+        suites[half + ".centers"].check(centers.errors[k][case], tol_len * allow[k], inst)
 
-    table = pair_table(comps, shape)
+    table = pair_table(centers.comps[case], shape)
     for rep in table:
         k1, k2 = rep.pair
-        want = float(np.linalg.norm(points[k1] - points[k2]))
+        want = centers.distances[k1, k2][case]
         suites[half + ".distances"].check(abs(rep.distance - want),
                                           tol_len * (allow[k1] * allow[k2]), inst)
 
@@ -188,158 +232,177 @@ def _verify_shared(shape, emb, scale, degree, allowance, suites, rtol, atol):
     for slack in slacks_of(shape).values():
         suites[half + ".inequalities"].check(
             max(0.0, -slack), 1e-12 * max(1.0, scale ** degree), inst)
-    return comps, points, dist, forms
+    return dist, forms
 
 
-def _verify_triangle_case(rng, suites, rtol, atol):
-    sides = _random_triangle(rng)
-    if sides is None:
-        return False
-    inst = sides.as_tuple()
-    perim = sides.perimeter
-    tol_len = atol + rtol * perim
-    tri = oracle.embed_triangle(sides)
-    comps, points, _, _ = _verify_shared(sides, tri, perim, 4, {}, suites, rtol, atol)
-    for k, c in comps.items():
-        suites["tri.centers"].check(
-            oracle.frame_equation_residual(tri, c, points[k]), tol_len, inst)
+def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
+    kinds = CENTER_KINDS[3]
+    embs = [oracle.embed_triangle(s) for s in shapes]
+    emb = _stacked(embs)
+    centers = _BlockCenters(shapes, emb)
+    frame = {k: oracle.frame_equation_residual(emb, centers.weights[k],
+                                               centers.points[k]).tolist()
+             for k in kinds}
 
-    # identity family: cevian ratio products, kappa sums, reciprocal sums,
-    # the three-ratio determinant, the Euler collinearity, Menelaus
-    for k in ("G", "I", "E_A"):
-        ir = tri_centers.center_ir(k, sides)
-        suites["tri.identities"].check(
-            abs(ir.lambda_ab * ir.lambda_bc * ir.lambda_ca - 1.0), 1e-9, inst)
-    try:
-        ratios = vertex_foot_ratios3(comps["I"])
-    except GeometryError:
-        pass
-    else:
-        suites["tri.identities"].check(
-            abs(ratios["kap_al"] + ratios["kap_bm"] + ratios["kap_cn"] - 2.0),
-            1e-9, inst)
-        suites["tri.identities"].check(
-            abs(sum(1.0 / (1.0 + ratios[k]) for k in ("lam_al", "lam_bm", "lam_cn"))
-                - 1.0), 1e-9, inst)
-        suites["tri.identities"].check(
-            abs(fractional_ratio_determinant(
-                ratios["lam_al"], ratios["lam_bm"], ratios["lam_cn"])), 1e-9, inst)
-    euler = tri_centers.euler_relation(sides)
-    suites["tri.identities"].check(abs(euler["gh_over_gq"] + 2.0), 1e-9, inst)
-    suites["tri.identities"].check(euler["collinearity_residual"], tol_len, inst)
-    for _ in range(8):
-        p0 = rng.uniform(-1.0, 2.0, size=2) * perim
-        ang = rng.uniform(0.0, math.pi)
+    for case, (sides, rng, tri) in enumerate(zip(shapes, rngs, embs)):
+        inst = sides.as_tuple()
+        perim = sides.perimeter
+        tol_len = atol + rtol * perim
+        _verify_shared(sides, centers, case, perim, 4, {}, suites, rtol, atol)
+        for k in kinds:
+            suites["tri.centers"].check(frame[k][case], tol_len, inst)
+
+        # identity family: cevian ratio products, kappa sums, reciprocal sums,
+        # the three-ratio determinant, the Euler collinearity, Menelaus
+        for k in ("G", "I", "E_A"):
+            ir = tri_centers.center_ir(k, sides)
+            suites["tri.identities"].check(
+                abs(ir.lambda_ab * ir.lambda_bc * ir.lambda_ca - 1.0), 1e-9, inst)
         try:
-            prod = oracle.menelaus_product(tri, p0, np.array([math.cos(ang),
-                                                              math.sin(ang)]))
+            ratios = vertex_foot_ratios3(centers.comps[case]["I"])
         except GeometryError:
-            continue
-        suites["tri.identities"].check(abs(prod + 1.0), 1e-9, inst)
-        break
-    return True
+            pass
+        else:
+            suites["tri.identities"].check(
+                abs(ratios["kap_al"] + ratios["kap_bm"] + ratios["kap_cn"] - 2.0),
+                1e-9, inst)
+            suites["tri.identities"].check(
+                abs(sum(1.0 / (1.0 + ratios[k]) for k in ("lam_al", "lam_bm", "lam_cn"))
+                    - 1.0), 1e-9, inst)
+            suites["tri.identities"].check(
+                abs(fractional_ratio_determinant(
+                    ratios["lam_al"], ratios["lam_bm"], ratios["lam_cn"])), 1e-9, inst)
+        euler = tri_centers.euler_relation(sides)
+        suites["tri.identities"].check(abs(euler["gh_over_gq"] + 2.0), 1e-9, inst)
+        suites["tri.identities"].check(euler["collinearity_residual"], tol_len, inst)
+        # how many lines this draws depends on the oracle's answers, so it
+        # stays case by case
+        for _ in range(8):
+            p0 = rng.uniform(-1.0, 2.0, size=2) * perim
+            ang = rng.uniform(0.0, math.pi)
+            try:
+                prod = oracle.menelaus_product(tri, p0, np.array([math.cos(ang),
+                                                                  math.sin(ang)]))
+            except GeometryError:
+                continue
+            suites["tri.identities"].check(abs(prod + 1.0), 1e-9, inst)
+            break
 
 
-def _verify_tetra_case(rng, suites, rtol, atol):
-    edges = _random_tetra(rng)
-    if edges is None:
-        return False
-    inst = edges.as_tuple()
-    emax = max(inst)
-    tol_len = atol + rtol * emax
-    tet = oracle.embed_tetra(edges)
-    verts = tet.vertices
+# the points the projection checks drop onto every face: a random point in
+# space, then the realized Q, G and I
+_PROJECTED = ("Q", "G", "I")
 
-    # excenter checks get a condition allowance: E_X sits ~S/T^X edge lengths
-    # out, so every fixed-precision path loses accuracy proportionally
-    fa = tet_centers.face_areas(edges)
-    kappa = {f"E_{x}": max(1.0, fa.s / fa.opposite_sum(i)) for i, x in enumerate("ABCD")}
-    comps, points, dist, forms = _verify_shared(edges, tet, emax, 6, kappa, suites,
-                                                rtol, atol)
+
+def _projection_errors(shapes, emb, centers, pts):
+    """For a block of tetrahedra: per face, the distances between each
+    closed-form foot, realized from its face components, and the oracle's
+    projection, one list per projected point (``pts``, then the realized
+    ``_PROJECTED`` centers); and each case's distance from its incenter to
+    its closed-form foot on ABC."""
+    sq = ((pts[:, None, :] - emb.vertices) ** 2).sum(axis=-1).tolist()
+    sources = np.stack([pts] + [centers.realized[k] for k in _PROJECTED])
+    face_comps = {face: np.empty(sources.shape) for face in FACES}
+    for case, edges in enumerate(shapes):
+        for face, fc in face_comps.items():
+            fc[0, case] = tet_centers.projection_components(edges, sq[case], face).as_tuple()
+            for j, kind in enumerate(_PROJECTED, 1):
+                fc[j, case] = tet_centers.projection_of_center(kind, edges, face).as_tuple()
+    feet = {face: oracle.point_on_face(emb, face, fc) for face, fc in face_comps.items()}
+    errors = {face: oracle.distance(feet[face],
+                                    oracle.projection_foot_oracle(emb, sources, face)).tolist()
+              for face in FACES}
+    ifoot = feet["ABC"][1 + _PROJECTED.index("I")]
+    return errors, oracle.distance(centers.points["I"], ifoot).tolist()
+
+
+def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
+    emb = _stacked([oracle.embed_tetra(e) for e in shapes])
+    verts = emb.vertices
+    # each case's draw after its shape: the point the projections drop
+    pts = np.array([rng.uniform(-0.5, 1.5, size=3) for rng in rngs])
+    centers = _BlockCenters(shapes, emb)
     power = PowerIncenter(2.0)
-    c2 = center_components(power, edges)
-    suites["tet.centers"].check(
-        float(np.linalg.norm(oracle.point_from_components(tet, c2)
-                             - oracle.definitional_center(tet, power))), tol_len, inst)
+    c2 = [center_components(power, e) for e in shapes]
+    power_err = oracle.distance(
+        oracle.point_from_components(emb, [c.as_tuple() for c in c2]),
+        oracle.definitional_center(emb, power)).tolist()
+    dets = np.linalg.det(np.stack([_circum_systems(e) for e in shapes])).tolist()
+    signed_vol6 = np.linalg.det(np.swapaxes(verts[:, 1:] - verts[:, :1], -1, -2)).tolist()
+    incenter_dists = oracle.facet_distances(emb, centers.points["I"]).tolist()
+    rr_oracle = oracle.distance(centers.points["Q"], verts[:, 0]).tolist()
+    foot_err, ifoot_dist = _projection_errors(shapes, emb, centers, pts)
 
-    # circumcenter: polynomial weights vs determinant route vs oracle solve
-    beta_poly = comps["Q"].as_tuple()
-    beta_det = _circum_components_det(edges)
-    for x, y in zip(beta_poly, beta_det):
-        suites["tet.circumcenter"].check(abs(x - y),
-                                         1e-8 * max(abs(x), abs(y), 0.05), inst)
-    q_oracle = points["Q"]
-    suites["tet.circumcenter"].check(
-        float(np.linalg.norm(oracle.point_from_components(tet, comps["Q"])
-                             - q_oracle)) / emax, 1e-8, inst)
+    for case, edges in enumerate(shapes):
+        inst = edges.as_tuple()
+        emax = max(inst)
+        tol_len = atol + rtol * emax
 
-    # metric formulas vs coordinate geometry
-    vol = tet_metrics.volume(edges)
-    vol_oracle = abs(float(np.linalg.det(np.column_stack(verts[1:] - verts[0])))) / 6.0
-    suites["tet.metrics"].check(abs(vol - vol_oracle) / vol_oracle, 1e-9, inst)
-    r = tet_metrics.inradius(edges)
-    icenter = points["I"]
-    normals, offsets, _ = tet.facets
-    dists = [abs(float(np.dot(nrm, icenter) - off))
-             for nrm, off in zip(normals, offsets)]
-    suites["tet.metrics"].check(abs(r - min(dists)) / r, 1e-9, inst)
-    rr = tet_metrics.circumradius(edges)
-    rr_oracle = float(np.linalg.norm(q_oracle - verts[0]))
-    suites["tet.metrics"].check(abs(rr - rr_oracle) / rr_oracle, 1e-9, inst)
-    suites["tet.metrics"].check(tet_metrics.crelle_check(edges), 1e-9, inst)
-    aux = edges.circum_aux
-    suites["tet.metrics"].check(abs(aux.u - 144.0 * vol * vol) / aux.u, 1e-9, inst)
+        # excenter checks get a condition allowance: E_X sits ~S/T^X edge
+        # lengths out, so every fixed-precision path loses accuracy
+        # proportionally
+        fa = tet_centers.face_areas(edges)
+        kappa = {f"E_{x}": max(1.0, fa.s / fa.opposite_sum(i)) for i, x in enumerate("ABCD")}
+        dist, forms = _verify_shared(edges, centers, case, emax, 6, kappa, suites, rtol, atol)
+        suites["tet.centers"].check(power_err[case], tol_len, inst)
 
-    # centroid-incenter: transcribed form vs engine vs oracle
-    gi_engine = dist["G", "I"]
-    gi_oracle = float(np.linalg.norm(points["G"] - points["I"]))
-    suites["tet.GI"].check(
-        abs(forms["GI"] ** 2 - gi_engine ** 2),
-        1e-9 * max(gi_engine, forms["GI"]) ** 2 + 1e-13 * emax * emax, inst)
-    suites["tet.GI"].check(abs(gi_engine - gi_oracle), tol_len, inst)
+        # circumcenter: polynomial weights vs determinant route vs oracle solve
+        beta_poly = centers.comps[case]["Q"].as_tuple()
+        beta_det = _det_ratios(dets[case])
+        for x, y in zip(beta_poly, beta_det):
+            suites["tet.circumcenter"].check(abs(x - y),
+                                             1e-8 * max(abs(x), abs(y), 0.05), inst)
+        suites["tet.circumcenter"].check(centers.errors["Q"][case] / emax, 1e-8, inst)
 
-    # projections: random spatial point + the three center closed forms; each
-    # closed-form foot is realized from its face components
-    on_face = lambda c3, face: sum(
-        w * v for w, v in zip(c3.as_tuple(), tet.face_vertices(face)))
-    pt = rng.uniform(-0.5, 1.5, size=3)
-    sq = [float(np.sum((pt - v) ** 2)) for v in verts]
-    feet = [(pt, face, tet_centers.projection_components(edges, sq, face)) for face in FACES]
-    for kind in ("Q", "G", "I"):
-        cpt = oracle.point_from_components(tet, comps[kind])
-        feet += [(cpt, face, tet_centers.projection_of_center(kind, edges, face))
-                 for face in FACES]
-    for p, face, c3 in feet:
-        want = oracle.projection_foot_oracle(tet, p, face)
-        suites["tet.projections"].check(
-            float(np.linalg.norm(on_face(c3, face) - want)) / emax, 1e-8, inst)
-    # incenter's projection sits at distance r from the incenter
-    ifoot = on_face(tet_centers.projection_of_center("I", edges, "ABC"), "ABC")
-    suites["tet.projections"].check(
-        abs(float(np.linalg.norm(points["I"] - ifoot)) - r) / r, 1e-8, inst)
+        # metric formulas vs coordinate geometry
+        vol = tet_metrics.volume(edges)
+        vol_oracle = abs(signed_vol6[case]) / 6.0
+        suites["tet.metrics"].check(abs(vol - vol_oracle) / vol_oracle, 1e-9, inst)
+        r = tet_metrics.inradius(edges)
+        suites["tet.metrics"].check(
+            abs(r - min(abs(d) for d in incenter_dists[case])) / r, 1e-9, inst)
+        rr = tet_metrics.circumradius(edges)
+        suites["tet.metrics"].check(abs(rr - rr_oracle[case]) / rr_oracle[case], 1e-9, inst)
+        suites["tet.metrics"].check(tet_metrics.crelle_check(edges), 1e-9, inst)
+        aux = edges.circum_aux
+        suites["tet.metrics"].check(abs(aux.u - 144.0 * vol * vol) / aux.u, 1e-9, inst)
 
-    # concurrency: the power center's four face points reassemble to it
-    face_data = {f: face_components_from_tetra(c2, f) for f in FACES}
-    rep = tet_centers.concurrency_conditions(face_data)
-    suites["tet.concurrency"].check(rep["max_residual"], 1e-9, inst)
-    if rep["components"] is None:
-        suites["tet.concurrency"].check(1.0, 1e-12, inst)
-    else:
-        suites["tet.concurrency"].check(
-            max(abs(x - y) for x, y in zip(rep["components"].as_tuple(),
-                                           c2.as_tuple())), 1e-9, inst)
-    return True
+        # centroid-incenter: transcribed form vs engine vs oracle
+        gi_engine = dist["G", "I"]
+        suites["tet.GI"].check(
+            abs(forms["GI"] ** 2 - gi_engine ** 2),
+            1e-9 * max(gi_engine, forms["GI"]) ** 2 + 1e-13 * emax * emax, inst)
+        suites["tet.GI"].check(abs(gi_engine - centers.distances["G", "I"][case]),
+                               tol_len, inst)
+
+        # projections: the random point and the three centers onto every
+        # face; the incenter's projection sits at distance r from it
+        for j in range(1 + len(_PROJECTED)):
+            for face in FACES:
+                suites["tet.projections"].check(foot_err[face][j][case] / emax, 1e-8, inst)
+        suites["tet.projections"].check(abs(ifoot_dist[case] - r) / r, 1e-8, inst)
+
+        # concurrency: the power center's four face points reassemble to it
+        face_data = {f: face_components_from_tetra(c2[case], f) for f in FACES}
+        rep = tet_centers.concurrency_conditions(face_data)
+        suites["tet.concurrency"].check(rep["max_residual"], 1e-9, inst)
+        if rep["components"] is None:
+            suites["tet.concurrency"].check(1.0, 1e-12, inst)
+        else:
+            suites["tet.concurrency"].check(
+                max(abs(x - y) for x, y in zip(rep["components"].as_tuple(),
+                                               c2[case].as_tuple())), 1e-9, inst)
 
 
-# each half of the run: its name, its generator's stream offset, the case
-# runner and the suites it fills
+# each half of the run: its name, its generator's stream offset, its shape
+# generator, the block runner and the suites it fills
 _HALVES = (
-    ("tri", 0, _verify_triangle_case, ("tri.centers", "tri.distances", "tri.closed_forms",
-                                       "tri.identities", "tri.inequalities")),
-    ("tet", 1, _verify_tetra_case, ("tet.centers", "tet.circumcenter", "tet.metrics",
-                                    "tet.GI", "tet.distances", "tet.closed_forms",
-                                    "tet.projections", "tet.inequalities",
-                                    "tet.concurrency")),
+    ("tri", 0, _random_triangle, _verify_triangle_block,
+     ("tri.centers", "tri.distances", "tri.closed_forms", "tri.identities",
+      "tri.inequalities")),
+    ("tet", 1, _random_tetra, _verify_tetra_block,
+     ("tet.centers", "tet.circumcenter", "tet.metrics", "tet.GI", "tet.distances",
+      "tet.closed_forms", "tet.projections", "tet.inequalities", "tet.concurrency")),
 )
 
 
@@ -347,18 +410,27 @@ def cmd_verify(args) -> bool:
     """Run the suites ``args`` selects, print one line per suite and the
     verdict, and return whether every suite passed."""
     halves = [h for h in _HALVES if args.scope in (h[0], "all")]
-    suites = {n: _Suite(n) for h in halves for n in h[3]}
+    suites = {n: _Suite(n) for h in halves for n in h[4]}
     ran = {"tri": 0, "tet": 0}
     total_skips = 0
 
     start = time.monotonic()
-    for case in range(args.cases):
-        for half, offset, run_case, _ in halves:
-            rng = np.random.default_rng([args.seed, 2 * case + offset])
-            if run_case(rng, suites, args.rtol, args.atol):
-                ran[half] += 1
-            else:
-                total_skips += 1
+    # the halves fill disjoint suites, so running one after the other checks
+    # each suite in the same order as interleaving them case by case
+    for half, offset, draw, run_block, _ in halves:
+        for first in range(0, args.cases, _BLOCK):
+            shapes, rngs = [], []
+            for case in range(first, min(first + _BLOCK, args.cases)):
+                rng = np.random.default_rng([args.seed, 2 * case + offset])
+                shape = draw(rng)
+                if shape is None:
+                    total_skips += 1
+                else:
+                    shapes.append(shape)
+                    rngs.append(rng)
+            if shapes:
+                run_block(shapes, rngs, suites, args.rtol, args.atol)
+            ran[half] += len(shapes)
     elapsed = time.monotonic() - start
 
     for s in suites.values():

@@ -268,6 +268,18 @@ def test_verify_small_run_passes(capsys):
     assert "tet.centers" not in out
 
 
+@pytest.mark.parametrize("tolerances", [(), ("--rtol", "1e-14", "--atol", "0")])
+def test_verify_output_does_not_depend_on_the_block_size(capsys, monkeypatch, tolerances):
+    from cevian import verify
+
+    argv = ("verify", "--seed", "5", "--cases", "40", "--scope", "all", *tolerances)
+    outputs = set()
+    for block in (1, 7, 128):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        outputs.add(run_cli(capsys, *argv)[:2])
+    assert len(outputs) == 1
+
+
 def test_verify_subprocess_deterministic():
     cmd = [sys.executable, "-m", "cevian.cli", "verify", "--seed", "3",
            "--cases", "30", "--scope", "all"]

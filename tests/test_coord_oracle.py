@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from cevian.core_model import (
+    CENTER_KINDS,
     FACES,
     FACE_INDICES,
     VERTICES,
@@ -13,10 +16,13 @@ from cevian.core_model import (
     ParallelSide,
     PowerIncenter,
     ThroughVertex,
+    center_components,
     validate_tetrahedron,
     validate_triangle,
 )
 from cevian import coord_oracle as oracle
+from cevian.tet_centers import projection_of_center
+from cevian.verify import _random_tetra, _random_triangle
 
 
 RIGHT = validate_triangle(3, 4, 5)
@@ -260,17 +266,25 @@ def test_frames_cannot_go_stale():
 
 
 def test_simplex_is_a_triangle_or_a_tetrahedron():
-    for shape in ((3, 3), (4, 2), (2, 1), (5, 4)):
+    # a stack is one of triangles or of tetrahedra
+    for shape in ((3, 3), (4, 2), (2, 1), (5, 4),
+                  (2, 3, 3), (5, 4, 2), (7, 2, 1), (2, 2, 5, 4), (3,), ()):
         with pytest.raises(GeometryError):
             oracle.EmbeddedSimplex(np.zeros(shape))
+    for shape in ((2, 3, 2), (5, 4, 3), (2, 2, 4, 3)):
+        assert oracle.EmbeddedSimplex(np.ones(shape)).vertices.shape == shape
 
 
 def test_flat_triangle_excenter_is_a_typed_error():
     # C a hair above AB: the contents' total minus twice |AB| vanishes, so
     # E_C escapes to infinity, as the gate already said for tetrahedra
-    flat = oracle.EmbeddedSimplex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-9]])
+    flat = [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-9]]
     with pytest.raises(ExcenterDenominatorZero):
-        oracle.definitional_center(flat, "E_C")
+        oracle.definitional_center(oracle.EmbeddedSimplex(flat), "E_C")
+    # in a stack, one such row is enough
+    stack = oracle.EmbeddedSimplex([oracle.embed_triangle(SCALENE).vertices, flat])
+    with pytest.raises(ExcenterDenominatorZero):
+        oracle.definitional_center(stack, "E_C")
 
 
 def test_ill_conditioned_systems_still_warn():
@@ -283,3 +297,108 @@ def test_ill_conditioned_systems_still_warn():
         oracle.definitional_center(flat_tet, "I")
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
         oracle.definitional_center(flat_tet, "Q")
+
+
+# ---------------------------------------------------------------- stacks
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _verify_shapes(draw, offset, count):
+    """The first ``count`` shapes verify draws for seed 42, in case order."""
+    shapes, case = [], 0
+    while len(shapes) < count:
+        shape = draw(np.random.default_rng([42, 2 * case + offset]))
+        case += 1
+        if shape is not None:
+            shapes.append(shape)
+    return shapes
+
+
+@pytest.mark.parametrize("arity", [3, 4])
+def test_stack_matches_each_simplex_bitwise(arity):
+    if arity == 3:
+        shapes = _verify_shapes(_random_triangle, 0, 500)
+        embs = [oracle.embed_triangle(s) for s in shapes]
+        kinds = list(CENTER_KINDS[3])
+    else:
+        shapes = _verify_shapes(_random_tetra, 1, 500)
+        embs = [oracle.embed_tetra(e) for e in shapes]
+        kinds = [*CENTER_KINDS[4], PowerIncenter(2.0), PowerIncenter(3)]
+    stack = oracle.EmbeddedSimplex(np.stack([e.vertices for e in embs]))
+    for part in range(3):
+        assert _bits(stack.facets[part]) == _bits([e.facets[part] for e in embs])
+    for kind in kinds:
+        points = oracle.definitional_center(stack, kind)
+        assert _bits(points) == _bits([oracle.definitional_center(e, kind) for e in embs])
+        comps = [center_components(kind, s) for s in shapes]
+        weights = np.array([c.as_tuple() for c in comps])
+        realized = oracle.point_from_components(stack, weights)
+        assert _bits(realized) == _bits(
+            [oracle.point_from_components(e, c) for e, c in zip(embs, comps)])
+        # ... and as the per-vertex loop adds them
+        assert _bits(realized) == _bits(
+            [sum(w * v for w, v in zip(c.as_tuple(), e.vertices)) for e, c in zip(embs, comps)])
+        assert _bits(oracle.frame_equation_residual(stack, weights, points)) == _bits(
+            [oracle.frame_equation_residual(e, c, p) for e, c, p in zip(embs, comps, points)])
+        assert _bits(oracle.frame_equation_residual(stack, weights, points)) == _bits(
+            [np.linalg.norm(sum(w * (v - p) for w, v in zip(c.as_tuple(), e.vertices)))
+             for e, c, p in zip(embs, comps, points)])
+        if isinstance(kind, PowerIncenter):
+            loop = []
+            for e in embs:
+                w = [area ** kind.n for area in e.facets[2].tolist()]
+                loop.append(sum(x * v for x, v in zip(w, e.vertices)) / sum(w))
+            assert _bits(points) == _bits(loop)
+        # distances round as np.linalg.norm of each difference
+        assert _bits(oracle.distance(realized, points)) == _bits(
+            [np.linalg.norm(r - p) for r, p in zip(realized, points)])
+    incenters = oracle.definitional_center(stack, "I")
+    assert _bits(oracle.facet_distances(stack, incenters)) == _bits(
+        [[np.dot(n, p) - off for n, off in zip(*e.facets[:2])]
+         for e, p in zip(embs, incenters)])
+    if arity == 4:
+        points = np.random.default_rng(1).uniform(-0.5, 1.5, size=(2, len(embs), 3))
+        for face in FACES:
+            assert _bits(oracle.projection_foot_oracle(stack, points, face)) == _bits(
+                [[oracle.projection_foot_oracle(e, p, face) for e, p in zip(embs, row)]
+                 for row in points])
+            feet = [projection_of_center("I", e, face).as_tuple() for e in shapes]
+            assert _bits(oracle.point_on_face(stack, face, feet)) == _bits(
+                [sum(w * v for w, v in zip(c, e.face_vertices(face)))
+                 for e, c in zip(embs, feet)])
+
+
+def test_a_stack_warns_once_for_its_ill_conditioned_rows():
+    rows = [[[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]],
+            [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-14]],
+            [[0.0, 0.0], [1.0, 0.0], [0.4, 0.9]]]
+    with pytest.warns(RuntimeWarning, match="ill-conditioned") as caught:
+        oracle.definitional_center(oracle.EmbeddedSimplex(rows), "I")
+    assert len(caught) == 1
+    # with two ill-conditioned rows, the one warning quotes the larger cond
+    rows[2] = [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15]]
+    with warnings.catch_warnings(record=True) as alone:
+        warnings.simplefilter("always")
+        for row in rows[1:]:
+            oracle.definitional_center(oracle.EmbeddedSimplex(row), "I")
+    quoted = [float(re.search(r"cond = ([^)]+)\)", str(w.message)).group(1)) for w in alone]
+    assert quoted[0] != quoted[1]
+    with pytest.warns(RuntimeWarning) as caught:
+        oracle.definitional_center(oracle.EmbeddedSimplex(rows), "I")
+    assert [str(w.message) for w in caught] == [str(alone[quoted.index(max(quoted))].message)]
+
+
+def test_single_simplex_calls_check_their_arity():
+    tet = oracle.embed_tetra(IRREGULAR)
+    tri = oracle.embed_triangle(SCALENE)
+    with pytest.raises(GeometryError):
+        oracle.menelaus_product(tet, np.array([1.7, 0.3, 0.0]), np.array([0.5, 1.2, 0.0]))
+    stack = oracle.EmbeddedSimplex(np.stack([tri.vertices, tri.vertices]))
+    with pytest.raises(GeometryError):
+        oracle.menelaus_product(stack, np.array([1.7, 0.3]), np.array([0.5, 1.2]))
+    for face in ("ABC", "BCD"):
+        with pytest.raises(GeometryError):
+            oracle.projection_foot_oracle(tri, np.array([0.3, 0.2]), face)

@@ -407,24 +407,30 @@ C3 = Components((0.2, 0.3, 0.5))
 C4 = Components((0.1, 0.2, 0.3, 0.4))
 
 
+# ids: the engine call (dist_between_centers, dist_origin_to_center,
+# dist_vertex_to_center and dist_vertex_to_foot without their dist_ prefix),
+# the arity of its weights (3w / 4w) and origin distances (3d / 4d), and the
+# shape it is asked about
 @pytest.mark.parametrize("call", [
-    lambda: pair_sum((0.2, 0.3, 0.5), TET),
-    lambda: pair_sum((0.1, 0.2, 0.3, 0.4), TRI),
-    lambda: dist_between_centers(C4, C4, TRI),
-    lambda: dist_between_centers(C3, C3, TET),
-    lambda: dist_between_centers(C3, C4, TRI),
-    lambda: dist_between_centers(C4, C3, TET),
-    lambda: dist_origin_to_center((1.0, 1.0, 1.0, 1.0), C4, TRI),
-    lambda: dist_origin_to_center((1.0, 1.0, 1.0), C3, TET),
-    lambda: dist_origin_to_center((1.0, 1.0, 1.0, 1.0), C3, TRI),
-    lambda: dist_origin_to_center((1.0, 1.0, 1.0), C4, TET),
-    lambda: dist_vertex_to_center("A", C4, TRI),
-    lambda: dist_vertex_to_center("D", C3, TET),
-    lambda: dist_vertex_to_foot("A", C4, TRI),
-    lambda: dist_vertex_to_foot("D", C3, TET),
-    lambda: pair_table({"P": C3, "P'": C3}, TET),
-    lambda: pair_table({"P": C4, "P'": C4}, TRI),
-], ids=lambda f: str(f.__code__.co_firstlineno))
+    pytest.param(lambda: pair_sum((0.2, 0.3, 0.5), TET), id="pair_sum-3w-tet"),
+    pytest.param(lambda: pair_sum((0.1, 0.2, 0.3, 0.4), TRI), id="pair_sum-4w-tri"),
+    pytest.param(lambda: dist_between_centers(C4, C4, TRI), id="between-4w-4w-tri"),
+    pytest.param(lambda: dist_between_centers(C3, C3, TET), id="between-3w-3w-tet"),
+    pytest.param(lambda: dist_between_centers(C3, C4, TRI), id="between-3w-4w-tri"),
+    pytest.param(lambda: dist_between_centers(C4, C3, TET), id="between-4w-3w-tet"),
+    pytest.param(lambda: dist_origin_to_center((1.0, 1.0, 1.0, 1.0), C4, TRI),
+                 id="origin-4d-4w-tri"),
+    pytest.param(lambda: dist_origin_to_center((1.0, 1.0, 1.0), C3, TET), id="origin-3d-3w-tet"),
+    pytest.param(lambda: dist_origin_to_center((1.0, 1.0, 1.0, 1.0), C3, TRI),
+                 id="origin-4d-3w-tri"),
+    pytest.param(lambda: dist_origin_to_center((1.0, 1.0, 1.0), C4, TET), id="origin-3d-4w-tet"),
+    pytest.param(lambda: dist_vertex_to_center("A", C4, TRI), id="vertex-4w-tri"),
+    pytest.param(lambda: dist_vertex_to_center("D", C3, TET), id="vertex-3w-tet"),
+    pytest.param(lambda: dist_vertex_to_foot("A", C4, TRI), id="foot-4w-tri"),
+    pytest.param(lambda: dist_vertex_to_foot("D", C3, TET), id="foot-3w-tet"),
+    pytest.param(lambda: pair_table({"P": C3, "P'": C3}, TET), id="pair_table-3w-tet"),
+    pytest.param(lambda: pair_table({"P": C4, "P'": C4}, TRI), id="pair_table-4w-tri"),
+])
 def test_engine_rejects_weights_that_do_not_fit_the_shape(call):
     with pytest.raises(GeometryError):
         call()

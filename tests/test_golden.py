@@ -1,5 +1,6 @@
-"""Golden CLI reports: the stdout of `cevian tri` / `cevian tet` for fixed
-inputs, compared byte for byte against the files in tests/golden/.
+"""Golden CLI reports: the stdout of `cevian tri` / `cevian tet` / `cevian
+verify` for fixed inputs, compared byte for byte against the files in
+tests/golden/, with the exit code each run must give.
 
 A change that is meant to keep every report identical must leave these
 files alone.  A change that moves digits on purpose regenerates them with
@@ -24,7 +25,10 @@ _TRI_ALL = ("--centers", "all", "--distances", "all", "--metrics",
 _TET_ALL = ("--centers", "all", "--distances", "all", "--metrics",
             "--inequalities", "--project", "ABC")
 
-# file name -> cevian arguments
+_VERIFY = ("verify", "--seed", "7", "--cases", "300", "--scope", "all")
+
+# file name -> cevian arguments; every run exits 0 unless EXIT_CODES says
+# otherwise
 CASES = {
     "tri_3_4_5.json": ("tri", "--sides", "3", "4", "5", *_TRI_ALL),
     "tri_4.3_5.1_6.7.json": ("tri", "--sides", "4.3", "5.1", "6.7", *_TRI_ALL),
@@ -38,15 +42,24 @@ CASES = {
                             "--format", "csv"),
     "tet_3_4_5_5_6_7_power.json": ("tet", "--edges", "3", "4", "5", "5", "6", "7",
                                    "--centers", "G,power:2", "--distances", "G:power:2"),
+    # more than two blocks of verify cases, and the same run at zero
+    # tolerances, whose suites with a nonzero residual fail and print their
+    # first failing instance
+    "verify_seed7_300.txt": _VERIFY,
+    "verify_seed7_300_exact.txt": (*_VERIFY, "--rtol", "0", "--atol", "0"),
 }
+EXIT_CODES = {"verify_seed7_300_exact.txt": 1}
 
 
-def render(argv) -> str:
-    """What `cevian ARGV` prints on stdout; the report must succeed."""
+def render(name) -> str:
+    """What the case's `cevian ARGV` prints on stdout; it must exit with the
+    case's code.  stderr (verify's elapsed time) is not compared."""
+    argv = CASES[name]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
-    assert code == 0, f"cevian {' '.join(argv)} exited {code}"
+    want = EXIT_CODES.get(name, 0)
+    assert code == want, f"cevian {' '.join(argv)} exited {code}, want {want}"
     return out.getvalue()
 
 
@@ -54,7 +67,7 @@ def render(argv) -> str:
 def test_report_matches_golden(name, monkeypatch):
     monkeypatch.delenv("CEVIAN_TOL_RTOL", raising=False)
     want = (GOLDEN_DIR / name).read_text()
-    assert render(CASES[name]) == want
+    assert render(name) == want
 
 
 if __name__ == "__main__":
@@ -62,6 +75,6 @@ if __name__ == "__main__":
 
     os.environ.pop("CEVIAN_TOL_RTOL", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (GOLDEN_DIR / name).write_text(render(argv))
+    for name in CASES:
+        (GOLDEN_DIR / name).write_text(render(name))
         print(f"wrote {GOLDEN_DIR / name}")
