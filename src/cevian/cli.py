@@ -27,11 +27,11 @@ from itertools import combinations
 
 from .core_model import (
     CENTER_KINDS,
+    EDGES,
     FORM_PAIRS,
     GeometryError,
     center_components,
     dist_between_centers,
-    pair_distances,
     parse_center,
     validate_tetrahedron,
     validate_triangle,
@@ -72,27 +72,24 @@ def _load_points(path, expected):
         raise GeometryError("coords point is out of floating-point range") from None
 
 
-# per arity: the shape's name, its length option, the lengths' report keys,
-# the validator, and the vertex pairs whose distances are those lengths
-_SHAPES = {
-    3: ("triangle", "sides", ("a", "b", "c"), validate_triangle, ((1, 2), (2, 0), (0, 1))),
-    4: ("tetrahedron", "edges", ("ab", "ac", "ad", "bc", "cd", "db"), validate_tetrahedron,
-        ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1))),
-}
+# per arity: the shape's name, its length option and the validator
+_SHAPES = {3: ("triangle", "sides", validate_triangle),
+           4: ("tetrahedron", "edges", validate_tetrahedron)}
 
 
 def _shape_from_args(args, n):
     """The validated triangle (n = 3) or tetrahedron (n = 4) of the length
     option or of --coords, and the report's input section for it."""
-    kind, option, names, validate, pairs = _SHAPES[n]
+    kind, option, validate = _SHAPES[n]
     lengths = getattr(args, option)
     if args.coords:
         pts = _load_points(args.coords, n)
-        lengths = [math.dist(pts[i], pts[j]) for i, j in pairs]
+        lengths = [math.dist(pts[i], pts[j]) for i, j in EDGES[n]]
     elif lengths is None:
         raise GeometryError(f"one of --{option} or --coords is required")
     shape = validate(*lengths)
-    return shape, {"kind": kind, "lengths": dict(zip(names, shape.as_tuple())),
+    # the lengths are keyed by their field names, a, b, c or ab, .., db
+    return shape, {"kind": kind, "lengths": dict(zip(shape.__match_args__, shape.as_tuple())),
                    "source": "coords" if args.coords else option}
 
 
@@ -117,23 +114,36 @@ def _parse_pair(token, n):
     raise GeometryError(f"cannot parse center pair {token!r} (expected KIND:KIND)")
 
 
-def _report_pairs(raw, n):
-    """The center pairs --distances lists, or every pair for "all"."""
-    if raw.lower() == "all":
-        return list(combinations(CENTER_KINDS[n], 2))
-    return [_parse_pair(tok, n) for tok in raw.split(",") if tok]
-
-
 # --------------------------------------------------------------------------
 # report assembly
+
+def _distance(k1, k2, shape) -> float:
+    """The distance between the shape's centers of kinds k1 and k2."""
+    return dist_between_centers(center_components(k1, shape),
+                                center_components(k2, shape), shape)
+
+
+def _distances_section(raw, shape) -> dict:
+    """Each center pair --distances lists (every pair for "all"), keyed
+    "K1:K2" in the order given, with its distance and squared distance."""
+    n = len(shape.E)
+    if raw.lower() == "all":
+        pairs = combinations(CENTER_KINDS[n], 2)
+    else:
+        pairs = [_parse_pair(tok, n) for tok in raw.split(",") if tok]
+    section = {}
+    for k1, k2 in pairs:
+        d = _distance(k1, k2, shape)
+        section[f"{k1}:{k2}"] = {"distance": d, "squared_distance": d * d}
+    return section
+
 
 def _centers_section(kinds, shape, key, ratios) -> dict:
     """Each center's components and, under ``key``, its cevian ratios as
     ``ratios(kind, shape)`` gives them, or None and the typed error's name."""
     section = {}
     for k in kinds:
-        entry = {"components": list(center_components(k, shape).as_tuple()),
-                 "provenance": "closed-form"}
+        entry = {"components": list(center_components(k, shape).as_tuple())}
         try:
             entry[key] = ratios(k, shape)
         except GeometryError as exc:
@@ -153,25 +163,12 @@ def cmd_tri(args) -> dict:
             centers, sides, "ir", lambda k, s: list(tri_centers.center_ir(k, s).as_tuple()))
 
     if args.distances:
-        table = tri_metrics.center_pair_table(sides)
-        wanted = {tuple(sorted(p)) for p in _report_pairs(args.distances, 3)}
-        section = {}
-        for rep in table:
-            if tuple(sorted(rep.pair)) not in wanted:
-                continue
-            section[f"{rep.pair[0]}:{rep.pair[1]}"] = {
-                "distance": rep.distance,
-                "squared_distance": rep.squared_distance,
-                "provenance": "closed-form",
-            }
+        report["distances"] = _distances_section(args.distances, sides)
         # dual-path residuals for the independently transcribed forms
-        forms = tri_metrics.transcribed_closed_forms(sides)
-        dist = pair_distances(table)
         residuals = {}
-        for key, form in forms.items():
-            d = dist[FORM_PAIRS[key]]
+        for key, form in tri_metrics.transcribed_closed_forms(sides).items():
+            d = _distance(*FORM_PAIRS[key], sides)
             residuals[key] = abs(d - form) / max(d, form, 1e-300)
-        report["distances"] = section
         report["transcribed_residuals"] = residuals
 
     if args.metrics:
@@ -182,12 +179,10 @@ def cmd_tri(args) -> dict:
             "inradius": tri_metrics.area_determinant(sides) / sides.semiperimeter,
             "excenter_segment_ratio": tri_centers.excenter_segment_ratio(sides),
             "euler": tri_centers.euler_relation(sides),
-            "provenance": "closed-form",
         }
 
     if args.inequalities:
-        report["inequalities"] = dict(tri_metrics.inequality_slacks(sides),
-                                      provenance="closed-form")
+        report["inequalities"] = tri_metrics.inequality_slacks(sides)
 
     if args.areas:
         section = {}
@@ -212,16 +207,7 @@ def cmd_tet(args) -> dict:
             for f, v in sorted(tet_centers.tet_center_ir_tensor(k, e).items())})
 
     if args.distances:
-        section = {}
-        for k1, k2 in _report_pairs(args.distances, 4):
-            d = dist_between_centers(center_components(k1, edges),
-                                     center_components(k2, edges), edges)
-            section[f"{k1}:{k2}"] = {
-                "distance": d,
-                "squared_distance": d * d,
-                "provenance": "closed-form",
-            }
-        report["distances"] = section
+        report["distances"] = _distances_section(args.distances, edges)
 
     if args.metrics:
         summary = tet_metrics.metrics_summary(edges)
@@ -234,12 +220,10 @@ def cmd_tet(args) -> dict:
             "crelle_residual": summary.crelle_residual,
             "circumradius_form_spread": (vals[-1] - vals[0]) / vals[-1],
             "face_areas": tet_centers.face_areas(edges).as_dict(),
-            "provenance": "closed-form",
         }
 
     if args.inequalities:
-        report["inequalities"] = dict(tet_metrics.tet_inequality_slacks(edges),
-                                      provenance="closed-form")
+        report["inequalities"] = tet_metrics.tet_inequality_slacks(edges)
 
     if args.project:
         face = args.project.upper()
@@ -248,7 +232,6 @@ def cmd_tet(args) -> dict:
             "vertex_foot": list(
                 tet_centers.vertex_projection_components(edges, face).as_tuple()
             ),
-            "provenance": "closed-form",
         }
         for k in ("Q", "G", "I"):
             section[k] = list(

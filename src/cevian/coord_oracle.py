@@ -199,15 +199,6 @@ def embed_tetra(edges: TetraEdges) -> EmbeddedSimplex:
 # --------------------------------------------------------------------------
 # definitional centers
 
-def _face_plane(tet: EmbeddedSimplex, face: str):
-    """(unit inward normal, offset, area) of one face plane of a single
-    tetrahedron; the normal points toward the opposite vertex and offset =
-    normal . (point on face)."""
-    i = FACE_INDICES[canonical_face(face)][3]
-    normals, offsets, areas = tet.facets
-    return normals[i], float(offsets[i]), float(areas[i])
-
-
 def oracle_face_areas(tet: EmbeddedSimplex) -> dict:
     """Face areas from cross products, keyed by the opposite vertex (for a
     stack, each a nested list over the stack)."""

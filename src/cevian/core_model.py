@@ -52,6 +52,7 @@ __all__ = [
     "VERTICES",
     "FACES",
     "FACE_INDICES",
+    "EDGES",
     "validate_triangle",
     "validate_tetrahedron",
     "gram_volume_term",
@@ -64,7 +65,6 @@ __all__ = [
     "face_components_from_tetra",
     "tetra_components_from_face_pair",
     "shared_edge_residuals",
-    "concurrency_defect",
     "DistanceReport",
     "pair_sum",
     "dist_between_centers",
@@ -184,8 +184,14 @@ FACE_INDICES = {
 }
 
 
+# The vertex pair each length joins, by vertex count, in the order the shape
+# lists its lengths: a triangle's sides a = BC, b = CA, c = AB, a
+# tetrahedron's edges AB, AC, AD, BC, CD, DB.
+EDGES = {3: ((1, 2), (2, 0), (0, 1)), 4: ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1))}
+
+
 def canonical_face(face: str) -> str:
-    key = face.upper()
+    key = str(face).upper()
     if key not in FACES:
         raise GeometryError(f"unknown face {face!r}; expected one of {sorted(FACES)}")
     return key
@@ -194,18 +200,59 @@ def canonical_face(face: str) -> str:
 # --------------------------------------------------------------------------
 # length data
 
+def _by_pair(n: int, values) -> tuple:
+    """The symmetric n x n tuple of tuples, zero on the diagonal, holding
+    each of ``values`` at the vertex pair EDGES[n] gives it."""
+    m = [[0.0] * n for _ in range(n)]
+    for (i, j), v in zip(EDGES[n], values):
+        m[i][j] = m[j][i] = v
+    return tuple(map(tuple, m))
+
+
+class _Simplex:
+    """What TriangleSides and TetraEdges share: their init fields
+    (``__match_args__``) are the lengths in EDGES[n] order, checked by one
+    rule and squared into E by one rule, and each instance caches its
+    centers."""
+
+    def _check_lengths(self, noun: str):
+        """Store each length as a positive finite float, or raise
+        NonPositiveLength naming it; numeric strings are accepted."""
+        for name in self.__match_args__:
+            v = getattr(self, name)
+            try:
+                x = float(v)
+            except (TypeError, ValueError, OverflowError):
+                x = math.nan
+            if not (x > 0) or not math.isfinite(x):
+                raise NonPositiveLength(f"{noun} {name} = {v!r} must be a positive finite length")
+            object.__setattr__(self, name, x)
+
+    @cached_property
+    def E(self) -> tuple:
+        """Squared-edge matrix: E[i][j] = |V_i V_j|^2 for vertices
+        (A, B, ...) = (0, 1, ...), a symmetric tuple of tuples with a zero
+        diagonal."""
+        return _by_pair(self._N, [x * x for x in self.as_tuple()])
+
+    @cached_property
+    def _centers(self) -> dict:
+        """center_components' per-instance cache: Components by kind."""
+        return {}
+
+
 @dataclass(frozen=True)
-class TriangleSides:
+class TriangleSides(_Simplex):
     """Side lengths a = BC, b = CA, c = AB (opposite the like-named vertex)."""
 
     a: float
     b: float
     c: float
 
+    _N = 3
+
     def __post_init__(self):
-        for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not (v > 0) or not math.isfinite(v):
-                raise NonPositiveLength(f"side {name} = {v!r} must be a positive finite length")
+        self._check_lengths("side")
         a, b, c = self.a, self.b, self.c
         for lhs, pair in (((b + c - a), "b+c>a"), ((c + a - b), "c+a>b"), ((a + b - c), "a+b>c")):
             if not (lhs > 0):
@@ -214,23 +261,11 @@ class TriangleSides:
                 )
 
     @cached_property
-    def E(self) -> tuple:
-        """Squared-edge matrix: E[i][j] = |V_i V_j|^2 for vertices (A, B, C)
-        = (0, 1, 2), a symmetric tuple of tuples with a zero diagonal."""
-        a2, b2, c2 = self.a * self.a, self.b * self.b, self.c * self.c
-        return ((0.0, c2, b2), (c2, 0.0, a2), (b2, a2, 0.0))
-
-    @cached_property
     def area(self) -> float:
         """sqrt(K)/4 with K = 16*Area^2 from E; a K that is not positive
         raises GeometryError on every access (a raise is not cached)."""
         e = self.E
         return _area(e[1][2], e[2][0], e[0][1])
-
-    @cached_property
-    def _centers(self) -> dict:
-        """center_components' per-instance cache: Components by kind."""
-        return {}
 
     @property
     def semiperimeter(self) -> float:
@@ -246,7 +281,7 @@ class TriangleSides:
 
 def validate_triangle(a: float, b: float, c: float) -> TriangleSides:
     """Check positivity and the three strict triangle inequalities."""
-    return TriangleSides(float(a), float(b), float(c))
+    return TriangleSides(a, b, c)
 
 
 def _k_invariant(a2: float, b2: float, c2: float) -> float:
@@ -262,17 +297,6 @@ def _area(a2: float, b2: float, c2: float) -> float:
     return 0.25 * math.sqrt(k)
 
 
-_EDGE_NAMES = ("ab", "ac", "ad", "bc", "cd", "db")
-
-# Each face's edges in the face's cyclic vertex order (V1V2, V2V3, V3V1).
-_FACE_EDGE_NAMES = {
-    "BCD": ("bc", "cd", "db"),
-    "CDA": ("cd", "ad", "ac"),
-    "DAB": ("ad", "ab", "db"),
-    "ABC": ("ab", "bc", "ac"),
-}
-
-
 def edge_polynomials(edges) -> dict:
     """The symmetric edge polynomials behind the volume formula.
 
@@ -280,7 +304,7 @@ def edge_polynomials(edges) -> dict:
     products of squared opposite-edge pairs), and t1, t2, t3 with
     t1 - t2 - t3 = 36 * volume**2.
     """
-    ab, ac, ad, bc, cd, db = _six(edges)
+    ab, ac, ad, bc, cd, db = _lengths(edges, 4)
     ab2, ac2, ad2 = ab * ab, ac * ac, ad * ad
     bc2, cd2, db2 = bc * bc, cd * cd, db * db
     delta2 = 0.5 * (ab2 + ac2 + ad2 + bc2 + cd2 + db2)
@@ -315,12 +339,12 @@ def gram_volume_term(edges) -> float:
     return p["t1"] - p["t2"] - p["t3"]
 
 
-def _six(edges):
-    if isinstance(edges, TetraEdges):
-        return edges.as_tuple()
-    vals = tuple(float(v) for v in edges)
-    if len(vals) != 6:
-        raise GeometryError(f"expected six edge lengths, got {len(vals)}")
+def _lengths(shape, n: int) -> tuple:
+    """The lengths of an n-vertex shape, given as one or as a raw sequence
+    of numbers, which is not otherwise checked."""
+    vals = shape.as_tuple() if isinstance(shape, _Simplex) else tuple(float(v) for v in shape)
+    if len(vals) != len(EDGES[n]):
+        raise GeometryError(f"expected {len(EDGES[n])} lengths, got {len(vals)}")
     return vals
 
 
@@ -352,7 +376,7 @@ class CircumAux:
 
 
 @dataclass(frozen=True)
-class TetraEdges:
+class TetraEdges(_Simplex):
     """Edge lengths of tetrahedron ABCD in the order AB, AC, AD, BC, CD, DB.
 
     Construction validates the lengths.  The invariants the center and
@@ -372,13 +396,13 @@ class TetraEdges:
     db: float
     volume_term: float = field(init=False, repr=False, compare=False)
 
+    _N = 4
+
     def __post_init__(self):
-        for name in _EDGE_NAMES:
-            v = getattr(self, name)
-            if not (v > 0) or not math.isfinite(v):
-                raise NonPositiveLength(f"edge {name} = {v!r} must be a positive finite length")
-        for face, names in _FACE_EDGE_NAMES.items():
-            x, y, z = (getattr(self, n) for n in names)
+        self._check_lengths("edge")
+        length = _by_pair(4, self.as_tuple())
+        for face, (v1, v2, v3, _) in FACE_INDICES.items():
+            x, y, z = length[v1][v2], length[v2][v3], length[v3][v1]
             if not (x + y > z and y + z > x and z + x > y):
                 raise FaceTriangleInequalityViolated(
                     f"face {face} edges ({x}, {y}, {z}) violate the triangle inequality"
@@ -401,14 +425,6 @@ class TetraEdges:
 
     def as_tuple(self):
         return (self.ab, self.ac, self.ad, self.bc, self.cd, self.db)
-
-    @cached_property
-    def E(self) -> tuple:
-        """Squared-edge matrix: E[i][j] = |V_i V_j|^2 for vertices
-        (A, B, C, D) = (0, 1, 2, 3), a symmetric tuple of tuples with a zero
-        diagonal."""
-        ab, ac, ad, bc, cd, db = (x * x for x in self.as_tuple())
-        return ((0.0, ab, ac, ad), (ab, 0.0, bc, db), (ac, bc, 0.0, cd), (ad, db, cd, 0.0))
 
     @cached_property
     def face_areas(self) -> FaceAreas:
@@ -446,15 +462,10 @@ class TetraEdges:
             )
         return CircumAux(tuple(vals), math.fsum(vals))
 
-    @cached_property
-    def _centers(self) -> dict:
-        """center_components' per-instance cache: Components by kind."""
-        return {}
-
 
 def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
     """Positivity, four face triangle inequalities, and the volume gate."""
-    return TetraEdges(float(ab), float(ac), float(ad), float(bc), float(cd), float(db))
+    return TetraEdges(ab, ac, ad, bc, cd, db)
 
 
 # --------------------------------------------------------------------------
@@ -585,13 +596,21 @@ def components_from_ir3(ir: IRVector3) -> Components:
     return Components((1.0 / denom, lam_ab / denom, lam_ac / denom))
 
 
+def _facet_ratios(weights, v1: int, v2: int, v3: int) -> IRVector3:
+    """The cevian ratios (w2/w1, w3/w2, w1/w3) on the triangle (V1, V2, V3)
+    of the point with the given weights, one per vertex; ZeroComponent when
+    one of the three vanishes."""
+    for v in (v1, v2, v3):
+        if abs(weights[v]) <= ATOL:
+            raise ZeroComponent(f"component of {VERTICES[v]} ~ 0: the point lies on the "
+                                f"facet opposite {VERTICES[v]}, cevian ratios undefined")
+    return IRVector3(weights[v2] / weights[v1], weights[v3] / weights[v2],
+                     weights[v1] / weights[v3])
+
+
 def ir_from_components3(c: Components) -> IRVector3:
     """Inverse of components_from_ir3: quotients of consecutive components."""
-    aa, ab, ac = c.checked(3)
-    for name, v in zip(("alpha_a", "alpha_b", "alpha_c"), (aa, ab, ac)):
-        if abs(v) <= ATOL:
-            raise ZeroComponent(f"{name} ~ 0: point on a side line, ratios undefined")
-    return IRVector3(ab / aa, ac / ab, aa / ac)
+    return _facet_ratios(c.checked(3), 0, 1, 2)
 
 
 def fractional_ratio_determinant(lam_al: float, lam_bm: float, lam_cn: float) -> float:
@@ -726,11 +745,6 @@ def shared_edge_residuals(face_components: dict) -> dict:
             r2 = 1.0 / r2
         out[edge] = abs(r1 - r2)
     return out
-
-
-def concurrency_defect(face_components: dict) -> float:
-    """Largest shared-edge ratio disagreement; see shared_edge_residuals."""
-    return max(shared_edge_residuals(face_components).values())
 
 
 # --------------------------------------------------------------------------

@@ -18,10 +18,8 @@ from .core_model import (
     FACE_INDICES,
     FaceAreas,
     GeometryError,
-    IRVector3,
     TetraEdges,
-    VERTICES,
-    ZeroComponent,
+    _facet_ratios,
     canonical_face,
     center_components as tet_center_components,
     face_components_from_tetra,
@@ -57,13 +55,7 @@ def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
     excenters always qualify); ZeroComponent otherwise.
     """
     beta = tet_center_components(kind, edges).as_tuple()
-    for i, val in enumerate(beta):
-        if abs(val) <= ATOL:
-            raise ZeroComponent(f"component of {VERTICES[i]} ~ 0: per-face ratios undefined")
-    out = {}
-    for face, (v1, v2, v3, _) in FACE_INDICES.items():
-        out[face] = IRVector3(beta[v2] / beta[v1], beta[v3] / beta[v2], beta[v1] / beta[v3])
-    return out
+    return {face: _facet_ratios(beta, *verts[:3]) for face, verts in FACE_INDICES.items()}
 
 
 def _face_geometry(edges: TetraEdges, face: str):

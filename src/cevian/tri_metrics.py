@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 
 from .core_model import (
-    GeometryError,
     TriangleSides,
     _dots,
     _k_invariant,
+    _lengths,
     dist_between_centers,
     dist_origin_to_center,
     dist_vertex_to_center,
@@ -48,22 +48,13 @@ __all__ = [
 ]
 
 
-def _triple(sides):
-    if isinstance(sides, TriangleSides):
-        return sides.as_tuple()
-    vals = tuple(float(v) for v in sides)
-    if len(vals) != 3:
-        raise GeometryError(f"expected three side lengths, got {len(vals)}")
-    return vals
-
-
 def k_invariant(sides) -> float:
     """(a^2+b^2+c^2)^2 - 2(a^4+b^4+c^4); equals 16*Area^2.
 
     Accepts raw length triples as well: it is a polynomial, defined (and
     zero or negative) even for degenerate inputs like (1, 1, 2).
     """
-    a, b, c = _triple(sides)
+    a, b, c = _lengths(sides, 3)
     return _k_invariant(a * a, b * b, c * c)
 
 

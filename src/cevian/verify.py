@@ -25,6 +25,7 @@ import numpy as np
 
 from .core_model import (
     CENTER_KINDS,
+    EDGES,
     FACES,
     FORM_PAIRS,
     GeometryError,
@@ -102,8 +103,7 @@ def _random_tetra(rng):
     total surface (the corresponding excenter recedes toward infinity and no
     fixed relative tolerance is certifiable there)."""
     pts = rng.uniform(0.0, 1.0, size=(4, 3))
-    d = lambda i, j: float(np.linalg.norm(pts[i] - pts[j]))
-    lengths = (d(0, 1), d(0, 2), d(0, 3), d(1, 2), d(2, 3), d(3, 1))
+    lengths = tuple(float(np.linalg.norm(pts[i] - pts[j])) for i, j in EDGES[4])
     polys = edge_polynomials(lengths)
     if polys["t1"] - polys["t2"] - polys["t3"] < 1e-6 * polys["delta2"] ** 3:
         return None

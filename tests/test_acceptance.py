@@ -239,9 +239,8 @@ def test_criterion_6_metric_formulas():
         v = volume(edges)
         worst = max(worst, abs(v - v_oracle) / v_oracle / 1e-9)
         inc = pts["I"]
-        dmin = min(abs(float(np.dot(n, inc) - off))
-                   for n, off, _ in (oracle._face_plane(tet, f)
-                                     for f in FACES))
+        normals, offsets, _ = tet.facets
+        dmin = min(abs(float(np.dot(n, inc) - off)) for n, off in zip(normals, offsets))
         worst = max(worst, abs(inradius(edges) - dmin) / dmin / 1e-9)
         r_oracle = float(np.linalg.norm(pts["Q"] - tet.vertices[0]))
         worst = max(worst, abs(circumradius(edges) - r_oracle) / r_oracle / 1e-9)

@@ -24,7 +24,7 @@ def test_tri_incenter_report(capsys):
     assert doc["centers"]["I"]["components"] == pytest.approx(
         [0.25, 1 / 3, 5 / 12])
     assert doc["input"]["lengths"] == {"a": 3.0, "b": 4.0, "c": 5.0}
-    assert doc["centers"]["I"]["provenance"] == "closed-form"
+    assert "provenance" not in doc["centers"]["I"]
 
 
 def test_tri_defaults_to_all_centers(capsys):
@@ -98,6 +98,24 @@ def test_distance_pair_selection(capsys):
     assert doc["distances"]["G:I"]["distance"] == pytest.approx(1 / 3)
     # dual-path residuals ride along with the distance section
     assert max(doc["transcribed_residuals"].values()) < 1e-9
+
+
+@pytest.mark.parametrize("command, lengths", [("tri", ("3", "4", "5")),
+                                               ("tet", ("3", "4", "5", "5", "6", "7"))])
+def test_distance_keys_follow_the_request(capsys, command, lengths):
+    # a pair and its reverse are both reported, keyed in the order asked for
+    # (the JSON rendering then sorts them)
+    argv = [command, "--sides" if command == "tri" else "--edges", *lengths,
+            "--distances", "I:G,G:I"]
+    report = (cli.cmd_tri if command == "tri" else cli.cmd_tet)(cli.build_parser().parse_args(argv))
+    assert list(report["distances"]) == ["I:G", "G:I"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    section = json.loads(out)["distances"]
+    assert list(section) == ["G:I", "I:G"]
+    assert section["I:G"] == section["G:I"]
+    if command == "tri":
+        assert section["I:G"]["distance"] == pytest.approx(1 / 3)
 
 
 def test_equilateral_distance_table(capsys):

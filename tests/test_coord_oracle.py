@@ -112,10 +112,8 @@ def test_right_triangle_landmarks():
 def test_tetra_incenter_equidistant_from_faces():
     tet = oracle.embed_tetra(IRREGULAR)
     inc = oracle.definitional_center(tet, "I")
-    dists = []
-    for face in ("BCD", "CDA", "DAB", "ABC"):
-        n, off, _ = oracle._face_plane(tet, face)
-        dists.append(abs(float(np.dot(n, inc) - off)))
+    normals, offsets, _ = tet.facets
+    dists = [abs(float(np.dot(n, inc) - off)) for n, off in zip(normals, offsets)]
     assert max(dists) - min(dists) < 1e-12
 
 
@@ -129,8 +127,9 @@ def test_tetra_circumcenter_equidistant_from_vertices():
 def test_tetra_excenter_sits_beyond_its_face():
     tet = oracle.embed_tetra(PYRAMID)
     ex = oracle.definitional_center(tet, "E_A")
-    n, off, _ = oracle._face_plane(tet, "BCD")  # inward normal points at A
-    assert float(np.dot(n, ex) - off) < 0
+    normals, offsets, _ = tet.facets
+    # facet 0 is BCD, opposite A, and its inward normal points at A
+    assert float(np.dot(normals[0], ex) - offsets[0]) < 0
 
 
 def test_power_center_matches_area_weighted_mean():
@@ -177,8 +176,8 @@ def test_projection_foot_is_orthogonal():
     _, pb, pc, pd = tet.vertices
     p = np.array([0.3, -0.7, 2.1])
     foot = oracle.projection_foot_oracle(tet, p, "BCD")
-    n, off, _ = oracle._face_plane(tet, "BCD")
-    assert abs(float(np.dot(n, foot) - off)) < 1e-12   # foot is in the plane
+    normals, offsets, _ = tet.facets
+    assert abs(float(np.dot(normals[0], foot) - offsets[0])) < 1e-12   # foot is on BCD
     drop = p - foot
     for u, v in ((pb, pc), (pc, pd)):
         assert abs(float(np.dot(drop, u - v))) < 1e-10
@@ -237,13 +236,9 @@ def test_face_planes_match_cross_products(tet):
     _assert_facets_match_normals(tet)
     # the named faces read the same rows: face f is the facet opposite its
     # off-vertex, with its vertices in FACE_INDICES order
-    for face, (*cyclic, opp) in FACE_INDICES.items():
+    for face, (*cyclic, _) in FACE_INDICES.items():
         np.testing.assert_array_equal(tet.face_vertices(face), tet.vertices[cyclic])
-        n, off, area = oracle._face_plane(tet, face)
-        assert (n.tolist(), off, area) == (tet.facets[0][opp].tolist(),
-                                           tet.facets[1][opp], tet.facets[2][opp])
-    assert oracle.oracle_face_areas(tet) == {
-        "ABCD"[FACE_INDICES[f][3]]: oracle._face_plane(tet, f)[2] for f in FACES}
+    assert oracle.oracle_face_areas(tet) == dict(zip("ABCD", tet.facets[2].tolist()))
 
 
 @pytest.mark.parametrize("tri", list(_random_triangles()))
@@ -259,8 +254,7 @@ def test_frames_cannot_go_stale():
         tet.vertices = np.zeros((4, 3))
     with pytest.raises(dataclasses.FrozenInstanceError):
         tri.vertices = np.zeros((3, 2))
-    for array in (tet.vertices, tri.vertices, *tet.facets, *tri.facets,
-                  oracle._face_plane(tet, "ABC")[0]):
+    for array in (tet.vertices, tri.vertices, *tet.facets, *tri.facets, tet.facets[0][3]):
         with pytest.raises(ValueError):
             array[0] = 0.0
 

@@ -9,6 +9,7 @@ from cevian.core_model import (
     CevaViolation,
     Components,
     DegenerateDenominator,
+    EDGES,
     FACES,
     FACE_INDICES,
     FaceTriangleInequalityViolated,
@@ -26,7 +27,6 @@ from cevian.core_model import (
     _close,
     _sqrt_clamped,
     components_from_ir3,
-    concurrency_defect,
     dist_between_centers,
     dist_origin_to_center,
     dist_vertex_to_center,
@@ -63,6 +63,34 @@ def test_valid_triangle_accepted():
 def test_nonpositive_or_nonfinite_side_rejected(bad):
     with pytest.raises(NonPositiveLength):
         validate_triangle(*bad)
+
+
+# lengths that are not numbers at all: a typed error names the length, where
+# float() or a comparison used to raise a bare ValueError or TypeError
+@pytest.mark.parametrize("build, name", [
+    (lambda: validate_triangle("x", 4, 5), "side a"),
+    (lambda: validate_triangle(None, 4, 5), "side a"),
+    (lambda: validate_triangle(3, 4, 10 ** 400), "side c"),
+    (lambda: TriangleSides(3, 4, 5j), "side c"),
+    (lambda: validate_tetrahedron(1, 1, 1, 1, 1, [1]), "edge db"),
+    (lambda: TetraEdges(1, 1, "one", 1, 1, 1), "edge ad"),
+], ids=["str", "None", "huge-int", "complex", "list", "str-edge"])
+def test_lengths_that_are_not_numbers_raise_typed_errors(build, name):
+    with pytest.raises(NonPositiveLength, match=name):
+        build()
+
+
+def test_numeric_strings_are_lengths():
+    assert validate_triangle("3", "4", "5") == validate_triangle(3, 4, 5)
+    assert validate_tetrahedron(*"111111").as_tuple() == (1.0,) * 6
+    assert TriangleSides(3, 4, 5).as_tuple() == (3.0, 4.0, 5.0)
+    assert all(type(x) is float for x in TriangleSides(3, 4, 5).as_tuple())
+
+
+@pytest.mark.parametrize("face", [5, None])
+def test_unknown_faces_raise_typed_errors(face):
+    with pytest.raises(GeometryError, match="unknown face"):
+        face_components_from_tetra(Components((0.1, 0.2, 0.3, 0.4)), face)
 
 
 @pytest.mark.parametrize("bad", [(1, 1, 2), (1, 2, 1), (5, 2, 2), (1, 1, 2.0000001)])
@@ -200,6 +228,15 @@ def test_squared_edge_matrix(shape):
         e[0][1] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         shape.E = e
+
+
+def test_edge_table_follows_the_length_order():
+    # a tetrahedron's edge names its two vertices, a triangle's side the
+    # vertex it is opposite
+    assert [f.name for f in dataclasses.fields(TetraEdges) if f.init] == [
+        "abcd"[i] + "abcd"[j] for i, j in EDGES[4]]
+    assert [f.name for f in dataclasses.fields(TriangleSides)] == [
+        "abc"[3 - i - j] for i, j in EDGES[3]]
 
 
 def test_squared_edge_matrix_multiplies_over_many_shapes():
@@ -374,7 +411,6 @@ def test_shared_edge_residuals_vanish_for_consistent_faces():
     res = shared_edge_residuals(faces)
     assert len(res) == 6
     assert max(res.values()) < 1e-12
-    assert concurrency_defect(faces) < 1e-12
 
 
 def test_tampered_faces_detected():
@@ -382,7 +418,7 @@ def test_tampered_faces_detected():
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
     v = faces["ABC"].as_tuple()
     faces["ABC"] = Components((v[0] * 1.3, v[1], v[2]))
-    assert concurrency_defect(faces) > 1e-3
+    assert max(shared_edge_residuals(faces).values()) > 1e-3
 
 
 def test_inconsistent_face_pair_raises():

@@ -10,6 +10,7 @@ from cevian.core_model import (
     FaceAreas,
     GeometryError,
     PowerIncenter,
+    ZeroComponent,
     face_components_from_tetra,
     parse_center,
     validate_tetrahedron,
@@ -125,6 +126,15 @@ def test_ir_tensor_quotients_and_ceva():
         assert ir.lambda_ab == pytest.approx(beta[v2] / beta[v1])
         prod = ir.lambda_ab * ir.lambda_bc * ir.lambda_ca
         assert prod == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ir_tensor_of_a_center_on_a_face_is_a_typed_error():
+    # AB = AC = AD = sqrt(2) over an equilateral BCD of side sqrt(3): A sits
+    # at height 1 over BCD's circumcenter, which is then the tetrahedron's
+    edges = validate_tetrahedron(*[math.sqrt(2.0)] * 3, *[math.sqrt(3.0)] * 3)
+    assert abs(tet_center_components("Q", edges).weights[0]) < 1e-15
+    with pytest.raises(ZeroComponent, match="component of A"):
+        tet_center_ir_tensor("Q", edges)
 
 
 def test_face_components_match_ir_route():
