@@ -15,7 +15,6 @@ from .core_model import (
     RightAngleOrthocenter,
     TriangleSides,
     _dots,
-    _facet_ratios,
     center_components,
     ir_from_components3,
     pair_sum,
@@ -56,8 +55,8 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
         return IRVector3(da / db, db / dc, dc / da)
     if k != "Q":
         # I and E_X: quotients of the weights (a, b, c), negated at X for E_X
-        return _facet_ratios([-w if k == f"E_{v}" else w for v, w in zip("ABC", (a, b, c))],
-                             0, 1, 2)
+        wa, wb, wc = (-w if k == f"E_{v}" else w for v, w in zip("ABC", (a, b, c)))
+        return IRVector3(wb / wa, wc / wb, wa / wc)
     # circumcenter: quotient of the component weights (ZeroComponent at a
     # right angle, where Q lies on the hypotenuse)
     return ir_from_components3(center_components("Q", sides))

@@ -70,6 +70,18 @@ def test_incenter_ir_is_side_quotients():
     assert ir.as_tuple() == pytest.approx((b / a, c / b, a / c))
 
 
+@pytest.mark.parametrize("kind, want", [
+    ("I", (1e12, 1.0, 1e-12)),
+    ("E_A", (-1e12, 1.0, -1e-12)),
+])
+def test_side_quotient_ratios_do_not_depend_on_the_scale(kind, want):
+    # a side of 1e-12 is a valid length, not a vanishing weight: the ratios
+    # are the exact side quotients, as for the same triangle scaled up
+    assert center_ir(kind, validate_triangle(1e-12, 1, 1)).as_tuple() == want
+    scaled = center_ir(kind, validate_triangle(1e-9, 1e3, 1e3)).as_tuple()
+    assert scaled == pytest.approx(want, rel=1e-15)
+
+
 @pytest.mark.parametrize("sides", [SCALENE, EQUI, validate_triangle(2, 3, 4)])
 @pytest.mark.parametrize("kind", TRI_CENTER_KINDS)
 def test_ir_consistent_with_components(sides, kind):
