@@ -342,7 +342,10 @@ def gram_volume_term(edges) -> float:
 def _lengths(shape, n: int) -> tuple:
     """The lengths of an n-vertex shape, given as one or as a raw sequence
     of numbers, which is not otherwise checked."""
-    vals = shape.as_tuple() if isinstance(shape, _Simplex) else tuple(float(v) for v in shape)
+    try:
+        vals = shape.as_tuple() if isinstance(shape, _Simplex) else tuple(float(v) for v in shape)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GeometryError(f"lengths {shape!r} are not a sequence of numbers") from exc
     if len(vals) != len(EDGES[n]):
         raise GeometryError(f"expected {len(EDGES[n])} lengths, got {len(vals)}")
     return vals

@@ -12,14 +12,22 @@ are drawn and their closed forms built case by case, the oracle answers for
 the whole block in one stacked call per center kind or check site, and the
 checks are then made case by case, in the order a case-by-case run makes
 them, so every suite sees the same residuals in the same order.
+
+Blocks are independent, so they run in forked worker processes, one per CPU
+the process may use, each into fresh suites; the parent folds those into the
+run's suites in block order, which records what a case-by-case run records.
+With one CPU, no ``fork``, or a profiler or tracer set (so that it sees every
+call), the blocks run in-process instead.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, starmap
 
 import numpy as np
 
@@ -68,6 +76,17 @@ class _Suite:
     @property
     def passed(self):
         return self.worst_ratio <= 1.0
+
+    def fold(self, later):
+        """Take in the checks of ``later``, a suite of the same family fed
+        the checks that follow this one's.  The first ratio above 1 a suite
+        sees is always a new worst, so the earliest failing instance is the
+        first one either suite recorded."""
+        self.checks += later.checks
+        self.max_residual = max(self.max_residual, later.max_residual)
+        self.worst_ratio = max(self.worst_ratio, later.worst_ratio)
+        if self.fail_instance is None:
+            self.fail_instance = later.fail_instance
 
 
 def _min_angle(a, b, c):
@@ -394,43 +413,75 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
                                                c2[case].as_tuple())), 1e-9, inst)
 
 
-# each half of the run: its name, its generator's stream offset, its shape
+# each half of the run by name: its generator's stream offset, its shape
 # generator, the block runner and the suites it fills
-_HALVES = (
-    ("tri", 0, _random_triangle, _verify_triangle_block,
-     ("tri.centers", "tri.distances", "tri.closed_forms", "tri.identities",
-      "tri.inequalities")),
-    ("tet", 1, _random_tetra, _verify_tetra_block,
-     ("tet.centers", "tet.circumcenter", "tet.metrics", "tet.GI", "tet.distances",
-      "tet.closed_forms", "tet.projections", "tet.inequalities", "tet.concurrency")),
-)
+_HALVES = {
+    "tri": (0, _random_triangle, _verify_triangle_block,
+            ("tri.centers", "tri.distances", "tri.closed_forms", "tri.identities",
+             "tri.inequalities")),
+    "tet": (1, _random_tetra, _verify_tetra_block,
+            ("tet.centers", "tet.circumcenter", "tet.metrics", "tet.GI", "tet.distances",
+             "tet.closed_forms", "tet.projections", "tet.inequalities", "tet.concurrency")),
+}
+
+
+def _run_block(half, seed, first, stop, rtol, atol):
+    """Draw and check cases ``first`` to ``stop`` of ``half`` into fresh
+    suites: (suites by name, cases ran, cases skipped)."""
+    offset, draw, run_block, names = _HALVES[half]
+    suites = {n: _Suite(n) for n in names}
+    shapes, rngs = [], []
+    for case in range(first, stop):
+        rng = np.random.default_rng([seed, 2 * case + offset])
+        shape = draw(rng)
+        if shape is not None:
+            shapes.append(shape)
+            rngs.append(rng)
+    if shapes:
+        run_block(shapes, rngs, suites, rtol, atol)
+    return suites, len(shapes), stop - first - len(shapes)
+
+
+def _processes(blocks: int) -> int:
+    """Worker processes for ``blocks`` blocks: one per CPU this process may
+    run on, at most one per block; 1, meaning in-process, when the platform
+    cannot fork or a profiler or tracer is set."""
+    if (sys.getprofile() is not None or sys.gettrace() is not None
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), blocks)
+
+
+def _map_blocks(blocks) -> list:
+    """``_run_block`` over ``blocks``, in their order.  Forked workers see
+    the parent's modules as they are, patched constants and warning filters
+    included, and an exception a block raises is raised here."""
+    processes = _processes(len(blocks))
+    if processes <= 1:
+        return list(starmap(_run_block, blocks))
+    with multiprocessing.get_context("fork").Pool(processes) as pool:
+        return pool.starmap(_run_block, blocks, chunksize=1)
 
 
 def cmd_verify(args) -> bool:
     """Run the suites ``args`` selects, print one line per suite and the
     verdict, and return whether every suite passed."""
-    halves = [h for h in _HALVES if args.scope in (h[0], "all")]
-    suites = {n: _Suite(n) for h in halves for n in h[4]}
+    halves = [h for h in _HALVES if args.scope in (h, "all")]
+    suites = {n: _Suite(n) for h in halves for n in _HALVES[h][3]}
     ran = {"tri": 0, "tet": 0}
     total_skips = 0
 
     start = time.monotonic()
     # the halves fill disjoint suites, so running one after the other checks
     # each suite in the same order as interleaving them case by case
-    for half, offset, draw, run_block, _ in halves:
-        for first in range(0, args.cases, _BLOCK):
-            shapes, rngs = [], []
-            for case in range(first, min(first + _BLOCK, args.cases)):
-                rng = np.random.default_rng([args.seed, 2 * case + offset])
-                shape = draw(rng)
-                if shape is None:
-                    total_skips += 1
-                else:
-                    shapes.append(shape)
-                    rngs.append(rng)
-            if shapes:
-                run_block(shapes, rngs, suites, args.rtol, args.atol)
-            ran[half] += len(shapes)
+    blocks = [(half, args.seed, first, min(first + _BLOCK, args.cases), args.rtol, args.atol)
+              for half in halves for first in range(0, args.cases, _BLOCK)]
+    for (half, *_), (block_suites, block_ran, skipped) in zip(blocks, _map_blocks(blocks)):
+        for name, block_suite in block_suites.items():
+            suites[name].fold(block_suite)
+        ran[half] += block_ran
+        total_skips += skipped
     elapsed = time.monotonic() - start
 
     for s in suites.values():

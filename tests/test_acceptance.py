@@ -353,6 +353,6 @@ def test_criterion_10_cli_verify_deterministic():
     ok = (r1.returncode == 0 and elapsed < 60.0 and r1.stdout == r2.stdout
           and "verify: PASS" in r1.stdout)
     record(10, ok, f"exit {r1.returncode}, {elapsed:.1f}s, byte-identical "
-                   f"reruns: {r1.stdout == r2.stdout} (sequential, so "
-                   f"thread counts cannot matter)")
+                   f"reruns: {r1.stdout == r2.stdout} (blocks fold back in case "
+                   f"order, so worker counts cannot matter)")
     assert ok

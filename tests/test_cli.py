@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cevian import cli
 from cevian.cli import main
@@ -286,16 +287,59 @@ def test_verify_small_run_passes(capsys):
     assert "tet.centers" not in out
 
 
+# the tight tolerances fail, so the first failing instances are pinned too
 @pytest.mark.parametrize("tolerances", [(), ("--rtol", "1e-14", "--atol", "0")])
 def test_verify_output_does_not_depend_on_the_block_size(capsys, monkeypatch, tolerances):
     from cevian import verify
 
     argv = ("verify", "--seed", "5", "--cases", "40", "--scope", "all", *tolerances)
     outputs = set()
-    for block in (1, 7, 128):
-        monkeypatch.setattr(verify, "_BLOCK", block)
-        outputs.add(run_cli(capsys, *argv)[:2])
+    for processes in (1, 2):
+        monkeypatch.setattr(verify, "_processes", lambda blocks: processes)
+        for block in (1, 7, 128):
+            monkeypatch.setattr(verify, "_BLOCK", block)
+            outputs.add(run_cli(capsys, *argv)[:2])
     assert len(outputs) == 1
+    if tolerances:
+        assert "first failing instance" in outputs.pop()[1]
+
+
+check_values = st.floats(min_value=0.0, allow_infinity=True)
+
+
+@given(st.lists(st.tuples(check_values, check_values | st.just(0.0),
+                          st.tuples(st.floats(0.05, 5.0))), max_size=40),
+       st.lists(st.integers(0, 40), max_size=6))
+def test_folded_block_suites_record_what_a_serial_suite_records(checks, cuts):
+    from cevian.verify import _Suite
+
+    serial = _Suite("s")
+    for check in checks:
+        serial.check(*check)
+    bounds = [0, *sorted(cuts), len(checks)]
+    folded = _Suite("s")
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = _Suite("s")
+        for check in checks[lo:hi]:
+            block.check(*check)
+        folded.fold(block)
+    fields = ("checks", "max_residual", "worst_ratio", "passed", "fail_instance")
+    assert [getattr(folded, f) for f in fields] == [getattr(serial, f) for f in fields]
+
+
+def test_a_warning_raised_in_a_worker_reaches_the_caller(monkeypatch):
+    import warnings
+    from argparse import Namespace
+
+    from cevian import coord_oracle, verify
+
+    monkeypatch.setattr(coord_oracle, "_COND_LIMIT", 1.0)
+    monkeypatch.setattr(verify, "_processes", lambda blocks: 2)
+    args = Namespace(seed=1, cases=20, scope="tri", rtol=1e-9, atol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="ill-conditioned"):
+            verify.cmd_verify(args)
 
 
 def test_verify_subprocess_deterministic():
@@ -348,8 +392,8 @@ def test_reports_import_neither_numpy_nor_the_oracle(tmp_path):
         "from cevian.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {runs!r}]\n"
-        "print(codes, sorted(m for m in ('numpy', 'cevian.coord_oracle', 'cevian.verify')\n"
-        "                    if m in sys.modules))\n"
+        "print(codes, sorted(m for m in ('numpy', 'multiprocessing', 'cevian.coord_oracle',\n"
+        "                                'cevian.verify') if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,7 +46,7 @@ from cevian.core_model import (
     vertex_foot_ratios3,
     vertex_foot_ratios4,
 )
-from cevian.tri_metrics import area_determinant, ict_altitudes, ict_areas
+from cevian.tri_metrics import area_determinant, ict_altitudes, ict_areas, k_invariant
 
 FACE_OPPOSITE = {face: next(v for v in "ABCD" if v not in face) for face in FACES}
 
@@ -78,6 +79,17 @@ def test_nonpositive_or_nonfinite_side_rejected(bad):
 def test_lengths_that_are_not_numbers_raise_typed_errors(build, name):
     with pytest.raises(NonPositiveLength, match=name):
         build()
+
+
+# raw length sequences skip the shapes' checks, but not the typed error
+@pytest.mark.parametrize("call, named", [
+    (lambda: k_invariant(["x", 1, 1]), "['x', 1, 1]"),
+    (lambda: edge_polynomials([1, 1, 1, 1, 1, None]), "[1, 1, 1, 1, 1, None]"),
+    (lambda: gram_volume_term(5), "lengths 5 "),
+], ids=["k_invariant-str", "edge_polynomials-None", "gram_volume_term-int"])
+def test_raw_length_sequences_that_are_not_numbers_raise_typed_errors(call, named):
+    with pytest.raises(GeometryError, match=re.escape(named)):
+        call()
 
 
 def test_numeric_strings_are_lengths():
