@@ -213,7 +213,7 @@ class _Simplex:
     """What TriangleSides and TetraEdges share: their init fields
     (``__match_args__``) are the lengths in EDGES[n] order, checked by one
     rule and squared into E by one rule, and each instance caches its
-    centers."""
+    centers and R."""
 
     def _check_lengths(self, noun: str):
         """Store each length as a positive finite float, or raise
@@ -236,9 +236,19 @@ class _Simplex:
         return _by_pair(self._N, [x * x for x in self.as_tuple()])
 
     @cached_property
+    def _pair_entries(self) -> tuple:
+        """(i, j, E[i][j]) for each vertex pair i < j, as pair_sum reads them."""
+        return tuple((i, j, self.E[i][j]) for i, j in _PAIRS[self._N])
+
+    @cached_property
     def _centers(self) -> dict:
         """center_components' per-instance cache: Components by kind."""
         return {}
+
+    @cached_property
+    def _circumradius(self) -> float:
+        """R, which both shapes' circumradius functions read."""
+        return _build_circumradius(self)
 
 
 @dataclass(frozen=True)
@@ -386,9 +396,9 @@ class TetraEdges(_Simplex):
     metric formulas share are derived from the six lengths once per
     instance and then read by every caller: ``volume_term`` (set by the
     volume gate), and on first use the squared-edge matrix ``E``, the
-    ``face_areas``, the circumcenter weights ``circum_aux`` and the centers'
-    Components (see center_components).  None of them takes part in
-    equality, hashing or repr.
+    ``face_areas``, the faces' geometry and vertex feet, the circumcenter
+    weights ``circum_aux``, R and the centers' Components (see
+    center_components).  None of them takes part in equality, hashing or repr.
     """
 
     ab: float
@@ -441,6 +451,25 @@ class TetraEdges(_Simplex):
         return FaceAreas(tuple(areas), math.fsum(areas))
 
     @cached_property
+    def _faces(self) -> dict:
+        """By face name: its vertex indices (V1, V2, V3, opposite), squared
+        edges (V1V2, V2V3, V3V1), their half sum delta2f, and 8 * area^2."""
+        e, out = self.E, {}
+        for face, verts in FACE_INDICES.items():
+            v1, v2, v3, _ = verts
+            e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
+            delta2f = 0.5 * (e12 + e23 + e31)
+            # identity: sum of (delta2f - e^2)*e^2 over the face edges = 8*area^2
+            eight_sq = (delta2f - e12) * e12 + (delta2f - e23) * e23 + (delta2f - e31) * e31
+            out[face] = verts, (e12, e23, e31), delta2f, eight_sq
+        return out
+
+    @cached_property
+    def _feet(self) -> dict:
+        """tet_centers' vertex feet by canonical face name."""
+        return {}
+
+    @cached_property
     def circum_aux(self) -> CircumAux:
         """Circumcenter weights: for each vertex V with opposite face
         (X, Y, Z),
@@ -451,12 +480,9 @@ class TetraEdges(_Simplex):
         where delta2f is half the face's sum of squared edges.  u_V/u are
         the circumcenter's components, and u = 4*(t1 - t2 - t3) > 0.
         """
-        e = self.E
         vals = []
-        for v1, v2, v3, opp in FACE_INDICES.values():
-            eo = e[opp]
-            e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
-            delta2f = 0.5 * (e12 + e23 + e31)
+        for (v1, v2, v3, opp), (e12, e23, e31), delta2f, _ in self._faces.values():
+            eo = self.E[opp]
             vals.append(
                 (delta2f - e12) * e12 * eo[v3]
                 + (delta2f - e23) * e23 * eo[v1]
@@ -464,6 +490,21 @@ class TetraEdges(_Simplex):
                 - e12 * e23 * e31
             )
         return CircumAux(tuple(vals), math.fsum(vals))
+
+
+def _crelle_product(edges: TetraEdges) -> float:
+    """q*(q - AB*CD)*(q - BC*AD)*(q - CA*BD), with q the half-sum of the
+    three opposite-edge products; it equals 36*V^2*R^2 (Crelle)."""
+    m1, m2, m3 = edges.ab * edges.cd, edges.bc * edges.ad, edges.ac * edges.db
+    q = 0.5 * (m1 + m2 + m3)
+    return q * (q - m1) * (q - m2) * (q - m3)
+
+
+def _build_circumradius(shape) -> float:
+    """R: abc / (4 * area) for a triangle, sqrt(Crelle / volume term) for a tetrahedron."""
+    if shape._N == 3:
+        return shape.a * shape.b * shape.c / (4.0 * shape.area)
+    return math.sqrt(_crelle_product(shape) / shape.volume_term)
 
 
 def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
@@ -489,15 +530,16 @@ def _magnitude_sum(values, what: str) -> float:
 
 
 def _normalized(values):
-    if not all(map(math.isfinite, values)):
-        raise GeometryError(f"weights {values} are not all finite")
-    scale = _magnitude_sum(values, "a weight sum") + 1.0
+    try:  # the magnitude sum is the finiteness test too; its failure names the fault
+        scale = _magnitude_sum(values, "a weight sum") + 1.0
+    except GeometryError:
+        if not all(map(math.isfinite, values)):
+            raise GeometryError(f"weights {values} are not all finite") from None
+        raise
     total = math.fsum(values)
     if abs(total) <= ATOL * scale:
-        raise DegenerateDenominator(
-            f"weights {values} sum to ~0 and cannot be normalized"
-        )
-    return tuple(v / total for v in values)
+        raise DegenerateDenominator(f"weights {values} sum to ~0 and cannot be normalized")
+    return tuple([v / total for v in values])
 
 
 @dataclass(frozen=True)
@@ -558,12 +600,13 @@ class IRVector3:
     lambda_ca: float
 
     def __post_init__(self):
-        for name, v in zip(("lambda_ab", "lambda_bc", "lambda_ca"), self.as_tuple()):
-            if not math.isfinite(v) or v == 0.0:
-                raise DegenerateDenominator(
-                    f"{name} = {v!r}: cevian ratio must be finite and nonzero"
-                )
-        prod = self.lambda_ab * self.lambda_bc * self.lambda_ca
+        a, b, c = vals = self.as_tuple()
+        if not (a and b and c and math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            name, v = next((name, v) for name, v in zip(self.__match_args__, vals)
+                           if not (v and math.isfinite(v)))
+            raise DegenerateDenominator(f"{name} = {v!r}: cevian ratio must be finite "
+                                        "and nonzero")
+        prod = a * b * c
         if not _close(prod, 1.0):
             raise CevaViolation(f"ratio product {prod!r} != 1")
 
@@ -835,8 +878,8 @@ def center_components(kind, shape) -> Components:
     shape, so the same kind on the same shape is the same object; a raise is
     not cached."""
     n = len(shape.E)
-    k = parse_center(kind, n)
     cache = shape._centers
+    k = kind if isinstance(kind, str) and kind in cache else parse_center(kind, n)
     if k not in cache:
         cache[k] = _build_center(k, shape, n)
     return cache[k]
@@ -887,10 +930,9 @@ def pair_sum(weights, shape) -> tuple:
     """(ps(w), sum of |w_i * w_j * E_ij|) for a sequence of one weight per
     vertex of ``shape``; the second value is the scale any cancellation in
     the first is measured against."""
-    e = shape.E
-    if len(weights) != len(e):
-        raise GeometryError(f"{len(weights)} weights given for a shape with {len(e)} vertices")
-    terms = [weights[i] * weights[j] * e[i][j] for i, j in _PAIRS[len(e)]]
+    if len(weights) != shape._N:
+        raise GeometryError(f"{len(weights)} weights given for a shape with {shape._N} vertices")
+    terms = [weights[i] * weights[j] * e for i, j, e in shape._pair_entries]
     scale = _magnitude_sum(terms, "a pair sum")
     return math.fsum(terms), scale
 
@@ -941,10 +983,12 @@ def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
     return ap / abs(1.0 - alpha)
 
 
-def dist_between_centers(c1, c2, shape) -> float:
-    """Distance between the points realizing two component vectors."""
-    w1, w2 = c1.checked(len(shape.E)), c2.checked(len(shape.E))
+def _pair_distance(w1, w2, shape) -> float:
+    """The distance between the points with the given weights, one per
+    vertex of the shape; dist_between_centers and pair_table both call it."""
     ps, scale = pair_sum([y - x for x, y in zip(w1, w2)], shape)
+    if ps < 0.0:  # a positive square passes any window
+        return math.sqrt(-ps)
     # the deltas carry absolute rounding ~eps * (component magnitude); when
     # the centers coincide that noise is all that remains, so the window for
     # a negative square needs an absolute floor at its square
@@ -954,14 +998,17 @@ def dist_between_centers(c1, c2, shape) -> float:
     return _sqrt_clamped(-ps, scale, grain)
 
 
+def dist_between_centers(c1, c2, shape) -> float:
+    """Distance between the points realizing two component vectors."""
+    return _pair_distance(c1.checked(shape._N), c2.checked(shape._N), shape)
+
+
 def pair_table(comps: dict, shape) -> list:
     """A DistanceReport for every unordered pair of the named component
     vectors, in the mapping's order (21 pairs for seven centers)."""
-    out = []
-    for k1, k2 in combinations(comps, 2):
-        d = dist_between_centers(comps[k1], comps[k2], shape)
-        out.append(DistanceReport(pair=(k1, k2), squared_distance=d * d, distance=d))
-    return out
+    w = {k: c.checked(shape._N) for k, c in comps.items()}
+    return [DistanceReport((k1, k2), d * d, d) for k1, k2 in combinations(w, 2)
+            for d in (_pair_distance(w[k1], w[k2], shape),)]
 
 
 def pair_distances(table) -> dict:

@@ -58,19 +58,6 @@ def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
     return {face: _facet_ratios(beta, *verts[:3]) for face, verts in FACE_INDICES.items()}
 
 
-def _face_geometry(edges: TetraEdges, face: str):
-    """The face's vertex indices (V1, V2, V3, opposite), its squared edges
-    (V1V2, V2V3, V3V1), their half sum delta2f, and 8 * area^2."""
-    verts = FACE_INDICES[canonical_face(face)]
-    v1, v2, v3, _ = verts
-    e = edges.E
-    e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
-    delta2f = 0.5 * (e12 + e23 + e31)
-    # identity: sum of (delta2f - e^2)*e^2 over the face edges = 8*area^2
-    eight_sq = (delta2f - e12) * e12 + (delta2f - e23) * e23 + (delta2f - e31) * e31
-    return verts, (e12, e23, e31), delta2f, eight_sq
-
-
 def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
     """Components, within one face, of the orthogonal projection of a point
     P onto that face's plane.
@@ -82,7 +69,7 @@ def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
     sq = [float(d) for d in sq_dists]
     if len(sq) != 4:
         raise GeometryError(f"expected 4 squared vertex distances, got {len(sq)}")
-    (v1, v2, v3, _), (e12, e23, e31), delta2f, eight_sq = _face_geometry(edges, face)
+    (v1, v2, v3, _), (e12, e23, e31), delta2f, eight_sq = edges._faces[canonical_face(face)]
     d1, d2, d3 = sq[v1], sq[v2], sq[v3]
     n1 = (delta2f - e23) * e23 + (delta2f - e31) * (d3 - d1) + (delta2f - e12) * (d2 - d1)
     n2 = (delta2f - e31) * e31 + (delta2f - e12) * (d1 - d2) + (delta2f - e23) * (d3 - d2)
@@ -92,8 +79,12 @@ def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
 
 def vertex_projection_components(edges: TetraEdges, face: str) -> Components:
     """Projection of the face's opposite vertex onto the face (the foot of
-    the tetrahedron's altitude from that vertex)."""
-    return projection_components(edges, edges.E[FACE_INDICES[canonical_face(face)][3]], face)
+    the altitude from it), built once per face and cached on the edge set."""
+    key = canonical_face(face)
+    feet = edges._feet
+    if key not in feet:
+        feet[key] = projection_components(edges, edges.E[FACE_INDICES[key][3]], key)
+    return feet[key]
 
 
 def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
@@ -108,7 +99,7 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
         raise GeometryError(
             f"projection closed form available for Q, G, I only, not {kind!r}"
         )
-    (v1, v2, v3, opp), (e12, e23, e31), delta2f, eight_sq = _face_geometry(edges, face)
+    (v1, v2, v3, opp), (e12, e23, e31), delta2f, eight_sq = edges._faces[canonical_face(face)]
     if k == "Q":
         return Components((
             (delta2f - e23) * e23 / eight_sq,

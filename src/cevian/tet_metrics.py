@@ -22,6 +22,7 @@ from .core_model import (
     TetraEdges,
     VERTICES,
     _PAIRS,
+    _crelle_product,
     dist_origin_to_center,
     gram_volume_term,
     pair_sum,
@@ -61,17 +62,9 @@ def inradius(edges: TetraEdges) -> float:
     return math.sqrt(gram_volume_term(edges)) / (2.0 * edges.face_areas.s)
 
 
-def _crelle_product(edges: TetraEdges) -> float:
-    """q*(q - AB*CD)*(q - BC*AD)*(q - CA*BD), with q the half-sum of the
-    three opposite-edge products; it equals 36*V^2*R^2 (Crelle)."""
-    m1, m2, m3 = edges.ab * edges.cd, edges.bc * edges.ad, edges.ac * edges.db
-    q = 0.5 * (m1 + m2 + m3)
-    return q * (q - m1) * (q - m2) * (q - m3)
-
-
 def circumradius(edges: TetraEdges) -> float:
-    """R^2 = q*(q - AB*CD)*(q - BC*AD)*(q - CA*BD) / (t1 - t2 - t3)."""
-    return math.sqrt(_crelle_product(edges) / gram_volume_term(edges))
+    """R^2 = q*(q - AB*CD)*(q - BC*AD)*(q - CA*BD) / (t1 - t2 - t3), cached."""
+    return edges._circumradius
 
 
 def circumradius_forms(edges: TetraEdges) -> dict:

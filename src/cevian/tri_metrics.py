@@ -65,9 +65,8 @@ def area_determinant(sides: TriangleSides) -> float:
 
 
 def circumradius(sides: TriangleSides) -> float:
-    """R = abc / (4 * Area)."""
-    a, b, c = sides.as_tuple()
-    return a * b * c / (4.0 * sides.area)
+    """R = abc / (4 * Area), computed once per triangle and cached on it."""
+    return sides._circumradius
 
 
 def dist_circumcenter_to_center(comps, sides: TriangleSides) -> float:

@@ -92,21 +92,22 @@ def test_components_reject_non_finite_weights(n, bad):
 
 # ------------------------------------------------------------ build counts
 
+def _counted(tally, key, fn):
+    """``fn``, counting its calls in ``tally[key]``."""
+    def wrapper(*args):
+        tally[key] += 1
+        return fn(*args)
+    return wrapper
+
+
 @pytest.fixture
 def counts(monkeypatch):
     """Counts of center builds and of triangle-area evaluations."""
     import cevian.core_model as cm
 
     tally = {"centers": 0, "areas": 0}
-
-    def counted(key, fn):
-        def wrapper(*args):
-            tally[key] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(cm, "_build_center", counted("centers", cm._build_center))
-    monkeypatch.setattr(cm, "_area", counted("areas", cm._area))
+    monkeypatch.setattr(cm, "_build_center", _counted(tally, "centers", cm._build_center))
+    monkeypatch.setattr(cm, "_area", _counted(tally, "areas", cm._area))
     return tally
 
 
@@ -164,3 +165,64 @@ def test_library_tetrahedron_report_builds_each_center_once(counts):
         for kind in "QGI":
             tet_centers.projection_of_center(kind, edges, face)
     assert counts["centers"] == 8
+
+
+# ------------------------------------------------- face and circumradius caches
+
+def test_full_reports_compute_each_vertex_foot_and_r_once(monkeypatch):
+    """A full report asks for R and the faces' vertex feet again and again
+    (the projections of G and I are affine in the foot); each shape builds
+    them once."""
+    import cevian.core_model as cm
+    from cevian import tet_centers, tet_metrics, tri_centers, tri_metrics
+
+    tally = {"feet": 0, "R": 0}
+    monkeypatch.setattr(tet_centers, "projection_components",
+                        _counted(tally, "feet", tet_centers.projection_components))
+    monkeypatch.setattr(cm, "_build_circumradius", _counted(tally, "R", cm._build_circumradius))
+
+    edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
+    for kind in CENTER_KINDS[4] + (PowerIncenter(2.0),):
+        tet_centers.tet_center_ir_tensor(kind, edges)
+    tet_metrics.center_pair_table4(edges)
+    tet_metrics.metrics_summary(edges)
+    tet_metrics.circumradius_forms(edges)
+    tet_metrics.tet_inequality_slacks(edges)
+    tet_metrics.transcribed_closed_forms4(edges)
+    tet_metrics.dist_circum4(center_components("I", edges), edges)
+    for face in FACES:
+        tet_centers.vertex_projection_components(edges, face)
+        for kind in "QGI":
+            tet_centers.projection_of_center(kind, edges, face)
+    assert tally == {"feet": 4, "R": 1}
+
+    tally.update(feet=0, R=0)
+    sides = validate_triangle(4.3, 5.1, 6.7)
+    tri_metrics.center_pair_table(sides)
+    tri_metrics.transcribed_closed_forms(sides)
+    tri_metrics.inequality_slacks(sides)
+    tri_metrics.circumradius(sides)
+    tri_metrics.dist_circumcenter_to_center(center_components("I", sides), sides)
+    tri_centers.euler_relation(sides)
+    assert tally == {"feet": 0, "R": 1}
+
+
+def test_face_caches_are_keyed_by_canonical_face_name():
+    from cevian import tet_centers
+
+    edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
+    foot = tet_centers.vertex_projection_components(edges, "abc")
+    assert tet_centers.vertex_projection_components(edges, "ABC") is foot
+    assert tet_centers.projection_of_center("g", edges, "Abc") == \
+        tet_centers.projection_of_center("G", edges, "ABC")
+    assert list(vars(edges)["_feet"]) == ["ABC"]
+    assert sorted(vars(edges)["_faces"]) == sorted(FACES)
+    # the caches take no part in equality, hashing or repr, and an equal
+    # shape built anew, or by dataclasses.replace, shares none of them
+    fresh = validate_tetrahedron(3, 4, 5, 5, 6, 7)
+    assert edges == fresh and hash(edges) == hash(fresh) and repr(edges) == repr(fresh)
+    assert "_feet" not in repr(edges) and "_faces" not in repr(edges)
+    copy = dataclasses.replace(edges)
+    assert "_feet" not in vars(copy) and "_faces" not in vars(copy)
+    assert tet_centers.vertex_projection_components(copy, "ABC") is not foot
+    assert tet_centers.vertex_projection_components(copy, "ABC") == foot

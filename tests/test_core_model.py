@@ -2,11 +2,13 @@ import dataclasses
 import math
 import random
 import re
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
 from cevian.core_model import (
+    CENTER_KINDS,
     CevaViolation,
     Components,
     DegenerateDenominator,
@@ -27,6 +29,7 @@ from cevian.core_model import (
     VERTICES,
     _close,
     _sqrt_clamped,
+    center_components,
     components_from_ir3,
     dist_between_centers,
     dist_origin_to_center,
@@ -279,15 +282,32 @@ def test_face_areas_bitwise_over_many_tetrahedra():
             assert fa.by_vertex[VERTICES.index(opp)] == area_determinant(_face_sides(edges, face))
 
 
+# every per-instance cache a shape can fill; none is a dataclass field
+_CACHES = {3: ("E", "area", "_pair_entries", "_centers", "_circumradius"),
+           4: ("E", "face_areas", "circum_aux", "_pair_entries", "_centers", "_circumradius",
+               "_faces", "_feet")}
+
+
 @pytest.mark.parametrize("edges", list(_invariant_tetras())[:3] + [validate_triangle(3, 4, 5)])
 def test_filled_cache_keeps_value_semantics(edges):
     for name in ("E", "face_areas", "circum_aux") if len(edges.E) == 4 else ("E", "area"):
         getattr(edges, name)
     _fill_center_cache(edges)  # edges3 is a triangle, with its area and centers cached
+    dist_between_centers(*list(vars(edges)["_centers"].values())[:2], edges)
+    if len(edges.E) == 4:
+        from cevian.tet_centers import vertex_projection_components
+        from cevian.tet_metrics import circumradius
+        for face in FACES:
+            vertex_projection_components(edges, face)
+    else:
+        from cevian.tri_metrics import circumradius
+    circumradius(edges)
+    assert set(_CACHES[len(edges.E)]) <= set(vars(edges))
     fresh = type(edges)(*edges.as_tuple())
     assert edges == fresh
     assert hash(edges) == hash(fresh) and repr(edges) == repr(fresh)
-    assert (copy := dataclasses.replace(edges)) == fresh and "_centers" not in vars(copy)
+    assert (copy := dataclasses.replace(edges)) == fresh
+    assert not set(_CACHES[len(edges.E)]) & set(vars(copy))
     with pytest.raises(dataclasses.FrozenInstanceError):
         edges.ab = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -531,10 +551,97 @@ def test_engine_pair_sum_is_half_the_quadratic_form():
         assert scale >= abs(ps)
 
 
+# ------------------------------------------------------ one distance kernel
+
+# every center kind of each arity, the tetrahedron's power family included
+_KINDS = {3: CENTER_KINDS[3], 4: CENTER_KINDS[4] + (PowerIncenter(2.0), PowerIncenter(-0.5))}
+
+
+@st.composite
+def _simplices(draw):
+    """A triangle with sides in the band, or the tetrahedron of four points
+    in the unit cube, scaled by a few decades."""
+    n = draw(st.sampled_from((3, 4)))
+    scale = draw(st.sampled_from((1e-3, 0.3, 1.0, 7.0, 1e3)))
+    if n == 3:
+        lengths = [draw(st.floats(0.05, 1.0)) for _ in range(3)]
+    else:
+        pts = [[draw(st.floats(0.0, 1.0)) for _ in range(3)] for _ in range(4)]
+        lengths = [math.dist(pts[i], pts[j]) for i, j in EDGES[4]]
+    try:
+        return (validate_triangle, validate_tetrahedron)[n - 3](*(scale * x for x in lengths))
+    except GeometryError:
+        reject()
+
+
+# the equilateral triangle and the regular tetrahedron: their centers
+# coincide, so the pairs take the zero and the grain-window paths
+@given(_simplices())
+@example(validate_triangle(0.3, 0.3, 0.3))
+@example(validate_triangle(0.7, 0.7, 0.7))
+@example(validate_triangle(1, 1, 1))
+@example(validate_tetrahedron(*[1.0] * 6))
+@example(validate_tetrahedron(*[0.3] * 6))
+def test_pair_table_entries_equal_their_pairwise_distances_exactly(shape):
+    comps = {}
+    for kind in _KINDS[len(shape.E)]:
+        try:
+            comps[kind] = center_components(kind, shape)
+        except GeometryError:
+            pass  # an excenter at infinity, say; the table leaves it out
+    table = pair_table(comps, shape)
+    assert [rep.pair for rep in table] == list(combinations(comps, 2))
+    for rep in table:
+        d = dist_between_centers(comps[rep.pair[0]], comps[rep.pair[1]], shape)
+        assert rep.distance == d and rep.squared_distance == d * d
+
+
+# ----------------------------------------- typed errors on the slow paths
+
+# one weight that is not finite among others whose magnitudes overflow, and
+# infinities of both signs (whose plain fsum raises a bare ValueError)
+@pytest.mark.parametrize("weights", [(math.nan, 1e308, 1e308), (-math.inf, math.inf, 1.0)])
+def test_weights_that_are_not_finite_are_named(weights):
+    with pytest.raises(GeometryError, match="are not all finite"):
+        Components(weights)
+
+
+@pytest.mark.parametrize("weights", [(1e308, 1e308, 1.0), (1e308, -1e308, 1.0, 1.0)])
+def test_weights_whose_magnitude_sum_overflows_raise_typed_errors(weights):
+    with pytest.raises(GeometryError, match="a weight sum leaves the floating-point range"):
+        Components(weights)
+
+
+@pytest.mark.parametrize("weights", [(0.0, 0.0, 0.0), (1.0, -1.0, 0.5, -0.5)])
+def test_weights_that_sum_to_zero_raise_degenerate_denominator(weights):
+    with pytest.raises(DegenerateDenominator, match="sum to ~0"):
+        Components(weights)
+
+
+@pytest.mark.parametrize("ratios, name", [
+    ((1.0, 0.0, 1.0), "lambda_bc"),
+    ((math.nan, 1.0, 1.0), "lambda_ab"),
+    ((1.0, 1.0, -math.inf), "lambda_ca"),
+    ((1.0, -0.0, math.nan), "lambda_bc"),
+])
+def test_cevian_ratios_name_the_first_field_that_fails(ratios, name):
+    with pytest.raises(DegenerateDenominator, match=f"^{name} = "):
+        IRVector3(*ratios)
+
+
+def test_pair_terms_that_overflow_raise_typed_errors():
+    huge = validate_triangle(1e150, 1e150, 1e150)
+    far = Components((1e6, -1e6 + 1.0, 1.0))  # weights ~5e5: their pair terms pass 1e308
+    g = Components((1.0, 1.0, 1.0))
+    for call in (lambda: pair_sum((1e200, 1e200, 1.0), TRI),
+                 lambda: dist_between_centers(far, g, huge),
+                 lambda: pair_table({"P": far, "G": g}, huge)):
+        with pytest.raises(GeometryError, match="a pair sum leaves the floating-point range"):
+            call()
+
+
 def _fill_center_cache(shape):
     """Builds every named center of ``shape``, which fills its center cache."""
-    from cevian.core_model import CENTER_KINDS, center_components
-
     kinds = CENTER_KINDS[len(shape.E)]
     comps = [center_components(kind, shape) for kind in kinds]
     assert list(vars(shape)["_centers"].values()) == comps and len(comps) == len(kinds)

@@ -47,6 +47,9 @@ CASES = {
     # first failing instance
     "verify_seed7_300.txt": _VERIFY,
     "verify_seed7_300_exact.txt": (*_VERIFY, "--rtol", "0", "--atol", "0"),
+    # the certification run the README documents; CI also compares its
+    # stdout with this file
+    "verify_seed42_1000.txt": ("verify", "--seed", "42", "--cases", "1000", "--scope", "all"),
 }
 EXIT_CODES = {"verify_seed7_300_exact.txt": 1}
 
