@@ -12,7 +12,9 @@ Three subcommands:
          exit 0 iff all suites pass.
 
 Reports are JSON (sorted keys, round-trip floats) or flat key,value CSV.
-They are computed from lengths alone; only ``verify`` loads the oracle.
+They are computed from lengths alone.  Each subcommand imports only its own
+modules: ``tri`` the triangle ones, ``tet`` the tetrahedron ones, and only
+``verify`` loads the oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .core_model import (
     validate_tetrahedron,
     validate_triangle,
 )
-from . import tri_centers, tri_metrics, tet_centers, tet_metrics
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -154,6 +155,8 @@ def _centers_section(kinds, shape, key, ratios) -> dict:
 
 
 def cmd_tri(args) -> dict:
+    from . import tri_centers, tri_metrics  # a report loads only its own shape's modules
+
     sides, given = _shape_from_args(args, 3)
     report = {"input": given}
     centers = _report_centers(args, 3, (args.distances, args.metrics, args.inequalities,
@@ -197,6 +200,8 @@ def cmd_tri(args) -> dict:
 
 
 def cmd_tet(args) -> dict:
+    from . import tet_centers, tet_metrics
+
     edges, given = _shape_from_args(args, 4)
     report = {"input": given}
     centers = _report_centers(args, 4, (args.distances, args.metrics, args.inequalities,

@@ -18,8 +18,6 @@ squared-edge matrix E; see the engine at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations, permutations
 
 __all__ = [
@@ -198,6 +196,56 @@ def canonical_face(face: str) -> str:
 
 
 # --------------------------------------------------------------------------
+# value types
+
+class _Frozen:
+    """Base of the immutable value types.  The fields, named in
+    ``__match_args__`` and stored in the instance ``__dict__`` by each
+    ``__init__``, define equality, hashing and repr (``Name(field=value,
+    ...)``); attributes cannot be assigned or deleted.  Other ``__dict__``
+    entries are per-instance caches (see _cached) and take no part."""
+
+    __match_args__ = ()
+
+    def _fields(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={v!r}" for name, v in zip(self.__match_args__, self._fields()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _cached:
+    """A cached attribute: the first read stores the method's value in the
+    instance ``__dict__``, where every later read finds it before this
+    descriptor.  A raise stores nothing.  Unlike functools.cached_property
+    it takes no lock (Python < 3.12 locks every first read)."""
+
+    def __init__(self, method):
+        self.method, self.name, self.__doc__ = method, method.__name__, method.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
+# --------------------------------------------------------------------------
 # length data
 
 def _by_pair(n: int, values) -> tuple:
@@ -209,60 +257,56 @@ def _by_pair(n: int, values) -> tuple:
     return tuple(map(tuple, m))
 
 
-class _Simplex:
-    """What TriangleSides and TetraEdges share: their init fields
+class _Simplex(_Frozen):
+    """What TriangleSides and TetraEdges share: their fields
     (``__match_args__``) are the lengths in EDGES[n] order, checked by one
     rule and squared into E by one rule, and each instance caches its
     centers and R."""
 
-    def _check_lengths(self, noun: str):
+    def _check_lengths(self, noun: str, values):
         """Store each length as a positive finite float, or raise
         NonPositiveLength naming it; numeric strings are accepted."""
-        for name in self.__match_args__:
-            v = getattr(self, name)
+        d = self.__dict__
+        for name, v in zip(self.__match_args__, values):
             try:
                 x = float(v)
             except (TypeError, ValueError, OverflowError):
                 x = math.nan
             if not (x > 0) or not math.isfinite(x):
                 raise NonPositiveLength(f"{noun} {name} = {v!r} must be a positive finite length")
-            object.__setattr__(self, name, x)
+            d[name] = x
 
-    @cached_property
+    @_cached
     def E(self) -> tuple:
         """Squared-edge matrix: E[i][j] = |V_i V_j|^2 for vertices
         (A, B, ...) = (0, 1, ...), a symmetric tuple of tuples with a zero
         diagonal."""
         return _by_pair(self._N, [x * x for x in self.as_tuple()])
 
-    @cached_property
+    @_cached
     def _pair_entries(self) -> tuple:
         """(i, j, E[i][j]) for each vertex pair i < j, as pair_sum reads them."""
         return tuple((i, j, self.E[i][j]) for i, j in _PAIRS[self._N])
 
-    @cached_property
+    @_cached
     def _centers(self) -> dict:
         """center_components' per-instance cache: Components by kind."""
         return {}
 
-    @cached_property
+    @_cached
     def _circumradius(self) -> float:
         """R, which both shapes' circumradius functions read."""
         return _build_circumradius(self)
 
 
-@dataclass(frozen=True)
 class TriangleSides(_Simplex):
     """Side lengths a = BC, b = CA, c = AB (opposite the like-named vertex)."""
 
-    a: float
-    b: float
-    c: float
-
+    __match_args__ = ("a", "b", "c")
     _N = 3
 
-    def __post_init__(self):
-        self._check_lengths("side")
+    def __init__(self, a: float, b: float, c: float):
+        self._check_lengths("side", (a, b, c))
         a, b, c = self.a, self.b, self.c
         for lhs, pair in (((b + c - a), "b+c>a"), ((c + a - b), "c+a>b"), ((a + b - c), "a+b>c")):
             if not (lhs > 0):
@@ -270,7 +314,7 @@ class TriangleSides(_Simplex):
                     f"triangle inequality {pair} fails for sides ({a}, {b}, {c})"
                 )
 
-    @cached_property
+    @_cached
     def area(self) -> float:
         """sqrt(K)/4 with K = 16*Area^2 from E; a K that is not positive
         raises GeometryError on every access (a raise is not cached)."""
@@ -361,14 +405,16 @@ def _lengths(shape, n: int) -> tuple:
     return vals
 
 
-@dataclass(frozen=True)
-class FaceAreas:
+class FaceAreas(_Frozen):
     """Heron areas S^A..S^D of the four faces in vertex order, each at the
     index of the face's opposite vertex, plus their sum s (the total surface
     area)."""
 
-    by_vertex: tuple
-    s: float
+    __match_args__ = ("by_vertex", "s")
+
+    def __init__(self, by_vertex: tuple, s: float):
+        d = self.__dict__
+        d["by_vertex"], d["s"] = by_vertex, s
 
     def opposite_sum(self, i: int) -> float:
         """T^X = s - 2*S^X for vertex index i: the other three areas minus
@@ -379,16 +425,17 @@ class FaceAreas:
         return dict(zip(("s_a", "s_b", "s_c", "s_d"), self.by_vertex), s=self.s)
 
 
-@dataclass(frozen=True)
-class CircumAux:
+class CircumAux(_Frozen):
     """Circumcenter weight polynomials U_A..U_D (degree 6 in the edges) in
     vertex order, and their sum u, which equals 144 * volume^2."""
 
-    by_vertex: tuple
-    u: float
+    __match_args__ = ("by_vertex", "u")
+
+    def __init__(self, by_vertex: tuple, u: float):
+        d = self.__dict__
+        d["by_vertex"], d["u"] = by_vertex, u
 
 
-@dataclass(frozen=True)
 class TetraEdges(_Simplex):
     """Edge lengths of tetrahedron ABCD in the order AB, AC, AD, BC, CD, DB.
 
@@ -401,18 +448,11 @@ class TetraEdges(_Simplex):
     center_components).  None of them takes part in equality, hashing or repr.
     """
 
-    ab: float
-    ac: float
-    ad: float
-    bc: float
-    cd: float
-    db: float
-    volume_term: float = field(init=False, repr=False, compare=False)
-
+    __match_args__ = ("ab", "ac", "ad", "bc", "cd", "db")
     _N = 4
 
-    def __post_init__(self):
-        self._check_lengths("edge")
+    def __init__(self, ab: float, ac: float, ad: float, bc: float, cd: float, db: float):
+        self._check_lengths("edge", (ab, ac, ad, bc, cd, db))
         length = _by_pair(4, self.as_tuple())
         for face, (v1, v2, v3, _) in FACE_INDICES.items():
             x, y, z = length[v1][v2], length[v2][v3], length[v3][v1]
@@ -434,12 +474,12 @@ class TetraEdges(_Simplex):
                 f"edge set does not realize a nondegenerate tetrahedron "
                 f"(volume term {gram:.6g})"
             )
-        object.__setattr__(self, "volume_term", gram)
+        self.__dict__["volume_term"] = gram
 
     def as_tuple(self):
         return (self.ab, self.ac, self.ad, self.bc, self.cd, self.db)
 
-    @cached_property
+    @_cached
     def face_areas(self) -> FaceAreas:
         """The four face areas, each sqrt(K)/4 on the squares of the face's
         sides (a, b, c) = (V2V3, V3V1, V1V2), read from E.  A face whose K is
@@ -450,7 +490,7 @@ class TetraEdges(_Simplex):
                  for v1, v2, v3, _ in FACE_INDICES.values()]
         return FaceAreas(tuple(areas), math.fsum(areas))
 
-    @cached_property
+    @_cached
     def _faces(self) -> dict:
         """By face name: its vertex indices (V1, V2, V3, opposite), squared
         edges (V1V2, V2V3, V3V1), their half sum delta2f, and 8 * area^2."""
@@ -464,12 +504,12 @@ class TetraEdges(_Simplex):
             out[face] = verts, (e12, e23, e31), delta2f, eight_sq
         return out
 
-    @cached_property
+    @_cached
     def _feet(self) -> dict:
         """tet_centers' vertex feet by canonical face name."""
         return {}
 
-    @cached_property
+    @_cached
     def circum_aux(self) -> CircumAux:
         """Circumcenter weights: for each vertex V with opposite face
         (X, Y, Z),
@@ -542,22 +582,24 @@ def _normalized(values):
     return tuple([v / total for v in values])
 
 
-@dataclass(frozen=True)
-class Components:
+class Components(_Frozen):
     """Normalized weights summing to 1, one per vertex in vertex order:
     (alpha_A, alpha_B, alpha_C) for a triangle, (beta_A, .., beta_D) for a
     tetrahedron.  For a face of a tetrahedron the three slots follow the
-    face's cyclic vertex order.  Any other number of weights than 3 or 4
-    raises GeometryError.
+    face's cyclic vertex order.  Any other number of weights than 3 or 4,
+    or weights that are not numbers in the float range, raise GeometryError.
     """
 
-    weights: tuple
+    __match_args__ = ("weights",)
 
-    def __post_init__(self):
-        vals = tuple(self.weights)
+    def __init__(self, weights):
+        vals = tuple(weights)
         if len(vals) not in (3, 4):
             raise GeometryError(f"components need 3 or 4 weights, got {len(vals)}")
-        object.__setattr__(self, "weights", _normalized(vals))
+        try:
+            self.__dict__["weights"] = _normalized(vals)
+        except (TypeError, OverflowError):
+            raise GeometryError(f"weights {vals!r} are not numbers in the float range") from None
 
     def as_tuple(self):
         return self.weights
@@ -570,44 +612,54 @@ class Components:
         return self.weights
 
 
-@dataclass(frozen=True)
-class PowerIncenter:
+class PowerIncenter(_Frozen):
     """Tetrahedron center with weights proportional to the n-th powers of the
     opposite-face areas.  n = 0 reduces to the centroid, n = 1 to the
     incenter; any finite real n is accepted."""
 
-    n: float
+    __match_args__ = ("n",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.n):
+    def __init__(self, n: float):
+        self.__dict__["n"] = n
+        try:
+            finite = math.isfinite(n)
+        except (TypeError, OverflowError):
+            raise GeometryError(f"power-incenter exponent {n!r} is not a number in the "
+                                "float range") from None
+        if not finite:
             raise GeometryError("power-incenter exponent must be finite")
 
     def __str__(self):
         return f"power:{self.n:g}"
 
 
-@dataclass(frozen=True)
-class IRVector3:
+class IRVector3(_Frozen):
     """Cevian ratios (lambda_ab, lambda_bc, lambda_ca) of one point.
 
-    Entries must be finite and nonzero, and their product must be 1 (the
-    concurrency condition for the three cevians).  Reciprocals give the
-    opposite-direction ratios, e.g. lambda_ba = 1/lambda_ab.
+    Entries must be finite and nonzero numbers in the float range, and their
+    product must be 1 (the concurrency condition for the three cevians).
+    Reciprocals give the opposite-direction ratios, e.g. lambda_ba =
+    1/lambda_ab.
     """
 
-    lambda_ab: float
-    lambda_bc: float
-    lambda_ca: float
+    __match_args__ = ("lambda_ab", "lambda_bc", "lambda_ca")
 
-    def __post_init__(self):
-        a, b, c = vals = self.as_tuple()
-        if not (a and b and c and math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-            name, v = next((name, v) for name, v in zip(self.__match_args__, vals)
-                           if not (v and math.isfinite(v)))
-            raise DegenerateDenominator(f"{name} = {v!r}: cevian ratio must be finite "
-                                        "and nonzero")
-        prod = a * b * c
-        if not _close(prod, 1.0):
+    def __init__(self, lambda_ab: float, lambda_bc: float, lambda_ca: float):
+        a, b, c = vals = lambda_ab, lambda_bc, lambda_ca
+        d = self.__dict__
+        d["lambda_ab"], d["lambda_bc"], d["lambda_ca"] = vals
+        try:
+            if not (a and b and c and math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+                name, v = next((name, v) for name, v in zip(self.__match_args__, vals)
+                               if not (v and math.isfinite(v)))
+                raise DegenerateDenominator(f"{name} = {v!r}: cevian ratio must be finite "
+                                            "and nonzero")
+            prod = a * b * c
+            close = _close(prod, 1.0)
+        except (TypeError, OverflowError):
+            raise GeometryError(f"cevian ratios {vals!r} are not numbers in the float "
+                                "range") from None
+        if not close:
             raise CevaViolation(f"ratio product {prod!r} != 1")
 
     def as_tuple(self):
@@ -902,11 +954,12 @@ def center_components(kind, shape) -> Components:
 _PAIRS = {n: tuple(combinations(range(n), 2)) for n in (3, 4)}
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    pair: tuple
-    squared_distance: float
-    distance: float
+class DistanceReport(_Frozen):
+    __match_args__ = ("pair", "squared_distance", "distance")
+
+    def __init__(self, pair: tuple, squared_distance: float, distance: float):
+        d = self.__dict__
+        d["pair"], d["squared_distance"], d["distance"] = pair, squared_distance, distance
 
 
 def _sqrt_clamped(sq: float, scale: float, grain: float = 0.0) -> float:
@@ -930,11 +983,15 @@ def pair_sum(weights, shape) -> tuple:
     """(ps(w), sum of |w_i * w_j * E_ij|) for a sequence of one weight per
     vertex of ``shape``; the second value is the scale any cancellation in
     the first is measured against."""
-    if len(weights) != shape._N:
-        raise GeometryError(f"{len(weights)} weights given for a shape with {shape._N} vertices")
-    terms = [weights[i] * weights[j] * e for i, j, e in shape._pair_entries]
-    scale = _magnitude_sum(terms, "a pair sum")
-    return math.fsum(terms), scale
+    try:
+        if len(weights) != shape._N:
+            raise GeometryError(f"{len(weights)} weights given for a shape with "
+                                f"{shape._N} vertices")
+        terms = [weights[i] * weights[j] * e for i, j, e in shape._pair_entries]
+        scale = _magnitude_sum(terms, "a pair sum")
+        return math.fsum(terms), scale
+    except (TypeError, OverflowError):
+        raise GeometryError(f"weights {weights!r} are not numbers in the float range") from None
 
 
 def _vertex_index(vertex: str, shape) -> int:

@@ -15,12 +15,12 @@ circumcenter are sqrt(R^2 - ps4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core_model import (
     TetraEdges,
     VERTICES,
+    _Frozen,
     _PAIRS,
     _crelle_product,
     dist_origin_to_center,
@@ -44,12 +44,15 @@ __all__ = [
     "transcribed_closed_forms4",
 ]
 
-@dataclass(frozen=True)
-class TetMetricsSummary:
-    volume: float
-    inradius: float
-    circumradius: float
-    crelle_residual: float
+
+class TetMetricsSummary(_Frozen):
+    __match_args__ = ("volume", "inradius", "circumradius", "crelle_residual")
+
+    def __init__(self, volume: float, inradius: float, circumradius: float,
+                 crelle_residual: float):
+        d = self.__dict__
+        d["volume"], d["inradius"], d["circumradius"] = volume, inradius, circumradius
+        d["crelle_residual"] = crelle_residual
 
 
 def volume(edges: TetraEdges) -> float:

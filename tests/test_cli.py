@@ -381,25 +381,37 @@ def test_coords_report_is_the_report_of_its_lengths(tmp_path, capsys, command, o
 
 
 def test_reports_import_neither_numpy_nor_the_oracle(tmp_path):
+    """A report process loads its own shape's modules only: no numpy, no
+    oracle, no harness, no dataclasses, and no module of the other shape.
+    Modules a bare interpreter already holds (site's imports) do not count."""
     f = tmp_path / "pts.json"
     f.write_text(json.dumps({"points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1]]}))
-    runs = [["tri", "--sides", "3", "4", "5", *FULL_TRI],
-            ["tet", "--edges", "3", "4", "5", "5", "6", "7", *FULL_TET,
-             "--point-dists", "3", "4", "4", "5"],
-            ["tet", "--coords", str(f), *FULL_TET]]
-    script = (
-        "import contextlib, io, sys\n"
-        "from cevian.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [main(argv) for argv in {runs!r}]\n"
-        "print(codes, sorted(m for m in ('numpy', 'multiprocessing', 'cevian.coord_oracle',\n"
-        "                                'cevian.verify') if m in sys.modules))\n"
-    )
+    (tmp_path / "tri.json").write_text(json.dumps({"points": [[0, 0], [3, 0], [0, 4]]}))
+    never = ("numpy", "multiprocessing", "dataclasses", "inspect", "cevian.coord_oracle",
+             "cevian.verify")
+    runs = {"tri": ([["tri", "--sides", "3", "4", "5", *FULL_TRI],
+                     ["tri", "--coords", str(tmp_path / "tri.json"), "--centers", "I"]],
+                    "cevian.tet_"),
+            "tet": ([["tet", "--edges", "3", "4", "5", "5", "6", "7", *FULL_TET,
+                      "--point-dists", "3", "4", "4", "5"],
+                     ["tet", "--coords", str(f), *FULL_TET]],
+                    "cevian.tri_")}
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                       timeout=120, env=env)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[0, 0, 0] []"
+    for shape, (argvs, other) in runs.items():
+        script = (
+            "import sys\n"
+            "bare = set(sys.modules)\n"
+            "import contextlib, io\n"
+            "from cevian.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            "loaded = set(sys.modules) - bare\n"
+            f"print(codes, sorted(m for m in loaded if m in {never!r} or m.startswith({other!r})))\n"
+        )
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           timeout=120, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[0, 0] []", shape
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -10,11 +9,14 @@ from hypothesis import example, given, reject, strategies as st
 from cevian.core_model import (
     CENTER_KINDS,
     CevaViolation,
+    CircumAux,
     Components,
     DegenerateDenominator,
+    DistanceReport,
     EDGES,
     FACES,
     FACE_INDICES,
+    FaceAreas,
     FaceTriangleInequalityViolated,
     GeometryError,
     IRVector3,
@@ -49,6 +51,7 @@ from cevian.core_model import (
     vertex_foot_ratios3,
     vertex_foot_ratios4,
 )
+from cevian.tet_metrics import TetMetricsSummary
 from cevian.tri_metrics import area_determinant, ict_altitudes, ict_areas, k_invariant
 
 FACE_OPPOSITE = {face: next(v for v in "ABCD" if v not in face) for face in FACES}
@@ -241,16 +244,16 @@ def test_squared_edge_matrix(shape):
     assert shape.E is e
     with pytest.raises(TypeError):
         e[0][1] = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'E'"):
         shape.E = e
 
 
 def test_edge_table_follows_the_length_order():
     # a tetrahedron's edge names its two vertices, a triangle's side the
     # vertex it is opposite
-    assert [f.name for f in dataclasses.fields(TetraEdges) if f.init] == [
+    assert list(TetraEdges.__match_args__) == [
         "abcd"[i] + "abcd"[j] for i, j in EDGES[4]]
-    assert [f.name for f in dataclasses.fields(TriangleSides)] == [
+    assert list(TriangleSides.__match_args__) == [
         "abc"[3 - i - j] for i, j in EDGES[3]]
 
 
@@ -282,7 +285,7 @@ def test_face_areas_bitwise_over_many_tetrahedra():
             assert fa.by_vertex[VERTICES.index(opp)] == area_determinant(_face_sides(edges, face))
 
 
-# every per-instance cache a shape can fill; none is a dataclass field
+# every per-instance cache a shape can fill; none is a field
 _CACHES = {3: ("E", "area", "_pair_entries", "_centers", "_circumradius"),
            4: ("E", "face_areas", "circum_aux", "_pair_entries", "_centers", "_circumradius",
                "_faces", "_feet")}
@@ -306,12 +309,75 @@ def test_filled_cache_keeps_value_semantics(edges):
     fresh = type(edges)(*edges.as_tuple())
     assert edges == fresh
     assert hash(edges) == hash(fresh) and repr(edges) == repr(fresh)
-    assert (copy := dataclasses.replace(edges)) == fresh
+    assert (copy := type(edges)(*edges.as_tuple())) == fresh
     assert not set(_CACHES[len(edges.E)]) & set(vars(copy))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         edges.ab = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         edges.volume_term = 1.0
+
+
+# the nine frozen value types, each built positionally and by keyword, with
+# the repr a frozen dataclass of the same fields prints
+VALUE_TYPES = [
+    (TriangleSides(3, 4, 5), TriangleSides(a=3, b=4, c=5),
+     "TriangleSides(a=3.0, b=4.0, c=5.0)"),
+    (TetraEdges(3, 4, 5, 5, 6, 7), TetraEdges(ab=3, ac=4, ad=5, bc=5, cd=6, db=7),
+     "TetraEdges(ab=3.0, ac=4.0, ad=5.0, bc=5.0, cd=6.0, db=7.0)"),
+    (FaceAreas((1.0, 2.0, 3.0, 4.0), 10.0), FaceAreas(by_vertex=(1.0, 2.0, 3.0, 4.0), s=10.0),
+     "FaceAreas(by_vertex=(1.0, 2.0, 3.0, 4.0), s=10.0)"),
+    (CircumAux((1.0, 2.0, 3.0, 4.0), 10.0), CircumAux(by_vertex=(1.0, 2.0, 3.0, 4.0), u=10.0),
+     "CircumAux(by_vertex=(1.0, 2.0, 3.0, 4.0), u=10.0)"),
+    (Components((1, 1, 2)), Components(weights=[1.0, 1.0, 2.0]),
+     "Components(weights=(0.25, 0.25, 0.5))"),
+    (PowerIncenter(2), PowerIncenter(n=2), "PowerIncenter(n=2)"),
+    (IRVector3(2.0, 0.5, 1.0), IRVector3(lambda_ab=2.0, lambda_bc=0.5, lambda_ca=1.0),
+     "IRVector3(lambda_ab=2.0, lambda_bc=0.5, lambda_ca=1.0)"),
+    (DistanceReport(("G", "I"), 4.0, 2.0),
+     DistanceReport(pair=("G", "I"), squared_distance=4.0, distance=2.0),
+     "DistanceReport(pair=('G', 'I'), squared_distance=4.0, distance=2.0)"),
+    (TetMetricsSummary(1.0, 0.25, 0.5, 0.0),
+     TetMetricsSummary(volume=1.0, inradius=0.25, circumradius=0.5, crelle_residual=0.0),
+     "TetMetricsSummary(volume=1.0, inradius=0.25, circumradius=0.5, crelle_residual=0.0)"),
+]
+
+
+@pytest.mark.parametrize("value, by_keyword, pinned", VALUE_TYPES,
+                         ids=[type(v).__name__ for v, _, _ in VALUE_TYPES])
+def test_value_types_keep_frozen_value_semantics(value, by_keyword, pinned):
+    cls = type(value)
+    fields = tuple(getattr(value, name) for name in cls.__match_args__)
+    assert type(by_keyword) is cls and by_keyword == value
+    rebuilt = cls(*fields)
+    if isinstance(rebuilt, (TriangleSides, TetraEdges)):  # compared with its caches filled
+        _fill_center_cache(rebuilt)
+        for name in ("area",) if cls is TriangleSides else ("face_areas", "circum_aux"):
+            getattr(rebuilt, name)
+    assert value == rebuilt and not value != rebuilt
+    # the hash of the field tuple, as a frozen dataclass hashes
+    assert hash(value) == hash(rebuilt) == hash(fields)
+    assert repr(value) == repr(rebuilt) == pinned
+    assert value.__eq__(fields) is NotImplemented and value != fields
+    for name in (*cls.__match_args__, "volume_term", "other"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, 1.0)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in cls.__match_args__) == fields
+    match value:
+        case cls(first):
+            assert first is fields[0]
+        case _:
+            pytest.fail(f"{cls.__name__} does not match on its first field")
+
+
+def test_value_types_with_equal_fields_but_other_classes_differ():
+    assert FaceAreas((1.0,) * 4, 4.0) != CircumAux((1.0,) * 4, 4.0)
+    match TET:
+        case TetraEdges(ab, ac, ad, bc, cd, db=7.0):
+            assert (ab, ac, ad, bc, cd) == (3.0, 4.0, 5.0, 5.0, 6.0)
+        case _:
+            pytest.fail("TetraEdges does not match on its six edges")
 
 
 def test_nonpositive_face_invariant_raises_on_every_access():
@@ -638,6 +704,27 @@ def test_pair_terms_that_overflow_raise_typed_errors():
                  lambda: pair_table({"P": far, "G": g}, huge)):
         with pytest.raises(GeometryError, match="a pair sum leaves the floating-point range"):
             call()
+
+
+# weights, ratios and exponents that are not numbers in the float range: a
+# typed error names the input, where abs(), isfinite() or a product used to
+# raise a bare TypeError or OverflowError
+@pytest.mark.parametrize("call, named", [
+    (lambda: Components(("a", 1, 1)), "weights ('a', 1, 1) "),
+    (lambda: Components([None, 1, 1]), "weights (None, 1, 1) "),
+    (lambda: IRVector3("x", 1, 1), "cevian ratios ('x', 1, 1) "),
+    (lambda: PowerIncenter("x"), "exponent 'x' "),
+    (lambda: pair_sum(("a", 1, 1), TRI), "weights ('a', 1, 1) "),
+    (lambda: Components((10 ** 400, 1, 1)), "are not numbers in the float range"),
+    (lambda: IRVector3(1, 10 ** 400, 1), "are not numbers in the float range"),
+    (lambda: PowerIncenter(10 ** 400), "is not a number in the float range"),
+    (lambda: pair_sum((1, 1, 10 ** 400), TRI), "are not numbers in the float range"),
+], ids=["Components-str", "Components-None", "IRVector3-str", "PowerIncenter-str",
+        "pair_sum-str", "Components-huge-int", "IRVector3-huge-int", "PowerIncenter-huge-int",
+        "pair_sum-huge-int"])
+def test_weights_ratios_and_exponents_that_are_not_numbers_raise_typed_errors(call, named):
+    with pytest.raises(GeometryError, match=re.escape(named)):
+        call()
 
 
 def _fill_center_cache(shape):
