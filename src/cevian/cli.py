@@ -33,6 +33,7 @@ from .core_model import (
     FORM_PAIRS,
     GeometryError,
     center_components,
+    circumradius,
     dist_between_centers,
     parse_center,
     validate_tetrahedron,
@@ -176,10 +177,10 @@ def cmd_tri(args) -> dict:
 
     if args.metrics:
         report["metrics"] = {
-            "area": tri_metrics.area_determinant(sides),
+            "area": sides.area,
             "k_invariant": tri_metrics.k_invariant(sides),
-            "circumradius": tri_metrics.circumradius(sides),
-            "inradius": tri_metrics.area_determinant(sides) / sides.semiperimeter,
+            "circumradius": circumradius(sides),
+            "inradius": sides.area / sides.semiperimeter,
             "excenter_segment_ratio": tri_centers.excenter_segment_ratio(sides),
             "euler": tri_centers.euler_relation(sides),
         }
@@ -224,7 +225,7 @@ def cmd_tet(args) -> dict:
             "circumradius": summary.circumradius,
             "crelle_residual": summary.crelle_residual,
             "circumradius_form_spread": (vals[-1] - vals[0]) / vals[-1],
-            "face_areas": tet_centers.face_areas(edges).as_dict(),
+            "face_areas": edges.face_areas.as_dict(),
         }
 
     if args.inequalities:

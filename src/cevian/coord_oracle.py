@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +40,8 @@ from .core_model import (
     TetraEdges,
     ThroughVertex,
     TriangleSides,
+    _cached,
+    _Frozen,
     canonical_face,
     parse_center,
 )
@@ -125,28 +125,29 @@ def _solve(matrix, rhs):
     return np.linalg.solve(m, np.asarray(rhs, dtype=float)[..., None])[..., 0]
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddedSimplex:
+class EmbeddedSimplex(_Frozen):
     """A triangle in the plane or a tetrahedron in space: ``vertices`` holds
     one row per vertex, A, B, C (, D), stored read-only.  Leading dimensions,
-    if any, stack simplices of one arity."""
+    if any, stack simplices of one arity.  Equality and hashing are by
+    identity, since arrays compare elementwise."""
 
-    vertices: np.ndarray
+    __match_args__ = ("vertices",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        verts = np.array(self.vertices, dtype=float)
+    def __init__(self, vertices):
+        verts = np.array(vertices, dtype=float)
         if verts.shape[-2:] not in ((3, 2), (4, 3)):
             raise GeometryError(
                 f"vertices of shape {verts.shape} embed neither triangles "
                 "(..., 3, 2) nor tetrahedra (..., 4, 3)")
         verts.setflags(write=False)
-        object.__setattr__(self, "vertices", verts)
+        self.__dict__["vertices"] = verts
 
     def face_vertices(self, face: str) -> np.ndarray:
         """A tetrahedron face's three vertices in its cyclic order."""
         return self.vertices[..., list(FACE_INDICES[canonical_face(face)][:3]), :]
 
-    @cached_property
+    @_cached
     def facets(self):
         """(normals, offsets, contents) of the facets, one row per facet,
         row i opposite vertex i: unit normals pointing into the simplex,

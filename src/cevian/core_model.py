@@ -58,8 +58,7 @@ __all__ = [
     "components_from_ir3",
     "ir_from_components3",
     "fractional_ratio_determinant",
-    "vertex_foot_ratios3",
-    "vertex_foot_ratios4",
+    "vertex_foot_ratios",
     "face_components_from_tetra",
     "tetra_components_from_face_pair",
     "shared_edge_residuals",
@@ -69,6 +68,8 @@ __all__ = [
     "dist_origin_to_center",
     "dist_vertex_to_center",
     "dist_vertex_to_foot",
+    "dist_from_circumcenter",
+    "circumradius",
     "pair_table",
     "pair_distances",
     "FORM_PAIRS",
@@ -232,7 +233,7 @@ class _Frozen:
 class _cached:
     """A cached attribute: the first read stores the method's value in the
     instance ``__dict__``, where every later read finds it before this
-    descriptor.  A raise stores nothing.  Unlike functools.cached_property
+    descriptor.  A raise stores nothing.  Unlike functools' cached property
     it takes no lock (Python < 3.12 locks every first read)."""
 
     def __init__(self, method):
@@ -295,8 +296,11 @@ class _Simplex(_Frozen):
 
     @_cached
     def _circumradius(self) -> float:
-        """R, which both shapes' circumradius functions read."""
-        return _build_circumradius(self)
+        """R, which circumradius reads: abc / (4 * area) for a triangle,
+        sqrt(Crelle / volume term) for a tetrahedron."""
+        if self._N == 3:
+            return self.a * self.b * self.c / (4.0 * self.area)
+        return math.sqrt(_crelle_product(self) / self.volume_term)
 
 
 class TriangleSides(_Simplex):
@@ -540,13 +544,6 @@ def _crelle_product(edges: TetraEdges) -> float:
     return q * (q - m1) * (q - m2) * (q - m3)
 
 
-def _build_circumradius(shape) -> float:
-    """R: abc / (4 * area) for a triangle, sqrt(Crelle / volume term) for a tetrahedron."""
-    if shape._N == 3:
-        return shape.a * shape.b * shape.c / (4.0 * shape.area)
-    return math.sqrt(_crelle_product(shape) / shape.volume_term)
-
-
 def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
     """Positivity, four face triangle inequalities, and the volume gate."""
     return TetraEdges(ab, ac, ad, bc, cd, db)
@@ -593,7 +590,10 @@ class Components(_Frozen):
     __match_args__ = ("weights",)
 
     def __init__(self, weights):
-        vals = tuple(weights)
+        try:
+            vals = tuple(weights)
+        except TypeError:
+            raise GeometryError(f"weights {weights!r} are not a sequence of numbers") from None
         if len(vals) not in (3, 4):
             raise GeometryError(f"components need 3 or 4 weights, got {len(vals)}")
         try:
@@ -720,31 +720,24 @@ def fractional_ratio_determinant(lam_al: float, lam_bm: float, lam_cn: float) ->
     return lam_al * lam_bm * lam_cn - (lam_al + lam_bm + lam_cn) - 2.0
 
 
-def vertex_foot_ratios3(c: Components) -> dict:
-    """Vertex-to-foot ratios along each cevian of the point with components c.
-
-    kappa_al = AP/AL = 1 - alpha_a (position of P along the full cevian);
-    lam_al = AP/PL = kappa/(1-kappa).  The three kappas always sum to 2.
+def vertex_foot_ratios(c: Components) -> dict:
+    """Vertex-to-foot ratios along the cevian from each vertex X through the
+    point with components c to its foot L on the opposite side or face:
+    kap_x = XP/XL = 1 - w_X (the point's position along the full cevian) and
+    lam_x = XP/PL = kap_x / w_X, keyed by the lowercase vertex letter.  The
+    kappas sum to n - 1 over the n vertices.  ZeroComponent when the point
+    lies on a facet, UnitComponent when it sits at a vertex.
     """
     out = {}
-    for key, alpha in zip(("al", "bm", "cn"), c.checked(3)):
-        if abs(alpha) <= ATOL:
-            raise ZeroComponent(f"component for cevian {key} ~ 0")
-        if _close(alpha, 1.0):
-            raise UnitComponent(f"component for cevian {key} ~ 1: point at the vertex")
-        kappa = 1.0 - alpha
-        out["kap_" + key] = kappa
-        out["lam_" + key] = kappa / alpha
-    return out
-
-
-def vertex_foot_ratios4(c: Components) -> dict:
-    """kappa_x = 1 - beta_x for each vertex; the four kappas sum to 3."""
-    out = {}
-    for key, beta in zip(("a", "b", "c", "d"), c.checked(4)):
-        if _close(beta, 1.0):
-            raise UnitComponent(f"beta_{key} ~ 1: point at vertex {key.upper()}")
-        out["kap_" + key] = 1.0 - beta
+    for v, w in zip(VERTICES, c.as_tuple()):
+        if abs(w) <= ATOL:
+            raise ZeroComponent(f"component of {v} ~ 0: the point lies on the facet "
+                                f"opposite {v}, vertex-to-foot ratios undefined")
+        if _close(w, 1.0):
+            raise UnitComponent(f"component of {v} ~ 1: point at the vertex")
+        kappa = 1.0 - w
+        out["kap_" + v.lower()] = kappa
+        out["lam_" + v.lower()] = kappa / w
     return out
 
 
@@ -1019,9 +1012,25 @@ def dist_origin_to_center(dists, comps, shape) -> float:
     Raises NegativeSquaredDistance when the given distances are not
     realizable by any spatial point.
     """
-    if not all(0.0 <= o < math.inf for o in dists):
-        raise GeometryError(f"vertex distances {tuple(dists)} must be finite and nonnegative")
+    try:
+        dists = tuple(dists)  # read once: an iterator would be spent by the check
+        valid = all(0.0 <= o < math.inf for o in dists)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise GeometryError(f"vertex distances {dists!r} must be finite and nonnegative numbers")
     return _origin_distance([o * o for o in dists], comps.checked(len(shape.E)), shape)
+
+
+def circumradius(shape) -> float:
+    """The circumradius R of a triangle or tetrahedron, cached on the shape."""
+    return shape._circumradius
+
+
+def dist_from_circumcenter(comps, shape) -> float:
+    """Distance from the circumcenter, the origin at distance R from every
+    vertex, to the point realizing ``comps``: QP^2 = R^2 - ps(comps)."""
+    return dist_origin_to_center((circumradius(shape),) * shape._N, comps, shape)
 
 
 def dist_vertex_to_center(vertex: str, comps, shape) -> float:

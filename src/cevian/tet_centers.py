@@ -42,7 +42,7 @@ TET_CENTER_KINDS = CENTER_KINDS[4]
 
 
 def face_areas(edges: TetraEdges) -> FaceAreas:
-    """The four face areas and their sum, built once per edge set."""
+    """The cached ``edges.face_areas``; kept for perfbench."""
     return edges.face_areas
 
 
@@ -66,7 +66,11 @@ def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
     order A, B, C, D (the one to the face's opposite vertex is not used).
     P may be anywhere in space; slots follow the face's cyclic vertex order.
     """
-    sq = [float(d) for d in sq_dists]
+    try:
+        sq = [float(d) for d in sq_dists]
+    except (TypeError, ValueError, OverflowError):
+        raise GeometryError(f"squared vertex distances {sq_dists!r} are not numbers "
+                            "in the float range") from None
     if len(sq) != 4:
         raise GeometryError(f"expected 4 squared vertex distances, got {len(sq)}")
     (v1, v2, v3, _), (e12, e23, e31), delta2f, eight_sq = edges._faces[canonical_face(face)]

@@ -1,5 +1,5 @@
-"""Edge-length-only tetrahedron metrics: volume, inradius, circumradius,
-center-pair distances, and inequality slacks.
+"""Edge-length-only tetrahedron metrics: volume, inradius, the three
+circumradius forms, center-pair distances, and inequality slacks.
 
 The distances come from the engine in core_model, the same one the triangle
 metrics use: with pair sum
@@ -23,7 +23,7 @@ from .core_model import (
     _Frozen,
     _PAIRS,
     _crelle_product,
-    dist_origin_to_center,
+    circumradius,
     gram_volume_term,
     pair_sum,
     pair_table,
@@ -34,11 +34,9 @@ __all__ = [
     "TetMetricsSummary",
     "volume",
     "inradius",
-    "circumradius",
     "circumradius_forms",
     "crelle_check",
     "metrics_summary",
-    "dist_circum4",
     "center_pair_table4",
     "tet_inequality_slacks",
     "transcribed_closed_forms4",
@@ -63,11 +61,6 @@ def volume(edges: TetraEdges) -> float:
 def inradius(edges: TetraEdges) -> float:
     """r = sqrt(t1 - t2 - t3) / (2*S) — equivalently 3V/S."""
     return math.sqrt(gram_volume_term(edges)) / (2.0 * edges.face_areas.s)
-
-
-def circumradius(edges: TetraEdges) -> float:
-    """R^2 = q*(q - AB*CD)*(q - BC*AD)*(q - CA*BD) / (t1 - t2 - t3), cached."""
-    return edges._circumradius
 
 
 def circumradius_forms(edges: TetraEdges) -> dict:
@@ -108,13 +101,6 @@ def metrics_summary(edges: TetraEdges) -> TetMetricsSummary:
         circumradius=circumradius(edges),
         crelle_residual=crelle_check(edges),
     )
-
-
-def dist_circum4(comps, edges: TetraEdges) -> float:
-    """Distance from the circumcenter, the origin at distance R from every
-    vertex: QP^2 = R^2 - ps4(beta)."""
-    r = circumradius(edges)
-    return dist_origin_to_center((r, r, r, r), comps, edges)
 
 
 def center_pair_table4(edges: TetraEdges) -> list:

@@ -1,7 +1,7 @@
 """Edge-length-only triangle metrics.
 
-The distances come from the engine in core_model and are re-exported here:
-for a point with components alpha, with the pair sum
+The distances come from the engine in core_model: for a point with
+components alpha, with the pair sum
 
     ps(alpha) = alpha_b*alpha_c*a^2 + alpha_c*alpha_a*b^2 + alpha_a*alpha_b*c^2,
 
@@ -22,10 +22,7 @@ from .core_model import (
     _dots,
     _k_invariant,
     _lengths,
-    dist_between_centers,
-    dist_origin_to_center,
-    dist_vertex_to_center,
-    dist_vertex_to_foot,
+    circumradius,
     pair_sum,
     pair_table,
 )
@@ -34,12 +31,6 @@ from .tri_centers import TRI_CENTER_KINDS, center_components
 __all__ = [
     "area_determinant",
     "k_invariant",
-    "circumradius",
-    "dist_origin_to_center",
-    "dist_between_centers",
-    "dist_vertex_to_center",
-    "dist_vertex_to_foot",
-    "dist_circumcenter_to_center",
     "center_pair_table",
     "ict_areas",
     "ict_altitudes",
@@ -59,21 +50,8 @@ def k_invariant(sides) -> float:
 
 
 def area_determinant(sides: TriangleSides) -> float:
-    """Triangle area as sqrt(K)/4, agreeing with Heron's formula; the
-    TriangleSides computes it once and caches it."""
+    """Triangle area sqrt(K)/4, the cached ``sides.area``; kept for perfbench."""
     return sides.area
-
-
-def circumradius(sides: TriangleSides) -> float:
-    """R = abc / (4 * Area), computed once per triangle and cached on it."""
-    return sides._circumradius
-
-
-def dist_circumcenter_to_center(comps, sides: TriangleSides) -> float:
-    """Distance from the circumcenter, the origin at distance R from every
-    vertex: QP^2 = R^2 - ps(alpha)."""
-    r = circumradius(sides)
-    return dist_origin_to_center((r, r, r), comps, sides)
 
 
 def center_pair_table(sides: TriangleSides) -> list:

@@ -39,6 +39,7 @@ from .core_model import (
     GeometryError,
     PowerIncenter,
     center_components,
+    circumradius,
     edge_polynomials,
     face_components_from_tetra,
     fractional_ratio_determinant,
@@ -46,7 +47,7 @@ from .core_model import (
     pair_table,
     validate_tetrahedron,
     validate_triangle,
-    vertex_foot_ratios3,
+    vertex_foot_ratios,
 )
 from . import coord_oracle as oracle
 from . import tri_centers, tri_metrics, tet_centers, tet_metrics
@@ -130,7 +131,7 @@ def _random_tetra(rng):
         edges = validate_tetrahedron(*lengths)
     except GeometryError:
         return None
-    fa = tet_centers.face_areas(edges)
+    fa = edges.face_areas
     if min(fa.opposite_sum(x) for x in range(4)) < 1e-3 * fa.s:
         return None
     return edges
@@ -278,19 +279,19 @@ def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
             suites["tri.identities"].check(
                 abs(ir.lambda_ab * ir.lambda_bc * ir.lambda_ca - 1.0), 1e-9, inst)
         try:
-            ratios = vertex_foot_ratios3(centers.comps[case]["I"])
+            ratios = vertex_foot_ratios(centers.comps[case]["I"])
         except GeometryError:
             pass
         else:
             suites["tri.identities"].check(
-                abs(ratios["kap_al"] + ratios["kap_bm"] + ratios["kap_cn"] - 2.0),
+                abs(ratios["kap_a"] + ratios["kap_b"] + ratios["kap_c"] - 2.0),
                 1e-9, inst)
             suites["tri.identities"].check(
-                abs(sum(1.0 / (1.0 + ratios[k]) for k in ("lam_al", "lam_bm", "lam_cn"))
+                abs(sum(1.0 / (1.0 + ratios[k]) for k in ("lam_a", "lam_b", "lam_c"))
                     - 1.0), 1e-9, inst)
             suites["tri.identities"].check(
                 abs(fractional_ratio_determinant(
-                    ratios["lam_al"], ratios["lam_bm"], ratios["lam_cn"])), 1e-9, inst)
+                    ratios["lam_a"], ratios["lam_b"], ratios["lam_c"])), 1e-9, inst)
         euler = tri_centers.euler_relation(sides)
         suites["tri.identities"].check(abs(euler["gh_over_gq"] + 2.0), 1e-9, inst)
         suites["tri.identities"].check(euler["collinearity_residual"], tol_len, inst)
@@ -360,7 +361,7 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
         # excenter checks get a condition allowance: E_X sits ~S/T^X edge
         # lengths out, so every fixed-precision path loses accuracy
         # proportionally
-        fa = tet_centers.face_areas(edges)
+        fa = edges.face_areas
         kappa = {f"E_{x}": max(1.0, fa.s / fa.opposite_sum(i)) for i, x in enumerate("ABCD")}
         dist, forms = _verify_shared(edges, centers, case, emax, 6, kappa, suites, rtol, atol)
         suites["tet.centers"].check(power_err[case], tol_len, inst)
@@ -380,7 +381,7 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
         r = tet_metrics.inradius(edges)
         suites["tet.metrics"].check(
             abs(r - min(abs(d) for d in incenter_dists[case])) / r, 1e-9, inst)
-        rr = tet_metrics.circumradius(edges)
+        rr = circumradius(edges)
         suites["tet.metrics"].check(abs(rr - rr_oracle[case]) / rr_oracle[case], 1e-9, inst)
         suites["tet.metrics"].check(tet_metrics.crelle_check(edges), 1e-9, inst)
         aux = edges.circum_aux

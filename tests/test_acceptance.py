@@ -19,12 +19,14 @@ from conftest import record
 from cevian.core_model import (
     FACES,
     PowerIncenter,
+    circumradius,
+    dist_between_centers,
+    dist_vertex_to_foot,
     face_components_from_tetra,
     fractional_ratio_determinant,
     validate_tetrahedron,
     validate_triangle,
-    vertex_foot_ratios3,
-    vertex_foot_ratios4,
+    vertex_foot_ratios,
 )
 from cevian import coord_oracle as oracle
 from cevian.verify import _circum_components_det, _random_tetra, _random_triangle
@@ -36,8 +38,6 @@ from cevian.tri_centers import (
 )
 from cevian.tri_metrics import (
     center_pair_table,
-    dist_between_centers,
-    dist_vertex_to_foot,
     inequality_slacks,
     transcribed_closed_forms,
 )
@@ -49,7 +49,6 @@ from cevian.tet_centers import (
 )
 from cevian.tet_metrics import (
     center_pair_table4,
-    circumradius,
     crelle_check,
     inradius,
     tet_inequality_slacks,
@@ -179,12 +178,12 @@ def test_criterion_4_identity_suite():
             ir = center_ir(kind, sides)
             worst = max(worst, abs(ir.lambda_ab * ir.lambda_bc * ir.lambda_ca
                                    - 1.0))
-        r = vertex_foot_ratios3(center_components("I", sides))
-        worst = max(worst, abs(r["kap_al"] + r["kap_bm"] + r["kap_cn"] - 2.0))
+        r = vertex_foot_ratios(center_components("I", sides))
+        worst = max(worst, abs(r["kap_a"] + r["kap_b"] + r["kap_c"] - 2.0))
         worst = max(worst, abs(sum(1.0 / (1.0 + r[k]) for k in
-                                   ("lam_al", "lam_bm", "lam_cn")) - 1.0))
+                                   ("lam_a", "lam_b", "lam_c")) - 1.0))
         worst = max(worst, abs(fractional_ratio_determinant(
-            r["lam_al"], r["lam_bm"], r["lam_cn"])))
+            r["lam_a"], r["lam_b"], r["lam_c"])))
         rng = np.random.default_rng([SEED, 5 * idx + 3])
         for _ in range(10):
             p0 = rng.uniform(-1.0, 2.0, size=2) * sides.perimeter
@@ -199,8 +198,8 @@ def test_criterion_4_identity_suite():
             break
     for edges, _, _ in tet_corpus()[:200]:
         for kind in ("G", "I", PowerIncenter(2)):
-            r4 = vertex_foot_ratios4(tet_center_components(kind, edges))
-            worst = max(worst, abs(sum(r4.values()) - 3.0))
+            r4 = vertex_foot_ratios(tet_center_components(kind, edges))
+            worst = max(worst, abs(sum(r4["kap_" + v] for v in "abcd") - 3.0))
     ok = worst <= 1e-9 and menelaus_checked >= N
     record(4, ok, f"ratio identities worst defect {worst:.2e} over "
                   f"{menelaus_checked} transversals")

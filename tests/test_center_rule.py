@@ -178,7 +178,8 @@ def test_full_reports_compute_each_vertex_foot_and_r_once(monkeypatch):
     tally = {"feet": 0, "R": 0}
     monkeypatch.setattr(tet_centers, "projection_components",
                         _counted(tally, "feet", tet_centers.projection_components))
-    monkeypatch.setattr(cm, "_build_circumradius", _counted(tally, "R", cm._build_circumradius))
+    r_cache = cm._Simplex._circumradius  # the cached attribute's descriptor
+    monkeypatch.setattr(r_cache, "method", _counted(tally, "R", r_cache.method))
 
     edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
     for kind in CENTER_KINDS[4] + (PowerIncenter(2.0),):
@@ -188,7 +189,7 @@ def test_full_reports_compute_each_vertex_foot_and_r_once(monkeypatch):
     tet_metrics.circumradius_forms(edges)
     tet_metrics.tet_inequality_slacks(edges)
     tet_metrics.transcribed_closed_forms4(edges)
-    tet_metrics.dist_circum4(center_components("I", edges), edges)
+    cm.dist_from_circumcenter(center_components("I", edges), edges)
     for face in FACES:
         tet_centers.vertex_projection_components(edges, face)
         for kind in "QGI":
@@ -201,7 +202,7 @@ def test_full_reports_compute_each_vertex_foot_and_r_once(monkeypatch):
     tri_metrics.transcribed_closed_forms(sides)
     tri_metrics.inequality_slacks(sides)
     tri_metrics.circumradius(sides)
-    tri_metrics.dist_circumcenter_to_center(center_components("I", sides), sides)
+    cm.dist_from_circumcenter(center_components("I", sides), sides)
     tri_centers.euler_relation(sides)
     assert tally == {"feet": 0, "R": 1}
 

@@ -29,9 +29,11 @@ from cevian.core_model import (
     TetraEdges,
     TriangleSides,
     VERTICES,
+    ZeroComponent,
     _close,
     _sqrt_clamped,
     center_components,
+    circumradius,
     components_from_ir3,
     dist_between_centers,
     dist_origin_to_center,
@@ -48,9 +50,9 @@ from cevian.core_model import (
     tetra_components_from_face_pair,
     validate_tetrahedron,
     validate_triangle,
-    vertex_foot_ratios3,
-    vertex_foot_ratios4,
+    vertex_foot_ratios,
 )
+from cevian.tet_centers import projection_components
 from cevian.tet_metrics import TetMetricsSummary
 from cevian.tri_metrics import area_determinant, ict_altitudes, ict_areas, k_invariant
 
@@ -299,11 +301,8 @@ def test_filled_cache_keeps_value_semantics(edges):
     dist_between_centers(*list(vars(edges)["_centers"].values())[:2], edges)
     if len(edges.E) == 4:
         from cevian.tet_centers import vertex_projection_components
-        from cevian.tet_metrics import circumradius
         for face in FACES:
             vertex_projection_components(edges, face)
-    else:
-        from cevian.tri_metrics import circumradius
     circumradius(edges)
     assert set(_CACHES[len(edges.E)]) <= set(vars(edges))
     fresh = type(edges)(*edges.as_tuple())
@@ -462,12 +461,12 @@ def test_foot_ratio_identities(raw):
     fractions sum to 1, and the three fractional ratios satisfy the
     product-minus-sum determinant identity."""
     c = Components(raw)
-    r = vertex_foot_ratios3(c)
-    assert r["kap_al"] + r["kap_bm"] + r["kap_cn"] == pytest.approx(2.0)
-    rec = sum(1.0 / (1.0 + r[k]) for k in ("lam_al", "lam_bm", "lam_cn"))
+    r = vertex_foot_ratios(c)
+    assert r["kap_a"] + r["kap_b"] + r["kap_c"] == pytest.approx(2.0)
+    rec = sum(1.0 / (1.0 + r[k]) for k in ("lam_a", "lam_b", "lam_c"))
     assert rec == pytest.approx(1.0)
     assert fractional_ratio_determinant(
-        r["lam_al"], r["lam_bm"], r["lam_cn"]) == pytest.approx(0.0, abs=1e-9)
+        r["lam_a"], r["lam_b"], r["lam_c"]) == pytest.approx(0.0, abs=1e-9)
 
 
 simplex4 = st.tuples(
@@ -480,8 +479,14 @@ simplex4 = st.tuples(
 
 @given(simplex4)
 def test_foot_ratio_sum_tetra(raw):
-    r = vertex_foot_ratios4(Components(raw))
-    assert sum(r.values()) == pytest.approx(3.0)
+    r = vertex_foot_ratios(Components(raw))
+    assert sum(r["kap_" + v] for v in "abcd") == pytest.approx(3.0)
+
+
+def test_foot_ratios_of_a_point_on_a_face_plane_raise_zero_component():
+    # beta_a = 0: the point lies on face BCD, where AP/PL is unbounded
+    with pytest.raises(ZeroComponent, match="component of A ~ 0"):
+        vertex_foot_ratios(Components((0.0, 0.2, 0.3, 0.5)))
 
 
 # ------------------------------------------------------- face decompositions
@@ -584,8 +589,6 @@ def test_components_need_three_or_four_weights(weights):
     pytest.param(lambda: ict_altitudes(C4, TRI), id="ict_altitudes"),
     pytest.param(lambda: tetra_components_from_face_pair(C4, C3), id="face_pair_first"),
     pytest.param(lambda: tetra_components_from_face_pair(C3, C4), id="face_pair_second"),
-    pytest.param(lambda: vertex_foot_ratios3(C4), id="vertex_foot_ratios3"),
-    pytest.param(lambda: vertex_foot_ratios4(C3), id="vertex_foot_ratios4"),
     pytest.param(lambda: shared_edge_residuals({f: C4 for f in FACES}),
                  id="shared_edge_residuals"),
 ])
@@ -706,9 +709,9 @@ def test_pair_terms_that_overflow_raise_typed_errors():
             call()
 
 
-# weights, ratios and exponents that are not numbers in the float range: a
-# typed error names the input, where abs(), isfinite() or a product used to
-# raise a bare TypeError or OverflowError
+# weights, ratios, exponents and distances that are not numbers in the float
+# range: a typed error names the input, where abs(), isfinite(), a product,
+# a comparison or float() used to raise a bare TypeError or ValueError
 @pytest.mark.parametrize("call, named", [
     (lambda: Components(("a", 1, 1)), "weights ('a', 1, 1) "),
     (lambda: Components([None, 1, 1]), "weights (None, 1, 1) "),
@@ -719,9 +722,14 @@ def test_pair_terms_that_overflow_raise_typed_errors():
     (lambda: IRVector3(1, 10 ** 400, 1), "are not numbers in the float range"),
     (lambda: PowerIncenter(10 ** 400), "is not a number in the float range"),
     (lambda: pair_sum((1, 1, 10 ** 400), TRI), "are not numbers in the float range"),
+    (lambda: Components(5), "weights 5 "),
+    (lambda: dist_origin_to_center(("a", 1, 1), C3, TRI), "vertex distances ('a', 1, 1) "),
+    (lambda: projection_components(TET, ["a", 1, 1, 1], "ABC"),
+     "squared vertex distances ['a', 1, 1, 1] "),
 ], ids=["Components-str", "Components-None", "IRVector3-str", "PowerIncenter-str",
         "pair_sum-str", "Components-huge-int", "IRVector3-huge-int", "PowerIncenter-huge-int",
-        "pair_sum-huge-int"])
+        "pair_sum-huge-int", "Components-int", "dist_origin_to_center-str",
+        "projection_components-str"])
 def test_weights_ratios_and_exponents_that_are_not_numbers_raise_typed_errors(call, named):
     with pytest.raises(GeometryError, match=re.escape(named)):
         call()

@@ -1,0 +1,87 @@
+"""The package's public surface: every name a module's __all__ lists
+resolves, every name the benchmark in perfbench/ reads from the package
+exists, and the certification harness loads no second value-type
+mechanism."""
+
+import ast
+import importlib
+import importlib.util
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+# the modules that declare a public surface
+MODULES = sorted(p.stem for p in (SRC / "cevian").glob("*.py") if "\n__all__ = " in p.read_text())
+BENCH_FILES = sorted(p.name for p in (ROOT / "perfbench").glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_star_import_resolves_every_all_entry(module):
+    namespace = {}
+    exec(f"from cevian.{module} import *", namespace)
+    assert set(importlib.import_module(f"cevian.{module}").__all__) <= set(namespace)
+
+
+def _module_named(name):
+    """The cevian module ``name`` names, or None when it names no module."""
+    try:
+        spec = importlib.util.find_spec(name)
+    except ModuleNotFoundError:
+        return None
+    return None if spec is None else importlib.import_module(name)
+
+
+def missing_package_names(source: str) -> list:
+    """The names ``source`` imports from a cevian module, or reads as an
+    attribute of a name bound to one, that the module does not have."""
+    tree = ast.parse(source)
+    bound, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "cevian":
+                    head = a.name if a.asname else a.name.split(".")[0]
+                    bound[a.asname or head] = importlib.import_module(head)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cevian":
+            owner = importlib.import_module(node.module)
+            for a in node.names:
+                sub = _module_named(f"{node.module}.{a.name}")
+                if sub is not None:
+                    bound[a.asname or a.name] = sub
+                elif not hasattr(owner, a.name):
+                    missing.append(f"{node.module}.{a.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and not hasattr(bound[node.value.id], node.attr)):
+            missing.append(f"{bound[node.value.id].__name__}.{node.attr}")
+    return missing
+
+
+@pytest.mark.parametrize("name", BENCH_FILES)
+def test_benchmark_reads_only_names_the_package_has(name):
+    assert missing_package_names((ROOT / "perfbench" / name).read_text()) == []
+
+
+def test_the_contract_check_sees_missing_names():
+    source = ("from cevian.core_model import GeometryError, no_such_rule\n"
+              "from cevian import tri_metrics, coord_oracle as oracle\n"
+              "import cevian.cli\n"
+              "def f():\n"
+              "    tri_metrics.center_pair_table, tri_metrics.gone\n"
+              "    oracle.definitional_center, oracle.gone, cevian.cli.main\n")
+    assert missing_package_names(source) == ["cevian.core_model.no_such_rule",
+                                             "cevian.tri_metrics.gone",
+                                             "cevian.coord_oracle.gone"]
+
+
+def test_the_harness_loads_no_dataclasses():
+    script = "import sys, cevian.verify; print('dataclasses' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -8,7 +8,9 @@ from cevian.core_model import (
     Components,
     GeometryError,
     PowerIncenter,
+    circumradius,
     dist_between_centers,
+    dist_from_circumcenter,
     dist_vertex_to_center,
     dist_vertex_to_foot,
     validate_tetrahedron,
@@ -17,10 +19,8 @@ from cevian import coord_oracle as oracle
 from cevian.tet_centers import TET_CENTER_KINDS, face_areas, tet_center_components
 from cevian.tet_metrics import (
     center_pair_table4,
-    circumradius,
     circumradius_forms,
     crelle_check,
-    dist_circum4,
     inradius,
     metrics_summary,
     tet_inequality_slacks,
@@ -120,7 +120,7 @@ def test_foot_distances_complement_vertex_distances():
 def test_circum_distance_engine_agreement():
     i = tet_center_components("I", IRREGULAR)
     q = tet_center_components("Q", IRREGULAR)
-    assert dist_circum4(i, IRREGULAR) == pytest.approx(
+    assert dist_from_circumcenter(i, IRREGULAR) == pytest.approx(
         dist_between_centers(q, i, IRREGULAR), rel=1e-11)
 
 
@@ -205,4 +205,4 @@ def test_circumcenter_weights_match_determinant_route():
 
 def test_mismatched_arity_is_a_typed_error():
     with pytest.raises(GeometryError):
-        dist_circum4(Components((0.2, 0.3, 0.5)), IRREGULAR)
+        dist_from_circumcenter(Components((0.2, 0.3, 0.5)), IRREGULAR)

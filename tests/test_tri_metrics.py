@@ -8,6 +8,12 @@ from cevian.core_model import (
     Components,
     GeometryError,
     UnitComponent,
+    circumradius,
+    dist_between_centers,
+    dist_from_circumcenter,
+    dist_origin_to_center,
+    dist_vertex_to_center,
+    dist_vertex_to_foot,
     validate_triangle,
 )
 from cevian import coord_oracle as oracle
@@ -15,12 +21,6 @@ from cevian.tri_centers import TRI_CENTER_KINDS, center_components
 from cevian.tri_metrics import (
     area_determinant,
     center_pair_table,
-    circumradius,
-    dist_between_centers,
-    dist_circumcenter_to_center,
-    dist_origin_to_center,
-    dist_vertex_to_center,
-    dist_vertex_to_foot,
     ict_altitudes,
     ict_areas,
     inequality_slacks,
@@ -71,7 +71,7 @@ def test_foot_undefined_when_component_is_one():
 
 def test_circumcenter_distance_agrees_with_pair_engine():
     comps = {k: center_components(k, R345) for k in ("Q", "I")}
-    direct = dist_circumcenter_to_center(comps["I"], R345)
+    direct = dist_from_circumcenter(comps["I"], R345)
     via_pair = dist_between_centers(comps["Q"], comps["I"], R345)
     assert direct == pytest.approx(via_pair, rel=1e-12)
 
@@ -81,6 +81,8 @@ def test_origin_form_matches_vertex_form():
     # origin at vertex A: distances to (A, B, C) are (0, c, b)
     d = dist_origin_to_center((0.0, 5.0, 4.0), i, R345)
     assert d == pytest.approx(dist_vertex_to_center("A", i, R345), rel=1e-12)
+    # any iterable of distances, read once
+    assert dist_origin_to_center(iter([0.0, 5.0, 4.0]), i, R345) == d
 
 
 def test_pair_table_covers_all_21_pairs_and_matches_oracle():
@@ -182,4 +184,4 @@ def test_pair_table_on_equilateral_triangles():
 
 def test_mismatched_arity_is_a_typed_error():
     with pytest.raises(GeometryError):
-        dist_circumcenter_to_center(Components((0.1, 0.2, 0.3, 0.4)), R345)
+        dist_from_circumcenter(Components((0.1, 0.2, 0.3, 0.4)), R345)
