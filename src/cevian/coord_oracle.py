@@ -314,31 +314,61 @@ def facet_distances(emb: EmbeddedSimplex, point) -> np.ndarray:
     return _rowdot(normals, np.asarray(point, dtype=float)[..., None, :]) - offsets
 
 
+# the checks a transversal can fail, in the order they are made: a zero
+# direction, then for each side line AB, BC, CA in turn, parallel to it and
+# through one of its ends; _transversals' fault codes index this tuple
+_TRANSVERSAL_FAULTS = (
+    None,
+    (GeometryError, "line direction must be nonzero"),
+    (ParallelSide, "transversal is parallel to a side line"),
+    (ThroughVertex, "transversal passes through a vertex"),
+)
+_FAULT_ORDER = np.array([1, 2, 3, 2, 3, 2, 3])
+
+
+def _transversals(vertices, points, dirs):
+    """For each triangle of ``vertices`` (..., 3, 2) and its line through
+    ``points`` (..., 2) along ``dirs`` (..., 2): the product of the three
+    signed section ratios the line cuts on the side lines AB, BC, CA, and
+    the code of the first check it fails (0 for an admissible line, whose
+    product is -1 up to rounding).  A row's product is meaningless where its code is not 0.
+    Each row rounds as it would alone: its norms as np.linalg.norm's and
+    each side's 2x2 system by LAPACK, with rows too close to parallel for a
+    solve swapped for the identity, so no singular system stops the stack."""
+    edges = np.roll(vertices, -1, axis=-2) - vertices    # AB, BC, CA
+    lengths = _norm(edges)
+    dir_norm = _norm(dirs)
+    # p + t (q - p) = p0 + s d, in the columns q - p and -d
+    m = np.stack([edges, np.broadcast_to(-dirs[..., None, :], edges.shape)], axis=-1)
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    parallel = np.abs(det) <= 1e-14 * lengths * dir_norm[..., None]
+    m[parallel] = np.eye(2)
+    t = np.linalg.solve(m, (points[..., None, :] - vertices)[..., None])[..., 0, 0]
+    scale = np.maximum(1.0, np.maximum(lengths[..., 0], lengths[..., 1]))
+    vertex = np.minimum(np.abs(t), np.abs(1.0 - t)) <= 1e-12 * scale[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = t / (1.0 - t)
+        product = ratios[..., 0] * ratios[..., 1] * ratios[..., 2]
+    failed = np.concatenate([(dir_norm == 0.0)[..., None],
+                             np.stack([parallel, vertex], axis=-1).reshape(t.shape[:-1] + (6,))],
+                            axis=-1)
+    return product, np.where(failed.any(axis=-1), _FAULT_ORDER[failed.argmax(axis=-1)], 0)
+
+
 def menelaus_product(tri: EmbeddedSimplex, line_point, line_dir) -> float:
     """Product of the three signed section ratios a transversal line cuts on
     the side lines AB, BC, CA of one triangle.  Equals -1 for every
-    admissible line."""
+    admissible line; raises the error of the first check an inadmissible
+    line fails."""
     if tri.vertices.shape != (3, 2):
         raise GeometryError(f"the Menelaus product needs one triangle, not "
                             f"vertices of shape {tri.vertices.shape}")
-    p0 = np.asarray(line_point, dtype=float)
-    d = np.asarray(line_dir, dtype=float)
-    if np.linalg.norm(d) == 0.0:
-        raise GeometryError("line direction must be nonzero")
-    pa, pb, pc = tri.vertices
-    product = 1.0
-    scale = max(np.linalg.norm(pb - pa), np.linalg.norm(pc - pb))
-    for p, q in ((pa, pb), (pb, pc), (pc, pa)):
-        # p + t (q - p) = p0 + s d
-        m = np.column_stack([q - p, -d])
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) <= 1e-14 * np.linalg.norm(q - p) * np.linalg.norm(d):
-            raise ParallelSide("transversal is parallel to a side line")
-        t = np.linalg.solve(m, p0 - p)[0]
-        if min(abs(t), abs(1.0 - t)) <= 1e-12 * max(1.0, scale):
-            raise ThroughVertex("transversal passes through a vertex")
-        product *= t / (1.0 - t)
-    return product
+    product, fault = _transversals(tri.vertices, np.asarray(line_point, dtype=float),
+                                   np.asarray(line_dir, dtype=float))
+    if fault:
+        error, message = _TRANSVERSAL_FAULTS[fault]
+        raise error(message)
+    return float(product)
 
 
 def projection_foot_oracle(tet: EmbeddedSimplex, point, face: str) -> np.ndarray:

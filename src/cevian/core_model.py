@@ -916,14 +916,23 @@ def _build_center(k, shape, n: int) -> Components:
     return Components((-1.0 if i == x else 1.0) * c for i, c in enumerate(contents))
 
 
+def _not_a_shape(shape) -> GeometryError:
+    """The error for a shape argument that is neither a TriangleSides nor a
+    TetraEdges; callers raise it where reading the shape failed."""
+    return GeometryError(f"shape {shape!r} is neither a TriangleSides nor a TetraEdges")
+
+
 def center_components(kind, shape) -> Components:
     """Components (weights summing to 1) of a center, named as parse_center
     reads it, of a triangle or tetrahedron (the arity comes from
     ``shape.E``).  They are built on the first request and cached on the
     shape, so the same kind on the same shape is the same object; a raise is
     not cached."""
-    n = len(shape.E)
-    cache = shape._centers
+    try:
+        n = len(shape.E)
+        cache = shape._centers
+    except AttributeError:
+        raise _not_a_shape(shape) from None
     k = kind if isinstance(kind, str) and kind in cache else parse_center(kind, n)
     if k not in cache:
         cache[k] = _build_center(k, shape, n)
@@ -977,9 +986,13 @@ def pair_sum(weights, shape) -> tuple:
     vertex of ``shape``; the second value is the scale any cancellation in
     the first is measured against."""
     try:
-        if len(weights) != shape._N:
+        n = shape._N
+    except AttributeError:
+        raise _not_a_shape(shape) from None
+    try:
+        if len(weights) != n:
             raise GeometryError(f"{len(weights)} weights given for a shape with "
-                                f"{shape._N} vertices")
+                                f"{n} vertices")
         terms = [weights[i] * weights[j] * e for i, j, e in shape._pair_entries]
         scale = _magnitude_sum(terms, "a pair sum")
         return math.fsum(terms), scale
@@ -989,7 +1002,11 @@ def pair_sum(weights, shape) -> tuple:
 
 def _vertex_index(vertex: str, shape) -> int:
     key = str(vertex).upper()
-    if key not in VERTICES[:len(shape.E)]:
+    try:
+        n = shape._N
+    except AttributeError:
+        raise _not_a_shape(shape) from None
+    if key not in VERTICES[:n]:
         raise GeometryError(f"unknown vertex {vertex!r}")
     return VERTICES.index(key)
 
@@ -1019,12 +1036,19 @@ def dist_origin_to_center(dists, comps, shape) -> float:
         valid = False
     if not valid:
         raise GeometryError(f"vertex distances {dists!r} must be finite and nonnegative numbers")
-    return _origin_distance([o * o for o in dists], comps.checked(len(shape.E)), shape)
+    try:
+        n = shape._N
+    except AttributeError:
+        raise _not_a_shape(shape) from None
+    return _origin_distance([o * o for o in dists], comps.checked(n), shape)
 
 
 def circumradius(shape) -> float:
     """The circumradius R of a triangle or tetrahedron, cached on the shape."""
-    return shape._circumradius
+    try:
+        return shape._circumradius
+    except AttributeError:
+        raise _not_a_shape(shape) from None
 
 
 def dist_from_circumcenter(comps, shape) -> float:
@@ -1035,8 +1059,8 @@ def dist_from_circumcenter(comps, shape) -> float:
 
 def dist_vertex_to_center(vertex: str, comps, shape) -> float:
     """Distance from a vertex ("A", "B", ...) to the point realizing ``comps``."""
-    return _origin_distance(shape.E[_vertex_index(vertex, shape)],
-                            comps.checked(len(shape.E)), shape)
+    i = _vertex_index(vertex, shape)
+    return _origin_distance(shape.E[i], comps.checked(shape._N), shape)
 
 
 def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
@@ -1066,13 +1090,21 @@ def _pair_distance(w1, w2, shape) -> float:
 
 def dist_between_centers(c1, c2, shape) -> float:
     """Distance between the points realizing two component vectors."""
-    return _pair_distance(c1.checked(shape._N), c2.checked(shape._N), shape)
+    try:
+        n = shape._N
+    except AttributeError:
+        raise _not_a_shape(shape) from None
+    return _pair_distance(c1.checked(n), c2.checked(n), shape)
 
 
 def pair_table(comps: dict, shape) -> list:
     """A DistanceReport for every unordered pair of the named component
     vectors, in the mapping's order (21 pairs for seven centers)."""
-    w = {k: c.checked(shape._N) for k, c in comps.items()}
+    try:
+        n = shape._N
+    except AttributeError:
+        raise _not_a_shape(shape) from None
+    w = {k: c.checked(n) for k, c in comps.items()}
     return [DistanceReport((k1, k2), d * d, d) for k1, k2 in combinations(w, 2)
             for d in (_pair_distance(w[k1], w[k2], shape),)]
 

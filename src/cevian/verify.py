@@ -40,7 +40,6 @@ from .core_model import (
     PowerIncenter,
     center_components,
     circumradius,
-    edge_polynomials,
     face_components_from_tetra,
     fractional_ratio_determinant,
     pair_distances,
@@ -116,6 +115,10 @@ def _random_triangle(rng):
     return None
 
 
+# the tetrahedron's edges in EDGES[4] order: their first ends, then their second
+_EDGE_ENDS = np.array(EDGES[4]).T
+
+
 def _random_tetra(rng):
     """Distances among four uniform points in the unit cube (always
     realizable); returns None for near-flat instances and for instances
@@ -123,13 +126,13 @@ def _random_tetra(rng):
     total surface (the corresponding excenter recedes toward infinity and no
     fixed relative tolerance is certifiable there)."""
     pts = rng.uniform(0.0, 1.0, size=(4, 3))
-    lengths = tuple(float(np.linalg.norm(pts[i] - pts[j])) for i, j in EDGES[4])
-    polys = edge_polynomials(lengths)
-    if polys["t1"] - polys["t2"] - polys["t3"] < 1e-6 * polys["delta2"] ** 3:
-        return None
     try:
-        edges = validate_tetrahedron(*lengths)
+        edges = validate_tetrahedron(*oracle.distance(*pts[_EDGE_ENDS]).tolist())
     except GeometryError:
+        return None
+    e = edges.E
+    delta2 = 0.5 * sum(e[i][j] for i, j in EDGES[4])
+    if edges.volume_term < 1e-6 * delta2 ** 3:
         return None
     fa = edges.face_areas
     if min(fa.opposite_sum(x) for x in range(4)) < 1e-3 * fa.s:
@@ -255,16 +258,43 @@ def _verify_shared(shape, centers, case, scale, degree, allowance, suites, rtol,
     return dist, forms
 
 
+def _menelaus_products(shapes, rngs, emb) -> list:
+    """Each case's Menelaus product, or None: a case draws transversal lines
+    from its own generator until one is admissible, at most 8.  Round r
+    draws the next line of every case still pending, in case order, and one
+    stacked oracle call answers them all; as no other draw follows a case's
+    lines, each case draws exactly the lines it would draw alone."""
+    products = [None] * len(shapes)
+    pending = list(range(len(shapes)))
+    for _ in range(8):
+        if not pending:
+            break
+        points, dirs = [], []
+        for case in pending:
+            rng = rngs[case]
+            points.append(rng.uniform(-1.0, 2.0, size=2) * shapes[case].perimeter)
+            ang = rng.uniform(0.0, math.pi)
+            dirs.append((math.cos(ang), math.sin(ang)))
+        prods, faults = oracle._transversals(emb.vertices[pending], np.array(points),
+                                             np.array(dirs))
+        faults = faults.tolist()
+        for case, prod, fault in zip(pending, prods.tolist(), faults):
+            if not fault:
+                products[case] = prod
+        pending = [case for case, fault in zip(pending, faults) if fault]
+    return products
+
+
 def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
     kinds = CENTER_KINDS[3]
-    embs = [oracle.embed_triangle(s) for s in shapes]
-    emb = _stacked(embs)
+    emb = _stacked([oracle.embed_triangle(s) for s in shapes])
     centers = _BlockCenters(shapes, emb)
     frame = {k: oracle.frame_equation_residual(emb, centers.weights[k],
                                                centers.points[k]).tolist()
              for k in kinds}
+    products = _menelaus_products(shapes, rngs, emb)
 
-    for case, (sides, rng, tri) in enumerate(zip(shapes, rngs, embs)):
+    for case, sides in enumerate(shapes):
         inst = sides.as_tuple()
         perim = sides.perimeter
         tol_len = atol + rtol * perim
@@ -295,18 +325,9 @@ def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
         euler = tri_centers.euler_relation(sides)
         suites["tri.identities"].check(abs(euler["gh_over_gq"] + 2.0), 1e-9, inst)
         suites["tri.identities"].check(euler["collinearity_residual"], tol_len, inst)
-        # how many lines this draws depends on the oracle's answers, so it
-        # stays case by case
-        for _ in range(8):
-            p0 = rng.uniform(-1.0, 2.0, size=2) * perim
-            ang = rng.uniform(0.0, math.pi)
-            try:
-                prod = oracle.menelaus_product(tri, p0, np.array([math.cos(ang),
-                                                                  math.sin(ang)]))
-            except GeometryError:
-                continue
-            suites["tri.identities"].check(abs(prod + 1.0), 1e-9, inst)
-            break
+        # the product of the case's first admissible transversal, if any
+        if products[case] is not None:
+            suites["tri.identities"].check(abs(products[case] + 1.0), 1e-9, inst)
 
 
 # the points the projection checks drop onto every face: a random point in

@@ -7,6 +7,7 @@ import pytest
 
 from cevian.core_model import (
     CENTER_KINDS,
+    EDGES,
     FACES,
     FACE_INDICES,
     VERTICES,
@@ -367,6 +368,100 @@ def test_stack_matches_each_simplex_bitwise(arity):
             assert _bits(oracle.point_on_face(stack, face, feet)) == _bits(
                 [sum(w * v for w, v in zip(c, e.face_vertices(face)))
                  for e, c in zip(embs, feet)])
+
+
+def _transversal_alone(verts, p0, d):
+    """One transversal solved on its own, row by row with np.linalg.norm,
+    np.column_stack and np.linalg.solve: (its Menelaus product, None) or
+    (None, the class of the error for the first check it fails)."""
+    pa, pb, pc = verts
+    if np.linalg.norm(d) == 0.0:
+        return None, GeometryError
+    product = 1.0
+    scale = max(np.linalg.norm(pb - pa), np.linalg.norm(pc - pb))
+    for p, q in ((pa, pb), (pb, pc), (pc, pa)):
+        m = np.column_stack([q - p, -d])
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if abs(det) <= 1e-14 * np.linalg.norm(q - p) * np.linalg.norm(d):
+            return None, ParallelSide
+        t = np.linalg.solve(m, p0 - p)[0]
+        if min(abs(t), abs(1.0 - t)) <= 1e-12 * max(1.0, scale):
+            return None, ThroughVertex
+        product *= t / (1.0 - t)
+    return product, None
+
+
+def _on_vertex_guard(verts, d):
+    """Points on side AB next to A (at the origin) whose line along ``d``
+    cuts AB at t exactly on the vertex guard's threshold, and at the next
+    float above it; there one ulp of the longest side's norm decides the
+    verdict."""
+    pa, pb, pc = verts
+    threshold = 1e-12 * max(1.0, max(np.linalg.norm(pb - pa), np.linalg.norm(pc - pb)))
+    m = np.column_stack([pb - pa, -d])
+    points = []
+    for target in (threshold, np.nextafter(threshold, np.inf)):
+        x = target * pb[0]
+        for _ in range(64):
+            t = np.linalg.solve(m, np.array([x, 0.0]))[0]
+            if t == target:
+                points.append(np.array([x, 0.0]))
+                break
+            x = np.nextafter(x, np.inf if t < target else -np.inf)
+    return points
+
+
+def test_stacked_transversals_match_each_line_alone_bitwise():
+    rng = np.random.default_rng(2024)
+    verts, points, dirs = [], [], []
+    on_guard = 0
+    for sides in _verify_shapes(_random_triangle, 0, 300):
+        # sides up to 3, so the guard's scale is often the norm of BC
+        tri = oracle.embed_triangle(validate_triangle(*(3.0 * x for x in sides.as_tuple())))
+        perim = 3.0 * sides.perimeter
+        lines = []
+        ang = rng.uniform(0.0, math.pi)
+        unit = np.array([math.cos(ang), math.sin(ang)])
+        lines.append((rng.uniform(-1.0, 2.0, size=2) * perim, unit))
+        lines += [(v, unit) for v in tri.vertices]                      # through a vertex
+        lines += [(rng.uniform(-1.0, 2.0, size=2) * perim, q - p)       # parallel to a side
+                  for p, q in zip(tri.vertices, np.roll(tri.vertices, -1, axis=0))]
+        lines.append((rng.uniform(-1.0, 2.0, size=2) * perim, np.zeros(2)))
+        # next to A along CA turned by 1e-3, so only AB's vertex guard is close
+        ca = tri.vertices[0] - tri.vertices[2]
+        turn = np.array([[math.cos(1e-3), -math.sin(1e-3)], [math.sin(1e-3), math.cos(1e-3)]])
+        guarded = _on_vertex_guard(tri.vertices, turn @ ca)
+        on_guard += len(guarded)
+        lines += [(p, turn @ ca) for p in guarded]
+        for p, d in lines:
+            verts.append(tri.vertices)
+            points.append(p)
+            dirs.append(d)
+    products, faults = oracle._transversals(np.array(verts), np.array(points), np.array(dirs))
+    seen = set()
+    for v, p, d, product, fault in zip(verts, points, dirs, products.tolist(), faults.tolist()):
+        want, error = _transversal_alone(v, p, d)
+        seen.add(error)
+        assert (oracle._TRANSVERSAL_FAULTS[fault][0] if fault else None) is error
+        tri = oracle.EmbeddedSimplex(v)
+        if error is None:
+            assert _bits(product) == _bits(want)
+            assert _bits(oracle.menelaus_product(tri, p, d)) == _bits(want)
+        else:
+            with pytest.raises(error) as raised:
+                oracle.menelaus_product(tri, p, d)
+            assert type(raised.value) is error
+    assert seen == {None, GeometryError, ParallelSide, ThroughVertex}
+    assert on_guard > 100
+
+
+def test_tetra_draws_measure_each_edge_as_numpy_norm_does():
+    for case in range(2000):
+        pts = np.random.default_rng([5, case]).uniform(0.0, 1.0, size=(4, 3))
+        edges = _random_tetra(np.random.default_rng([5, case]))
+        if edges is not None:
+            assert _bits(edges.as_tuple()) == _bits(
+                [np.linalg.norm(pts[i] - pts[j]) for i, j in EDGES[4]])
 
 
 def test_a_stack_warns_once_for_its_ill_conditioned_rows():

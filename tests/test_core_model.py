@@ -36,6 +36,7 @@ from cevian.core_model import (
     circumradius,
     components_from_ir3,
     dist_between_centers,
+    dist_from_circumcenter,
     dist_origin_to_center,
     dist_vertex_to_center,
     dist_vertex_to_foot,
@@ -97,6 +98,27 @@ def test_lengths_that_are_not_numbers_raise_typed_errors(build, name):
 ], ids=["k_invariant-str", "edge_polynomials-None", "gram_volume_term-int"])
 def test_raw_length_sequences_that_are_not_numbers_raise_typed_errors(call, named):
     with pytest.raises(GeometryError, match=re.escape(named)):
+        call()
+
+
+# shape arguments that are not shapes: a typed error names the argument,
+# where reading its lengths used to raise a bare AttributeError
+@pytest.mark.parametrize("call", [
+    lambda: center_components("G", (3, 4, 5)),
+    lambda: pair_table({"G": Components((1, 1, 1)), "I": Components((1, 2, 3))}, (3, 4, 5)),
+    lambda: dist_between_centers(Components((1, 1, 1)), Components((1, 2, 3)), (3, 4, 5)),
+    lambda: circumradius((3, 4, 5)),
+    lambda: pair_sum((1, 1, 1), (3, 4, 5)),
+    lambda: dist_origin_to_center((1, 1, 1), Components((1, 1, 1)), (3, 4, 5)),
+    lambda: dist_from_circumcenter(Components((1, 1, 1)), (3, 4, 5)),
+    lambda: dist_vertex_to_center("A", Components((1, 1, 1)), (3, 4, 5)),
+    lambda: dist_vertex_to_foot("A", Components((1, 1, 1)), (3, 4, 5)),
+], ids=["center_components-tuple", "pair_table-tuple", "dist_between_centers-tuple",
+        "circumradius-tuple", "pair_sum-tuple", "dist_origin_to_center-tuple",
+        "dist_from_circumcenter-tuple", "dist_vertex_to_center-tuple",
+        "dist_vertex_to_foot-tuple"])
+def test_shape_arguments_that_are_not_shapes_raise_typed_errors(call):
+    with pytest.raises(GeometryError, match=re.escape("shape (3, 4, 5) ")):
         call()
 
 
