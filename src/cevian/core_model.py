@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
+from operator import mul
 
 __all__ = [
     "GeometryError",
@@ -285,9 +286,9 @@ class _Simplex(_Frozen):
         return _by_pair(self._N, [x * x for x in self.as_tuple()])
 
     @_cached
-    def _pair_entries(self) -> tuple:
-        """(i, j, E[i][j]) for each vertex pair i < j, as pair_sum reads them."""
-        return tuple((i, j, self.E[i][j]) for i, j in _PAIRS[self._N])
+    def _pair_e(self) -> tuple:
+        """E[i][j] for each vertex pair i < j in _PAIRS order (the kernels' e)."""
+        return tuple(self.E[i][j] for i, j in _PAIRS[self._N])
 
     @_cached
     def _centers(self) -> dict:
@@ -384,6 +385,12 @@ def edge_polynomials(edges) -> dict:
     return {"delta2": delta2, "q2": q2, "t1": t1, "t2": t2, "t3": t3}
 
 
+def _volume_term(edges) -> tuple:
+    """(t1 - t2 - t3, delta2) of six lengths: the volume term and its scale."""
+    p = edge_polynomials(edges)
+    return p["t1"] - p["t2"] - p["t3"], p["delta2"]
+
+
 def gram_volume_term(edges) -> float:
     """t1 - t2 - t3: positive iff the six lengths realize a tetrahedron.
 
@@ -393,8 +400,7 @@ def gram_volume_term(edges) -> float:
     """
     if isinstance(edges, TetraEdges):
         return edges.volume_term
-    p = edge_polynomials(edges)
-    return p["t1"] - p["t2"] - p["t3"]
+    return _volume_term(edges)[0]
 
 
 def _lengths(shape, n: int) -> tuple:
@@ -464,11 +470,10 @@ class TetraEdges(_Simplex):
                 raise FaceTriangleInequalityViolated(
                     f"face {face} edges ({x}, {y}, {z}) violate the triangle inequality"
                 )
-        polys = edge_polynomials(self.as_tuple())
-        gram = polys["t1"] - polys["t2"] - polys["t3"]
+        gram, delta2 = _volume_term(self.as_tuple())
         try:
             # scale-aware strict positivity gate: delta2**3 has the same units
-            floor = ATOL * polys["delta2"] ** 3
+            floor = ATOL * delta2 ** 3
         except OverflowError:
             floor = math.nan
         if not (math.isfinite(gram) and math.isfinite(floor)):
@@ -576,7 +581,11 @@ def _normalized(values):
     total = math.fsum(values)
     if abs(total) <= ATOL * scale:
         raise DegenerateDenominator(f"weights {values} sum to ~0 and cannot be normalized")
-    return tuple([v / total for v in values])
+    if len(values) == 3:  # written out: a comprehension builds a frame per call
+        a, b, c = values
+        return a / total, b / total, c / total
+    a, b, c, d = values
+    return a / total, b / total, c / total, d / total
 
 
 class Components(_Frozen):
@@ -750,14 +759,14 @@ def face_components_from_tetra(beta: Components, face: str) -> Components:
     """
     key = canonical_face(face)
     w = beta.checked(4)
-    *verts, opp = FACE_INDICES[key]
+    v1, v2, v3, opp = FACE_INDICES[key]
     denom = 1.0 - w[opp]
     if abs(denom) <= ATOL:
         name = VERTICES[opp]
         raise UnitComponent(
             f"beta_{name.lower()} ~ 1: line through {name} is parallel to face {key}"
         )
-    return Components(w[v] / denom for v in verts)
+    return Components((w[v1] / denom, w[v2] / denom, w[v3] / denom))
 
 
 def tetra_components_from_face_pair(
@@ -913,26 +922,29 @@ def _build_center(k, shape, n: int) -> Components:
             f"the facet contents' total minus twice the one opposite {k[-1]} is "
             f"not safely positive; the excenter {k} escapes to infinity"
         )
-    return Components((-1.0 if i == x else 1.0) * c for i, c in enumerate(contents))
+    weights = list(contents)
+    weights[x] = -weights[x]
+    return Components(weights)
 
 
-def _not_a_shape(shape) -> GeometryError:
-    """The error for a shape argument that is neither a TriangleSides nor a
-    TetraEdges; callers raise it where reading the shape failed."""
-    return GeometryError(f"shape {shape!r} is neither a TriangleSides nor a TetraEdges")
+_SHAPES = {None: (TriangleSides, TetraEdges), 3: TriangleSides, 4: TetraEdges}
+
+
+def _shape(shape, n=None):
+    """``shape`` itself if it is a TriangleSides or a TetraEdges, with n
+    vertices when n is given; GeometryError for any other argument."""
+    if isinstance(shape, _SHAPES[n]):
+        return shape
+    raise GeometryError(f"shape {shape!r} is " + (f"not a {_SHAPES[n].__name__}" if n else
+                                                  "neither a TriangleSides nor a TetraEdges"))
 
 
 def center_components(kind, shape) -> Components:
     """Components (weights summing to 1) of a center, named as parse_center
-    reads it, of a triangle or tetrahedron (the arity comes from
-    ``shape.E``).  They are built on the first request and cached on the
-    shape, so the same kind on the same shape is the same object; a raise is
-    not cached."""
-    try:
-        n = len(shape.E)
-        cache = shape._centers
-    except AttributeError:
-        raise _not_a_shape(shape) from None
+    reads it, of a triangle or tetrahedron.  They are built on the first
+    request and cached on the shape, so the same kind on the same shape is
+    the same object; a raise is not cached."""
+    cache, n = _shape(shape)._centers, shape._N
     k = kind if isinstance(kind, str) and kind in cache else parse_center(kind, n)
     if k not in cache:
         cache[k] = _build_center(k, shape, n)
@@ -954,6 +966,30 @@ def center_components(kind, shape) -> Components:
 # (3 or 4) is the shape's; vertices are indices 0..n-1.
 
 _PAIRS = {n: tuple(combinations(range(n), 2)) for n in (3, 4)}
+
+
+# The pair-sum kernels: (ps(d), sum of |terms|) with terms (d_i * d_j) * E_ij
+# in _PAIRS order, for d = v - w (v itself by default) and e = shape._pair_e.
+# Written out per arity: on Python 3.11 a comprehension builds a frame per
+# call, which cost more than the arithmetic; a test pins them to the generic
+# form.  Magnitudes go first, so an infinite term raises before fsum meets
+# -inf + inf.
+def _pair_sum3(e, v, w=(0, 0, 0)) -> tuple:
+    d0, d1, d2 = v[0] - w[0], v[1] - w[1], v[2] - w[2]
+    t = d0 * d1 * e[0], d0 * d2 * e[1], d1 * d2 * e[2]
+    scale = _magnitude_sum(t, "a pair sum")
+    return math.fsum(t), scale
+
+
+def _pair_sum4(e, v, w=(0, 0, 0, 0)) -> tuple:
+    d0, d1, d2, d3 = v[0] - w[0], v[1] - w[1], v[2] - w[2], v[3] - w[3]
+    t = (d0 * d1 * e[0], d0 * d2 * e[1], d0 * d3 * e[2],
+         d1 * d2 * e[3], d1 * d3 * e[4], d2 * d3 * e[5])
+    scale = _magnitude_sum(t, "a pair sum")
+    return math.fsum(t), scale
+
+
+_PAIR_SUMS = {3: _pair_sum3, 4: _pair_sum4}
 
 
 class DistanceReport(_Frozen):
@@ -985,27 +1021,19 @@ def pair_sum(weights, shape) -> tuple:
     """(ps(w), sum of |w_i * w_j * E_ij|) for a sequence of one weight per
     vertex of ``shape``; the second value is the scale any cancellation in
     the first is measured against."""
-    try:
-        n = shape._N
-    except AttributeError:
-        raise _not_a_shape(shape) from None
+    n = _shape(shape)._N
     try:
         if len(weights) != n:
             raise GeometryError(f"{len(weights)} weights given for a shape with "
                                 f"{n} vertices")
-        terms = [weights[i] * weights[j] * e for i, j, e in shape._pair_entries]
-        scale = _magnitude_sum(terms, "a pair sum")
-        return math.fsum(terms), scale
+        return _PAIR_SUMS[n](shape._pair_e, weights)
     except (TypeError, OverflowError):
         raise GeometryError(f"weights {weights!r} are not numbers in the float range") from None
 
 
 def _vertex_index(vertex: str, shape) -> int:
     key = str(vertex).upper()
-    try:
-        n = shape._N
-    except AttributeError:
-        raise _not_a_shape(shape) from None
+    n = _shape(shape)._N
     if key not in VERTICES[:n]:
         raise GeometryError(f"unknown vertex {vertex!r}")
     return VERTICES.index(key)
@@ -1017,7 +1045,7 @@ def _origin_distance(osq, weights, shape) -> float:
     if len(osq) != len(weights):
         raise GeometryError(f"{len(osq)} vertex distances given for a shape with "
                             f"{len(weights)} vertices")
-    vertex = [w * o for w, o in zip(weights, osq)]
+    vertex = list(map(mul, weights, osq))
     return _sqrt_clamped(math.fsum(vertex) - ps, math.fsum(map(abs, vertex)) + ps_scale)
 
 
@@ -1036,19 +1064,13 @@ def dist_origin_to_center(dists, comps, shape) -> float:
         valid = False
     if not valid:
         raise GeometryError(f"vertex distances {dists!r} must be finite and nonnegative numbers")
-    try:
-        n = shape._N
-    except AttributeError:
-        raise _not_a_shape(shape) from None
+    n = _shape(shape)._N
     return _origin_distance([o * o for o in dists], comps.checked(n), shape)
 
 
 def circumradius(shape) -> float:
     """The circumradius R of a triangle or tetrahedron, cached on the shape."""
-    try:
-        return shape._circumradius
-    except AttributeError:
-        raise _not_a_shape(shape) from None
+    return _shape(shape)._circumradius
 
 
 def dist_from_circumcenter(comps, shape) -> float:
@@ -1073,10 +1095,10 @@ def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
     return ap / abs(1.0 - alpha)
 
 
-def _pair_distance(w1, w2, shape) -> float:
+def _pair_distance(w1, w2, shape, kernel) -> float:
     """The distance between the points with the given weights, one per
-    vertex of the shape; dist_between_centers and pair_table both call it."""
-    ps, scale = pair_sum([y - x for x, y in zip(w1, w2)], shape)
+    vertex of the shape, whose pair-sum kernel is ``kernel``."""
+    ps, scale = kernel(shape._pair_e, w2, w1)
     if ps < 0.0:  # a positive square passes any window
         return math.sqrt(-ps)
     # the deltas carry absolute rounding ~eps * (component magnitude); when
@@ -1090,23 +1112,20 @@ def _pair_distance(w1, w2, shape) -> float:
 
 def dist_between_centers(c1, c2, shape) -> float:
     """Distance between the points realizing two component vectors."""
-    try:
-        n = shape._N
-    except AttributeError:
-        raise _not_a_shape(shape) from None
-    return _pair_distance(c1.checked(n), c2.checked(n), shape)
+    n = _shape(shape)._N
+    return _pair_distance(c1.checked(n), c2.checked(n), shape, _PAIR_SUMS[n])
 
 
 def pair_table(comps: dict, shape) -> list:
     """A DistanceReport for every unordered pair of the named component
     vectors, in the mapping's order (21 pairs for seven centers)."""
-    try:
-        n = shape._N
-    except AttributeError:
-        raise _not_a_shape(shape) from None
+    n = _shape(shape)._N
     w = {k: c.checked(n) for k, c in comps.items()}
-    return [DistanceReport((k1, k2), d * d, d) for k1, k2 in combinations(w, 2)
-            for d in (_pair_distance(w[k1], w[k2], shape),)]
+    kernel, table = _PAIR_SUMS[n], []
+    for k1, k2 in combinations(w, 2):
+        d = _pair_distance(w[k1], w[k2], shape, kernel)
+        table.append(DistanceReport((k1, k2), d * d, d))
+    return table
 
 
 def pair_distances(table) -> dict:

@@ -110,13 +110,14 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
             (delta2f - e31) * e31 / eight_sq,
             (delta2f - e12) * e12 / eight_sq,
         ))
-    foot = vertex_projection_components(edges, face).as_tuple()
+    f1, f2, f3 = vertex_projection_components(edges, face).as_tuple()
     if k == "G":
-        return Components((1.0 + f) / 4.0 for f in foot)
+        return Components(((1.0 + f1) / 4.0, (1.0 + f2) / 4.0, (1.0 + f3) / 4.0))
     fa = edges.face_areas
-    s = fa.by_vertex
+    s, total = fa.by_vertex, fa.s
     own = s[opp]  # the face's own area is the one opposite its off-vertex
-    return Components((s[v] + own * f) / fa.s for v, f in zip((v1, v2, v3), foot))
+    return Components(((s[v1] + own * f1) / total, (s[v2] + own * f2) / total,
+                       (s[v3] + own * f3) / total))
 
 
 def concurrency_conditions(face_components: dict) -> dict:

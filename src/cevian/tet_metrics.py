@@ -23,6 +23,7 @@ from .core_model import (
     _Frozen,
     _PAIRS,
     _crelle_product,
+    _shape,
     circumradius,
     gram_volume_term,
     pair_sum,
@@ -60,7 +61,7 @@ def volume(edges: TetraEdges) -> float:
 
 def inradius(edges: TetraEdges) -> float:
     """r = sqrt(t1 - t2 - t3) / (2*S) — equivalently 3V/S."""
-    return math.sqrt(gram_volume_term(edges)) / (2.0 * edges.face_areas.s)
+    return math.sqrt(_shape(edges, 4).volume_term) / (2.0 * edges.face_areas.s)
 
 
 def circumradius_forms(edges: TetraEdges) -> dict:
@@ -71,7 +72,7 @@ def circumradius_forms(edges: TetraEdges) -> dict:
       component_half_sum   : R^2 = (1/8) * sum (beta_X + beta_Y) * XY^2
       opposite_edge_product: the q-product over the volume term
     """
-    beta = tet_center_components("Q", edges).as_tuple()
+    beta = tet_center_components("Q", _shape(edges, 4)).as_tuple()
     e = edges.E
     half = sum((beta[i] + beta[j]) * e[i][j] for i, j in _PAIRS[4])
     return {

@@ -15,6 +15,7 @@ from .core_model import (
     RightAngleOrthocenter,
     TriangleSides,
     _dots,
+    _shape,
     center_components,
     ir_from_components3,
     pair_sum,
@@ -41,7 +42,7 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
     a side line, so its ratios raise ZeroComponent.
     """
     k = parse_center(kind, 3)
-    a, b, c = sides.as_tuple()
+    a, b, c = _shape(sides, 3).as_tuple()
     if k == "G":
         return IRVector3(1.0, 1.0, 1.0)
     if k == "H":

@@ -22,6 +22,7 @@ from .core_model import (
     _dots,
     _k_invariant,
     _lengths,
+    _shape,
     circumradius,
     pair_sum,
     pair_table,
@@ -65,7 +66,7 @@ def ict_areas(comps, sides: TriangleSides) -> dict:
     AB is |alpha_c| * Area (and cyclic).  For interior points they sum to
     the full area."""
     aa, ab, ac = comps.checked(3)
-    s = sides.area
+    s = _shape(sides, 3).area
     return {"s_abp": abs(ac) * s, "s_bcp": abs(aa) * s, "s_cap": abs(ab) * s}
 
 
@@ -73,7 +74,7 @@ def ict_altitudes(comps, sides: TriangleSides) -> dict:
     """Distances from the realized point to the three side lines:
     h over AB = 2*|alpha_c|*Area/c (and cyclic)."""
     aa, ab, ac = comps.checked(3)
-    s = sides.area
+    s = _shape(sides, 3).area
     a, b, c = sides.as_tuple()
     return {
         "h_ab": 2.0 * abs(ac) * s / c,
@@ -90,7 +91,7 @@ def inequality_slacks(sides: TriangleSides) -> dict:
     from the circumcenter, directly).  GI, GH, IH are the cleared-denominator
     inner sums: 36*p^2*GI^2, 9*K^2*GH^2, and (2*p*K)^2*IH^2.
     """
-    a, b, c = sides.as_tuple()
+    a, b, c = _shape(sides, 3).as_tuple()
     a2, b2, c2 = a * a, b * b, c * c
     p = sides.semiperimeter
     k = k_invariant(sides)

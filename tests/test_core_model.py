@@ -54,8 +54,10 @@ from cevian.core_model import (
     vertex_foot_ratios,
 )
 from cevian.tet_centers import projection_components
-from cevian.tet_metrics import TetMetricsSummary
-from cevian.tri_metrics import area_determinant, ict_altitudes, ict_areas, k_invariant
+from cevian.tet_metrics import TetMetricsSummary, circumradius_forms, inradius
+from cevian.tri_centers import center_ir
+from cevian.tri_metrics import (area_determinant, ict_altitudes, ict_areas, inequality_slacks,
+                                k_invariant)
 
 FACE_OPPOSITE = {face: next(v for v in "ABCD" if v not in face) for face in FACES}
 
@@ -120,6 +122,31 @@ def test_raw_length_sequences_that_are_not_numbers_raise_typed_errors(call, name
 def test_shape_arguments_that_are_not_shapes_raise_typed_errors(call):
     with pytest.raises(GeometryError, match=re.escape("shape (3, 4, 5) ")):
         call()
+
+
+# the functions for one kind of shape, given another argument or the other
+# shape, where they used to raise a bare AttributeError or IndexError
+_TET = TetraEdges(3, 4, 5, 5, 6, 7)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: center_ir("G", (3, 4, 5)), "shape (3, 4, 5) is not a TriangleSides"),
+    (lambda: center_ir("G", _TET), f"shape {_TET!r} is not a TriangleSides"),
+    (lambda: inequality_slacks((3, 4, 5)), "shape (3, 4, 5) is not a TriangleSides"),
+    (lambda: inequality_slacks(_TET), f"shape {_TET!r} is not a TriangleSides"),
+    (lambda: ict_areas(Components((1, 1, 1)), (3, 4, 5)), "shape (3, 4, 5) is not a TriangleSides"),
+    (lambda: ict_altitudes(Components((1, 1, 1)), (3, 4, 5)),
+     "shape (3, 4, 5) is not a TriangleSides"),
+    (lambda: inradius((3, 4, 5, 5, 6, 7)), "shape (3, 4, 5, 5, 6, 7) is not a TetraEdges"),
+    (lambda: circumradius_forms(validate_triangle(3, 4, 5)),
+     "shape TriangleSides(a=3.0, b=4.0, c=5.0) is not a TetraEdges"),
+], ids=["center_ir-tuple", "center_ir-tetra", "inequality_slacks-tuple",
+        "inequality_slacks-tetra", "ict_areas-tuple", "ict_altitudes-tuple", "inradius-tuple",
+        "circumradius_forms-triangle"])
+def test_shape_arguments_of_the_wrong_kind_raise_typed_errors(call, named):
+    with pytest.raises(GeometryError) as info:
+        call()
+    assert str(info.value) == named
 
 
 def test_numeric_strings_are_lengths():
@@ -310,8 +337,8 @@ def test_face_areas_bitwise_over_many_tetrahedra():
 
 
 # every per-instance cache a shape can fill; none is a field
-_CACHES = {3: ("E", "area", "_pair_entries", "_centers", "_circumradius"),
-           4: ("E", "face_areas", "circum_aux", "_pair_entries", "_centers", "_circumradius",
+_CACHES = {3: ("E", "area", "_pair_e", "_centers", "_circumradius"),
+           4: ("E", "face_areas", "circum_aux", "_pair_e", "_centers", "_circumradius",
                "_faces", "_feet")}
 
 
