@@ -18,6 +18,7 @@ squared-edge matrix E; see the engine at the end.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from itertools import combinations, permutations
 from operator import mul
 
@@ -270,10 +271,7 @@ class _Simplex(_Frozen):
         NonPositiveLength naming it; numeric strings are accepted."""
         d = self.__dict__
         for name, v in zip(self.__match_args__, values):
-            try:
-                x = float(v)
-            except (TypeError, ValueError, OverflowError):
-                x = math.nan
+            x = _float(v)
             if not (x > 0) or not math.isfinite(x):
                 raise NonPositiveLength(f"{noun} {name} = {v!r} must be a positive finite length")
             d[name] = x
@@ -345,7 +343,8 @@ def validate_triangle(a: float, b: float, c: float) -> TriangleSides:
 
 def _k_invariant(a2: float, b2: float, c2: float) -> float:
     """(a^2+b^2+c^2)^2 - 2(a^4+b^4+c^4) on the squared sides: 16*Area^2."""
-    return (a2 + b2 + c2) ** 2 - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
+    s = a2 + b2 + c2  # s * s: float ** calls libm pow, which is not correctly rounded
+    return s * s - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
 
 
 def _area(a2: float, b2: float, c2: float) -> float:
@@ -406,10 +405,7 @@ def gram_volume_term(edges) -> float:
 def _lengths(shape, n: int) -> tuple:
     """The lengths of an n-vertex shape, given as one or as a raw sequence
     of numbers, which is not otherwise checked."""
-    try:
-        vals = shape.as_tuple() if isinstance(shape, _Simplex) else tuple(float(v) for v in shape)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GeometryError(f"lengths {shape!r} are not a sequence of numbers") from exc
+    vals = shape.as_tuple() if isinstance(shape, _Simplex) else _reals(shape, "lengths")
     if len(vals) != len(EDGES[n]):
         raise GeometryError(f"expected {len(EDGES[n])} lengths, got {len(vals)}")
     return vals
@@ -599,26 +595,17 @@ class Components(_Frozen):
     __match_args__ = ("weights",)
 
     def __init__(self, weights):
-        try:
-            vals = tuple(weights)
-        except TypeError:
-            raise GeometryError(f"weights {weights!r} are not a sequence of numbers") from None
+        vals = _sequence(weights, "weights")  # read once: the messages show what was read
         if len(vals) not in (3, 4):
             raise GeometryError(f"components need 3 or 4 weights, got {len(vals)}")
-        try:
-            self.__dict__["weights"] = _normalized(vals)
-        except (TypeError, OverflowError):
-            raise GeometryError(f"weights {vals!r} are not numbers in the float range") from None
+        self.__dict__["weights"] = _normalized(_reals(vals, "weights"))
 
     def as_tuple(self):
         return self.weights
 
     def checked(self, n: int) -> tuple:
-        """The weights, after checking that there are n of them; every
-        function that needs components of one arity reads them here."""
-        if len(self.weights) != n:
-            raise GeometryError(f"{len(self.weights)} weights given where {n} are needed")
-        return self.weights
+        """The weights, after checking that there are n of them."""
+        return _components(self, n)
 
 
 class PowerIncenter(_Frozen):
@@ -629,14 +616,11 @@ class PowerIncenter(_Frozen):
     __match_args__ = ("n",)
 
     def __init__(self, n: float):
-        self.__dict__["n"] = n
-        try:
-            finite = math.isfinite(n)
-        except (TypeError, OverflowError):
+        x = _float(n)
+        if not math.isfinite(x):
             raise GeometryError(f"power-incenter exponent {n!r} is not a number in the "
-                                "float range") from None
-        if not finite:
-            raise GeometryError("power-incenter exponent must be finite")
+                                "float range")
+        self.__dict__["n"] = n if isinstance(n, (int, float)) else x  # "2" is read as 2.0
 
     def __str__(self):
         return f"power:{self.n:g}"
@@ -655,20 +639,17 @@ class IRVector3(_Frozen):
 
     def __init__(self, lambda_ab: float, lambda_bc: float, lambda_ca: float):
         a, b, c = vals = lambda_ab, lambda_bc, lambda_ca
+        if not type(a) is type(b) is type(c) is float:  # the engine's own ratios are floats
+            a, b, c = vals = _reals(vals, "cevian ratios")
         d = self.__dict__
         d["lambda_ab"], d["lambda_bc"], d["lambda_ca"] = vals
-        try:
-            if not (a and b and c and math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-                name, v = next((name, v) for name, v in zip(self.__match_args__, vals)
-                               if not (v and math.isfinite(v)))
-                raise DegenerateDenominator(f"{name} = {v!r}: cevian ratio must be finite "
-                                            "and nonzero")
-            prod = a * b * c
-            close = _close(prod, 1.0)
-        except (TypeError, OverflowError):
-            raise GeometryError(f"cevian ratios {vals!r} are not numbers in the float "
-                                "range") from None
-        if not close:
+        if not (a and b and c and math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            name, v = next((name, v) for name, v in zip(self.__match_args__, vals)
+                           if not (v and math.isfinite(v)))
+            raise DegenerateDenominator(f"{name} = {v!r}: cevian ratio must be finite "
+                                        "and nonzero")
+        prod = a * b * c
+        if not _close(prod, 1.0):
             raise CevaViolation(f"ratio product {prod!r} != 1")
 
     def as_tuple(self):
@@ -687,20 +668,92 @@ class IRVector3(_Frozen):
         return 1.0 / self.lambda_ca
 
 
+# --------------------------------------------------------------------------
+# argument coercers: each public function of the closed-form modules passes
+# every argument through the one of its kind first (canonical_face and
+# parse_center for face names and center kinds), which returns it in the form
+# the code reads or raises GeometryError naming it.  Internal calls skip them.
+
+def _float(v) -> float:
+    """float(v), which reads numbers and numeric strings, or NaN for anything
+    else; every range check rejects NaN, so the caller's own names the input."""
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _sequence(values, what: str) -> tuple:
+    """``values`` read once into a tuple, or GeometryError naming them."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise GeometryError(f"{what} {values!r} are not a sequence of numbers") from None
+
+
+def _reals(values, what: str, n=None) -> tuple:
+    """The floats of ``values``, one per vertex of an n-vertex shape when n is
+    given; NaN and the infinities pass, for the caller's range check to name."""
+    try:
+        vals = tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        raise GeometryError(f"{what} {values!r} are not numbers in the float range") from None
+    if n is not None and len(vals) != n:
+        raise GeometryError(f"{len(vals)} {what} given for a shape with {n} vertices")
+    return vals
+
+
+def _instance(value, cls, what: str):
+    """``value`` itself if it is a ``cls``, or GeometryError naming it."""
+    if isinstance(value, cls):
+        return value
+    raise GeometryError(f"{what} {value!r} is not a {cls.__name__}")
+
+
+_SHAPES = {None: (TriangleSides, TetraEdges), 3: TriangleSides, 4: TetraEdges}
+
+
+def _shape(shape, n=None):
+    """``shape`` itself if it is a TriangleSides or a TetraEdges, with n
+    vertices when n is given; GeometryError for any other argument."""
+    if isinstance(shape, _SHAPES[n]):
+        return shape
+    raise GeometryError(f"shape {shape!r} is " + (f"not a {_SHAPES[n].__name__}" if n else
+                                                  "neither a TriangleSides nor a TetraEdges"))
+
+
+def _comps(weights) -> Components:
+    """The engine's own 3 or 4 float weights as Components, without the argument check."""
+    comps = object.__new__(Components)
+    comps.__dict__["weights"] = _normalized(tuple(weights))
+    return comps
+
+
+def _components(comps, n=None) -> tuple:
+    """The weights of the Components ``comps``, n of them when n is given;
+    every function that needs components reads them here."""
+    if not isinstance(comps, Components):
+        raise GeometryError(f"components {comps!r} are not a Components")
+    w = comps.weights
+    if n is not None and len(w) != n:
+        raise GeometryError(f"{len(w)} weights given where {n} are needed")
+    return w
+
+
 def components_from_ir3(ir: IRVector3) -> Components:
     """Components of the point with the given cevian ratios.
 
     alpha_a = 1 / (1 + lambda_ab + lambda_ac) and the other two follow by
     multiplying with the respective ratio.
     """
-    lam_ab = ir.lambda_ab
-    lam_ac = 1.0 / ir.lambda_ca
+    lam_ab, _, lam_ca = _instance(ir, IRVector3, "cevian ratios").as_tuple()
+    lam_ac = 1.0 / lam_ca
     denom = 1.0 + lam_ab + lam_ac
     if abs(denom) <= ATOL * (1.0 + abs(lam_ab) + abs(lam_ac)):
         raise DegenerateDenominator(
             "1 + lambda_ab + lambda_ac ~ 0: the point escapes to infinity"
         )
-    return Components((1.0 / denom, lam_ab / denom, lam_ac / denom))
+    return _comps((1.0 / denom, lam_ab / denom, lam_ac / denom))
 
 
 def _facet_ratios(weights, v1: int, v2: int, v3: int) -> IRVector3:
@@ -717,7 +770,7 @@ def _facet_ratios(weights, v1: int, v2: int, v3: int) -> IRVector3:
 
 def ir_from_components3(c: Components) -> IRVector3:
     """Inverse of components_from_ir3: quotients of consecutive components."""
-    return _facet_ratios(c.checked(3), 0, 1, 2)
+    return _facet_ratios(_components(c, 3), 0, 1, 2)
 
 
 def fractional_ratio_determinant(lam_al: float, lam_bm: float, lam_cn: float) -> float:
@@ -726,6 +779,7 @@ def fractional_ratio_determinant(lam_al: float, lam_bm: float, lam_cn: float) ->
     Vanishes exactly when some point P has AL, BM, CN as its three cevians
     with AP/PL = lam_al and so on.
     """
+    lam_al, lam_bm, lam_cn = _reals((lam_al, lam_bm, lam_cn), "vertex-to-foot ratios")
     return lam_al * lam_bm * lam_cn - (lam_al + lam_bm + lam_cn) - 2.0
 
 
@@ -738,7 +792,7 @@ def vertex_foot_ratios(c: Components) -> dict:
     lies on a facet, UnitComponent when it sits at a vertex.
     """
     out = {}
-    for v, w in zip(VERTICES, c.as_tuple()):
+    for v, w in zip(VERTICES, _components(c)):
         if abs(w) <= ATOL:
             raise ZeroComponent(f"component of {v} ~ 0: the point lies on the facet "
                                 f"opposite {v}, vertex-to-foot ratios undefined")
@@ -758,7 +812,7 @@ def face_components_from_tetra(beta: Components, face: str) -> Components:
     the face's cyclic vertex order.
     """
     key = canonical_face(face)
-    w = beta.checked(4)
+    w = _components(beta, 4)
     v1, v2, v3, opp = FACE_INDICES[key]
     denom = 1.0 - w[opp]
     if abs(denom) <= ATOL:
@@ -766,7 +820,7 @@ def face_components_from_tetra(beta: Components, face: str) -> Components:
         raise UnitComponent(
             f"beta_{name.lower()} ~ 1: line through {name} is parallel to face {key}"
         )
-    return Components((w[v1] / denom, w[v2] / denom, w[v3] / denom))
+    return _comps((w[v1] / denom, w[v2] / denom, w[v3] / denom))
 
 
 def tetra_components_from_face_pair(
@@ -781,21 +835,21 @@ def tetra_components_from_face_pair(
     InconsistentFaces, which means the two pierce points do not belong to a
     single common point.
     """
-    a_b, a_c, a_d = alpha_on_face_of_a.checked(3)  # weights of B, C, D
-    b_c, b_d, b_a = alpha_on_face_of_b.checked(3)  # weights of C, D, A
+    a_b, a_c, a_d = given_a = _components(alpha_on_face_of_a, 3)  # weights of B, C, D
+    b_c, b_d, b_a = given_b = _components(alpha_on_face_of_b, 3)  # weights of C, D, A
     denom = 1.0 - b_a * a_b
     if abs(denom) <= ATOL * (1.0 + abs(b_a * a_b)):
         raise DegenerateDenominator("1 - alpha_a*alpha_b ~ 0 while reassembling")
     kappa = (1.0 - b_a) / denom  # AP/AP_A along the cevian from A
-    beta = Components((
+    beta = _comps((
         b_a * (1.0 - a_b) / denom,
         kappa * a_b,
         kappa * a_c,
         kappa * a_d,
     ))
-    for face, given in (("BCD", alpha_on_face_of_a), ("CDA", alpha_on_face_of_b)):
+    for face, given in (("BCD", given_a), ("CDA", given_b)):
         back = face_components_from_tetra(beta, face)
-        worst = max(abs(x - y) for x, y in zip(back.as_tuple(), given.as_tuple()))
+        worst = max(abs(x - y) for x, y in zip(back.as_tuple(), given))
         if worst > ATOL + RTOL * 1.0:
             raise InconsistentFaces(
                 f"face {face} round-trip defect {worst:.3g}: the two faces do not "
@@ -817,9 +871,9 @@ _SHARED_EDGES = (
 )
 
 
-def _face_ratio(face: str, comps: Components, x: int, y: int) -> float:
-    """lambda_xy within the given face, from that face's components."""
-    vals = dict(zip(FACE_INDICES[face][:3], comps.checked(3)))
+def _face_ratio(face: str, weights: tuple, x: int, y: int) -> float:
+    """lambda_xy within the given face, from that face's component weights."""
+    vals = dict(zip(FACE_INDICES[face][:3], weights))
     if abs(vals[x]) <= ATOL:
         raise DegenerateDenominator(f"component of {VERTICES[x]} on face {face} ~ 0")
     return vals[y] / vals[x]
@@ -834,7 +888,8 @@ def shared_edge_residuals(face_components: dict) -> dict:
     pairs agree exactly when the four vertex-to-face-point lines pass
     through one common point.
     """
-    comps = {canonical_face(k): v for k, v in face_components.items()}
+    comps = {canonical_face(k): _components(v, 3)
+             for k, v in _instance(face_components, Mapping, "face components").items()}
     if sorted(comps) != sorted(FACES):
         raise GeometryError("need components for all four faces")
     out = {}
@@ -866,16 +921,15 @@ def parse_center(token, n: int):
     """The center kind ``token`` names on an n-vertex simplex: one of
     CENTER_KINDS[n] in any case, or on a tetrahedron a PowerIncenter, given
     as one or as "power:<n>" (e.g. "power:2", "power:-0.5")."""
+    if n != 3 and n != 4:
+        raise GeometryError(f"a simplex has 3 or 4 vertices, not {n!r}")
     if n == 4 and isinstance(token, PowerIncenter):
         return token
     k = str(token).upper()
     if k in CENTER_KINDS[n]:
         return k
     if n == 4 and k.startswith("POWER:"):
-        try:
-            return PowerIncenter(float(k.split(":", 1)[1]))
-        except ValueError:
-            raise GeometryError(f"bad power-center exponent in {token!r}") from None
+        return PowerIncenter(k.split(":", 1)[1])
     shape, power = ("triangle", "") if n == 3 else ("tetrahedron", " or power:<n>")
     raise GeometryError(f"unknown {shape} center {token!r}; "
                         f"expected one of {CENTER_KINDS[n]}{power}")
@@ -896,21 +950,21 @@ def _dots(sides: TriangleSides):
 def _build_center(k, shape, n: int) -> Components:
     """The Components of the parsed kind k on the n-vertex shape, uncached."""
     if k == "G":
-        return Components((1.0,) * n)
+        return _comps((1.0,) * n)
     if k in ("Q", "H"):
         if n == 4:
-            return Components(shape.circum_aux.by_vertex)
+            return _comps(shape.circum_aux.by_vertex)
         da, db, dc = _dots(shape)
         if k == "H":
-            return Components((db * dc, dc * da, da * db))
+            return _comps((db * dc, dc * da, da * db))
         e = shape.E
-        return Components((e[1][2] * da, e[2][0] * db, e[0][1] * dc))
+        return _comps((e[1][2] * da, e[2][0] * db, e[0][1] * dc))
     contents = shape.face_areas.by_vertex if n == 4 else shape.as_tuple()
     if k == "I":
-        return Components(contents)
+        return _comps(contents)
     if isinstance(k, PowerIncenter):
         try:
-            return Components(c ** k.n for c in contents)
+            return _comps(c ** k.n for c in contents)
         except OverflowError:
             raise GeometryError(f"the {k} weights overflow the float range") from None
     # excenter E_X: the sign flips at X, and the weights' sum, the total
@@ -924,19 +978,7 @@ def _build_center(k, shape, n: int) -> Components:
         )
     weights = list(contents)
     weights[x] = -weights[x]
-    return Components(weights)
-
-
-_SHAPES = {None: (TriangleSides, TetraEdges), 3: TriangleSides, 4: TetraEdges}
-
-
-def _shape(shape, n=None):
-    """``shape`` itself if it is a TriangleSides or a TetraEdges, with n
-    vertices when n is given; GeometryError for any other argument."""
-    if isinstance(shape, _SHAPES[n]):
-        return shape
-    raise GeometryError(f"shape {shape!r} is " + (f"not a {_SHAPES[n].__name__}" if n else
-                                                  "neither a TriangleSides nor a TetraEdges"))
+    return _comps(weights)
 
 
 def center_components(kind, shape) -> Components:
@@ -1022,13 +1064,18 @@ def pair_sum(weights, shape) -> tuple:
     vertex of ``shape``; the second value is the scale any cancellation in
     the first is measured against."""
     n = _shape(shape)._N
+    w = _sequence(weights, "weights")
+    # ints multiply exactly, as in the generic form; other numbers as their floats
+    w = tuple([v if type(v) is int else x for v, x in zip(w, _reals(w, "weights", n))])
     try:
-        if len(weights) != n:
-            raise GeometryError(f"{len(weights)} weights given for a shape with "
-                                f"{n} vertices")
-        return _PAIR_SUMS[n](shape._pair_e, weights)
-    except (TypeError, OverflowError):
+        return _pair_sum(w, shape)
+    except OverflowError:  # a product of ints past the float range
         raise GeometryError(f"weights {weights!r} are not numbers in the float range") from None
+
+
+def _pair_sum(weights, shape) -> tuple:
+    """pair_sum of numbers already read, one per vertex of the shape."""
+    return _PAIR_SUMS[shape._N](shape._pair_e, weights)
 
 
 def _vertex_index(vertex: str, shape) -> int:
@@ -1041,10 +1088,7 @@ def _vertex_index(vertex: str, shape) -> int:
 
 def _origin_distance(osq, weights, shape) -> float:
     """OP from the squared vertex distances ``osq`` of the origin O."""
-    ps, ps_scale = pair_sum(weights, shape)
-    if len(osq) != len(weights):
-        raise GeometryError(f"{len(osq)} vertex distances given for a shape with "
-                            f"{len(weights)} vertices")
+    ps, ps_scale = _pair_sum(weights, shape)
     vertex = list(map(mul, weights, osq))
     return _sqrt_clamped(math.fsum(vertex) - ps, math.fsum(map(abs, vertex)) + ps_scale)
 
@@ -1057,15 +1101,11 @@ def dist_origin_to_center(dists, comps, shape) -> float:
     Raises NegativeSquaredDistance when the given distances are not
     realizable by any spatial point.
     """
-    try:
-        dists = tuple(dists)  # read once: an iterator would be spent by the check
-        valid = all(0.0 <= o < math.inf for o in dists)
-    except TypeError:
-        valid = False
-    if not valid:
-        raise GeometryError(f"vertex distances {dists!r} must be finite and nonnegative numbers")
     n = _shape(shape)._N
-    return _origin_distance([o * o for o in dists], comps.checked(n), shape)
+    osq = [o * o for o in _reals(dists, "vertex distances", n) if 0.0 <= o < math.inf]
+    if len(osq) != n:
+        raise GeometryError(f"vertex distances {dists!r} must be finite and nonnegative numbers")
+    return _origin_distance(osq, _components(comps, n), shape)
 
 
 def circumradius(shape) -> float:
@@ -1082,7 +1122,7 @@ def dist_from_circumcenter(comps, shape) -> float:
 def dist_vertex_to_center(vertex: str, comps, shape) -> float:
     """Distance from a vertex ("A", "B", ...) to the point realizing ``comps``."""
     i = _vertex_index(vertex, shape)
-    return _origin_distance(shape.E[i], comps.checked(shape._N), shape)
+    return _origin_distance(shape.E[i], _components(comps, shape._N), shape)
 
 
 def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
@@ -1113,14 +1153,14 @@ def _pair_distance(w1, w2, shape, kernel) -> float:
 def dist_between_centers(c1, c2, shape) -> float:
     """Distance between the points realizing two component vectors."""
     n = _shape(shape)._N
-    return _pair_distance(c1.checked(n), c2.checked(n), shape, _PAIR_SUMS[n])
+    return _pair_distance(_components(c1, n), _components(c2, n), shape, _PAIR_SUMS[n])
 
 
 def pair_table(comps: dict, shape) -> list:
     """A DistanceReport for every unordered pair of the named component
     vectors, in the mapping's order (21 pairs for seven centers)."""
     n = _shape(shape)._N
-    w = {k: c.checked(n) for k, c in comps.items()}
+    w = {k: _components(c, n) for k, c in _instance(comps, Mapping, "components").items()}
     kernel, table = _PAIR_SUMS[n], []
     for k1, k2 in combinations(w, 2):
         d = _pair_distance(w[k1], w[k2], shape, kernel)
@@ -1132,7 +1172,8 @@ def pair_distances(table) -> dict:
     """A pair table's distances keyed by each pair in both orders; swapping
     a pair negates both factors of every term, so the value is the same."""
     out = {}
-    for rep in table:
+    for rep in _sequence(table, "pair table"):
+        _instance(rep, DistanceReport, "pair table entry")
         out[rep.pair] = out[rep.pair[::-1]] = rep.distance
     return out
 

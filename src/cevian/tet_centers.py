@@ -19,7 +19,10 @@ from .core_model import (
     FaceAreas,
     GeometryError,
     TetraEdges,
+    _comps,
     _facet_ratios,
+    _reals,
+    _shape,
     canonical_face,
     center_components as tet_center_components,
     face_components_from_tetra,
@@ -43,7 +46,7 @@ TET_CENTER_KINDS = CENTER_KINDS[4]
 
 def face_areas(edges: TetraEdges) -> FaceAreas:
     """The cached ``edges.face_areas``; kept for perfbench."""
-    return edges.face_areas
+    return _shape(edges, 4).face_areas
 
 
 def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
@@ -54,7 +57,7 @@ def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
     Defined for any center with no vanishing component (G, I, and the
     excenters always qualify); ZeroComponent otherwise.
     """
-    beta = tet_center_components(kind, edges).as_tuple()
+    beta = tet_center_components(kind, _shape(edges, 4)).as_tuple()
     return {face: _facet_ratios(beta, *verts[:3]) for face, verts in FACE_INDICES.items()}
 
 
@@ -66,26 +69,22 @@ def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
     order A, B, C, D (the one to the face's opposite vertex is not used).
     P may be anywhere in space; slots follow the face's cyclic vertex order.
     """
-    try:
-        sq = [float(d) for d in sq_dists]
-    except (TypeError, ValueError, OverflowError):
-        raise GeometryError(f"squared vertex distances {sq_dists!r} are not numbers "
-                            "in the float range") from None
+    faces, sq = _shape(edges, 4)._faces, _reals(sq_dists, "squared vertex distances")
     if len(sq) != 4:
         raise GeometryError(f"expected 4 squared vertex distances, got {len(sq)}")
-    (v1, v2, v3, _), (e12, e23, e31), delta2f, eight_sq = edges._faces[canonical_face(face)]
+    (v1, v2, v3, _), (e12, e23, e31), delta2f, eight_sq = faces[canonical_face(face)]
     d1, d2, d3 = sq[v1], sq[v2], sq[v3]
     n1 = (delta2f - e23) * e23 + (delta2f - e31) * (d3 - d1) + (delta2f - e12) * (d2 - d1)
     n2 = (delta2f - e31) * e31 + (delta2f - e12) * (d1 - d2) + (delta2f - e23) * (d3 - d2)
     n3 = (delta2f - e12) * e12 + (delta2f - e23) * (d2 - d3) + (delta2f - e31) * (d1 - d3)
-    return Components((n1 / eight_sq, n2 / eight_sq, n3 / eight_sq))
+    return _comps((n1 / eight_sq, n2 / eight_sq, n3 / eight_sq))
 
 
 def vertex_projection_components(edges: TetraEdges, face: str) -> Components:
     """Projection of the face's opposite vertex onto the face (the foot of
     the altitude from it), built once per face and cached on the edge set."""
     key = canonical_face(face)
-    feet = edges._feet
+    feet = _shape(edges, 4)._feet
     if key not in feet:
         feet[key] = projection_components(edges, edges.E[FACE_INDICES[key][3]], key)
     return feet[key]
@@ -103,21 +102,22 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
         raise GeometryError(
             f"projection closed form available for Q, G, I only, not {kind!r}"
         )
-    (v1, v2, v3, opp), (e12, e23, e31), delta2f, eight_sq = edges._faces[canonical_face(face)]
+    faces = _shape(edges, 4)._faces
+    (v1, v2, v3, opp), (e12, e23, e31), delta2f, eight_sq = faces[canonical_face(face)]
     if k == "Q":
-        return Components((
+        return _comps((
             (delta2f - e23) * e23 / eight_sq,
             (delta2f - e31) * e31 / eight_sq,
             (delta2f - e12) * e12 / eight_sq,
         ))
     f1, f2, f3 = vertex_projection_components(edges, face).as_tuple()
     if k == "G":
-        return Components(((1.0 + f1) / 4.0, (1.0 + f2) / 4.0, (1.0 + f3) / 4.0))
+        return _comps(((1.0 + f1) / 4.0, (1.0 + f2) / 4.0, (1.0 + f3) / 4.0))
     fa = edges.face_areas
     s, total = fa.by_vertex, fa.s
     own = s[opp]  # the face's own area is the one opposite its off-vertex
-    return Components(((s[v1] + own * f1) / total, (s[v2] + own * f2) / total,
-                       (s[v3] + own * f3) / total))
+    return _comps(((s[v1] + own * f1) / total, (s[v2] + own * f2) / total,
+                   (s[v3] + own * f3) / total))
 
 
 def concurrency_conditions(face_components: dict) -> dict:
@@ -131,8 +131,8 @@ def concurrency_conditions(face_components: dict) -> dict:
     Returns a dict with "edge_residuals", "max_residual", "concurrent",
     "components" (None unless concurrent), and "roundtrip_defect".
     """
+    residuals = shared_edge_residuals(face_components)  # which checks the mapping first
     comps = {canonical_face(k): v for k, v in face_components.items()}
-    residuals = shared_edge_residuals(comps)
     max_residual = max(residuals.values())
     concurrent = max_residual <= ATOL + RTOL
     report = {

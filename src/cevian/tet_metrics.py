@@ -23,10 +23,9 @@ from .core_model import (
     _Frozen,
     _PAIRS,
     _crelle_product,
+    _pair_sum,
     _shape,
     circumradius,
-    gram_volume_term,
-    pair_sum,
     pair_table,
 )
 from .tet_centers import TET_CENTER_KINDS, tet_center_components
@@ -56,7 +55,7 @@ class TetMetricsSummary(_Frozen):
 
 def volume(edges: TetraEdges) -> float:
     """V = sqrt(t1 - t2 - t3) / 6."""
-    return math.sqrt(gram_volume_term(edges)) / 6.0
+    return math.sqrt(_shape(edges, 4).volume_term) / 6.0
 
 
 def inradius(edges: TetraEdges) -> float:
@@ -76,7 +75,7 @@ def circumradius_forms(edges: TetraEdges) -> dict:
     e = edges.E
     half = sum((beta[i] + beta[j]) * e[i][j] for i, j in _PAIRS[4])
     return {
-        "component_pair_sum": math.sqrt(pair_sum(beta, edges)[0]),
+        "component_pair_sum": math.sqrt(_pair_sum(beta, edges)[0]),
         "component_half_sum": math.sqrt(half / 8.0),
         "opposite_edge_product": circumradius(edges),
     }
@@ -89,9 +88,9 @@ def crelle_check(edges: TetraEdges) -> float:
     really are independent pipelines and the residual is a genuine
     consistency measurement, not an algebraic tautology.
     """
-    rhs = _crelle_product(edges)
-    r2 = pair_sum(tet_center_components("Q", edges).as_tuple(), edges)[0]
-    lhs = gram_volume_term(edges) * r2
+    rhs = _crelle_product(_shape(edges, 4))
+    r2 = _pair_sum(tet_center_components("Q", edges).as_tuple(), edges)[0]
+    lhs = edges.volume_term * r2
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
@@ -106,6 +105,7 @@ def metrics_summary(edges: TetraEdges) -> TetMetricsSummary:
 
 def center_pair_table4(edges: TetraEdges) -> list:
     """All 21 unordered center-pair distances over (G, I, Q, E_A..E_D)."""
+    _shape(edges, 4)
     return pair_table({k: tet_center_components(k, edges) for k in TET_CENTER_KINDS}, edges)
 
 
@@ -117,16 +117,16 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     cleared-denominator inner sums: 16*S^2*GI^2, 16*U^2*GQ^2, and
     S^2*U^2*IQ^2.
     """
-    r2 = circumradius(edges) ** 2
+    r2 = circumradius(_shape(edges, 4)) ** 2
     fa = edges.face_areas
     aux = edges.circum_aux
     s_by, u_by = fa.by_vertex, aux.by_vertex
 
     qg = r2 - math.fsum(e * e for e in edges.as_tuple()) / 16.0
-    qi = r2 - pair_sum(s_by, edges)[0] / fa.s ** 2
-    gi = -pair_sum([4.0 * s - fa.s for s in s_by], edges)[0]
-    gq = -pair_sum([4.0 * u - aux.u for u in u_by], edges)[0]
-    iq = -pair_sum([fa.s * u - s * aux.u for s, u in zip(s_by, u_by)], edges)[0]
+    qi = r2 - _pair_sum(s_by, edges)[0] / fa.s ** 2
+    gi = -_pair_sum([4.0 * s - fa.s for s in s_by], edges)[0]
+    gq = -_pair_sum([4.0 * u - aux.u for u in u_by], edges)[0]
+    iq = -_pair_sum([fa.s * u - s * aux.u for s, u in zip(s_by, u_by)], edges)[0]
     return {"QG": qg, "QI": qi, "GI": gi, "GQ": gq, "IQ": iq}
 
 
@@ -135,7 +135,7 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
     guards for the generic engine): QG, QI, GI, GQ, IQ, and the families
     GE_X, IE_X, QE_X, E_XE_Y, all in terms of face areas S^X, their
     complements T^X = S - 2*S^X, and the circumcenter weights U_X."""
-    fa = edges.face_areas
+    fa = _shape(edges, 4).face_areas
     aux = edges.circum_aux
     s, u = fa.by_vertex, aux.by_vertex
     t = [fa.opposite_sum(x) for x in range(4)]

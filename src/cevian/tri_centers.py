@@ -15,10 +15,10 @@ from .core_model import (
     RightAngleOrthocenter,
     TriangleSides,
     _dots,
+    _pair_sum,
     _shape,
     center_components,
     ir_from_components3,
-    pair_sum,
     parse_center,
 )
 
@@ -70,7 +70,7 @@ def excenter_segment_ratio(sides: TriangleSides) -> float:
     this fraction of the way to the opposite excenter.  Always in (0, 1);
     equals 1/3 exactly for the equilateral triangle.
     """
-    a, b, c = sides.as_tuple()
+    a, b, c = _shape(sides, 3).as_tuple()
     return (b + c - a) / (a + b + c)
 
 
@@ -86,7 +86,7 @@ def euler_relation(sides: TriangleSides) -> dict:
       collinearity_residual : distance from H to the line through G and Q,
         in length units; 0 up to rounding.
     """
-    g = center_components("G", sides)
+    g = center_components("G", _shape(sides, 3))
     h = center_components("H", sides)
     q = center_components("Q", sides)
     d_gh = [y - x for x, y in zip(g.as_tuple(), h.as_tuple())]
@@ -100,6 +100,6 @@ def euler_relation(sides: TriangleSides) -> dict:
     # quadratic form that measures center-pair distances converts it to a
     # length; Heron on the three nearly-collinear distances would lose half
     # the precision instead.
-    sq = -pair_sum([x - ratio * y for x, y in zip(d_gh, d_gq)], sides)[0]
+    sq = -_pair_sum([x - ratio * y for x, y in zip(d_gh, d_gq)], sides)[0]
     residual = math.sqrt(sq) if sq > 0.0 else 0.0
     return {"gh_over_gq": ratio, "collinearity_residual": residual}

@@ -19,12 +19,13 @@ import math
 
 from .core_model import (
     TriangleSides,
+    _components,
     _dots,
     _k_invariant,
     _lengths,
+    _pair_sum,
     _shape,
     circumradius,
-    pair_sum,
     pair_table,
 )
 from .tri_centers import TRI_CENTER_KINDS, center_components
@@ -52,12 +53,13 @@ def k_invariant(sides) -> float:
 
 def area_determinant(sides: TriangleSides) -> float:
     """Triangle area sqrt(K)/4, the cached ``sides.area``; kept for perfbench."""
-    return sides.area
+    return _shape(sides, 3).area
 
 
 def center_pair_table(sides: TriangleSides) -> list:
     """All 21 unordered center-pair distances, in the fixed kind order
     (G, I, H, Q, E_A, E_B, E_C)."""
+    _shape(sides, 3)
     return pair_table({k: center_components(k, sides) for k in TRI_CENTER_KINDS}, sides)
 
 
@@ -65,7 +67,7 @@ def ict_areas(comps, sides: TriangleSides) -> dict:
     """Areas of the three sub-triangles a point cuts off: the area over side
     AB is |alpha_c| * Area (and cyclic).  For interior points they sum to
     the full area."""
-    aa, ab, ac = comps.checked(3)
+    aa, ab, ac = _components(comps, 3)
     s = _shape(sides, 3).area
     return {"s_abp": abs(ac) * s, "s_bcp": abs(aa) * s, "s_cap": abs(ab) * s}
 
@@ -73,7 +75,7 @@ def ict_areas(comps, sides: TriangleSides) -> dict:
 def ict_altitudes(comps, sides: TriangleSides) -> dict:
     """Distances from the realized point to the three side lines:
     h over AB = 2*|alpha_c|*Area/c (and cyclic)."""
-    aa, ab, ac = comps.checked(3)
+    aa, ab, ac = _components(comps, 3)
     s = _shape(sides, 3).area
     a, b, c = sides.as_tuple()
     return {
@@ -100,11 +102,11 @@ def inequality_slacks(sides: TriangleSides) -> dict:
 
     qg = r2 - (a2 + b2 + c2) / 9.0
     qi = r2 - a * b * c / (2.0 * p)
-    qh = r2 - pair_sum(center_components("H", sides).as_tuple(), sides)[0]
-    gi = -pair_sum([3.0 * x - 2.0 * p for x in (a, b, c)], sides)[0]
-    gh = -pair_sum([3.0 * db * dc - k, 3.0 * dc * da - k, 3.0 * da * db - k], sides)[0]
-    ih = -pair_sum([2.0 * p * db * dc - a * k, 2.0 * p * dc * da - b * k,
-                    2.0 * p * da * db - c * k], sides)[0]
+    qh = r2 - _pair_sum(center_components("H", sides).as_tuple(), sides)[0]
+    gi = -_pair_sum([3.0 * x - 2.0 * p for x in (a, b, c)], sides)[0]
+    gh = -_pair_sum([3.0 * db * dc - k, 3.0 * dc * da - k, 3.0 * da * db - k], sides)[0]
+    ih = -_pair_sum([2.0 * p * db * dc - a * k, 2.0 * p * dc * da - b * k,
+                     2.0 * p * da * db - c * k], sides)[0]
 
     return {"QG": qg, "QI": qi, "QH": qh, "GI": gi, "GH": gh, "IH": ih}
 
@@ -118,7 +120,7 @@ def transcribed_closed_forms(sides: TriangleSides) -> dict:
       QG^2   = R^2 - (a^2+b^2+c^2)/9
       QI^2   = R^2 - abc/(2p)
     """
-    a, b, c = sides.as_tuple()
+    a, b, c = _shape(sides, 3).as_tuple()
     p = sides.semiperimeter
     r2 = circumradius(sides) ** 2
     return {

@@ -336,6 +336,33 @@ def test_face_areas_bitwise_over_many_tetrahedra():
             assert fa.by_vertex[VERTICES.index(opp)] == area_determinant(_face_sides(edges, face))
 
 
+def test_areas_scale_exactly_with_a_power_of_two():
+    # multiplying every length by 2**k multiplies each square by 4**k exactly,
+    # so a correctly rounded K and sqrt scale each area by exactly 4**k; libm's
+    # pow is not correctly rounded, so a K squared with ** misses for some shapes
+    rng = random.Random(17)
+    triangles, tetras = [], []
+    while len(triangles) < 3000:
+        a, b, c = sorted(rng.uniform(0.05, 1.0) for _ in range(3))
+        if a + b > c:
+            triangles.append((a, b, c))
+    while len(tetras) < 600:
+        try:
+            tetras.append(_edges_of_points([[rng.random() for _ in range(3)]
+                                            for _ in range(4)]).as_tuple())
+        except NotRealizable:
+            continue
+    for k in (-3, 5, 30):
+        scale = 2.0 ** k
+        off = [s for s in triangles if validate_triangle(*(scale * x for x in s)).area
+               != 4.0 ** k * validate_triangle(*s).area]
+        assert off == [], f"{len(off)} of {len(triangles)} triangle areas at 2**{k}"
+        off = [e for e in tetras
+               if validate_tetrahedron(*(scale * x for x in e)).face_areas.by_vertex
+               != tuple(4.0 ** k * s for s in validate_tetrahedron(*e).face_areas.by_vertex)]
+        assert off == [], f"{len(off)} of {len(tetras)} tetrahedron face-area sets at 2**{k}"
+
+
 # every per-instance cache a shape can fill; none is a field
 _CACHES = {3: ("E", "area", "_pair_e", "_centers", "_circumradius"),
            4: ("E", "face_areas", "circum_aux", "_pair_e", "_centers", "_circumradius",

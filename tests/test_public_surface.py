@@ -1,17 +1,23 @@
 """The package's public surface: every name a module's __all__ lists
 resolves, every name the benchmark in perfbench/ reads from the package
-exists, and the certification harness loads no second value-type
-mechanism."""
+exists, the certification harness loads no second value-type mechanism, and
+no argument of a wrong kind escapes a closed-form function as a bare
+exception."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
+import itertools
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from cevian.core_model import Components, GeometryError, TetraEdges, TriangleSides
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -85,3 +91,41 @@ def test_the_harness_loads_no_dataclasses():
                        timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+
+# one argument of each wrong kind: a sequence of the wrong length, None, a
+# string, NaN, an int past the float range, a negative number, either shape,
+# components and a list
+WRONG_KINDS = [(1, 2), None, "x", math.nan, 10 ** 400, -1.0, TriangleSides(3, 4, 5),
+               TetraEdges(3, 4, 5, 5, 6, 7), Components((1, 1, 1)), [1, 2]]
+
+
+def _arity(func) -> int:
+    """The number of required positional parameters of ``func``."""
+    return sum(p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+               for p in inspect.signature(func).parameters.values())
+
+
+@pytest.mark.parametrize("module", ["core_model", "tri_centers", "tri_metrics", "tet_centers",
+                                    "tet_metrics"])
+def test_every_argument_kind_gives_a_result_or_a_typed_error(module):
+    # every public callable of at most 3 required arguments, classes included,
+    # called with every combination of the wrong kinds
+    mod, bare, calls = importlib.import_module(f"cevian.{module}"), {}, 0
+    for name in mod.__all__:
+        func = getattr(mod, name)
+        if not callable(func) or (isinstance(func, type) and issubclass(func, BaseException)):
+            continue
+        if _arity(func) > 3:
+            continue
+        for args in itertools.product(WRONG_KINDS, repeat=_arity(func)):
+            calls += 1
+            try:
+                func(*args)
+            except GeometryError:
+                pass
+            except Exception as exc:  # the bare exception the README rules out
+                bare.setdefault(name, (type(exc).__name__, args))
+    assert calls > 0
+    assert bare == {}
