@@ -159,7 +159,10 @@ RTOL = 1e-9
 
 
 def _close(x: float, y: float) -> bool:
-    return abs(x - y) <= ATOL + RTOL * max(abs(x), abs(y))
+    # an infinite difference passes the relative test (inf <= inf) but is
+    # never close
+    d = abs(x - y)
+    return d <= ATOL + RTOL * max(abs(x), abs(y)) and d != math.inf
 
 
 VERTICES = ("A", "B", "C", "D")
@@ -779,8 +782,11 @@ def fractional_ratio_determinant(lam_al: float, lam_bm: float, lam_cn: float) ->
     Vanishes exactly when some point P has AL, BM, CN as its three cevians
     with AP/PL = lam_al and so on.
     """
-    lam_al, lam_bm, lam_cn = _reals((lam_al, lam_bm, lam_cn), "vertex-to-foot ratios")
-    return lam_al * lam_bm * lam_cn - (lam_al + lam_bm + lam_cn) - 2.0
+    vals = lam_al, lam_bm, lam_cn = _reals((lam_al, lam_bm, lam_cn), "vertex-to-foot ratios")
+    det = lam_al * lam_bm * lam_cn - (lam_al + lam_bm + lam_cn) - 2.0
+    if not math.isfinite(det):  # so is every non-finite input's
+        raise GeometryError(f"vertex-to-foot ratios {vals!r} give no finite determinant")
+    return det
 
 
 def vertex_foot_ratios(c: Components) -> dict:
@@ -1090,7 +1096,11 @@ def _origin_distance(osq, weights, shape) -> float:
     """OP from the squared vertex distances ``osq`` of the origin O."""
     ps, ps_scale = _pair_sum(weights, shape)
     vertex = list(map(mul, weights, osq))
-    return _sqrt_clamped(math.fsum(vertex) - ps, math.fsum(map(abs, vertex)) + ps_scale)
+    scale = _magnitude_sum(vertex, "a weighted squared vertex-distance sum") + ps_scale
+    sq = math.fsum(vertex) - ps
+    if not math.isfinite(sq):
+        raise GeometryError("a squared distance leaves the floating-point range")
+    return _sqrt_clamped(sq, scale)
 
 
 def dist_origin_to_center(dists, comps, shape) -> float:
@@ -1135,12 +1145,12 @@ def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
     return ap / abs(1.0 - alpha)
 
 
-def _pair_distance(w1, w2, shape, kernel) -> float:
-    """The distance between the points with the given weights, one per
-    vertex of the shape, whose pair-sum kernel is ``kernel``."""
-    ps, scale = kernel(shape._pair_e, w2, w1)
-    if ps < 0.0:  # a positive square passes any window
-        return math.sqrt(-ps)
+def _clamped_pair_root(ps, scale, w1, w2, shape) -> float:
+    """The distance between the points with weights ``w1`` and ``w2``, one
+    per vertex of the shape, from the pair sum ``(ps, scale)`` of their
+    difference when ps >= 0: the square -ps is zero or negative, so the
+    distance is 0.0 inside the rounding window.  A negative ps is a positive
+    square, which passes any window; the callers take its root themselves."""
     # the deltas carry absolute rounding ~eps * (component magnitude); when
     # the centers coincide that noise is all that remains, so the window for
     # a negative square needs an absolute floor at its square
@@ -1153,7 +1163,9 @@ def _pair_distance(w1, w2, shape, kernel) -> float:
 def dist_between_centers(c1, c2, shape) -> float:
     """Distance between the points realizing two component vectors."""
     n = _shape(shape)._N
-    return _pair_distance(_components(c1, n), _components(c2, n), shape, _PAIR_SUMS[n])
+    w1, w2 = _components(c1, n), _components(c2, n)
+    ps, scale = _PAIR_SUMS[n](shape._pair_e, w2, w1)
+    return math.sqrt(-ps) if ps < 0.0 else _clamped_pair_root(ps, scale, w1, w2, shape)
 
 
 def pair_table(comps: dict, shape) -> list:
@@ -1161,9 +1173,12 @@ def pair_table(comps: dict, shape) -> list:
     vectors, in the mapping's order (21 pairs for seven centers)."""
     n = _shape(shape)._N
     w = {k: _components(c, n) for k, c in _instance(comps, Mapping, "components").items()}
-    kernel, table = _PAIR_SUMS[n], []
+    kernel, e, table = _PAIR_SUMS[n], shape._pair_e, []
+    # the steps of dist_between_centers, one kernel call per pair
     for k1, k2 in combinations(w, 2):
-        d = _pair_distance(w[k1], w[k2], shape, kernel)
+        w1, w2 = w[k1], w[k2]
+        ps, scale = kernel(e, w2, w1)
+        d = math.sqrt(-ps) if ps < 0.0 else _clamped_pair_root(ps, scale, w1, w2, shape)
         table.append(DistanceReport((k1, k2), d * d, d))
     return table
 

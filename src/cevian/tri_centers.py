@@ -56,8 +56,13 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
         return IRVector3(da / db, db / dc, dc / da)
     if k != "Q":
         # I and E_X: quotients of the weights (a, b, c), negated at X for E_X
-        wa, wb, wc = (-w if k == f"E_{v}" else w for v, w in zip("ABC", (a, b, c)))
-        return IRVector3(wb / wa, wc / wb, wa / wc)
+        if k == "E_A":
+            a = -a
+        elif k == "E_B":
+            b = -b
+        elif k == "E_C":
+            c = -c
+        return IRVector3(b / a, c / b, a / c)
     # circumcenter: quotient of the component weights (ZeroComponent at a
     # right angle, where Q lies on the hypotenuse)
     return ir_from_components3(center_components("Q", sides))
@@ -86,20 +91,21 @@ def euler_relation(sides: TriangleSides) -> dict:
       collinearity_residual : distance from H to the line through G and Q,
         in length units; 0 up to rounding.
     """
-    g = center_components("G", _shape(sides, 3))
-    h = center_components("H", sides)
-    q = center_components("Q", sides)
-    d_gh = [y - x for x, y in zip(g.as_tuple(), h.as_tuple())]
-    d_gq = [y - x for x, y in zip(g.as_tuple(), q.as_tuple())]
-    denom = math.fsum(x * x for x in d_gq)
-    if denom <= 1e-28 or max(abs(x) for x in d_gq) <= 1e-14:
+    g0, g1, g2 = center_components("G", _shape(sides, 3)).weights
+    h0, h1, h2 = center_components("H", sides).weights
+    q0, q1, q2 = center_components("Q", sides).weights
+    # written on 3-tuples: a generator or comprehension builds a frame per call
+    u0, u1, u2 = h0 - g0, h1 - g1, h2 - g2  # G->H
+    v0, v1, v2 = q0 - g0, q1 - g1, q2 - g2  # G->Q
+    denom = math.fsum((v0 * v0, v1 * v1, v2 * v2))
+    if denom <= 1e-28 or max(abs(v0), abs(v1), abs(v2)) <= 1e-14:
         return {"gh_over_gq": -2.0, "collinearity_residual": 0.0}
-    ratio = math.fsum(x * y for x, y in zip(d_gh, d_gq)) / denom
+    ratio = math.fsum((u0 * v0, u1 * v1, u2 * v2)) / denom
     # residual: length of H's deviation from the line through G and Q.  The
     # deviation lives in component space (it sums to zero), so the same
     # quadratic form that measures center-pair distances converts it to a
     # length; Heron on the three nearly-collinear distances would lose half
     # the precision instead.
-    sq = -_pair_sum([x - ratio * y for x, y in zip(d_gh, d_gq)], sides)[0]
+    sq = -_pair_sum((u0 - ratio * v0, u1 - ratio * v1, u2 - ratio * v2), sides)[0]
     residual = math.sqrt(sq) if sq > 0.0 else 0.0
     return {"gh_over_gq": ratio, "collinearity_residual": residual}

@@ -103,10 +103,10 @@ def inequality_slacks(sides: TriangleSides) -> dict:
     qg = r2 - (a2 + b2 + c2) / 9.0
     qi = r2 - a * b * c / (2.0 * p)
     qh = r2 - _pair_sum(center_components("H", sides).as_tuple(), sides)[0]
-    gi = -_pair_sum([3.0 * x - 2.0 * p for x in (a, b, c)], sides)[0]
-    gh = -_pair_sum([3.0 * db * dc - k, 3.0 * dc * da - k, 3.0 * da * db - k], sides)[0]
-    ih = -_pair_sum([2.0 * p * db * dc - a * k, 2.0 * p * dc * da - b * k,
-                     2.0 * p * da * db - c * k], sides)[0]
+    gi = -_pair_sum((3.0 * a - 2.0 * p, 3.0 * b - 2.0 * p, 3.0 * c - 2.0 * p), sides)[0]
+    gh = -_pair_sum((3.0 * db * dc - k, 3.0 * dc * da - k, 3.0 * da * db - k), sides)[0]
+    ih = -_pair_sum((2.0 * p * db * dc - a * k, 2.0 * p * dc * da - b * k,
+                     2.0 * p * da * db - c * k), sides)[0]
 
     return {"QG": qg, "QI": qi, "QH": qh, "GI": gi, "GH": gh, "IH": ih}
 

@@ -30,6 +30,9 @@ import time
 from itertools import combinations, starmap
 
 import numpy as np
+# numpy.random is not loaded by ``import numpy``; imported here, the forked
+# workers inherit it instead of each importing it again
+from numpy.random import default_rng
 
 from .core_model import (
     CENTER_KINDS,
@@ -454,7 +457,7 @@ def _run_block(half, seed, first, stop, rtol, atol):
     suites = {n: _Suite(n) for n in names}
     shapes, rngs = [], []
     for case in range(first, stop):
-        rng = np.random.default_rng([seed, 2 * case + offset])
+        rng = default_rng([seed, 2 * case + offset])
         shape = draw(rng)
         if shape is not None:
             shapes.append(shape)

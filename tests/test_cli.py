@@ -352,6 +352,26 @@ def test_verify_subprocess_deterministic():
     assert "status PASS" in r1.stdout
 
 
+def test_verify_blocks_load_no_module_the_parent_lacks():
+    """A forked worker inherits the modules the parent holds once it has
+    imported cevian.verify; one it imports itself (numpy.random, which
+    ``import numpy`` does not load) is paid again by every worker of every
+    call."""
+    script = (
+        "import sys\n"
+        "from cevian import verify\n"
+        "before = set(sys.modules)\n"
+        "for half in ('tri', 'tet'):\n"
+        "    verify._run_block(half, 42, 0, 4, 1e-9, 1e-12)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 # full reports: every section each subcommand has
 FULL_TRI = ("--centers", "all", "--distances", "all", "--metrics", "--inequalities", "--areas")
 FULL_TET = ("--centers", "G,I,Q,E_A,E_B,E_C,E_D,power:2", "--distances", "all", "--metrics",

@@ -498,6 +498,11 @@ def test_tolerance_close():
     # equal within ATOL + RTOL * max(|x|, |y|)
     assert _close(1.0, 1.0 + 1e-12)
     assert not _close(1.0, 1.001)
+    # an infinite difference is never close, though inf <= RTOL * inf
+    assert not _close(math.inf, 1.0)
+    assert not _close(1.0, -math.inf)
+    assert not _close(math.inf, math.inf)
+    assert not _close(1e308, -1e308)  # the difference overflows
 
 
 # ---------------------------------------------------------- ratio conversions
@@ -772,6 +777,32 @@ def test_weights_that_sum_to_zero_raise_degenerate_denominator(weights):
 def test_cevian_ratios_name_the_first_field_that_fails(ratios, name):
     with pytest.raises(DegenerateDenominator, match=f"^{name} = "):
         IRVector3(*ratios)
+
+
+@pytest.mark.parametrize("ratios", [(1e200, 1e200, 1e-300), (1e300, 1e300, 1.0),
+                                    (1e200, 1e200, 1e200)])
+def test_cevian_ratios_whose_product_overflows_violate_ceva(ratios):
+    # the product is inf, which the relative tolerance alone would pass
+    with pytest.raises(CevaViolation, match="^ratio product inf != 1"):
+        IRVector3(*ratios)
+
+
+@pytest.mark.parametrize("ratios", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                    (1.0, -math.inf, 1.0), (1e200, 1e200, 1e200),
+                                    (-1e200, 1e200, 1e200)])
+def test_ratio_determinant_outside_the_float_range_raises(ratios):
+    with pytest.raises(GeometryError, match="give no finite determinant"):
+        fractional_ratio_determinant(*ratios)
+
+
+@pytest.mark.parametrize("dists, comps, sides", [
+    ((1e200,) * 3, (2, -1, 0.5), (3, 4, 5)),  # fsum met -inf + inf: a bare ValueError
+    ((1e200,) * 3, (1, 1, 1), (3, 4, 5)),  # the distance came out inf
+    ((1.1e154, 0.0, 0.0), (2, -1, 0.5), (1e154,) * 3),  # finite terms, inf difference
+])
+def test_origin_distances_whose_squares_overflow_raise(dists, comps, sides):
+    with pytest.raises(GeometryError, match="leaves the floating-point range"):
+        dist_origin_to_center(dists, Components(comps), validate_triangle(*sides))
 
 
 def test_pair_terms_that_overflow_raise_typed_errors():
