@@ -214,8 +214,7 @@ class _Frozen:
     __match_args__ = ()
 
     def _fields(self) -> tuple:
-        d = self.__dict__
-        return tuple([d[name] for name in self.__match_args__])
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -322,8 +321,9 @@ class TriangleSides(_Simplex):
 
     @_cached
     def area(self) -> float:
-        """sqrt(K)/4 with K = 16*Area^2 from E; a K that is not positive
-        raises GeometryError on every access (a raise is not cached)."""
+        """sqrt(K)/4 with K = 16*Area^2 from E; a K that is not positive or
+        not finite raises GeometryError on every access (a raise is not
+        cached)."""
         e = self.E
         return _area(e[1][2], e[2][0], e[0][1])
 
@@ -355,6 +355,9 @@ def _area(a2: float, b2: float, c2: float) -> float:
     k = _k_invariant(a2, b2, c2)
     if k <= 0.0:
         raise GeometryError(f"nonpositive squared-area invariant {k}")
+    if not k < math.inf:  # NaN or inf: the squares of huge sides overflowed
+        raise GeometryError(f"squared-area invariant {k} of the squared sides "
+                            f"({a2!r}, {b2!r}, {c2!r}) leaves the floating-point range")
     return 0.25 * math.sqrt(k)
 
 
@@ -469,7 +472,7 @@ class TetraEdges(_Simplex):
                 raise FaceTriangleInequalityViolated(
                     f"face {face} edges ({x}, {y}, {z}) violate the triangle inequality"
                 )
-        gram, delta2 = _volume_term(self.as_tuple())
+        gram, delta2 = _volume_term(self)  # the lengths just checked
         try:
             # scale-aware strict positivity gate: delta2**3 has the same units
             floor = ATOL * delta2 ** 3
@@ -491,8 +494,8 @@ class TetraEdges(_Simplex):
     def face_areas(self) -> FaceAreas:
         """The four face areas, each sqrt(K)/4 on the squares of the face's
         sides (a, b, c) = (V2V3, V3V1, V1V2), read from E.  A face whose K is
-        not positive raises GeometryError on every access (a raise is not
-        cached)."""
+        not positive or not finite raises GeometryError on every access (a
+        raise is not cached)."""
         e = self.E
         areas = [_area(e[v2][v3], e[v3][v1], e[v1][v2])
                  for v1, v2, v3, _ in FACE_INDICES.values()]
@@ -571,19 +574,26 @@ def _magnitude_sum(values, what: str) -> float:
 
 
 def _normalized(values):
-    try:  # the magnitude sum is the finiteness test too; its failure names the fault
-        scale = _magnitude_sum(values, "a weight sum") + 1.0
-    except GeometryError:
-        if not all(map(math.isfinite, values)):
-            raise GeometryError(f"weights {values} are not all finite") from None
-        raise
-    total = math.fsum(values)
-    if abs(total) <= ATOL * scale:
-        raise DegenerateDenominator(f"weights {values} sum to ~0 and cannot be normalized")
-    if len(values) == 3:  # written out: a comprehension builds a frame per call
+    # written out per arity: a comprehension builds a frame per call
+    if len(values) == 3:
         a, b, c = values
+        magnitudes = abs(a), abs(b), abs(c)
+    else:
+        a, b, c, d = values
+        magnitudes = abs(a), abs(b), abs(c), abs(d)
+    try:  # the magnitude sum is the finiteness test too; its failure names the fault
+        scale = math.fsum(magnitudes)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        if not all(map(math.isfinite, values)):
+            raise GeometryError(f"weights {values} are not all finite")
+        raise GeometryError("a weight sum leaves the floating-point range")
+    total = math.fsum(values)
+    if abs(total) <= ATOL * (scale + 1.0):
+        raise DegenerateDenominator(f"weights {values} sum to ~0 and cannot be normalized")
+    if len(values) == 3:
         return a / total, b / total, c / total
-    a, b, c, d = values
     return a / total, b / total, c / total, d / total
 
 
@@ -879,10 +889,11 @@ _SHARED_EDGES = (
 
 def _face_ratio(face: str, weights: tuple, x: int, y: int) -> float:
     """lambda_xy within the given face, from that face's component weights."""
-    vals = dict(zip(FACE_INDICES[face][:3], weights))
-    if abs(vals[x]) <= ATOL:
+    verts = FACE_INDICES[face]
+    wx = weights[verts.index(x)]
+    if abs(wx) <= ATOL:
         raise DegenerateDenominator(f"component of {VERTICES[x]} on face {face} ~ 0")
-    return vals[y] / vals[x]
+    return weights[verts.index(y)] / wx
 
 
 def shared_edge_residuals(face_components: dict) -> dict:
@@ -970,7 +981,8 @@ def _build_center(k, shape, n: int) -> Components:
         return _comps(contents)
     if isinstance(k, PowerIncenter):
         try:
-            return _comps(c ** k.n for c in contents)
+            a, b, c, d = contents  # PowerIncenter is the tetrahedron's alone
+            return _comps((a ** k.n, b ** k.n, c ** k.n, d ** k.n))
         except OverflowError:
             raise GeometryError(f"the {k} weights overflow the float range") from None
     # excenter E_X: the sign flips at X, and the weights' sum, the total
@@ -1024,16 +1036,26 @@ _PAIRS = {n: tuple(combinations(range(n), 2)) for n in (3, 4)}
 # -inf + inf.
 def _pair_sum3(e, v, w=(0, 0, 0)) -> tuple:
     d0, d1, d2 = v[0] - w[0], v[1] - w[1], v[2] - w[2]
-    t = d0 * d1 * e[0], d0 * d2 * e[1], d1 * d2 * e[2]
-    scale = _magnitude_sum(t, "a pair sum")
+    t0, t1, t2 = t = d0 * d1 * e[0], d0 * d2 * e[1], d1 * d2 * e[2]
+    try:
+        scale = math.fsum((abs(t0), abs(t1), abs(t2)))
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise GeometryError("a pair sum leaves the floating-point range")
     return math.fsum(t), scale
 
 
 def _pair_sum4(e, v, w=(0, 0, 0, 0)) -> tuple:
     d0, d1, d2, d3 = v[0] - w[0], v[1] - w[1], v[2] - w[2], v[3] - w[3]
-    t = (d0 * d1 * e[0], d0 * d2 * e[1], d0 * d3 * e[2],
-         d1 * d2 * e[3], d1 * d3 * e[4], d2 * d3 * e[5])
-    scale = _magnitude_sum(t, "a pair sum")
+    t0, t1, t2, t3, t4, t5 = t = (d0 * d1 * e[0], d0 * d2 * e[1], d0 * d3 * e[2],
+                                  d1 * d2 * e[3], d1 * d3 * e[4], d2 * d3 * e[5])
+    try:
+        scale = math.fsum((abs(t0), abs(t1), abs(t2), abs(t3), abs(t4), abs(t5)))
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise GeometryError("a pair sum leaves the floating-point range")
     return math.fsum(t), scale
 
 
@@ -1156,7 +1178,13 @@ def _clamped_pair_root(ps, scale, w1, w2, shape) -> float:
     # a negative square needs an absolute floor at its square
     grain = 0.0
     if ps > 0.0:
-        grain = (8.0 * 2.3e-16 * max(map(abs, w1 + w2))) ** 2 * 0.5 * sum(map(sum, shape.E))
+        total = 0.0  # sum of E's rows, each added left to right: builtin sum rounds per version
+        for row in shape.E:
+            row_total = 0.0
+            for x in row:
+                row_total += x
+            total += row_total
+        grain = (8.0 * 2.3e-16 * max(map(abs, w1 + w2))) ** 2 * 0.5 * total
     return _sqrt_clamped(-ps, scale, grain)
 
 
@@ -1173,13 +1201,16 @@ def pair_table(comps: dict, shape) -> list:
     vectors, in the mapping's order (21 pairs for seven centers)."""
     n = _shape(shape)._N
     w = {k: _components(c, n) for k, c in _instance(comps, Mapping, "components").items()}
-    kernel, e, table = _PAIR_SUMS[n], shape._pair_e, []
+    kernel, e, table, new = _PAIR_SUMS[n], shape._pair_e, [], object.__new__
     # the steps of dist_between_centers, one kernel call per pair
     for k1, k2 in combinations(w, 2):
         w1, w2 = w[k1], w[k2]
         ps, scale = kernel(e, w2, w1)
         d = math.sqrt(-ps) if ps < 0.0 else _clamped_pair_root(ps, scale, w1, w2, shape)
-        table.append(DistanceReport((k1, k2), d * d, d))
+        rep = new(DistanceReport)  # the engine's own floats: skip __init__'s call frame
+        rd = rep.__dict__
+        rd["pair"], rd["squared_distance"], rd["distance"] = (k1, k2), d * d, d
+        table.append(rep)
     return table
 
 

@@ -18,6 +18,7 @@ from .core_model import (
     FACE_INDICES,
     FaceAreas,
     GeometryError,
+    IRVector3,
     TetraEdges,
     _comps,
     _facet_ratios,
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 TET_CENTER_KINDS = CENTER_KINDS[4]
+_PROJECTED = ("Q", "G", "I")
 
 
 def face_areas(edges: TetraEdges) -> FaceAreas:
@@ -57,8 +59,14 @@ def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
     Defined for any center with no vanishing component (G, I, and the
     excenters always qualify); ZeroComponent otherwise.
     """
-    beta = tet_center_components(kind, _shape(edges, 4)).as_tuple()
-    return {face: _facet_ratios(beta, *verts[:3]) for face, verts in FACE_INDICES.items()}
+    a, b, c, d = beta = tet_center_components(kind, _shape(edges, 4)).weights
+    if abs(a) <= ATOL or abs(b) <= ATOL or abs(c) <= ATOL or abs(d) <= ATOL:
+        # the per-face check names the vertex the face order meets first
+        for v1, v2, v3, _ in FACE_INDICES.values():
+            _facet_ratios(beta, v1, v2, v3)
+    # written out in FACE_INDICES order: a comprehension builds a frame per call
+    return {"BCD": IRVector3(c / b, d / c, b / d), "CDA": IRVector3(d / c, a / d, c / a),
+            "DAB": IRVector3(a / d, b / a, d / b), "ABC": IRVector3(b / a, c / b, a / c)}
 
 
 def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
@@ -83,7 +91,9 @@ def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
 def vertex_projection_components(edges: TetraEdges, face: str) -> Components:
     """Projection of the face's opposite vertex onto the face (the foot of
     the altitude from it), built once per face and cached on the edge set."""
-    key = canonical_face(face)
+    # a face name already canonical skips the coercer; any other, an
+    # unhashable one included, reaches it
+    key = face if type(face) is str and face in FACES else canonical_face(face)
     feet = _shape(edges, 4)._feet
     if key not in feet:
         feet[key] = projection_components(edges, edges.E[FACE_INDICES[key][3]], key)
@@ -97,20 +107,23 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
     the opposite vertex's projection: the projection of sum(beta_V * V) is
     sum over face vertices plus beta_W * (projection of W).
     """
-    k = parse_center(kind, 4)
-    if k not in ("Q", "G", "I"):
+    # canonical arguments skip their coercers; any other, an unhashable one
+    # included, reaches them
+    k = kind if type(kind) is str and kind in _PROJECTED else parse_center(kind, 4)
+    if k not in _PROJECTED:
         raise GeometryError(
             f"projection closed form available for Q, G, I only, not {kind!r}"
         )
     faces = _shape(edges, 4)._faces
-    (v1, v2, v3, opp), (e12, e23, e31), delta2f, eight_sq = faces[canonical_face(face)]
+    key = face if type(face) is str and face in FACES else canonical_face(face)
+    (v1, v2, v3, opp), (e12, e23, e31), delta2f, eight_sq = faces[key]
     if k == "Q":
         return _comps((
             (delta2f - e23) * e23 / eight_sq,
             (delta2f - e31) * e31 / eight_sq,
             (delta2f - e12) * e12 / eight_sq,
         ))
-    f1, f2, f3 = vertex_projection_components(edges, face).as_tuple()
+    f1, f2, f3 = vertex_projection_components(edges, key).weights
     if k == "G":
         return _comps(((1.0 + f1) / 4.0, (1.0 + f2) / 4.0, (1.0 + f3) / 4.0))
     fa = edges.face_areas

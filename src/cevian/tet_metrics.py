@@ -15,7 +15,6 @@ circumcenter are sqrt(R^2 - ps4).
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 from .core_model import (
     TetraEdges,
@@ -23,7 +22,7 @@ from .core_model import (
     _Frozen,
     _PAIRS,
     _crelle_product,
-    _pair_sum,
+    _pair_sum4,
     _shape,
     circumradius,
     pair_table,
@@ -72,10 +71,13 @@ def circumradius_forms(edges: TetraEdges) -> dict:
       opposite_edge_product: the q-product over the volume term
     """
     beta = tet_center_components("Q", _shape(edges, 4)).as_tuple()
-    e = edges.E
-    half = sum((beta[i] + beta[j]) * e[i][j] for i, j in _PAIRS[4])
+    b0, b1, b2, b3 = beta
+    e01, e02, e03, e12, e13, e23 = e = edges._pair_e
+    # added left to right: builtin sum() rounds differently from Python 3.12 on
+    half = ((b0 + b1) * e01 + (b0 + b2) * e02 + (b0 + b3) * e03
+            + (b1 + b2) * e12 + (b1 + b3) * e13 + (b2 + b3) * e23)
     return {
-        "component_pair_sum": math.sqrt(_pair_sum(beta, edges)[0]),
+        "component_pair_sum": math.sqrt(_pair_sum4(e, beta)[0]),
         "component_half_sum": math.sqrt(half / 8.0),
         "opposite_edge_product": circumradius(edges),
     }
@@ -89,7 +91,7 @@ def crelle_check(edges: TetraEdges) -> float:
     consistency measurement, not an algebraic tautology.
     """
     rhs = _crelle_product(_shape(edges, 4))
-    r2 = _pair_sum(tet_center_components("Q", edges).as_tuple(), edges)[0]
+    r2 = _pair_sum4(edges._pair_e, tet_center_components("Q", edges).as_tuple())[0]
     lhs = edges.volume_term * r2
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
@@ -120,14 +122,23 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     r2 = circumradius(_shape(edges, 4)) ** 2
     fa = edges.face_areas
     aux = edges.circum_aux
-    s_by, u_by = fa.by_vertex, aux.by_vertex
+    s0, s1, s2, s3 = s_by = fa.by_vertex
+    u0, u1, u2, u3 = aux.by_vertex
+    stot, utot, e = fa.s, aux.u, edges._pair_e
 
-    qg = r2 - math.fsum(e * e for e in edges.as_tuple()) / 16.0
-    qi = r2 - _pair_sum(s_by, edges)[0] / fa.s ** 2
-    gi = -_pair_sum([4.0 * s - fa.s for s in s_by], edges)[0]
-    gq = -_pair_sum([4.0 * u - aux.u for u in u_by], edges)[0]
-    iq = -_pair_sum([fa.s * u - s * aux.u for s, u in zip(s_by, u_by)], edges)[0]
+    qg = r2 - math.fsum(e) / 16.0  # the squared edges: fsum is correctly rounded
+    qi = r2 - _pair_sum4(e, s_by)[0] / stot ** 2
+    gi = -_pair_sum4(e, (4.0 * s0 - stot, 4.0 * s1 - stot, 4.0 * s2 - stot, 4.0 * s3 - stot))[0]
+    gq = -_pair_sum4(e, (4.0 * u0 - utot, 4.0 * u1 - utot, 4.0 * u2 - utot, 4.0 * u3 - utot))[0]
+    iq = -_pair_sum4(e, (stot * u0 - s0 * utot, stot * u1 - s1 * utot,
+                         stot * u2 - s2 * utot, stot * u3 - s3 * utot))[0]
     return {"QG": qg, "QI": qi, "GI": gi, "GQ": gq, "IQ": iq}
+
+
+# The transcribed forms' index tables: each vertex x with the other three in
+# increasing order, and each vertex pair x < y with the other two, z < w.
+_OTHERS = tuple((x,) + tuple(v for v in range(4) if v != x) for x in range(4))
+_SPLITS = tuple((x, y) + tuple(v for v in range(4) if v not in (x, y)) for x, y in _PAIRS[4])
 
 
 def transcribed_closed_forms4(edges: TetraEdges) -> dict:
@@ -138,38 +149,47 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
     fa = _shape(edges, 4).face_areas
     aux = edges.circum_aux
     s, u = fa.by_vertex, aux.by_vertex
-    t = [fa.opposite_sum(x) for x in range(4)]
     stot, utot = fa.s, aux.u
+    s0, s1, s2, s3 = s
+    u0, u1, u2, u3 = u
+    t = (stot - 2.0 * s0, stot - 2.0 * s1, stot - 2.0 * s2, stot - 2.0 * s3)  # T^X
     e2 = edges.E
+    e01, e02, e03, e12, e13, e23 = edges._pair_e
     r2 = circumradius(edges) ** 2
 
     def root(x):
         return math.sqrt(x) if x > 0.0 else 0.0
 
+    # fsum over tuple literals, not generators: fsum is correctly rounded, so
+    # the terms' order cannot move a bit, and a generator builds a frame per call
+    g0, g1, g2, g3 = s0 - stot / 4.0, s1 - stot / 4.0, s2 - stot / 4.0, s3 - stot / 4.0
+    q0, q1, q2, q3 = 4.0 * u0 - utot, 4.0 * u1 - utot, 4.0 * u2 - utot, 4.0 * u3 - utot
+    h0, h1, h2, h3 = (stot * u0 - s0 * utot, stot * u1 - s1 * utot,
+                      stot * u2 - s2 * utot, stot * u3 - s3 * utot)
     out = {
-        "QG": 0.25 * root(16.0 * r2 - math.fsum(e * e for e in edges.as_tuple())),
-        "QI": root(r2 - math.fsum(s[x] * s[y] * e2[x][y] for x, y in _PAIRS[4]) / stot ** 2),
-        "GI": root(-math.fsum((s[x] - stot / 4.0) * (s[y] - stot / 4.0) * e2[x][y]
-                              for x, y in _PAIRS[4])) / stot,
-        "GQ": root(-math.fsum((4.0 * u[x] - utot) * (4.0 * u[y] - utot) * e2[x][y]
-                              for x, y in _PAIRS[4])) / (4.0 * utot),
-        "IQ": root(-math.fsum((stot * u[x] - s[x] * utot) * (stot * u[y] - s[y] * utot)
-                              * e2[x][y] for x, y in _PAIRS[4])) / (stot * utot),
+        "QG": 0.25 * root(16.0 * r2 - math.fsum((e01, e02, e03, e12, e13, e23))),
+        "QI": root(r2 - math.fsum((s0 * s1 * e01, s0 * s2 * e02, s0 * s3 * e03, s1 * s2 * e12,
+                                   s1 * s3 * e13, s2 * s3 * e23)) / stot ** 2),
+        "GI": root(-math.fsum((g0 * g1 * e01, g0 * g2 * e02, g0 * g3 * e03, g1 * g2 * e12,
+                               g1 * g3 * e13, g2 * g3 * e23))) / stot,
+        "GQ": root(-math.fsum((q0 * q1 * e01, q0 * q2 * e02, q0 * q3 * e03, q1 * q2 * e12,
+                               q1 * q3 * e13, q2 * q3 * e23))) / (4.0 * utot),
+        "IQ": root(-math.fsum((h0 * h1 * e01, h0 * h2 * e02, h0 * h3 * e03, h1 * h2 * e12,
+                               h1 * h3 * e13, h2 * h3 * e23))) / (stot * utot),
     }
-    for x, name in enumerate(VERTICES):
-        others = [v for v in range(4) if v != x]
-        inc = math.fsum(s[x] * s[y] * e2[x][y] for y in others)
-        non = math.fsum(s[y] * s[z] * e2[y][z] for y, z in combinations(others, 2))
-        ge = math.fsum((4.0 * s[x] + t[x]) * (4.0 * s[y] - t[x]) * e2[x][y]
-                       for y in others)
-        ge -= math.fsum((4.0 * s[y] - t[x]) * (4.0 * s[z] - t[x]) * e2[y][z]
-                        for y, z in combinations(others, 2))
-        out[f"GE_{name}"] = root(ge) / (4.0 * t[x])
-        out[f"IE_{name}"] = root((stot ** 2 - t[x] ** 2) * inc
-                                 - (stot - t[x]) ** 2 * non) / (stot * t[x])
-        out[f"QE_{name}"] = root(r2 - (non - inc) / t[x] ** 2)
-    for x, y in _PAIRS[4]:
-        z, w = (v for v in range(4) if v not in (x, y))
+    for x, y, z, w in _OTHERS:
+        name, sx, sy, sz, sw, tx, ex = VERTICES[x], s[x], s[y], s[z], s[w], t[x], e2[x]
+        eyz, eyw, ezw = e2[y][z], e2[y][w], e2[z][w]
+        inc = math.fsum((sx * sy * ex[y], sx * sz * ex[z], sx * sw * ex[w]))
+        non = math.fsum((sy * sz * eyz, sy * sw * eyw, sz * sw * ezw))
+        gx, gy, gz, gw = 4.0 * sx + tx, 4.0 * sy - tx, 4.0 * sz - tx, 4.0 * sw - tx
+        ge = math.fsum((gx * gy * ex[y], gx * gz * ex[z], gx * gw * ex[w]))
+        ge -= math.fsum((gy * gz * eyz, gy * gw * eyw, gz * gw * ezw))
+        out[f"GE_{name}"] = root(ge) / (4.0 * tx)
+        out[f"IE_{name}"] = root((stot ** 2 - tx ** 2) * inc
+                                 - (stot - tx) ** 2 * non) / (stot * tx)
+        out[f"QE_{name}"] = root(r2 - (non - inc) / tx ** 2)
+    for x, y, z, w in _SPLITS:
         acc = s[x] * s[y] * (t[x] + t[y]) ** 2 * e2[x][y]
         acc -= (t[x] ** 2 - t[y] ** 2) * (s[x] * s[z] * e2[x][z]
                                           + s[x] * s[w] * e2[x][w])

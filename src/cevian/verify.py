@@ -134,7 +134,9 @@ def _random_tetra(rng):
     except GeometryError:
         return None
     e = edges.E
-    delta2 = 0.5 * sum(e[i][j] for i, j in EDGES[4])
+    # added left to right in EDGES[4] order: builtin sum() rounds differently
+    # from Python 3.12 on
+    delta2 = 0.5 * (e[0][1] + e[0][2] + e[0][3] + e[1][2] + e[2][3] + e[3][1])
     if edges.volume_term < 1e-6 * delta2 ** 3:
         return None
     fa = edges.face_areas
@@ -320,8 +322,8 @@ def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
                 abs(ratios["kap_a"] + ratios["kap_b"] + ratios["kap_c"] - 2.0),
                 1e-9, inst)
             suites["tri.identities"].check(
-                abs(sum(1.0 / (1.0 + ratios[k]) for k in ("lam_a", "lam_b", "lam_c"))
-                    - 1.0), 1e-9, inst)
+                abs(1.0 / (1.0 + ratios["lam_a"]) + 1.0 / (1.0 + ratios["lam_b"])
+                    + 1.0 / (1.0 + ratios["lam_c"]) - 1.0), 1e-9, inst)
             suites["tri.identities"].check(
                 abs(fractional_ratio_determinant(
                     ratios["lam_a"], ratios["lam_b"], ratios["lam_c"])), 1e-9, inst)

@@ -57,7 +57,7 @@ from cevian.tet_centers import projection_components
 from cevian.tet_metrics import TetMetricsSummary, circumradius_forms, inradius
 from cevian.tri_centers import center_ir
 from cevian.tri_metrics import (area_determinant, ict_altitudes, ict_areas, inequality_slacks,
-                                k_invariant)
+                                k_invariant, transcribed_closed_forms)
 
 FACE_OPPOSITE = {face: next(v for v in "ABCD" if v not in face) for face in FACES}
 
@@ -467,6 +467,25 @@ def test_nonpositive_face_invariant_raises_on_every_access():
         with pytest.raises(GeometryError, match="nonpositive squared-area invariant"):
             edges.face_areas
     assert "face_areas" not in vars(edges)
+
+
+# sides whose squares are finite but whose K is not: at 3e100..5e100 the
+# squared sum and the fourth powers overflow and K = inf - inf is NaN; for
+# the equilateral 7e76 only the squared sum does, and K is inf
+@pytest.mark.parametrize("sides", [(3e100, 4.1e100, 5e100), (7e76, 7e76, 7e76)])
+@pytest.mark.parametrize("call", [
+    lambda t: t.area,
+    circumradius,
+    transcribed_closed_forms,
+    lambda t: dist_from_circumcenter(center_components("G", t), t),
+], ids=["area", "circumradius", "transcribed_closed_forms", "dist_from_circumcenter"])
+def test_a_squared_area_invariant_past_the_float_range_raises(sides, call):
+    t = validate_triangle(*sides)
+    assert not math.isfinite(k_invariant(t))
+    for _ in range(2):
+        with pytest.raises(GeometryError, match="squared-area invariant .* leaves the "
+                                                "floating-point range"):
+            call(t)
 
 
 # ---------------------------------------------------------------- components
