@@ -345,9 +345,14 @@ def validate_triangle(a: float, b: float, c: float) -> TriangleSides:
 
 
 def _k_invariant(a2: float, b2: float, c2: float) -> float:
-    """(a^2+b^2+c^2)^2 - 2(a^4+b^4+c^4) on the squared sides: 16*Area^2."""
+    """(a^2+b^2+c^2)^2 - 2(a^4+b^4+c^4) on the squared sides: 16*Area^2;
+    GeometryError when the squares of huge sides overflow it to NaN or inf."""
     s = a2 + b2 + c2  # s * s: float ** calls libm pow, which is not correctly rounded
-    return s * s - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
+    k = s * s - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
+    if not -math.inf < k < math.inf:
+        raise GeometryError(f"squared-area invariant {k} of the squared sides "
+                            f"({a2!r}, {b2!r}, {c2!r}) leaves the floating-point range")
+    return k
 
 
 def _area(a2: float, b2: float, c2: float) -> float:
@@ -355,9 +360,6 @@ def _area(a2: float, b2: float, c2: float) -> float:
     k = _k_invariant(a2, b2, c2)
     if k <= 0.0:
         raise GeometryError(f"nonpositive squared-area invariant {k}")
-    if not k < math.inf:  # NaN or inf: the squares of huge sides overflowed
-        raise GeometryError(f"squared-area invariant {k} of the squared sides "
-                            f"({a2!r}, {b2!r}, {c2!r}) leaves the floating-point range")
     return 0.25 * math.sqrt(k)
 
 
@@ -426,7 +428,8 @@ class FaceAreas(_Frozen):
 
     def __init__(self, by_vertex: tuple, s: float):
         d = self.__dict__
-        d["by_vertex"], d["s"] = by_vertex, s
+        d["by_vertex"] = _reals(by_vertex, "face areas", 4, finite=True)
+        (d["s"],) = _reals((s,), "face area sum", finite=True)
 
     def opposite_sum(self, i: int) -> float:
         """T^X = s - 2*S^X for vertex index i: the other three areas minus
@@ -445,7 +448,8 @@ class CircumAux(_Frozen):
 
     def __init__(self, by_vertex: tuple, u: float):
         d = self.__dict__
-        d["by_vertex"], d["u"] = by_vertex, u
+        d["by_vertex"] = _reals(by_vertex, "circumcenter weights", 4, finite=True)
+        (d["u"],) = _reals((u,), "circumcenter weight sum", finite=True)
 
 
 class TetraEdges(_Simplex):
@@ -651,9 +655,7 @@ class IRVector3(_Frozen):
     __match_args__ = ("lambda_ab", "lambda_bc", "lambda_ca")
 
     def __init__(self, lambda_ab: float, lambda_bc: float, lambda_ca: float):
-        a, b, c = vals = lambda_ab, lambda_bc, lambda_ca
-        if not type(a) is type(b) is type(c) is float:  # the engine's own ratios are floats
-            a, b, c = vals = _reals(vals, "cevian ratios")
+        a, b, c = vals = _reals((lambda_ab, lambda_bc, lambda_ca), "cevian ratios")
         d = self.__dict__
         d["lambda_ab"], d["lambda_bc"], d["lambda_ca"] = vals
         if not (a and b and c and math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
@@ -681,6 +683,17 @@ class IRVector3(_Frozen):
         return 1.0 / self.lambda_ca
 
 
+def _ratios(a: float, b: float, c: float) -> IRVector3:
+    """The engine's own float ratios as an IRVector3: a Ceva product within ATOL + RTOL of 1
+    (so every factor is finite and nonzero) skips __init__'s checks, any other meets them."""
+    if abs(a * b * c - 1.0) <= ATOL + RTOL:
+        ir = object.__new__(IRVector3)
+        d = ir.__dict__
+        d["lambda_ab"], d["lambda_bc"], d["lambda_ca"] = a, b, c
+        return ir
+    return IRVector3(a, b, c)
+
+
 # --------------------------------------------------------------------------
 # argument coercers: each public function of the closed-form modules passes
 # every argument through the one of its kind first (canonical_face and
@@ -704,11 +717,14 @@ def _sequence(values, what: str) -> tuple:
         raise GeometryError(f"{what} {values!r} are not a sequence of numbers") from None
 
 
-def _reals(values, what: str, n=None) -> tuple:
+def _reals(values, what: str, n=None, finite=False) -> tuple:
     """The floats of ``values``, one per vertex of an n-vertex shape when n is
-    given; NaN and the infinities pass, for the caller's range check to name."""
+    given.  NaN and the infinities pass, for the caller's range check to name,
+    unless ``finite``: then they are refused as values that are not numbers."""
     try:
         vals = tuple(map(float, values))
+        if finite and not all(map(math.isfinite, vals)):
+            raise ValueError  # the message below names them
     except (TypeError, ValueError, OverflowError):
         raise GeometryError(f"{what} {values!r} are not numbers in the float range") from None
     if n is not None and len(vals) != n:
@@ -777,8 +793,8 @@ def _facet_ratios(weights, v1: int, v2: int, v3: int) -> IRVector3:
         if abs(weights[v]) <= ATOL:
             raise ZeroComponent(f"component of {VERTICES[v]} ~ 0: the point lies on the "
                                 f"facet opposite {VERTICES[v]}, cevian ratios undefined")
-    return IRVector3(weights[v2] / weights[v1], weights[v3] / weights[v2],
-                     weights[v1] / weights[v3])
+    return _ratios(weights[v2] / weights[v1], weights[v3] / weights[v2],
+                   weights[v1] / weights[v3])
 
 
 def ir_from_components3(c: Components) -> IRVector3:
@@ -1067,7 +1083,9 @@ class DistanceReport(_Frozen):
 
     def __init__(self, pair: tuple, squared_distance: float, distance: float):
         d = self.__dict__
-        d["pair"], d["squared_distance"], d["distance"] = pair, squared_distance, distance
+        d["pair"] = pair
+        d["squared_distance"], d["distance"] = _reals((squared_distance, distance), "distances",
+                                                      finite=True)
 
 
 def _sqrt_clamped(sq: float, scale: float, grain: float = 0.0) -> float:

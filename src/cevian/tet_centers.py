@@ -18,10 +18,10 @@ from .core_model import (
     FACE_INDICES,
     FaceAreas,
     GeometryError,
-    IRVector3,
     TetraEdges,
     _comps,
     _facet_ratios,
+    _ratios,
     _reals,
     _shape,
     canonical_face,
@@ -65,8 +65,8 @@ def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
         for v1, v2, v3, _ in FACE_INDICES.values():
             _facet_ratios(beta, v1, v2, v3)
     # written out in FACE_INDICES order: a comprehension builds a frame per call
-    return {"BCD": IRVector3(c / b, d / c, b / d), "CDA": IRVector3(d / c, a / d, c / a),
-            "DAB": IRVector3(a / d, b / a, d / b), "ABC": IRVector3(b / a, c / b, a / c)}
+    return {"BCD": _ratios(c / b, d / c, b / d), "CDA": _ratios(d / c, a / d, c / a),
+            "DAB": _ratios(a / d, b / a, d / b), "ABC": _ratios(b / a, c / b, a / c)}
 
 
 def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
@@ -123,7 +123,7 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
             (delta2f - e31) * e31 / eight_sq,
             (delta2f - e12) * e12 / eight_sq,
         ))
-    f1, f2, f3 = vertex_projection_components(edges, key).weights
+    f1, f2, f3 = (edges._feet.get(key) or vertex_projection_components(edges, key)).weights
     if k == "G":
         return _comps(((1.0 + f1) / 4.0, (1.0 + f2) / 4.0, (1.0 + f3) / 4.0))
     fa = edges.face_areas

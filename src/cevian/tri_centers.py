@@ -16,6 +16,7 @@ from .core_model import (
     TriangleSides,
     _dots,
     _pair_sum,
+    _ratios,
     _shape,
     center_components,
     ir_from_components3,
@@ -44,7 +45,7 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
     k = parse_center(kind, 3)
     a, b, c = _shape(sides, 3).as_tuple()
     if k == "G":
-        return IRVector3(1.0, 1.0, 1.0)
+        return _ratios(1.0, 1.0, 1.0)
     if k == "H":
         da, db, dc = _dots(sides)
         scale = a * a + b * b + c * c
@@ -53,7 +54,7 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
                 raise RightAngleOrthocenter(
                     f"right angle at {name}: orthocenter ratios are undefined"
                 )
-        return IRVector3(da / db, db / dc, dc / da)
+        return _ratios(da / db, db / dc, dc / da)
     if k != "Q":
         # I and E_X: quotients of the weights (a, b, c), negated at X for E_X
         if k == "E_A":
@@ -62,7 +63,7 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
             b = -b
         elif k == "E_C":
             c = -c
-        return IRVector3(b / a, c / b, a / c)
+        return _ratios(b / a, c / b, a / c)
     # circumcenter: quotient of the component weights (ZeroComponent at a
     # right angle, where Q lies on the hypotenuse)
     return ir_from_components3(center_components("Q", sides))

@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, reject, strategies as st
@@ -31,6 +31,7 @@ from cevian.core_model import (
     VERTICES,
     ZeroComponent,
     _close,
+    _ratios,
     _sqrt_clamped,
     center_components,
     circumradius,
@@ -58,6 +59,7 @@ from cevian.tet_metrics import TetMetricsSummary, circumradius_forms, inradius
 from cevian.tri_centers import center_ir
 from cevian.tri_metrics import (area_determinant, ict_altitudes, ict_areas, inequality_slacks,
                                 k_invariant, transcribed_closed_forms)
+from test_engine_digits import _tetrahedra as _digit_tetrahedra, _triangles as _digit_triangles
 
 FACE_OPPOSITE = {face: next(v for v in "ABCD" if v not in face) for face in FACES}
 
@@ -478,14 +480,21 @@ def test_nonpositive_face_invariant_raises_on_every_access():
     circumradius,
     transcribed_closed_forms,
     lambda t: dist_from_circumcenter(center_components("G", t), t),
-], ids=["area", "circumradius", "transcribed_closed_forms", "dist_from_circumcenter"])
+    k_invariant,
+    lambda t: k_invariant(t.as_tuple()),  # raw lengths
+], ids=["area", "circumradius", "transcribed_closed_forms", "dist_from_circumcenter",
+        "k_invariant", "k_invariant-raw"])
 def test_a_squared_area_invariant_past_the_float_range_raises(sides, call):
     t = validate_triangle(*sides)
-    assert not math.isfinite(k_invariant(t))
     for _ in range(2):
         with pytest.raises(GeometryError, match="squared-area invariant .* leaves the "
                                                 "floating-point range"):
             call(t)
+
+
+@pytest.mark.parametrize("sides, k", [((1, 1, 2), 0.0), ((1, 1, 3), -45.0), ((3, 4, 5), 576.0)])
+def test_k_invariant_of_raw_lengths_may_be_zero_or_negative(sides, k):
+    assert k_invariant(sides) == k
 
 
 # ---------------------------------------------------------------- components
@@ -804,6 +813,70 @@ def test_cevian_ratios_whose_product_overflows_violate_ceva(ratios):
     # the product is inf, which the relative tolerance alone would pass
     with pytest.raises(CevaViolation, match="^ratio product inf != 1"):
         IRVector3(*ratios)
+
+
+def _engine_ratios():
+    """The cevian-ratio triples of every center on the engine-digit shapes:
+    each triangle's, and each face's of every tetrahedron, where no weight
+    vanishes."""
+    out = []
+    for shapes, validate, faces in ((_digit_triangles(), validate_triangle, [(0, 1, 2, None)]),
+                                    (_digit_tetrahedra(), validate_tetrahedron,
+                                     FACE_INDICES.values())):
+        for lengths in shapes:
+            shape = validate(*lengths)
+            for kind in CENTER_KINDS[shape._N]:
+                try:
+                    w = center_components(kind, shape).weights
+                except GeometryError:
+                    continue
+                out.extend((w[v2] / w[v1], w[v3] / w[v2], w[v1] / w[v3])
+                           for v1, v2, v3, _ in faces if min(map(abs, w)) > 1e-12)
+    return out
+
+
+def test_trusted_ratios_build_what_the_constructor_builds(monkeypatch):
+    triples = _engine_ratios()
+    assert len(triples) > 1000
+    built = [IRVector3(*r) for r in triples]
+
+    def refuse(*args):
+        raise AssertionError("the trusted builder ran IRVector3.__init__")
+
+    monkeypatch.setattr(IRVector3, "__init__", refuse)  # good ratios skip it
+    for r, want in zip(triples, built):
+        got = _ratios(*r)
+        assert type(got) is IRVector3 and got == want and repr(got) == repr(want)
+        assert all(type(v) is float for v in got.as_tuple())
+
+
+# every triple of zero, +-inf, NaN and 1 but (1, 1, 1), a product of 8, and
+# products that overflow to inf from finite factors
+BAD_RATIOS = [r for r in product((0.0, math.inf, -math.inf, math.nan, 1.0), repeat=3)
+              if r != (1.0, 1.0, 1.0)] + [
+    (2.0, 2.0, 2.0), (1.0, -0.0, 1.0), (1e200, 1e200, 1e-300), (-1e300, -1e300, 1.0)]
+
+
+@pytest.mark.parametrize("ratios", BAD_RATIOS)
+def test_trusted_ratios_raise_what_the_constructor_raises(ratios):
+    with pytest.raises(GeometryError) as want:
+        IRVector3(*ratios)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        _ratios(*ratios)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: FaceAreas((1.0, 2.0), math.nan), "2 face areas given"),
+    (lambda: FaceAreas((1.0, 2.0, 3.0, 4.0), math.nan), "area sum (nan,)"),
+    (lambda: FaceAreas((1.0, 2.0, math.inf, 4.0), 10.0), "face areas (1.0, 2.0, inf, 4.0)"),
+    (lambda: CircumAux("x", 1), "circumcenter weights 'x'"),
+    (lambda: CircumAux((1, 2, 3, 4), "u"), "circumcenter weight sum ('u',)"),
+    (lambda: DistanceReport(("G", "I"), math.nan, math.inf), "distances (nan, inf)"),
+    (lambda: DistanceReport(("G", "I"), 4.0, -math.inf), "distances (4.0, -inf)"),
+])
+def test_value_holders_refuse_fields_that_are_not_finite_numbers(build, named):
+    with pytest.raises(GeometryError, match=re.escape(named)):
+        build()
 
 
 @pytest.mark.parametrize("ratios", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
