@@ -209,7 +209,8 @@ class _Frozen:
     ``__match_args__`` and stored in the instance ``__dict__`` by each
     ``__init__``, define equality, hashing and repr (``Name(field=value,
     ...)``); attributes cannot be assigned or deleted.  Other ``__dict__``
-    entries are per-instance caches (see _cached) and take no part."""
+    entries, set by a constructor or cached on first use (see _cached), take
+    no part."""
 
     __match_args__ = ()
 
@@ -253,20 +254,14 @@ class _cached:
 # --------------------------------------------------------------------------
 # length data
 
-def _by_pair(n: int, values) -> tuple:
-    """The symmetric n x n tuple of tuples, zero on the diagonal, holding
-    each of ``values`` at the vertex pair EDGES[n] gives it."""
-    m = [[0.0] * n for _ in range(n)]
-    for (i, j), v in zip(EDGES[n], values):
-        m[i][j] = m[j][i] = v
-    return tuple(map(tuple, m))
-
-
 class _Simplex(_Frozen):
     """What TriangleSides and TetraEdges share: their fields
     (``__match_args__``) are the lengths in EDGES[n] order, checked by one
-    rule and squared into E by one rule, and each instance caches its
-    centers and R."""
+    rule, and each instance caches its centers and R.  Each constructor
+    squares the lengths once, x * x, into the squared-edge matrix ``E``
+    (E[i][j] = |V_i V_j|^2 for vertices (A, B, ...) = (0, 1, ...), a
+    symmetric tuple of tuples with a zero diagonal) and ``_pair_e``, E[i][j]
+    for each vertex pair i < j in _PAIRS order (the kernels' e)."""
 
     def _check_lengths(self, noun: str, values):
         """Store each length as a positive finite float, or raise
@@ -277,18 +272,6 @@ class _Simplex(_Frozen):
             if not (x > 0) or not math.isfinite(x):
                 raise NonPositiveLength(f"{noun} {name} = {v!r} must be a positive finite length")
             d[name] = x
-
-    @_cached
-    def E(self) -> tuple:
-        """Squared-edge matrix: E[i][j] = |V_i V_j|^2 for vertices
-        (A, B, ...) = (0, 1, ...), a symmetric tuple of tuples with a zero
-        diagonal."""
-        return _by_pair(self._N, [x * x for x in self.as_tuple()])
-
-    @_cached
-    def _pair_e(self) -> tuple:
-        """E[i][j] for each vertex pair i < j in _PAIRS order (the kernels' e)."""
-        return tuple(self.E[i][j] for i, j in _PAIRS[self._N])
 
     @_cached
     def _centers(self) -> dict:
@@ -318,14 +301,24 @@ class TriangleSides(_Simplex):
                 raise TriangleInequalityViolated(
                     f"triangle inequality {pair} fails for sides ({a}, {b}, {c})"
                 )
+        d, a2, b2, c2 = self.__dict__, a * a, b * b, c * c
+        d["E"] = ((0.0, c2, b2), (c2, 0.0, a2), (b2, a2, 0.0))
+        d["_pair_e"] = (c2, b2, a2)
+        # D_A = b^2 + c^2 - a^2 = 2bc*cos(A) (and cyclic): zero exactly at a
+        # right angle at A, negative when A is obtuse.  By the identity
+        # D_B*D_C + D_C*D_A + D_A*D_B = a^2*D_A + b^2*D_B + c^2*D_C = 16*Area^2
+        # the H and Q weights never sum to zero, and unlike tangent or
+        # double-angle-sine ratios they stay finite at a right angle, where
+        # they become the vertex indicator / the hypotenuse midpoint.
+        d["_dots"] = (b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2)
 
     @_cached
     def area(self) -> float:
-        """sqrt(K)/4 with K = 16*Area^2 from E; a K that is not positive or
-        not finite raises GeometryError on every access (a raise is not
-        cached)."""
-        e = self.E
-        return _area(e[1][2], e[2][0], e[0][1])
+        """sqrt(K)/4 with K = 16*Area^2 from the squared sides; a K that is
+        not positive or not finite raises GeometryError on every access (a
+        raise is not cached)."""
+        c2, b2, a2 = self._pair_e
+        return _area(a2, b2, c2)
 
     @property
     def semiperimeter(self) -> float:
@@ -363,16 +356,8 @@ def _area(a2: float, b2: float, c2: float) -> float:
     return 0.25 * math.sqrt(k)
 
 
-def edge_polynomials(edges) -> dict:
-    """The symmetric edge polynomials behind the volume formula.
-
-    Returns delta2 (half the sum of squared edges), q2 (half the sum of
-    products of squared opposite-edge pairs), and t1, t2, t3 with
-    t1 - t2 - t3 = 36 * volume**2.
-    """
-    ab, ac, ad, bc, cd, db = _lengths(edges, 4)
-    ab2, ac2, ad2 = ab * ab, ac * ac, ad * ad
-    bc2, cd2, db2 = bc * bc, cd * cd, db * db
+def _edge_polynomials(ab2, ac2, ad2, bc2, cd2, db2) -> tuple:
+    """(delta2, q2, t1, t2, t3) of the six squared edges; see edge_polynomials."""
     delta2 = 0.5 * (ab2 + ac2 + ad2 + bc2 + cd2 + db2)
     # opposite edge pairs: AB-CD, AC-DB, AD-BC
     q2 = 0.5 * (ab2 * cd2 + ac2 * db2 + ad2 * bc2)
@@ -389,13 +374,19 @@ def edge_polynomials(edges) -> dict:
         + ad2 * ab2 * db2  # DAB
         + ab2 * bc2 * ac2  # ABC
     )
-    return {"delta2": delta2, "q2": q2, "t1": t1, "t2": t2, "t3": t3}
+    return delta2, q2, t1, t2, t3
 
 
-def _volume_term(edges) -> tuple:
-    """(t1 - t2 - t3, delta2) of six lengths: the volume term and its scale."""
-    p = edge_polynomials(edges)
-    return p["t1"] - p["t2"] - p["t3"], p["delta2"]
+def edge_polynomials(edges) -> dict:
+    """The symmetric edge polynomials behind the volume formula.
+
+    Returns delta2 (half the sum of squared edges), q2 (half the sum of
+    products of squared opposite-edge pairs), and t1, t2, t3 with
+    t1 - t2 - t3 = 36 * volume**2.
+    """
+    ab, ac, ad, bc, cd, db = _lengths(edges, 4)
+    return dict(zip(("delta2", "q2", "t1", "t2", "t3"),
+                    _edge_polynomials(ab * ab, ac * ac, ad * ad, bc * bc, cd * cd, db * db)))
 
 
 def gram_volume_term(edges) -> float:
@@ -407,7 +398,8 @@ def gram_volume_term(edges) -> float:
     """
     if isinstance(edges, TetraEdges):
         return edges.volume_term
-    return _volume_term(edges)[0]
+    p = edge_polynomials(edges)
+    return p["t1"] - p["t2"] - p["t3"]
 
 
 def _lengths(shape, n: int) -> tuple:
@@ -457,8 +449,8 @@ class TetraEdges(_Simplex):
 
     Construction validates the lengths.  The invariants the center and
     metric formulas share are derived from the six lengths once per
-    instance and then read by every caller: ``volume_term`` (set by the
-    volume gate), and on first use the squared-edge matrix ``E``, the
+    instance and then read by every caller: ``E`` and ``_pair_e`` and the
+    ``volume_term`` (set by the constructor), and on first use the
     ``face_areas``, the faces' geometry and vertex feet, the circumcenter
     weights ``circum_aux``, R and the centers' Components (see
     center_components).  None of them takes part in equality, hashing or repr.
@@ -469,14 +461,17 @@ class TetraEdges(_Simplex):
 
     def __init__(self, ab: float, ac: float, ad: float, bc: float, cd: float, db: float):
         self._check_lengths("edge", (ab, ac, ad, bc, cd, db))
-        length = _by_pair(4, self.as_tuple())
-        for face, (v1, v2, v3, _) in FACE_INDICES.items():
-            x, y, z = length[v1][v2], length[v2][v3], length[v3][v1]
+        ab, ac, ad, bc, cd, db = self.as_tuple()
+        # each face's (V1V2, V2V3, V3V1) in FACE_INDICES order
+        for face, x, y, z in (("BCD", bc, cd, db), ("CDA", cd, ad, ac), ("DAB", ad, ab, db),
+                              ("ABC", ab, bc, ac)):
             if not (x + y > z and y + z > x and z + x > y):
                 raise FaceTriangleInequalityViolated(
                     f"face {face} edges ({x}, {y}, {z}) violate the triangle inequality"
                 )
-        gram, delta2 = _volume_term(self)  # the lengths just checked
+        ab2, ac2, ad2, bc2, cd2, db2 = ab * ab, ac * ac, ad * ad, bc * bc, cd * cd, db * db
+        delta2, _, t1, t2, t3 = _edge_polynomials(ab2, ac2, ad2, bc2, cd2, db2)
+        gram = t1 - t2 - t3
         try:
             # scale-aware strict positivity gate: delta2**3 has the same units
             floor = ATOL * delta2 ** 3
@@ -489,21 +484,25 @@ class TetraEdges(_Simplex):
                 f"edge set does not realize a nondegenerate tetrahedron "
                 f"(volume term {gram:.6g})"
             )
-        self.__dict__["volume_term"] = gram
+        d = self.__dict__
+        d["E"] = ((0.0, ab2, ac2, ad2), (ab2, 0.0, bc2, db2), (ac2, bc2, 0.0, cd2),
+                  (ad2, db2, cd2, 0.0))
+        d["_pair_e"] = (ab2, ac2, ad2, bc2, db2, cd2)
+        d["volume_term"] = gram
 
     def as_tuple(self):
         return (self.ab, self.ac, self.ad, self.bc, self.cd, self.db)
 
     @_cached
     def face_areas(self) -> FaceAreas:
-        """The four face areas, each sqrt(K)/4 on the squares of the face's
-        sides (a, b, c) = (V2V3, V3V1, V1V2), read from E.  A face whose K is
-        not positive or not finite raises GeometryError on every access (a
-        raise is not cached)."""
-        e = self.E
-        areas = [_area(e[v2][v3], e[v3][v1], e[v1][v2])
-                 for v1, v2, v3, _ in FACE_INDICES.values()]
-        return FaceAreas(tuple(areas), math.fsum(areas))
+        """The four face areas in FACE_INDICES order, each sqrt(K)/4 on the
+        squares of the face's sides (a, b, c) = (V2V3, V3V1, V1V2).  A face
+        whose K is not positive or not finite raises GeometryError on every
+        access (a raise is not cached)."""
+        e01, e02, e03, e12, e13, e23 = self._pair_e
+        areas = (_area(e23, e13, e12), _area(e03, e02, e23), _area(e01, e13, e03),
+                 _area(e12, e02, e01))
+        return FaceAreas(areas, math.fsum(areas))
 
     @_cached
     def _faces(self) -> dict:
@@ -739,6 +738,18 @@ def _instance(value, cls, what: str):
     raise GeometryError(f"{what} {value!r} is not a {cls.__name__}")
 
 
+def _pair(pair) -> tuple:
+    """``pair`` itself if it is a 2-tuple of hashable names, or GeometryError
+    naming it."""
+    if isinstance(pair, tuple) and len(pair) == 2:
+        try:
+            hash(pair)
+            return pair
+        except TypeError:
+            pass
+    raise GeometryError(f"pair {pair!r} is not a 2-tuple of hashable names")
+
+
 _SHAPES = {None: (TriangleSides, TetraEdges), 3: TriangleSides, 4: TetraEdges}
 
 
@@ -968,18 +979,6 @@ def parse_center(token, n: int):
                         f"expected one of {CENTER_KINDS[n]}{power}")
 
 
-def _dots(sides: TriangleSides):
-    """D_A = b^2 + c^2 - a^2 = 2bc*cos(A) (and cyclic): zero exactly at a
-    right angle at A, negative when A is obtuse.  By the identity
-    D_B*D_C + D_C*D_A + D_A*D_B = a^2*D_A + b^2*D_B + c^2*D_C = 16*Area^2 the
-    H and Q weights never sum to zero, and unlike tangent or double-angle-sine
-    ratios they stay finite at a right angle, where they become the vertex
-    indicator / the hypotenuse midpoint."""
-    e = sides.E
-    a2, b2, c2 = e[1][2], e[2][0], e[0][1]
-    return b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2
-
-
 def _build_center(k, shape, n: int) -> Components:
     """The Components of the parsed kind k on the n-vertex shape, uncached."""
     if k == "G":
@@ -987,7 +986,7 @@ def _build_center(k, shape, n: int) -> Components:
     if k in ("Q", "H"):
         if n == 4:
             return _comps(shape.circum_aux.by_vertex)
-        da, db, dc = _dots(shape)
+        da, db, dc = shape._dots
         if k == "H":
             return _comps((db * dc, dc * da, da * db))
         e = shape.E
@@ -1079,13 +1078,20 @@ _PAIR_SUMS = {3: _pair_sum3, 4: _pair_sum4}
 
 
 class DistanceReport(_Frozen):
+    """The distance between the two points ``pair`` names, a 2-tuple of
+    hashable names, with its square: finite, the distance nonnegative and
+    its square close to the squared distance."""
+
     __match_args__ = ("pair", "squared_distance", "distance")
 
     def __init__(self, pair: tuple, squared_distance: float, distance: float):
         d = self.__dict__
-        d["pair"] = pair
-        d["squared_distance"], d["distance"] = _reals((squared_distance, distance), "distances",
-                                                      finite=True)
+        d["pair"] = _pair(pair)
+        sq, dist = d["squared_distance"], d["distance"] = _reals(
+            (squared_distance, distance), "distances", finite=True)
+        if not (dist >= 0.0 and _close(sq, dist * dist)):
+            raise GeometryError(f"distance {dist!r} is not the nonnegative root of the "
+                                f"squared distance {sq!r}")
 
 
 def _sqrt_clamped(sq: float, scale: float, grain: float = 0.0) -> float:
@@ -1237,8 +1243,8 @@ def pair_distances(table) -> dict:
     a pair negates both factors of every term, so the value is the same."""
     out = {}
     for rep in _sequence(table, "pair table"):
-        _instance(rep, DistanceReport, "pair table entry")
-        out[rep.pair] = out[rep.pair[::-1]] = rep.distance
+        pair = _pair(_instance(rep, DistanceReport, "pair table entry").pair)
+        out[pair] = out[pair[::-1]] = rep.distance
     return out
 
 

@@ -14,7 +14,6 @@ from .core_model import (
     IRVector3,
     RightAngleOrthocenter,
     TriangleSides,
-    _dots,
     _pair_sum,
     _ratios,
     _shape,
@@ -47,7 +46,7 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
     if k == "G":
         return _ratios(1.0, 1.0, 1.0)
     if k == "H":
-        da, db, dc = _dots(sides)
+        da, db, dc = sides._dots
         scale = a * a + b * b + c * c
         for name, d in (("A", da), ("B", db), ("C", dc)):
             if abs(d) <= ATOL * scale:

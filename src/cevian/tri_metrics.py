@@ -20,7 +20,6 @@ import math
 from .core_model import (
     TriangleSides,
     _components,
-    _dots,
     _k_invariant,
     _lengths,
     _pair_sum,
@@ -94,11 +93,11 @@ def inequality_slacks(sides: TriangleSides) -> dict:
     inner sums: 36*p^2*GI^2, 9*K^2*GH^2, and (2*p*K)^2*IH^2.
     """
     a, b, c = _shape(sides, 3).as_tuple()
-    a2, b2, c2 = a * a, b * b, c * c
+    c2, b2, a2 = sides._pair_e
     p = sides.semiperimeter
     k = k_invariant(sides)
     r2 = circumradius(sides) ** 2
-    da, db, dc = _dots(sides)
+    da, db, dc = sides._dots
 
     qg = r2 - (a2 + b2 + c2) / 9.0
     qi = r2 - a * b * c / (2.0 * p)

@@ -46,6 +46,7 @@ from cevian.core_model import (
     fractional_ratio_determinant,
     gram_volume_term,
     ir_from_components3,
+    pair_distances,
     pair_sum,
     pair_table,
     shared_edge_residuals,
@@ -324,6 +325,86 @@ def test_squared_edge_matrix_multiplies_over_many_shapes():
         assert sides.E == ((0.0, c * c, b * b), (c * c, 0.0, a * a), (b * b, a * a, 0.0))
 
 
+def _generic_squares(shape) -> dict:
+    """E, _pair_e and, for a triangle, _dots by the generic rule: x * x at the
+    vertex pair EDGES[n] gives each length, the pairs i < j in order, and
+    D_A = b^2 + c^2 - a^2 (and cyclic)."""
+    n = shape._N
+    m = [[0.0] * n for _ in range(n)]
+    for (i, j), x in zip(EDGES[n], shape.as_tuple()):
+        m[i][j] = m[j][i] = x * x
+    out = {"E": tuple(map(tuple, m)),
+           "_pair_e": tuple(m[i][j] for i, j in combinations(range(n), 2))}
+    if n == 3:
+        a2, b2, c2 = m[1][2], m[2][0], m[0][1]
+        out["_dots"] = (b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2)
+    return out
+
+
+def _squares_shapes():
+    """The engine-digit shapes, a band corpus, and both scaled over a grid on
+    which the squares overflow to inf or underflow to subnormals and zero;
+    yields (lengths, validator) for every edge set the validator accepts."""
+    rng = random.Random(23)
+    tris = list(_digit_triangles())
+    tets = list(_digit_tetrahedra())
+    while len(tris) < 300:
+        a, b, c = (rng.uniform(0.05, 5.0) for _ in range(3))
+        if a + b > c and b + c > a and c + a > b:
+            tris.append((a, b, c))
+    for _ in range(300):
+        p = [[rng.random() for _ in range(3)] for _ in range(4)]
+        tets.append(tuple(math.dist(p[i], p[j]) for i, j in EDGES[4]))
+    for scale in (1.0, 1e-170, 1e-160, 2.0 ** -520, 1e-80, 1e80, 1e150, 1.3e154, 2.0 ** 512,
+                  1e160, 1e300):
+        for lengths, validate in [(t, validate_triangle) for t in tris[::7]] + \
+                                 [(t, validate_tetrahedron) for t in tets[::7]]:
+            try:
+                validate(*(scale * x for x in lengths))
+            except GeometryError:
+                continue
+            yield tuple(scale * x for x in lengths), validate
+    for lengths in tris:
+        yield lengths, validate_triangle
+    for lengths in tets:
+        try:
+            validate_tetrahedron(*lengths)
+        except GeometryError:
+            continue
+        yield lengths, validate_tetrahedron
+
+
+def test_constructor_squares_follow_the_generic_rule():
+    # compared by repr, bit for bit, NaN (inf - inf in a D_X) and -0.0 included
+    seen = {3: 0, 4: 0, "inf": 0, "tiny": 0}
+    for lengths, validate in _squares_shapes():
+        shape = validate(*lengths)
+        want = _generic_squares(shape)
+        for name, value in want.items():
+            got = vars(shape)[name]
+            assert type(got) is tuple and repr(got) == repr(value), (lengths, name)
+        assert all(type(x) is float for x in shape._pair_e)
+        seen[shape._N] += 1
+        seen["inf"] += math.inf in shape._pair_e
+        seen["tiny"] += min(shape._pair_e) < 2.0 ** -1022  # subnormal or zero
+    assert seen[3] > 300 and seen[4] > 300 and seen["inf"] > 50 and seen["tiny"] > 50
+
+
+@pytest.mark.parametrize("edges, message", [
+    ((1, 1, 1, 10, 1, 1), "face BCD edges (10.0, 1.0, 1.0) violate the triangle inequality"),
+    ((1, 1, 10, 1, 1, 1), "face CDA edges (1.0, 10.0, 1.0) violate the triangle inequality"),
+    ((10, 1, 1, 1, 1, 1), "face DAB edges (1.0, 10.0, 1.0) violate the triangle inequality"),
+    ((1, 3, 2.5, 1, 2.5, 2), "face ABC edges (1.0, 1.0, 3.0) violate the triangle inequality"),
+    (("0.1", 0.3, 0.25, 0.1, 0.25, 0.2),
+     "face ABC edges (0.1, 0.1, 0.3) violate the triangle inequality"),
+    ((1, 1, 1, 1, 2, 1), "face BCD edges (1.0, 2.0, 1.0) violate the triangle inequality"),
+], ids=["BCD", "CDA", "DAB", "ABC", "ABC-str", "BCD-flat"])
+def test_face_inequality_messages_name_the_first_failing_face(edges, message):
+    # each face's sides (V1V2, V2V3, V3V1) in its cyclic order
+    with pytest.raises(FaceTriangleInequalityViolated, match=f"^{re.escape(message)}$"):
+        validate_tetrahedron(*edges)
+
+
 def test_face_areas_bitwise_over_many_tetrahedra():
     # x ** 2 and x * x differ in the last bit for about 0.1 % of floats on
     # some C libraries, so only many shapes show which one a formula uses
@@ -365,10 +446,11 @@ def test_areas_scale_exactly_with_a_power_of_two():
         assert off == [], f"{len(off)} of {len(tetras)} tetrahedron face-area sets at 2**{k}"
 
 
-# every per-instance cache a shape can fill; none is a field
-_CACHES = {3: ("E", "area", "_pair_e", "_centers", "_circumradius"),
-           4: ("E", "face_areas", "circum_aux", "_pair_e", "_centers", "_circumradius",
-               "_faces", "_feet")}
+# every per-instance cache a shape can fill, and every entry its constructor
+# sets besides the fields; none is a field
+_CACHES = {3: ("area", "_centers", "_circumradius"),
+           4: ("face_areas", "circum_aux", "_centers", "_circumradius", "_faces", "_feet")}
+_DERIVED = {3: ("E", "_pair_e", "_dots"), 4: ("E", "_pair_e", "volume_term")}
 
 
 @pytest.mark.parametrize("edges", list(_invariant_tetras())[:3] + [validate_triangle(3, 4, 5)])
@@ -388,6 +470,11 @@ def test_filled_cache_keeps_value_semantics(edges):
     assert hash(edges) == hash(fresh) and repr(edges) == repr(fresh)
     assert (copy := type(edges)(*edges.as_tuple())) == fresh
     assert not set(_CACHES[len(edges.E)]) & set(vars(copy))
+    derived = _DERIVED[len(edges.E)]
+    assert set(derived) <= set(vars(copy)) and not set(derived) & set(copy.__match_args__)
+    for name in derived:  # a changed entry leaves equality, the hash and the repr alone
+        copy.__dict__[name] = None
+    assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
     with pytest.raises(AttributeError, match="cannot assign to field"):
         edges.ab = 1.0
     with pytest.raises(AttributeError, match="cannot assign to field"):
@@ -465,6 +552,8 @@ def test_nonpositive_face_invariant_raises_on_every_access():
                        (0.9039744671490588, 0.5898063027663567, 1.0,
                         0.31416816438270223, 1.0, 1.0)):
         object.__setattr__(edges, name, v)
+    object.__setattr__(edges, "_pair_e", tuple(x * x for x in (edges.ab, edges.ac, edges.ad,
+                                                                edges.bc, edges.db, edges.cd)))
     for _ in range(2):
         with pytest.raises(GeometryError, match="nonpositive squared-area invariant"):
             edges.face_areas
@@ -877,6 +966,30 @@ def test_trusted_ratios_raise_what_the_constructor_raises(ratios):
 def test_value_holders_refuse_fields_that_are_not_finite_numbers(build, named):
     with pytest.raises(GeometryError, match=re.escape(named)):
         build()
+
+
+@pytest.mark.parametrize("args, named", [
+    ((None, 1.0, 1.0), "pair None is not a 2-tuple"),
+    ((("G", "I", "Q"), 1.0, 1.0), "pair ('G', 'I', 'Q') is not a 2-tuple"),
+    ((["G", "I"], 1.0, 1.0), "pair ['G', 'I'] is not a 2-tuple"),
+    ((("G", ["I"]), 1.0, 1.0), "pair ('G', ['I']) is not a 2-tuple of hashable names"),
+    ((("G", "I"), 4.0, 3.0), "distance 3.0 is not the nonnegative root of the squared "
+                             "distance 4.0"),
+    ((("G", "I"), 1.0, -1.0), "distance -1.0 is not the nonnegative root"),
+    ((("G", "I"), 1e300, 1e160), "distance 1e+160 is not the nonnegative root"),
+])
+def test_distance_report_refuses_a_wrong_pair_or_distance(args, named):
+    with pytest.raises(GeometryError, match=re.escape(named)):
+        DistanceReport(*args)
+
+
+@pytest.mark.parametrize("pair", [None, ("G",), ("G", ["I"]), "GI"])
+def test_pair_distances_refuses_an_entry_with_a_wrong_pair(pair):
+    # an entry filled without __init__, as pair_table fills its own
+    rep = object.__new__(DistanceReport)
+    rep.__dict__.update(pair=pair, squared_distance=1.0, distance=1.0)
+    with pytest.raises(GeometryError, match="is not a 2-tuple"):
+        pair_distances([DistanceReport(("G", "I"), 4.0, 2.0), rep])
 
 
 @pytest.mark.parametrize("ratios", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),

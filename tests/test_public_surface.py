@@ -17,7 +17,8 @@ import sys
 
 import pytest
 
-from cevian.core_model import Components, GeometryError, TetraEdges, TriangleSides
+from cevian.core_model import (Components, DistanceReport, GeometryError, TetraEdges,
+                               TriangleSides)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -94,11 +95,20 @@ def test_the_harness_loads_no_dataclasses():
 
 
 
+def _table_with_a_wrong_pair() -> list:
+    """A pair table whose entry holds no pair, filled without __init__ as
+    pair_table fills its own."""
+    rep = object.__new__(DistanceReport)
+    rep.__dict__.update(pair=None, squared_distance=1.0, distance=1.0)
+    return [rep]
+
+
 # one argument of each wrong kind: a sequence of the wrong length, None, a
 # string, NaN, an int past the float range, a negative number, either shape,
-# components and a list
+# components, a list and a pair table whose entry holds a wrong pair
 WRONG_KINDS = [(1, 2), None, "x", math.nan, 10 ** 400, -1.0, TriangleSides(3, 4, 5),
-               TetraEdges(3, 4, 5, 5, 6, 7), Components((1, 1, 1)), [1, 2]]
+               TetraEdges(3, 4, 5, 5, 6, 7), Components((1, 1, 1)), [1, 2],
+               _table_with_a_wrong_pair()]
 
 
 def _arity(func) -> int:
