@@ -239,7 +239,7 @@ def cmd_tet(args) -> dict:
                 tet_centers.vertex_projection_components(edges, face).as_tuple()
             ),
         }
-        for k in ("Q", "G", "I"):
+        for k in tet_centers._PROJECTED:
             section[k] = list(
                 tet_centers.projection_of_center(k, edges, face).as_tuple()
             )

@@ -210,7 +210,8 @@ class _Frozen:
     ``__init__``, define equality, hashing and repr (``Name(field=value,
     ...)``); attributes cannot be assigned or deleted.  Other ``__dict__``
     entries, set by a constructor or cached on first use (see _cached), take
-    no part."""
+    no part.  A constructor sets every entry it can form without raising;
+    _cached keeps only the values whose build can raise."""
 
     __match_args__ = ()
 
@@ -257,11 +258,12 @@ class _cached:
 class _Simplex(_Frozen):
     """What TriangleSides and TetraEdges share: their fields
     (``__match_args__``) are the lengths in EDGES[n] order, checked by one
-    rule, and each instance caches its centers and R.  Each constructor
-    squares the lengths once, x * x, into the squared-edge matrix ``E``
-    (E[i][j] = |V_i V_j|^2 for vertices (A, B, ...) = (0, 1, ...), a
-    symmetric tuple of tuples with a zero diagonal) and ``_pair_e``, E[i][j]
-    for each vertex pair i < j in _PAIRS order (the kernels' e)."""
+    rule, and each instance caches R.  Each constructor squares the lengths
+    once, x * x, into the squared-edge matrix ``E`` (E[i][j] = |V_i V_j|^2
+    for vertices (A, B, ...) = (0, 1, ...), a symmetric tuple of tuples with
+    a zero diagonal) and ``_pair_e``, E[i][j] for each vertex pair i < j in
+    _PAIRS order (the kernels' e), and sets ``_centers``, center_components'
+    cache of Components by kind, to a dict of its own."""
 
     def _check_lengths(self, noun: str, values):
         """Store each length as a positive finite float, or raise
@@ -272,11 +274,6 @@ class _Simplex(_Frozen):
             if not (x > 0) or not math.isfinite(x):
                 raise NonPositiveLength(f"{noun} {name} = {v!r} must be a positive finite length")
             d[name] = x
-
-    @_cached
-    def _centers(self) -> dict:
-        """center_components' per-instance cache: Components by kind."""
-        return {}
 
     @_cached
     def _circumradius(self) -> float:
@@ -311,6 +308,7 @@ class TriangleSides(_Simplex):
         # double-angle-sine ratios they stay finite at a right angle, where
         # they become the vertex indicator / the hypotenuse midpoint.
         d["_dots"] = (b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2)
+        d["perimeter"], d["semiperimeter"], d["_centers"] = a + b + c, 0.5 * (a + b + c), {}
 
     @_cached
     def area(self) -> float:
@@ -319,14 +317,6 @@ class TriangleSides(_Simplex):
         raise is not cached)."""
         c2, b2, a2 = self._pair_e
         return _area(a2, b2, c2)
-
-    @property
-    def semiperimeter(self) -> float:
-        return 0.5 * (self.a + self.b + self.c)
-
-    @property
-    def perimeter(self) -> float:
-        return self.a + self.b + self.c
 
     def as_tuple(self):
         return (self.a, self.b, self.c)
@@ -382,11 +372,15 @@ def edge_polynomials(edges) -> dict:
 
     Returns delta2 (half the sum of squared edges), q2 (half the sum of
     products of squared opposite-edge pairs), and t1, t2, t3 with
-    t1 - t2 - t3 = 36 * volume**2.
+    t1 - t2 - t3 = 36 * volume**2; GeometryError names the lengths when one
+    of them leaves the floating-point range.
     """
-    ab, ac, ad, bc, cd, db = _lengths(edges, 4)
-    return dict(zip(("delta2", "q2", "t1", "t2", "t3"),
-                    _edge_polynomials(ab * ab, ac * ac, ad * ad, bc * bc, cd * cd, db * db)))
+    ab, ac, ad, bc, cd, db = lengths = _lengths(edges, 4)
+    polys = _edge_polynomials(ab * ab, ac * ac, ad * ad, bc * bc, cd * cd, db * db)
+    if not all(map(math.isfinite, polys)):
+        raise GeometryError(f"edge polynomials {polys} of the lengths {lengths} leave "
+                            "the floating-point range")
+    return dict(zip(("delta2", "q2", "t1", "t2", "t3"), polys))
 
 
 def gram_volume_term(edges) -> float:
@@ -394,12 +388,17 @@ def gram_volume_term(edges) -> float:
 
     Equals 36 * V**2 for a realizable edge set.  A TetraEdges carries the
     value its volume gate computed; raw lengths are not validated here, and
-    the caller interprets nonpositive values.
+    the caller interprets nonpositive values.  GeometryError names lengths
+    whose polynomials or volume term leave the floating-point range.
     """
     if isinstance(edges, TetraEdges):
         return edges.volume_term
-    p = edge_polynomials(edges)
-    return p["t1"] - p["t2"] - p["t3"]
+    p = edge_polynomials(lengths := _lengths(edges, 4))
+    gram = p["t1"] - p["t2"] - p["t3"]
+    if not math.isfinite(gram):
+        raise GeometryError(f"volume term {gram} of the lengths {lengths} leaves the "
+                            "floating-point range")
+    return gram
 
 
 def _lengths(shape, n: int) -> tuple:
@@ -449,11 +448,13 @@ class TetraEdges(_Simplex):
 
     Construction validates the lengths.  The invariants the center and
     metric formulas share are derived from the six lengths once per
-    instance and then read by every caller: ``E`` and ``_pair_e`` and the
-    ``volume_term`` (set by the constructor), and on first use the
-    ``face_areas``, the faces' geometry and vertex feet, the circumcenter
-    weights ``circum_aux``, R and the centers' Components (see
-    center_components).  None of them takes part in equality, hashing or repr.
+    instance and then read by every caller: the constructor sets ``E``,
+    ``_pair_e``, the volume gate's ``_delta2`` and ``volume_term``, each
+    face's geometry ``_faces``, and empty caches for the centers' Components
+    (see center_components) and tet_centers' vertex feet ``_feet``; the
+    values whose build can raise, the ``face_areas``, the circumcenter
+    weights ``circum_aux`` and R, come on first use.  None of them takes
+    part in equality, hashing or repr.
     """
 
     __match_args__ = ("ab", "ac", "ad", "bc", "cd", "db")
@@ -485,10 +486,21 @@ class TetraEdges(_Simplex):
                 f"(volume term {gram:.6g})"
             )
         d = self.__dict__
-        d["E"] = ((0.0, ab2, ac2, ad2), (ab2, 0.0, bc2, db2), (ac2, bc2, 0.0, cd2),
-                  (ad2, db2, cd2, 0.0))
+        d["E"] = e = ((0.0, ab2, ac2, ad2), (ab2, 0.0, bc2, db2), (ac2, bc2, 0.0, cd2),
+                      (ad2, db2, cd2, 0.0))
         d["_pair_e"] = (ab2, ac2, ad2, bc2, db2, cd2)
-        d["volume_term"] = gram
+        d["_delta2"], d["volume_term"] = delta2, gram
+        # by face name: its vertex indices (V1, V2, V3, opposite), squared
+        # edges (V1V2, V2V3, V3V1), their half sum delta2f, and 8 * area^2
+        d["_faces"] = faces = {}
+        for face, verts in FACE_INDICES.items():
+            v1, v2, v3, _ = verts
+            e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
+            delta2f = 0.5 * (e12 + e23 + e31)
+            # identity: sum of (delta2f - e^2)*e^2 over the face edges = 8*area^2
+            eight_sq = (delta2f - e12) * e12 + (delta2f - e23) * e23 + (delta2f - e31) * e31
+            faces[face] = verts, (e12, e23, e31), delta2f, eight_sq
+        d["_centers"], d["_feet"] = {}, {}
 
     def as_tuple(self):
         return (self.ab, self.ac, self.ad, self.bc, self.cd, self.db)
@@ -503,25 +515,6 @@ class TetraEdges(_Simplex):
         areas = (_area(e23, e13, e12), _area(e03, e02, e23), _area(e01, e13, e03),
                  _area(e12, e02, e01))
         return FaceAreas(areas, math.fsum(areas))
-
-    @_cached
-    def _faces(self) -> dict:
-        """By face name: its vertex indices (V1, V2, V3, opposite), squared
-        edges (V1V2, V2V3, V3V1), their half sum delta2f, and 8 * area^2."""
-        e, out = self.E, {}
-        for face, verts in FACE_INDICES.items():
-            v1, v2, v3, _ = verts
-            e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
-            delta2f = 0.5 * (e12 + e23 + e31)
-            # identity: sum of (delta2f - e^2)*e^2 over the face edges = 8*area^2
-            eight_sq = (delta2f - e12) * e12 + (delta2f - e23) * e23 + (delta2f - e31) * e31
-            out[face] = verts, (e12, e23, e31), delta2f, eight_sq
-        return out
-
-    @_cached
-    def _feet(self) -> dict:
-        """tet_centers' vertex feet by canonical face name."""
-        return {}
 
     @_cached
     def circum_aux(self) -> CircumAux:
@@ -618,10 +611,6 @@ class Components(_Frozen):
 
     def as_tuple(self):
         return self.weights
-
-    def checked(self, n: int) -> tuple:
-        """The weights, after checking that there are n of them."""
-        return _components(self, n)
 
 
 class PowerIncenter(_Frozen):

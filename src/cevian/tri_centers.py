@@ -47,7 +47,8 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
         return _ratios(1.0, 1.0, 1.0)
     if k == "H":
         da, db, dc = sides._dots
-        scale = a * a + b * b + c * c
+        c2, b2, a2 = sides._pair_e
+        scale = a2 + b2 + c2
         for name, d in (("A", da), ("B", db), ("C", dc)):
             if abs(d) <= ATOL * scale:
                 raise RightAngleOrthocenter(
@@ -76,7 +77,7 @@ def excenter_segment_ratio(sides: TriangleSides) -> float:
     equals 1/3 exactly for the equilateral triangle.
     """
     a, b, c = _shape(sides, 3).as_tuple()
-    return (b + c - a) / (a + b + c)
+    return (b + c - a) / sides.perimeter
 
 
 def euler_relation(sides: TriangleSides) -> dict:

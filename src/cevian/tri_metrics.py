@@ -95,7 +95,7 @@ def inequality_slacks(sides: TriangleSides) -> dict:
     a, b, c = _shape(sides, 3).as_tuple()
     c2, b2, a2 = sides._pair_e
     p = sides.semiperimeter
-    k = k_invariant(sides)
+    k = _k_invariant(a2, b2, c2)
     r2 = circumradius(sides) ** 2
     da, db, dc = sides._dots
 
@@ -120,6 +120,7 @@ def transcribed_closed_forms(sides: TriangleSides) -> dict:
       QI^2   = R^2 - abc/(2p)
     """
     a, b, c = _shape(sides, 3).as_tuple()
+    c2, b2, a2 = sides._pair_e
     p = sides.semiperimeter
     r2 = circumradius(sides) ** 2
     return {
@@ -129,6 +130,6 @@ def transcribed_closed_forms(sides: TriangleSides) -> dict:
         "E_AE_B": c * math.sqrt(a * b / ((p - a) * (p - b))),
         "E_BE_C": a * math.sqrt(b * c / ((p - b) * (p - c))),
         "E_CE_A": b * math.sqrt(c * a / ((p - c) * (p - a))),
-        "QG": math.sqrt(max(r2 - (a * a + b * b + c * c) / 9.0, 0.0)),
+        "QG": math.sqrt(max(r2 - (a2 + b2 + c2) / 9.0, 0.0)),
         "QI": math.sqrt(max(r2 - a * b * c / (2.0 * p), 0.0)),
     }

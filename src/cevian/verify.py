@@ -92,11 +92,11 @@ class _Suite:
             self.fail_instance = later.fail_instance
 
 
-def _min_angle(a, b, c):
+def _min_angle(sides):
+    a, b, c = sides.as_tuple()
     angles = []
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        cosx = (y * y + z * z - x * x) / (2.0 * y * z)
-        angles.append(math.acos(max(-1.0, min(1.0, cosx))))
+    for dx, y, z in zip(sides._dots, (b, c, a), (c, a, b)):  # D_X = y^2 + z^2 - x^2
+        angles.append(math.acos(max(-1.0, min(1.0, dx / (2.0 * y * z)))))
     return min(angles)
 
 
@@ -106,13 +106,11 @@ def _random_triangle(rng):
     filter (min angle < 1 degree) skips."""
     for _ in range(1000):
         t = np.sort(rng.uniform(0.05, 1.0, size=3))
-        if t[0] + t[1] <= t[2]:
-            continue
         try:
             sides = validate_triangle(t[2], t[1], t[0])
         except GeometryError:
             continue
-        if _min_angle(*sides.as_tuple()) < math.radians(1.0):
+        if _min_angle(sides) < math.radians(1.0):
             return None
         return sides
     return None
@@ -133,11 +131,7 @@ def _random_tetra(rng):
         edges = validate_tetrahedron(*oracle.distance(*pts[_EDGE_ENDS]).tolist())
     except GeometryError:
         return None
-    e = edges.E
-    # added left to right in EDGES[4] order: builtin sum() rounds differently
-    # from Python 3.12 on
-    delta2 = 0.5 * (e[0][1] + e[0][2] + e[0][3] + e[1][2] + e[2][3] + e[3][1])
-    if edges.volume_term < 1e-6 * delta2 ** 3:
+    if edges.volume_term < 1e-6 * edges._delta2 ** 3:
         return None
     fa = edges.face_areas
     if min(fa.opposite_sum(x) for x in range(4)) < 1e-3 * fa.s:
@@ -149,7 +143,7 @@ def _circum_systems(edges) -> np.ndarray:
     """The 4x4 replaced-column determinant route to the circumcenter
     components: the system matrix, then the matrix with column c replaced by
     the right-hand side, for c = 0..3."""
-    ab2, ac2, ad2, bc2, cd2, db2 = (x * x for x in edges.as_tuple())
+    ab2, ac2, ad2, bc2, db2, cd2 = edges._pair_e
     m = np.array([
         [1.0, 1.0, 1.0, 1.0],
         [ab2, -ab2, bc2 - ac2, db2 - ad2],
@@ -337,7 +331,7 @@ def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
 
 # the points the projection checks drop onto every face: a random point in
 # space, then the realized Q, G and I
-_PROJECTED = ("Q", "G", "I")
+_PROJECTED = tet_centers._PROJECTED
 
 
 def _projection_errors(shapes, emb, centers, pts):

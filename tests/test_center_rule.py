@@ -223,6 +223,8 @@ def test_face_caches_are_keyed_by_canonical_face_name():
     assert edges == fresh and hash(edges) == hash(fresh) and repr(edges) == repr(fresh)
     assert "_feet" not in repr(edges) and "_faces" not in repr(edges)
     copy = type(edges)(*edges.as_tuple())
-    assert "_feet" not in vars(copy) and "_faces" not in vars(copy)
+    assert vars(copy)["_feet"] == {} and vars(copy)["_feet"] is not vars(edges)["_feet"]
+    assert vars(copy)["_faces"] == vars(edges)["_faces"]
+    assert vars(copy)["_faces"] is not vars(edges)["_faces"]
     assert tet_centers.vertex_projection_components(copy, "ABC") is not foot
     assert tet_centers.vertex_projection_components(copy, "ABC") == foot

@@ -30,6 +30,7 @@ from cevian.core_model import (
     TriangleSides,
     VERTICES,
     ZeroComponent,
+    _cached,
     _close,
     _ratios,
     _sqrt_clamped,
@@ -446,11 +447,19 @@ def test_areas_scale_exactly_with_a_power_of_two():
         assert off == [], f"{len(off)} of {len(tetras)} tetrahedron face-area sets at 2**{k}"
 
 
-# every per-instance cache a shape can fill, and every entry its constructor
-# sets besides the fields; none is a field
-_CACHES = {3: ("area", "_centers", "_circumradius"),
-           4: ("face_areas", "circum_aux", "_centers", "_circumradius", "_faces", "_feet")}
-_DERIVED = {3: ("E", "_pair_e", "_dots"), 4: ("E", "_pair_e", "volume_term")}
+# every per-instance cache a shape can fill, the values whose build can
+# raise, and every entry its constructor sets besides the fields; none is a
+# field
+_CACHES = {3: ("area", "_circumradius"), 4: ("face_areas", "circum_aux", "_circumradius")}
+_DERIVED = {3: ("E", "_pair_e", "_dots", "perimeter", "semiperimeter", "_centers"),
+            4: ("E", "_pair_e", "volume_term", "_delta2", "_faces", "_feet", "_centers")}
+
+
+def test_only_values_that_can_raise_are_cached():
+    # a value the constructor can form without raising is set there instead
+    cached = {cls.__name__: {name for klass in cls.__mro__ for name, v in vars(klass).items()
+                             if isinstance(v, _cached)} for cls in (TriangleSides, TetraEdges)}
+    assert cached == {"TriangleSides": set(_CACHES[3]), "TetraEdges": set(_CACHES[4])}
 
 
 @pytest.mark.parametrize("edges", list(_invariant_tetras())[:3] + [validate_triangle(3, 4, 5)])
@@ -472,6 +481,8 @@ def test_filled_cache_keeps_value_semantics(edges):
     assert not set(_CACHES[len(edges.E)]) & set(vars(copy))
     derived = _DERIVED[len(edges.E)]
     assert set(derived) <= set(vars(copy)) and not set(derived) & set(copy.__match_args__)
+    for name in ("_centers", "_feet") if len(edges.E) == 4 else ("_centers",):  # own, empty
+        assert vars(copy)[name] == {} and vars(copy)[name] is not vars(edges)[name]
     for name in derived:  # a changed entry leaves equality, the hash and the repr alone
         copy.__dict__[name] = None
     assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
@@ -584,6 +595,33 @@ def test_a_squared_area_invariant_past_the_float_range_raises(sides, call):
 @pytest.mark.parametrize("sides, k", [((1, 1, 2), 0.0), ((1, 1, 3), -45.0), ((3, 4, 5), 576.0)])
 def test_k_invariant_of_raw_lengths_may_be_zero_or_negative(sides, k):
     assert k_invariant(sides) == k
+
+
+# raw lengths at scales 1e-200 .. 1e200: squares that underflow give finite
+# polynomials; squares whose polynomials overflow raise, never a NaN or inf
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-200, 201, 20)])
+def test_raw_length_helpers_return_finite_numbers_or_raise(scale):
+    cases = [(k_invariant, s) for s in ((3, 4, 5), (1, 1, 1), (1, 1, 2), (1, 1, 3))]
+    cases += [(call, e) for e in ((3, 4, 5, 5, 6, 7), (1,) * 6, (1, 1, 1, 1, 1, 3))
+              for call in (edge_polynomials, gram_volume_term)]
+    for call, lengths in cases:
+        try:
+            value = call([scale * x for x in lengths])
+        except GeometryError:
+            continue
+        values = value.values() if isinstance(value, dict) else (value,)
+        assert all(map(math.isfinite, values)), (call.__name__, lengths, value)
+
+
+@pytest.mark.parametrize("call, lengths", [(gram_volume_term, (1e100,) * 6),
+                                           (edge_polynomials, (1e200,) * 6),
+                                           (k_invariant, (1e200,) * 3)])
+def test_raw_lengths_past_the_float_range_raise_naming_them(call, lengths):
+    with pytest.raises(GeometryError, match="leaves? the floating-point range"):
+        call(lengths)
+    if call is not k_invariant:  # which names the squares it was given
+        with pytest.raises(GeometryError, match=re.escape(repr(lengths))):
+            call(lengths)
 
 
 # ---------------------------------------------------------------- components

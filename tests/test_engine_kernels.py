@@ -95,7 +95,8 @@ def ref_pair_distance(w1, w2, shape):
 
 def ref_pair_table(comps, shape):
     n = len(shape.E)
-    w = {k: c.checked(n) for k, c in comps.items()}
+    w = {k: c.weights for k, c in comps.items()}
+    assert all(len(v) == n for v in w.values())
     return [DistanceReport((k1, k2), d * d, d) for k1, k2 in combinations(w, 2)
             for d in (ref_pair_distance(w[k1], w[k2], shape),)]
 
