@@ -167,25 +167,20 @@ def _close(x: float, y: float) -> bool:
 
 VERTICES = ("A", "B", "C", "D")
 
-# Cyclic vertex order of each tetrahedron face, keyed by face name; the face
-# "BCD" is the one opposite vertex A, and so on.
-FACES = {
-    "BCD": ("B", "C", "D"),
-    "CDA": ("C", "D", "A"),
-    "DAB": ("D", "A", "B"),
-    "ABC": ("A", "B", "C"),
-}
-
-# The same faces by vertex index (A, B, C, D) = (0, 1, 2, 3): the face's three
-# vertices in cyclic order, then its opposite vertex.  Faces run in FACES
-# order, so the i-th face is the one opposite vertex i.  The closed forms read
-# per-vertex values through this table; letters stay at the user boundary.
+# Each tetrahedron face by vertex index (A, B, C, D) = (0, 1, 2, 3): the
+# face's three vertices in cyclic order, then its opposite vertex.  The i-th
+# face is the one opposite vertex i: the face "BCD" is opposite A, and so on.
+# The closed forms read per-vertex values through this table; letters stay at
+# the user boundary.
 FACE_INDICES = {
     "BCD": (1, 2, 3, 0),
     "CDA": (2, 3, 0, 1),
     "DAB": (3, 0, 1, 2),
     "ABC": (0, 1, 2, 3),
 }
+
+# The same faces' cyclic vertex orders by letter: a face's name spells them.
+FACES = {face: tuple(face) for face in FACE_INDICES}
 
 
 # The vertex pair each length joins, by vertex count, in the order the shape
@@ -278,10 +273,10 @@ class _Simplex(_Frozen):
     @_cached
     def _circumradius(self) -> float:
         """R, which circumradius reads: abc / (4 * area) for a triangle,
-        sqrt(Crelle / volume term) for a tetrahedron."""
+        sqrt(_crelle / volume term) for a tetrahedron."""
         if self._N == 3:
             return self.a * self.b * self.c / (4.0 * self.area)
-        return math.sqrt(_crelle_product(self) / self.volume_term)
+        return math.sqrt(self._crelle / self.volume_term)
 
 
 class TriangleSides(_Simplex):
@@ -327,14 +322,15 @@ def validate_triangle(a: float, b: float, c: float) -> TriangleSides:
     return TriangleSides(a, b, c)
 
 
-def _k_invariant(a2: float, b2: float, c2: float) -> float:
+def _k_invariant(a2: float, b2: float, c2: float, lengths=None) -> float:
     """(a^2+b^2+c^2)^2 - 2(a^4+b^4+c^4) on the squared sides: 16*Area^2;
-    GeometryError when the squares of huge sides overflow it to NaN or inf."""
+    GeometryError naming the ``lengths``, or else the squares, past the float range."""
     s = a2 + b2 + c2  # s * s: float ** calls libm pow, which is not correctly rounded
     k = s * s - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
     if not -math.inf < k < math.inf:
-        raise GeometryError(f"squared-area invariant {k} of the squared sides "
-                            f"({a2!r}, {b2!r}, {c2!r}) leaves the floating-point range")
+        of = f"lengths {lengths}" if lengths else f"squared sides ({a2!r}, {b2!r}, {c2!r})"
+        raise GeometryError(f"squared-area invariant {k} of the {of} leaves the "
+                            "floating-point range")
     return k
 
 
@@ -448,13 +444,13 @@ class TetraEdges(_Simplex):
 
     Construction validates the lengths.  The invariants the center and
     metric formulas share are derived from the six lengths once per
-    instance and then read by every caller: the constructor sets ``E``,
-    ``_pair_e``, the volume gate's ``_delta2`` and ``volume_term``, each
-    face's geometry ``_faces``, and empty caches for the centers' Components
-    (see center_components) and tet_centers' vertex feet ``_feet``; the
-    values whose build can raise, the ``face_areas``, the circumcenter
-    weights ``circum_aux`` and R, come on first use.  None of them takes
-    part in equality, hashing or repr.
+    instance and read by every caller: the constructor sets ``E``, ``_pair_e``,
+    the volume gate's ``_delta2`` and ``volume_term``, the Crelle product
+    ``_crelle``, each face's geometry ``_faces``, and empty caches for the
+    centers' Components (see center_components) and tet_centers' vertex feet
+    ``_feet``; the values whose build can raise, ``face_areas``, the
+    circumcenter weights ``circum_aux`` and R, come on first use.  None of
+    them takes part in equality, hashing or repr.
     """
 
     __match_args__ = ("ab", "ac", "ad", "bc", "cd", "db")
@@ -490,16 +486,21 @@ class TetraEdges(_Simplex):
                       (ad2, db2, cd2, 0.0))
         d["_pair_e"] = (ab2, ac2, ad2, bc2, db2, cd2)
         d["_delta2"], d["volume_term"] = delta2, gram
+        # Crelle: q(q - AB*CD)(q - BC*AD)(q - CA*BD) = 36*V^2*R^2, 2q = m1 + m2 + m3
+        m1, m2, m3 = ab * cd, bc * ad, ac * db
+        q = 0.5 * (m1 + m2 + m3)
+        d["_crelle"] = q * (q - m1) * (q - m2) * (q - m3)
         # by face name: its vertex indices (V1, V2, V3, opposite), squared
-        # edges (V1V2, V2V3, V3V1), their half sum delta2f, and 8 * area^2
+        # edges e^2 (V1V2, V2V3, V3V1), each one's delta2f - e^2, with delta2f
+        # their half sum, and the sum of (delta2f - e^2)*e^2, which is 8*area^2
         d["_faces"] = faces = {}
         for face, verts in FACE_INDICES.items():
             v1, v2, v3, _ = verts
             e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
             delta2f = 0.5 * (e12 + e23 + e31)
-            # identity: sum of (delta2f - e^2)*e^2 over the face edges = 8*area^2
-            eight_sq = (delta2f - e12) * e12 + (delta2f - e23) * e23 + (delta2f - e31) * e31
-            faces[face] = verts, (e12, e23, e31), delta2f, eight_sq
+            f12, f23, f31 = delta2f - e12, delta2f - e23, delta2f - e31
+            faces[face] = (verts, (e12, e23, e31), (f12, f23, f31),
+                           f12 * e12 + f23 * e23 + f31 * e31)
         d["_centers"], d["_feet"] = {}, {}
 
     def as_tuple(self):
@@ -528,23 +529,11 @@ class TetraEdges(_Simplex):
         the circumcenter's components, and u = 4*(t1 - t2 - t3) > 0.
         """
         vals = []
-        for (v1, v2, v3, opp), (e12, e23, e31), delta2f, _ in self._faces.values():
+        for (v1, v2, v3, opp), (e12, e23, e31), (f12, f23, f31), _ in self._faces.values():
             eo = self.E[opp]
-            vals.append(
-                (delta2f - e12) * e12 * eo[v3]
-                + (delta2f - e23) * e23 * eo[v1]
-                + (delta2f - e31) * e31 * eo[v2]
-                - e12 * e23 * e31
-            )
+            vals.append(f12 * e12 * eo[v3] + f23 * e23 * eo[v1] + f31 * e31 * eo[v2]
+                        - e12 * e23 * e31)
         return CircumAux(tuple(vals), math.fsum(vals))
-
-
-def _crelle_product(edges: TetraEdges) -> float:
-    """q*(q - AB*CD)*(q - BC*AD)*(q - CA*BD), with q the half-sum of the
-    three opposite-edge products; it equals 36*V^2*R^2 (Crelle)."""
-    m1, m2, m3 = edges.ab * edges.cd, edges.bc * edges.ad, edges.ac * edges.db
-    q = 0.5 * (m1 + m2 + m3)
-    return q * (q - m1) * (q - m2) * (q - m3)
 
 
 def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
@@ -855,6 +844,19 @@ def face_components_from_tetra(beta: Components, face: str) -> Components:
     return _comps((w[v1] / denom, w[v2] / denom, w[v3] / denom))
 
 
+def _reassembled(given_a: tuple, given_b: tuple) -> Components:
+    """The tetrahedron components whose pierce points on faces BCD and CDA
+    have the weights ``given_a`` (of B, C, D) and ``given_b`` (of C, D, A),
+    not checked against either face."""
+    a_b, a_c, a_d = given_a
+    b_a = given_b[2]  # the weight of A on face CDA
+    denom = 1.0 - b_a * a_b
+    if abs(denom) <= ATOL * (1.0 + abs(b_a * a_b)):
+        raise DegenerateDenominator("1 - alpha_a*alpha_b ~ 0 while reassembling")
+    kappa = (1.0 - b_a) / denom  # AP/AP_A along the cevian from A
+    return _comps((b_a * (1.0 - a_b) / denom, kappa * a_b, kappa * a_c, kappa * a_d))
+
+
 def tetra_components_from_face_pair(
     alpha_on_face_of_a: Components,
     alpha_on_face_of_b: Components,
@@ -867,18 +869,8 @@ def tetra_components_from_face_pair(
     InconsistentFaces, which means the two pierce points do not belong to a
     single common point.
     """
-    a_b, a_c, a_d = given_a = _components(alpha_on_face_of_a, 3)  # weights of B, C, D
-    b_c, b_d, b_a = given_b = _components(alpha_on_face_of_b, 3)  # weights of C, D, A
-    denom = 1.0 - b_a * a_b
-    if abs(denom) <= ATOL * (1.0 + abs(b_a * a_b)):
-        raise DegenerateDenominator("1 - alpha_a*alpha_b ~ 0 while reassembling")
-    kappa = (1.0 - b_a) / denom  # AP/AP_A along the cevian from A
-    beta = _comps((
-        b_a * (1.0 - a_b) / denom,
-        kappa * a_b,
-        kappa * a_c,
-        kappa * a_d,
-    ))
+    given_a, given_b = _components(alpha_on_face_of_a, 3), _components(alpha_on_face_of_b, 3)
+    beta = _reassembled(given_a, given_b)
     for face, given in (("BCD", given_a), ("CDA", given_b)):
         back = face_components_from_tetra(beta, face)
         worst = max(abs(x - y) for x, y in zip(back.as_tuple(), given))
@@ -1188,25 +1180,21 @@ def _clamped_pair_root(ps, scale, w1, w2, shape) -> float:
     square, which passes any window; the callers take its root themselves."""
     # the deltas carry absolute rounding ~eps * (component magnitude); when
     # the centers coincide that noise is all that remains, so the window for
-    # a negative square needs an absolute floor at its square
+    # a negative square needs an absolute floor at its square (times half E's sum)
     grain = 0.0
     if ps > 0.0:
-        total = 0.0  # sum of E's rows, each added left to right: builtin sum rounds per version
-        for row in shape.E:
-            row_total = 0.0
-            for x in row:
-                row_total += x
-            total += row_total
-        grain = (8.0 * 2.3e-16 * max(map(abs, w1 + w2))) ** 2 * 0.5 * total
+        try:
+            total = math.fsum(shape._pair_e)
+        except OverflowError:  # finite squares whose sum passes the float range
+            total = math.inf
+        grain = (8.0 * 2.3e-16 * max(map(abs, w1 + w2))) ** 2 * total
     return _sqrt_clamped(-ps, scale, grain)
 
 
 def dist_between_centers(c1, c2, shape) -> float:
-    """Distance between the points realizing two component vectors."""
-    n = _shape(shape)._N
-    w1, w2 = _components(c1, n), _components(c2, n)
-    ps, scale = _PAIR_SUMS[n](shape._pair_e, w2, w1)
-    return math.sqrt(-ps) if ps < 0.0 else _clamped_pair_root(ps, scale, w1, w2, shape)
+    """Distance between the points realizing two component vectors: the
+    entry of their two-point pair_table, with its argument checks."""
+    return pair_table({0: c1, 1: c2}, shape)[0].distance
 
 
 def pair_table(comps: dict, shape) -> list:
@@ -1215,7 +1203,6 @@ def pair_table(comps: dict, shape) -> list:
     n = _shape(shape)._N
     w = {k: _components(c, n) for k, c in _instance(comps, Mapping, "components").items()}
     kernel, e, table, new = _PAIR_SUMS[n], shape._pair_e, [], object.__new__
-    # the steps of dist_between_centers, one kernel call per pair
     for k1, k2 in combinations(w, 2):
         w1, w2 = w[k1], w[k2]
         ps, scale = kernel(e, w2, w1)

@@ -23,13 +23,13 @@ from .core_model import (
     _facet_ratios,
     _ratios,
     _reals,
+    _reassembled,
     _shape,
     canonical_face,
     center_components as tet_center_components,
     face_components_from_tetra,
     parse_center,
     shared_edge_residuals,
-    tetra_components_from_face_pair,
 )
 
 __all__ = [
@@ -80,11 +80,11 @@ def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
     faces, sq = _shape(edges, 4)._faces, _reals(sq_dists, "squared vertex distances")
     if len(sq) != 4:
         raise GeometryError(f"expected 4 squared vertex distances, got {len(sq)}")
-    (v1, v2, v3, _), (e12, e23, e31), delta2f, eight_sq = faces[canonical_face(face)]
+    (v1, v2, v3, _), (e12, e23, e31), (f12, f23, f31), eight_sq = faces[canonical_face(face)]
     d1, d2, d3 = sq[v1], sq[v2], sq[v3]
-    n1 = (delta2f - e23) * e23 + (delta2f - e31) * (d3 - d1) + (delta2f - e12) * (d2 - d1)
-    n2 = (delta2f - e31) * e31 + (delta2f - e12) * (d1 - d2) + (delta2f - e23) * (d3 - d2)
-    n3 = (delta2f - e12) * e12 + (delta2f - e23) * (d2 - d3) + (delta2f - e31) * (d1 - d3)
+    n1 = f23 * e23 + f31 * (d3 - d1) + f12 * (d2 - d1)
+    n2 = f31 * e31 + f12 * (d1 - d2) + f23 * (d3 - d2)
+    n3 = f12 * e12 + f23 * (d2 - d3) + f31 * (d1 - d3)
     return _comps((n1 / eight_sq, n2 / eight_sq, n3 / eight_sq))
 
 
@@ -116,13 +116,9 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
         )
     faces = _shape(edges, 4)._faces
     key = face if type(face) is str and face in FACES else canonical_face(face)
-    (v1, v2, v3, opp), (e12, e23, e31), delta2f, eight_sq = faces[key]
+    (v1, v2, v3, opp), (e12, e23, e31), (f12, f23, f31), eight_sq = faces[key]
     if k == "Q":
-        return _comps((
-            (delta2f - e23) * e23 / eight_sq,
-            (delta2f - e31) * e31 / eight_sq,
-            (delta2f - e12) * e12 / eight_sq,
-        ))
+        return _comps((f23 * e23 / eight_sq, f31 * e31 / eight_sq, f12 * e12 / eight_sq))
     f1, f2, f3 = (edges._feet.get(key) or vertex_projection_components(edges, key)).weights
     if k == "G":
         return _comps(((1.0 + f1) / 4.0, (1.0 + f2) / 4.0, (1.0 + f3) / 4.0))
@@ -139,13 +135,14 @@ def concurrency_conditions(face_components: dict) -> dict:
     For each edge shared by two faces, both face points imply a section
     ratio on that edge; the six disagreements are the report's residuals.
     When all six pass the tolerance, the common point's Components are
-    reassembled from two faces and round-tripped through all four.
+    reassembled from faces BCD and CDA, and its largest round-trip defect
+    over all four decides: well-formed face points get an answer, not a raise.
 
     Returns a dict with "edge_residuals", "max_residual", "concurrent",
     "components" (None unless concurrent), and "roundtrip_defect".
     """
     residuals = shared_edge_residuals(face_components)  # which checks the mapping first
-    comps = {canonical_face(k): v for k, v in face_components.items()}
+    comps = {canonical_face(k): v.weights for k, v in face_components.items()}
     max_residual = max(residuals.values())
     concurrent = max_residual <= ATOL + RTOL
     report = {
@@ -157,9 +154,9 @@ def concurrency_conditions(face_components: dict) -> dict:
     }
     if not concurrent:
         return report
-    beta = tetra_components_from_face_pair(comps["BCD"], comps["CDA"])
+    beta = _reassembled(comps["BCD"], comps["CDA"])
     worst = max(abs(x - y) for face in FACES for x, y in
-                zip(face_components_from_tetra(beta, face).as_tuple(), comps[face].as_tuple()))
+                zip(face_components_from_tetra(beta, face).weights, comps[face]))
     report["roundtrip_defect"] = worst
     report["concurrent"] = worst <= ATOL + RTOL
     report["components"] = beta if report["concurrent"] else None

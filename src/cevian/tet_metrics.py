@@ -21,7 +21,6 @@ from .core_model import (
     VERTICES,
     _Frozen,
     _PAIRS,
-    _crelle_product,
     _pair_sum4,
     _shape,
     circumradius,
@@ -90,7 +89,7 @@ def crelle_check(edges: TetraEdges) -> float:
     really are independent pipelines and the residual is a genuine
     consistency measurement, not an algebraic tautology.
     """
-    rhs = _crelle_product(_shape(edges, 4))
+    rhs = _shape(edges, 4)._crelle
     r2 = _pair_sum4(edges._pair_e, tet_center_components("Q", edges).as_tuple())[0]
     lhs = edges.volume_term * r2
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -45,9 +45,10 @@ def k_invariant(sides) -> float:
 
     Accepts raw length triples as well: it is a polynomial, defined (and
     zero or negative) even for degenerate inputs like (1, 1, 2).
+    GeometryError names the lengths when K leaves the floating-point range.
     """
-    a, b, c = _lengths(sides, 3)
-    return _k_invariant(a * a, b * b, c * c)
+    a, b, c = lengths = _lengths(sides, 3)
+    return _k_invariant(a * a, b * b, c * c, lengths)
 
 
 def area_determinant(sides: TriangleSides) -> float:

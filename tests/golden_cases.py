@@ -1,0 +1,50 @@
+"""The golden CLI runs: each file in tests/golden/ with the `cevian`
+arguments that print it, and the exit code each run must give.
+
+tests/test_golden.py compares the runs with the files.  Run as a script,
+with no package needed (`python -S tests/golden_cases.py`), this prints one
+line per report case, `FILE ARG...`, for a shell loop to run through
+`cevian` and `cmp`; every argument is one shell word.
+"""
+
+_TRI_ALL = ("--centers", "all", "--distances", "all", "--metrics",
+            "--inequalities", "--areas")
+_TET_ALL = ("--centers", "all", "--distances", "all", "--metrics",
+            "--inequalities", "--project", "ABC")
+
+_VERIFY = ("verify", "--seed", "7", "--cases", "300", "--scope", "all")
+
+# file name -> cevian arguments; every run exits 0 unless EXIT_CODES says
+# otherwise
+CASES = {
+    "tri_3_4_5.json": ("tri", "--sides", "3", "4", "5", *_TRI_ALL),
+    "tri_4.3_5.1_6.7.json": ("tri", "--sides", "4.3", "5.1", "6.7", *_TRI_ALL),
+    "tri_0.3_0.3_0.3.json": ("tri", "--sides", "0.3", "0.3", "0.3", *_TRI_ALL),
+    "tri_4.3_5.1_6.7.csv": ("tri", "--sides", "4.3", "5.1", "6.7", *_TRI_ALL,
+                            "--format", "csv"),
+    "tet_3_4_5_5_6_7.json": ("tet", "--edges", "3", "4", "5", "5", "6", "7", *_TET_ALL),
+    "tet_3_3_3_2_2_2.json": ("tet", "--edges", "3", "3", "3", "2", "2", "2", *_TET_ALL),
+    "tet_1_1_1_1_1_1.json": ("tet", "--edges", "1", "1", "1", "1", "1", "1", *_TET_ALL),
+    "tet_3_4_5_5_6_7.csv": ("tet", "--edges", "3", "4", "5", "5", "6", "7", *_TET_ALL,
+                            "--format", "csv"),
+    "tet_3_4_5_5_6_7_power.json": ("tet", "--edges", "3", "4", "5", "5", "6", "7",
+                                   "--centers", "G,power:2", "--distances", "G:power:2"),
+    # more than two blocks of verify cases, and the same run at zero
+    # tolerances, whose suites with a nonzero residual fail and print their
+    # first failing instance
+    "verify_seed7_300.txt": _VERIFY,
+    "verify_seed7_300_exact.txt": (*_VERIFY, "--rtol", "0", "--atol", "0"),
+    # the certification run the README documents; CI also compares its
+    # stdout with this file
+    "verify_seed42_1000.txt": ("verify", "--seed", "42", "--cases", "1000", "--scope", "all"),
+}
+EXIT_CODES = {"verify_seed7_300_exact.txt": 1}
+
+
+def report_lines() -> list:
+    """`FILE ARG...` for each tri / tet case, in CASES order."""
+    return [" ".join((name, *argv)) for name, argv in CASES.items() if argv[0] in ("tri", "tet")]
+
+
+if __name__ == "__main__":
+    print("\n".join(report_lines()))

@@ -62,6 +62,7 @@ from cevian.tri_centers import center_ir
 from cevian.tri_metrics import (area_determinant, ict_altitudes, ict_areas, inequality_slacks,
                                 k_invariant, transcribed_closed_forms)
 from test_engine_digits import _tetrahedra as _digit_tetrahedra, _triangles as _digit_triangles
+from test_engine_kernels import outcome
 
 FACE_OPPOSITE = {face: next(v for v in "ABCD" if v not in face) for face in FACES}
 
@@ -391,6 +392,31 @@ def test_constructor_squares_follow_the_generic_rule():
     assert seen[3] > 300 and seen[4] > 300 and seen["inf"] > 50 and seen["tiny"] > 50
 
 
+def test_crelle_product_and_face_differences_follow_the_generic_rule():
+    # the constructor's _crelle and each face's delta2f - e^2 against the
+    # formulas on the named lengths, by repr, bit for bit
+    seen = 0
+    for lengths, validate in _squares_shapes():
+        if validate is not validate_tetrahedron:
+            continue
+        edges = validate(*lengths)
+        length = _lengths(edges)
+        m1, m2, m3 = (length["A", "B"] * length["C", "D"], length["B", "C"] * length["A", "D"],
+                      length["C", "A"] * length["D", "B"])
+        q = 0.5 * (m1 + m2 + m3)
+        assert repr(vars(edges)["_crelle"]) == repr(q * (q - m1) * (q - m2) * (q - m3)), lengths
+        for face, (v1, v2, v3) in FACES.items():
+            e12, e23, e31 = (length[v1, v2] * length[v1, v2], length[v2, v3] * length[v2, v3],
+                             length[v3, v1] * length[v3, v1])
+            delta2f = 0.5 * (e12 + e23 + e31)
+            diffs = (delta2f - e12, delta2f - e23, delta2f - e31)
+            eight_sq = diffs[0] * e12 + diffs[1] * e23 + diffs[2] * e31
+            want = (FACE_INDICES[face], (e12, e23, e31), diffs, eight_sq)
+            assert repr(vars(edges)["_faces"][face]) == repr(want), (lengths, face)
+        seen += 1
+    assert seen > 300
+
+
 @pytest.mark.parametrize("edges, message", [
     ((1, 1, 1, 10, 1, 1), "face BCD edges (10.0, 1.0, 1.0) violate the triangle inequality"),
     ((1, 1, 10, 1, 1, 1), "face CDA edges (1.0, 10.0, 1.0) violate the triangle inequality"),
@@ -452,7 +478,8 @@ def test_areas_scale_exactly_with_a_power_of_two():
 # field
 _CACHES = {3: ("area", "_circumradius"), 4: ("face_areas", "circum_aux", "_circumradius")}
 _DERIVED = {3: ("E", "_pair_e", "_dots", "perimeter", "semiperimeter", "_centers"),
-            4: ("E", "_pair_e", "volume_term", "_delta2", "_faces", "_feet", "_centers")}
+            4: ("E", "_pair_e", "volume_term", "_delta2", "_crelle", "_faces", "_feet",
+                "_centers")}
 
 
 def test_only_values_that_can_raise_are_cached():
@@ -619,9 +646,8 @@ def test_raw_length_helpers_return_finite_numbers_or_raise(scale):
 def test_raw_lengths_past_the_float_range_raise_naming_them(call, lengths):
     with pytest.raises(GeometryError, match="leaves? the floating-point range"):
         call(lengths)
-    if call is not k_invariant:  # which names the squares it was given
-        with pytest.raises(GeometryError, match=re.escape(repr(lengths))):
-            call(lengths)
+    with pytest.raises(GeometryError, match=re.escape(repr(lengths))):
+        call(lengths)
 
 
 # ---------------------------------------------------------------- components
@@ -899,6 +925,59 @@ def test_pair_table_entries_equal_their_pairwise_distances_exactly(shape):
     for rep in table:
         d = dist_between_centers(comps[rep.pair[0]], comps[rep.pair[1]], shape)
         assert rep.distance == d and rep.squared_distance == d * d
+
+
+def test_pair_distances_equal_their_table_entries_in_both_orders():
+    # bit for bit, over the engine-digit shapes at every scale; a table that
+    # raises (a pair sum past the float range) raises for the pairs too
+    tables = 0
+    for lengths, validate in _squares_shapes():
+        shape = validate(*lengths)
+        comps = {}
+        for kind in CENTER_KINDS[shape._N]:
+            try:
+                comps[kind] = center_components(kind, shape)
+            except GeometryError:
+                pass
+        try:
+            table = {rep.pair: rep.distance for rep in pair_table(comps, shape)}
+        except GeometryError:
+            table = None
+        for k1, k2 in combinations(comps, 2):
+            one = outcome(lambda: dist_between_centers(comps[k1], comps[k2], shape))
+            assert outcome(lambda: dist_between_centers(comps[k2], comps[k1], shape)) == one
+            if table is not None:
+                assert one == ("ok", repr(table[k1, k2])), (lengths, k1, k2)
+        tables += table is not None
+    assert tables > 900
+
+
+@pytest.mark.parametrize("c1, c2, shape, message", [
+    (None, C4, TRI, "components None are not a Components"),
+    (C4, None, TRI, "4 weights given where 3 are needed"),
+    (C3, (1, 2, 3), TRI, "components (1, 2, 3) are not a Components"),
+    (C3, [1, 2, 3], TRI, "components [1, 2, 3] are not a Components"),
+    ("x", C3, TET, "components 'x' are not a Components"),
+    (C3, C3, TET, "3 weights given where 4 are needed"),
+    (C3, C4, TRI, "4 weights given where 3 are needed"),
+    (None, None, None, "shape None is neither a TriangleSides nor a TetraEdges"),
+    (C3, C3, (3, 4, 5), "shape (3, 4, 5) is neither a TriangleSides nor a TetraEdges"),
+])
+def test_dist_between_centers_checks_the_shape_then_each_argument_in_order(c1, c2, shape,
+                                                                             message):
+    with pytest.raises(GeometryError) as info:
+        dist_between_centers(c1, c2, shape)
+    assert type(info.value) is GeometryError and str(info.value) == message
+
+
+def test_a_grain_over_squares_whose_sum_overflows_clamps_to_zero():
+    # the squares of 1e154 are finite, their sum is not: the window for a
+    # negative square is then unbounded, and coincident points are at 0.0
+    huge = validate_triangle(1e154, 1e154, 1e154)
+    p = Components((0.33333333333333326, 0.3333333333333334, 0.33333333333333326))
+    g = Components((1 / 3, 0.3333333333333334, 1 / 3))
+    assert pair_sum(tuple(y - x for x, y in zip(g.weights, p.weights)), huge)[0] > 0.0
+    assert dist_between_centers(g, p, huge) == dist_between_centers(p, g, huge) == 0.0
 
 
 # ----------------------------------------- typed errors on the slow paths

@@ -26,6 +26,7 @@ from cevian.core_model import (
     _sqrt_clamped,
     center_components,
     dist_between_centers,
+    dist_origin_to_center,
     face_components_from_tetra,
     pair_sum,
     pair_table,
@@ -159,7 +160,7 @@ def test_pair_distance_matches_the_generic_form_bitwise(n):
     kernel = core_model._PAIR_SUMS[n]
 
     def engine(w1, w2, shape):
-        # the two steps pair_table and dist_between_centers take, on raw weights
+        # the two steps pair_table takes for each pair, on raw weights
         ps, scale = kernel(shape._pair_e, w2, w1)
         if ps < 0.0:
             return math.sqrt(-ps)
@@ -257,7 +258,13 @@ RANGE = "a pair sum leaves the floating-point range"
 
 @pytest.mark.parametrize("call, message", [
     (lambda: pair_sum((1e200, 1e200, 1.0), TRI), RANGE),  # a term overflows
-    (lambda: pair_sum((1e154, 1e154, 1e154, 1e154), TET), RANGE),  # only the magnitude sum does
+    (lambda: pair_sum((1e154, 1e154, 1e154, 1e154), TET), RANGE),  # terms 1e308 * 9..49 are inf
+    # finite terms whose magnitude sum overflows: fsum's OverflowError
+    (lambda: pair_sum((1e154,) * 3, validate_triangle(1, 1, 1)), RANGE),
+    (lambda: pair_sum((1e154,) * 4, validate_tetrahedron(*(1,) * 6)), RANGE),
+    (lambda: dist_origin_to_center((1.25e154,) * 3, Components((0.9, 0.9, -0.8)),
+                                   validate_triangle(1, 1, 1)),
+     "a weighted squared vertex-distance sum leaves the floating-point range"),
     (lambda: pair_sum((math.nan, 1.0, 1.0), TRI), RANGE),
     (lambda: pair_sum((math.inf, 1.0, 1.0, 1.0), TET), RANGE),
     (lambda: pair_sum((math.inf, -math.inf, 1.0), TRI), RANGE),  # fsum would meet -inf + inf

@@ -2,8 +2,9 @@
 verify` for fixed inputs, compared byte for byte against the files in
 tests/golden/, with the exit code each run must give.
 
-A change that is meant to keep every report identical must leave these
-files alone.  A change that moves digits on purpose regenerates them with
+The runs are listed in tests/golden_cases.py, which CI also reads.  A
+change that is meant to keep every report identical must leave these files
+alone.  A change that moves digits on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,45 +14,15 @@ and the diff of tests/golden/ then shows exactly which values moved.
 import contextlib
 import io
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from cevian.cli import main
+from golden_cases import CASES, EXIT_CODES, report_lines
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-
-_TRI_ALL = ("--centers", "all", "--distances", "all", "--metrics",
-            "--inequalities", "--areas")
-_TET_ALL = ("--centers", "all", "--distances", "all", "--metrics",
-            "--inequalities", "--project", "ABC")
-
-_VERIFY = ("verify", "--seed", "7", "--cases", "300", "--scope", "all")
-
-# file name -> cevian arguments; every run exits 0 unless EXIT_CODES says
-# otherwise
-CASES = {
-    "tri_3_4_5.json": ("tri", "--sides", "3", "4", "5", *_TRI_ALL),
-    "tri_4.3_5.1_6.7.json": ("tri", "--sides", "4.3", "5.1", "6.7", *_TRI_ALL),
-    "tri_0.3_0.3_0.3.json": ("tri", "--sides", "0.3", "0.3", "0.3", *_TRI_ALL),
-    "tri_4.3_5.1_6.7.csv": ("tri", "--sides", "4.3", "5.1", "6.7", *_TRI_ALL,
-                            "--format", "csv"),
-    "tet_3_4_5_5_6_7.json": ("tet", "--edges", "3", "4", "5", "5", "6", "7", *_TET_ALL),
-    "tet_3_3_3_2_2_2.json": ("tet", "--edges", "3", "3", "3", "2", "2", "2", *_TET_ALL),
-    "tet_1_1_1_1_1_1.json": ("tet", "--edges", "1", "1", "1", "1", "1", "1", *_TET_ALL),
-    "tet_3_4_5_5_6_7.csv": ("tet", "--edges", "3", "4", "5", "5", "6", "7", *_TET_ALL,
-                            "--format", "csv"),
-    "tet_3_4_5_5_6_7_power.json": ("tet", "--edges", "3", "4", "5", "5", "6", "7",
-                                   "--centers", "G,power:2", "--distances", "G:power:2"),
-    # more than two blocks of verify cases, and the same run at zero
-    # tolerances, whose suites with a nonzero residual fail and print their
-    # first failing instance
-    "verify_seed7_300.txt": _VERIFY,
-    "verify_seed7_300_exact.txt": (*_VERIFY, "--rtol", "0", "--atol", "0"),
-    # the certification run the README documents; CI also compares its
-    # stdout with this file
-    "verify_seed42_1000.txt": ("verify", "--seed", "42", "--cases", "1000", "--scope", "all"),
-}
-EXIT_CODES = {"verify_seed7_300_exact.txt": 1}
 
 
 def render(name) -> str:
@@ -71,6 +42,17 @@ def test_report_matches_golden(name, monkeypatch):
     monkeypatch.delenv("CEVIAN_TOL_RTOL", raising=False)
     want = (GOLDEN_DIR / name).read_text()
     assert render(name) == want
+
+
+def test_printed_report_lines_are_the_report_cases():
+    # CI's loops split each line the script prints at whitespace
+    script = pathlib.Path(__file__).with_name("golden_cases.py")
+    out = subprocess.run([sys.executable, "-S", str(script)], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines() == report_lines()
+    cases = {name: tuple(argv) for name, *argv in map(str.split, report_lines())}
+    assert cases == {name: argv for name, argv in CASES.items() if argv[0] != "verify"}
+    assert len(cases) == 9
 
 
 if __name__ == "__main__":

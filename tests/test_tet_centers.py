@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from cevian.core_model import (
+    ATOL,
+    RTOL,
     CircumAux,
     Components,
     FACES,
     FaceAreas,
     GeometryError,
+    InconsistentFaces,
     PowerIncenter,
     ZeroComponent,
     face_components_from_tetra,
     parse_center,
+    tetra_components_from_face_pair,
     validate_tetrahedron,
 )
 from cevian import coord_oracle as oracle
@@ -231,3 +235,20 @@ def test_perturbed_face_points_rejected():
     rep = concurrency_conditions(faces)
     assert not rep["concurrent"]
     assert rep["max_residual"] > 1e-3
+
+
+def test_face_points_within_the_edge_tolerance_get_an_answer():
+    # all six edge residuals pass, but the point reassembled from BCD and CDA
+    # misses CDA by 1.4e-09: the four-face round trip answers "not
+    # concurrent", where the face-pair check used to raise InconsistentFaces
+    beta = Components((80.0, -34.0, 95.0, -140.0))
+    faces = {f: face_components_from_tetra(beta, f) for f in FACES}
+    b, c, d = faces["BCD"].weights
+    faces["BCD"] = Components((b + 2e-10, c - 2e-10, d))
+    rep = concurrency_conditions(faces)
+    assert 8e-10 < rep["max_residual"] <= ATOL + RTOL
+    assert rep["concurrent"] is False and rep["components"] is None
+    assert rep["roundtrip_defect"] == pytest.approx(1.4e-9, rel=0.01)
+    # the face pair keeps its own check and message
+    with pytest.raises(InconsistentFaces, match=r"^face CDA round-trip defect 1\.4e-09: "):
+        tetra_components_from_face_pair(faces["BCD"], faces["CDA"])
