@@ -63,7 +63,6 @@ __all__ = [
     "vertex_foot_ratios",
     "face_components_from_tetra",
     "tetra_components_from_face_pair",
-    "shared_edge_residuals",
     "DistanceReport",
     "pair_sum",
     "dist_between_centers",
@@ -190,6 +189,8 @@ EDGES = {3: ((1, 2), (2, 0), (0, 1)), 4: ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)
 
 
 def canonical_face(face: str) -> str:
+    if type(face) is str and face in FACES:  # already canonical; an unhashable face reads below
+        return face
     key = str(face).upper()
     if key not in FACES:
         raise GeometryError(f"unknown face {face!r}; expected one of {sorted(FACES)}")
@@ -672,10 +673,10 @@ def _ratios(a: float, b: float, c: float) -> IRVector3:
 
 
 # --------------------------------------------------------------------------
-# argument coercers: each public function of the closed-form modules passes
-# every argument through the one of its kind first (canonical_face and
-# parse_center for face names and center kinds), which returns it in the form
-# the code reads or raises GeometryError naming it.  Internal calls skip them.
+# argument coercers: each public function of the closed-form modules reads every argument
+# once, through the one of its kind (canonical_face and parse_center for face names and center
+# kinds, which return a canonical name as it is), which returns it in the form the code reads
+# or raises GeometryError naming it.  Internal calls skip them.
 
 def _float(v) -> float:
     """float(v), which reads numbers and numeric strings, or NaN for anything
@@ -857,6 +858,12 @@ def _reassembled(given_a: tuple, given_b: tuple) -> Components:
     return _comps((b_a * (1.0 - a_b) / denom, kappa * a_b, kappa * a_c, kappa * a_d))
 
 
+def _roundtrip_defect(beta: Components, face: str, given: tuple) -> float:
+    """The largest gap between the weights ``given`` on a face and beta's pierce point there."""
+    back = face_components_from_tetra(beta, face).weights
+    return max(abs(x - y) for x, y in zip(back, given))
+
+
 def tetra_components_from_face_pair(
     alpha_on_face_of_a: Components,
     alpha_on_face_of_b: Components,
@@ -872,9 +879,8 @@ def tetra_components_from_face_pair(
     given_a, given_b = _components(alpha_on_face_of_a, 3), _components(alpha_on_face_of_b, 3)
     beta = _reassembled(given_a, given_b)
     for face, given in (("BCD", given_a), ("CDA", given_b)):
-        back = face_components_from_tetra(beta, face)
-        worst = max(abs(x - y) for x, y in zip(back.as_tuple(), given))
-        if worst > ATOL + RTOL * 1.0:
+        worst = _roundtrip_defect(beta, face, given)
+        if worst > ATOL + RTOL:
             raise InconsistentFaces(
                 f"face {face} round-trip defect {worst:.3g}: the two faces do not "
                 f"share a common point"
@@ -904,15 +910,12 @@ def _face_ratio(face: str, weights: tuple, x: int, y: int) -> float:
     return weights[verts.index(y)] / wx
 
 
-def shared_edge_residuals(face_components: dict) -> dict:
-    """Per-edge disagreement of the section ratios implied by four face points.
-
-    ``face_components`` maps each face name to the 3-weight Components of a
-    point on that face.  For every edge shared by two faces, both faces determine a
-    ratio in which the respective point's cevian cuts that edge; all six
-    pairs agree exactly when the four vertex-to-face-point lines pass
-    through one common point.
-    """
+def _edge_residuals(face_components) -> tuple:
+    """The weights of four face points, read once from ``face_components`` (face name to the
+    3-weight Components of a point on that face) and keyed by canonical face name, and the
+    per-edge disagreement of the section ratios they imply: for every edge shared by two faces,
+    both faces determine a ratio in which the respective point's cevian cuts that edge, and all
+    six pairs agree exactly when the four vertex-to-face-point lines pass through one point."""
     comps = {canonical_face(k): _components(v, 3)
              for k, v in _instance(face_components, Mapping, "face components").items()}
     if sorted(comps) != sorted(FACES):
@@ -924,7 +927,7 @@ def shared_edge_residuals(face_components: dict) -> dict:
         if flip:
             r2 = 1.0 / r2
         out[edge] = abs(r1 - r2)
-    return out
+    return comps, out
 
 
 # --------------------------------------------------------------------------
@@ -948,6 +951,8 @@ def parse_center(token, n: int):
     as one or as "power:<n>" (e.g. "power:2", "power:-0.5")."""
     if n != 3 and n != 4:
         raise GeometryError(f"a simplex has 3 or 4 vertices, not {n!r}")
+    if type(token) is str and token in CENTER_KINDS[n]:  # already canonical
+        return token
     if n == 4 and isinstance(token, PowerIncenter):
         return token
     k = str(token).upper()
@@ -1165,11 +1170,11 @@ def dist_vertex_to_center(vertex: str, comps, shape) -> float:
 def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
     """Full cevian length from a vertex through the point to the opposite
     side or face: AL = AP / |1 - alpha_A| (and likewise)."""
-    ap = dist_vertex_to_center(vertex, comps, shape)
-    alpha = comps.as_tuple()[_vertex_index(vertex, shape)]
-    if abs(1.0 - alpha) <= ATOL:
-        raise UnitComponent(f"component at {vertex.upper()} ~ 1: cevian foot undefined")
-    return ap / abs(1.0 - alpha)
+    i, w = _vertex_index(vertex, shape), _components(comps, shape._N)
+    ap = _origin_distance(shape.E[i], w, shape)
+    if abs(1.0 - w[i]) <= ATOL:
+        raise UnitComponent(f"component at {VERTICES[i]} ~ 1: cevian foot undefined")
+    return ap / abs(1.0 - w[i])
 
 
 def _clamped_pair_root(ps, scale, w1, w2, shape) -> float:

@@ -20,16 +20,16 @@ from .core_model import (
     GeometryError,
     TetraEdges,
     _comps,
+    _edge_residuals,
     _facet_ratios,
     _ratios,
     _reals,
     _reassembled,
+    _roundtrip_defect,
     _shape,
     canonical_face,
     center_components as tet_center_components,
-    face_components_from_tetra,
     parse_center,
-    shared_edge_residuals,
 )
 
 __all__ = [
@@ -91,9 +91,7 @@ def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
 def vertex_projection_components(edges: TetraEdges, face: str) -> Components:
     """Projection of the face's opposite vertex onto the face (the foot of
     the altitude from it), built once per face and cached on the edge set."""
-    # a face name already canonical skips the coercer; any other, an
-    # unhashable one included, reaches it
-    key = face if type(face) is str and face in FACES else canonical_face(face)
+    key = canonical_face(face)
     feet = _shape(edges, 4)._feet
     if key not in feet:
         feet[key] = projection_components(edges, edges.E[FACE_INDICES[key][3]], key)
@@ -107,15 +105,13 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
     the opposite vertex's projection: the projection of sum(beta_V * V) is
     sum over face vertices plus beta_W * (projection of W).
     """
-    # canonical arguments skip their coercers; any other, an unhashable one
-    # included, reaches them
-    k = kind if type(kind) is str and kind in _PROJECTED else parse_center(kind, 4)
+    k = parse_center(kind, 4)
     if k not in _PROJECTED:
         raise GeometryError(
             f"projection closed form available for Q, G, I only, not {kind!r}"
         )
     faces = _shape(edges, 4)._faces
-    key = face if type(face) is str and face in FACES else canonical_face(face)
+    key = canonical_face(face)
     (v1, v2, v3, opp), (e12, e23, e31), (f12, f23, f31), eight_sq = faces[key]
     if k == "Q":
         return _comps((f23 * e23 / eight_sq, f31 * e31 / eight_sq, f12 * e12 / eight_sq))
@@ -141,8 +137,7 @@ def concurrency_conditions(face_components: dict) -> dict:
     Returns a dict with "edge_residuals", "max_residual", "concurrent",
     "components" (None unless concurrent), and "roundtrip_defect".
     """
-    residuals = shared_edge_residuals(face_components)  # which checks the mapping first
-    comps = {canonical_face(k): v.weights for k, v in face_components.items()}
+    comps, residuals = _edge_residuals(face_components)  # the one read of the mapping
     max_residual = max(residuals.values())
     concurrent = max_residual <= ATOL + RTOL
     report = {
@@ -155,8 +150,7 @@ def concurrency_conditions(face_components: dict) -> dict:
     if not concurrent:
         return report
     beta = _reassembled(comps["BCD"], comps["CDA"])
-    worst = max(abs(x - y) for face in FACES for x, y in
-                zip(face_components_from_tetra(beta, face).weights, comps[face]))
+    worst = max(_roundtrip_defect(beta, face, comps[face]) for face in FACES)
     report["roundtrip_defect"] = worst
     report["concurrent"] = worst <= ATOL + RTOL
     report["components"] = beta if report["concurrent"] else None

@@ -14,11 +14,11 @@ from .core_model import (
     IRVector3,
     RightAngleOrthocenter,
     TriangleSides,
+    _facet_ratios,
     _pair_sum,
     _ratios,
     _shape,
     center_components,
-    ir_from_components3,
     parse_center,
 )
 
@@ -66,7 +66,7 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
         return _ratios(b / a, c / b, a / c)
     # circumcenter: quotient of the component weights (ZeroComponent at a
     # right angle, where Q lies on the hypotenuse)
-    return ir_from_components3(center_components("Q", sides))
+    return _facet_ratios(center_components("Q", sides).weights, 0, 1, 2)
 
 
 def excenter_segment_ratio(sides: TriangleSides) -> float:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, reject, strategies as st
 
 from cevian.core_model import (
+    ATOL,
+    RTOL,
     CENTER_KINDS,
     CevaViolation,
     CircumAux,
@@ -28,6 +30,7 @@ from cevian.core_model import (
     TriangleInequalityViolated,
     TetraEdges,
     TriangleSides,
+    UnitComponent,
     VERTICES,
     ZeroComponent,
     _cached,
@@ -50,13 +53,12 @@ from cevian.core_model import (
     pair_distances,
     pair_sum,
     pair_table,
-    shared_edge_residuals,
     tetra_components_from_face_pair,
     validate_tetrahedron,
     validate_triangle,
     vertex_foot_ratios,
 )
-from cevian.tet_centers import projection_components
+from cevian.tet_centers import concurrency_conditions, projection_components
 from cevian.tet_metrics import TetMetricsSummary, circumradius_forms, inradius
 from cevian.tri_centers import center_ir
 from cevian.tri_metrics import (area_determinant, ict_altitudes, ict_areas, inequality_slacks,
@@ -773,7 +775,7 @@ def test_face_components_sum_to_one():
 def test_shared_edge_residuals_vanish_for_consistent_faces():
     beta = Components((0.1, 0.2, 0.3, 0.4))
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
-    res = shared_edge_residuals(faces)
+    res = concurrency_conditions(faces)["edge_residuals"]
     assert len(res) == 6
     assert max(res.values()) < 1e-12
 
@@ -783,7 +785,7 @@ def test_tampered_faces_detected():
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
     v = faces["ABC"].as_tuple()
     faces["ABC"] = Components((v[0] * 1.3, v[1], v[2]))
-    assert max(shared_edge_residuals(faces).values()) > 1e-3
+    assert max(concurrency_conditions(faces)["edge_residuals"].values()) > 1e-3
 
 
 def test_inconsistent_face_pair_raises():
@@ -792,6 +794,76 @@ def test_inconsistent_face_pair_raises():
     bad = Components((0.5, 0.3, 0.2))
     with pytest.raises(InconsistentFaces):
         tetra_components_from_face_pair(f1, bad)
+
+
+def test_an_escaping_point_names_the_ratio_denominator():
+    # lambda_ac = 1 / lambda_ca = -2, so 1 + lambda_ab + lambda_ac is exactly 0
+    with pytest.raises(DegenerateDenominator, match=r"^1 \+ lambda_ab \+ lambda_ac ~ 0"):
+        components_from_ir3(IRVector3(1.0, -2.0, -0.5))
+
+
+# Gate boundaries: each gate meets the float on each side of its threshold.
+# Where the gated value can equal the threshold, the two inputs put it there
+# and one float past it, so a gate whose `<=` turned into `<` fails; where no
+# float input reaches it, they are the last input caught and the first let through.
+
+@pytest.mark.parametrize("caught, passed", [
+    ("0x1.fffffffffdcd1p-1", "0x1.fffffffffdcd0p-1"),
+    ("0x1.0000000001197p+0", "0x1.0000000001198p+0"),
+])
+def test_pierce_gate_flips_between_adjacent_weights(caught, passed):
+    # 1 - w is a multiple of 2^-53 next to 1, so it never equals ATOL itself
+    caught, passed = float.fromhex(caught), float.fromhex(passed)
+    assert math.nextafter(caught, passed) == passed
+    assert abs(1.0 - caught) <= ATOL < abs(1.0 - passed)
+    at, past = (Components((w, 1.0 - w, 0.0, 0.0)) for w in (caught, passed))
+    assert (at.weights[0], past.weights[0]) == (caught, passed)
+    with pytest.raises(UnitComponent, match="line through A is parallel to face BCD"):
+        face_components_from_tetra(at, "BCD")
+    assert face_components_from_tetra(past, "BCD").weights[0] == 1.0
+
+
+@pytest.mark.parametrize("caught, passed", [
+    ("0x1.fffffffffb9a2p-1", "0x1.fffffffffb9a1p-1"),
+    ("0x1.000000000232fp+0", "0x1.0000000002330p+0"),
+])
+def test_reassembly_gate_flips_between_adjacent_products(caught, passed):
+    # B's weight on BCD is 1, so the gated product is A's weight on CDA itself;
+    # 1 - p is a multiple of 2^-53 next to 1, and ATOL * (1 + p) lands on none
+    caught, passed = float.fromhex(caught), float.fromhex(passed)
+    assert math.nextafter(caught, passed) == passed
+    assert abs(1.0 - caught) <= ATOL * (1.0 + caught)
+    assert abs(1.0 - passed) > ATOL * (1.0 + passed)
+    bcd = Components((1.0, 0.5, -0.5))
+    at, past = (Components((1.0 - p, 0.0, p)) for p in (caught, passed))
+    assert (bcd.weights[0], at.weights[2], past.weights[2]) == (1.0, caught, passed)
+    with pytest.raises(DegenerateDenominator, match="while reassembling"):
+        tetra_components_from_face_pair(bcd, at)
+    # past the gate the reassembled point reaches the round trip, which B's
+    # weight near 1 stops
+    with pytest.raises(UnitComponent, match="line through B is parallel to face CDA"):
+        tetra_components_from_face_pair(bcd, past)
+
+
+def test_face_pair_tolerance_holds_at_its_bound_and_not_past_it():
+    # a point with exact face weights: BCD's sum to 1 and CDA's to 4
+    e = 2.0 ** -31
+    a, b, c, d = 2.0 - e / 2, -1.0 - e / 2, e, 2.0 - e / 2
+    bcd = Components((b, c, d))
+    beta = tetra_components_from_face_pair(bcd, Components((c, d, a)))
+    back = face_components_from_tetra(beta, "CDA").weights
+    # C's weight on CDA moved by about 4 * (ATOL + RTOL) and D's the other
+    # way, A's kept: both faces reassemble to beta, and the largest round-trip
+    # defect, C's, is the tolerance itself and then the next float
+    d_moved = float.fromhex("0x1.ffffffedcd8e3p+0")
+    at, past = (Components((float.fromhex(h), d_moved, a))
+                for h in ("0x1.33271ce872210p-28", "0x1.33271ce872211p-28"))
+    for given, defect in ((at, ATOL + RTOL), (past, math.nextafter(ATOL + RTOL, 1.0))):
+        assert given.weights[2] == a / 4
+        assert max(abs(x - y) for x, y in zip(back, given.weights)) == defect
+    assert tetra_components_from_face_pair(bcd, at) == beta
+    with pytest.raises(InconsistentFaces, match=r"^face CDA round-trip defect 1e-09: "):
+        tetra_components_from_face_pair(bcd, past)
 
 
 # ---------------------------------------------------------------- distance engine
@@ -851,8 +923,8 @@ def test_components_need_three_or_four_weights(weights):
     pytest.param(lambda: ict_altitudes(C4, TRI), id="ict_altitudes"),
     pytest.param(lambda: tetra_components_from_face_pair(C4, C3), id="face_pair_first"),
     pytest.param(lambda: tetra_components_from_face_pair(C3, C4), id="face_pair_second"),
-    pytest.param(lambda: shared_edge_residuals({f: C4 for f in FACES}),
-                 id="shared_edge_residuals"),
+    pytest.param(lambda: concurrency_conditions({f: C4 for f in FACES}),
+                 id="concurrency_conditions"),
 ])
 def test_components_of_the_wrong_arity_raise_typed_errors(call):
     with pytest.raises(GeometryError, match="weights given where"):

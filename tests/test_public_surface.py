@@ -111,12 +111,24 @@ def _table_with_a_wrong_pair() -> list:
     return [rep]
 
 
+class _Named:
+    """Not a string, but read through str() as ``name``."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __str__(self):
+        return self.name
+
+
 # one argument of each wrong kind: a sequence of the wrong length, None, a
 # string, NaN, an int past the float range, a negative number, either shape,
-# components, a list and a pair table whose entry holds a wrong pair
+# components, a list, a pair table whose entry holds a wrong pair, objects
+# that read as a vertex, a face or a center name, and components at vertex A
 WRONG_KINDS = [(1, 2), None, "x", math.nan, 10 ** 400, -1.0, TriangleSides(3, 4, 5),
                TetraEdges(3, 4, 5, 5, 6, 7), Components((1, 1, 1)), [1, 2],
-               _table_with_a_wrong_pair()]
+               _table_with_a_wrong_pair(), _Named("A"), _Named("BCD"), _Named("G"),
+               Components((1, 0, 0)), Components((1, 0, 0, 0))]
 
 
 def _arity(func) -> int:

@@ -1,4 +1,5 @@
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cevian.core_model import (
     RTOL,
     CircumAux,
     Components,
+    DegenerateDenominator,
     FACES,
     FaceAreas,
     GeometryError,
@@ -252,3 +254,84 @@ def test_face_points_within_the_edge_tolerance_get_an_answer():
     # the face pair keeps its own check and message
     with pytest.raises(InconsistentFaces, match=r"^face CDA round-trip defect 1\.4e-09: "):
         tetra_components_from_face_pair(faces["BCD"], faces["CDA"])
+
+
+class _SecondReadTuples(Mapping):
+    """Face points whose first items() gives their Components and every later
+    one only the bare weight tuples."""
+
+    def __init__(self, faces):
+        self.faces, self.reads = faces, 0
+
+    def __getitem__(self, face):
+        return self.faces[face]
+
+    def __iter__(self):
+        return iter(self.faces)
+
+    def __len__(self):
+        return len(self.faces)
+
+    def items(self):
+        self.reads += 1
+        if self.reads == 1:
+            return self.faces.items()
+        return {f: c.weights for f, c in self.faces.items()}.items()
+
+
+def test_concurrency_reads_the_face_mapping_once():
+    beta = tet_center_components("I", IRREGULAR)
+    faces = {f: face_components_from_tetra(beta, f) for f in FACES}
+    assert concurrency_conditions(_SecondReadTuples(faces)) == concurrency_conditions(dict(faces))
+
+
+def _faces(a, b, c, d):
+    """The face points, as given weights, of the point with weights (a, b, c, d) on A..D."""
+    return {"BCD": Components((b, c, d)), "CDA": Components((c, d, a)),
+            "DAB": Components((d, a, b)), "ABC": Components((a, b, c))}
+
+
+# Gate boundaries: the float at each tolerance and the next one past it, so
+# that a gate whose `<=` turned into `<` fails.
+
+@pytest.mark.parametrize("caught", [ATOL, -ATOL])
+def test_face_ratio_gate_holds_at_atol_and_not_past_it(caught):
+    passed = math.nextafter(caught, math.copysign(math.inf, caught))
+    faces = {f: Components((1, 1, 1)) for f in FACES}
+    at, past = (Components((w, 0.5, 0.5 - w)) for w in (caught, passed))
+    assert (at.weights[0], past.weights[0]) == (caught, passed)
+    with pytest.raises(DegenerateDenominator, match="component of A on face ABC ~ 0"):
+        concurrency_conditions({**faces, "ABC": at})
+    assert concurrency_conditions({**faces, "ABC": past})["concurrent"] is False
+
+
+def test_concurrency_residual_gate_holds_at_its_bound_and_not_past_it():
+    # B and C tiny, and every face's weights sum exactly to 1 or 2
+    b = 1.25 * 2.0 ** -29
+    faces = _faces(1.0 + b, b, b / 2, 1.0 - 1.5 * b)
+    assert max(concurrency_conditions(faces)["edge_residuals"].values()) == 0.0
+    # A's weight on ABC moved so that the AB residual is the tolerance itself
+    # and then the next float
+    at, past = (concurrency_conditions({**faces, "ABC": Components((float.fromhex(h), b, b / 2))})
+                for h in ("0x1.c1108f5cc2064p+0", "0x1.c1108f5cc2065p+0"))
+    assert at["max_residual"] == at["edge_residuals"]["AB"] == ATOL + RTOL
+    assert past["max_residual"] == math.nextafter(ATOL + RTOL, 1.0)
+    assert at["roundtrip_defect"] is not None  # the residual gate let it through
+    assert past["roundtrip_defect"] is None and past["concurrent"] is False
+
+
+def test_concurrency_roundtrip_gate_holds_at_its_bound_and_not_past_it():
+    e = 0.75 * 2.0 ** -31
+    a, b, c, d = 2.0 - e / 2, -1.0 - e / 2, e, 2.0 - e / 2
+    faces = _faces(a, b, c, d)
+    # C's weight on ABC moved by about ATOL + RTOL and A's the other way: the
+    # residuals stay within the tolerance, and the largest round-trip defect,
+    # C's, is the tolerance itself and then the next float
+    a_moved = float.fromhex("0x1.fffffffaf3639p+0")
+    at, past = (concurrency_conditions({**faces, "ABC": Components((a_moved, b, float.fromhex(h)))})
+                for h in ("0x1.73271ce872210p-30", "0x1.73271ce872211p-30"))
+    assert max(at["max_residual"], past["max_residual"]) <= ATOL + RTOL
+    assert at["roundtrip_defect"] == ATOL + RTOL
+    assert past["roundtrip_defect"] == math.nextafter(ATOL + RTOL, 1.0)
+    assert at["concurrent"] is True and at["components"] is not None
+    assert past["concurrent"] is False and past["components"] is None
