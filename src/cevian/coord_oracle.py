@@ -169,6 +169,11 @@ class EmbeddedSimplex(_Frozen):
 def embed_triangle(sides: TriangleSides) -> EmbeddedSimplex:
     """Place the triangle as A = (0,0), B = (c,0), C in the upper half
     plane, so that |B-C| = a, |C-A| = b, |A-B| = c."""
+    return EmbeddedSimplex(_triangle_vertices(sides))
+
+
+def _triangle_vertices(sides: TriangleSides) -> list:
+    """embed_triangle's vertex rows, which a stack of triangles is built from."""
     a, b, c = sides.a, sides.b, sides.c
     cx = (b * b + c * c - a * a) / (2.0 * c)
     cy2 = b * b - cx * cx
@@ -176,12 +181,17 @@ def embed_triangle(sides: TriangleSides) -> EmbeddedSimplex:
         raise NumericalCollapse(
             f"triangle ({a}, {b}, {c}) is numerically collinear in the embedding"
         )
-    return EmbeddedSimplex([[0.0, 0.0], [c, 0.0], [cx, math.sqrt(cy2)]])
+    return [[0.0, 0.0], [c, 0.0], [cx, math.sqrt(cy2)]]
 
 
 def embed_tetra(edges: TetraEdges) -> EmbeddedSimplex:
     """Place the tetrahedron with A at the origin, B on +x, C in z = 0 with
     positive y, and D solved from three sphere equations with positive z."""
+    return EmbeddedSimplex(_tetra_vertices(edges))
+
+
+def _tetra_vertices(edges: TetraEdges) -> list:
+    """embed_tetra's vertex rows, which a stack of tetrahedra is built from."""
     ab, ac, ad, bc, cd, db = edges.as_tuple()
     cx = (ac * ac + ab * ab - bc * bc) / (2.0 * ab)
     cy2 = ac * ac - cx * cx
@@ -193,8 +203,7 @@ def embed_tetra(edges: TetraEdges) -> EmbeddedSimplex:
     dz2 = ad * ad - dx * dx - dy * dy
     if dz2 <= 0.0:
         raise NumericalCollapse("apex height solved to a nonpositive square")
-    return EmbeddedSimplex([[0.0, 0.0, 0.0], [ab, 0.0, 0.0], [cx, cy, 0.0],
-                            [dx, dy, math.sqrt(dz2)]])
+    return [[0.0, 0.0, 0.0], [ab, 0.0, 0.0], [cx, cy, 0.0], [dx, dy, math.sqrt(dz2)]]
 
 
 # --------------------------------------------------------------------------

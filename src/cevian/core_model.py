@@ -834,15 +834,19 @@ def face_components_from_tetra(beta: Components, face: str) -> Components:
     the face's cyclic vertex order.
     """
     key = canonical_face(face)
-    w = _components(beta, 4)
-    v1, v2, v3, opp = FACE_INDICES[key]
-    denom = 1.0 - w[opp]
+    return _pierce(_components(beta, 4), key)
+
+
+def _pierce(weights, face: str) -> Components:
+    """face_components_from_tetra of four weights already read, on a canonical face name."""
+    v1, v2, v3, opp = FACE_INDICES[face]
+    denom = 1.0 - weights[opp]
     if abs(denom) <= ATOL:
         name = VERTICES[opp]
         raise UnitComponent(
-            f"beta_{name.lower()} ~ 1: line through {name} is parallel to face {key}"
+            f"beta_{name.lower()} ~ 1: line through {name} is parallel to face {face}"
         )
-    return _comps((w[v1] / denom, w[v2] / denom, w[v3] / denom))
+    return _comps((weights[v1] / denom, weights[v2] / denom, weights[v3] / denom))
 
 
 def _reassembled(given_a: tuple, given_b: tuple) -> Components:
@@ -859,8 +863,9 @@ def _reassembled(given_a: tuple, given_b: tuple) -> Components:
 
 
 def _roundtrip_defect(beta: Components, face: str, given: tuple) -> float:
-    """The largest gap between the weights ``given`` on a face and beta's pierce point there."""
-    back = face_components_from_tetra(beta, face).weights
+    """The largest gap between the weights ``given`` on a canonical face and beta's pierce
+    point there."""
+    back = _pierce(beta.weights, face).weights
     return max(abs(x - y) for x, y in zip(back, given))
 
 

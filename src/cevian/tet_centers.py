@@ -77,10 +77,15 @@ def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
     order A, B, C, D (the one to the face's opposite vertex is not used).
     P may be anywhere in space; slots follow the face's cyclic vertex order.
     """
-    faces, sq = _shape(edges, 4)._faces, _reals(sq_dists, "squared vertex distances")
+    edges, sq = _shape(edges, 4), _reals(sq_dists, "squared vertex distances")
     if len(sq) != 4:
         raise GeometryError(f"expected 4 squared vertex distances, got {len(sq)}")
-    (v1, v2, v3, _), (e12, e23, e31), (f12, f23, f31), eight_sq = faces[canonical_face(face)]
+    return _point_foot(edges, sq, canonical_face(face))
+
+
+def _point_foot(edges: TetraEdges, sq, face: str) -> Components:
+    """projection_components of arguments already read, on a canonical face name."""
+    (v1, v2, v3, _), (e12, e23, e31), (f12, f23, f31), eight_sq = edges._faces[face]
     d1, d2, d3 = sq[v1], sq[v2], sq[v3]
     n1 = f23 * e23 + f31 * (d3 - d1) + f12 * (d2 - d1)
     n2 = f31 * e31 + f12 * (d1 - d2) + f23 * (d3 - d2)
@@ -92,10 +97,15 @@ def vertex_projection_components(edges: TetraEdges, face: str) -> Components:
     """Projection of the face's opposite vertex onto the face (the foot of
     the altitude from it), built once per face and cached on the edge set."""
     key = canonical_face(face)
-    feet = _shape(edges, 4)._feet
-    if key not in feet:
-        feet[key] = projection_components(edges, edges.E[FACE_INDICES[key][3]], key)
-    return feet[key]
+    return _vertex_foot(_shape(edges, 4), key)
+
+
+def _vertex_foot(edges: TetraEdges, face: str) -> Components:
+    """vertex_projection_components of a TetraEdges, on a canonical face name."""
+    feet = edges._feet
+    if face not in feet:
+        feet[face] = _point_foot(edges, edges.E[FACE_INDICES[face][3]], face)
+    return feet[face]
 
 
 def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
@@ -110,12 +120,16 @@ def projection_of_center(kind, edges: TetraEdges, face: str) -> Components:
         raise GeometryError(
             f"projection closed form available for Q, G, I only, not {kind!r}"
         )
-    faces = _shape(edges, 4)._faces
-    key = canonical_face(face)
-    (v1, v2, v3, opp), (e12, e23, e31), (f12, f23, f31), eight_sq = faces[key]
+    return _center_foot(k, _shape(edges, 4), canonical_face(face))
+
+
+def _center_foot(k: str, edges: TetraEdges, face: str) -> Components:
+    """projection_of_center of a parsed kind among _PROJECTED and a TetraEdges, on a
+    canonical face name."""
+    (v1, v2, v3, opp), (e12, e23, e31), (f12, f23, f31), eight_sq = edges._faces[face]
     if k == "Q":
         return _comps((f23 * e23 / eight_sq, f31 * e31 / eight_sq, f12 * e12 / eight_sq))
-    f1, f2, f3 = (edges._feet.get(key) or vertex_projection_components(edges, key)).weights
+    f1, f2, f3 = _vertex_foot(edges, face).weights
     if k == "G":
         return _comps(((1.0 + f1) / 4.0, (1.0 + f2) / 4.0, (1.0 + f3) / 4.0))
     fa = edges.face_areas

@@ -4,14 +4,22 @@ oracle, run as ``cevian verify --seed N --cases N --scope tri|tet|all``.
 Case i draws its triangle from ``np.random.default_rng([seed, 2*i])`` and its
 tetrahedron from ``np.random.default_rng([seed, 2*i + 1])``, so a case's
 checks do not depend on the cases before it.  Each check lands in one suite,
-which keeps its worst residual/threshold ratio; the run passes iff every
-suite does.
+which keeps its check count, its largest residual and the instance of its
+first failing check, if any; the run passes iff no suite has one.  A check
+fails unless its threshold is positive and its residual, NaN included, does
+not exceed it.
 
-Each half runs in blocks of ``_BLOCK`` consecutive cases: the block's shapes
-are drawn and their closed forms built case by case, the oracle answers for
-the whole block in one stacked call per center kind or check site, and the
-checks are then made case by case, in the order a case-by-case run makes
-them, so every suite sees the same residuals in the same order.
+Each half runs in blocks of ``_BLOCK`` consecutive cases, and what does not
+depend on a single case is done once per block.  Each case's points come
+from its own generator, but the block's tetrahedron edges are measured in
+one stacked call; the block is embedded as one stack of simplices, and the
+tetrahedra's determinant circumcenter systems are built as one stack.  The
+closed forms are built case by case, and the oracle answers for the whole
+block in one stacked call per center kind or check site.  The centers,
+distances and projections suites each fold one case-major residual matrix
+per block; the other suites take their checks case by case.  As only a
+suite's first failing case depends on the order of its checks, every suite
+records what a case-by-case run records.
 
 Blocks are independent, so they run in forked worker processes, one per CPU
 the process may use, each into fresh suites; the parent folds those into the
@@ -41,11 +49,10 @@ from .core_model import (
     FORM_PAIRS,
     GeometryError,
     PowerIncenter,
+    _pierce,
     center_components,
     circumradius,
-    face_components_from_tetra,
     fractional_ratio_determinant,
-    pair_distances,
     pair_table,
     validate_tetrahedron,
     validate_triangle,
@@ -55,14 +62,25 @@ from . import coord_oracle as oracle
 from . import tri_centers, tri_metrics, tet_centers, tet_metrics
 
 
+def _passes(residual, threshold):
+    """The pass rule of a check, on floats or elementwise on arrays: a
+    positive threshold that the residual does not exceed.  A NaN residual
+    or threshold fails."""
+    return (threshold > 0) & (residual <= threshold)
+
+
+def _rounded(instance) -> tuple:
+    return tuple(round(v, 17) for v in instance)
+
+
 class _Suite:
-    """Tracks the worst residual/threshold ratio seen by one test family."""
+    """The checks of one test family: their count, the largest residual,
+    and the instance of the first check that failed, if any."""
 
     def __init__(self, name):
         self.name = name
         self.checks = 0
         self.max_residual = 0.0
-        self.worst_ratio = 0.0
         self.fail_instance = None
 
     def check(self, residual, threshold, instance):
@@ -70,24 +88,36 @@ class _Suite:
         residual = float(residual)
         if residual > self.max_residual:
             self.max_residual = residual
-        ratio = residual / threshold if threshold > 0 else math.inf
-        if ratio > self.worst_ratio:
-            self.worst_ratio = ratio
-            if ratio > 1.0 and self.fail_instance is None:
-                self.fail_instance = tuple(round(v, 17) for v in instance)
+        if self.fail_instance is None and not _passes(residual, threshold):
+            self.fail_instance = _rounded(instance)
+
+    def check_block(self, instances, *groups):
+        """Make a block of cases' checks at once.  Each group pairs an array
+        of residuals, case-major (its first axis runs over ``instances``),
+        with thresholds that broadcast against it.  Records what ``check``
+        records when called on every check of the first case, then of the
+        next, and so on."""
+        failed = np.zeros(len(instances), dtype=bool)
+        for residuals, thresholds in groups:
+            residuals = np.asarray(residuals, dtype=float)
+            self.checks += residuals.size
+            above = residuals[residuals > self.max_residual]
+            if above.size:
+                self.max_residual = float(above.max())
+            failed |= ~_passes(residuals, thresholds).reshape(len(instances), -1).all(axis=1)
+        if self.fail_instance is None and failed.any():
+            self.fail_instance = _rounded(instances[int(failed.argmax())])
 
     @property
     def passed(self):
-        return self.worst_ratio <= 1.0
+        return self.fail_instance is None
 
     def fold(self, later):
         """Take in the checks of ``later``, a suite of the same family fed
-        the checks that follow this one's.  The first ratio above 1 a suite
-        sees is always a new worst, so the earliest failing instance is the
-        first one either suite recorded."""
+        the checks that follow this one's: the earliest failing instance is
+        the first one either suite recorded."""
         self.checks += later.checks
         self.max_residual = max(self.max_residual, later.max_residual)
-        self.worst_ratio = max(self.worst_ratio, later.worst_ratio)
         if self.fail_instance is None:
             self.fail_instance = later.fail_instance
 
@@ -105,9 +135,9 @@ def _random_triangle(rng):
     triangle inequality; returns None for instances the near-degeneracy
     filter (min angle < 1 degree) skips."""
     for _ in range(1000):
-        t = np.sort(rng.uniform(0.05, 1.0, size=3))
+        a, b, c = sorted(rng.uniform(0.05, 1.0, size=3).tolist())
         try:
-            sides = validate_triangle(t[2], t[1], t[0])
+            sides = validate_triangle(c, b, a)
         except GeometryError:
             continue
         if _min_angle(sides) < math.radians(1.0):
@@ -116,19 +146,32 @@ def _random_triangle(rng):
     return None
 
 
+def _random_triangles(rngs) -> list:
+    """Each generator's triangle, or None."""
+    return [_random_triangle(rng) for rng in rngs]
+
+
 # the tetrahedron's edges in EDGES[4] order: their first ends, then their second
 _EDGE_ENDS = np.array(EDGES[4]).T
 
 
-def _random_tetra(rng):
-    """Distances among four uniform points in the unit cube (always
-    realizable); returns None for near-flat instances and for instances
-    whose smallest opposite-face-area margin S - 2*S^X is below 1e-3 of the
-    total surface (the corresponding excenter recedes toward infinity and no
-    fixed relative tolerance is certifiable there)."""
-    pts = rng.uniform(0.0, 1.0, size=(4, 3))
+def _random_tetras(rngs) -> list:
+    """Each generator's tetrahedron, or None: the distances among four
+    uniform points in the unit cube, drawn from that generator (always
+    realizable), and measured for all the generators at once.  None stands
+    for a near-flat instance and for an instance whose smallest
+    opposite-face-area margin S - 2*S^X is below 1e-3 of the total surface
+    (the corresponding excenter recedes toward infinity and no fixed
+    relative tolerance is certifiable there)."""
+    pts = np.array([rng.uniform(0.0, 1.0, size=(4, 3)) for rng in rngs])
+    return [_filtered_tetra(row) for row in
+            oracle.distance(pts[:, _EDGE_ENDS[0]], pts[:, _EDGE_ENDS[1]]).tolist()]
+
+
+def _filtered_tetra(lengths):
+    """The tetrahedron with these edges, or None where _random_tetras skips it."""
     try:
-        edges = validate_tetrahedron(*oracle.distance(*pts[_EDGE_ENDS]).tolist())
+        edges = validate_tetrahedron(*lengths)
     except GeometryError:
         return None
     if edges.volume_term < 1e-6 * edges._delta2 ** 3:
@@ -139,32 +182,22 @@ def _random_tetra(rng):
     return edges
 
 
-def _circum_systems(edges) -> np.ndarray:
-    """The 4x4 replaced-column determinant route to the circumcenter
-    components: the system matrix, then the matrix with column c replaced by
-    the right-hand side, for c = 0..3."""
-    ab2, ac2, ad2, bc2, db2, cd2 = edges._pair_e
-    m = np.array([
-        [1.0, 1.0, 1.0, 1.0],
-        [ab2, -ab2, bc2 - ac2, db2 - ad2],
-        [ac2 - ab2, bc2, -bc2, cd2 - db2],
-        [ad2 - ac2, db2 - bc2, cd2, -cd2],
-    ])
-    systems = np.array([m] * 5)
-    for col in range(4):
-        systems[col + 1, :, col] = (1.0, 0.0, 0.0, 0.0)
-    return systems
-
-
-def _det_ratios(dets) -> list:
-    """Cramer's rule: each replaced-column determinant over the system's."""
-    return [d / dets[0] for d in dets[1:]]
-
-
-def _circum_components_det(edges):
+def _circum_components_det(pair_e) -> list:
     """Circumcenter components via the 4x4 replaced-column determinant route
-    (independent of the polynomial weights)."""
-    return _det_ratios(np.linalg.det(_circum_systems(edges)).tolist())
+    (independent of the polynomial weights), for the rows of squared edges
+    ``pair_e`` (N, 6), each a tetrahedron's ``_pair_e``: Cramer's rule, each
+    determinant of the system with column c replaced by the right-hand side
+    over the system's own."""
+    ab2, ac2, ad2, bc2, db2, cd2 = np.asarray(pair_e, dtype=float).T
+    one = np.ones_like(ab2)
+    m = np.array([[one, one, one, one],
+                  [ab2, -ab2, bc2 - ac2, db2 - ad2],
+                  [ac2 - ab2, bc2, -bc2, cd2 - db2],
+                  [ad2 - ac2, db2 - bc2, cd2, -cd2]])
+    systems = np.repeat(np.moveaxis(m, -1, 0)[:, None], 5, axis=1)
+    for col in range(4):
+        systems[:, col + 1, :, col] = (1.0, 0.0, 0.0, 0.0)
+    return [[d / dets[0] for d in dets[1:]] for dets in np.linalg.det(systems).tolist()]
 
 
 # cases per stacked oracle call: enough to amortize numpy's per-call cost,
@@ -177,6 +210,15 @@ _SHAPE_FORMS = {
     4: (tet_metrics.transcribed_closed_forms4, tet_metrics.tet_inequality_slacks),
 }
 
+# per arity, over the pairs of center kinds in pair-table order: the
+# indices of each pair's first and second kind, and the column of each
+# pair, named in either order
+_PAIR_INDICES = {n: np.array(list(combinations(range(len(kinds)), 2))).T
+                 for n, kinds in CENTER_KINDS.items()}
+_PAIR_COLUMN = {n: {p: j for j, pair in enumerate(combinations(kinds, 2))
+                    for p in (pair, pair[::-1])}
+                for n, kinds in CENTER_KINDS.items()}
+
 
 class _BlockCenters:
     """Both sides of the shared center checks for a block of shapes of one
@@ -184,77 +226,74 @@ class _BlockCenters:
 
     ``comps`` holds each case's closed-form components by kind.  By kind,
     over the block: the ``weights`` (N, n), the definitional ``points`` and
-    the ``realized`` points (N, d) as arrays, and the ``errors`` between the
-    two as a list; by pair of kinds, the definitional centers' ``distances``
-    as a list.
+    the ``realized`` points (N, d), and the ``errors`` (N,) between the two;
+    ``distances`` (N, pairs) holds the definitional centers' distances, one
+    column per pair of kinds in pair-table order.
     """
 
     def __init__(self, shapes, emb):
         kinds = CENTER_KINDS[emb.vertices.shape[-2]]
         self.comps = [{k: center_components(k, s) for k in kinds} for s in shapes]
-        self.weights = {k: np.array([c[k].as_tuple() for c in self.comps]) for k in kinds}
+        self.weights = {k: np.array([c[k].weights for c in self.comps]) for k in kinds}
         self.points = {k: oracle.definitional_center(emb, k) for k in kinds}
         self.realized = {k: oracle.point_from_components(emb, self.weights[k])
                          for k in kinds}
-        self.errors = {k: oracle.distance(self.realized[k], self.points[k]).tolist()
-                       for k in kinds}
-        self.distances = {(k1, k2): oracle.distance(self.points[k1], self.points[k2]).tolist()
-                          for k1, k2 in combinations(kinds, 2)}
+        self.errors = {k: oracle.distance(self.realized[k], self.points[k]) for k in kinds}
+        self.distances = np.stack([oracle.distance(self.points[k1], self.points[k2])
+                                   for k1, k2 in combinations(kinds, 2)], axis=-1)
 
 
-def _stacked(embs) -> oracle.EmbeddedSimplex:
-    """One embedding holding the block's simplices."""
-    return oracle.EmbeddedSimplex(np.stack([e.vertices for e in embs]))
+def _verify_shared(shapes, insts, centers, scales, degree, allow, tol_len, suites):
+    """Fill the suites both halves share (distances, closed forms,
+    inequalities) for a block of triangles or tetrahedra, their instances
+    and their ``_BlockCenters``, and return the block's check group for the
+    centers suite, which the half extends with its own center checks.
 
-
-def _verify_shared(shape, centers, case, scale, degree, allowance, suites, rtol, atol):
-    """Fill the suites both halves share (centers, distances, closed forms,
-    inequalities) for case ``case`` of a block: its triangle or tetrahedron
-    and the block's ``_BlockCenters``.
-
-    ``scale`` is the shape's length scale (a triangle's perimeter, a
-    tetrahedron's longest edge) and ``degree`` the degree of its inequality
-    slacks.  ``allowance`` maps an excenter to its condition allowance
-    (kinds it omits get 1.0): a check on a pair of centers widens by the
-    product of theirs.  Returns the pair distances and the transcribed
-    forms, for the half's own checks.
+    ``scales`` holds each shape's length scale (a triangle's perimeter, a
+    tetrahedron's longest edge), ``tol_len`` (N,) the length tolerance at
+    that scale, and ``degree`` is the degree of the inequality slacks.
+    ``allow`` (N, kinds) holds each case's condition allowance per center
+    kind, in CENTER_KINDS order (1.0 but for a tetrahedron's excenters): a
+    check on a pair of centers widens by the product of theirs.  Also
+    returns each case's engine distances, in pair-table order, and its
+    transcribed forms, for the half's own checks.
     """
-    n = len(shape.E)
+    n = len(shapes[0].E)
     half = "tri" if n == 3 else "tet"
-    inst = shape.as_tuple()
-    tol_len = atol + rtol * scale
-    allow = {k: allowance.get(k, 1.0) for k in CENTER_KINDS[n]}
+    kinds = CENTER_KINDS[n]
+    tol = tol_len[:, None]
     forms_of, slacks_of = _SHAPE_FORMS[n]
 
-    for k in CENTER_KINDS[n]:
-        suites[half + ".centers"].check(centers.errors[k][case], tol_len * allow[k], inst)
-
-    table = pair_table(centers.comps[case], shape)
-    for rep in table:
-        k1, k2 = rep.pair
-        want = centers.distances[k1, k2][case]
-        suites[half + ".distances"].check(abs(rep.distance - want),
-                                          tol_len * (allow[k1] * allow[k2]), inst)
+    engine = [[rep.distance for rep in pair_table(comps, shape)]
+              for comps, shape in zip(centers.comps, shapes)]
+    first, second = _PAIR_INDICES[n]
+    suites[half + ".distances"].check_block(
+        insts, (np.abs(np.array(engine) - centers.distances),
+                tol * (allow[:, first] * allow[:, second])))
 
     # compared on squared distances: near coincident centers the root turns
     # one ulp under the radical into ~sqrt(eps), which no relative tolerance
     # on the roots can absorb
-    forms = forms_of(shape)
-    dist = pair_distances(table)
-    for key, form in forms.items():
-        k1, k2 = FORM_PAIRS[key]
-        d2 = dist[k1, k2] ** 2
-        f2 = form ** 2
-        suites[half + ".closed_forms"].check(
-            abs(d2 - f2),
-            (1e-9 * max(d2, f2) + 1e-13 * scale * scale) * (allow[k1] * allow[k2]) ** 2,
-            inst)
+    column, index = _PAIR_COLUMN[n], {k: i for i, k in enumerate(kinds)}
+    forms = [forms_of(shape) for shape in shapes]
+    for shape, inst, scale, allowed, dist, case_forms in zip(shapes, insts, scales,
+                                                             allow.tolist(), engine, forms):
+        for key, form in case_forms.items():
+            k1, k2 = FORM_PAIRS[key]
+            d2 = dist[column[k1, k2]] ** 2
+            f2 = form ** 2
+            suites[half + ".closed_forms"].check(
+                abs(d2 - f2),
+                (1e-9 * max(d2, f2) + 1e-13 * scale * scale)
+                * (allowed[index[k1]] * allowed[index[k2]]) ** 2,
+                inst)
 
-    # the slacks carry lengths to powers up to ``degree``
-    for slack in slacks_of(shape).values():
-        suites[half + ".inequalities"].check(
-            max(0.0, -slack), 1e-12 * max(1.0, scale ** degree), inst)
-    return dist, forms
+        # the slacks carry lengths to powers up to ``degree``
+        for slack in slacks_of(shape).values():
+            suites[half + ".inequalities"].check(
+                max(0.0, -slack), 1e-12 * max(1.0, scale ** degree), inst)
+    errors = np.stack([centers.errors[k] for k in kinds], axis=-1)
+    return (errors, tol * allow), engine, forms
 
 
 def _menelaus_products(shapes, rngs, emb) -> list:
@@ -286,21 +325,19 @@ def _menelaus_products(shapes, rngs, emb) -> list:
 
 def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
     kinds = CENTER_KINDS[3]
-    emb = _stacked([oracle.embed_triangle(s) for s in shapes])
+    emb = oracle.EmbeddedSimplex([oracle._triangle_vertices(s) for s in shapes])
     centers = _BlockCenters(shapes, emb)
-    frame = {k: oracle.frame_equation_residual(emb, centers.weights[k],
-                                               centers.points[k]).tolist()
-             for k in kinds}
+    frame = np.stack([oracle.frame_equation_residual(emb, centers.weights[k], centers.points[k])
+                      for k in kinds], axis=-1)
     products = _menelaus_products(shapes, rngs, emb)
+    insts = [s.as_tuple() for s in shapes]
+    perims = [s.perimeter for s in shapes]
+    tol_len = atol + rtol * np.array(perims)
+    center_checks, _, _ = _verify_shared(shapes, insts, centers, perims, 4,
+                                         np.ones((len(shapes), len(kinds))), tol_len, suites)
+    suites["tri.centers"].check_block(insts, center_checks, (frame, tol_len[:, None]))
 
-    for case, sides in enumerate(shapes):
-        inst = sides.as_tuple()
-        perim = sides.perimeter
-        tol_len = atol + rtol * perim
-        _verify_shared(sides, centers, case, perim, 4, {}, suites, rtol, atol)
-        for k in kinds:
-            suites["tri.centers"].check(frame[k][case], tol_len, inst)
-
+    for case, (sides, inst, tol) in enumerate(zip(shapes, insts, tol_len.tolist())):
         # identity family: cevian ratio products, kappa sums, reciprocal sums,
         # the three-ratio determinant, the Euler collinearity, Menelaus
         for k in ("G", "I", "E_A"):
@@ -323,7 +360,7 @@ def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
                     ratios["lam_a"], ratios["lam_b"], ratios["lam_c"])), 1e-9, inst)
         euler = tri_centers.euler_relation(sides)
         suites["tri.identities"].check(abs(euler["gh_over_gq"] + 2.0), 1e-9, inst)
-        suites["tri.identities"].check(euler["collinearity_residual"], tol_len, inst)
+        suites["tri.identities"].check(euler["collinearity_residual"], tol, inst)
         # the product of the case's first admissible transversal, if any
         if products[case] is not None:
             suites["tri.identities"].check(abs(products[case] + 1.0), 1e-9, inst)
@@ -335,29 +372,30 @@ _PROJECTED = tet_centers._PROJECTED
 
 
 def _projection_errors(shapes, emb, centers, pts):
-    """For a block of tetrahedra: per face, the distances between each
-    closed-form foot, realized from its face components, and the oracle's
-    projection, one list per projected point (``pts``, then the realized
-    ``_PROJECTED`` centers); and each case's distance from its incenter to
-    its closed-form foot on ABC."""
+    """For a block of tetrahedra: each case's distances (N, 16) between
+    each closed-form foot, realized from its face components, and the
+    oracle's projection, for every projected point (``pts``, then the
+    realized ``_PROJECTED`` centers) on every face; and each case's
+    distance from its incenter to its closed-form foot on ABC."""
     sq = ((pts[:, None, :] - emb.vertices) ** 2).sum(axis=-1).tolist()
     sources = np.stack([pts] + [centers.realized[k] for k in _PROJECTED])
-    face_comps = {face: np.empty(sources.shape) for face in FACES}
-    for case, edges in enumerate(shapes):
-        for face, fc in face_comps.items():
-            fc[0, case] = tet_centers.projection_components(edges, sq[case], face).as_tuple()
-            for j, kind in enumerate(_PROJECTED, 1):
-                fc[j, case] = tet_centers.projection_of_center(kind, edges, face).as_tuple()
-    feet = {face: oracle.point_on_face(emb, face, fc) for face, fc in face_comps.items()}
-    errors = {face: oracle.distance(feet[face],
-                                    oracle.projection_foot_oracle(emb, sources, face)).tolist()
-              for face in FACES}
+    # (face, projected point, case, slot)
+    face_comps = np.array([[[tet_centers._point_foot(edges, sq[case], face).weights
+                             for case, edges in enumerate(shapes)]]
+                           + [[tet_centers._center_foot(kind, edges, face).weights
+                               for edges in shapes] for kind in _PROJECTED]
+                           for face in FACES])
+    feet = {face: oracle.point_on_face(emb, face, fc) for face, fc in zip(FACES, face_comps)}
+    errors = np.stack([oracle.distance(feet[face],
+                                       oracle.projection_foot_oracle(emb, sources, face))
+                       for face in FACES])
     ifoot = feet["ABC"][1 + _PROJECTED.index("I")]
-    return errors, oracle.distance(centers.points["I"], ifoot).tolist()
+    return (np.moveaxis(errors, -1, 0).reshape(len(shapes), -1),
+            oracle.distance(centers.points["I"], ifoot))
 
 
 def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
-    emb = _stacked([oracle.embed_tetra(e) for e in shapes])
+    emb = oracle.EmbeddedSimplex([oracle._tetra_vertices(e) for e in shapes])
     verts = emb.vertices
     # each case's draw after its shape: the point the projections drop
     pts = np.array([rng.uniform(-0.5, 1.5, size=3) for rng in rngs])
@@ -365,40 +403,52 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
     power = PowerIncenter(2.0)
     c2 = [center_components(power, e) for e in shapes]
     power_err = oracle.distance(
-        oracle.point_from_components(emb, [c.as_tuple() for c in c2]),
-        oracle.definitional_center(emb, power)).tolist()
-    dets = np.linalg.det(np.stack([_circum_systems(e) for e in shapes])).tolist()
+        oracle.point_from_components(emb, [c.weights for c in c2]),
+        oracle.definitional_center(emb, power))
+    beta_det = _circum_components_det([e._pair_e for e in shapes])
     signed_vol6 = np.linalg.det(np.swapaxes(verts[:, 1:] - verts[:, :1], -1, -2)).tolist()
     incenter_dists = oracle.facet_distances(emb, centers.points["I"]).tolist()
     rr_oracle = oracle.distance(centers.points["Q"], verts[:, 0]).tolist()
     foot_err, ifoot_dist = _projection_errors(shapes, emb, centers, pts)
 
-    for case, edges in enumerate(shapes):
-        inst = edges.as_tuple()
-        emax = max(inst)
-        tol_len = atol + rtol * emax
+    insts = [e.as_tuple() for e in shapes]
+    emaxes = [max(inst) for inst in insts]
+    radii = [tet_metrics.inradius(e) for e in shapes]
+    longest, inradii = np.array(emaxes), np.array(radii)
+    tol_len = atol + rtol * longest
+    # excenter checks get a condition allowance: E_X sits ~S/T^X edge
+    # lengths out, T^X = S - 2*S^X, so every fixed-precision path loses
+    # accuracy proportionally
+    areas = np.array([e.face_areas.by_vertex for e in shapes])
+    total = np.array([e.face_areas.s for e in shapes])[:, None]
+    allow = np.column_stack([np.ones((len(shapes), 3)),
+                             np.maximum(1.0, total / (total - 2.0 * areas))])
+    center_checks, engine, forms = _verify_shared(shapes, insts, centers, emaxes, 6, allow,
+                                                  tol_len, suites)
+    suites["tet.centers"].check_block(insts, center_checks, (power_err, tol_len))
 
-        # excenter checks get a condition allowance: E_X sits ~S/T^X edge
-        # lengths out, so every fixed-precision path loses accuracy
-        # proportionally
-        fa = edges.face_areas
-        kappa = {f"E_{x}": max(1.0, fa.s / fa.opposite_sum(i)) for i, x in enumerate("ABCD")}
-        dist, forms = _verify_shared(edges, centers, case, emax, 6, kappa, suites, rtol, atol)
-        suites["tet.centers"].check(power_err[case], tol_len, inst)
+    # projections: the random point and the three centers onto every
+    # face; the incenter's projection sits at distance r from it
+    suites["tet.projections"].check_block(
+        insts, (foot_err / longest[:, None], 1e-8),
+        (np.abs(ifoot_dist - inradii) / inradii, 1e-8))
 
+    q_errors = centers.errors["Q"].tolist()
+    gi = _PAIR_COLUMN[4]["G", "I"]
+    gi_oracle = centers.distances[:, gi].tolist()
+    for case, (edges, inst, emax, r, tol) in enumerate(zip(shapes, insts, emaxes, radii,
+                                                          tol_len.tolist())):
         # circumcenter: polynomial weights vs determinant route vs oracle solve
-        beta_poly = centers.comps[case]["Q"].as_tuple()
-        beta_det = _det_ratios(dets[case])
-        for x, y in zip(beta_poly, beta_det):
+        beta_poly = centers.comps[case]["Q"].weights
+        for x, y in zip(beta_poly, beta_det[case]):
             suites["tet.circumcenter"].check(abs(x - y),
                                              1e-8 * max(abs(x), abs(y), 0.05), inst)
-        suites["tet.circumcenter"].check(centers.errors["Q"][case] / emax, 1e-8, inst)
+        suites["tet.circumcenter"].check(q_errors[case] / emax, 1e-8, inst)
 
         # metric formulas vs coordinate geometry
         vol = tet_metrics.volume(edges)
         vol_oracle = abs(signed_vol6[case]) / 6.0
         suites["tet.metrics"].check(abs(vol - vol_oracle) / vol_oracle, 1e-9, inst)
-        r = tet_metrics.inradius(edges)
         suites["tet.metrics"].check(
             abs(r - min(abs(d) for d in incenter_dists[case])) / r, 1e-9, inst)
         rr = circumradius(edges)
@@ -408,39 +458,31 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
         suites["tet.metrics"].check(abs(aux.u - 144.0 * vol * vol) / aux.u, 1e-9, inst)
 
         # centroid-incenter: transcribed form vs engine vs oracle
-        gi_engine = dist["G", "I"]
+        gi_engine = engine[case][gi]
+        gi_form = forms[case]["GI"]
         suites["tet.GI"].check(
-            abs(forms["GI"] ** 2 - gi_engine ** 2),
-            1e-9 * max(gi_engine, forms["GI"]) ** 2 + 1e-13 * emax * emax, inst)
-        suites["tet.GI"].check(abs(gi_engine - centers.distances["G", "I"][case]),
-                               tol_len, inst)
-
-        # projections: the random point and the three centers onto every
-        # face; the incenter's projection sits at distance r from it
-        for j in range(1 + len(_PROJECTED)):
-            for face in FACES:
-                suites["tet.projections"].check(foot_err[face][j][case] / emax, 1e-8, inst)
-        suites["tet.projections"].check(abs(ifoot_dist[case] - r) / r, 1e-8, inst)
+            abs(gi_form ** 2 - gi_engine ** 2),
+            1e-9 * max(gi_engine, gi_form) ** 2 + 1e-13 * emax * emax, inst)
+        suites["tet.GI"].check(abs(gi_engine - gi_oracle[case]), tol, inst)
 
         # concurrency: the power center's four face points reassemble to it
-        face_data = {f: face_components_from_tetra(c2[case], f) for f in FACES}
-        rep = tet_centers.concurrency_conditions(face_data)
+        weights = c2[case].weights
+        rep = tet_centers.concurrency_conditions({f: _pierce(weights, f) for f in FACES})
         suites["tet.concurrency"].check(rep["max_residual"], 1e-9, inst)
         if rep["components"] is None:
             suites["tet.concurrency"].check(1.0, 1e-12, inst)
         else:
             suites["tet.concurrency"].check(
-                max(abs(x - y) for x, y in zip(rep["components"].as_tuple(),
-                                               c2[case].as_tuple())), 1e-9, inst)
+                max(abs(x - y) for x, y in zip(rep["components"].weights, weights)), 1e-9, inst)
 
 
 # each half of the run by name: its generator's stream offset, its shape
 # generator, the block runner and the suites it fills
 _HALVES = {
-    "tri": (0, _random_triangle, _verify_triangle_block,
+    "tri": (0, _random_triangles, _verify_triangle_block,
             ("tri.centers", "tri.distances", "tri.closed_forms", "tri.identities",
              "tri.inequalities")),
-    "tet": (1, _random_tetra, _verify_tetra_block,
+    "tet": (1, _random_tetras, _verify_tetra_block,
             ("tet.centers", "tet.circumcenter", "tet.metrics", "tet.GI", "tet.distances",
              "tet.closed_forms", "tet.projections", "tet.inequalities", "tet.concurrency")),
 }
@@ -451,16 +493,12 @@ def _run_block(half, seed, first, stop, rtol, atol):
     suites: (suites by name, cases ran, cases skipped)."""
     offset, draw, run_block, names = _HALVES[half]
     suites = {n: _Suite(n) for n in names}
-    shapes, rngs = [], []
-    for case in range(first, stop):
-        rng = default_rng([seed, 2 * case + offset])
-        shape = draw(rng)
-        if shape is not None:
-            shapes.append(shape)
-            rngs.append(rng)
-    if shapes:
+    rngs = [default_rng([seed, 2 * case + offset]) for case in range(first, stop)]
+    kept = [(shape, rng) for shape, rng in zip(draw(rngs), rngs) if shape is not None]
+    if kept:
+        shapes, rngs = zip(*kept)
         run_block(shapes, rngs, suites, rtol, atol)
-    return suites, len(shapes), stop - first - len(shapes)
+    return suites, len(kept), stop - first - len(kept)
 
 
 def _processes(blocks: int) -> int:
@@ -508,7 +546,7 @@ def cmd_verify(args) -> bool:
     for s in suites.values():
         print(f"suite {s.name:<20} checks {s.checks:>7}  "
               f"max_residual {s.max_residual:.3e}  status {'PASS' if s.passed else 'FAIL'}")
-        if not s.passed and s.fail_instance is not None:
+        if s.fail_instance is not None:
             print(f"  first failing instance lengths: {s.fail_instance}")
     all_pass = all(s.passed for s in suites.values())
     verdict = "PASS" if all_pass else "FAIL"

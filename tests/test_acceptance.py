@@ -29,7 +29,7 @@ from cevian.core_model import (
     vertex_foot_ratios,
 )
 from cevian import coord_oracle as oracle
-from cevian.verify import _circum_components_det, _random_tetra, _random_triangle
+from cevian.verify import _circum_components_det, _random_tetras, _random_triangle
 from cevian.tri_centers import (
     TRI_CENTER_KINDS,
     center_components,
@@ -94,7 +94,7 @@ def tet_corpus():
         while len(out) < N:
             rng = np.random.default_rng([SEED, 2 * case + 1])
             case += 1
-            edges = _random_tetra(rng)
+            (edges,) = _random_tetras([rng])
             if edges is None:
                 continue
             tet = oracle.embed_tetra(edges)
@@ -217,7 +217,7 @@ def test_criterion_5_tetra_center_realization_and_circumcenter_paths():
             res = float(np.linalg.norm(realized - pts[str(kind)]))
             worst = max(worst, res / (1e-9 * emax))
         beta_poly = tet_center_components("Q", edges).as_tuple()
-        beta_det = _circum_components_det(edges)
+        (beta_det,) = _circum_components_det([edges._pair_e])
         mat = np.vstack([tet.vertices.T, np.ones(4)])
         beta_solve = np.linalg.solve(mat, np.append(pts["Q"], 1.0))
         for trio in zip(beta_poly, beta_det, beta_solve):
@@ -295,7 +295,7 @@ def test_criterion_8_inequality_suites():
                 for slack in inequality_slacks(sides).values():
                     worst = min(worst, slack)
         if n_tet < 5000:
-            edges = _random_tetra(np.random.default_rng([SEED + 2, i]))
+            (edges,) = _random_tetras([np.random.default_rng([SEED + 2, i])])
             if edges is not None:
                 n_tet += 1
                 for slack in tet_inequality_slacks(edges).values():

@@ -176,8 +176,8 @@ def test_full_reports_compute_each_vertex_foot_and_r_once(monkeypatch):
     from cevian import tet_centers, tet_metrics, tri_centers, tri_metrics
 
     tally = {"feet": 0, "R": 0}
-    monkeypatch.setattr(tet_centers, "projection_components",
-                        _counted(tally, "feet", tet_centers.projection_components))
+    monkeypatch.setattr(tet_centers, "_point_foot",
+                        _counted(tally, "feet", tet_centers._point_foot))
     r_cache = cm._Simplex._circumradius  # the cached attribute's descriptor
     monkeypatch.setattr(r_cache, "method", _counted(tally, "R", r_cache.method))
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cevian import cli
 from cevian.cli import main
@@ -304,27 +304,81 @@ def test_verify_output_does_not_depend_on_the_block_size(capsys, monkeypatch, to
         assert "first failing instance" in outputs.pop()[1]
 
 
-check_values = st.floats(min_value=0.0, allow_infinity=True)
+check_values = st.floats(min_value=0.0, allow_infinity=True) | st.just(math.nan)
+# each case's instance and its checks, (residual, threshold) pairs, as many per case
+check_rows = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.tuples(st.tuples(st.floats(0.05, 5.0)),
+              st.lists(st.tuples(check_values, check_values | st.just(0.0)),
+                       min_size=width, max_size=width)),
+    max_size=40))
 
 
-@given(st.lists(st.tuples(check_values, check_values | st.just(0.0),
-                          st.tuples(st.floats(0.05, 5.0))), max_size=40),
-       st.lists(st.integers(0, 40), max_size=6))
-def test_folded_block_suites_record_what_a_serial_suite_records(checks, cuts):
+# a NaN residual, a zero threshold and a failing residual, each in its own
+# row after a row that passes, and one block boundary
+@example([((1.0,), [(0.5, 1.0), (0.0, 1.0), (0.2, 1.0)]),
+          ((2.0,), [(0.5, 1.0), (0.1, 1.0), (math.nan, 1.0)]),
+          ((3.0,), [(0.0, 0.0), (0.5, 1.0), (0.5, 1.0)]),
+          ((4.0,), [(0.5, 1.0), (2.0, 1.0), (0.5, 1.0)])], [2])
+@given(check_rows, st.lists(st.integers(0, 40), max_size=6))
+def test_folded_block_suites_record_what_a_serial_suite_records(rows, cuts):
+    """Blocks of cases, each checked into its own suite one check at a time
+    or as one case-major matrix, fold into what one suite records that is
+    fed every check in case order."""
+    import numpy as np
+
     from cevian.verify import _Suite
 
     serial = _Suite("s")
-    for check in checks:
-        serial.check(*check)
-    bounds = [0, *sorted(cuts), len(checks)]
-    folded = _Suite("s")
+    for inst, checks in rows:
+        for check in checks:
+            serial.check(*check, inst)
+    bounds = [0, *sorted(cuts), len(rows)]
+    by_check, by_matrix = _Suite("s"), _Suite("s")
     for lo, hi in zip(bounds, bounds[1:]):
-        block = _Suite("s")
-        for check in checks[lo:hi]:
-            block.check(*check)
-        folded.fold(block)
-    fields = ("checks", "max_residual", "worst_ratio", "passed", "fail_instance")
-    assert [getattr(folded, f) for f in fields] == [getattr(serial, f) for f in fields]
+        block = rows[lo:hi]
+        checked = _Suite("s")
+        for inst, checks in block:
+            for check in checks:
+                checked.check(*check, inst)
+        by_check.fold(checked)
+        if block:
+            folded = _Suite("s")
+            values = np.array([checks for _, checks in block])
+            # the first column as a group of its own, the rest as a second one
+            folded.check_block([inst for inst, _ in block],
+                               (values[:, 0, 0], values[:, 0, 1]),
+                               (values[:, 1:, 0], values[:, 1:, 1]))
+            by_matrix.fold(folded)
+    fields = ("checks", "max_residual", "passed", "fail_instance")
+    want = [getattr(serial, f) for f in fields]
+    assert [getattr(by_check, f) for f in fields] == want
+    assert [getattr(by_matrix, f) for f in fields] == want
+
+
+def test_the_pass_rule_fails_nan_residuals_and_zero_thresholds():
+    import numpy as np
+
+    from cevian.verify import _Suite
+
+    # (instance, residual, threshold): a residual at its threshold passes;
+    # a NaN residual, a zero threshold and a larger residual fail
+    cases = [((1.0,), 1.0, 1.0), ((2.0,), math.nan, 1e-9), ((3.0,), 0.0, 0.0),
+             ((4.0,), 2.0, 1.0)]
+    for inst, residual, threshold in cases:
+        alone = _Suite("s")
+        alone.check(residual, threshold, inst)
+        assert alone.passed == (inst == (1.0,))
+    serial, block = _Suite("s"), _Suite("s")
+    for inst, residual, threshold in cases:
+        serial.check(residual, threshold, inst)
+    insts, residuals, thresholds = zip(*cases)
+    block.check_block(insts, (np.array(residuals), np.array(thresholds)))
+    for suite in (serial, block):
+        assert (suite.checks, suite.max_residual, suite.passed, suite.fail_instance) == \
+            (4, 2.0, False, (2.0,))
+    # a suite keeps the first failure it recorded
+    block.check_block([(5.0,)], (np.array([3.0]), 1.0))
+    assert (block.checks, block.max_residual, block.fail_instance) == (5, 3.0, (2.0,))
 
 
 def test_a_warning_raised_in_a_worker_reaches_the_caller(monkeypatch):

@@ -22,7 +22,7 @@ from cevian.core_model import (
 )
 from cevian import coord_oracle as oracle
 from cevian.tet_centers import projection_of_center
-from cevian.verify import _random_tetra, _random_triangle
+from cevian import verify
 
 
 RIGHT = validate_triangle(3, 4, 5)
@@ -306,10 +306,11 @@ def _bits(a):
 
 
 def _verify_shapes(draw, offset, count):
-    """The first ``count`` shapes verify draws for seed 42, in case order."""
+    """The first ``count`` shapes verify draws for seed 42, in case order,
+    each drawn as a block of one."""
     shapes, case = [], 0
     while len(shapes) < count:
-        shape = draw(np.random.default_rng([42, 2 * case + offset]))
+        (shape,) = draw([np.random.default_rng([42, 2 * case + offset])])
         case += 1
         if shape is not None:
             shapes.append(shape)
@@ -319,11 +320,11 @@ def _verify_shapes(draw, offset, count):
 @pytest.mark.parametrize("arity", [3, 4])
 def test_stack_matches_each_simplex_bitwise(arity):
     if arity == 3:
-        shapes = _verify_shapes(_random_triangle, 0, 500)
+        shapes = _verify_shapes(verify._random_triangles, 0, 500)
         embs = [oracle.embed_triangle(s) for s in shapes]
         kinds = list(CENTER_KINDS[3])
     else:
-        shapes = _verify_shapes(_random_tetra, 1, 500)
+        shapes = _verify_shapes(verify._random_tetras, 1, 500)
         embs = [oracle.embed_tetra(e) for e in shapes]
         kinds = [*CENTER_KINDS[4], PowerIncenter(2.0), PowerIncenter(3)]
     stack = oracle.EmbeddedSimplex(np.stack([e.vertices for e in embs]))
@@ -415,7 +416,7 @@ def test_stacked_transversals_match_each_line_alone_bitwise():
     rng = np.random.default_rng(2024)
     verts, points, dirs = [], [], []
     on_guard = 0
-    for sides in _verify_shapes(_random_triangle, 0, 300):
+    for sides in _verify_shapes(verify._random_triangles, 0, 300):
         # sides up to 3, so the guard's scale is often the norm of BC
         tri = oracle.embed_triangle(validate_triangle(*(3.0 * x for x in sides.as_tuple())))
         perim = 3.0 * sides.perimeter
@@ -458,10 +459,26 @@ def test_stacked_transversals_match_each_line_alone_bitwise():
 def test_tetra_draws_measure_each_edge_as_numpy_norm_does():
     for case in range(2000):
         pts = np.random.default_rng([5, case]).uniform(0.0, 1.0, size=(4, 3))
-        edges = _random_tetra(np.random.default_rng([5, case]))
+        (edges,) = verify._random_tetras([np.random.default_rng([5, case])])
         if edges is not None:
             assert _bits(edges.as_tuple()) == _bits(
                 [np.linalg.norm(pts[i] - pts[j]) for i, j in EDGES[4]])
+
+
+@pytest.mark.parametrize("draw", [verify._random_triangles, verify._random_tetras],
+                         ids=["tri", "tet"])
+def test_a_block_draws_the_shapes_its_generators_draw_alone(draw):
+    """verify draws a block's shapes at once; each case's shape is the one
+    its generator gives as a block of one, bit for bit, skips included."""
+    def rngs():
+        return [np.random.default_rng([9, case]) for case in range(300)]
+
+    block = draw(rngs())
+    alone = [draw([rng])[0] for rng in rngs()]
+    assert [s is None for s in block] == [s is None for s in alone]
+    assert block.count(None) < 300
+    assert [_bits(s.as_tuple()) for s in block if s is not None] == \
+        [_bits(s.as_tuple()) for s in alone if s is not None]
 
 
 def test_a_stack_warns_once_for_its_ill_conditioned_rows():
