@@ -111,17 +111,28 @@ def _frozen(*arrays):
 
 def _solve(matrix, rhs):
     """Solve every system of the stack; warn once, quoting the largest
-    condition number, if any system's exceeds ``_COND_LIMIT``."""
+    condition number, if any system's exceeds ``_COND_LIMIT``.  The SVD
+    behind an exact condition number costs several solves, so it is taken
+    only where the bound cond <= ||A||_F * ||inv(A)||_F exceeds a 16th of
+    the limit (the margin covers the computed inverse's rounding), or of
+    every system when the stack holds a singular one."""
     m = np.asarray(matrix, dtype=float)
-    cond = np.linalg.cond(m)
-    ill = cond[cond > _COND_LIMIT]
-    if ill.size:
-        warnings.warn(
-            f"ill-conditioned center system (cond = {ill.max():.3g}); "
-            "result may lose precision",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    try:
+        inv = np.linalg.inv(m)
+        bound2 = (m * m).sum(axis=(-2, -1)) * (inv * inv).sum(axis=(-2, -1))
+        suspect = ~(bound2 <= (_COND_LIMIT / 16) ** 2)  # a NaN bound is suspect too
+    except np.linalg.LinAlgError:
+        suspect = True  # m[True] is the whole stack
+    if np.any(suspect):
+        cond = np.linalg.cond(m[suspect])
+        ill = cond[cond > _COND_LIMIT]
+        if ill.size:
+            warnings.warn(
+                f"ill-conditioned center system (cond = {ill.max():.3g}); "
+                "result may lose precision",
+                RuntimeWarning,
+                stacklevel=3,
+            )
     return np.linalg.solve(m, np.asarray(rhs, dtype=float)[..., None])[..., 0]
 
 

@@ -450,8 +450,9 @@ class TetraEdges(_Simplex):
     ``_crelle``, each face's geometry ``_faces``, and empty caches for the
     centers' Components (see center_components) and tet_centers' vertex feet
     ``_feet``; the values whose build can raise, ``face_areas``, the
-    circumcenter weights ``circum_aux`` and R, come on first use.  None of
-    them takes part in equality, hashing or repr.
+    circumcenter weights ``circum_aux``, R and R^2 along the circumcenter's
+    components ``_q_pair_sum``, come on first use.  None of them takes part
+    in equality, hashing or repr.
     """
 
     __match_args__ = ("ab", "ac", "ad", "bc", "cd", "db")
@@ -535,6 +536,11 @@ class TetraEdges(_Simplex):
             vals.append(f12 * e12 * eo[v3] + f23 * e23 * eo[v1] + f31 * e31 * eo[v2]
                         - e12 * e23 * e31)
         return CircumAux(tuple(vals), math.fsum(vals))
+
+    @_cached
+    def _q_pair_sum(self) -> float:
+        """ps(beta_Q), R^2 along the circumcenter-component route."""
+        return _pair_sum4(self._pair_e, center_components("Q", self).weights)[0]
 
 
 def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
@@ -1207,16 +1213,39 @@ def dist_between_centers(c1, c2, shape) -> float:
     return pair_table({0: c1, 1: c2}, shape)[0].distance
 
 
+# The range proof behind pair_table's unchecked terms.  _normalized divides
+# by a sum above ATOL times the weights' magnitude sum, so every Components
+# weight is below 1/ATOL in magnitude, a difference of two below 2/ATOL and a
+# pair term below (4/ATOL**2) * max(e): with max(e) below this limit the
+# magnitude sum of six terms is finite (the exact threshold is about 7e282).
+# Every TetraEdges is within it, since its volume gate needs delta2**3 to be
+# finite; a triangle is unless a side passes about 1e140.
+_PAIR_E_LIMIT = 1e280
+
+
 def pair_table(comps: dict, shape) -> list:
     """A DistanceReport for every unordered pair of the named component
     vectors, in the mapping's order (21 pairs for seven centers)."""
     n = _shape(shape)._N
     w = {k: _components(c, n) for k, c in _instance(comps, Mapping, "components").items()}
-    kernel, e, table, new = _PAIR_SUMS[n], shape._pair_e, [], object.__new__
-    for k1, k2 in combinations(w, 2):
-        w1, w2 = w[k1], w[k2]
-        ps, scale = kernel(e, w2, w1)
-        d = math.sqrt(-ps) if ps < 0.0 else _clamped_pair_root(ps, scale, w1, w2, shape)
+    e, table, new, fsum, sqrt = shape._pair_e, [], object.__new__, math.fsum, math.sqrt
+    # past the limit, the checked kernel raises first where a pair overflows
+    checked = _PAIR_SUMS[n] if max(e) >= _PAIR_E_LIMIT else None
+    # the kernels' terms, written out per arity: the magnitude sum, which
+    # only the clamp path reads, is fsum'd there alone
+    for (k1, w1), (k2, w2) in combinations(w.items(), 2):
+        if checked:
+            checked(e, w2, w1)
+        if n == 3:
+            d0, d1, d2 = w2[0] - w1[0], w2[1] - w1[1], w2[2] - w1[2]
+            t = d0 * d1 * e[0], d0 * d2 * e[1], d1 * d2 * e[2]
+        else:
+            d0, d1, d2, d3 = w2[0] - w1[0], w2[1] - w1[1], w2[2] - w1[2], w2[3] - w1[3]
+            t = (d0 * d1 * e[0], d0 * d2 * e[1], d0 * d3 * e[2],
+                 d1 * d2 * e[3], d1 * d3 * e[4], d2 * d3 * e[5])
+        ps = fsum(t)
+        d = (sqrt(-ps) if ps < 0.0
+             else _clamped_pair_root(ps, fsum(map(abs, t)), w1, w2, shape))
         rep = new(DistanceReport)  # the engine's own floats: skip __init__'s call frame
         rd = rep.__dict__
         rd["pair"], rd["squared_distance"], rd["distance"] = (k1, k2), d * d, d

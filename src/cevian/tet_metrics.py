@@ -71,12 +71,12 @@ def circumradius_forms(edges: TetraEdges) -> dict:
     """
     beta = tet_center_components("Q", _shape(edges, 4)).as_tuple()
     b0, b1, b2, b3 = beta
-    e01, e02, e03, e12, e13, e23 = e = edges._pair_e
+    e01, e02, e03, e12, e13, e23 = edges._pair_e
     # added left to right: builtin sum() rounds differently from Python 3.12 on
     half = ((b0 + b1) * e01 + (b0 + b2) * e02 + (b0 + b3) * e03
             + (b1 + b2) * e12 + (b1 + b3) * e13 + (b2 + b3) * e23)
     return {
-        "component_pair_sum": math.sqrt(_pair_sum4(e, beta)[0]),
+        "component_pair_sum": math.sqrt(edges._q_pair_sum),
         "component_half_sum": math.sqrt(half / 8.0),
         "opposite_edge_product": circumradius(edges),
     }
@@ -90,8 +90,7 @@ def crelle_check(edges: TetraEdges) -> float:
     consistency measurement, not an algebraic tautology.
     """
     rhs = _shape(edges, 4)._crelle
-    r2 = _pair_sum4(edges._pair_e, tet_center_components("Q", edges).as_tuple())[0]
-    lhs = edges.volume_term * r2
+    lhs = edges.volume_term * edges._q_pair_sum
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 

@@ -69,6 +69,12 @@ def _passes(residual, threshold):
     return (threshold > 0) & (residual <= threshold)
 
 
+def _larger(record, residual):
+    """The larger of a suite's recorded residual and another; a NaN on
+    either side is kept (``max(x, nan)`` returns x)."""
+    return residual if residual > record or residual != residual else record
+
+
 def _rounded(instance) -> tuple:
     return tuple(round(v, 17) for v in instance)
 
@@ -86,8 +92,7 @@ class _Suite:
     def check(self, residual, threshold, instance):
         self.checks += 1
         residual = float(residual)
-        if residual > self.max_residual:
-            self.max_residual = residual
+        self.max_residual = _larger(self.max_residual, residual)
         if self.fail_instance is None and not _passes(residual, threshold):
             self.fail_instance = _rounded(instance)
 
@@ -101,9 +106,8 @@ class _Suite:
         for residuals, thresholds in groups:
             residuals = np.asarray(residuals, dtype=float)
             self.checks += residuals.size
-            above = residuals[residuals > self.max_residual]
-            if above.size:
-                self.max_residual = float(above.max())
+            if residuals.size:
+                self.max_residual = _larger(self.max_residual, float(residuals.max()))
             failed |= ~_passes(residuals, thresholds).reshape(len(instances), -1).all(axis=1)
         if self.fail_instance is None and failed.any():
             self.fail_instance = _rounded(instances[int(failed.argmax())])
@@ -117,7 +121,7 @@ class _Suite:
         the checks that follow this one's: the earliest failing instance is
         the first one either suite recorded."""
         self.checks += later.checks
-        self.max_residual = max(self.max_residual, later.max_residual)
+        self.max_residual = _larger(self.max_residual, later.max_residual)
         if self.fail_instance is None:
             self.fail_instance = later.fail_instance
 

@@ -207,6 +207,39 @@ def test_full_reports_compute_each_vertex_foot_and_r_once(monkeypatch):
     assert tally == {"feet": 0, "R": 1}
 
 
+def test_full_tet_reports_take_the_circumcenter_pair_sum_once(monkeypatch, capsys):
+    """circumradius_forms and crelle_check both read R^2 = ps(beta_Q); a
+    full report, through the library or `cevian tet --metrics`, forms it once."""
+    import cevian.core_model as cm
+    from cevian import cli, tet_metrics
+
+    lengths = (3, 4, 5, 5, 6, 7)
+    beta = center_components("Q", validate_tetrahedron(*lengths)).weights
+    calls = []
+    kernel = cm._pair_sum4
+
+    def counted(e, v, w=(0, 0, 0, 0)):
+        calls.append(tuple(v) == beta and w == (0, 0, 0, 0))
+        return kernel(e, v, w)
+
+    for module in (cm, tet_metrics):
+        monkeypatch.setattr(module, "_pair_sum4", counted)
+    edges = validate_tetrahedron(*lengths)
+    tet_metrics.center_pair_table4(edges)
+    tet_metrics.metrics_summary(edges)
+    tet_metrics.circumradius_forms(edges)
+    tet_metrics.tet_inequality_slacks(edges)
+    tet_metrics.crelle_check(edges)
+    assert calls.count(True) == 1
+
+    calls.clear()
+    argv = ["tet", "--edges", *map(str, lengths), "--centers", "all", "--distances", "all",
+            "--metrics", "--inequalities"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls.count(True) == 1
+
+
 def test_face_caches_are_keyed_by_canonical_face_name():
     from cevian import tet_centers
 

@@ -349,10 +349,15 @@ def test_folded_block_suites_record_what_a_serial_suite_records(rows, cuts):
                                (values[:, 0, 0], values[:, 0, 1]),
                                (values[:, 1:, 0], values[:, 1:, 1]))
             by_matrix.fold(folded)
-    fields = ("checks", "max_residual", "passed", "fail_instance")
-    want = [getattr(serial, f) for f in fields]
-    assert [getattr(by_check, f) for f in fields] == want
-    assert [getattr(by_matrix, f) for f in fields] == want
+    def record(suite):  # by repr, since nan != nan
+        return suite.checks, repr(suite.max_residual), suite.passed, suite.fail_instance
+
+    want = record(serial)
+    assert record(by_check) == want
+    assert record(by_matrix) == want
+    # a NaN residual is the largest one, wherever it falls
+    assert math.isnan(serial.max_residual) == any(
+        math.isnan(residual) for _, checks in rows for residual, _ in checks)
 
 
 def test_the_pass_rule_fails_nan_residuals_and_zero_thresholds():
@@ -374,11 +379,17 @@ def test_the_pass_rule_fails_nan_residuals_and_zero_thresholds():
     insts, residuals, thresholds = zip(*cases)
     block.check_block(insts, (np.array(residuals), np.array(thresholds)))
     for suite in (serial, block):
-        assert (suite.checks, suite.max_residual, suite.passed, suite.fail_instance) == \
-            (4, 2.0, False, (2.0,))
-    # a suite keeps the first failure it recorded
+        assert (suite.checks, repr(suite.max_residual), suite.passed, suite.fail_instance) == \
+            (4, "nan", False, (2.0,))
+    # a suite keeps the first failure it recorded, and a NaN as its largest residual
     block.check_block([(5.0,)], (np.array([3.0]), 1.0))
-    assert (block.checks, block.max_residual, block.fail_instance) == (5, 3.0, (2.0,))
+    assert (block.checks, repr(block.max_residual), block.fail_instance) == (5, "nan", (2.0,))
+    serial.check(3.0, 1.0, (5.0,))
+    assert repr(serial.max_residual) == "nan"
+    clean = _Suite("s")
+    clean.check_block([(5.0,)], (np.array([3.0]), 1.0))
+    clean.fold(serial)
+    assert repr(clean.max_residual) == "nan"
 
 
 def test_a_warning_raised_in_a_worker_reaches_the_caller(monkeypatch):

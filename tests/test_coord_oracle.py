@@ -512,3 +512,106 @@ def test_single_simplex_calls_check_their_arity():
     for face in ("ABC", "BCD"):
         with pytest.raises(GeometryError):
             oracle.projection_foot_oracle(tri, np.array([0.3, 0.2]), face)
+
+
+# ------------------------------------------------- the condition-number filter
+
+def _unfiltered_solve(matrix, rhs):
+    """_solve with every system's exact condition number, as it read before
+    its bound: cond, then the warning, then the solve."""
+    m = np.asarray(matrix, dtype=float)
+    cond = np.linalg.cond(m)
+    ill = cond[cond > oracle._COND_LIMIT]
+    if ill.size:
+        warnings.warn(f"ill-conditioned center system (cond = {ill.max():.3g}); "
+                      "result may lose precision", RuntimeWarning)
+    return np.linalg.solve(m, np.asarray(rhs, dtype=float)[..., None])[..., 0]
+
+
+def _solve_outcome(solve, matrix, rhs):
+    """(the solution's bits or the raise, the warnings' messages)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = "ok", _bits(solve(matrix, rhs))
+        except np.linalg.LinAlgError as exc:
+            result = "LinAlgError", str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _conditioned(rng, k, cond):
+    """A k x k system with 2-norm condition number ``cond``."""
+    q1, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (q1 * np.geomspace(1.0, 1.0 / cond, k)) @ q2.T
+
+
+def _oracle_systems(monkeypatch, emb, kinds):
+    """The (matrix, rhs) stacks the oracle solves for ``kinds`` on ``emb``."""
+    seen = []
+    monkeypatch.setattr(oracle, "_solve", lambda m, r: seen.append((m, r)) or
+                        _unfiltered_solve(m, r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for kind in kinds:
+            oracle.definitional_center(emb, kind)
+    monkeypatch.undo()
+    return seen
+
+
+def _filter_stacks(monkeypatch):
+    rng = np.random.default_rng(2903)
+    stacks = []
+    for k in (2, 3, 4):
+        stacks.append((rng.uniform(-1, 1, (64, k, k)), rng.uniform(-1, 1, (64, k))))
+        # condition numbers on both sides of the limit and of the bound's margin
+        conds = np.geomspace(1e9, 1e15, 40)
+        stacks.append((np.array([_conditioned(rng, k, c) for c in conds]),
+                       rng.uniform(-1, 1, (40, k))))
+        for c in (1e11, 6.25e10, 1e12, 1.01e12, 1e13):  # one system alone
+            stacks.append((_conditioned(rng, k, c), rng.uniform(-1, 1, k)))
+    # near-flat triangles and tetrahedra, apex heights 1e-2 down to 1e-16
+    heights = 10.0 ** -np.arange(2, 17)
+    base = rng.uniform(0.1, 0.9, (len(heights), 2))
+    tris = [[[0.0, 0.0], [1.0, 0.0], [x, h]] for (x, _), h in zip(base, heights)]
+    tets = [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.9, 0.0], [x, y, h]]
+            for (x, y), h in zip(base, heights)]
+    stacks += _oracle_systems(monkeypatch, oracle.EmbeddedSimplex(tris), ("I", "Q", "H"))
+    stacks += _oracle_systems(monkeypatch, oracle.EmbeddedSimplex(tets), ("I", "Q"))
+    # an exactly singular system, alone and inside a stack
+    singular = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]])
+    stacks.append((singular, np.ones(3)))
+    well = rng.uniform(-1, 1, (5, 3, 3))
+    stacks.append((np.concatenate([well, singular[None]]), np.ones((6, 3))))
+    return stacks
+
+
+def test_the_condition_bound_warns_and_solves_as_every_cond_does(monkeypatch):
+    """The filtered rule gives the same solutions, bit for bit, the same
+    warning quoting the same largest cond, and the same raise."""
+    stacks = _filter_stacks(monkeypatch)
+    warned = raised = 0
+    for m, rhs in stacks:
+        want = _solve_outcome(_unfiltered_solve, m, rhs)
+        assert _solve_outcome(oracle._solve, m, rhs) == want
+        warned += bool(want[1])
+        raised += want[0][0] != "ok"
+    assert warned >= 10 and raised == 2
+    # the exact cond of a system is the same whether taken in its stack or alone
+    m = stacks[1][0]
+    mask = np.arange(len(m)) % 3 == 0
+    assert _bits(np.linalg.cond(m[mask])) == _bits(np.linalg.cond(m)[mask])
+
+
+def test_well_conditioned_stacks_take_no_svd(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(len(m)) or cond(m))
+    rng = np.random.default_rng(2904)
+    well = np.array([_conditioned(rng, 3, c) for c in (1.0, 1e3, 1e6)])
+    oracle._solve(well, np.ones((3, 3)))
+    assert calls == []
+    ill = np.array([_conditioned(rng, 3, c) for c in (1.0, 1e13, 1e6)])
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        oracle._solve(ill, np.ones((3, 3)))
+    assert calls == [1]  # the one system past the bound

@@ -478,7 +478,8 @@ def test_areas_scale_exactly_with_a_power_of_two():
 # every per-instance cache a shape can fill, the values whose build can
 # raise, and every entry its constructor sets besides the fields; none is a
 # field
-_CACHES = {3: ("area", "_circumradius"), 4: ("face_areas", "circum_aux", "_circumradius")}
+_CACHES = {3: ("area", "_circumradius"),
+           4: ("face_areas", "circum_aux", "_circumradius", "_q_pair_sum")}
 _DERIVED = {3: ("E", "_pair_e", "_dots", "perimeter", "semiperimeter", "_centers"),
             4: ("E", "_pair_e", "volume_term", "_delta2", "_crelle", "_faces", "_feet",
                 "_centers")}
@@ -501,6 +502,7 @@ def test_filled_cache_keeps_value_semantics(edges):
         from cevian.tet_centers import vertex_projection_components
         for face in FACES:
             vertex_projection_components(edges, face)
+        edges._q_pair_sum
     circumradius(edges)
     assert set(_CACHES[len(edges.E)]) <= set(vars(edges))
     fresh = type(edges)(*edges.as_tuple())

@@ -284,3 +284,130 @@ def test_overflow_nan_and_inf_raise_typed_errors_with_their_messages(call, messa
     with pytest.raises(GeometryError) as info:
         call()
     assert str(info.value) == message
+
+
+# --------------------------------------------------------------------------
+# the range proof behind pair_table's unchecked terms
+
+LIMIT = core_model._PAIR_E_LIMIT
+
+
+def _near_cancelling(n):
+    """Components whose weights come close to the largest magnitude
+    _normalized lets through: sums just past its threshold."""
+    out = []
+    for tail in ((1.0,), (0.5, 0.5), (1.0, -0.25)):
+        if len(tail) > n - 2:
+            continue
+        pad = (0.0,) * (n - 2 - len(tail))
+        lo, hi = 1.0, 1e13  # bisect on x for the last (x, -x, *tail) that normalizes
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            try:
+                Components((mid, -mid, *tail, *pad))
+                lo = mid
+            except DegenerateDenominator:
+                hi = mid
+        out += [Components((lo, -lo, *tail, *pad)), Components((-lo, lo, *tail, *pad))]
+    return out
+
+
+@pytest.mark.parametrize("scale", [1e139, 1e141, 1e150, 1e155])
+def test_pair_table_matches_the_generic_form_on_both_sides_of_the_range_limit(scale):
+    shape = validate_triangle(1.0 * scale, 1.3 * scale, 1.5 * scale)
+    assert (max(shape._pair_e) < LIMIT) == (scale < 1e140)
+    assert (math.inf in shape._pair_e) == (scale == 1e155)
+    rng = random.Random(2901)
+    extreme = _near_cancelling(3)
+    comps = _component_sets(rng, 3, 200)
+    for table in (_centers(shape), dict(enumerate(extreme)), dict(enumerate(comps[:7])),
+                  {0: extreme[0], 1: comps[0], 2: extreme[1], 3: comps[1]}):
+        got = outcome(lambda: [repr(r) for r in pair_table(table, shape)])
+        assert got == outcome(lambda: [repr(r) for r in ref_pair_table(table, shape)])
+    chain = extreme + comps[:41]
+    for c1, c2 in zip(chain, chain[1:]):
+        got = outcome(lambda: dist_between_centers(c1, c2, shape))
+        assert got == outcome(lambda: ref_pair_distance(c1.weights, c2.weights, shape))
+
+
+def test_a_positive_pair_sum_is_clamped_inside_its_magnitude_window():
+    """A flat triangle and two points along its near-null direction: the
+    pair sum of their difference is positive rounding noise, above the
+    absolute grain but inside ATOL times the terms' magnitude sum."""
+    shape = validate_triangle(1.0, 0.44334566017365495, 1.4433456601736498)
+    c1 = Components((0.1813999870815699, 0.44394617331135594, 0.37465383960707405))
+    c2 = Components((0.18207091718076385, 0.44424362725911354, 0.37368545556012267))
+    ps, scale = pair_sum([y - x for x, y in zip(c1.weights, c2.weights)], shape)
+    assert 1e-25 < ps <= ATOL * scale
+    table = pair_table({"P": c1, "R": c2}, shape)
+    assert [repr(r) for r in table] == [repr(r) for r in ref_pair_table({"P": c1, "R": c2}, shape)]
+    assert table[0].distance == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pair_tables_within_the_limit_call_no_kernel(n, monkeypatch):
+    calls = []
+    for k, kernel in core_model._PAIR_SUMS.items():
+        monkeypatch.setitem(core_model._PAIR_SUMS, k,
+                            lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+    shape = SHAPES[n][-1]  # the largest
+    assert max(shape._pair_e) < LIMIT
+    pair_table(_centers(shape), shape)
+    assert calls == []
+    if n == 3:  # past the limit, the checked kernel once per pair
+        big = validate_triangle(1e141, 1.3e141, 1.5e141)
+        table = pair_table(_centers(big), big)
+        assert len(calls) == len(table) > 0
+
+
+def _scaled_to_the_gate(edges):
+    """The largest power-of-two multiple of ``edges`` the volume gate
+    accepts, and the next one, which overflows it."""
+    lo = 0
+    hi = 400
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            validate_tetrahedron(*(math.ldexp(x, mid) for x in edges))
+            lo = mid
+        except GeometryError as exc:
+            assert "overflow the volume gate" in str(exc)
+            hi = mid
+    return [math.ldexp(x, lo) for x in edges], [math.ldexp(x, hi) for x in edges]
+
+
+def test_every_tetrahedron_the_gate_accepts_is_within_the_pair_range():
+    """The volume gate needs delta2**3 finite, so every squared edge, at
+    most 2 * delta2, is below 2 * 1.8e308 ** (1/3) < 1.2e103."""
+    rng = random.Random(2902)
+    bases = [e.as_tuple() for e in TETRAHEDRA[:3]]
+    while len(bases) < 40:
+        p = [[rng.random() for _ in range(3)] for _ in range(4)]
+        if rng.random() < 0.3:  # a needle: one vertex far off
+            p[3] = [c * 1e3 for c in p[3]]
+        try:
+            bases.append(validate_tetrahedron(
+                *(math.dist(p[i], p[j]) for i, j in
+                  ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)))).as_tuple())
+        except GeometryError:
+            pass
+    for base in bases:
+        accepted, rejected = _scaled_to_the_gate(base)
+        edges = validate_tetrahedron(*accepted)
+        assert max(edges._pair_e) < 1.2e103 < LIMIT
+        with pytest.raises(GeometryError, match="overflow the volume gate"):
+            validate_tetrahedron(*rejected)
+    # a regular tetrahedron just inside the gate, and just past it
+    regular = validate_tetrahedron(*(1.37e51,) * 6)
+    assert max(regular._pair_e) < LIMIT
+    with pytest.raises(GeometryError, match="overflow the volume gate"):
+        validate_tetrahedron(*(1.38e51,) * 6)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_components_weights_stay_below_one_over_atol(n):
+    rng = random.Random(2903 + n)
+    extreme = _near_cancelling(n)
+    assert max(max(map(abs, c.weights)) for c in extreme) > 0.4 / ATOL
+    for c in extreme + _component_sets(rng, n, 400):
+        assert max(map(abs, c.weights)) < 1.0 / ATOL
