@@ -43,6 +43,7 @@ from .core_model import (
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool a closed pipe ended
 
 RTOL_ENV_VAR = "CEVIAN_TOL_RTOL"
 
@@ -377,12 +378,28 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.command == "verify":
-        from .verify import cmd_verify
-        return EXIT_OK if cmd_verify(args) else EXIT_VERIFY_FAILED
-    report["tolerance"] = {"rtol": args.rtol, "atol": args.atol}
-    print(render_report(report, args.format))
-    return EXIT_OK
+    try:
+        if args.command == "verify":
+            try:
+                from .verify import cmd_verify
+            except ModuleNotFoundError as exc:
+                if exc.name != "numpy":
+                    raise
+                print(f"error: ModuleNotFoundError: {exc}; verify needs numpy, from the "
+                      f"'verify' extra: pip install 'cevian[verify]'", file=sys.stderr)
+                return EXIT_INPUT_ERROR
+            code = EXIT_OK if cmd_verify(args) else EXIT_VERIFY_FAILED
+        else:
+            report["tolerance"] = {"rtol": args.rtol, "atol": args.atol}
+            print(render_report(report, args.format))
+            code = EXIT_OK
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; stdout's descriptor now takes what is left,
+        # so that the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

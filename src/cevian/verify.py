@@ -15,9 +15,8 @@ from its own generator, but the block's tetrahedron edges are measured in
 one stacked call; the block is embedded as one stack of simplices, and the
 tetrahedra's determinant circumcenter systems are built as one stack.  The
 closed forms are built case by case, and the oracle answers for the whole
-block in one stacked call per center kind or check site.  The centers,
-distances and projections suites each fold one case-major residual matrix
-per block; the other suites take their checks case by case.  As only a
+block in one stacked call per center kind or check site.  Every suite takes
+a block's checks in one call, as rows (case, residual, threshold); as only a
 suite's first failing case depends on the order of its checks, every suite
 records what a case-by-case run records.
 
@@ -63,9 +62,8 @@ from . import tri_centers, tri_metrics, tet_centers, tet_metrics
 
 
 def _passes(residual, threshold):
-    """The pass rule of a check, on floats or elementwise on arrays: a
-    positive threshold that the residual does not exceed.  A NaN residual
-    or threshold fails."""
+    """The pass rule of a check, elementwise on arrays: a positive threshold
+    that the residual does not exceed.  A NaN residual or threshold fails."""
     return (threshold > 0) & (residual <= threshold)
 
 
@@ -79,6 +77,15 @@ def _rounded(instance) -> tuple:
     return tuple(round(v, 17) for v in instance)
 
 
+def _rows(residuals, thresholds):
+    """The rows (case, residual, threshold) of a case-major residual array,
+    whose first axis runs over the block's cases, and of thresholds that
+    broadcast against it."""
+    residuals = np.asarray(residuals, dtype=float)
+    cases = np.arange(len(residuals)).reshape((-1,) + (1,) * (residuals.ndim - 1))
+    return np.stack(np.broadcast_arrays(cases, residuals, thresholds), axis=-1).reshape(-1, 3)
+
+
 class _Suite:
     """The checks of one test family: their count, the largest residual,
     and the instance of the first check that failed, if any."""
@@ -89,28 +96,21 @@ class _Suite:
         self.max_residual = 0.0
         self.fail_instance = None
 
-    def check(self, residual, threshold, instance):
-        self.checks += 1
-        residual = float(residual)
-        self.max_residual = _larger(self.max_residual, residual)
-        if self.fail_instance is None and not _passes(residual, threshold):
-            self.fail_instance = _rounded(instance)
-
-    def check_block(self, instances, *groups):
-        """Make a block of cases' checks at once.  Each group pairs an array
-        of residuals, case-major (its first axis runs over ``instances``),
-        with thresholds that broadcast against it.  Records what ``check``
-        records when called on every check of the first case, then of the
-        next, and so on."""
-        failed = np.zeros(len(instances), dtype=bool)
-        for residuals, thresholds in groups:
-            residuals = np.asarray(residuals, dtype=float)
+    def check(self, instances, *groups):
+        """Make a block of cases' checks.  Each group holds rows (case,
+        residual, threshold), in any order, whose case indexes
+        ``instances``.  Records the row count, the largest residual and, if
+        no check has failed yet, the instance of the smallest failing case:
+        what checking one case after the other records."""
+        first = len(instances)
+        for rows in groups:
+            cases, residuals, thresholds = np.asarray(rows, dtype=float).reshape(-1, 3).T
             self.checks += residuals.size
             if residuals.size:
                 self.max_residual = _larger(self.max_residual, float(residuals.max()))
-            failed |= ~_passes(residuals, thresholds).reshape(len(instances), -1).all(axis=1)
-        if self.fail_instance is None and failed.any():
-            self.fail_instance = _rounded(instances[int(failed.argmax())])
+                first = cases[~_passes(residuals, thresholds)].min(initial=first)
+        if self.fail_instance is None and first < len(instances):
+            self.fail_instance = _rounded(instances[int(first)])
 
     @property
     def passed(self):
@@ -250,8 +250,8 @@ class _BlockCenters:
 def _verify_shared(shapes, insts, centers, scales, degree, allow, tol_len, suites):
     """Fill the suites both halves share (distances, closed forms,
     inequalities) for a block of triangles or tetrahedra, their instances
-    and their ``_BlockCenters``, and return the block's check group for the
-    centers suite, which the half extends with its own center checks.
+    and their ``_BlockCenters``, and return the block's rows for the centers
+    suite, which the half extends with its own center checks.
 
     ``scales`` holds each shape's length scale (a triangle's perimeter, a
     tetrahedron's longest edge), ``tol_len`` (N,) the length tolerance at
@@ -271,33 +271,33 @@ def _verify_shared(shapes, insts, centers, scales, degree, allow, tol_len, suite
     engine = [[rep.distance for rep in pair_table(comps, shape)]
               for comps, shape in zip(centers.comps, shapes)]
     first, second = _PAIR_INDICES[n]
-    suites[half + ".distances"].check_block(
-        insts, (np.abs(np.array(engine) - centers.distances),
-                tol * (allow[:, first] * allow[:, second])))
+    suites[half + ".distances"].check(
+        insts, _rows(np.abs(np.array(engine) - centers.distances),
+                     tol * (allow[:, first] * allow[:, second])))
 
     # compared on squared distances: near coincident centers the root turns
     # one ulp under the radical into ~sqrt(eps), which no relative tolerance
     # on the roots can absorb
     column, index = _PAIR_COLUMN[n], {k: i for i, k in enumerate(kinds)}
     forms = [forms_of(shape) for shape in shapes]
-    for shape, inst, scale, allowed, dist, case_forms in zip(shapes, insts, scales,
-                                                             allow.tolist(), engine, forms):
+    closed_forms, inequalities = [], []
+    for case, (shape, scale, allowed, dist, case_forms) in enumerate(
+            zip(shapes, scales, allow.tolist(), engine, forms)):
         for key, form in case_forms.items():
             k1, k2 = FORM_PAIRS[key]
             d2 = dist[column[k1, k2]] ** 2
             f2 = form ** 2
-            suites[half + ".closed_forms"].check(
-                abs(d2 - f2),
-                (1e-9 * max(d2, f2) + 1e-13 * scale * scale)
-                * (allowed[index[k1]] * allowed[index[k2]]) ** 2,
-                inst)
+            closed_forms.append((case, abs(d2 - f2),
+                                 (1e-9 * max(d2, f2) + 1e-13 * scale * scale)
+                                 * (allowed[index[k1]] * allowed[index[k2]]) ** 2))
 
         # the slacks carry lengths to powers up to ``degree``
         for slack in slacks_of(shape).values():
-            suites[half + ".inequalities"].check(
-                max(0.0, -slack), 1e-12 * max(1.0, scale ** degree), inst)
+            inequalities.append((case, max(0.0, -slack), 1e-12 * max(1.0, scale ** degree)))
+    suites[half + ".closed_forms"].check(insts, closed_forms)
+    suites[half + ".inequalities"].check(insts, inequalities)
     errors = np.stack([centers.errors[k] for k in kinds], axis=-1)
-    return (errors, tol * allow), engine, forms
+    return _rows(errors, tol * allow), engine, forms
 
 
 def _menelaus_products(shapes, rngs, emb) -> list:
@@ -339,35 +339,33 @@ def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
     tol_len = atol + rtol * np.array(perims)
     center_checks, _, _ = _verify_shared(shapes, insts, centers, perims, 4,
                                          np.ones((len(shapes), len(kinds))), tol_len, suites)
-    suites["tri.centers"].check_block(insts, center_checks, (frame, tol_len[:, None]))
+    suites["tri.centers"].check(insts, center_checks, _rows(frame, tol_len[:, None]))
 
-    for case, (sides, inst, tol) in enumerate(zip(shapes, insts, tol_len.tolist())):
+    identities = []
+    for case, (sides, tol) in enumerate(zip(shapes, tol_len.tolist())):
         # identity family: cevian ratio products, kappa sums, reciprocal sums,
         # the three-ratio determinant, the Euler collinearity, Menelaus
         for k in ("G", "I", "E_A"):
             ir = tri_centers.center_ir(k, sides)
-            suites["tri.identities"].check(
-                abs(ir.lambda_ab * ir.lambda_bc * ir.lambda_ca - 1.0), 1e-9, inst)
+            identities.append((case, abs(ir.lambda_ab * ir.lambda_bc * ir.lambda_ca - 1.0), 1e-9))
         try:
             ratios = vertex_foot_ratios(centers.comps[case]["I"])
         except GeometryError:
             pass
         else:
-            suites["tri.identities"].check(
-                abs(ratios["kap_a"] + ratios["kap_b"] + ratios["kap_c"] - 2.0),
-                1e-9, inst)
-            suites["tri.identities"].check(
-                abs(1.0 / (1.0 + ratios["lam_a"]) + 1.0 / (1.0 + ratios["lam_b"])
-                    + 1.0 / (1.0 + ratios["lam_c"]) - 1.0), 1e-9, inst)
-            suites["tri.identities"].check(
-                abs(fractional_ratio_determinant(
-                    ratios["lam_a"], ratios["lam_b"], ratios["lam_c"])), 1e-9, inst)
+            identities += [
+                (case, abs(ratios["kap_a"] + ratios["kap_b"] + ratios["kap_c"] - 2.0), 1e-9),
+                (case, abs(1.0 / (1.0 + ratios["lam_a"]) + 1.0 / (1.0 + ratios["lam_b"])
+                           + 1.0 / (1.0 + ratios["lam_c"]) - 1.0), 1e-9),
+                (case, abs(fractional_ratio_determinant(
+                    ratios["lam_a"], ratios["lam_b"], ratios["lam_c"])), 1e-9)]
         euler = tri_centers.euler_relation(sides)
-        suites["tri.identities"].check(abs(euler["gh_over_gq"] + 2.0), 1e-9, inst)
-        suites["tri.identities"].check(euler["collinearity_residual"], tol, inst)
+        identities += [(case, abs(euler["gh_over_gq"] + 2.0), 1e-9),
+                       (case, euler["collinearity_residual"], tol)]
         # the product of the case's first admissible transversal, if any
         if products[case] is not None:
-            suites["tri.identities"].check(abs(products[case] + 1.0), 1e-9, inst)
+            identities.append((case, abs(products[case] + 1.0), 1e-9))
+    suites["tri.identities"].check(insts, identities)
 
 
 # the points the projection checks drop onto every face: a random point in
@@ -429,55 +427,55 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
                              np.maximum(1.0, total / (total - 2.0 * areas))])
     center_checks, engine, forms = _verify_shared(shapes, insts, centers, emaxes, 6, allow,
                                                   tol_len, suites)
-    suites["tet.centers"].check_block(insts, center_checks, (power_err, tol_len))
+    suites["tet.centers"].check(insts, center_checks, _rows(power_err, tol_len))
 
     # projections: the random point and the three centers onto every
     # face; the incenter's projection sits at distance r from it
-    suites["tet.projections"].check_block(
-        insts, (foot_err / longest[:, None], 1e-8),
-        (np.abs(ifoot_dist - inradii) / inradii, 1e-8))
+    suites["tet.projections"].check(
+        insts, _rows(foot_err / longest[:, None], 1e-8),
+        _rows(np.abs(ifoot_dist - inradii) / inradii, 1e-8))
 
     q_errors = centers.errors["Q"].tolist()
     gi = _PAIR_COLUMN[4]["G", "I"]
     gi_oracle = centers.distances[:, gi].tolist()
-    for case, (edges, inst, emax, r, tol) in enumerate(zip(shapes, insts, emaxes, radii,
-                                                          tol_len.tolist())):
+    circumcenter, metrics, gi_rows, concurrency = [], [], [], []
+    for case, (edges, emax, r, tol) in enumerate(zip(shapes, emaxes, radii, tol_len.tolist())):
         # circumcenter: polynomial weights vs determinant route vs oracle solve
         beta_poly = centers.comps[case]["Q"].weights
         for x, y in zip(beta_poly, beta_det[case]):
-            suites["tet.circumcenter"].check(abs(x - y),
-                                             1e-8 * max(abs(x), abs(y), 0.05), inst)
-        suites["tet.circumcenter"].check(q_errors[case] / emax, 1e-8, inst)
+            circumcenter.append((case, abs(x - y), 1e-8 * max(abs(x), abs(y), 0.05)))
+        circumcenter.append((case, q_errors[case] / emax, 1e-8))
 
         # metric formulas vs coordinate geometry
         vol = tet_metrics.volume(edges)
         vol_oracle = abs(signed_vol6[case]) / 6.0
-        suites["tet.metrics"].check(abs(vol - vol_oracle) / vol_oracle, 1e-9, inst)
-        suites["tet.metrics"].check(
-            abs(r - min(abs(d) for d in incenter_dists[case])) / r, 1e-9, inst)
         rr = circumradius(edges)
-        suites["tet.metrics"].check(abs(rr - rr_oracle[case]) / rr_oracle[case], 1e-9, inst)
-        suites["tet.metrics"].check(tet_metrics.crelle_check(edges), 1e-9, inst)
         aux = edges.circum_aux
-        suites["tet.metrics"].check(abs(aux.u - 144.0 * vol * vol) / aux.u, 1e-9, inst)
+        metrics += [(case, abs(vol - vol_oracle) / vol_oracle, 1e-9),
+                    (case, abs(r - min(abs(d) for d in incenter_dists[case])) / r, 1e-9),
+                    (case, abs(rr - rr_oracle[case]) / rr_oracle[case], 1e-9),
+                    (case, tet_metrics.crelle_check(edges), 1e-9),
+                    (case, abs(aux.u - 144.0 * vol * vol) / aux.u, 1e-9)]
 
         # centroid-incenter: transcribed form vs engine vs oracle
         gi_engine = engine[case][gi]
         gi_form = forms[case]["GI"]
-        suites["tet.GI"].check(
-            abs(gi_form ** 2 - gi_engine ** 2),
-            1e-9 * max(gi_engine, gi_form) ** 2 + 1e-13 * emax * emax, inst)
-        suites["tet.GI"].check(abs(gi_engine - gi_oracle[case]), tol, inst)
+        gi_rows += [(case, abs(gi_form ** 2 - gi_engine ** 2),
+                     1e-9 * max(gi_engine, gi_form) ** 2 + 1e-13 * emax * emax),
+                    (case, abs(gi_engine - gi_oracle[case]), tol)]
 
         # concurrency: the power center's four face points reassemble to it
         weights = c2[case].weights
         rep = tet_centers.concurrency_conditions({f: _pierce(weights, f) for f in FACES})
-        suites["tet.concurrency"].check(rep["max_residual"], 1e-9, inst)
+        concurrency.append((case, rep["max_residual"], 1e-9))
         if rep["components"] is None:
-            suites["tet.concurrency"].check(1.0, 1e-12, inst)
+            concurrency.append((case, 1.0, 1e-12))
         else:
-            suites["tet.concurrency"].check(
-                max(abs(x - y) for x, y in zip(rep["components"].weights, weights)), 1e-9, inst)
+            concurrency.append((case, max(abs(x - y) for x, y in
+                                          zip(rep["components"].weights, weights)), 1e-9))
+    for name, rows in (("tet.circumcenter", circumcenter), ("tet.metrics", metrics),
+                       ("tet.GI", gi_rows), ("tet.concurrency", concurrency)):
+        suites[name].check(insts, rows)
 
 
 # each half of the run by name: its generator's stream offset, its shape
@@ -557,5 +555,7 @@ def cmd_verify(args) -> bool:
     print(f"verify: {verdict} seed={args.seed} cases={args.cases} "
           f"scope={args.scope} ran tri={ran['tri']} tet={ran['tet']} "
           f"skipped={total_skips}")
+    # the report first: a closed stdout ends the run before the timing line
+    sys.stdout.flush()
     print(f"elapsed: {elapsed:.1f}s", file=sys.stderr)
     return all_pass

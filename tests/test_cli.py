@@ -304,6 +304,29 @@ def test_verify_output_does_not_depend_on_the_block_size(capsys, monkeypatch, to
         assert "first failing instance" in outputs.pop()[1]
 
 
+class OneCheckAtATime:
+    """The reference a suite's block records are held to: a suite fed one
+    check at a time, in case order.  A check passes iff its threshold is
+    positive and its residual does not exceed it; a NaN residual is the
+    largest one from the moment it is seen."""
+
+    def __init__(self):
+        self.checks = 0
+        self.max_residual = 0.0
+        self.fail_instance = None
+
+    def check(self, residual, threshold, instance):
+        self.checks += 1
+        if residual > self.max_residual or residual != residual:
+            self.max_residual = residual
+        if self.fail_instance is None and not (threshold > 0 and residual <= threshold):
+            self.fail_instance = tuple(round(v, 17) for v in instance)  # as verify prints it
+
+    @property
+    def passed(self):
+        return self.fail_instance is None
+
+
 check_values = st.floats(min_value=0.0, allow_infinity=True) | st.just(math.nan)
 # each case's instance and its checks, (residual, threshold) pairs, as many per case
 check_rows = st.integers(1, 4).flatmap(lambda width: st.lists(
@@ -311,6 +334,10 @@ check_rows = st.integers(1, 4).flatmap(lambda width: st.lists(
               st.lists(st.tuples(check_values, check_values | st.just(0.0)),
                        min_size=width, max_size=width)),
     max_size=40))
+
+
+def record(suite):  # by repr, since nan != nan
+    return suite.checks, repr(suite.max_residual), suite.passed, suite.fail_instance
 
 
 # a NaN residual, a zero threshold and a failing residual, each in its own
@@ -326,9 +353,9 @@ def test_folded_block_suites_record_what_a_serial_suite_records(rows, cuts):
     fed every check in case order."""
     import numpy as np
 
-    from cevian.verify import _Suite
+    from cevian.verify import _Suite, _rows
 
-    serial = _Suite("s")
+    serial = OneCheckAtATime()
     for inst, checks in rows:
         for check in checks:
             serial.check(*check, inst)
@@ -336,21 +363,19 @@ def test_folded_block_suites_record_what_a_serial_suite_records(rows, cuts):
     by_check, by_matrix = _Suite("s"), _Suite("s")
     for lo, hi in zip(bounds, bounds[1:]):
         block = rows[lo:hi]
+        insts = [inst for inst, _ in block]
         checked = _Suite("s")
-        for inst, checks in block:
+        for case, (_, checks) in enumerate(block):
             for check in checks:
-                checked.check(*check, inst)
+                checked.check(insts, [(case, *check)])
         by_check.fold(checked)
         if block:
             folded = _Suite("s")
             values = np.array([checks for _, checks in block])
             # the first column as a group of its own, the rest as a second one
-            folded.check_block([inst for inst, _ in block],
-                               (values[:, 0, 0], values[:, 0, 1]),
-                               (values[:, 1:, 0], values[:, 1:, 1]))
+            folded.check(insts, _rows(values[:, 0, 0], values[:, 0, 1]),
+                         _rows(values[:, 1:, 0], values[:, 1:, 1]))
             by_matrix.fold(folded)
-    def record(suite):  # by repr, since nan != nan
-        return suite.checks, repr(suite.max_residual), suite.passed, suite.fail_instance
 
     want = record(serial)
     assert record(by_check) == want
@@ -360,9 +385,42 @@ def test_folded_block_suites_record_what_a_serial_suite_records(rows, cuts):
         math.isnan(residual) for _, checks in rows for residual, _ in checks)
 
 
-def test_the_pass_rule_fails_nan_residuals_and_zero_thresholds():
-    import numpy as np
+# rows, an order over all their checks, and cuts that split the reordered
+# checks into groups
+shuffled_rows = check_rows.flatmap(lambda rows: st.tuples(
+    st.just(rows),
+    st.permutations(range(sum(len(checks) for _, checks in rows))),
+    st.lists(st.integers(0, 160), max_size=4)))
 
+
+# the failing checks of cases 3 and 1 come first, in that order, in groups
+# of one, two and four rows
+@example(([((1.0,), [(0.5, 1.0)]), ((2.0,), [(2.0, 1.0), (0.1, 1.0)]),
+           ((3.0,), [(0.5, 1.0)]), ((4.0,), [(0.0, 0.0), (0.5, 1.0), (0.1, 1.0)])],
+          [4, 1, 0, 6, 2, 3, 5], [1, 3]))
+@given(shuffled_rows)
+def test_a_suite_takes_rows_in_any_order_split_over_groups(drawn):
+    """Rows in shuffled case order, split over groups of different lengths,
+    record what one check at a time in case order records: the smallest
+    failing case, not the first failing row."""
+    from cevian.verify import _Suite
+
+    rows, order, cuts = drawn
+    serial = OneCheckAtATime()
+    flat = []
+    for case, (inst, checks) in enumerate(rows):
+        for check in checks:
+            serial.check(*check, inst)
+            flat.append((case, *check))
+    shuffled = [flat[i] for i in order]
+    bounds = [0, *sorted(c % (len(flat) + 1) for c in cuts), len(flat)]
+    suite = _Suite("s")
+    suite.check([inst for inst, _ in rows],
+                *(shuffled[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+    assert record(suite) == record(serial)
+
+
+def test_the_pass_rule_fails_nan_residuals_and_zero_thresholds():
     from cevian.verify import _Suite
 
     # (instance, residual, threshold): a residual at its threshold passes;
@@ -371,23 +429,23 @@ def test_the_pass_rule_fails_nan_residuals_and_zero_thresholds():
              ((4.0,), 2.0, 1.0)]
     for inst, residual, threshold in cases:
         alone = _Suite("s")
-        alone.check(residual, threshold, inst)
+        alone.check([inst], [(0, residual, threshold)])
         assert alone.passed == (inst == (1.0,))
-    serial, block = _Suite("s"), _Suite("s")
+    serial, block = OneCheckAtATime(), _Suite("s")
     for inst, residual, threshold in cases:
         serial.check(residual, threshold, inst)
     insts, residuals, thresholds = zip(*cases)
-    block.check_block(insts, (np.array(residuals), np.array(thresholds)))
+    block.check(insts, list(zip(range(len(cases)), residuals, thresholds)))
     for suite in (serial, block):
         assert (suite.checks, repr(suite.max_residual), suite.passed, suite.fail_instance) == \
             (4, "nan", False, (2.0,))
     # a suite keeps the first failure it recorded, and a NaN as its largest residual
-    block.check_block([(5.0,)], (np.array([3.0]), 1.0))
+    block.check([(5.0,)], [(0, 3.0, 1.0)])
     assert (block.checks, repr(block.max_residual), block.fail_instance) == (5, "nan", (2.0,))
     serial.check(3.0, 1.0, (5.0,))
     assert repr(serial.max_residual) == "nan"
     clean = _Suite("s")
-    clean.check_block([(5.0,)], (np.array([3.0]), 1.0))
+    clean.check([(5.0,)], [(0, 3.0, 1.0)])
     clean.fold(serial)
     assert repr(clean.max_residual) == "nan"
 
@@ -497,6 +555,43 @@ def test_reports_import_neither_numpy_nor_the_oracle(tmp_path):
                            timeout=120, env=env)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[0, 0] []", shape
+
+
+@pytest.mark.parametrize("argv", [
+    ("tri", "--sides", "3", "4", "5"),
+    ("tet", "--edges", "3", "4", "5", "5", "6", "7", "--format", "csv"),
+    ("verify", "--cases", "5"),
+])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    """A reader that has gone before the output is neither a crash nor a
+    failed verification (exit 1): the run ends quietly with the status a
+    shell gives a tool a closed pipe ended."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default on a pipe
+    try:
+        r = subprocess.run([sys.executable, "-m", "cevian.cli", *argv], stdout=write,
+                           stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    finally:
+        os.close(write)
+    assert (r.returncode, r.stderr) == (141, "")
+
+
+def test_verify_without_numpy_names_the_extra():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from cevian.cli import main\n"
+        "sys.exit(main(['verify', '--cases', '1']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       timeout=120, env=env)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ModuleNotFoundError: ")
+    assert "'cevian[verify]'" in r.stderr
 
 
 @pytest.mark.parametrize("argv", [
