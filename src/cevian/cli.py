@@ -53,11 +53,13 @@ RTOL_ENV_VAR = "CEVIAN_TOL_RTOL"
 
 def _load_points(path, expected):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise GeometryError(f"cannot read coords file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, an integer past Python's digit
+        # limit, or arrays nested past the recursion limit
         raise GeometryError(f"coords file is not valid JSON: {exc}") from None
     pts = doc.get("points") if isinstance(doc, dict) else None
     if not isinstance(pts, list) or len(pts) != expected:

@@ -51,7 +51,6 @@ __all__ = [
     "embed_triangle",
     "embed_tetra",
     "definitional_center",
-    "definitional_center4",
     "point_from_components",
     "point_on_face",
     "frame_equation_residual",
@@ -278,7 +277,7 @@ def definitional_center(emb: EmbeddedSimplex, kind) -> np.ndarray:
     return _equidistant_point(emb, flipped=x)
 
 
-# the tetrahedron-only name, which perfbench's library workload still calls
+# not public: the tetrahedron-only name, which perfbench/ alone reads
 definitional_center4 = definitional_center
 
 

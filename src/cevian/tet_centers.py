@@ -4,7 +4,7 @@ components onto faces, and concurrency certification, from the six edges.
 The centers are G, I (weights = opposite-face areas), Q (polynomial weights
 U_X), the escribed-sphere centers E_A..E_D and the power family with weights
 (S^X)^n for any real n.  Their components come from the rule core_model
-shares with the triangle (center_components, here tet_center_components).
+shares with the triangle, core_model.center_components.
 """
 
 from __future__ import annotations
@@ -28,26 +28,26 @@ from .core_model import (
     _roundtrip_defect,
     _shape,
     canonical_face,
-    center_components as tet_center_components,
+    center_components,
     parse_center,
 )
 
 __all__ = [
-    "TET_CENTER_KINDS",
-    "face_areas",
-    "tet_center_components",
     "tet_center_ir_tensor",
     "projection_components",
     "projection_of_center",
     "concurrency_conditions",
 ]
 
-TET_CENTER_KINDS = CENTER_KINDS[4]
 _PROJECTED = ("Q", "G", "I")
+
+# not public: perfbench/ alone reads these two and face_areas
+TET_CENTER_KINDS = CENTER_KINDS[4]
+tet_center_components = center_components
 
 
 def face_areas(edges: TetraEdges) -> FaceAreas:
-    """The cached ``edges.face_areas``; kept for perfbench."""
+    """The cached ``edges.face_areas``."""
     return _shape(edges, 4).face_areas
 
 
@@ -59,7 +59,7 @@ def tet_center_ir_tensor(kind, edges: TetraEdges) -> dict:
     Defined for any center with no vanishing component (G, I, and the
     excenters always qualify); ZeroComponent otherwise.
     """
-    a, b, c, d = beta = tet_center_components(kind, _shape(edges, 4)).weights
+    a, b, c, d = beta = center_components(kind, _shape(edges, 4)).weights
     if abs(a) <= ATOL or abs(b) <= ATOL or abs(c) <= ATOL or abs(d) <= ATOL:
         # the per-face check names the vertex the face order meets first
         for v1, v2, v3, _ in FACE_INDICES.values():

@@ -17,16 +17,17 @@ from __future__ import annotations
 import math
 
 from .core_model import (
+    CENTER_KINDS,
     TetraEdges,
     VERTICES,
     _Frozen,
     _PAIRS,
     _pair_sum4,
     _shape,
+    center_components,
     circumradius,
     pair_table,
 )
-from .tet_centers import TET_CENTER_KINDS, tet_center_components
 
 __all__ = [
     "TetMetricsSummary",
@@ -35,7 +36,6 @@ __all__ = [
     "circumradius_forms",
     "crelle_check",
     "metrics_summary",
-    "center_pair_table4",
     "tet_inequality_slacks",
     "transcribed_closed_forms4",
 ]
@@ -69,7 +69,7 @@ def circumradius_forms(edges: TetraEdges) -> dict:
       component_half_sum   : R^2 = (1/8) * sum (beta_X + beta_Y) * XY^2
       opposite_edge_product: the q-product over the volume term
     """
-    beta = tet_center_components("Q", _shape(edges, 4)).as_tuple()
+    beta = center_components("Q", _shape(edges, 4)).as_tuple()
     b0, b1, b2, b3 = beta
     e01, e02, e03, e12, e13, e23 = edges._pair_e
     # added left to right: builtin sum() rounds differently from Python 3.12 on
@@ -103,10 +103,11 @@ def metrics_summary(edges: TetraEdges) -> TetMetricsSummary:
     )
 
 
+# not public: perfbench/ alone reads it
 def center_pair_table4(edges: TetraEdges) -> list:
     """All 21 unordered center-pair distances over (G, I, Q, E_A..E_D)."""
     _shape(edges, 4)
-    return pair_table({k: tet_center_components(k, edges) for k in TET_CENTER_KINDS}, edges)
+    return pair_table({k: center_components(k, edges) for k in CENTER_KINDS[4]}, edges)
 
 
 def tet_inequality_slacks(edges: TetraEdges) -> dict:

@@ -1,7 +1,7 @@
 """Cevian ratios and relations of the seven classical triangle centers:
 centroid G, incenter I, orthocenter H, circumcenter Q, and the excenters E_A,
 E_B, E_C, from the side lengths alone.  Their components come from the rule
-core_model shares with the tetrahedron (center_components, re-exported).
+core_model shares with the tetrahedron, core_model.center_components.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from .core_model import (
 )
 
 __all__ = [
-    "TRI_CENTER_KINDS",
     "center_ir",
-    "center_components",
     "excenter_segment_ratio",
     "euler_relation",
 ]
 
+# not public: perfbench/ alone reads this and tri_centers.center_components
 TRI_CENTER_KINDS = CENTER_KINDS[3]
 
 

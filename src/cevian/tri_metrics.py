@@ -18,21 +18,20 @@ from __future__ import annotations
 import math
 
 from .core_model import (
+    CENTER_KINDS,
     TriangleSides,
     _components,
     _k_invariant,
     _lengths,
     _pair_sum,
     _shape,
+    center_components,
     circumradius,
     pair_table,
 )
-from .tri_centers import TRI_CENTER_KINDS, center_components
 
 __all__ = [
-    "area_determinant",
     "k_invariant",
-    "center_pair_table",
     "ict_areas",
     "ict_altitudes",
     "inequality_slacks",
@@ -51,8 +50,9 @@ def k_invariant(sides) -> float:
     return _k_invariant(a * a, b * b, c * c, lengths)
 
 
+# not public: perfbench/ alone reads area_determinant and center_pair_table
 def area_determinant(sides: TriangleSides) -> float:
-    """Triangle area sqrt(K)/4, the cached ``sides.area``; kept for perfbench."""
+    """Triangle area sqrt(K)/4, the cached ``sides.area``."""
     return _shape(sides, 3).area
 
 
@@ -60,7 +60,7 @@ def center_pair_table(sides: TriangleSides) -> list:
     """All 21 unordered center-pair distances, in the fixed kind order
     (G, I, H, Q, E_A, E_B, E_C)."""
     _shape(sides, 3)
-    return pair_table({k: center_components(k, sides) for k in TRI_CENTER_KINDS}, sides)
+    return pair_table({k: center_components(k, sides) for k in CENTER_KINDS[3]}, sides)
 
 
 def ict_areas(comps, sides: TriangleSides) -> dict:

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cevian import cli
 from cevian.cli import main
@@ -185,6 +189,56 @@ def test_coords_file_wrong_count(tmp_path, capsys):
 def test_coords_file_unreadable(capsys):
     code, _, err = run_cli(capsys, "tri", "--coords", "/nonexistent.json")
     assert code == 2
+
+
+# coords files no JSON reader takes: a byte that is not UTF-8, an integer
+# past Python's 4300-digit limit, and arrays nested past the recursion limit
+MALFORMED_COORDS = {
+    "not_utf8": b'{"points": [[0, 0], [3, 0], [0, 4]]}\xff',
+    "digits": b'{"points": [[' + b"1" * 5000 + b', 0], [3, 0], [0, 4]]}',
+    "nested": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["tri", "tet"])
+@pytest.mark.parametrize("name", MALFORMED_COORDS)
+def test_malformed_coords_file_is_input_error(tmp_path, capsys, command, name):
+    f = tmp_path / "pts.json"
+    f.write_bytes(MALFORMED_COORDS[name])
+    code, out, err = run_cli(capsys, command, "--coords", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: GeometryError: coords file is not valid JSON: ")
+
+
+@pytest.mark.parametrize("command, name, points", [
+    ("tri", "Dreieck ä", [[0, 0], [3, 0], [0, 4]]),
+    ("tet", "Tetraeder ä", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1]]),
+])
+def test_coords_file_is_read_as_utf8_in_the_c_locale(tmp_path, command, name, points):
+    # with neither UTF-8 mode nor locale coercion, the C locale's own
+    # encoding is ASCII
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"name": name, "points": points}, ensure_ascii=False),
+                 encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    r = subprocess.run([sys.executable, "-m", "cevian.cli", command, "--coords", str(f),
+                        "--centers", "G"], capture_output=True, text=True, timeout=120, env=env)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert json.loads(r.stdout)["input"]["source"] == "coords"
+
+
+@pytest.mark.parametrize("command, option, lengths, lists", [
+    ("tri", "--sides", ("3", "4", "5"), ("--centers", "--distances")),
+    ("tet", "--edges", ("3", "4", "5", "5", "6", "7"), ("--centers", "--distances", "--project")),
+])
+def test_an_empty_list_is_the_option_left_out(capsys, command, option, lengths, lists):
+    for extra in ((), ("--metrics",)):
+        want = run_cli(capsys, command, option, *lengths, *extra)
+        assert want[0] == 0
+        for flag in lists:
+            assert run_cli(capsys, command, option, *lengths, *extra, flag, "") == want
 
 
 @pytest.mark.parametrize("points", [
@@ -618,3 +672,125 @@ def test_full_reports_over_the_float_range_never_crash(capsys):
             code, out, _ = run_cli(capsys, *argv)
             assert code in (0, 2), argv
             assert "NaN" not in out and "Infinity" not in out, argv
+
+
+# --------------------------------------------------------------------------
+# the CLI's whole input domain, fuzzed in process
+
+COORDS = "<coords>"  # stands for the path of the drawn coords file
+
+numbers = (st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "-0.0", "0", "5e-324",
+                            "-5e-324", "2.2250738585072014e-308", "1e308", "-1e308", "1e400",
+                            str(10 ** 400), "1_0", "0x10", "x", ""])
+           | st.floats().map(repr) | st.integers(-3, 12).map(str))
+tolerances = st.sampled_from(["1e-9", "1e-6", "0.5"]) | numbers
+# valid lengths, mostly at unit scale but at every scale of the float range,
+# or numbers of any kind, as many as argparse wants or not
+_VALID = {3: [(3, 4, 5), (1, 1, 1), (5.6, 7.28, 10.64), (1, 1, 1.999)],
+          4: [(3, 4, 5, 5, 6, 7), (1, 1, 1, 1, 1, 1), (3, 3, 3, 2, 2, 2), (1, 1, 1, 1, 1, 1.99)]}
+scales = st.just(1.0) | st.sampled_from([10.0 ** e for e in range(-320, 310, 20)])
+
+
+def lengths(n):
+    valid = st.tuples(st.sampled_from(_VALID[n]), scales).map(
+        lambda t: [repr(x * t[1]) for x in t[0]])
+    return valid | valid | st.lists(numbers, min_size=n, max_size=n) | st.lists(
+        numbers, max_size=n + 1)
+
+
+kinds = st.sampled_from(["G", "I", "H", "Q", "E_A", "E_B", "E_C", "E_D", "g", "e_b", "power:2",
+                         "power:-1.5"])
+center_tokens = kinds | st.sampled_from(["power:x", "power:nan", "power:inf", "power:1e400",
+                                         "power:1000", "power:", "Z", "", " G"]) | st.text(
+    max_size=4)
+separators = st.sampled_from([",", ",,", ", ", ";"])
+
+
+def joined(tokens, sep=st.just(",")):
+    return st.tuples(st.lists(tokens, max_size=4), sep).map(lambda t: t[1].join(t[0]))
+
+
+center_lists = st.sampled_from(["all", ""]) | joined(kinds) | joined(center_tokens, separators)
+pair_lists = st.sampled_from(["all", ""]) | joined(st.tuples(kinds, kinds).map(":".join)) | joined(
+    st.tuples(center_tokens, st.sampled_from([":", "::", "-"]), center_tokens).map("".join),
+    separators)
+faces = st.sampled_from(["BCD", "CDA", "DAB", "ABC", "bcd", "ABD", "DCB", "", "AB"]) | st.text(
+    max_size=4)
+rarely = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def argvs(draw):
+    """An argv over the real options of tri, tet and verify, in any order;
+    verify runs at most 3 cases."""
+    command = draw(st.sampled_from(["tri", "tet", "verify"]))
+    groups = [["--format", draw(st.sampled_from(["json", "csv", "xml"]))],
+              ["--rtol", draw(tolerances)], ["--atol", draw(tolerances)]]
+    if command == "verify":
+        groups += [["--seed", draw(st.integers(-2, 2 ** 70).map(str)
+                                   | st.sampled_from(["x", str(10 ** 400)]))],
+                   ["--scope", draw(st.sampled_from(["tri", "tet", "all", "both"]))]]
+    else:
+        n = 3 if command == "tri" else 4
+        groups += [["--centers", draw(center_lists)], ["--distances", draw(pair_lists)],
+                   ["--metrics"], ["--inequalities"]]
+        if n == 3:
+            groups += [["--areas"]]
+        else:
+            groups += [["--project", draw(faces)], ["--point-dists", *draw(st.lists(
+                st.sampled_from(["1", "2.5"]) | numbers, min_size=4, max_size=4))]]
+    kept = [g for g in groups if draw(st.booleans())]
+    if command == "verify":
+        kept.append(["--cases", draw(st.sampled_from(["1", "2", "3", "0", "-1"]))])
+    else:  # the lengths, a coords file, both or neither
+        if not draw(rarely):
+            kept.append(["--sides" if n == 3 else "--edges", *draw(lengths(n))])
+        if draw(rarely):
+            kept.append(["--coords", draw(st.sampled_from([COORDS, COORDS, "", "missing.json"]))])
+    if draw(rarely) and draw(rarely):
+        kept.append([draw(st.sampled_from(["-h", "--bogus"]))])
+    return [command] + [tok for g in draw(st.permutations(kept)) for tok in g]
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["points", "x"]) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+coord_points = st.lists(st.lists(st.floats(-10, 10) | st.integers(-10, 10) | st.floats(),
+                                 min_size=2, max_size=3), min_size=3, max_size=4)
+coords_files = (coord_points.map(lambda pts: json.dumps({"points": pts}).encode())
+                | json_trees.map(lambda doc: json.dumps(doc).encode())
+                | st.binary(max_size=40))
+
+
+@example(["tri", "--coords", COORDS], MALFORMED_COORDS["not_utf8"])
+@example(["tet", "--coords", COORDS], MALFORMED_COORDS["digits"])
+@example(["tri", "--coords", COORDS, "--metrics"], MALFORMED_COORDS["nested"])
+@example(["tet", "--coords", COORDS, "--centers", ""],
+         json.dumps({"name": "Tetraeder ä", "points": [[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                                        [0, 0, 1]]}, ensure_ascii=False).encode())
+# generation time depends on the machine, so it is no health check here
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs(), data=coords_files)
+def test_every_input_exits_0_or_2_with_a_typed_error(tmp_path_factory, argv, data):
+    """main returns 0 or 2, or 1 for a verify FAIL; argparse exits 0 or 2;
+    nothing else escapes, and a 2 ends stderr with the typed error."""
+    from cevian import verify
+
+    path = tmp_path_factory.getbasetemp() / "fuzz-coords.json"
+    path.write_bytes(data)
+    argv = [str(path) if tok == COORDS else tok for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    # two blocks, one per half, would fork for scope all; the output is the same
+    with mock.patch.object(verify, "_processes", lambda blocks: 1), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help, or an argv it cannot parse
+            assert exc.code in (0, 2), argv
+            return
+    assert code in (0, 2) or (code == 1 and "verify: FAIL" in out.getvalue()), argv
+    if code == 2:
+        assert re.match(r"error: \w+: ", err.getvalue().splitlines()[-1]), (argv, err.getvalue())

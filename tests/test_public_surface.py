@@ -137,13 +137,19 @@ def _arity(func) -> int:
                for p in inspect.signature(func).parameters.values())
 
 
+# the functions that left __all__ but stay defined for perfbench/, called as
+# the public ones are
+RETIRED = {"tri_metrics": ["area_determinant", "center_pair_table"],
+           "tet_centers": ["face_areas"], "tet_metrics": ["center_pair_table4"]}
+
+
 @pytest.mark.parametrize("module", ["core_model", "tri_centers", "tri_metrics", "tet_centers",
                                     "tet_metrics"])
 def test_every_argument_kind_gives_a_result_or_a_typed_error(module):
     # every public callable of at most 3 required arguments, classes included,
     # called with every combination of the wrong kinds
     mod, bare, calls = importlib.import_module(f"cevian.{module}"), {}, 0
-    for name in mod.__all__:
+    for name in mod.__all__ + RETIRED.get(module, []):
         func = getattr(mod, name)
         if not callable(func) or (isinstance(func, type) and issubclass(func, BaseException)):
             continue
