@@ -18,6 +18,7 @@ squared-edge matrix E; see the engine at the end.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from itertools import combinations, permutations
 from operator import mul
@@ -445,13 +446,13 @@ class TetraEdges(_Simplex):
     Construction validates the lengths.  The invariants the center and
     metric formulas share are derived from the six lengths once per
     instance and read by every caller: the constructor sets ``E``, ``_pair_e``,
-    the volume gate's ``_delta2`` and ``volume_term``, the Crelle product
-    ``_crelle``, each face's geometry ``_faces``, and empty caches for the
-    centers' Components (see center_components) and tet_centers' vertex feet
-    ``_feet``; the values whose build can raise, ``face_areas``, the
-    circumcenter weights ``circum_aux``, R and R^2 along the circumcenter's
-    components ``_q_pair_sum``, come on first use.  None of them takes part
-    in equality, hashing or repr.
+    the volume gate's ``_delta2`` and ``volume_term``, each face's geometry
+    ``_faces``, and empty caches for the centers' Components (see
+    center_components) and tet_centers' vertex feet ``_feet``; the values
+    whose build can raise, ``face_areas``, the circumcenter weights
+    ``circum_aux``, the Crelle product ``_crelle``, R and R^2 along the
+    circumcenter's components ``_q_pair_sum``, come on first use.  None of
+    them takes part in equality, hashing or repr.
     """
 
     __match_args__ = ("ab", "ac", "ad", "bc", "cd", "db")
@@ -487,10 +488,6 @@ class TetraEdges(_Simplex):
                       (ad2, db2, cd2, 0.0))
         d["_pair_e"] = (ab2, ac2, ad2, bc2, db2, cd2)
         d["_delta2"], d["volume_term"] = delta2, gram
-        # Crelle: q(q - AB*CD)(q - BC*AD)(q - CA*BD) = 36*V^2*R^2, 2q = m1 + m2 + m3
-        m1, m2, m3 = ab * cd, bc * ad, ac * db
-        q = 0.5 * (m1 + m2 + m3)
-        d["_crelle"] = q * (q - m1) * (q - m2) * (q - m3)
         # by face name: its vertex indices (V1, V2, V3, opposite), squared
         # edges e^2 (V1V2, V2V3, V3V1), each one's delta2f - e^2, with delta2f
         # their half sum, and the sum of (delta2f - e^2)*e^2, which is 8*area^2
@@ -537,9 +534,23 @@ class TetraEdges(_Simplex):
         return CircumAux(tuple(vals), math.fsum(vals))
 
     @_cached
+    def _crelle(self) -> float:
+        """Crelle's q(q - AB*CD)(q - BC*AD)(q - CA*BD) = 36*V^2*R^2, with 2q
+        = AB*CD + BC*AD + CA*BD.  A product that overflows, or underflows
+        past the normal floats (lengths past about 1e38 or below 1e-39),
+        raises GeometryError on every access."""
+        m1, m2, m3 = self.ab * self.cd, self.bc * self.ad, self.ac * self.db
+        q = 0.5 * (m1 + m2 + m3)
+        crelle = q * (q - m1) * (q - m2) * (q - m3)
+        if not (sys.float_info.min <= crelle < math.inf):
+            raise GeometryError(f"the Crelle product of edges {self.as_tuple()} leaves the "
+                                f"floating-point range")
+        return crelle
+
+    @_cached
     def _q_pair_sum(self) -> float:
         """ps(beta_Q), R^2 along the circumcenter-component route."""
-        return _pair_sum4(self._pair_e, center_components("Q", self).weights)[0]
+        return _pair_sum(center_components("Q", self).weights, self)[0]
 
 
 def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
@@ -1002,7 +1013,7 @@ def _build_center(k, shape, n: int) -> Components:
     # excenter E_X: the sign flips at X, and the weights' sum, the total
     # content minus twice X's, must stay safely positive
     x = VERTICES.index(k[-1])
-    total = math.fsum(contents)
+    total = _magnitude_sum(contents, "the facet contents' sum")  # the contents are positive
     if total - 2.0 * contents[x] <= ATOL * total:
         raise ExcenterDenominatorZero(
             f"the facet contents' total minus twice the one opposite {k[-1]} is "
@@ -1042,21 +1053,21 @@ def center_components(kind, shape) -> Components:
 _PAIRS = {n: tuple(combinations(range(n), 2)) for n in (3, 4)}
 
 
-# The pair-sum kernels: (ps(d), sum of |terms|) with terms (d_i * d_j) * E_ij
-# in _PAIRS order, for d = v - w (v itself by default) and e = shape._pair_e.
-# Written out per arity: on Python 3.11 a comprehension builds a frame per
-# call, which cost more than the arithmetic; a test pins them to the generic
-# form.  Magnitudes go first, so an infinite term raises before fsum meets
-# -inf + inf.
-def _pair_sum3(e, v, w=(0, 0, 0)) -> tuple:
-    d0, d1, d2 = v[0] - w[0], v[1] - w[1], v[2] - w[2]
+# The pair-sum kernels, reached only through _pair_sum: (ps(d), sum of
+# |terms|) with terms (d_i * d_j) * E_ij in _PAIRS order and e =
+# shape._pair_e.  Written out per arity: on Python 3.11 a comprehension
+# builds a frame per call, which cost more than the arithmetic; a test pins
+# them to the generic form.  Magnitudes go first, so an infinite term raises
+# before fsum meets -inf + inf.
+def _pair_sum3(e, v) -> tuple:
+    d0, d1, d2 = v
     t = d0 * d1 * e[0], d0 * d2 * e[1], d1 * d2 * e[2]
     scale = _magnitude_sum(t, "a pair sum")
     return math.fsum(t), scale
 
 
-def _pair_sum4(e, v, w=(0, 0, 0, 0)) -> tuple:
-    d0, d1, d2, d3 = v[0] - w[0], v[1] - w[1], v[2] - w[2], v[3] - w[3]
+def _pair_sum4(e, v) -> tuple:
+    d0, d1, d2, d3 = v
     t = (d0 * d1 * e[0], d0 * d2 * e[1], d0 * d3 * e[2],
          d1 * d2 * e[3], d1 * d3 * e[4], d2 * d3 * e[5])
     scale = _magnitude_sum(t, "a pair sum")
@@ -1221,13 +1232,11 @@ def pair_table(comps: dict, shape) -> list:
     n = _shape(shape)._N
     w = {k: _components(c, n) for k, c in _instance(comps, Mapping, "components").items()}
     e, table, new, fsum, sqrt = shape._pair_e, [], object.__new__, math.fsum, math.sqrt
-    # past the limit, the checked kernel raises first where a pair overflows
-    checked = _PAIR_SUMS[n] if max(e) >= _PAIR_E_LIMIT else None
+    checked = max(e) >= _PAIR_E_LIMIT
     # the kernels' terms, written out per arity: the magnitude sum, which
-    # only the clamp path reads, is fsum'd there alone
+    # only the clamp path reads, is fsum'd there alone, unless past the limit,
+    # where it range-checks every pair's terms before their fsum
     for (k1, w1), (k2, w2) in combinations(w.items(), 2):
-        if checked:
-            checked(e, w2, w1)
         if n == 3:
             d0, d1, d2 = w2[0] - w1[0], w2[1] - w1[1], w2[2] - w1[2]
             t = d0 * d1 * e[0], d0 * d2 * e[1], d1 * d2 * e[2]
@@ -1235,6 +1244,8 @@ def pair_table(comps: dict, shape) -> list:
             d0, d1, d2, d3 = w2[0] - w1[0], w2[1] - w1[1], w2[2] - w1[2], w2[3] - w1[3]
             t = (d0 * d1 * e[0], d0 * d2 * e[1], d0 * d3 * e[2],
                  d1 * d2 * e[3], d1 * d3 * e[4], d2 * d3 * e[5])
+        if checked:
+            _magnitude_sum(t, "a pair sum")
         ps = fsum(t)
         d = (sqrt(-ps) if ps < 0.0
              else _clamped_pair_root(ps, fsum(map(abs, t)), w1, w2, shape))

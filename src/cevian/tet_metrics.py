@@ -18,11 +18,12 @@ import math
 
 from .core_model import (
     CENTER_KINDS,
+    GeometryError,
     TetraEdges,
     VERTICES,
     _Frozen,
     _PAIRS,
-    _pair_sum4,
+    _pair_sum,
     _shape,
     center_components,
     circumradius,
@@ -126,11 +127,11 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     stot, utot, e = fa.s, aux.u, edges._pair_e
 
     qg = r2 - math.fsum(e) / 16.0  # the squared edges: fsum is correctly rounded
-    qi = r2 - _pair_sum4(e, s_by)[0] / stot ** 2
-    gi = -_pair_sum4(e, (4.0 * s0 - stot, 4.0 * s1 - stot, 4.0 * s2 - stot, 4.0 * s3 - stot))[0]
-    gq = -_pair_sum4(e, (4.0 * u0 - utot, 4.0 * u1 - utot, 4.0 * u2 - utot, 4.0 * u3 - utot))[0]
-    iq = -_pair_sum4(e, (stot * u0 - s0 * utot, stot * u1 - s1 * utot,
-                         stot * u2 - s2 * utot, stot * u3 - s3 * utot))[0]
+    qi = r2 - _pair_sum(s_by, edges)[0] / stot ** 2
+    gi = -_pair_sum((4.0 * s0 - stot, 4.0 * s1 - stot, 4.0 * s2 - stot, 4.0 * s3 - stot), edges)[0]
+    gq = -_pair_sum((4.0 * u0 - utot, 4.0 * u1 - utot, 4.0 * u2 - utot, 4.0 * u3 - utot), edges)[0]
+    iq = -_pair_sum((stot * u0 - s0 * utot, stot * u1 - s1 * utot,
+                     stot * u2 - s2 * utot, stot * u3 - s3 * utot), edges)[0]
     return {"QG": qg, "QI": qi, "GI": gi, "GQ": gq, "IQ": iq}
 
 
@@ -144,9 +145,24 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
     """Independently transcribed center-pair distance formulas (regression
     guards for the generic engine): QG, QI, GI, GQ, IQ, and the families
     GE_X, IE_X, QE_X, E_XE_Y, all in terms of face areas S^X, their
-    complements T^X = S - 2*S^X, and the circumcenter weights U_X."""
+    complements T^X = S - 2*S^X, and the circumcenter weights U_X.  Their
+    terms grow as the 18th power of the lengths, so past about 1e16 (or
+    where a denominator underflows) a form raises GeometryError."""
     fa = _shape(edges, 4).face_areas
     aux = edges.circum_aux
+    r2 = circumradius(edges) ** 2
+    try:
+        out = _transcribed_forms4(edges, fa, aux, r2)
+    except (ArithmeticError, ValueError):  # fsum's overflow or -inf + inf, a zero denominator
+        out = None
+    if out is None or not all(map(math.isfinite, out.values())):
+        raise GeometryError(f"a transcribed form of edges {edges.as_tuple()} leaves the "
+                            f"floating-point range")
+    return out
+
+
+def _transcribed_forms4(edges, fa, aux, r2) -> dict:
+    """transcribed_closed_forms4's values, which may raise or be infinite."""
     s, u = fa.by_vertex, aux.by_vertex
     stot, utot = fa.s, aux.u
     s0, s1, s2, s3 = s
@@ -154,7 +170,6 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
     t = (stot - 2.0 * s0, stot - 2.0 * s1, stot - 2.0 * s2, stot - 2.0 * s3)  # T^X
     e2 = edges.E
     e01, e02, e03, e12, e13, e23 = edges._pair_e
-    r2 = circumradius(edges) ** 2
 
     def root(x):
         return math.sqrt(x) if x > 0.0 else 0.0

@@ -11,6 +11,7 @@ import math
 from .core_model import (
     ATOL,
     CENTER_KINDS,
+    GeometryError,
     IRVector3,
     RightAngleOrthocenter,
     TriangleSides,
@@ -73,9 +74,13 @@ def excenter_segment_ratio(sides: TriangleSides) -> float:
 
     A, I, and E_A are collinear (same cevian from A), and the incenter sits
     this fraction of the way to the opposite excenter.  Always in (0, 1);
-    equals 1/3 exactly for the equilateral triangle.
+    equals 1/3 exactly for the equilateral triangle.  A perimeter past the
+    float range raises GeometryError.
     """
     a, b, c = _shape(sides, 3).as_tuple()
+    if sides.perimeter == math.inf:
+        raise GeometryError(f"the perimeter of sides {sides.as_tuple()} leaves the "
+                            f"floating-point range")
     return (b + c - a) / sides.perimeter
 
 

@@ -505,13 +505,14 @@ def _run_block(half, seed, first, stop, rtol, atol):
 
 def _processes(blocks: int) -> int:
     """Worker processes for ``blocks`` blocks: one per CPU this process may
-    run on, at most one per block; 1, meaning in-process, when the platform
+    run on, each with at least two blocks, since starting a pool costs
+    about a block's work; 1 or less, meaning in-process, when the platform
     cannot fork or a profiler or tracer is set."""
     if (sys.getprofile() is not None or sys.gettrace() is not None
             or "fork" not in multiprocessing.get_all_start_methods()
             or not hasattr(os, "sched_getaffinity")):
         return 1
-    return min(len(os.sched_getaffinity(0)), blocks)
+    return min(len(os.sched_getaffinity(0)), blocks // 2)
 
 
 def _map_blocks(blocks) -> list:

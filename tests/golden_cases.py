@@ -1,11 +1,20 @@
 """The golden CLI runs: each file in tests/golden/ with the `cevian`
 arguments that print it, and the exit code each run must give.
 
-tests/test_golden.py compares the runs with the files.  Run as a script,
-with no package needed (`python -S tests/golden_cases.py`), this prints one
-line per report case, `FILE ARG...`, for a shell loop to run through
-`cevian` and `cmp`; every argument is one shell word.
+tests/test_golden.py compares the runs with the files in process.  Run as a
+script, with the standard library alone,
+
+    python -S tests/golden_cases.py CMD...
+
+runs each report case as `CMD ARG...` (CMD is `cevian`, or `python -S -m
+cevian.cli` on a source tree), compares its stdout with the case's file byte
+for byte and its exit code with the case's, and exits 1 naming the first
+case that differs, or if fewer than the nine report cases ran.
 """
+
+import pathlib
+import subprocess
+import sys
 
 _TRI_ALL = ("--centers", "all", "--distances", "all", "--metrics",
             "--inequalities", "--areas")
@@ -41,10 +50,33 @@ CASES = {
 EXIT_CODES = {"verify_seed7_300_exact.txt": 1}
 
 
-def report_lines() -> list:
-    """`FILE ARG...` for each tri / tet case, in CASES order."""
-    return [" ".join((name, *argv)) for name, argv in CASES.items() if argv[0] in ("tri", "tet")]
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def check_reports(command) -> str:
+    """Run each tri / tet case, in CASES order, as ``command`` followed by
+    its arguments: "" when every run prints its file and exits with its
+    code, else what differs first."""
+    ran = 0
+    for name, argv in CASES.items():
+        if argv[0] not in ("tri", "tet"):
+            continue
+        run = subprocess.run([*command, *argv], stdout=subprocess.PIPE)
+        want = EXIT_CODES.get(name, 0)
+        if run.stdout != (GOLDEN_DIR / name).read_bytes():
+            return f"{name}: the stdout of `{' '.join((*command, *argv))}` differs"
+        if run.returncode != want:
+            return f"{name}: `{' '.join((*command, *argv))}` exited {run.returncode}, not {want}"
+        ran += 1
+    if ran < 9:
+        return f"{ran} report cases ran, not the nine"
+    return ""
 
 
 if __name__ == "__main__":
-    print("\n".join(report_lines()))
+    if len(sys.argv) < 2:
+        sys.exit("usage: python -S tests/golden_cases.py CMD...")
+    problem = check_reports(sys.argv[1:])
+    if problem:
+        sys.exit(problem)
+    print(f"every report case matches its golden through {' '.join(sys.argv[1:])}")

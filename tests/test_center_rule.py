@@ -216,14 +216,13 @@ def test_full_tet_reports_take_the_circumcenter_pair_sum_once(monkeypatch, capsy
     lengths = (3, 4, 5, 5, 6, 7)
     beta = center_components("Q", validate_tetrahedron(*lengths)).weights
     calls = []
-    kernel = cm._pair_sum4
+    kernel = cm._PAIR_SUMS[4]  # every closed form reaches it through _pair_sum
 
-    def counted(e, v, w=(0, 0, 0, 0)):
-        calls.append(tuple(v) == beta and w == (0, 0, 0, 0))
-        return kernel(e, v, w)
+    def counted(e, v):
+        calls.append(tuple(v) == beta)
+        return kernel(e, v)
 
-    for module in (cm, tet_metrics):
-        monkeypatch.setattr(module, "_pair_sum4", counted)
+    monkeypatch.setitem(cm._PAIR_SUMS, 4, counted)
     edges = validate_tetrahedron(*lengths)
     tet_metrics.center_pair_table4(edges)
     tet_metrics.metrics_summary(edges)

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -504,6 +503,23 @@ def test_the_pass_rule_fails_nan_residuals_and_zero_thresholds():
     assert repr(clean.max_residual) == "nan"
 
 
+@pytest.mark.parametrize("argv", [("--cases", "3"), ("--cases", "100", "--scope", "all")])
+def test_verify_with_under_two_blocks_per_worker_starts_no_pool(capsys, monkeypatch, argv):
+    # starting a pool costs about a block's work, so each worker gets two
+    import multiprocessing
+
+    from cevian import verify
+
+    def no_pool(method):
+        raise AssertionError(f"a {method} pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0 and "verify: PASS" in out
+    assert [verify._processes(blocks) <= blocks // 2 or verify._processes(blocks) == 1
+            for blocks in range(1, 17)] == [True] * 16
+
+
 def test_a_warning_raised_in_a_worker_reaches_the_caller(monkeypatch):
     import warnings
     from argparse import Namespace
@@ -664,14 +680,25 @@ def test_float_range_overflow_is_input_error(capsys, argv):
     assert err.startswith("error: GeometryError: ")
 
 
-def test_full_reports_over_the_float_range_never_crash(capsys):
+# each report section alone, besides the full report: a section that raises
+# first in the full report would hide a NaN or an infinity in a later one
+_SECTIONS = [(k, s) for k, full, first in (("tri", FULL_TRI, ("--centers", "all")),
+                                           ("tet", FULL_TET, FULL_TET[:2]))
+             for s in (full, first, ("--distances", "all"), ("--metrics",), ("--inequalities",),
+                       ("--areas",) if k == "tri" else ("--project", "BCD"))]
+
+
+@pytest.mark.parametrize("command, section", _SECTIONS,
+                         ids=[f"{k}-{'full' if len(s) > 2 else s[0][2:]}" for k, s in _SECTIONS])
+def test_full_reports_over_the_float_range_never_crash(capsys, command, section):
+    option, lengths = (("--sides", (5.6, 7.28, 10.64)) if command == "tri"
+                       else ("--edges", (3, 4, 5, 5, 6, 7)))
     for e in range(-300, 301, 10):
         s = 10.0 ** e
-        for argv in (["tri", "--sides", *(repr(x * s) for x in (5.6, 7.28, 10.64)), *FULL_TRI],
-                     ["tet", "--edges", *(repr(x * s) for x in (3, 4, 5, 5, 6, 7)), *FULL_TET]):
-            code, out, _ = run_cli(capsys, *argv)
-            assert code in (0, 2), argv
-            assert "NaN" not in out and "Infinity" not in out, argv
+        argv = [command, option, *(repr(x * s) for x in lengths), *section]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 2), argv
+        assert "NaN" not in out and "Infinity" not in out, argv
 
 
 # --------------------------------------------------------------------------
@@ -777,15 +804,11 @@ coords_files = (coord_points.map(lambda pts: json.dumps({"points": pts}).encode(
 def test_every_input_exits_0_or_2_with_a_typed_error(tmp_path_factory, argv, data):
     """main returns 0 or 2, or 1 for a verify FAIL; argparse exits 0 or 2;
     nothing else escapes, and a 2 ends stderr with the typed error."""
-    from cevian import verify
-
     path = tmp_path_factory.getbasetemp() / "fuzz-coords.json"
     path.write_bytes(data)
     argv = [str(path) if tok == COORDS else tok for tok in argv]
     out, err = io.StringIO(), io.StringIO()
-    # two blocks, one per half, would fork for scope all; the output is the same
-    with mock.patch.object(verify, "_processes", lambda blocks: 1), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: --help, or an argv it cannot parse

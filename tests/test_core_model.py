@@ -395,7 +395,7 @@ def test_constructor_squares_follow_the_generic_rule():
 
 
 def test_crelle_product_and_face_differences_follow_the_generic_rule():
-    # the constructor's _crelle and each face's delta2f - e^2 against the
+    # the cached _crelle and each face's delta2f - e^2 against the
     # formulas on the named lengths, by repr, bit for bit
     seen = 0
     for lengths, validate in _squares_shapes():
@@ -406,7 +406,7 @@ def test_crelle_product_and_face_differences_follow_the_generic_rule():
         m1, m2, m3 = (length["A", "B"] * length["C", "D"], length["B", "C"] * length["A", "D"],
                       length["C", "A"] * length["D", "B"])
         q = 0.5 * (m1 + m2 + m3)
-        assert repr(vars(edges)["_crelle"]) == repr(q * (q - m1) * (q - m2) * (q - m3)), lengths
+        assert repr(edges._crelle) == repr(q * (q - m1) * (q - m2) * (q - m3)), lengths
         for face, (v1, v2, v3) in FACES.items():
             e12, e23, e31 = (length[v1, v2] * length[v1, v2], length[v2, v3] * length[v2, v3],
                              length[v3, v1] * length[v3, v1])
@@ -479,10 +479,9 @@ def test_areas_scale_exactly_with_a_power_of_two():
 # raise, and every entry its constructor sets besides the fields; none is a
 # field
 _CACHES = {3: ("area", "_circumradius"),
-           4: ("face_areas", "circum_aux", "_circumradius", "_q_pair_sum")}
+           4: ("face_areas", "circum_aux", "_crelle", "_circumradius", "_q_pair_sum")}
 _DERIVED = {3: ("E", "_pair_e", "_dots", "perimeter", "semiperimeter", "_centers"),
-            4: ("E", "_pair_e", "volume_term", "_delta2", "_crelle", "_faces", "_feet",
-                "_centers")}
+            4: ("E", "_pair_e", "volume_term", "_delta2", "_faces", "_feet", "_centers")}
 
 
 def test_only_values_that_can_raise_are_cached():

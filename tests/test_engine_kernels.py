@@ -161,7 +161,7 @@ def test_pair_distance_matches_the_generic_form_bitwise(n):
 
     def engine(w1, w2, shape):
         # the two steps pair_table takes for each pair, on raw weights
-        ps, scale = kernel(shape._pair_e, w2, w1)
+        ps, scale = kernel(shape._pair_e, tuple([y - x for x, y in zip(w1, w2)]))
         if ps < 0.0:
             return math.sqrt(-ps)
         return core_model._clamped_pair_root(ps, scale, w1, w2, shape)
@@ -346,18 +346,26 @@ def test_a_positive_pair_sum_is_clamped_inside_its_magnitude_window():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_pair_tables_within_the_limit_call_no_kernel(n, monkeypatch):
-    calls = []
+    calls, checks = [], []
     for k, kernel in core_model._PAIR_SUMS.items():
         monkeypatch.setitem(core_model._PAIR_SUMS, k,
                             lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+    magnitude_sum = core_model._magnitude_sum
+    monkeypatch.setattr(core_model, "_magnitude_sum",
+                        lambda *args: checks.append(args[1]) or magnitude_sum(*args))
     shape = SHAPES[n][-1]  # the largest
     assert max(shape._pair_e) < LIMIT
-    pair_table(_centers(shape), shape)
-    assert calls == []
-    if n == 3:  # past the limit, the checked kernel once per pair
+    centers = _centers(shape)
+    checks.clear()
+    pair_table(centers, shape)
+    assert calls == checks == []
+    if n == 3:  # past the limit, one range check of the terms per pair
         big = validate_triangle(1e141, 1.3e141, 1.5e141)
-        table = pair_table(_centers(big), big)
-        assert len(calls) == len(table) > 0
+        centers = _centers(big)
+        checks.clear()
+        table = pair_table(centers, big)
+        assert calls == []
+        assert checks == ["a pair sum"] * len(table) and table
 
 
 def _scaled_to_the_gate(edges):

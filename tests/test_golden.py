@@ -13,16 +13,20 @@ and the diff of tests/golden/ then shows exactly which values moved.
 
 import contextlib
 import io
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import cevian
+import golden_cases
 from cevian.cli import main
-from golden_cases import CASES, EXIT_CODES, report_lines
+from golden_cases import CASES, EXIT_CODES
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+SRC = str(pathlib.Path(cevian.__file__).parent.parent)  # the directory holding the package
 
 
 def render(name) -> str:
@@ -44,15 +48,34 @@ def test_report_matches_golden(name, monkeypatch):
     assert render(name) == want
 
 
-def test_printed_report_lines_are_the_report_cases():
-    # CI's loops split each line the script prints at whitespace
+@pytest.mark.parametrize("command, problem", [
+    (("-S", "-m", "cevian.cli"), ""),
+    # a command that prints nothing fails at the first report case
+    (("-S", "-c", ""), "tri_3_4_5.json: the stdout of `"),
+], ids=["cli", "silent"])
+def test_the_golden_script_runs_every_report_case(command, problem):
+    # as CI runs it: a bare interpreter, with the package on PYTHONPATH alone
     script = pathlib.Path(__file__).with_name("golden_cases.py")
-    out = subprocess.run([sys.executable, "-S", str(script)], capture_output=True, text=True,
-                         check=True).stdout
-    assert out.splitlines() == report_lines()
-    cases = {name: tuple(argv) for name, *argv in map(str.split, report_lines())}
-    assert cases == {name: argv for name, argv in CASES.items() if argv[0] != "verify"}
-    assert len(cases) == 9
+    run = subprocess.run([sys.executable, "-S", str(script), sys.executable, *command],
+                         capture_output=True, text=True, env=_bare_env())
+    assert run.returncode == (1 if problem else 0), run.stderr
+    assert run.stderr.startswith(problem)
+
+
+def test_the_golden_script_fails_when_a_report_case_is_missing(monkeypatch):
+    monkeypatch.delitem(CASES, "tri_3_4_5.json")
+    monkeypatch.setenv("PYTHONPATH", SRC)
+    monkeypatch.delenv("CEVIAN_TOL_RTOL", raising=False)
+    assert golden_cases.check_reports((sys.executable, "-S", "-m", "cevian.cli")) == (
+        "8 report cases ran, not the nine")
+
+
+def _bare_env() -> dict:
+    """The environment with the package's source on PYTHONPATH alone and no
+    tolerance override."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("CEVIAN_TOL_RTOL", None)
+    return env
 
 
 if __name__ == "__main__":

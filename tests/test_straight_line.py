@@ -26,7 +26,8 @@ HOT = {
         "pair_table": ("DictComp",),  # the components by name, once per table
     },
     "tet_centers.py": {"tet_center_ir_tensor": ()},
-    "tet_metrics.py": {"transcribed_closed_forms4": (), "tet_inequality_slacks": ()},
+    "tet_metrics.py": {"transcribed_closed_forms4": (), "_transcribed_forms4": (),
+                       "tet_inequality_slacks": ()},
     "tri_centers.py": {"euler_relation": ()},
 }
 
