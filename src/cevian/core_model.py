@@ -325,10 +325,13 @@ def validate_triangle(a: float, b: float, c: float) -> TriangleSides:
 
 def _k_invariant(a2: float, b2: float, c2: float, lengths=None) -> float:
     """(a^2+b^2+c^2)^2 - 2(a^4+b^4+c^4) on the squared sides: 16*Area^2;
-    GeometryError naming the ``lengths``, or else the squares, past the float range."""
+    GeometryError naming the ``lengths``, or else the squares, past the float
+    range or where the terms' scale s^2 falls below the normal floats, whose
+    digits would be lost silently (raw lengths that are all zero excepted)."""
     s = a2 + b2 + c2  # s * s: float ** calls libm pow, which is not correctly rounded
     k = s * s - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
-    if not -math.inf < k < math.inf:
+    if (not -math.inf < k < math.inf
+            or s * s < sys.float_info.min and (lengths is None or any(lengths))):
         of = f"lengths {lengths}" if lengths else f"squared sides ({a2!r}, {b2!r}, {c2!r})"
         raise GeometryError(f"squared-area invariant {k} of the {of} leaves the "
                             "floating-point range")
@@ -1053,28 +1056,26 @@ def center_components(kind, shape) -> Components:
 _PAIRS = {n: tuple(combinations(range(n), 2)) for n in (3, 4)}
 
 
-# The pair-sum kernels, reached only through _pair_sum: (ps(d), sum of
-# |terms|) with terms (d_i * d_j) * E_ij in _PAIRS order and e =
-# shape._pair_e.  Written out per arity: on Python 3.11 a comprehension
+# The pair-term kernels, the one place the pair rule is written: the terms
+# (d_i * d_j) * E_ij of d = w2 - w1 in _PAIRS order, with e = shape._pair_e.
+# _pair_sum reads them from _ORIGIN, whose int zeros leave every weight's
+# bits as they are (x - 0 is x for every float and int), and pair_table
+# for each pair.  Written out per arity: on Python 3.11 a comprehension
 # builds a frame per call, which cost more than the arithmetic; a test pins
-# them to the generic form.  Magnitudes go first, so an infinite term raises
-# before fsum meets -inf + inf.
-def _pair_sum3(e, v) -> tuple:
-    d0, d1, d2 = v
-    t = d0 * d1 * e[0], d0 * d2 * e[1], d1 * d2 * e[2]
-    scale = _magnitude_sum(t, "a pair sum")
-    return math.fsum(t), scale
+# them to the generic form.
+def _pair_terms3(e, w1, w2) -> tuple:
+    d0, d1, d2 = w2[0] - w1[0], w2[1] - w1[1], w2[2] - w1[2]
+    return d0 * d1 * e[0], d0 * d2 * e[1], d1 * d2 * e[2]
 
 
-def _pair_sum4(e, v) -> tuple:
-    d0, d1, d2, d3 = v
-    t = (d0 * d1 * e[0], d0 * d2 * e[1], d0 * d3 * e[2],
-         d1 * d2 * e[3], d1 * d3 * e[4], d2 * d3 * e[5])
-    scale = _magnitude_sum(t, "a pair sum")
-    return math.fsum(t), scale
+def _pair_terms4(e, w1, w2) -> tuple:
+    d0, d1, d2, d3 = w2[0] - w1[0], w2[1] - w1[1], w2[2] - w1[2], w2[3] - w1[3]
+    return (d0 * d1 * e[0], d0 * d2 * e[1], d0 * d3 * e[2],
+            d1 * d2 * e[3], d1 * d3 * e[4], d2 * d3 * e[5])
 
 
-_PAIR_SUMS = {3: _pair_sum3, 4: _pair_sum4}
+_PAIR_TERMS = {3: _pair_terms3, 4: _pair_terms4}
+_ORIGIN = {3: (0, 0, 0), 4: (0, 0, 0, 0)}
 
 
 class DistanceReport(_Frozen):
@@ -1127,7 +1128,10 @@ def pair_sum(weights, shape) -> tuple:
 
 def _pair_sum(weights, shape) -> tuple:
     """pair_sum of numbers already read, one per vertex of the shape."""
-    return _PAIR_SUMS[shape._N](shape._pair_e, weights)
+    n = shape._N
+    t = _PAIR_TERMS[n](shape._pair_e, _ORIGIN[n], weights)
+    scale = _magnitude_sum(t, "a pair sum")  # first: an infinite term raises before fsum
+    return math.fsum(t), scale
 
 
 def _vertex_index(vertex: str, shape) -> int:
@@ -1232,18 +1236,12 @@ def pair_table(comps: dict, shape) -> list:
     n = _shape(shape)._N
     w = {k: _components(c, n) for k, c in _instance(comps, Mapping, "components").items()}
     e, table, new, fsum, sqrt = shape._pair_e, [], object.__new__, math.fsum, math.sqrt
-    checked = max(e) >= _PAIR_E_LIMIT
-    # the kernels' terms, written out per arity: the magnitude sum, which
-    # only the clamp path reads, is fsum'd there alone, unless past the limit,
-    # where it range-checks every pair's terms before their fsum
+    terms, checked = _PAIR_TERMS[n], max(e) >= _PAIR_E_LIMIT
+    # the magnitude sum, which only the clamp path reads, is fsum'd there
+    # alone, unless past the limit, where it range-checks every pair's terms
+    # before their fsum
     for (k1, w1), (k2, w2) in combinations(w.items(), 2):
-        if n == 3:
-            d0, d1, d2 = w2[0] - w1[0], w2[1] - w1[1], w2[2] - w1[2]
-            t = d0 * d1 * e[0], d0 * d2 * e[1], d1 * d2 * e[2]
-        else:
-            d0, d1, d2, d3 = w2[0] - w1[0], w2[1] - w1[1], w2[2] - w1[2], w2[3] - w1[3]
-            t = (d0 * d1 * e[0], d0 * d2 * e[1], d0 * d3 * e[2],
-                 d1 * d2 * e[3], d1 * d3 * e[4], d2 * d3 * e[5])
+        t = terms(e, w1, w2)
         if checked:
             _magnitude_sum(t, "a pair sum")
         ps = fsum(t)

@@ -15,6 +15,7 @@ circumcenter are sqrt(R^2 - ps4).
 from __future__ import annotations
 
 import math
+import sys
 
 from .core_model import (
     CENTER_KINDS,
@@ -24,6 +25,7 @@ from .core_model import (
     _Frozen,
     _PAIRS,
     _pair_sum,
+    _reals,
     _shape,
     center_components,
     circumradius,
@@ -43,13 +45,17 @@ __all__ = [
 
 
 class TetMetricsSummary(_Frozen):
+    """A tetrahedron's volume, inradius, circumradius and Crelle residual,
+    each a finite float."""
+
     __match_args__ = ("volume", "inradius", "circumradius", "crelle_residual")
 
     def __init__(self, volume: float, inradius: float, circumradius: float,
                  crelle_residual: float):
         d = self.__dict__
-        d["volume"], d["inradius"], d["circumradius"] = volume, inradius, circumradius
-        d["crelle_residual"] = crelle_residual
+        d["volume"], d["inradius"], d["circumradius"], d["crelle_residual"] = _reals(
+            (volume, inradius, circumradius, crelle_residual), "tetrahedron metrics",
+            finite=True)
 
 
 def volume(edges: TetraEdges) -> float:
@@ -117,7 +123,9 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
 
     QG and QI are R^2 minus the respective pair sums.  GI, GQ, IQ are the
     cleared-denominator inner sums: 16*S^2*GI^2, 16*U^2*GQ^2, and
-    S^2*U^2*IQ^2.
+    S^2*U^2*IQ^2.  GeometryError where IQ's terms, of degree 18 in the
+    lengths and the first to fall below the normal floats, would lose digits
+    silently.
     """
     r2 = circumradius(_shape(edges, 4)) ** 2
     fa = edges.face_areas
@@ -125,6 +133,9 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     s0, s1, s2, s3 = s_by = fa.by_vertex
     u0, u1, u2, u3 = aux.by_vertex
     stot, utot, e = fa.s, aux.u, edges._pair_e
+    if _below_normal(e, stot * utot):
+        raise GeometryError(f"the inequality slacks of edges {edges.as_tuple()} leave the "
+                            f"floating-point range")
 
     qg = r2 - math.fsum(e) / 16.0  # the squared edges: fsum is correctly rounded
     qi = r2 - _pair_sum(s_by, edges)[0] / stot ** 2
@@ -133,6 +144,15 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     iq = -_pair_sum((stot * u0 - s0 * utot, stot * u1 - s1 * utot,
                      stot * u2 - s2 * utot, stot * u3 - s3 * utot), edges)[0]
     return {"QG": qg, "QI": qi, "GI": gi, "GQ": gq, "IQ": iq}
+
+
+def _below_normal(e, su) -> bool:
+    """Whether IQ's cleared sum, of degree 18 in the lengths and the first of
+    a tetrahedron's to fall below the normal floats, has terms there: its
+    weights S*U_X - S_X*U are of scale S*U, so its terms are of scale
+    max(e) * (S*U)^2, taken from the inputs and never from the weights, which
+    cancel to the exact zeros of coincident centers."""
+    return max(e) * su * su < sys.float_info.min
 
 
 # The transcribed forms' index tables: each vertex x with the other three in
@@ -146,8 +166,10 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
     guards for the generic engine): QG, QI, GI, GQ, IQ, and the families
     GE_X, IE_X, QE_X, E_XE_Y, all in terms of face areas S^X, their
     complements T^X = S - 2*S^X, and the circumcenter weights U_X.  Their
-    terms grow as the 18th power of the lengths, so past about 1e16 (or
-    where a denominator underflows) a form raises GeometryError."""
+    terms grow as the 18th power of the lengths, so past about 1e16, below
+    about 1e-17 (where they would fall below the normal floats and lose
+    digits silently) or where a denominator underflows, a form raises
+    GeometryError."""
     fa = _shape(edges, 4).face_areas
     aux = edges.circum_aux
     r2 = circumradius(edges) ** 2
@@ -155,7 +177,8 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
         out = _transcribed_forms4(edges, fa, aux, r2)
     except (ArithmeticError, ValueError):  # fsum's overflow or -inf + inf, a zero denominator
         out = None
-    if out is None or not all(map(math.isfinite, out.values())):
+    if (out is None or not all(map(math.isfinite, out.values()))
+            or _below_normal(edges._pair_e, fa.s * aux.u)):
         raise GeometryError(f"a transcribed form of edges {edges.as_tuple()} leaves the "
                             f"floating-point range")
     return out

@@ -216,13 +216,13 @@ def test_full_tet_reports_take_the_circumcenter_pair_sum_once(monkeypatch, capsy
     lengths = (3, 4, 5, 5, 6, 7)
     beta = center_components("Q", validate_tetrahedron(*lengths)).weights
     calls = []
-    kernel = cm._PAIR_SUMS[4]  # every closed form reaches it through _pair_sum
+    kernel = cm._PAIR_TERMS[4]  # _pair_sum reads it from the origin, pair_table per pair
 
-    def counted(e, v):
-        calls.append(tuple(v) == beta)
-        return kernel(e, v)
+    def counted(e, w1, w2):
+        calls.append(w1 is cm._ORIGIN[4] and tuple(w2) == beta)
+        return kernel(e, w1, w2)
 
-    monkeypatch.setitem(cm._PAIR_SUMS, 4, counted)
+    monkeypatch.setitem(cm._PAIR_TERMS, 4, counted)
     edges = validate_tetrahedron(*lengths)
     tet_metrics.center_pair_table4(edges)
     tet_metrics.metrics_summary(edges)

@@ -1,4 +1,4 @@
-"""The straight-line pair-sum and normalization kernels against the generic
+"""The straight-line pair-term and normalization kernels against the generic
 definitions they replaced, bit for bit.
 
 The reference functions below are the comprehension forms of pair_sum,
@@ -157,11 +157,14 @@ def test_pair_sum_matches_the_generic_form_bitwise(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_pair_distance_matches_the_generic_form_bitwise(n):
     rng = random.Random(1610 + n)
-    kernel = core_model._PAIR_SUMS[n]
+    kernel = core_model._PAIR_TERMS[n]
 
     def engine(w1, w2, shape):
-        # the two steps pair_table takes for each pair, on raw weights
-        ps, scale = kernel(shape._pair_e, tuple([y - x for x, y in zip(w1, w2)]))
+        # the two steps pair_table takes for each pair past its range limit,
+        # on raw weights: the terms with their range check, then the root
+        t = kernel(shape._pair_e, w1, w2)
+        scale = core_model._magnitude_sum(t, "a pair sum")
+        ps = math.fsum(t)
         if ps < 0.0:
             return math.sqrt(-ps)
         return core_model._clamped_pair_root(ps, scale, w1, w2, shape)
@@ -345,11 +348,8 @@ def test_a_positive_pair_sum_is_clamped_inside_its_magnitude_window():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_pair_tables_within_the_limit_call_no_kernel(n, monkeypatch):
-    calls, checks = [], []
-    for k, kernel in core_model._PAIR_SUMS.items():
-        monkeypatch.setitem(core_model._PAIR_SUMS, k,
-                            lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+def test_pair_tables_range_check_their_terms_only_past_the_limit(n, monkeypatch):
+    checks = []
     magnitude_sum = core_model._magnitude_sum
     monkeypatch.setattr(core_model, "_magnitude_sum",
                         lambda *args: checks.append(args[1]) or magnitude_sum(*args))
@@ -357,14 +357,13 @@ def test_pair_tables_within_the_limit_call_no_kernel(n, monkeypatch):
     assert max(shape._pair_e) < LIMIT
     centers = _centers(shape)
     checks.clear()
-    pair_table(centers, shape)
-    assert calls == checks == []
+    assert pair_table(centers, shape)
+    assert checks == []
     if n == 3:  # past the limit, one range check of the terms per pair
         big = validate_triangle(1e141, 1.3e141, 1.5e141)
         centers = _centers(big)
         checks.clear()
         table = pair_table(centers, big)
-        assert calls == []
         assert checks == ["a pair sum"] * len(table) and table
 
 

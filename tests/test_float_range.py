@@ -175,3 +175,96 @@ def test_transcribed_forms_past_the_float_range_raise_a_typed_error(s, message):
     with pytest.raises(GeometryError, match=f"^{message} of edges .* leaves the floating-point "
                                             f"range$"):
         tet_metrics.transcribed_closed_forms4(edges)
+
+
+# --------------------------------------------------------------------------
+# the scale sweep: a value of degree d in the lengths is s^d times its value
+# at s = 1 at every power of ten s where the shape validates, or it raises
+# GeometryError.  Where a value's terms fall below the normal floats they
+# keep fewer digits with no error (an area 4e-4 off at 1e-81, a tetrahedron's
+# IQ 0.0 at 1e-20), which a finite-or-raise check cannot see.
+
+SWEEP_TRIANGLES = [(4.3, 5.1, 6.7), (3, 4, 5.5), (1, 1, 1.9)]
+# the last is a disphenoid: its G, I and Q coincide, so its QG..IQ are 0 at s = 1
+SWEEP_TETRAHEDRA = [(3, 4, 5, 5, 6, 7), (3, 3, 3, 2, 2, 2), (4, 5, 6, 6, 4, 5)]
+TRI_SLACK_DEGREES = {"QG": 2, "QI": 2, "QH": 2, "GI": 4, "GH": 10, "IH": 12}
+TET_SLACK_DEGREES = {"QG": 2, "QI": 2, "GI": 6, "GQ": 14, "IQ": 18}
+LN10 = math.log(10.0)
+
+
+def _degrees(value, degree):
+    """(name, degree, value) for each value a call returns: a dict's
+    entries, of the degree ``degree`` gives for each name (or of one degree
+    for all), or a single value."""
+    if isinstance(value, dict):
+        return [(name, degree if isinstance(degree, int) else degree[name], v)
+                for name, v in value.items()]
+    return [("", degree, value)]
+
+
+def scaled_values(lengths, s):
+    """(call name, [(name, degree, value)] or None where it raises
+    GeometryError) for every swept call on ``lengths`` times ``s``; None
+    where the shape does not validate."""
+    try:
+        if len(lengths) == 3:
+            shape = validate_triangle(*(x * s for x in lengths))
+            calls = [("area", lambda: shape.area, 2),
+                     ("circumradius", lambda: tri_metrics.circumradius(shape), 1),
+                     ("k_invariant", lambda: tri_metrics.k_invariant(shape), 4),
+                     ("transcribed_closed_forms",
+                      lambda: tri_metrics.transcribed_closed_forms(shape), 1),
+                     ("inequality_slacks", lambda: tri_metrics.inequality_slacks(shape),
+                      TRI_SLACK_DEGREES)]
+        else:
+            shape = validate_tetrahedron(*(x * s for x in lengths))
+            calls = [("transcribed_closed_forms4",
+                      lambda: tet_metrics.transcribed_closed_forms4(shape), 1),
+                     ("tet_inequality_slacks", lambda: tet_metrics.tet_inequality_slacks(shape),
+                      TET_SLACK_DEGREES)]
+    except GeometryError:
+        return None
+    out = []
+    for name, call, degree in calls:
+        try:
+            out.append((name, _degrees(call(), degree)))
+        except GeometryError:
+            out.append((name, None))
+    return out
+
+
+def scale_problems(lengths, k, values, reference):
+    """Where ``values`` at s = 10^k is not s^degree times ``reference``, the
+    values at s = 1, within 1e-9 relative.  A value whose reference is 0, a
+    coincidence, is rounding noise at other scales: it must be within 1e-9
+    of its scale (s * max(lengths))^degree instead, and a distance (degree
+    1), the root of such noise, within sqrt(1e-9) of it."""
+    problems = []
+    for (call, got), (_, want) in zip(values, reference):
+        for (name, degree, v), (_, _, v1) in zip(got or (), want):
+            shift = degree * k * LN10
+            if v1 == 0.0:
+                tol = math.log(1e-9) / (2 if degree == 1 else 1)
+                bound = tol + shift + degree * math.log(max(lengths))
+                ok = v == 0.0 or math.log(abs(v)) <= bound
+            else:
+                ok = (v != 0.0 and (v > 0.0) == (v1 > 0.0)
+                      and abs(math.log(abs(v)) - math.log(abs(v1)) - shift) <= 1e-9)
+            if not ok:
+                problems.append((call, name, k, v, v1))
+    return problems
+
+
+@pytest.mark.parametrize("lengths", SWEEP_TRIANGLES + SWEEP_TETRAHEDRA)
+def test_every_scaled_value_scales_with_its_degree_or_raises(lengths):
+    reference = scaled_values(lengths, 1.0)
+    returned = dict.fromkeys([name for name, _ in reference], 0)
+    problems = []
+    for k in range(-320, 309):
+        values = scaled_values(lengths, 10.0 ** k)
+        for name, got in values or ():
+            returned[name] += got is not None
+        problems += scale_problems(lengths, k, values or (), reference)
+    assert problems == []
+    # each call gives values over a band of scales, not only at a few
+    assert min(returned.values()) >= 25, returned

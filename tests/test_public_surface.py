@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from cevian.core_model import (Components, DistanceReport, GeometryError, TetraEdges,
-                               TriangleSides)
+                               TriangleSides, _Frozen)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -143,22 +143,43 @@ RETIRED = {"tri_metrics": ["area_determinant", "center_pair_table"],
            "tet_centers": ["face_areas"], "tet_metrics": ["center_pair_table4"]}
 
 
+# a valid call of each public callable of more than 3 required arguments,
+# whose wrong-kind calls vary one argument at a time from it
+VALID_CALLS = {"TetraEdges": (3, 4, 5, 5, 6, 7), "validate_tetrahedron": (3, 4, 5, 5, 6, 7),
+               "TetMetricsSummary": (1.0, 0.5, 2.0, 1e-16)}
+
+
+def _wrong_kind_calls(name, func):
+    """Every combination of the wrong kinds for a callable of at most 3
+    required arguments; else its valid call with one argument at a time
+    replaced by each wrong kind."""
+    n = _arity(func)
+    if n <= 3:
+        yield from itertools.product(WRONG_KINDS, repeat=n)
+        return
+    valid = VALID_CALLS[name]
+    assert len(valid) == n
+    yield valid
+    for i, wrong in itertools.product(range(n), WRONG_KINDS):
+        yield valid[:i] + (wrong,) + valid[i + 1:]
+
+
 @pytest.mark.parametrize("module", ["core_model", "tri_centers", "tri_metrics", "tet_centers",
                                     "tet_metrics"])
 def test_every_argument_kind_gives_a_result_or_a_typed_error(module):
-    # every public callable of at most 3 required arguments, classes included,
-    # called with every combination of the wrong kinds
+    # every public callable, classes included, called with wrong kinds; a value
+    # type the call returns must hash, as a field of the wrong kind would not
     mod, bare, calls = importlib.import_module(f"cevian.{module}"), {}, 0
     for name in mod.__all__ + RETIRED.get(module, []):
         func = getattr(mod, name)
         if not callable(func) or (isinstance(func, type) and issubclass(func, BaseException)):
             continue
-        if _arity(func) > 3:
-            continue
-        for args in itertools.product(WRONG_KINDS, repeat=_arity(func)):
+        for args in _wrong_kind_calls(name, func):
             calls += 1
             try:
-                func(*args)
+                value = func(*args)
+                if isinstance(value, _Frozen):
+                    hash(value)
             except GeometryError:
                 pass
             except Exception as exc:  # the bare exception the README rules out

@@ -16,8 +16,9 @@ _COMPREHENSIONS = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)
 # module -> {qualified function name: the comprehension kinds it may hold}
 HOT = {
     "core_model.py": {
-        "_pair_sum3": (),
-        "_pair_sum4": (),
+        "_pair_terms3": (),
+        "_pair_terms4": (),
+        "_pair_sum": (),
         "_normalized": (),
         "_ratios": (),
         "TriangleSides.__init__": (),

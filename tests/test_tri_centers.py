@@ -117,6 +117,14 @@ def test_euler_relation_degenerate_at_equilateral():
     assert out["collinearity_residual"] == 0.0
 
 
+def test_euler_relation_fits_just_above_its_coincidence_floors():
+    # G and Q are 1.005e-14 apart in components and their squared distance
+    # there is 1.52e-28: above each floor (1e-14, 1e-28) and below its double,
+    # so the fit runs and reads its rounding, not the coincident -2.0
+    ratio = euler_relation(validate_triangle(1, 1, 1 + 2.26e-14))["gh_over_gq"]
+    assert ratio != -2.0 and abs(ratio + 2.0) < 1e-4
+
+
 def test_excenter_segment_ratio_values():
     assert excenter_segment_ratio(R345) == pytest.approx(0.5)
     assert excenter_segment_ratio(EQUI) == pytest.approx(1 / 3)
