@@ -1195,6 +1195,17 @@ def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
     return ap / abs(1.0 - w[i])
 
 
+def _windowed(slacks: dict, scale: float) -> dict:
+    """The inequality slacks ``slacks`` (name -> (slack, f), f the factor
+    that clears the slack's denominators) with rounding noise in
+    [-ATOL*f*scale, 0) read as 0.0; -0.0 and anything below the window stay
+    as they are."""
+    out = {}
+    for name, (value, f) in slacks.items():
+        out[name] = 0.0 if -ATOL * f * scale <= value < 0.0 else value
+    return out
+
+
 def _clamped_pair_root(ps, scale, w1, w2, shape) -> float:
     """The distance between the points with weights ``w1`` and ``w2``, one
     per vertex of the shape, from the pair sum ``(ps, scale)`` of their

@@ -27,6 +27,7 @@ from .core_model import (
     _pair_sum,
     _reals,
     _shape,
+    _windowed,
     center_components,
     circumradius,
     pair_table,
@@ -123,10 +124,19 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
 
     QG and QI are R^2 minus the respective pair sums.  GI, GQ, IQ are the
     cleared-denominator inner sums: 16*S^2*GI^2, 16*U^2*GQ^2, and
-    S^2*U^2*IQ^2.  GeometryError where IQ's terms, of degree 18 in the
-    lengths and the first to fall below the normal floats, would lose digits
-    silently.
+    S^2*U^2*IQ^2.  A slack in [-ATOL*f*max(E), 0), with f its factor (1 for
+    QG and QI), is rounding noise and reads 0.0; ``verify`` certifies the
+    slacks before this window.  GeometryError where IQ's terms, of degree 18
+    in the lengths and the first to fall below the normal floats, would lose
+    digits silently.
     """
+    slacks = _tet_inequality_slacks(edges)
+    return _windowed(slacks, max(edges._pair_e))
+
+
+def _tet_inequality_slacks(edges: TetraEdges) -> dict:
+    """``tet_inequality_slacks`` before the rounding window, each with its
+    factor: name -> (slack, f)."""
     r2 = circumradius(_shape(edges, 4)) ** 2
     fa = edges.face_areas
     aux = edges.circum_aux
@@ -143,7 +153,9 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     gq = -_pair_sum((4.0 * u0 - utot, 4.0 * u1 - utot, 4.0 * u2 - utot, 4.0 * u3 - utot), edges)[0]
     iq = -_pair_sum((stot * u0 - s0 * utot, stot * u1 - s1 * utot,
                      stot * u2 - s2 * utot, stot * u3 - s3 * utot), edges)[0]
-    return {"QG": qg, "QI": qi, "GI": gi, "GQ": gq, "IQ": iq}
+    su = stot * utot
+    return {"QG": (qg, 1.0), "QI": (qi, 1.0), "GI": (gi, 16.0 * stot * stot),
+            "GQ": (gq, 16.0 * utot * utot), "IQ": (iq, su * su)}
 
 
 def _below_normal(e, su) -> bool:

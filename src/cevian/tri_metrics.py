@@ -25,6 +25,7 @@ from .core_model import (
     _lengths,
     _pair_sum,
     _shape,
+    _windowed,
     center_components,
     circumradius,
     pair_table,
@@ -91,8 +92,17 @@ def inequality_slacks(sides: TriangleSides) -> dict:
 
     QG, QI, QH are R^2 minus the respective pair sums (the squared distance
     from the circumcenter, directly).  GI, GH, IH are the cleared-denominator
-    inner sums: 36*p^2*GI^2, 9*K^2*GH^2, and (2*p*K)^2*IH^2.
+    inner sums: 36*p^2*GI^2, 9*K^2*GH^2, and (2*p*K)^2*IH^2.  A slack in
+    [-ATOL*f*max(E), 0), with f its factor (1 for QG, QI, QH), is rounding
+    noise and reads 0.0; ``verify`` certifies the slacks before this window.
     """
+    slacks = _inequality_slacks(sides)
+    return _windowed(slacks, max(sides._pair_e))
+
+
+def _inequality_slacks(sides: TriangleSides) -> dict:
+    """``inequality_slacks`` before the rounding window, each with its
+    factor: name -> (slack, f)."""
     a, b, c = _shape(sides, 3).as_tuple()
     c2, b2, a2 = sides._pair_e
     p = sides.semiperimeter
@@ -108,7 +118,9 @@ def inequality_slacks(sides: TriangleSides) -> dict:
     ih = -_pair_sum((2.0 * p * db * dc - a * k, 2.0 * p * dc * da - b * k,
                      2.0 * p * da * db - c * k), sides)[0]
 
-    return {"QG": qg, "QI": qi, "QH": qh, "GI": gi, "GH": gh, "IH": ih}
+    pk = 2.0 * p * k
+    return {"QG": (qg, 1.0), "QI": (qi, 1.0), "QH": (qh, 1.0),
+            "GI": (gi, 36.0 * p * p), "GH": (gh, 9.0 * k * k), "IH": (ih, pk * pk)}
 
 
 def transcribed_closed_forms(sides: TriangleSides) -> dict:

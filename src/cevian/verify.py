@@ -208,10 +208,11 @@ def _circum_components_det(pair_e) -> list:
 # few enough that a block's arrays stay small
 _BLOCK = 128
 
-# per arity: the transcribed distance forms and the inequality slacks
+# per arity: the transcribed distance forms and the inequality slacks as
+# computed, before the rounding window a report reads them through
 _SHAPE_FORMS = {
-    3: (tri_metrics.transcribed_closed_forms, tri_metrics.inequality_slacks),
-    4: (tet_metrics.transcribed_closed_forms4, tet_metrics.tet_inequality_slacks),
+    3: (tri_metrics.transcribed_closed_forms, tri_metrics._inequality_slacks),
+    4: (tet_metrics.transcribed_closed_forms4, tet_metrics._tet_inequality_slacks),
 }
 
 # per arity, over the pairs of center kinds in pair-table order: the
@@ -292,7 +293,7 @@ def _verify_shared(shapes, insts, centers, scales, degree, allow, tol_len, suite
                                  * (allowed[index[k1]] * allowed[index[k2]]) ** 2))
 
         # the slacks carry lengths to powers up to ``degree``
-        for slack in slacks_of(shape).values():
+        for slack, _ in slacks_of(shape).values():
             inequalities.append((case, max(0.0, -slack), 1e-12 * max(1.0, scale ** degree)))
     suites[half + ".closed_forms"].check(insts, closed_forms)
     suites[half + ".inequalities"].check(insts, inequalities)

@@ -1,8 +1,9 @@
-"""The golden CLI runs: each file in tests/golden/ with the `cevian`
-arguments that print it, and the exit code each run must give.
+"""The golden CLI runs: each file in tests/golden/ that `cevian` prints,
+with the arguments that print it and the exit code the run must give.
 
-tests/test_golden.py compares the runs with the files in process.  Run as a
-script, with the standard library alone,
+tests/goldens.py renders the runs in process, where tests/test_goldens.py
+compares them with the files.  Run as a script, with the standard library
+alone,
 
     python -S tests/golden_cases.py CMD...
 

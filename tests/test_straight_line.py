@@ -21,6 +21,7 @@ HOT = {
         "_pair_sum": (),
         "_normalized": (),
         "_ratios": (),
+        "_windowed": (),
         "TriangleSides.__init__": (),
         "TetraEdges.__init__": (),
         "TetraEdges.face_areas": (),
@@ -28,7 +29,7 @@ HOT = {
     },
     "tet_centers.py": {"tet_center_ir_tensor": ()},
     "tet_metrics.py": {"transcribed_closed_forms4": (), "_transcribed_forms4": (),
-                       "tet_inequality_slacks": ()},
+                       "tet_inequality_slacks": (), "_tet_inequality_slacks": ()},
     "tri_centers.py": {"euler_relation": ()},
 }
 

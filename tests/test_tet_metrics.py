@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from cevian.core_model import (
+    ATOL,
     Components,
     GeometryError,
     PowerIncenter,
+    _windowed,
+    center_components,
     circumradius,
     dist_between_centers,
     dist_from_circumcenter,
@@ -18,6 +21,7 @@ from cevian.core_model import (
 from cevian import coord_oracle as oracle
 from cevian.tet_centers import TET_CENTER_KINDS, face_areas, tet_center_components
 from cevian.tet_metrics import (
+    _tet_inequality_slacks,
     center_pair_table4,
     circumradius_forms,
     crelle_check,
@@ -172,7 +176,8 @@ def test_slacks_nonnegative_and_tight_at_regular():
         assert abs(slack) < 1e-9, key
     for edges in CORPUS:
         scale = max(edges.as_tuple()) ** 6
-        for key, slack in tet_inequality_slacks(edges).items():
+        # as computed: the rounding window is far wider than this at scale
+        for key, (slack, _) in _tet_inequality_slacks(edges).items():
             assert slack >= -1e-12 * max(1.0, scale), key
 
 
@@ -206,3 +211,23 @@ def test_circumcenter_weights_match_determinant_route():
 def test_mismatched_arity_is_a_typed_error():
     with pytest.raises(GeometryError):
         dist_from_circumcenter(Components((0.2, 0.3, 0.5)), IRREGULAR)
+
+
+def test_a_slack_reads_zero_only_inside_its_window():
+    w = ATOL * 2.0 * 3.0  # ATOL * f * scale
+    below = math.nextafter(-w, -math.inf)
+    out = _windowed({"edge": (-w, 2.0), "inside": (-w / 3.0, 2.0), "below": (below, 2.0),
+                     "minus_zero": (-0.0, 2.0), "positive": (0.5, 2.0), "nan": (math.nan, 2.0)},
+                    3.0)
+    assert out["edge"] == 0.0 and out["inside"] == 0.0 and out["below"] == below
+    assert math.copysign(1.0, out["minus_zero"]) == -1.0
+    assert out["positive"] == 0.5 and math.isnan(out["nan"])
+
+
+def test_each_slack_factor_clears_its_squared_distance():
+    # a slack is f * d^2 for the distance d of its pair of centers, and its
+    # rounding window scales with the same f
+    for name, (slack, f) in _tet_inequality_slacks(IRREGULAR).items():
+        d = dist_between_centers(center_components(name[0], IRREGULAR),
+                                 center_components(name[1], IRREGULAR), IRREGULAR)
+        assert slack == pytest.approx(f * d * d, rel=1e-9), name

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cevian.core_model import (
+    CENTER_KINDS,
     GeometryError,
     RightAngleOrthocenter,
     ZeroComponent,
@@ -18,6 +21,7 @@ from cevian.tri_centers import (
     euler_relation,
     excenter_segment_ratio,
 )
+from goldens import attempt, reprs
 
 R345 = validate_triangle(3, 4, 5)
 EQUI = validate_triangle(2, 2, 2)
@@ -128,3 +132,32 @@ def test_euler_relation_fits_just_above_its_coincidence_floors():
 def test_excenter_segment_ratio_values():
     assert excenter_segment_ratio(R345) == pytest.approx(0.5)
     assert excenter_segment_ratio(EQUI) == pytest.approx(1 / 3)
+
+
+def _weights(kind, sides):
+    """The reprs of the kind's weights on the triangle with ``sides``, or the
+    type of the GeometryError it raises."""
+    got = attempt(lambda: center_components(kind, validate_triangle(*sides)))
+    return type(got) if isinstance(got, GeometryError) else reprs(got)
+
+
+_SIDE = st.floats(1e-3, 1e3)
+
+
+@given(st.tuples(_SIDE, _SIDE, _SIDE))
+@example((3.0, 4.0, 5.0))  # H and Q at the right angle
+@example((0.3, 0.3, 0.3))
+@example((1.0, 2.0, 3.0))  # flat: no triangle
+def test_relabelling_the_sides_permutes_every_center_bitwise(sides):
+    # side i is opposite vertex i, so listing the sides in the order sigma
+    # moves vertex sigma[i] to i: every center's weights move with it, and
+    # E_X is the excenter at the vertex that X now names
+    kinds = CENTER_KINDS[3]
+    before = {kind: _weights(kind, sides) for kind in kinds}
+    for sigma in itertools.permutations(range(3)):
+        relabelled = tuple(sides[i] for i in sigma)
+        for kind in kinds:
+            want = before[kind if kind[0] != "E" else "E_" + "ABC"[sigma["ABC".index(kind[2])]]]
+            if not isinstance(want, type):
+                want = [want[i] for i in sigma]
+            assert _weights(kind, relabelled) == want, (sides, sigma, kind)

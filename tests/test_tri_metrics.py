@@ -19,6 +19,7 @@ from cevian.core_model import (
 from cevian import coord_oracle as oracle
 from cevian.tri_centers import TRI_CENTER_KINDS, center_components
 from cevian.tri_metrics import (
+    _inequality_slacks,
     area_determinant,
     center_pair_table,
     ict_altitudes,
@@ -142,7 +143,8 @@ sides_strategy = st.tuples(
 def test_slacks_never_negative(raw):
     sides = validate_triangle(*raw)
     scale = sides.perimeter ** 4
-    for key, slack in inequality_slacks(sides).items():
+    # as computed: the rounding window is far wider than this at scale
+    for key, (slack, _) in _inequality_slacks(sides).items():
         assert slack >= -1e-12 * max(1.0, scale), key
 
 
@@ -185,3 +187,13 @@ def test_pair_table_on_equilateral_triangles():
 def test_mismatched_arity_is_a_typed_error():
     with pytest.raises(GeometryError):
         dist_from_circumcenter(Components((0.1, 0.2, 0.3, 0.4)), R345)
+
+
+def test_each_slack_factor_clears_its_squared_distance():
+    # a slack is f * d^2 for the distance d of its pair of centers, and its
+    # rounding window scales with the same f
+    sides = validate_triangle(4, 5, 6)
+    for name, (slack, f) in _inequality_slacks(sides).items():
+        d = dist_between_centers(center_components(name[0], sides),
+                                 center_components(name[1], sides), sides)
+        assert slack == pytest.approx(f * d * d, rel=1e-9), name
