@@ -35,6 +35,7 @@ from .core_model import (
     center_components,
     circumradius,
     dist_between_centers,
+    pair_table,
     parse_center,
     validate_tetrahedron,
     validate_triangle,
@@ -122,12 +123,6 @@ def _parse_pair(token, n):
 # --------------------------------------------------------------------------
 # report assembly
 
-def _distance(k1, k2, shape) -> float:
-    """The distance between the shape's centers of kinds k1 and k2."""
-    return dist_between_centers(center_components(k1, shape),
-                                center_components(k2, shape), shape)
-
-
 def _distances_section(raw, shape) -> dict:
     """Each center pair --distances lists (every pair for "all"), keyed
     "K1:K2" in the order given, with its distance and squared distance."""
@@ -138,8 +133,10 @@ def _distances_section(raw, shape) -> dict:
         pairs = [_parse_pair(tok, n) for tok in raw.split(",") if tok]
     section = {}
     for k1, k2 in pairs:
-        d = _distance(k1, k2, shape)
-        section[f"{k1}:{k2}"] = {"distance": d, "squared_distance": d * d}
+        (rep,) = pair_table({0: center_components(k1, shape), 1: center_components(k2, shape)},
+                            shape)
+        section[f"{k1}:{k2}"] = {"distance": rep.distance,
+                                 "squared_distance": rep.squared_distance}
     return section
 
 
@@ -174,7 +171,9 @@ def cmd_tri(args) -> dict:
         # dual-path residuals for the independently transcribed forms
         residuals = {}
         for key, form in tri_metrics.transcribed_closed_forms(sides).items():
-            d = _distance(*FORM_PAIRS[key], sides)
+            k1, k2 = FORM_PAIRS[key]
+            d = dist_between_centers(center_components(k1, sides), center_components(k2, sides),
+                                     sides)
             residuals[key] = abs(d - form) / max(d, form, 1e-300)
         report["transcribed_residuals"] = residuals
 

@@ -219,6 +219,7 @@ def _tetra_vertices(edges: TetraEdges) -> list:
 # --------------------------------------------------------------------------
 # definitional centers
 
+# not public: perfbench/ alone reads it; a test pins it to the facets' areas
 def oracle_face_areas(tet: EmbeddedSimplex) -> dict:
     """Face areas from cross products, keyed by the opposite vertex (for a
     stack, each a nested list over the stack)."""

@@ -254,30 +254,65 @@ class _cached:
 class _Simplex(_Frozen):
     """What TriangleSides and TetraEdges share: their fields
     (``__match_args__``) are the lengths in EDGES[n] order, checked by one
-    rule, and each instance caches R.  Each constructor squares the lengths
-    once, x * x, into the squared-edge matrix ``E`` (E[i][j] = |V_i V_j|^2
-    for vertices (A, B, ...) = (0, 1, ...), a symmetric tuple of tuples with
-    a zero diagonal) and ``_pair_e``, E[i][j] for each vertex pair i < j in
-    _PAIRS order (the kernels' e), and sets ``_centers``, center_components'
-    cache of Components by kind, to a dict of its own."""
+    rule.  The closed forms run on the *unit shape*: the lengths times
+    2**-k (``_u``), with k (``_k``) the binary exponent of the longest, so
+    that the longest of them is in [0.5, 1).  Scaling by a power of two is
+    exact, so each value of degree d in the lengths is its unit-shape value
+    times 2**(d*k), which _scaled applies once, at the output.  Every private
+    invariant is on the unit shape: the squared-edge matrix ``_E`` (_E[i][j]
+    = |V_i V_j|^2 for vertices (A, B, ...) = (0, 1, ...), a symmetric tuple
+    of tuples with a zero diagonal), ``_pair_e``, _E[i][j] for each vertex
+    pair i < j in _PAIRS order (the kernels' e), and each cache.  The public
+    ``E`` is _E at the user's scale, each length squared once, x * x.  Each
+    constructor sets ``_centers``, center_components' cache of Components by
+    kind, to a dict of its own."""
 
-    def _check_lengths(self, noun: str, values):
+    def _check_lengths(self, noun: str, values) -> tuple:
         """Store each length as a positive finite float, or raise
-        NonPositiveLength naming it; numeric strings are accepted."""
+        NonPositiveLength naming it; numeric strings are accepted.  Sets
+        ``_k`` and ``_u`` and returns the unit lengths."""
         d = self.__dict__
         for name, v in zip(self.__match_args__, values):
             x = _float(v)
             if not (x > 0) or not math.isfinite(x):
                 raise NonPositiveLength(f"{noun} {name} = {v!r} must be a positive finite length")
             d[name] = x
+        d["_k"], d["_u"] = _unit_lengths(self.as_tuple())
+        return d["_u"]
 
-    @_cached
-    def _circumradius(self) -> float:
-        """R, which circumradius reads: abc / (4 * area) for a triangle,
-        sqrt(_crelle / volume term) for a tetrahedron."""
-        if self._N == 3:
-            return self.a * self.b * self.c / (4.0 * self.area)
-        return math.sqrt(self._crelle / self.volume_term)
+
+def _unit_lengths(lengths) -> tuple:
+    """(k, the lengths times 2**-k), k the binary exponent of the longest
+    magnitude (0 when every length is zero or one is not finite)."""
+    k = math.frexp(max(map(abs, lengths)))[1]
+    return k, tuple([math.ldexp(x, -k) for x in lengths]) if k else tuple(lengths)
+
+
+def _scaled(values, degree: int, k: int, what: str, lengths):
+    """Unit-shape values, each of the given degree in the lengths, at the
+    user's scale: each times 2**(degree*k), which is exact, as a sequence.
+    GeometryError names ``what`` and the ``lengths`` (a shape or a raw
+    sequence) when a value that is not zero lands outside the normal floats,
+    where it would lose digits silently or overflow, or is not finite.  It
+    takes a sequence, since a call costs more than scaling a value, and at
+    k = 0, where the unit shape is the user's, it only checks the values."""
+    tiny, inf, out = sys.float_info.min, math.inf, values if not k else []
+    for v in values:
+        if k:
+            try:
+                y = math.ldexp(v, degree * k)
+            except OverflowError:
+                break
+            out.append(y)
+        else:
+            y = v
+        # a normal float of either sign, or a zero that was one
+        if not (tiny <= y < inf or -inf < y <= -tiny or v == 0.0):
+            break
+    else:
+        return out
+    lengths = lengths.as_tuple() if isinstance(lengths, _Simplex) else lengths
+    raise GeometryError(f"{what} of the lengths {lengths} leaves the floating-point range")
 
 
 class TriangleSides(_Simplex):
@@ -287,15 +322,17 @@ class TriangleSides(_Simplex):
     _N = 3
 
     def __init__(self, a: float, b: float, c: float):
-        self._check_lengths("side", (a, b, c))
+        ua, ub, uc = self._check_lengths("side", (a, b, c))
         a, b, c = self.a, self.b, self.c
         for lhs, pair in (((b + c - a), "b+c>a"), ((c + a - b), "c+a>b"), ((a + b - c), "a+b>c")):
             if not (lhs > 0):
                 raise TriangleInequalityViolated(
                     f"triangle inequality {pair} fails for sides ({a}, {b}, {c})"
                 )
-        d, a2, b2, c2 = self.__dict__, a * a, b * b, c * c
-        d["E"] = ((0.0, c2, b2), (c2, 0.0, a2), (b2, a2, 0.0))
+        d = self.__dict__
+        d["E"] = e = ((0.0, c * c, b * b), (c * c, 0.0, a * a), (b * b, a * a, 0.0))
+        a2, b2, c2 = ua * ua, ub * ub, uc * uc
+        d["_E"] = ((0.0, c2, b2), (c2, 0.0, a2), (b2, a2, 0.0)) if self._k else e
         d["_pair_e"] = (c2, b2, a2)
         # D_A = b^2 + c^2 - a^2 = 2bc*cos(A) (and cyclic): zero exactly at a
         # right angle at A, negative when A is obtuse.  By the identity
@@ -307,12 +344,23 @@ class TriangleSides(_Simplex):
         d["perimeter"], d["semiperimeter"], d["_centers"] = a + b + c, 0.5 * (a + b + c), {}
 
     @_cached
-    def area(self) -> float:
-        """sqrt(K)/4 with K = 16*Area^2 from the squared sides; a K that is
-        not positive or not finite raises GeometryError on every access (a
-        raise is not cached)."""
+    def _area(self) -> float:
+        """The unit shape's area sqrt(K)/4, with K = 16*Area^2 from the
+        squared sides; a K that is not positive raises GeometryError on
+        every access (a raise is not cached)."""
         c2, b2, a2 = self._pair_e
-        return _area(a2, b2, c2)
+        return _heron(a2, b2, c2)
+
+    @_cached
+    def area(self) -> float:
+        """The area sqrt(K)/4 (see _area) at the user's scale."""
+        return _scaled((self._area,), 2, self._k, "the area", self)[0]
+
+    @_cached
+    def _circumradius(self) -> float:
+        """The unit shape's R = abc / (4 * area), which circumradius reads."""
+        a, b, c = self._u
+        return a * b * c / (4.0 * self._area)
 
     def as_tuple(self):
         return (self.a, self.b, self.c)
@@ -323,22 +371,13 @@ def validate_triangle(a: float, b: float, c: float) -> TriangleSides:
     return TriangleSides(a, b, c)
 
 
-def _k_invariant(a2: float, b2: float, c2: float, lengths=None) -> float:
-    """(a^2+b^2+c^2)^2 - 2(a^4+b^4+c^4) on the squared sides: 16*Area^2;
-    GeometryError naming the ``lengths``, or else the squares, past the float
-    range or where the terms' scale s^2 falls below the normal floats, whose
-    digits would be lost silently (raw lengths that are all zero excepted)."""
+def _k_invariant(a2: float, b2: float, c2: float) -> float:
+    """(a^2+b^2+c^2)^2 - 2(a^4+b^4+c^4) on the squared sides: 16*Area^2."""
     s = a2 + b2 + c2  # s * s: float ** calls libm pow, which is not correctly rounded
-    k = s * s - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
-    if (not -math.inf < k < math.inf
-            or s * s < sys.float_info.min and (lengths is None or any(lengths))):
-        of = f"lengths {lengths}" if lengths else f"squared sides ({a2!r}, {b2!r}, {c2!r})"
-        raise GeometryError(f"squared-area invariant {k} of the {of} leaves the "
-                            "floating-point range")
-    return k
+    return s * s - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
 
 
-def _area(a2: float, b2: float, c2: float) -> float:
+def _heron(a2: float, b2: float, c2: float) -> float:
     """The area sqrt(K)/4 of the triangle with the given squared sides."""
     k = _k_invariant(a2, b2, c2)
     if k <= 0.0:
@@ -367,6 +406,12 @@ def _edge_polynomials(ab2, ac2, ad2, bc2, cd2, db2) -> tuple:
     return delta2, q2, t1, t2, t3
 
 
+def _unit_polynomials(edges) -> tuple:
+    """(k, the lengths, _edge_polynomials of the unit lengths)."""
+    k, lengths, (ab, ac, ad, bc, cd, db) = _lengths(edges, 4)
+    return k, lengths, _edge_polynomials(ab * ab, ac * ac, ad * ad, bc * bc, cd * cd, db * db)
+
+
 def edge_polynomials(edges) -> dict:
     """The symmetric edge polynomials behind the volume formula.
 
@@ -375,12 +420,9 @@ def edge_polynomials(edges) -> dict:
     t1 - t2 - t3 = 36 * volume**2; GeometryError names the lengths when one
     of them leaves the floating-point range.
     """
-    ab, ac, ad, bc, cd, db = lengths = _lengths(edges, 4)
-    polys = _edge_polynomials(ab * ab, ac * ac, ad * ad, bc * bc, cd * cd, db * db)
-    if not all(map(math.isfinite, polys)):
-        raise GeometryError(f"edge polynomials {polys} of the lengths {lengths} leave "
-                            "the floating-point range")
-    return dict(zip(("delta2", "q2", "t1", "t2", "t3"), polys))
+    k, lengths, polys = _unit_polynomials(edges)
+    return {name: _scaled((v,), degree, k, f"the edge polynomial {name}", lengths)[0]
+            for name, degree, v in zip(("delta2", "q2", "t1", "t2", "t3"), (2, 4, 6, 6, 6), polys)}
 
 
 def gram_volume_term(edges) -> float:
@@ -389,25 +431,23 @@ def gram_volume_term(edges) -> float:
     Equals 36 * V**2 for a realizable edge set.  A TetraEdges carries the
     value its volume gate computed; raw lengths are not validated here, and
     the caller interprets nonpositive values.  GeometryError names lengths
-    whose polynomials or volume term leave the floating-point range.
+    whose volume term leaves the floating-point range.
     """
     if isinstance(edges, TetraEdges):
         return edges.volume_term
-    p = edge_polynomials(lengths := _lengths(edges, 4))
-    gram = p["t1"] - p["t2"] - p["t3"]
-    if not math.isfinite(gram):
-        raise GeometryError(f"volume term {gram} of the lengths {lengths} leaves the "
-                            "floating-point range")
-    return gram
+    k, lengths, (_, _, t1, t2, t3) = _unit_polynomials(edges)
+    return _scaled((t1 - t2 - t3,), 6, k, "the volume term", lengths)[0]
 
 
 def _lengths(shape, n: int) -> tuple:
-    """The lengths of an n-vertex shape, given as one or as a raw sequence
-    of numbers, which is not otherwise checked."""
+    """(k, the lengths, the unit lengths; see _unit_lengths) of an n-vertex
+    shape, given as one or as a raw sequence of numbers, which is not
+    otherwise checked."""
     vals = shape.as_tuple() if isinstance(shape, _Simplex) else _reals(shape, "lengths")
     if len(vals) != len(EDGES[n]):
         raise GeometryError(f"expected {len(EDGES[n])} lengths, got {len(vals)}")
-    return vals
+    k, unit = _unit_lengths(vals)
+    return k, vals, unit
 
 
 class FaceAreas(_Frozen):
@@ -447,22 +487,23 @@ class TetraEdges(_Simplex):
     """Edge lengths of tetrahedron ABCD in the order AB, AC, AD, BC, CD, DB.
 
     Construction validates the lengths.  The invariants the center and
-    metric formulas share are derived from the six lengths once per
-    instance and read by every caller: the constructor sets ``E``, ``_pair_e``,
-    the volume gate's ``_delta2`` and ``volume_term``, each face's geometry
-    ``_faces``, and empty caches for the centers' Components (see
-    center_components) and tet_centers' vertex feet ``_feet``; the values
-    whose build can raise, ``face_areas``, the circumcenter weights
-    ``circum_aux``, the Crelle product ``_crelle``, R and R^2 along the
-    circumcenter's components ``_q_pair_sum``, come on first use.  None of
-    them takes part in equality, hashing or repr.
+    metric formulas share are derived from the six unit lengths once per
+    instance and read by every caller: the constructor sets ``E``, ``_E``,
+    ``_pair_e``, the volume gate's ``_delta2`` and ``_volume_term``, each
+    face's geometry ``_faces``, the circumcenter weights ``_circum_aux``, the
+    Crelle product ``_crelle`` and R, and empty caches for the centers'
+    Components (see center_components) and tet_centers' vertex feet
+    ``_feet``; the values whose build can raise come on first use: the face
+    areas ``_face_areas``, R^2 along the circumcenter's components
+    ``_q_pair_sum``, and the user-scale ``volume_term``, ``face_areas`` and
+    ``circum_aux``.  None of them takes part in equality, hashing or repr.
     """
 
     __match_args__ = ("ab", "ac", "ad", "bc", "cd", "db")
     _N = 4
 
     def __init__(self, ab: float, ac: float, ad: float, bc: float, cd: float, db: float):
-        self._check_lengths("edge", (ab, ac, ad, bc, cd, db))
+        uab, uac, uad, ubc, ucd, udb = self._check_lengths("edge", (ab, ac, ad, bc, cd, db))
         ab, ac, ad, bc, cd, db = self.as_tuple()
         # each face's (V1V2, V2V3, V3V1) in FACE_INDICES order
         for face, x, y, z in (("BCD", bc, cd, db), ("CDA", cd, ad, ac), ("DAB", ad, ab, db),
@@ -471,88 +512,91 @@ class TetraEdges(_Simplex):
                 raise FaceTriangleInequalityViolated(
                     f"face {face} edges ({x}, {y}, {z}) violate the triangle inequality"
                 )
-        ab2, ac2, ad2, bc2, cd2, db2 = ab * ab, ac * ac, ad * ad, bc * bc, cd * cd, db * db
+        ab2, ac2, ad2, bc2, cd2, db2 = (uab * uab, uac * uac, uad * uad, ubc * ubc, ucd * ucd,
+                                        udb * udb)
         delta2, _, t1, t2, t3 = _edge_polynomials(ab2, ac2, ad2, bc2, cd2, db2)
         gram = t1 - t2 - t3
-        try:
-            # scale-aware strict positivity gate: delta2**3 has the same units
-            floor = ATOL * delta2 ** 3
-        except OverflowError:
-            floor = math.nan
-        if not (math.isfinite(gram) and math.isfinite(floor)):
-            raise GeometryError(f"edges {self.as_tuple()} overflow the volume gate")
-        if not (gram > floor):
+        # strict positivity gate relative to the shape: delta2**3 has the same degree
+        if not (gram > ATOL * delta2 ** 3):
             raise NotRealizable(
                 f"edge set does not realize a nondegenerate tetrahedron "
-                f"(volume term {gram:.6g})"
+                f"(volume term {gram:.6g} on the unit shape)"
             )
         d = self.__dict__
-        d["E"] = e = ((0.0, ab2, ac2, ad2), (ab2, 0.0, bc2, db2), (ac2, bc2, 0.0, cd2),
-                      (ad2, db2, cd2, 0.0))
+        d["E"] = e = ((0.0, ab * ab, ac * ac, ad * ad), (ab * ab, 0.0, bc * bc, db * db),
+                      (ac * ac, bc * bc, 0.0, cd * cd), (ad * ad, db * db, cd * cd, 0.0))
+        if self._k:  # else the unit shape is the user's
+            e = ((0.0, ab2, ac2, ad2), (ab2, 0.0, bc2, db2), (ac2, bc2, 0.0, cd2),
+                 (ad2, db2, cd2, 0.0))
+        d["_E"] = e
         d["_pair_e"] = (ab2, ac2, ad2, bc2, db2, cd2)
-        d["_delta2"], d["volume_term"] = delta2, gram
+        d["_delta2"], d["_volume_term"] = delta2, gram
         # by face name: its vertex indices (V1, V2, V3, opposite), squared
         # edges e^2 (V1V2, V2V3, V3V1), each one's delta2f - e^2, with delta2f
         # their half sum, and the sum of (delta2f - e^2)*e^2, which is 8*area^2
         d["_faces"] = faces = {}
+        # circumcenter weights: for each vertex V with opposite face (X, Y, Z),
+        #     u_V = sum over face edges e, with R the face vertex off e, of
+        #           (delta2f - e^2) * e^2 * VR^2   minus   XY^2*YZ^2*ZX^2;
+        # u_V/u are the circumcenter's components, and u = 4*(t1 - t2 - t3) > 0
+        u = [0.0] * 4
         for face, verts in FACE_INDICES.items():
-            v1, v2, v3, _ = verts
+            v1, v2, v3, opp = verts
             e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
             delta2f = 0.5 * (e12 + e23 + e31)
             f12, f23, f31 = delta2f - e12, delta2f - e23, delta2f - e31
             faces[face] = (verts, (e12, e23, e31), (f12, f23, f31),
                            f12 * e12 + f23 * e23 + f31 * e31)
+            eo = e[opp]
+            u[opp] = (f12 * e12 * eo[v3] + f23 * e23 * eo[v1] + f31 * e31 * eo[v2]
+                      - e12 * e23 * e31)
+        d["_circum_aux"] = CircumAux(tuple(u), math.fsum(u))
+        # Crelle's q(q - AB*CD)(q - BC*AD)(q - CA*BD) = 36*V^2*R^2, with 2q
+        # = AB*CD + BC*AD + CA*BD
+        m1, m2, m3 = uab * ucd, ubc * uad, uac * udb
+        q = 0.5 * (m1 + m2 + m3)
+        d["_crelle"] = crelle = q * (q - m1) * (q - m2) * (q - m3)
+        d["_circumradius"] = math.sqrt(crelle / gram)
         d["_centers"], d["_feet"] = {}, {}
 
     def as_tuple(self):
         return (self.ab, self.ac, self.ad, self.bc, self.cd, self.db)
 
     @_cached
-    def face_areas(self) -> FaceAreas:
-        """The four face areas in FACE_INDICES order, each sqrt(K)/4 on the
-        squares of the face's sides (a, b, c) = (V2V3, V3V1, V1V2).  A face
-        whose K is not positive or not finite raises GeometryError on every
+    def volume_term(self) -> float:
+        """t1 - t2 - t3 = 36 * volume**2 at the user's scale."""
+        return _scaled((self._volume_term,), 6, self._k, "the volume term", self)[0]
+
+    @_cached
+    def _face_areas(self) -> FaceAreas:
+        """The unit shape's four face areas in FACE_INDICES order, each
+        sqrt(K)/4 on the squares of the face's sides (a, b, c) = (V2V3, V3V1,
+        V1V2).  A face whose K is not positive raises GeometryError on every
         access (a raise is not cached)."""
         e01, e02, e03, e12, e13, e23 = self._pair_e
-        areas = (_area(e23, e13, e12), _area(e03, e02, e23), _area(e01, e13, e03),
-                 _area(e12, e02, e01))
+        areas = (_heron(e23, e13, e12), _heron(e03, e02, e23), _heron(e01, e13, e03),
+                 _heron(e12, e02, e01))
         return FaceAreas(areas, math.fsum(areas))
 
     @_cached
-    def circum_aux(self) -> CircumAux:
-        """Circumcenter weights: for each vertex V with opposite face
-        (X, Y, Z),
-
-            u_V = sum over face edges e, with R the face vertex off e, of
-                  (delta2f - e^2) * e^2 * VR^2   minus   XY^2*YZ^2*ZX^2,
-
-        where delta2f is half the face's sum of squared edges.  u_V/u are
-        the circumcenter's components, and u = 4*(t1 - t2 - t3) > 0.
-        """
-        vals = []
-        for (v1, v2, v3, opp), (e12, e23, e31), (f12, f23, f31), _ in self._faces.values():
-            eo = self.E[opp]
-            vals.append(f12 * e12 * eo[v3] + f23 * e23 * eo[v1] + f31 * e31 * eo[v2]
-                        - e12 * e23 * e31)
-        return CircumAux(tuple(vals), math.fsum(vals))
+    def face_areas(self) -> FaceAreas:
+        """The face areas (see _face_areas) at the user's scale."""
+        fa = self._face_areas
+        *areas, s = _scaled(fa.by_vertex + (fa.s,), 2, self._k, "a face area or their sum", self)
+        return FaceAreas(areas, s)
 
     @_cached
-    def _crelle(self) -> float:
-        """Crelle's q(q - AB*CD)(q - BC*AD)(q - CA*BD) = 36*V^2*R^2, with 2q
-        = AB*CD + BC*AD + CA*BD.  A product that overflows, or underflows
-        past the normal floats (lengths past about 1e38 or below 1e-39),
-        raises GeometryError on every access."""
-        m1, m2, m3 = self.ab * self.cd, self.bc * self.ad, self.ac * self.db
-        q = 0.5 * (m1 + m2 + m3)
-        crelle = q * (q - m1) * (q - m2) * (q - m3)
-        if not (sys.float_info.min <= crelle < math.inf):
-            raise GeometryError(f"the Crelle product of edges {self.as_tuple()} leaves the "
-                                f"floating-point range")
-        return crelle
+    def circum_aux(self) -> CircumAux:
+        """The circumcenter weights (see the constructor), of degree 6 in
+        the edges, at the user's scale."""
+        aux = self._circum_aux
+        *weights, u = _scaled(aux.by_vertex + (aux.u,), 6, self._k,
+                              "a circumcenter weight or their sum", self)
+        return CircumAux(weights, u)
 
     @_cached
     def _q_pair_sum(self) -> float:
-        """ps(beta_Q), R^2 along the circumcenter-component route."""
+        """ps(beta_Q), the unit shape's R^2 along the circumcenter-component route."""
         return _pair_sum(center_components("Q", self).weights, self)[0]
 
 
@@ -598,6 +642,10 @@ def _normalized(values):
             raise GeometryError(f"weights {values} are not all finite")
         raise GeometryError("a weight sum leaves the floating-point range")
     total = math.fsum(values)
+    # the floor is relative to the weights' magnitudes plus an absolute 1.0:
+    # the center rule builds its weights on the unit shape, where they are of
+    # order 1 on every shape in the band, so the 1.0 does not decide for them;
+    # it stays so that Components of a caller's weights answers as it did
     if abs(total) <= ATOL * (scale + 1.0):
         raise DegenerateDenominator(f"weights {values} sum to ~0 and cannot be normalized")
     if len(values) == 3:
@@ -998,25 +1046,27 @@ def _build_center(k, shape, n: int) -> Components:
         return _comps((1.0,) * n)
     if k in ("Q", "H"):
         if n == 4:
-            return _comps(shape.circum_aux.by_vertex)
+            return _comps(shape._circum_aux.by_vertex)
         da, db, dc = shape._dots
         if k == "H":
             return _comps((db * dc, dc * da, da * db))
-        e = shape.E
-        return _comps((e[1][2] * da, e[2][0] * db, e[0][1] * dc))
-    contents = shape.face_areas.by_vertex if n == 4 else shape.as_tuple()
+        c2, b2, a2 = shape._pair_e
+        return _comps((a2 * da, b2 * db, c2 * dc))
+    contents = shape._face_areas.by_vertex if n == 4 else shape._u
     if k == "I":
         return _comps(contents)
     if isinstance(k, PowerIncenter):
-        try:
-            a, b, c, d = contents  # PowerIncenter is the tetrahedron's alone
-            return _comps((a ** k.n, b ** k.n, c ** k.n, d ** k.n))
-        except OverflowError:
-            raise GeometryError(f"the {k} weights overflow the float range") from None
+        # (S_X / S_ref)**n, S_ref the largest content for n >= 0 and the
+        # smallest for n < 0: every power is at most 1 and the largest is
+        # exactly 1, so the weights neither overflow nor sum to zero
+        a, b, c, d = contents  # PowerIncenter is the tetrahedron's alone
+        n = k.n
+        ref = max(contents) if n >= 0 else min(contents)
+        return _comps(((a / ref) ** n, (b / ref) ** n, (c / ref) ** n, (d / ref) ** n))
     # excenter E_X: the sign flips at X, and the weights' sum, the total
     # content minus twice X's, must stay safely positive
     x = VERTICES.index(k[-1])
-    total = _magnitude_sum(contents, "the facet contents' sum")  # the contents are positive
+    total = math.fsum(contents)
     if total - 2.0 * contents[x] <= ATOL * total:
         raise ExcenterDenominatorZero(
             f"the facet contents' total minus twice the one opposite {k[-1]} is "
@@ -1104,7 +1154,7 @@ def _sqrt_clamped(sq: float, scale: float, grain: float = 0.0) -> float:
     themselves rounded (coincident centers produce squared distances that are
     pure noise, far below any relative window).
     """
-    window = ATOL * max(scale, 1e-300) + grain
+    window = ATOL * scale + grain
     if sq < -window:
         raise NegativeSquaredDistance(
             f"squared distance {sq:.6g} is negative beyond rounding (scale {scale:.6g})"
@@ -1121,13 +1171,15 @@ def pair_sum(weights, shape) -> tuple:
     # ints multiply exactly, as in the generic form; other numbers as their floats
     w = tuple([v if type(v) is int else x for v, x in zip(w, _reals(w, "weights", n))])
     try:
-        return _pair_sum(w, shape)
+        ps, scale = _pair_sum(w, shape)
     except OverflowError:  # a product of ints past the float range
         raise GeometryError(f"weights {weights!r} are not numbers in the float range") from None
+    return tuple(_scaled((ps, scale), 2, shape._k, "a pair sum", shape))
 
 
 def _pair_sum(weights, shape) -> tuple:
-    """pair_sum of numbers already read, one per vertex of the shape."""
+    """pair_sum on the unit shape of numbers already read, one per vertex of
+    the shape."""
     n = shape._N
     t = _PAIR_TERMS[n](shape._pair_e, _ORIGIN[n], weights)
     scale = _magnitude_sum(t, "a pair sum")  # first: an infinite term raises before fsum
@@ -1143,7 +1195,8 @@ def _vertex_index(vertex: str, shape) -> int:
 
 
 def _origin_distance(osq, weights, shape) -> float:
-    """OP from the squared vertex distances ``osq`` of the origin O."""
+    """OP on the unit shape from the squared vertex distances ``osq`` of the
+    origin O there."""
     ps, ps_scale = _pair_sum(weights, shape)
     vertex = list(map(mul, weights, osq))
     scale = _magnitude_sum(vertex, "a weighted squared vertex-distance sum") + ps_scale
@@ -1161,38 +1214,43 @@ def dist_origin_to_center(dists, comps, shape) -> float:
     Raises NegativeSquaredDistance when the given distances are not
     realizable by any spatial point.
     """
-    n = _shape(shape)._N
-    osq = [o * o for o in _reals(dists, "vertex distances", n) if 0.0 <= o < math.inf]
-    if len(osq) != n:
+    n, k = _shape(shape)._N, shape._k
+    o = [x for x in _reals(dists, "vertex distances", n) if 0.0 <= x < math.inf]
+    if len(o) != n:
         raise GeometryError(f"vertex distances {dists!r} must be finite and nonnegative numbers")
-    return _origin_distance(osq, _components(comps, n), shape)
+    w = _components(comps, n)
+    osq = [x * x for x in _scaled(o, -1, k, "a vertex distance on the unit shape", shape)]
+    return _scaled((_origin_distance(osq, w, shape),), 1, k, "a distance", shape)[0]
 
 
 def circumradius(shape) -> float:
     """The circumradius R of a triangle or tetrahedron, cached on the shape."""
-    return _shape(shape)._circumradius
+    return _scaled((_shape(shape)._circumradius,), 1, shape._k, "the circumradius", shape)[0]
 
 
 def dist_from_circumcenter(comps, shape) -> float:
     """Distance from the circumcenter, the origin at distance R from every
     vertex, to the point realizing ``comps``: QP^2 = R^2 - ps(comps)."""
-    return dist_origin_to_center((circumradius(shape),) * shape._N, comps, shape)
+    r = _shape(shape)._circumradius
+    qp = _origin_distance((r * r,) * shape._N, _components(comps, shape._N), shape)
+    return _scaled((qp,), 1, shape._k, "a distance", shape)[0]
 
 
 def dist_vertex_to_center(vertex: str, comps, shape) -> float:
     """Distance from a vertex ("A", "B", ...) to the point realizing ``comps``."""
     i = _vertex_index(vertex, shape)
-    return _origin_distance(shape.E[i], _components(comps, shape._N), shape)
+    ap = _origin_distance(shape._E[i], _components(comps, shape._N), shape)
+    return _scaled((ap,), 1, shape._k, "a distance", shape)[0]
 
 
 def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
     """Full cevian length from a vertex through the point to the opposite
     side or face: AL = AP / |1 - alpha_A| (and likewise)."""
     i, w = _vertex_index(vertex, shape), _components(comps, shape._N)
-    ap = _origin_distance(shape.E[i], w, shape)
+    ap = _origin_distance(shape._E[i], w, shape)
     if abs(1.0 - w[i]) <= ATOL:
         raise UnitComponent(f"component at {VERTICES[i]} ~ 1: cevian foot undefined")
-    return ap / abs(1.0 - w[i])
+    return _scaled((ap / abs(1.0 - w[i]),), 1, shape._k, "a distance", shape)[0]
 
 
 def _windowed(slacks: dict, scale: float) -> dict:
@@ -1206,6 +1264,26 @@ def _windowed(slacks: dict, scale: float) -> dict:
     return out
 
 
+def _slack_report(slacks: dict, degrees: dict, shape) -> dict:
+    """The shape's unit-shape inequality slacks ``slacks`` (name -> (slack,
+    f)), each of the degree ``degrees`` names, through the window at
+    max(_pair_e), at the user's scale."""
+    out = _windowed(slacks, max(shape._pair_e))
+    for name, value in out.items():
+        (out[name],) = _scaled((value,), degrees[name], shape._k, f"the {name} slack", shape)
+    return out
+
+
+def _user_slacks(slacks: dict, degrees: dict, shape) -> dict:
+    """The shape's unit-shape inequality slacks ``slacks`` (name -> (slack,
+    f)) as they are computed, each of the degree ``degrees`` names, at the
+    user's scale: a slack is f times a squared distance, so f is of degree
+    two less."""
+    return {name: (_scaled((v,), degrees[name], shape._k, f"the {name} slack", shape)[0],
+                   _scaled((f,), degrees[name] - 2, shape._k, f"the {name} factor", shape)[0])
+            for name, (v, f) in slacks.items()}
+
+
 def _clamped_pair_root(ps, scale, w1, w2, shape) -> float:
     """The distance between the points with weights ``w1`` and ``w2``, one
     per vertex of the shape, from the pair sum ``(ps, scale)`` of their
@@ -1217,50 +1295,44 @@ def _clamped_pair_root(ps, scale, w1, w2, shape) -> float:
     # a negative square needs an absolute floor at its square (times half E's sum)
     grain = 0.0
     if ps > 0.0:
-        try:
-            total = math.fsum(shape._pair_e)
-        except OverflowError:  # finite squares whose sum passes the float range
-            total = math.inf
-        grain = (8.0 * 2.3e-16 * max(map(abs, w1 + w2))) ** 2 * total
+        grain = (8.0 * 2.3e-16 * max(map(abs, w1 + w2))) ** 2 * math.fsum(shape._pair_e)
     return _sqrt_clamped(-ps, scale, grain)
 
 
 def dist_between_centers(c1, c2, shape) -> float:
     """Distance between the points realizing two component vectors: the
     entry of their two-point pair_table, with its argument checks."""
-    return pair_table({0: c1, 1: c2}, shape)[0].distance
+    return _scaled(_pair_roots({0: c1, 1: c2}, shape)[1], 1, shape._k, "a distance", shape)[0]
 
 
-# The range proof behind pair_table's unchecked terms.  _normalized divides
-# by a sum above ATOL times the weights' magnitude sum, so every Components
-# weight is below 1/ATOL in magnitude, a difference of two below 2/ATOL and a
-# pair term below (4/ATOL**2) * max(e): with max(e) below this limit the
-# magnitude sum of six terms is finite (the exact threshold is about 7e282).
-# Every TetraEdges is within it, since its volume gate needs delta2**3 to be
-# finite; a triangle is unless a side passes about 1e140.
-_PAIR_E_LIMIT = 1e280
+def _pair_roots(comps: dict, shape) -> tuple:
+    """The unordered pairs (k1, k2) of the named component vectors, in the
+    mapping's order, and each one's distance on the unit shape, with their
+    argument checks."""
+    n = _shape(shape)._N
+    w = {k: _components(c, n) for k, c in _instance(comps, Mapping, "components").items()}
+    e, terms, fsum, sqrt = shape._pair_e, _PAIR_TERMS[n], math.fsum, math.sqrt
+    pairs, roots = [], []
+    # the magnitude sum, which only the clamp path reads, is fsum'd there alone
+    for (k1, w1), (k2, w2) in combinations(w.items(), 2):
+        t = terms(e, w1, w2)
+        ps = fsum(t)
+        pairs.append((k1, k2))
+        roots.append(sqrt(-ps) if ps < 0.0
+                     else _clamped_pair_root(ps, fsum(map(abs, t)), w1, w2, shape))
+    return pairs, roots
 
 
 def pair_table(comps: dict, shape) -> list:
     """A DistanceReport for every unordered pair of the named component
     vectors, in the mapping's order (21 pairs for seven centers)."""
-    n = _shape(shape)._N
-    w = {k: _components(c, n) for k, c in _instance(comps, Mapping, "components").items()}
-    e, table, new, fsum, sqrt = shape._pair_e, [], object.__new__, math.fsum, math.sqrt
-    terms, checked = _PAIR_TERMS[n], max(e) >= _PAIR_E_LIMIT
-    # the magnitude sum, which only the clamp path reads, is fsum'd there
-    # alone, unless past the limit, where it range-checks every pair's terms
-    # before their fsum
-    for (k1, w1), (k2, w2) in combinations(w.items(), 2):
-        t = terms(e, w1, w2)
-        if checked:
-            _magnitude_sum(t, "a pair sum")
-        ps = fsum(t)
-        d = (sqrt(-ps) if ps < 0.0
-             else _clamped_pair_root(ps, fsum(map(abs, t)), w1, w2, shape))
+    pairs, roots = _pair_roots(comps, shape)
+    k, new, table = shape._k, object.__new__, []
+    squares = _scaled(list(map(mul, roots, roots)), 2, k, "a squared distance", shape)
+    for pair, d, sq in zip(pairs, _scaled(roots, 1, k, "a distance", shape), squares):
         rep = new(DistanceReport)  # the engine's own floats: skip __init__'s call frame
         rd = rep.__dict__
-        rd["pair"], rd["squared_distance"], rd["distance"] = (k1, k2), d * d, d
+        rd["pair"], rd["squared_distance"], rd["distance"] = pair, sq, d
         table.append(rep)
     return table
 

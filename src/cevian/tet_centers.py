@@ -26,6 +26,7 @@ from .core_model import (
     _reals,
     _reassembled,
     _roundtrip_defect,
+    _scaled,
     _shape,
     canonical_face,
     center_components,
@@ -41,7 +42,8 @@ __all__ = [
 
 _PROJECTED = ("Q", "G", "I")
 
-# not public: perfbench/ alone reads these two and face_areas
+# not public: perfbench/ alone reads these two and face_areas, and
+# test_center_rule, which replays its reports
 TET_CENTER_KINDS = CENTER_KINDS[4]
 tet_center_components = center_components
 
@@ -80,11 +82,13 @@ def projection_components(edges: TetraEdges, sq_dists, face: str) -> Components:
     edges, sq = _shape(edges, 4), _reals(sq_dists, "squared vertex distances")
     if len(sq) != 4:
         raise GeometryError(f"expected 4 squared vertex distances, got {len(sq)}")
+    sq = _scaled(sq, -2, edges._k, "a squared vertex distance on the unit shape", edges)
     return _point_foot(edges, sq, canonical_face(face))
 
 
 def _point_foot(edges: TetraEdges, sq, face: str) -> Components:
-    """projection_components of arguments already read, on a canonical face name."""
+    """projection_components of arguments already read, the squared
+    distances on the unit shape, on a canonical face name."""
     (v1, v2, v3, _), (e12, e23, e31), (f12, f23, f31), eight_sq = edges._faces[face]
     d1, d2, d3 = sq[v1], sq[v2], sq[v3]
     n1 = f23 * e23 + f31 * (d3 - d1) + f12 * (d2 - d1)
@@ -104,7 +108,7 @@ def _vertex_foot(edges: TetraEdges, face: str) -> Components:
     """vertex_projection_components of a TetraEdges, on a canonical face name."""
     feet = edges._feet
     if face not in feet:
-        feet[face] = _point_foot(edges, edges.E[FACE_INDICES[face][3]], face)
+        feet[face] = _point_foot(edges, edges._E[FACE_INDICES[face][3]], face)
     return feet[face]
 
 
@@ -132,7 +136,7 @@ def _center_foot(k: str, edges: TetraEdges, face: str) -> Components:
     f1, f2, f3 = _vertex_foot(edges, face).weights
     if k == "G":
         return _comps(((1.0 + f1) / 4.0, (1.0 + f2) / 4.0, (1.0 + f3) / 4.0))
-    fa = edges.face_areas
+    fa = edges._face_areas
     s, total = fa.by_vertex, fa.s
     own = s[opp]  # the face's own area is the one opposite its off-vertex
     return _comps(((s[v1] + own * f1) / total, (s[v2] + own * f2) / total,

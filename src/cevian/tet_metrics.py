@@ -15,7 +15,6 @@ circumcenter are sqrt(R^2 - ps4).
 from __future__ import annotations
 
 import math
-import sys
 
 from .core_model import (
     CENTER_KINDS,
@@ -26,8 +25,10 @@ from .core_model import (
     _PAIRS,
     _pair_sum,
     _reals,
+    _scaled,
     _shape,
-    _windowed,
+    _slack_report,
+    _user_slacks,
     center_components,
     circumradius,
     pair_table,
@@ -61,12 +62,14 @@ class TetMetricsSummary(_Frozen):
 
 def volume(edges: TetraEdges) -> float:
     """V = sqrt(t1 - t2 - t3) / 6."""
-    return math.sqrt(_shape(edges, 4).volume_term) / 6.0
+    v = math.sqrt(_shape(edges, 4)._volume_term) / 6.0
+    return _scaled((v,), 3, edges._k, "the volume", edges)[0]
 
 
 def inradius(edges: TetraEdges) -> float:
     """r = sqrt(t1 - t2 - t3) / (2*S) — equivalently 3V/S."""
-    return math.sqrt(_shape(edges, 4).volume_term) / (2.0 * edges.face_areas.s)
+    r = math.sqrt(_shape(edges, 4)._volume_term) / (2.0 * edges._face_areas.s)
+    return _scaled((r,), 1, edges._k, "the inradius", edges)[0]
 
 
 def circumradius_forms(edges: TetraEdges) -> dict:
@@ -83,9 +86,11 @@ def circumradius_forms(edges: TetraEdges) -> dict:
     # added left to right: builtin sum() rounds differently from Python 3.12 on
     half = ((b0 + b1) * e01 + (b0 + b2) * e02 + (b0 + b3) * e03
             + (b1 + b2) * e12 + (b1 + b3) * e13 + (b2 + b3) * e23)
+    pair_sum, half_sum = _scaled((math.sqrt(edges._q_pair_sum), math.sqrt(half / 8.0)), 1,
+                                 edges._k, "a circumradius form", edges)
     return {
-        "component_pair_sum": math.sqrt(edges._q_pair_sum),
-        "component_half_sum": math.sqrt(half / 8.0),
+        "component_pair_sum": pair_sum,
+        "component_half_sum": half_sum,
         "opposite_edge_product": circumradius(edges),
     }
 
@@ -98,7 +103,7 @@ def crelle_check(edges: TetraEdges) -> float:
     consistency measurement, not an algebraic tautology.
     """
     rhs = _shape(edges, 4)._crelle
-    lhs = edges.volume_term * edges._q_pair_sum
+    lhs = edges._volume_term * edges._q_pair_sum
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
@@ -111,7 +116,8 @@ def metrics_summary(edges: TetraEdges) -> TetMetricsSummary:
     )
 
 
-# not public: perfbench/ alone reads it
+# not public: perfbench/ alone reads it, and test_center_rule, which replays
+# its reports
 def center_pair_table4(edges: TetraEdges) -> list:
     """All 21 unordered center-pair distances over (G, I, Q, E_A..E_D)."""
     _shape(edges, 4)
@@ -126,26 +132,30 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     cleared-denominator inner sums: 16*S^2*GI^2, 16*U^2*GQ^2, and
     S^2*U^2*IQ^2.  A slack in [-ATOL*f*max(E), 0), with f its factor (1 for
     QG and QI), is rounding noise and reads 0.0; ``verify`` certifies the
-    slacks before this window.  GeometryError where IQ's terms, of degree 18
-    in the lengths and the first to fall below the normal floats, would lose
-    digits silently.
+    slacks before this window.
     """
-    slacks = _tet_inequality_slacks(edges)
-    return _windowed(slacks, max(edges._pair_e))
+    return _slack_report(_unit_slacks(_shape(edges, 4)), _SLACK_DEGREES, edges)
 
 
 def _tet_inequality_slacks(edges: TetraEdges) -> dict:
     """``tet_inequality_slacks`` before the rounding window, each with its
     factor: name -> (slack, f)."""
-    r2 = circumradius(_shape(edges, 4)) ** 2
-    fa = edges.face_areas
-    aux = edges.circum_aux
+    return _user_slacks(_unit_slacks(_shape(edges, 4)), _SLACK_DEGREES, edges)
+
+
+# each slack's degree in the lengths
+_SLACK_DEGREES = {"QG": 2, "QI": 2, "GI": 6, "GQ": 14, "IQ": 18}
+
+
+def _unit_slacks(edges: TetraEdges) -> dict:
+    """The slacks on the unit shape before the rounding window, each with
+    its factor: name -> (slack, f)."""
+    r2 = edges._circumradius ** 2
+    fa = edges._face_areas
+    aux = edges._circum_aux
     s0, s1, s2, s3 = s_by = fa.by_vertex
     u0, u1, u2, u3 = aux.by_vertex
     stot, utot, e = fa.s, aux.u, edges._pair_e
-    if _below_normal(e, stot * utot):
-        raise GeometryError(f"the inequality slacks of edges {edges.as_tuple()} leave the "
-                            f"floating-point range")
 
     qg = r2 - math.fsum(e) / 16.0  # the squared edges: fsum is correctly rounded
     qi = r2 - _pair_sum(s_by, edges)[0] / stot ** 2
@@ -158,15 +168,6 @@ def _tet_inequality_slacks(edges: TetraEdges) -> dict:
             "GQ": (gq, 16.0 * utot * utot), "IQ": (iq, su * su)}
 
 
-def _below_normal(e, su) -> bool:
-    """Whether IQ's cleared sum, of degree 18 in the lengths and the first of
-    a tetrahedron's to fall below the normal floats, has terms there: its
-    weights S*U_X - S_X*U are of scale S*U, so its terms are of scale
-    max(e) * (S*U)^2, taken from the inputs and never from the weights, which
-    cancel to the exact zeros of coincident centers."""
-    return max(e) * su * su < sys.float_info.min
-
-
 # The transcribed forms' index tables: each vertex x with the other three in
 # increasing order, and each vertex pair x < y with the other two, z < w.
 _OTHERS = tuple((x,) + tuple(v for v in range(4) if v != x) for x in range(4))
@@ -177,33 +178,26 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
     """Independently transcribed center-pair distance formulas (regression
     guards for the generic engine): QG, QI, GI, GQ, IQ, and the families
     GE_X, IE_X, QE_X, E_XE_Y, all in terms of face areas S^X, their
-    complements T^X = S - 2*S^X, and the circumcenter weights U_X.  Their
-    terms grow as the 18th power of the lengths, so past about 1e16, below
-    about 1e-17 (where they would fall below the normal floats and lose
-    digits silently) or where a denominator underflows, a form raises
-    GeometryError."""
-    fa = _shape(edges, 4).face_areas
-    aux = edges.circum_aux
-    r2 = circumradius(edges) ** 2
+    complements T^X = S - 2*S^X, and the circumcenter weights U_X.  A form
+    whose denominator rounds to zero raises GeometryError."""
+    _shape(edges, 4)
     try:
-        out = _transcribed_forms4(edges, fa, aux, r2)
-    except (ArithmeticError, ValueError):  # fsum's overflow or -inf + inf, a zero denominator
-        out = None
-    if (out is None or not all(map(math.isfinite, out.values()))
-            or _below_normal(edges._pair_e, fa.s * aux.u)):
-        raise GeometryError(f"a transcribed form of edges {edges.as_tuple()} leaves the "
-                            f"floating-point range")
-    return out
+        out = _transcribed_forms4(edges, edges._face_areas, edges._circum_aux,
+                                  edges._circumradius ** 2)
+    except ZeroDivisionError:
+        raise GeometryError(f"a transcribed form of edges {edges.as_tuple()} has a zero "
+                            f"denominator") from None
+    return dict(zip(out, _scaled(out.values(), 1, edges._k, "a transcribed form", edges)))
 
 
 def _transcribed_forms4(edges, fa, aux, r2) -> dict:
-    """transcribed_closed_forms4's values, which may raise or be infinite."""
+    """transcribed_closed_forms4's values on the unit shape."""
     s, u = fa.by_vertex, aux.by_vertex
     stot, utot = fa.s, aux.u
     s0, s1, s2, s3 = s
     u0, u1, u2, u3 = u
     t = (stot - 2.0 * s0, stot - 2.0 * s1, stot - 2.0 * s2, stot - 2.0 * s3)  # T^X
-    e2 = edges.E
+    e2 = edges._E
     e01, e02, e03, e12, e13, e23 = edges._pair_e
 
     def root(x):

@@ -11,13 +11,13 @@ import math
 from .core_model import (
     ATOL,
     CENTER_KINDS,
-    GeometryError,
     IRVector3,
     RightAngleOrthocenter,
     TriangleSides,
     _facet_ratios,
     _pair_sum,
     _ratios,
+    _scaled,
     _shape,
     center_components,
     parse_center,
@@ -29,7 +29,8 @@ __all__ = [
     "euler_relation",
 ]
 
-# not public: perfbench/ alone reads this and tri_centers.center_components
+# not public: perfbench/ alone reads this and tri_centers.center_components,
+# and test_center_rule, which replays its reports
 TRI_CENTER_KINDS = CENTER_KINDS[3]
 
 
@@ -42,7 +43,7 @@ def center_ir(kind: str, sides: TriangleSides) -> IRVector3:
     a side line, so its ratios raise ZeroComponent.
     """
     k = parse_center(kind, 3)
-    a, b, c = _shape(sides, 3).as_tuple()
+    a, b, c = _shape(sides, 3)._u
     if k == "G":
         return _ratios(1.0, 1.0, 1.0)
     if k == "H":
@@ -74,14 +75,10 @@ def excenter_segment_ratio(sides: TriangleSides) -> float:
 
     A, I, and E_A are collinear (same cevian from A), and the incenter sits
     this fraction of the way to the opposite excenter.  Always in (0, 1);
-    equals 1/3 exactly for the equilateral triangle.  A perimeter past the
-    float range raises GeometryError.
+    equals 1/3 exactly for the equilateral triangle.
     """
-    a, b, c = _shape(sides, 3).as_tuple()
-    if sides.perimeter == math.inf:
-        raise GeometryError(f"the perimeter of sides {sides.as_tuple()} leaves the "
-                            f"floating-point range")
-    return (b + c - a) / sides.perimeter
+    a, b, c = _shape(sides, 3)._u
+    return (b + c - a) / (a + b + c)
 
 
 def euler_relation(sides: TriangleSides) -> dict:
@@ -113,4 +110,5 @@ def euler_relation(sides: TriangleSides) -> dict:
     # the precision instead.
     sq = -_pair_sum((u0 - ratio * v0, u1 - ratio * v1, u2 - ratio * v2), sides)[0]
     residual = math.sqrt(sq) if sq > 0.0 else 0.0
-    return {"gh_over_gq": ratio, "collinearity_residual": residual}
+    return {"gh_over_gq": ratio,
+            "collinearity_residual": _scaled((residual,), 1, sides._k, "a distance", sides)[0]}

@@ -24,10 +24,12 @@ from .core_model import (
     _k_invariant,
     _lengths,
     _pair_sum,
+    _scaled,
     _shape,
-    _windowed,
+    _slack_report,
+    _user_slacks,
     center_components,
-    circumradius,
+    circumradius as _circumradius,
     pair_table,
 )
 
@@ -47,11 +49,17 @@ def k_invariant(sides) -> float:
     zero or negative) even for degenerate inputs like (1, 1, 2).
     GeometryError names the lengths when K leaves the floating-point range.
     """
-    a, b, c = lengths = _lengths(sides, 3)
-    return _k_invariant(a * a, b * b, c * c, lengths)
+    k, lengths, (a, b, c) = _lengths(sides, 3)
+    return _scaled((_k_invariant(a * a, b * b, c * c),), 4, k, "the squared-area invariant",
+                   lengths)[0]
 
 
-# not public: perfbench/ alone reads area_determinant and center_pair_table
+# not public: perfbench/ alone reads area_determinant, center_pair_table and
+# core_model's circumradius as this module's, and test_center_rule, which
+# replays its reports
+circumradius = _circumradius
+
+
 def area_determinant(sides: TriangleSides) -> float:
     """Triangle area sqrt(K)/4, the cached ``sides.area``."""
     return _shape(sides, 3).area
@@ -69,21 +77,21 @@ def ict_areas(comps, sides: TriangleSides) -> dict:
     AB is |alpha_c| * Area (and cyclic).  For interior points they sum to
     the full area."""
     aa, ab, ac = _components(comps, 3)
-    s = _shape(sides, 3).area
-    return {"s_abp": abs(ac) * s, "s_bcp": abs(aa) * s, "s_cap": abs(ab) * s}
+    s, k = _shape(sides, 3)._area, sides._k
+    s_abp, s_bcp, s_cap = _scaled((abs(ac) * s, abs(aa) * s, abs(ab) * s), 2, k,
+                                  "a sub-triangle area", sides)
+    return {"s_abp": s_abp, "s_bcp": s_bcp, "s_cap": s_cap}
 
 
 def ict_altitudes(comps, sides: TriangleSides) -> dict:
     """Distances from the realized point to the three side lines:
     h over AB = 2*|alpha_c|*Area/c (and cyclic)."""
     aa, ab, ac = _components(comps, 3)
-    s = _shape(sides, 3).area
-    a, b, c = sides.as_tuple()
-    return {
-        "h_ab": 2.0 * abs(ac) * s / c,
-        "h_bc": 2.0 * abs(aa) * s / a,
-        "h_ca": 2.0 * abs(ab) * s / b,
-    }
+    s, k = _shape(sides, 3)._area, sides._k
+    a, b, c = sides._u
+    h_ab, h_bc, h_ca = _scaled((2.0 * abs(ac) * s / c, 2.0 * abs(aa) * s / a,
+                                2.0 * abs(ab) * s / b), 1, k, "an altitude", sides)
+    return {"h_ab": h_ab, "h_bc": h_bc, "h_ca": h_ca}
 
 
 def inequality_slacks(sides: TriangleSides) -> dict:
@@ -96,18 +104,27 @@ def inequality_slacks(sides: TriangleSides) -> dict:
     [-ATOL*f*max(E), 0), with f its factor (1 for QG, QI, QH), is rounding
     noise and reads 0.0; ``verify`` certifies the slacks before this window.
     """
-    slacks = _inequality_slacks(sides)
-    return _windowed(slacks, max(sides._pair_e))
+    return _slack_report(_unit_slacks(_shape(sides, 3)), _SLACK_DEGREES, sides)
 
 
 def _inequality_slacks(sides: TriangleSides) -> dict:
     """``inequality_slacks`` before the rounding window, each with its
     factor: name -> (slack, f)."""
-    a, b, c = _shape(sides, 3).as_tuple()
+    return _user_slacks(_unit_slacks(_shape(sides, 3)), _SLACK_DEGREES, sides)
+
+
+# each slack's degree in the lengths
+_SLACK_DEGREES = {"QG": 2, "QI": 2, "QH": 2, "GI": 4, "GH": 10, "IH": 12}
+
+
+def _unit_slacks(sides: TriangleSides) -> dict:
+    """The slacks on the unit shape before the rounding window, each with
+    its factor: name -> (slack, f)."""
+    a, b, c = sides._u
     c2, b2, a2 = sides._pair_e
-    p = sides.semiperimeter
+    p = 0.5 * (a + b + c)
     k = _k_invariant(a2, b2, c2)
-    r2 = circumradius(sides) ** 2
+    r2 = sides._circumradius ** 2
     da, db, dc = sides._dots
 
     qg = r2 - (a2 + b2 + c2) / 9.0
@@ -132,11 +149,11 @@ def transcribed_closed_forms(sides: TriangleSides) -> dict:
       QG^2   = R^2 - (a^2+b^2+c^2)/9
       QI^2   = R^2 - abc/(2p)
     """
-    a, b, c = _shape(sides, 3).as_tuple()
+    a, b, c = _shape(sides, 3)._u
     c2, b2, a2 = sides._pair_e
-    p = sides.semiperimeter
-    r2 = circumradius(sides) ** 2
-    return {
+    p = 0.5 * (a + b + c)
+    r2 = sides._circumradius ** 2
+    forms = {
         "IE_A": a * math.sqrt(b * c / (p * (p - a))),
         "IE_B": b * math.sqrt(c * a / (p * (p - b))),
         "IE_C": c * math.sqrt(a * b / (p * (p - c))),
@@ -146,3 +163,4 @@ def transcribed_closed_forms(sides: TriangleSides) -> dict:
         "QG": math.sqrt(max(r2 - (a2 + b2 + c2) / 9.0, 0.0)),
         "QI": math.sqrt(max(r2 - a * b * c / (2.0 * p), 0.0)),
     }
+    return dict(zip(forms, _scaled(forms.values(), 1, sides._k, "a transcribed form", sides)))

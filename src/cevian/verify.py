@@ -47,6 +47,7 @@ from .core_model import (
     FACES,
     FORM_PAIRS,
     GeometryError,
+    _PAIRS,
     PowerIncenter,
     _pierce,
     center_components,
@@ -127,7 +128,7 @@ class _Suite:
 
 
 def _min_angle(sides):
-    a, b, c = sides.as_tuple()
+    a, b, c = sides._u  # the unit shape's, as _dots are
     angles = []
     for dx, y, z in zip(sides._dots, (b, c, a), (c, a, b)):  # D_X = y^2 + z^2 - x^2
         angles.append(math.acos(max(-1.0, min(1.0, dx / (2.0 * y * z)))))
@@ -178,7 +179,7 @@ def _filtered_tetra(lengths):
         edges = validate_tetrahedron(*lengths)
     except GeometryError:
         return None
-    if edges.volume_term < 1e-6 * edges._delta2 ** 3:
+    if edges._volume_term < 1e-6 * edges._delta2 ** 3:
         return None
     fa = edges.face_areas
     if min(fa.opposite_sum(x) for x in range(4)) < 1e-3 * fa.s:
@@ -189,7 +190,7 @@ def _filtered_tetra(lengths):
 def _circum_components_det(pair_e) -> list:
     """Circumcenter components via the 4x4 replaced-column determinant route
     (independent of the polynomial weights), for the rows of squared edges
-    ``pair_e`` (N, 6), each a tetrahedron's ``_pair_e``: Cramer's rule, each
+    ``pair_e`` (N, 6), each a tetrahedron's in _PAIRS order: Cramer's rule, each
     determinant of the system with column c replaced by the right-hand side
     over the system's own."""
     ab2, ac2, ad2, bc2, db2, cd2 = np.asarray(pair_e, dtype=float).T
@@ -383,7 +384,7 @@ def _projection_errors(shapes, emb, centers, pts):
     sq = ((pts[:, None, :] - emb.vertices) ** 2).sum(axis=-1).tolist()
     sources = np.stack([pts] + [centers.realized[k] for k in _PROJECTED])
     # (face, projected point, case, slot)
-    face_comps = np.array([[[tet_centers._point_foot(edges, sq[case], face).weights
+    face_comps = np.array([[[tet_centers.projection_components(edges, sq[case], face).weights
                              for case, edges in enumerate(shapes)]]
                            + [[tet_centers._center_foot(kind, edges, face).weights
                                for edges in shapes] for kind in _PROJECTED]
@@ -408,7 +409,7 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
     power_err = oracle.distance(
         oracle.point_from_components(emb, [c.weights for c in c2]),
         oracle.definitional_center(emb, power))
-    beta_det = _circum_components_det([e._pair_e for e in shapes])
+    beta_det = _circum_components_det([[e.E[i][j] for i, j in _PAIRS[4]] for e in shapes])
     signed_vol6 = np.linalg.det(np.swapaxes(verts[:, 1:] - verts[:, :1], -1, -2)).tolist()
     incenter_dists = oracle.facet_distances(emb, centers.points["I"]).tolist()
     rr_oracle = oracle.distance(centers.points["Q"], verts[:, 0]).tolist()

@@ -17,13 +17,16 @@ import numpy as np
 from conftest import record
 
 from cevian.core_model import (
+    CENTER_KINDS,
     FACES,
     PowerIncenter,
+    center_components,
     circumradius,
     dist_between_centers,
     dist_vertex_to_foot,
     face_components_from_tetra,
     fractional_ratio_determinant,
+    pair_table,
     validate_tetrahedron,
     validate_triangle,
     vertex_foot_ratios,
@@ -31,25 +34,19 @@ from cevian.core_model import (
 from cevian import coord_oracle as oracle
 from cevian.verify import _circum_components_det, _random_tetras, _random_triangle
 from cevian.tri_centers import (
-    TRI_CENTER_KINDS,
-    center_components,
     center_ir,
     euler_relation,
 )
 from cevian.tri_metrics import (
     _inequality_slacks,
-    center_pair_table,
     transcribed_closed_forms,
 )
 from cevian.tet_centers import (
-    TET_CENTER_KINDS,
     projection_components,
     projection_of_center,
-    tet_center_components,
 )
 from cevian.tet_metrics import (
     _tet_inequality_slacks,
-    center_pair_table4,
     crelle_check,
     inradius,
     transcribed_closed_forms4,
@@ -58,6 +55,13 @@ from cevian.tet_metrics import (
 
 SEED = 42
 N = 1000
+
+
+def _center_pair_table(shape):
+    """The 21-pair distance table over every named center of the shape."""
+    kinds = CENTER_KINDS[len(shape.E)]
+    return pair_table({k: center_components(k, shape) for k in kinds}, shape)
+
 
 _tri_cache = None
 _tet_cache = None
@@ -77,13 +81,13 @@ def tri_corpus():
                 continue
             tri = oracle.embed_triangle(sides)
             pts = {k: oracle.definitional_center(tri, k)
-                   for k in TRI_CENTER_KINDS}
+                   for k in CENTER_KINDS[3]}
             out.append((sides, tri, pts))
         _tri_cache = out
     return _tri_cache
 
 
-TET_KINDS = list(TET_CENTER_KINDS) + [PowerIncenter(2)]
+TET_KINDS = list(CENTER_KINDS[4]) + [PowerIncenter(2)]
 
 
 def tet_corpus():
@@ -110,7 +114,7 @@ def test_criterion_1_triangle_center_realization():
     worst = 0.0
     for sides, tri, pts in tri_corpus():
         tol = 1e-12 + 1e-9 * sides.perimeter
-        for kind in TRI_CENTER_KINDS:
+        for kind in CENTER_KINDS[3]:
             realized = oracle.point_from_components(
                 tri, center_components(kind, sides))
             res = float(np.linalg.norm(realized - pts[kind]))
@@ -130,10 +134,10 @@ def test_criterion_2_distance_table_and_transcribed_forms():
              "E_CE_A": ("E_C", "E_A"), "QG": ("Q", "G"), "QI": ("Q", "I")}
     for sides, tri, pts in tri_corpus():
         tol = 1e-12 + 1e-9 * sides.perimeter
-        for rep in center_pair_table(sides):
+        for rep in _center_pair_table(sides):
             want = float(np.linalg.norm(pts[rep.pair[0]] - pts[rep.pair[1]]))
             worst_tbl = max(worst_tbl, abs(rep.distance - want) / tol)
-        comps = {k: center_components(k, sides) for k in TRI_CENTER_KINDS}
+        comps = {k: center_components(k, sides) for k in CENTER_KINDS[3]}
         forms = transcribed_closed_forms(sides)
         for key, (k1, k2) in pairs.items():
             d = dist_between_centers(comps[k1], comps[k2], sides)
@@ -150,7 +154,7 @@ def test_criterion_3_named_exact_values():
     equi = validate_triangle(2, 2, 2)
     checks.append(abs(transcribed_closed_forms(equi)["E_AE_B"] - 4.0) / 4.0)
     r345 = validate_triangle(3, 4, 5)
-    comps = {k: center_components(k, r345) for k in TRI_CENTER_KINDS}
+    comps = {k: center_components(k, r345) for k in CENTER_KINDS[3]}
     gi = dist_between_centers(comps["G"], comps["I"], r345)
     checks.append(abs(gi - 1 / 3) / (1 / 3))
     qi = dist_between_centers(comps["Q"], comps["I"], r345)
@@ -198,7 +202,7 @@ def test_criterion_4_identity_suite():
             break
     for edges, _, _ in tet_corpus()[:200]:
         for kind in ("G", "I", PowerIncenter(2)):
-            r4 = vertex_foot_ratios(tet_center_components(kind, edges))
+            r4 = vertex_foot_ratios(center_components(kind, edges))
             worst = max(worst, abs(sum(r4["kap_" + v] for v in "abcd") - 3.0))
     ok = worst <= 1e-9 and menelaus_checked >= N
     record(4, ok, f"ratio identities worst defect {worst:.2e} over "
@@ -212,11 +216,11 @@ def test_criterion_5_tetra_center_realization_and_circumcenter_paths():
     for edges, tet, pts in tet_corpus():
         emax = max(edges.as_tuple())
         for kind in TET_KINDS:
-            comps = tet_center_components(kind, edges)
+            comps = center_components(kind, edges)
             realized = oracle.point_from_components(tet, comps)
             res = float(np.linalg.norm(realized - pts[str(kind)]))
             worst = max(worst, res / (1e-9 * emax))
-        beta_poly = tet_center_components("Q", edges).as_tuple()
+        beta_poly = center_components("Q", edges).as_tuple()
         (beta_det,) = _circum_components_det([edges._pair_e])
         mat = np.vstack([tet.vertices.T, np.ones(4)])
         beta_solve = np.linalg.solve(mat, np.append(pts["Q"], 1.0))
@@ -260,8 +264,8 @@ def test_criterion_6_metric_formulas():
 def test_criterion_7_centroid_incenter_showcase():
     worst = 0.0
     for edges, tet, pts in tet_corpus():
-        g = tet_center_components("G", edges)
-        i = tet_center_components("I", edges)
+        g = center_components("G", edges)
+        i = center_components("I", edges)
         engine = dist_between_centers(g, i, edges)
         form = transcribed_closed_forms4(edges)["GI"]
         want = float(np.linalg.norm(pts["G"] - pts["I"]))
@@ -270,11 +274,11 @@ def test_criterion_7_centroid_incenter_showcase():
     pyramid = validate_tetrahedron(3, 3, 3, 2, 2, 2)
     from cevian.core_model import dist_vertex_to_center
 
-    ag = dist_vertex_to_center("A", tet_center_components("G", pyramid), pyramid)
+    ag = dist_vertex_to_center("A", center_components("G", pyramid), pyramid)
     want = abs(math.sqrt(3) - 2 * math.sqrt(2)) / (
         math.sqrt(3) + 6 * math.sqrt(2)) * ag
-    got = dist_between_centers(tet_center_components("G", pyramid),
-                               tet_center_components("I", pyramid), pyramid)
+    got = dist_between_centers(center_components("G", pyramid),
+                               center_components("I", pyramid), pyramid)
     pyr_rel = abs(got - want) / want
     ok = worst <= 1e-9 and pyr_rel <= 1e-12
     record(7, ok, f"form = engine = oracle worst rel {worst:.2e}; pyramid "
@@ -330,7 +334,7 @@ def test_criterion_9_projection_components():
         want = oracle.projection_foot_oracle(tet, p, face)
         worst = max(worst, float(np.linalg.norm(foot - want)) / (1e-8 * emax))
         inc = oracle.point_from_components(
-            tet, tet_center_components("I", edges))
+            tet, center_components("I", edges))
         ci = projection_of_center("I", edges, face)
         ifoot = sum(w * vv for w, vv in zip(ci.as_tuple(),
                                             tet.face_vertices(face)))

@@ -158,13 +158,18 @@ def test_power_center_in_pair_token(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--centers", "--distances"])
-def test_power_center_overflow_is_input_error(capsys, flag):
+def test_steep_power_centers_answer(capsys, flag):
+    # the face-area ratios' powers are at most 1, so power:1000 does not overflow
     token = "power:1000" if flag == "--centers" else "G:power:1000"
     code, out, err = run_cli(capsys, "tet", "--edges", "3", "4", "5", "5", "6", "7",
                              flag, token)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: GeometryError:") and "overflow" in err
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    if flag == "--centers":
+        weights = doc["centers"]["power:1000"]["components"]
+        assert all(map(math.isfinite, weights)) and math.fsum(weights) == pytest.approx(1.0)
+    else:
+        assert math.isfinite(doc["distances"]["G:power:1000"]["distance"])
 
 
 def test_csv_format_is_flat_sorted(capsys):
@@ -583,20 +588,22 @@ def test_verify_certifies_the_slacks_before_their_rounding_window(monkeypatch):
     # the window; verify checks the slack as computed against its own threshold
     from cevian import tri_metrics, verify
     from cevian.core_model import ATOL, validate_triangle
-    forms, raw = verify._SHAPE_FORMS[3]
+    _, raw = verify._SHAPE_FORMS[3]
     assert raw is tri_metrics._inequality_slacks
     suites, ran, _ = verify._run_block("tri", 42, 0, 4, 1e-9, 1e-12)
     assert ran and suites["tri.inequalities"].passed
+    unit = tri_metrics._unit_slacks  # both read the slacks on the unit shape here
 
     def noisy(sides):
-        # IH just below verify's threshold, inside a window twice as wide
-        slacks = raw(sides)
+        # IH just below verify's threshold, inside a window twice as wide; the
+        # shapes here have a longest side in [0.5, 1), so the unit shape is theirs
+        assert sides._k == 0
+        slacks = unit(sides)
         threshold = 1e-12 * max(1.0, (2.0 * sides.semiperimeter) ** 4)
         slacks["IH"] = (-1.5 * threshold, 2.0 * threshold / (ATOL * max(sides._pair_e)))
         return slacks
 
-    monkeypatch.setattr(tri_metrics, "_inequality_slacks", noisy)
-    monkeypatch.setitem(verify._SHAPE_FORMS, 3, (forms, noisy))
+    monkeypatch.setattr(tri_metrics, "_unit_slacks", noisy)
     assert tri_metrics.inequality_slacks(validate_triangle(0.5, 0.6, 0.7))["IH"] == 0.0
     suites, ran, _ = verify._run_block("tri", 42, 0, 4, 1e-9, 1e-12)
     assert ran and not suites["tri.inequalities"].passed
@@ -701,19 +708,50 @@ def test_verify_without_numpy_names_the_extra():
 
 
 @pytest.mark.parametrize("argv", [
-    # pair_sum's fsum meets -inf + inf
+    # IH (degree 12 in the lengths) and IQ (degree 18) are past the float range
     ("tri", "--sides", "3e40", "4e40", "5e40", "--inequalities"),
     ("tet", "--edges", "3e30", "4e30", "5e30", "5e30", "6e30", "7e30", "--inequalities"),
-    # the H weights are finite but their sum overflows in _normalized
-    ("tri", "--sides", "5.6e76", "7.28e76", "1.064e77", "--centers", "H"),
-    # the volume gate's delta2 ** 3 overflows
-    ("tet", "--edges", "3e60", "3e60", "3e60", "2e60", "2e60", "2e60"),
 ])
 def test_float_range_overflow_is_input_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: GeometryError: ")
+    assert err.startswith("error: GeometryError: ") and "leaves the floating-point range" in err
+
+
+def _scaled_down(argv, k):
+    """``argv`` with each length times 2**-k."""
+    i = argv.index("--sides" if argv[0] == "tri" else "--edges") + 1
+    n = 3 if argv[0] == "tri" else 6
+    return argv[:i] + [repr(math.ldexp(float(x), -k)) for x in argv[i:i + n]] + argv[i + n:]
+
+
+# inputs that used to exit 2 with no answer: H's weights, or the volume gate,
+# at the user's scale, left the float range; the centers are scale-free, so
+# every report equals the report on the lengths scaled by a power of two
+@pytest.mark.parametrize("argv", [
+    ["tri", "--sides", "5.6e76", "7.28e76", "1.064e77", "--centers", "H"],
+    ["tri", "--sides", "3e200", "4e200", "5.5e200", "--centers", "H"],
+    ["tri", "--sides", "3e100", "4.1e100", "5e100", "--centers", "H"],
+    ["tri", "--sides", "3e-4", "4e-4", "5.5e-4", "--centers", "H"],
+    ["tri", "--sides", "3e-200", "4e-200", "5.5e-200", "--centers", "H"],
+    ["tet", "--edges", "3e60", "3e60", "3e60", "2e60", "2e60", "2e60"],
+    ["tet", "--edges", "3e-3", "3e-3", "3e-3", "2e-3", "2e-3", "2e-3"],
+    ["tet", "--edges", "3e-150", "3e-150", "3e-150", "2e-150", "2e-150", "2e-150"],
+    ["tet", "--edges", "3", "4", "5", "5", "6", "7", "--centers", "power:-1000"],
+])
+def test_scale_reproducers_answer_as_at_unit_scale(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    k = math.frexp(max(doc["input"]["lengths"].values()))[1]
+    code, unit, _ = run_cli(capsys, *_scaled_down(argv, k))
+    assert code == 0
+    del doc["input"]
+    assert json.dumps(doc, sort_keys=True) == json.dumps(
+        {key: v for key, v in json.loads(unit).items() if key != "input"}, sort_keys=True)
+    for entry in doc["centers"].values():
+        assert math.fsum(entry["components"]) == pytest.approx(1.0)
 
 
 # each report section alone, besides the full report: a section that raises

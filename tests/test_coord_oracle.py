@@ -134,7 +134,7 @@ def test_tetra_excenter_sits_beyond_its_face():
 
 def test_power_center_matches_area_weighted_mean():
     tet = oracle.embed_tetra(PYRAMID)
-    areas = oracle.oracle_face_areas(tet)
+    areas = dict(zip("ABCD", tet.facets[2].tolist()))
     w = np.array([areas[v] ** 2 for v in "ABCD"])
     want = (w[:, None] * tet.vertices).sum(axis=0) / w.sum()
     got = oracle.definitional_center(tet, PowerIncenter(2))

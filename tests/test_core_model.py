@@ -61,8 +61,8 @@ from cevian.core_model import (
 from cevian.tet_centers import concurrency_conditions, projection_components
 from cevian.tet_metrics import TetMetricsSummary, circumradius_forms, inradius
 from cevian.tri_centers import center_ir
-from cevian.tri_metrics import (area_determinant, ict_altitudes, ict_areas, inequality_slacks,
-                                k_invariant, transcribed_closed_forms)
+from cevian.tri_metrics import (ict_altitudes, ict_areas, inequality_slacks, k_invariant,
+                                transcribed_closed_forms)
 from goldens import ENGINE_TETRAHEDRA, ENGINE_TRIANGLES
 from test_engine_kernels import outcome
 
@@ -260,7 +260,7 @@ def _circum_from_scratch(edges):
 def test_cached_invariants_match_from_scratch(edges):
     fa = edges.face_areas
     for face, opp in FACE_OPPOSITE.items():
-        assert fa.by_vertex[VERTICES.index(opp)] == area_determinant(_face_sides(edges, face))
+        assert fa.by_vertex[VERTICES.index(opp)] == _face_sides(edges, face).area
     assert fa.s == math.fsum(fa.by_vertex)
 
     aux = edges.circum_aux
@@ -329,16 +329,27 @@ def test_squared_edge_matrix_multiplies_over_many_shapes():
         assert sides.E == ((0.0, c * c, b * b), (c * c, 0.0, a * a), (b * b, a * a, 0.0))
 
 
+def _unit(lengths) -> tuple:
+    """The unit shape's lengths: each times 2**-k, k the binary exponent of
+    the longest."""
+    k = math.frexp(max(lengths))[1]
+    return tuple(math.ldexp(x, -k) for x in lengths)
+
+
 def _generic_squares(shape) -> dict:
-    """E, _pair_e and, for a triangle, _dots by the generic rule: x * x at the
-    vertex pair EDGES[n] gives each length, the pairs i < j in order, and
-    D_A = b^2 + c^2 - a^2 (and cyclic)."""
+    """E, _E, _pair_e and, for a triangle, _dots by the generic rule: x * x
+    at the vertex pair EDGES[n] gives each length, the pairs i < j in order,
+    and D_A = b^2 + c^2 - a^2 (and cyclic); E on the lengths, the others on
+    the unit shape's."""
     n = shape._N
-    m = [[0.0] * n for _ in range(n)]
-    for (i, j), x in zip(EDGES[n], shape.as_tuple()):
-        m[i][j] = m[j][i] = x * x
-    out = {"E": tuple(map(tuple, m)),
-           "_pair_e": tuple(m[i][j] for i, j in combinations(range(n), 2))}
+    out = {}
+    for name, lengths in (("E", shape.as_tuple()), ("_E", _unit(shape.as_tuple()))):
+        m = [[0.0] * n for _ in range(n)]
+        for (i, j), x in zip(EDGES[n], lengths):
+            m[i][j] = m[j][i] = x * x
+        out[name] = tuple(map(tuple, m))
+    m = out["_E"]
+    out["_pair_e"] = tuple(m[i][j] for i, j in combinations(range(n), 2))
     if n == 3:
         a2, b2, c2 = m[1][2], m[2][0], m[0][1]
         out["_dots"] = (b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2)
@@ -388,21 +399,23 @@ def test_constructor_squares_follow_the_generic_rule():
             got = vars(shape)[name]
             assert type(got) is tuple and repr(got) == repr(value), (lengths, name)
         assert all(type(x) is float for x in shape._pair_e)
+        assert 0.25 <= max(shape._pair_e) < 1.0  # the longest unit length is in [0.5, 1)
         seen[shape._N] += 1
-        seen["inf"] += math.inf in shape._pair_e
-        seen["tiny"] += min(shape._pair_e) < 2.0 ** -1022  # subnormal or zero
+        squares = [shape.E[i][j] for i, j in combinations(range(shape._N), 2)]
+        seen["inf"] += math.inf in squares
+        seen["tiny"] += min(squares) < 2.0 ** -1022  # subnormal or zero
     assert seen[3] > 300 and seen[4] > 300 and seen["inf"] > 50 and seen["tiny"] > 50
 
 
 def test_crelle_product_and_face_differences_follow_the_generic_rule():
-    # the cached _crelle and each face's delta2f - e^2 against the
-    # formulas on the named lengths, by repr, bit for bit
+    # _crelle and each face's delta2f - e^2 against the formulas on the
+    # named unit lengths, by repr, bit for bit
     seen = 0
     for lengths, validate in _squares_shapes():
         if validate is not validate_tetrahedron:
             continue
         edges = validate(*lengths)
-        length = _lengths(edges)
+        length = _lengths(TetraEdges(*_unit(lengths)))
         m1, m2, m3 = (length["A", "B"] * length["C", "D"], length["B", "C"] * length["A", "D"],
                       length["C", "A"] * length["D", "B"])
         q = 0.5 * (m1 + m2 + m3)
@@ -445,7 +458,7 @@ def test_face_areas_bitwise_over_many_tetrahedra():
             continue
         fa = edges.face_areas
         for face, opp in FACE_OPPOSITE.items():
-            assert fa.by_vertex[VERTICES.index(opp)] == area_determinant(_face_sides(edges, face))
+            assert fa.by_vertex[VERTICES.index(opp)] == _face_sides(edges, face).area
 
 
 def test_areas_scale_exactly_with_a_power_of_two():
@@ -478,10 +491,12 @@ def test_areas_scale_exactly_with_a_power_of_two():
 # every per-instance cache a shape can fill, the values whose build can
 # raise, and every entry its constructor sets besides the fields; none is a
 # field
-_CACHES = {3: ("area", "_circumradius"),
-           4: ("face_areas", "circum_aux", "_crelle", "_circumradius", "_q_pair_sum")}
-_DERIVED = {3: ("E", "_pair_e", "_dots", "perimeter", "semiperimeter", "_centers"),
-            4: ("E", "_pair_e", "volume_term", "_delta2", "_faces", "_feet", "_centers")}
+_CACHES = {3: ("_area", "area", "_circumradius"),
+           4: ("volume_term", "_face_areas", "face_areas", "circum_aux", "_q_pair_sum")}
+_DERIVED = {3: ("E", "_k", "_u", "_E", "_pair_e", "_dots", "perimeter", "semiperimeter",
+                "_centers"),
+            4: ("E", "_k", "_u", "_E", "_pair_e", "_delta2", "_volume_term", "_faces",
+                "_circum_aux", "_crelle", "_circumradius", "_feet", "_centers")}
 
 
 def test_only_values_that_can_raise_are_cached():
@@ -493,7 +508,8 @@ def test_only_values_that_can_raise_are_cached():
 
 @pytest.mark.parametrize("edges", list(_invariant_tetras())[:3] + [validate_triangle(3, 4, 5)])
 def test_filled_cache_keeps_value_semantics(edges):
-    for name in ("E", "face_areas", "circum_aux") if len(edges.E) == 4 else ("E", "area"):
+    for name in (("E", "volume_term", "face_areas", "circum_aux") if len(edges.E) == 4
+                 else ("E", "area")):
         getattr(edges, name)
     _fill_center_cache(edges)  # edges3 is a triangle, with its area and centers cached
     dist_between_centers(*list(vars(edges)["_centers"].values())[:2], edges)
@@ -601,25 +617,39 @@ def test_nonpositive_face_invariant_raises_on_every_access():
     assert "face_areas" not in vars(edges)
 
 
-# sides whose squares are finite but whose K is not: at 3e100..5e100 the
-# squared sum and the fourth powers overflow and K = inf - inf is NaN; for
-# the equilateral 7e76 only the squared sum does, and K is inf
+# sides whose squares are finite but whose K = 16*Area^2 at the user's scale
+# is not: it was inf - inf = NaN at 3e100..5e100 and inf for the equilateral
+# 7e76.  On the unit shape K is finite, so each value of degree d in the
+# lengths is its value on the sides scaled by 2**-k, times 2**(d*k), exactly
+_K_READERS = [
+    (lambda t: t.area, 2),
+    (circumradius, 1),
+    (transcribed_closed_forms, 1),
+    (lambda t: dist_from_circumcenter(center_components("G", t), t), 1),
+    (k_invariant, 4),
+    (lambda t: k_invariant(t.as_tuple()), 4),  # raw lengths
+]
+_K_IDS = ["area", "circumradius", "transcribed_closed_forms", "dist_from_circumcenter",
+          "k_invariant", "k_invariant-raw"]
+
+
 @pytest.mark.parametrize("sides", [(3e100, 4.1e100, 5e100), (7e76, 7e76, 7e76)])
-@pytest.mark.parametrize("call", [
-    lambda t: t.area,
-    circumradius,
-    transcribed_closed_forms,
-    lambda t: dist_from_circumcenter(center_components("G", t), t),
-    k_invariant,
-    lambda t: k_invariant(t.as_tuple()),  # raw lengths
-], ids=["area", "circumradius", "transcribed_closed_forms", "dist_from_circumcenter",
-        "k_invariant", "k_invariant-raw"])
-def test_a_squared_area_invariant_past_the_float_range_raises(sides, call):
+@pytest.mark.parametrize("call, degree", _K_READERS, ids=_K_IDS)
+def test_a_squared_area_invariant_past_the_float_range_scales_or_raises(sides, call, degree):
     t = validate_triangle(*sides)
+    k = math.frexp(max(sides))[1]
+    reference = call(validate_triangle(*(math.ldexp(x, -k) for x in sides)))
     for _ in range(2):
-        with pytest.raises(GeometryError, match="squared-area invariant .* leaves the "
-                                                "floating-point range"):
-            call(t)
+        if degree == 4 and sides[0] == 3e100:  # K itself, about 1e401, is past the range
+            with pytest.raises(GeometryError, match="squared-area invariant .* leaves the "
+                                                    "floating-point range"):
+                call(t)
+            continue
+        got = call(t)
+        if isinstance(got, dict):
+            assert got == {key: math.ldexp(v, degree * k) for key, v in reference.items()}
+        else:
+            assert math.isfinite(got) and got == math.ldexp(reference, degree * k)
 
 
 @pytest.mark.parametrize("sides, k", [((1, 1, 2), 0.0), ((1, 1, 3), -45.0), ((3, 4, 5), 576.0)])
@@ -1193,22 +1223,37 @@ def test_ratio_determinant_outside_the_float_range_raises(ratios):
 @pytest.mark.parametrize("dists, comps, sides", [
     ((1e200,) * 3, (2, -1, 0.5), (3, 4, 5)),  # fsum met -inf + inf: a bare ValueError
     ((1e200,) * 3, (1, 1, 1), (3, 4, 5)),  # the distance came out inf
-    ((1.1e154, 0.0, 0.0), (2, -1, 0.5), (1e154,) * 3),  # finite terms, inf difference
 ])
 def test_origin_distances_whose_squares_overflow_raise(dists, comps, sides):
     with pytest.raises(GeometryError, match="leaves the floating-point range"):
         dist_origin_to_center(dists, Components(comps), validate_triangle(*sides))
 
 
+def test_origin_distances_with_finite_squares_on_the_unit_shape_answer():
+    # its terms and their difference were past the float range at the user's
+    # scale; on the unit shape they are not, and the answer is the one on the
+    # lengths scaled by 2**-k, times 2**k
+    sides, dists, k = (1e154,) * 3, (1.1e154, 0.0, 0.0), math.frexp(1e154)[1]
+    comps = Components((2, -1, 0.5))
+    got = dist_origin_to_center(dists, comps, validate_triangle(*sides))
+    reference = dist_origin_to_center([math.ldexp(x, -k) for x in dists], comps,
+                                      validate_triangle(*(math.ldexp(x, -k) for x in sides)))
+    assert math.isfinite(got) and got == math.ldexp(reference, k)
+
+
 def test_pair_terms_that_overflow_raise_typed_errors():
     huge = validate_triangle(1e150, 1e150, 1e150)
-    far = Components((1e6, -1e6 + 1.0, 1.0))  # weights ~5e5: their pair terms pass 1e308
+    far = Components((1e6, -1e6 + 1.0, 1.0))  # weights ~5e5: their distance is ~5e155
     g = Components((1.0, 1.0, 1.0))
-    for call in (lambda: pair_sum((1e200, 1e200, 1.0), TRI),
-                 lambda: dist_between_centers(far, g, huge),
-                 lambda: pair_table({"P": far, "G": g}, huge)):
-        with pytest.raises(GeometryError, match="a pair sum leaves the floating-point range"):
-            call()
+    with pytest.raises(GeometryError, match="^a pair sum leaves the floating-point range$"):
+        pair_sum((1e200, 1e200, 1.0), TRI)  # its terms overflow on the unit shape too
+    # the squared distance, about 2.5e311, is past the float range; the distance is not
+    with pytest.raises(GeometryError, match="a squared distance of the lengths .* leaves the "
+                                            "floating-point range"):
+        pair_table({"P": far, "G": g}, huge)
+    k = math.frexp(1e150)[1]
+    reference = dist_between_centers(far, g, validate_triangle(*(math.ldexp(1e150, -k),) * 3))
+    assert dist_between_centers(far, g, huge) == math.ldexp(reference, k)
 
 
 # weights, ratios, exponents and distances that are not numbers in the float

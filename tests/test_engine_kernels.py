@@ -3,9 +3,10 @@ definitions they replaced, bit for bit.
 
 The reference functions below are the comprehension forms of pair_sum,
 the pair distance, pair_table and Components' normalization as core_model
-wrote them before the kernels; every result is compared by repr, and every
-raise by class and message, over seeded weights with mixed signs, -0.0,
-subnormals, ints and values whose products overflow.
+wrote them before the kernels, on the unit shape, with each public value
+scaled to the user's once, as core_model scales it; every result is compared
+by repr, and every raise by class and message, over seeded weights with
+mixed signs, -0.0, subnormals, ints and values whose products overflow.
 """
 
 import math
@@ -23,6 +24,7 @@ from cevian.core_model import (
     DistanceReport,
     FACE_INDICES,
     GeometryError,
+    NotRealizable,
     _sqrt_clamped,
     center_components,
     dist_between_centers,
@@ -70,9 +72,13 @@ def ref_components(weights):
         raise GeometryError(f"weights {vals!r} are not numbers in the float range") from None
 
 
-def ref_pair_sum(weights, shape):
-    n = len(shape.E)
-    entries = [(i, j, shape.E[i][j]) for i, j in combinations(range(n), 2)]
+def ref_scaled(value, degree, shape, what):
+    return core_model._scaled((value,), degree, shape._k, what, shape)[0]
+
+
+def ref_unit_pair_sum(weights, shape):
+    n = len(shape._E)
+    entries = [(i, j, shape._E[i][j]) for i, j in combinations(range(n), 2)]
     try:
         if len(weights) != n:
             raise GeometryError(f"{len(weights)} weights given for a shape with "
@@ -84,22 +90,33 @@ def ref_pair_sum(weights, shape):
         raise GeometryError(f"weights {weights!r} are not numbers in the float range") from None
 
 
+def ref_pair_sum(weights, shape):
+    ps, scale = ref_unit_pair_sum(weights, shape)
+    return ref_scaled(ps, 2, shape, "a pair sum"), ref_scaled(scale, 2, shape, "a pair sum")
+
+
 def ref_pair_distance(w1, w2, shape):
-    ps, scale = ref_pair_sum([y - x for x, y in zip(w1, w2)], shape)
+    """The distance on the unit shape."""
+    ps, scale = ref_unit_pair_sum([y - x for x, y in zip(w1, w2)], shape)
     if ps < 0.0:
         return math.sqrt(-ps)
     grain = 0.0
     if ps > 0.0:
-        grain = (8.0 * 2.3e-16 * max(map(abs, w1 + w2))) ** 2 * 0.5 * sum(map(sum, shape.E))
+        grain = (8.0 * 2.3e-16 * max(map(abs, w1 + w2))) ** 2 * 0.5 * sum(map(sum, shape._E))
     return _sqrt_clamped(-ps, scale, grain)
+
+
+def ref_dist_between_centers(w1, w2, shape):
+    return ref_scaled(ref_pair_distance(w1, w2, shape), 1, shape, "a distance")
 
 
 def ref_pair_table(comps, shape):
     n = len(shape.E)
     w = {k: c.weights for k, c in comps.items()}
     assert all(len(v) == n for v in w.values())
-    return [DistanceReport((k1, k2), d * d, d) for k1, k2 in combinations(w, 2)
-            for d in (ref_pair_distance(w[k1], w[k2], shape),)]
+    return [DistanceReport((k1, k2), ref_scaled(d * d, 2, shape, "a squared distance"),
+                           ref_scaled(d, 1, shape, "a distance"))
+            for k1, k2 in combinations(w, 2) for d in (ref_pair_distance(w[k1], w[k2], shape),)]
 
 
 # --------------------------------------------------------------------------
@@ -160,8 +177,8 @@ def test_pair_distance_matches_the_generic_form_bitwise(n):
     kernel = core_model._PAIR_TERMS[n]
 
     def engine(w1, w2, shape):
-        # the two steps pair_table takes for each pair past its range limit,
-        # on raw weights: the terms with their range check, then the root
+        # the two steps pair_table takes for each pair, on raw weights: the
+        # terms, with the range check pair_sum makes of a caller's, then the root
         t = kernel(shape._pair_e, w1, w2)
         scale = core_model._magnitude_sum(t, "a pair sum")
         ps = math.fsum(t)
@@ -187,8 +204,8 @@ def test_components_match_the_generic_normalization_bitwise(n):
 
 
 def _centers(shape):
-    """The shape's centers by kind, leaving out those that raise (the tiny
-    shapes' I and excenters sum to below the absolute tolerance)."""
+    """The shape's centers by kind, leaving out those that raise (a right
+    triangle's Q ratios, say)."""
     out = {}
     for kind in CENTER_KINDS[len(shape.E)]:
         try:
@@ -219,7 +236,7 @@ def test_pair_table_and_dist_between_centers_match_the_generic_forms_bitwise(n):
             assert got == outcome(lambda: [repr(r) for r in ref_pair_table(table, shape)])
         for c1, c2 in zip(comps, comps[1:]):
             got = outcome(lambda: dist_between_centers(c1, c2, shape))
-            assert got == outcome(lambda: ref_pair_distance(c1.weights, c2.weights, shape))
+            assert got == outcome(lambda: ref_dist_between_centers(c1.weights, c2.weights, shape))
 
 
 def test_excenters_pierce_points_and_projections_match_the_generic_forms_bitwise():
@@ -231,7 +248,7 @@ def test_excenters_pierce_points_and_projections_match_the_generic_forms_bitwise
                                            ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1))))
         except GeometryError:
             continue
-        areas = edges.face_areas
+        areas = edges._face_areas  # the unit shape's, which the center rule reads
         for x in range(4):
             want = outcome(lambda: ref_components((-1.0 if i == x else 1.0) * c
                                                   for i, c in enumerate(areas.by_vertex)))
@@ -262,10 +279,13 @@ RANGE = "a pair sum leaves the floating-point range"
 @pytest.mark.parametrize("call, message", [
     (lambda: pair_sum((1e200, 1e200, 1.0), TRI), RANGE),  # a term overflows
     (lambda: pair_sum((1e154, 1e154, 1e154, 1e154), TET), RANGE),  # terms 1e308 * 9..49 are inf
-    # finite terms whose magnitude sum overflows: fsum's OverflowError
-    (lambda: pair_sum((1e154,) * 3, validate_triangle(1, 1, 1)), RANGE),
-    (lambda: pair_sum((1e154,) * 4, validate_tetrahedron(*(1,) * 6)), RANGE),
-    (lambda: dist_origin_to_center((1.25e154,) * 3, Components((0.9, 0.9, -0.8)),
+    # finite terms on the unit shape whose pair sum is past the float range
+    (lambda: pair_sum((1e154,) * 3, validate_triangle(1, 1, 1)),
+     "a pair sum of the lengths (1.0, 1.0, 1.0) leaves the floating-point range"),
+    (lambda: pair_sum((1e154,) * 4, validate_tetrahedron(*(1,) * 6)),
+     "a pair sum of the lengths (1.0, 1.0, 1.0, 1.0, 1.0, 1.0) leaves the floating-point "
+     "range"),
+    (lambda: dist_origin_to_center((1e200,) * 3, Components((0.9, 0.9, -0.8)),
                                    validate_triangle(1, 1, 1)),
      "a weighted squared vertex-distance sum leaves the floating-point range"),
     (lambda: pair_sum((math.nan, 1.0, 1.0), TRI), RANGE),
@@ -280,8 +300,6 @@ RANGE = "a pair sum leaves the floating-point range"
     (lambda: Components((1e308, 1e308, 1.0, 1.0)), "a weight sum leaves the floating-point range"),
     (lambda: Components((1.0, -1.0, 0.0)),
      "weights (1.0, -1.0, 0.0) sum to ~0 and cannot be normalized"),
-    (lambda: dist_between_centers(Components((1e11, -1e11, 1.0)), Components((-1e11, 1e11, 1.0)),
-                                  validate_triangle(1e150, 1e150, 1.5e150)), RANGE),
 ])
 def test_overflow_nan_and_inf_raise_typed_errors_with_their_messages(call, message):
     with pytest.raises(GeometryError) as info:
@@ -289,10 +307,24 @@ def test_overflow_nan_and_inf_raise_typed_errors_with_their_messages(call, messa
     assert str(info.value) == message
 
 
-# --------------------------------------------------------------------------
-# the range proof behind pair_table's unchecked terms
+# distances whose true value is in the float range, though their squares or
+# their terms at the user's scale are not: each is its value on the shape
+# scaled by 2**-k, times 2**k, exactly
+@pytest.mark.parametrize("lengths, call, k", [
+    ((1.0, 1.0, 1.0), lambda s, x: dist_origin_to_center(
+        (1.25e154 * x,) * 3, Components((0.9, 0.9, -0.8)), s), 600),
+    ((1e150, 1e150, 1.5e150), lambda s, x: dist_between_centers(
+        Components((1e11, -1e11, 1.0)), Components((-1e11, 1e11, 1.0)), s), 600),
+])
+def test_distances_in_the_float_range_answer_from_their_scaled_value(lengths, call, k):
+    got = call(validate_triangle(*lengths), 1.0)
+    reference = call(validate_triangle(*(math.ldexp(x, -k) for x in lengths)),
+                     math.ldexp(1.0, -k))
+    assert math.isfinite(got) and got > 0.0 and got == math.ldexp(reference, k)
 
-LIMIT = core_model._PAIR_E_LIMIT
+
+# --------------------------------------------------------------------------
+# the unit shape: pair tables need no range check
 
 
 def _near_cancelling(n):
@@ -315,24 +347,6 @@ def _near_cancelling(n):
     return out
 
 
-@pytest.mark.parametrize("scale", [1e139, 1e141, 1e150, 1e155])
-def test_pair_table_matches_the_generic_form_on_both_sides_of_the_range_limit(scale):
-    shape = validate_triangle(1.0 * scale, 1.3 * scale, 1.5 * scale)
-    assert (max(shape._pair_e) < LIMIT) == (scale < 1e140)
-    assert (math.inf in shape._pair_e) == (scale == 1e155)
-    rng = random.Random(2901)
-    extreme = _near_cancelling(3)
-    comps = _component_sets(rng, 3, 200)
-    for table in (_centers(shape), dict(enumerate(extreme)), dict(enumerate(comps[:7])),
-                  {0: extreme[0], 1: comps[0], 2: extreme[1], 3: comps[1]}):
-        got = outcome(lambda: [repr(r) for r in pair_table(table, shape)])
-        assert got == outcome(lambda: [repr(r) for r in ref_pair_table(table, shape)])
-    chain = extreme + comps[:41]
-    for c1, c2 in zip(chain, chain[1:]):
-        got = outcome(lambda: dist_between_centers(c1, c2, shape))
-        assert got == outcome(lambda: ref_pair_distance(c1.weights, c2.weights, shape))
-
-
 def test_a_positive_pair_sum_is_clamped_inside_its_magnitude_window():
     """A flat triangle and two points along its near-null direction: the
     pair sum of their difference is positive rounding noise, above the
@@ -348,67 +362,50 @@ def test_a_positive_pair_sum_is_clamped_inside_its_magnitude_window():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_pair_tables_range_check_their_terms_only_past_the_limit(n, monkeypatch):
+def test_pair_tables_never_range_check_their_terms(n, monkeypatch):
+    # the terms are on the unit shape, where every squared length is below 1
+    # and every Components weight below 1/ATOL, so no sum of six can overflow
     checks = []
     magnitude_sum = core_model._magnitude_sum
     monkeypatch.setattr(core_model, "_magnitude_sum",
                         lambda *args: checks.append(args[1]) or magnitude_sum(*args))
-    shape = SHAPES[n][-1]  # the largest
-    assert max(shape._pair_e) < LIMIT
-    centers = _centers(shape)
-    checks.clear()
-    assert pair_table(centers, shape)
-    assert checks == []
-    if n == 3:  # past the limit, one range check of the terms per pair
-        big = validate_triangle(1e141, 1.3e141, 1.5e141)
-        centers = _centers(big)
-        checks.clear()
-        table = pair_table(centers, big)
-        assert checks == ["a pair sum"] * len(table) and table
+    shapes = SHAPES[n] + [validate_triangle(1e141, 1.3e141, 1.5e141) if n == 3 else
+                          validate_tetrahedron(*(1e100 * x for x in (3, 4, 5, 5, 6, 7)))]
+    for shape in shapes:
+        assert max(shape._pair_e) < 1.0
+        extreme = _near_cancelling(n)
+        for table in (_centers(shape), dict(enumerate(extreme))):
+            checks.clear()
+            assert outcome(lambda: pair_table(table, shape))[0] in ("ok", "GeometryError")
+            assert checks == []
 
 
-def _scaled_to_the_gate(edges):
-    """The largest power-of-two multiple of ``edges`` the volume gate
-    accepts, and the next one, which overflows it."""
-    lo = 0
-    hi = 400
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            validate_tetrahedron(*(math.ldexp(x, mid) for x in edges))
-            lo = mid
-        except GeometryError as exc:
-            assert "overflow the volume gate" in str(exc)
-            hi = mid
-    return [math.ldexp(x, lo) for x in edges], [math.ldexp(x, hi) for x in edges]
-
-
-def test_every_tetrahedron_the_gate_accepts_is_within_the_pair_range():
-    """The volume gate needs delta2**3 finite, so every squared edge, at
-    most 2 * delta2, is below 2 * 1.8e308 ** (1/3) < 1.2e103."""
+def test_the_volume_gate_takes_every_power_of_two_scale_alike():
+    """The gate runs on the unit shape, so a tetrahedron and every
+    power-of-two multiple of it, from 2**-1000 to 2**1000, have the same
+    unit invariants, bit for bit, and the same verdict."""
     rng = random.Random(2902)
     bases = [e.as_tuple() for e in TETRAHEDRA[:3]]
     while len(bases) < 40:
         p = [[rng.random() for _ in range(3)] for _ in range(4)]
         if rng.random() < 0.3:  # a needle: one vertex far off
             p[3] = [c * 1e3 for c in p[3]]
-        try:
-            bases.append(validate_tetrahedron(
-                *(math.dist(p[i], p[j]) for i, j in
-                  ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)))).as_tuple())
-        except GeometryError:
-            pass
+        lengths = tuple(math.dist(p[i], p[j]) for i, j in
+                        ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)))
+        if outcome(lambda: validate_tetrahedron(*lengths))[0] == "ok":
+            bases.append(lengths)
+    bases.append((1.0, 1.0, 1.0, 1.0, 1.0, 1.7))  # near flat
     for base in bases:
-        accepted, rejected = _scaled_to_the_gate(base)
-        edges = validate_tetrahedron(*accepted)
-        assert max(edges._pair_e) < 1.2e103 < LIMIT
-        with pytest.raises(GeometryError, match="overflow the volume gate"):
-            validate_tetrahedron(*rejected)
-    # a regular tetrahedron just inside the gate, and just past it
-    regular = validate_tetrahedron(*(1.37e51,) * 6)
-    assert max(regular._pair_e) < LIMIT
-    with pytest.raises(GeometryError, match="overflow the volume gate"):
-        validate_tetrahedron(*(1.38e51,) * 6)
+        unit = validate_tetrahedron(*base)
+        want = [repr(vars(unit)[name]) for name in ("_pair_e", "_volume_term", "_faces")]
+        for k in range(-1000, 1001, 50):
+            edges = validate_tetrahedron(*(math.ldexp(x, k) for x in base))
+            assert [repr(vars(edges)[name]) for name in ("_pair_e", "_volume_term",
+                                                         "_faces")] == want, (base, k)
+    # past the float range for delta2 ** 3 at the user's scale, which used to raise
+    assert validate_tetrahedron(*(1.38e51,) * 6)._volume_term > 0.0
+    with pytest.raises(NotRealizable):
+        validate_tetrahedron(*(1e200 * x for x in (1, 1, 1, 1, 1, math.sqrt(3.0))))
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -9,6 +9,7 @@ import math
 import time
 
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 from cevian import core_model, tet_centers, tet_metrics, tri_centers, tri_metrics
 from cevian.core_model import (
@@ -153,28 +154,40 @@ def test_every_function_over_the_float_range_gives_finite_floats_or_a_typed_erro
     assert elapsed < 10.0  # about 2 s on a 2-vCPU x86 machine, with room for slow CI
 
 
+def _with_unit_reference(lengths, s):
+    """The tetrahedron of ``lengths`` times s, the one of those lengths
+    times 2**-k with k the binary exponent of the longest, and k."""
+    scaled = [x * s for x in lengths]
+    k = math.frexp(max(scaled))[1]
+    return (validate_tetrahedron(*scaled),
+            validate_tetrahedron(*(math.ldexp(x, -k) for x in scaled)), k)
+
+
 @pytest.mark.parametrize("lengths", TETRAHEDRA)
-def test_a_crelle_product_past_the_float_range_raises_on_r(lengths):
-    # inside the volume gate, but the product of four squared edge products
-    # overflows at 1e40 and underflows past the normal floats at 1e-45
+def test_a_crelle_product_past_the_float_range_answers_on_r(lengths):
+    # the product of four squared edge products overflowed at 1e40 and fell
+    # below the normal floats at 1e-45 at the user's scale, and R raised; on
+    # the unit shape it does neither, so R, of degree 1, and every value that
+    # reads it answer: the value on the unit shape times 2**(degree*k)
     for s in (1e40, 1e-45):
-        edges = validate_tetrahedron(*(x * s for x in lengths))
-        for read in (core_model.circumradius, tet_metrics.crelle_check,
-                     tet_metrics.metrics_summary):
-            with pytest.raises(GeometryError, match="^the Crelle product of edges .* leaves "
-                                                    "the floating-point range$"):
-                read(edges)
+        edges, unit, k = _with_unit_reference(lengths, s)
+        assert core_model.circumradius(edges) == math.ldexp(core_model.circumradius(unit), k)
+        assert tet_metrics.crelle_check(edges) == tet_metrics.crelle_check(unit)
+        got, want = tet_metrics.metrics_summary(edges), tet_metrics.metrics_summary(unit)
+        assert got == tet_metrics.TetMetricsSummary(
+            math.ldexp(want.volume, 3 * k), math.ldexp(want.inradius, k),
+            math.ldexp(want.circumradius, k), want.crelle_residual)
 
 
-# the parent raised a bare ValueError (fsum's -inf + inf) at 3e16 and 1e30, and
-# a ZeroDivisionError at 1e-45, where R now raises first
-@pytest.mark.parametrize("s, message", [(3e16, "a transcribed form"), (1e30, "a transcribed form"),
-                                        (1e-45, "the Crelle product")])
-def test_transcribed_forms_past_the_float_range_raise_a_typed_error(s, message):
-    edges = validate_tetrahedron(*(x * s for x in (3, 4, 5, 5, 6, 7)))
-    with pytest.raises(GeometryError, match=f"^{message} of edges .* leaves the floating-point "
-                                            f"range$"):
-        tet_metrics.transcribed_closed_forms4(edges)
+# the forms' terms, of the 18th power of the lengths, left the float range
+# at 3e16, 1e30 and 1e-45 at the user's scale, and the forms raised; each
+# form is a distance, of degree 1, and the unit shape's times 2**k
+@pytest.mark.parametrize("s", [3e16, 1e30, 1e-45])
+def test_transcribed_forms_past_the_float_range_answer_from_the_unit_shape(s):
+    edges, unit, k = _with_unit_reference((3, 4, 5, 5, 6, 7), s)
+    want = tet_metrics.transcribed_closed_forms4(unit)
+    assert tet_metrics.transcribed_closed_forms4(edges) == {
+        name: math.ldexp(v, k) for name, v in want.items()}
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +223,7 @@ def scaled_values(lengths, s):
         if len(lengths) == 3:
             shape = validate_triangle(*(x * s for x in lengths))
             calls = [("area", lambda: shape.area, 2),
-                     ("circumradius", lambda: tri_metrics.circumradius(shape), 1),
+                     ("circumradius", lambda: core_model.circumradius(shape), 1),
                      ("k_invariant", lambda: tri_metrics.k_invariant(shape), 4),
                      ("transcribed_closed_forms",
                       lambda: tri_metrics.transcribed_closed_forms(shape), 1),
@@ -268,3 +281,126 @@ def test_every_scaled_value_scales_with_its_degree_or_raises(lengths):
     assert problems == []
     # each call gives values over a band of scales, not only at a few
     assert min(returned.values()) >= 25, returned
+
+
+# --------------------------------------------------------------------------
+# the one scale rule: the closed forms run on the unit shape, the lengths
+# times 2**-k with k the binary exponent of the longest, and each public value
+# of degree d is its unit value times 2**(d*k).  So multiplying every length
+# by 2**j leaves every weight's bits alone and multiplies every value by
+# exactly 2**(d*j), or raises exactly where that product leaves the normal
+# floats.
+
+# (name, call, degree): a dict's values or a value type's fields all have the
+# degree given, or the degree their key maps to (a dict or a function)
+_TRI_VALUES = [
+    ("area", lambda t: t.area, 2),
+    ("circumradius", core_model.circumradius, 1),
+    ("k_invariant", tri_metrics.k_invariant, 4),
+    ("transcribed_closed_forms", tri_metrics.transcribed_closed_forms, 1),
+    ("inequality_slacks", tri_metrics.inequality_slacks, TRI_SLACK_DEGREES),
+    ("ict_areas", lambda t: tri_metrics.ict_areas(center_components("I", t), t), 2),
+    ("ict_altitudes", lambda t: tri_metrics.ict_altitudes(center_components("H", t), t), 1),
+    ("collinearity_residual",
+     lambda t: tri_centers.euler_relation(t)["collinearity_residual"], 1),
+]
+_TET_VALUES = [
+    ("volume", tet_metrics.volume, 3),
+    ("inradius", tet_metrics.inradius, 1),
+    ("volume_term", lambda e: e.volume_term, 6),
+    ("face_areas", lambda e: e.face_areas, 2),
+    ("circum_aux", lambda e: e.circum_aux, 6),
+    ("circumradius_forms", tet_metrics.circumradius_forms, 1),
+    ("transcribed_closed_forms4", tet_metrics.transcribed_closed_forms4, 1),
+    ("tet_inequality_slacks", tet_metrics.tet_inequality_slacks, TET_SLACK_DEGREES),
+]
+_SHARED_VALUES = [
+    # one raise for the table: each pair's distance, of degree 1, and its square
+    ("pair_table", lambda s: {(r.pair, d): v for r in _table(s)
+                              for d, v in ((1, r.distance), (2, r.squared_distance))},
+     lambda key: key[1]),
+    ("dist_from_circumcenter",
+     lambda s: core_model.dist_from_circumcenter(center_components("G", s), s), 1),
+    ("dist_vertex_to_center",
+     lambda s: core_model.dist_vertex_to_center("A", center_components("I", s), s), 1),
+]
+
+
+def _table(shape):
+    return core_model.pair_table(_centers(shape, CENTER_KINDS[len(shape.E)]), shape)
+
+
+def _outcome(call, shape):
+    """name -> value of what ``call(shape)`` returns, or the GeometryError."""
+    try:
+        value = call(shape)
+    except GeometryError as exc:
+        return exc
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, core_model._Frozen):
+        return {f"{name}{i}": v for name in value.__match_args__
+                for i, v in enumerate(floats(getattr(value, name)))}
+    return {"": value}
+
+
+def _landed(value, shift):
+    """``value`` * 2**shift, or None where that leaves the normal floats."""
+    try:
+        out = math.ldexp(value, shift)
+    except OverflowError:
+        return None
+    return out if value == 0.0 or abs(out) >= 2.2250738585072014e-308 else None
+
+
+@st.composite
+def _band_shapes(draw):
+    """The lengths of a triangle with sides in the band, or of four points in
+    the unit cube, and a power-of-two exponent from -500 to 500."""
+    if draw(st.booleans()):
+        lengths = [draw(st.floats(0.05, 1.0)) for _ in range(3)]
+        validate = validate_triangle
+    else:
+        pts = [[draw(st.floats(0.0, 1.0)) for _ in range(3)] for _ in range(4)]
+        lengths = [math.dist(pts[i], pts[j]) for i, j in core_model.EDGES[4]]
+        validate = validate_tetrahedron
+    try:
+        validate(*lengths)
+    except GeometryError:
+        reject()
+    return validate, lengths, draw(st.integers(-500, 500))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_band_shapes())
+@example((validate_triangle, [0.3, 0.4, 0.55], 400))
+@example((validate_triangle, [0.3, 0.4, 0.55], -480))
+@example((validate_tetrahedron, [0.3, 0.3, 0.3, 0.2, 0.2, 0.2], 200))
+@example((validate_tetrahedron, [0.3, 0.3, 0.3, 0.2, 0.2, 0.2], -500))
+@example((validate_triangle, [0.3, 0.3, 0.3000001], -500))  # near-coincident centers
+@example((validate_tetrahedron, [0.5] * 6, -500))  # coincident centers
+def test_a_power_of_two_scale_keeps_every_weight_and_scales_every_value_exactly(case):
+    validate, lengths, j = case
+    base, scaled = validate(*lengths), validate(*(math.ldexp(x, j) for x in lengths))
+    n = len(base.E)
+    kinds = CENTER_KINDS[n] + ((PowerIncenter(2.0), PowerIncenter(-0.5)) if n == 4 else ())
+    for kind in kinds:
+        want = _outcome(lambda s: center_components(kind, s).weights, base)
+        got = _outcome(lambda s: center_components(kind, s).weights, scaled)
+        if isinstance(want, GeometryError):
+            assert type(got) is type(want), kind
+        else:
+            assert got == want, kind  # bit for bit
+    for name, call, degree in (_TRI_VALUES if n == 3 else _TET_VALUES) + _SHARED_VALUES:
+        want, got = _outcome(call, base), _outcome(call, scaled)
+        if isinstance(want, GeometryError):
+            assert type(got) is type(want), name
+            continue
+        landed = {key: _landed(v, j * (degree if isinstance(degree, int) else
+                                       degree(key) if callable(degree) else degree[key]))
+                  for key, v in want.items()}
+        if None in landed.values():
+            assert isinstance(got, GeometryError), (name, j)
+            assert "leaves the floating-point range" in str(got)
+        else:
+            assert got == landed, (name, j)

@@ -1,6 +1,7 @@
 """The pair rule is written once: no line of the package outside core_model's
 kernel section (the term kernels themselves and their table _PAIR_TERMS),
-_pair_sum and pair_table names _pair_terms3, _pair_terms4 or _PAIR_TERMS, so
+_pair_sum and _pair_roots (the pair table's distances) names _pair_terms3,
+_pair_terms4 or _PAIR_TERMS, so
 a change to the pair terms' number type or error bars edits one place and
 reaches every closed form and every pair table.  Read with ast alone."""
 
@@ -14,7 +15,7 @@ MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 KERNELS = {"_pair_terms3", "_pair_terms4", "_PAIR_TERMS"}
 # core_model's top-level definitions that may name them
-ENTRY = KERNELS | {"_pair_sum", "pair_table"}
+ENTRY = KERNELS | {"_pair_sum", "_pair_roots"}
 
 
 def _defines(node) -> set:
@@ -47,7 +48,7 @@ def kernel_uses(source: str, entry=frozenset()) -> list:
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_only_pair_sum_and_pair_table_reach_the_kernels(module):
+def test_only_pair_sum_and_the_pair_roots_reach_the_kernels(module):
     entry = ENTRY if module == "core_model.py" else frozenset()
     assert kernel_uses((SRC / module).read_text(), entry) == []
 
@@ -59,7 +60,7 @@ def test_the_check_sees_names_attributes_and_imports():
               "    return _pair_terms3(e, w1, w2)\n"
               "def _pair_sum(w, shape):\n"
               "    return _PAIR_TERMS[shape._N](shape._pair_e, _ORIGIN[shape._N], w)\n"
-              "def pair_table(comps, shape):\n"
+              "def _pair_roots(comps, shape):\n"
               "    terms = _PAIR_TERMS[shape._N]\n")
     assert kernel_uses(source) == [1, 2, 4, 6, 8]
     assert kernel_uses(source, ENTRY) == [1, 2, 4]

@@ -24,12 +24,17 @@ HOT = {
         "_windowed": (),
         "TriangleSides.__init__": (),
         "TetraEdges.__init__": (),
+        "TetraEdges._face_areas": (),
         "TetraEdges.face_areas": (),
-        "pair_table": ("DictComp",),  # the components by name, once per table
+        "_scaled": (),
+        "_slack_report": (),
+        "_pair_roots": ("DictComp",),  # the components by name, once per table
+        "pair_table": (),
     },
     "tet_centers.py": {"tet_center_ir_tensor": ()},
     "tet_metrics.py": {"transcribed_closed_forms4": (), "_transcribed_forms4": (),
-                       "tet_inequality_slacks": (), "_tet_inequality_slacks": ()},
+                       "tet_inequality_slacks": (), "_tet_inequality_slacks": (),
+                       "_unit_slacks": ()},
     "tri_centers.py": {"euler_relation": ()},
 }
 

@@ -7,6 +7,7 @@ import pytest
 from cevian.core_model import (
     ATOL,
     RTOL,
+    CENTER_KINDS,
     CircumAux,
     Components,
     DegenerateDenominator,
@@ -16,6 +17,7 @@ from cevian.core_model import (
     InconsistentFaces,
     PowerIncenter,
     ZeroComponent,
+    center_components,
     face_components_from_tetra,
     parse_center,
     tetra_components_from_face_pair,
@@ -23,12 +25,9 @@ from cevian.core_model import (
 )
 from cevian import coord_oracle as oracle
 from cevian.tet_centers import (
-    TET_CENTER_KINDS,
     concurrency_conditions,
-    face_areas,
     projection_components,
     projection_of_center,
-    tet_center_components,
     tet_center_ir_tensor,
     vertex_projection_components,
 )
@@ -53,7 +52,7 @@ def test_parse_center_tokens():
 
 
 def test_pyramid_face_areas():
-    fa = face_areas(PYRAMID)
+    fa = PYRAMID.face_areas
     assert fa.by_vertex[0] == pytest.approx(SQRT3, rel=1e-12)   # base BCD
     for i in (1, 2, 3):
         assert fa.by_vertex[i] == pytest.approx(SQRT8, rel=1e-12)
@@ -62,37 +61,37 @@ def test_pyramid_face_areas():
 
 def test_regular_centers_coincide_at_quarter_point():
     for kind in ("G", "I", "Q", PowerIncenter(2)):
-        comps = tet_center_components(kind, REGULAR)
+        comps = center_components(kind, REGULAR)
         assert comps.as_tuple() == pytest.approx((0.25,) * 4, abs=1e-15)
 
 
 def test_power_family_interpolates_centroid_and_incenter():
     for kind, same_as in ((PowerIncenter(0), "G"), (PowerIncenter(1), "I")):
-        got = tet_center_components(kind, PYRAMID).as_tuple()
-        want = tet_center_components(same_as, PYRAMID).as_tuple()
+        got = center_components(kind, PYRAMID).as_tuple()
+        want = center_components(same_as, PYRAMID).as_tuple()
         assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_pyramid_incenter_components():
     s = SQRT3 + 3 * SQRT8
     want = (SQRT3 / s, SQRT8 / s, SQRT8 / s, SQRT8 / s)
-    assert tet_center_components("I", PYRAMID).as_tuple() == pytest.approx(
+    assert center_components("I", PYRAMID).as_tuple() == pytest.approx(
         want, rel=1e-14)
 
 
 def test_pyramid_circumcenter_components_exact():
-    got = tet_center_components("Q", PYRAMID).as_tuple()
+    got = center_components("Q", PYRAMID).as_tuple()
     assert got == pytest.approx((19 / 46, 9 / 46, 9 / 46, 9 / 46), rel=1e-14)
 
 
 def test_face_areas_and_circum_aux_are_the_cached_invariants():
     edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
-    assert face_areas(edges) is face_areas(edges) is edges.face_areas
+    assert edges.face_areas is edges.face_areas
     assert edges.circum_aux is edges.circum_aux
-    assert isinstance(face_areas(edges), FaceAreas)
+    assert isinstance(edges.face_areas, FaceAreas)
     assert isinstance(edges.circum_aux, CircumAux)
     # nothing is shared between equal instances
-    assert face_areas(validate_tetrahedron(3, 4, 5, 5, 6, 7)) is not edges.face_areas
+    assert validate_tetrahedron(3, 4, 5, 5, 6, 7).face_areas is not edges.face_areas
 
 
 def test_circum_aux_values_and_volume_link():
@@ -106,7 +105,7 @@ def test_circum_aux_values_and_volume_link():
 
 def test_excenter_sign_pattern():
     for x, idx in (("A", 0), ("B", 1), ("C", 2), ("D", 3)):
-        comps = tet_center_components(f"E_{x}", IRREGULAR).as_tuple()
+        comps = center_components(f"E_{x}", IRREGULAR).as_tuple()
         assert comps[idx] < 0
         assert all(v > 0 for i, v in enumerate(comps) if i != idx)
         assert sum(comps) == pytest.approx(1.0)
@@ -114,10 +113,10 @@ def test_excenter_sign_pattern():
 
 @pytest.mark.parametrize("edges", [REGULAR, PYRAMID, IRREGULAR])
 @pytest.mark.parametrize("kind",
-                         list(TET_CENTER_KINDS) + [PowerIncenter(2)])
+                         list(CENTER_KINDS[4]) + [PowerIncenter(2)])
 def test_components_realize_definitional_centers(edges, kind):
     tet = oracle.embed_tetra(edges)
-    comps = tet_center_components(kind, edges)
+    comps = center_components(kind, edges)
     realized = oracle.point_from_components(tet, comps)
     want = oracle.definitional_center(tet, kind)
     assert np.linalg.norm(realized - want) <= 1e-9 * max(edges.as_tuple())
@@ -126,7 +125,7 @@ def test_components_realize_definitional_centers(edges, kind):
 def test_ir_tensor_quotients_and_ceva():
     tensor = tet_center_ir_tensor("I", IRREGULAR)
     assert set(tensor) == set(FACES)
-    beta = tet_center_components("I", IRREGULAR).weights
+    beta = center_components("I", IRREGULAR).weights
     for face, ir in tensor.items():
         v1, v2, v3 = ("ABCD".index(v) for v in FACES[face])
         assert ir.lambda_ab == pytest.approx(beta[v2] / beta[v1])
@@ -138,13 +137,13 @@ def test_ir_tensor_of_a_center_on_a_face_is_a_typed_error():
     # AB = AC = AD = sqrt(2) over an equilateral BCD of side sqrt(3): A sits
     # at height 1 over BCD's circumcenter, which is then the tetrahedron's
     edges = validate_tetrahedron(*[math.sqrt(2.0)] * 3, *[math.sqrt(3.0)] * 3)
-    assert abs(tet_center_components("Q", edges).weights[0]) < 1e-15
+    assert abs(center_components("Q", edges).weights[0]) < 1e-15
     with pytest.raises(ZeroComponent, match="component of A"):
         tet_center_ir_tensor("Q", edges)
 
 
 def test_face_components_match_ir_route():
-    beta = tet_center_components("I", IRREGULAR)
+    beta = center_components("I", IRREGULAR)
     for face in FACES:
         direct = face_components_from_tetra(beta, face)
         assert sum(direct.as_tuple()) == pytest.approx(1.0)
@@ -197,7 +196,7 @@ def test_circumcenter_projects_to_face_circumcenter():
 def test_incenter_projection_sits_at_inradius():
     tet = oracle.embed_tetra(IRREGULAR)
     inc = oracle.point_from_components(
-        tet, tet_center_components("I", IRREGULAR))
+        tet, center_components("I", IRREGULAR))
     for face in FACES:
         c3 = projection_of_center("I", IRREGULAR, face)
         foot = sum(w * v for w, v in
@@ -219,7 +218,7 @@ def test_centroid_projection_formula():
 # ------------------------------------------------------------- concurrency
 
 def test_consistent_face_points_reassemble():
-    beta = tet_center_components(PowerIncenter(2), IRREGULAR)
+    beta = center_components(PowerIncenter(2), IRREGULAR)
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
     rep = concurrency_conditions(faces)
     assert rep["concurrent"]
@@ -230,7 +229,7 @@ def test_consistent_face_points_reassemble():
 
 
 def test_perturbed_face_points_rejected():
-    beta = tet_center_components("I", IRREGULAR)
+    beta = center_components("I", IRREGULAR)
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
     v = faces["BCD"].as_tuple()
     faces["BCD"] = Components((v[0] * 1.05, v[1], v[2]))
@@ -280,7 +279,7 @@ class _SecondReadTuples(Mapping):
 
 
 def test_concurrency_reads_the_face_mapping_once():
-    beta = tet_center_components("I", IRREGULAR)
+    beta = center_components("I", IRREGULAR)
     faces = {f: face_components_from_tetra(beta, f) for f in FACES}
     assert concurrency_conditions(_SecondReadTuples(faces)) == concurrency_conditions(dict(faces))
 

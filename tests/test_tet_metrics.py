@@ -6,6 +6,7 @@ import pytest
 
 from cevian.core_model import (
     ATOL,
+    CENTER_KINDS,
     Components,
     GeometryError,
     PowerIncenter,
@@ -16,13 +17,12 @@ from cevian.core_model import (
     dist_from_circumcenter,
     dist_vertex_to_center,
     dist_vertex_to_foot,
+    pair_table,
     validate_tetrahedron,
 )
 from cevian import coord_oracle as oracle
-from cevian.tet_centers import TET_CENTER_KINDS, face_areas, tet_center_components
 from cevian.tet_metrics import (
     _tet_inequality_slacks,
-    center_pair_table4,
     circumradius_forms,
     crelle_check,
     inradius,
@@ -36,6 +36,12 @@ REGULAR = validate_tetrahedron(1, 1, 1, 1, 1, 1)
 PYRAMID = validate_tetrahedron(3, 3, 3, 2, 2, 2)
 IRREGULAR = validate_tetrahedron(3, 4, 5, 5, 6, 7)
 CORPUS = [REGULAR, PYRAMID, IRREGULAR, validate_tetrahedron(2, 2, 2, 3, 2, 3)]
+
+
+def _center_pair_table(shape):
+    """The 21-pair distance table over every named center of the shape."""
+    kinds = CENTER_KINDS[len(shape.E)]
+    return pair_table({k: center_components(k, shape) for k in kinds}, shape)
 
 
 def test_regular_metrics_are_the_textbook_values():
@@ -67,7 +73,7 @@ def test_volume_matches_cayley_menger(edges):
 @pytest.mark.parametrize("edges", CORPUS)
 def test_volume_inradius_surface_relation(edges):
     assert 3.0 * volume(edges) == pytest.approx(
-        inradius(edges) * face_areas(edges).s, rel=1e-12)
+        inradius(edges) * edges.face_areas.s, rel=1e-12)
 
 
 @pytest.mark.parametrize("edges", CORPUS)
@@ -99,13 +105,13 @@ def test_u_polynomial_is_volume_squared_scaled():
 
 
 def test_vertex_distance_pyramid():
-    g = tet_center_components("G", PYRAMID)
+    g = center_components("G", PYRAMID)
     assert dist_vertex_to_center("A", g, PYRAMID) == pytest.approx(
         math.sqrt(69) / 4, rel=1e-12)
 
 
 def test_vertex_distance_regular_reaches_circumradius():
-    g = tet_center_components("G", REGULAR)
+    g = center_components("G", REGULAR)
     for v in "ABCD":
         assert dist_vertex_to_center(v, g, REGULAR) == pytest.approx(
             math.sqrt(6) / 4, rel=1e-12)
@@ -114,7 +120,7 @@ def test_vertex_distance_regular_reaches_circumradius():
 def test_foot_distances_complement_vertex_distances():
     # the center divides its cevian so that (vertex->center) / (vertex->foot)
     # equals one minus the vertex component
-    i = tet_center_components("I", IRREGULAR)
+    i = center_components("I", IRREGULAR)
     for idx, v in enumerate("ABCD"):
         ap = dist_vertex_to_center(v, i, IRREGULAR)
         af = dist_vertex_to_foot(v, i, IRREGULAR)
@@ -122,17 +128,17 @@ def test_foot_distances_complement_vertex_distances():
 
 
 def test_circum_distance_engine_agreement():
-    i = tet_center_components("I", IRREGULAR)
-    q = tet_center_components("Q", IRREGULAR)
+    i = center_components("I", IRREGULAR)
+    q = center_components("Q", IRREGULAR)
     assert dist_from_circumcenter(i, IRREGULAR) == pytest.approx(
         dist_between_centers(q, i, IRREGULAR), rel=1e-11)
 
 
 def test_pair_table_covers_and_matches_oracle():
-    table = center_pair_table4(IRREGULAR)
+    table = _center_pair_table(IRREGULAR)
     assert len(table) == 21
     tet = oracle.embed_tetra(IRREGULAR)
-    pts = {k: oracle.definitional_center(tet, k) for k in TET_CENTER_KINDS}
+    pts = {k: oracle.definitional_center(tet, k) for k in CENTER_KINDS[4]}
     emax = max(IRREGULAR.as_tuple())
     for rep in table:
         want = float(np.linalg.norm(pts[rep.pair[0]] - pts[rep.pair[1]]))
@@ -141,11 +147,11 @@ def test_pair_table_covers_and_matches_oracle():
 
 def test_centroid_incenter_showcase_value():
     # for the (a=2, l=3) pyramid GI collapses to a closed ratio of AG
-    ag = dist_vertex_to_center("A", tet_center_components("G", PYRAMID), PYRAMID)
+    ag = dist_vertex_to_center("A", center_components("G", PYRAMID), PYRAMID)
     want = abs(math.sqrt(3) - 2 * math.sqrt(2)) / (
         math.sqrt(3) + 6 * math.sqrt(2)) * ag
-    g = tet_center_components("G", PYRAMID)
-    i = tet_center_components("I", PYRAMID)
+    g = center_components("G", PYRAMID)
+    i = center_components("I", PYRAMID)
     assert dist_between_centers(g, i, PYRAMID) == pytest.approx(
         want, rel=1e-12)
     assert transcribed_closed_forms4(PYRAMID)["GI"] == pytest.approx(
@@ -154,7 +160,7 @@ def test_centroid_incenter_showcase_value():
 
 @pytest.mark.parametrize("edges", CORPUS)
 def test_transcribed_forms_match_engine(edges):
-    comps = {k: tet_center_components(k, edges) for k in TET_CENTER_KINDS}
+    comps = {k: center_components(k, edges) for k in CENTER_KINDS[4]}
     forms = transcribed_closed_forms4(edges)
     pairs = {"QG": ("Q", "G"), "QI": ("Q", "I"), "GI": ("G", "I"),
              "GQ": ("G", "Q"), "IQ": ("I", "Q")}
@@ -204,7 +210,7 @@ def test_circumcenter_weights_match_determinant_route():
             mc = m.copy()
             mc[:, col] = np.array([1.0, 0.0, 0.0, 0.0])
             want.append(np.linalg.det(mc) / total)
-        got = tet_center_components("Q", edges).as_tuple()
+        got = center_components("Q", edges).as_tuple()
         assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 

@@ -5,23 +5,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cevian.core_model import (
+    CENTER_KINDS,
     Components,
     GeometryError,
     UnitComponent,
+    center_components,
     circumradius,
     dist_between_centers,
     dist_from_circumcenter,
     dist_origin_to_center,
     dist_vertex_to_center,
     dist_vertex_to_foot,
+    pair_table,
     validate_triangle,
 )
 from cevian import coord_oracle as oracle
-from cevian.tri_centers import TRI_CENTER_KINDS, center_components
 from cevian.tri_metrics import (
     _inequality_slacks,
-    area_determinant,
-    center_pair_table,
     ict_altitudes,
     ict_areas,
     inequality_slacks,
@@ -34,14 +34,20 @@ EQUI = validate_triangle(2, 2, 2)
 SCALENE = validate_triangle(4, 6, 7)
 
 
+def _center_pair_table(shape):
+    """The 21-pair distance table over every named center of the shape."""
+    kinds = CENTER_KINDS[len(shape.E)]
+    return pair_table({k: center_components(k, shape) for k in kinds}, shape)
+
+
 def test_basic_invariants_345():
     assert k_invariant(R345) == pytest.approx(576.0)       # 16 * area^2
-    assert area_determinant(R345) == pytest.approx(6.0)
+    assert R345.area == pytest.approx(6.0)
     assert circumradius(R345) == pytest.approx(2.5)
 
 
 def test_distance_engine_known_values():
-    comps = {k: center_components(k, R345) for k in TRI_CENTER_KINDS}
+    comps = {k: center_components(k, R345) for k in CENTER_KINDS[3]}
     gi = dist_between_centers(comps["G"], comps["I"], R345)
     assert gi == pytest.approx(1 / 3, rel=1e-12)
     qi = dist_between_centers(comps["Q"], comps["I"], R345)
@@ -87,10 +93,10 @@ def test_origin_form_matches_vertex_form():
 
 
 def test_pair_table_covers_all_21_pairs_and_matches_oracle():
-    table = center_pair_table(SCALENE)
+    table = _center_pair_table(SCALENE)
     assert len(table) == 21
     tri = oracle.embed_triangle(SCALENE)
-    pts = {k: oracle.definitional_center(tri, k) for k in TRI_CENTER_KINDS}
+    pts = {k: oracle.definitional_center(tri, k) for k in CENTER_KINDS[3]}
     for rep in table:
         want = float(np.linalg.norm(pts[rep.pair[0]] - pts[rep.pair[1]]))
         assert rep.distance == pytest.approx(want, abs=1e-12 + 1e-9 * 17.0)
@@ -154,7 +160,7 @@ def test_transcribed_forms_match_engine(raw):
     QG, QI) the square root turns one ulp under the radical into ~1e-8, so a
     plain relative test on the roots is meaningless there."""
     sides = validate_triangle(*raw)
-    comps = {k: center_components(k, sides) for k in TRI_CENTER_KINDS}
+    comps = {k: center_components(k, sides) for k in CENTER_KINDS[3]}
     forms = transcribed_closed_forms(sides)
     pairs = {"IE_A": ("I", "E_A"), "IE_B": ("I", "E_B"), "IE_C": ("I", "E_C"),
              "E_AE_B": ("E_A", "E_B"), "E_BE_C": ("E_B", "E_C"),
@@ -177,7 +183,7 @@ def test_pair_table_on_equilateral_triangles():
     rng = np.random.default_rng(3)
     for side in rng.uniform(0.05, 5.0, size=2000):
         sides = validate_triangle(side, side, side)
-        for rep in center_pair_table(sides):
+        for rep in _center_pair_table(sides):
             if set(rep.pair) <= {"G", "I", "H", "Q"}:
                 assert rep.distance <= 1e-12 * side, rep
             else:
