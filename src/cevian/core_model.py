@@ -642,11 +642,7 @@ def _normalized(values):
             raise GeometryError(f"weights {values} are not all finite")
         raise GeometryError("a weight sum leaves the floating-point range")
     total = math.fsum(values)
-    # the floor is relative to the weights' magnitudes plus an absolute 1.0:
-    # the center rule builds its weights on the unit shape, where they are of
-    # order 1 on every shape in the band, so the 1.0 does not decide for them;
-    # it stays so that Components of a caller's weights answers as it did
-    if abs(total) <= ATOL * (scale + 1.0):
+    if abs(total) <= ATOL * scale:
         raise DegenerateDenominator(f"weights {values} sum to ~0 and cannot be normalized")
     if len(values) == 3:
         return a / total, b / total, c / total
@@ -1194,10 +1190,12 @@ def _vertex_index(vertex: str, shape) -> int:
     return VERTICES.index(key)
 
 
-def _origin_distance(osq, weights, shape) -> float:
+def _origin_distance(osq, weights, shape, shift=0) -> float:
     """OP on the unit shape from the squared vertex distances ``osq`` of the
-    origin O there."""
+    origin O there; with ``shift``, on the unit shape times 2**(shift/2),
+    whose pair sum is the unit shape's times 2**shift."""
     ps, ps_scale = _pair_sum(weights, shape)
+    ps, ps_scale = math.ldexp(ps, shift), math.ldexp(ps_scale, shift)
     vertex = list(map(mul, weights, osq))
     scale = _magnitude_sum(vertex, "a weighted squared vertex-distance sum") + ps_scale
     sq = math.fsum(vertex) - ps
@@ -1219,8 +1217,12 @@ def dist_origin_to_center(dists, comps, shape) -> float:
     if len(o) != n:
         raise GeometryError(f"vertex distances {dists!r} must be finite and nonnegative numbers")
     w = _components(comps, n)
-    osq = [x * x for x in _scaled(o, -1, k, "a vertex distance on the unit shape", shape)]
-    return _scaled((_origin_distance(osq, w, shape),), 1, k, "a distance", shape)[0]
+    # one scale 2**-j for the origin and the shape: the larger of theirs
+    top = max(o)
+    j = max(k, math.frexp(top)[1]) if top else k
+    osq = [x * x for x in _scaled(o, -1, j, "a vertex distance on the unit shape", shape)]
+    return _scaled((_origin_distance(osq, w, shape, 2 * (k - j)),), 1, j, "a distance",
+                   shape)[0]
 
 
 def circumradius(shape) -> float:
@@ -1254,19 +1256,19 @@ def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
 
 
 def _windowed(slacks: dict, scale: float) -> dict:
-    """The inequality slacks ``slacks`` (name -> (slack, f), f the factor
-    that clears the slack's denominators) with rounding noise in
-    [-ATOL*f*scale, 0) read as 0.0; -0.0 and anything below the window stay
-    as they are."""
+    """The inequality slacks ``slacks`` (name -> (slack, c), c the scalar
+    that clears the slack's denominators, the slack c*c times a squared
+    distance) with rounding noise in [-ATOL*c*c*scale, 0) read as 0.0; -0.0
+    and anything below the window stay as they are."""
     out = {}
-    for name, (value, f) in slacks.items():
-        out[name] = 0.0 if -ATOL * f * scale <= value < 0.0 else value
+    for name, (value, c) in slacks.items():
+        out[name] = 0.0 if -ATOL * (c * c) * scale <= value < 0.0 else value
     return out
 
 
 def _slack_report(slacks: dict, degrees: dict, shape) -> dict:
     """The shape's unit-shape inequality slacks ``slacks`` (name -> (slack,
-    f)), each of the degree ``degrees`` names, through the window at
+    c)), each of the degree ``degrees`` names, through the window at
     max(_pair_e), at the user's scale."""
     out = _windowed(slacks, max(shape._pair_e))
     for name, value in out.items():
@@ -1276,12 +1278,13 @@ def _slack_report(slacks: dict, degrees: dict, shape) -> dict:
 
 def _user_slacks(slacks: dict, degrees: dict, shape) -> dict:
     """The shape's unit-shape inequality slacks ``slacks`` (name -> (slack,
-    f)) as they are computed, each of the degree ``degrees`` names, at the
-    user's scale: a slack is f times a squared distance, so f is of degree
-    two less."""
+    c)) as they are computed, each of the degree ``degrees`` names, at the
+    user's scale, with its factor f = c*c: a slack is f times a squared
+    distance, so f is of degree two less."""
     return {name: (_scaled((v,), degrees[name], shape._k, f"the {name} slack", shape)[0],
-                   _scaled((f,), degrees[name] - 2, shape._k, f"the {name} factor", shape)[0])
-            for name, (v, f) in slacks.items()}
+                   _scaled((c * c,), degrees[name] - 2, shape._k, f"the {name} factor",
+                           shape)[0])
+            for name, (v, c) in slacks.items()}
 
 
 def _clamped_pair_root(ps, scale, w1, w2, shape) -> float:

@@ -129,17 +129,16 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     regular tetrahedron (when the centers coincide).
 
     QG and QI are R^2 minus the respective pair sums.  GI, GQ, IQ are the
-    cleared-denominator inner sums: 16*S^2*GI^2, 16*U^2*GQ^2, and
-    S^2*U^2*IQ^2.  A slack in [-ATOL*f*max(E), 0), with f its factor (1 for
-    QG and QI), is rounding noise and reads 0.0; ``verify`` certifies the
-    slacks before this window.
+    cleared-denominator inner sums c^2*d^2, with c = 4*S, 4*U and S*U.  A
+    slack in [-ATOL*c^2*max(E), 0), with c 1 for QG and QI, is rounding noise
+    and reads 0.0; ``verify`` certifies the slacks before this window.
     """
     return _slack_report(_unit_slacks(_shape(edges, 4)), _SLACK_DEGREES, edges)
 
 
 def _tet_inequality_slacks(edges: TetraEdges) -> dict:
     """``tet_inequality_slacks`` before the rounding window, each with its
-    factor: name -> (slack, f)."""
+    factor: name -> (slack, f), f = c^2."""
     return _user_slacks(_unit_slacks(_shape(edges, 4)), _SLACK_DEGREES, edges)
 
 
@@ -149,7 +148,8 @@ _SLACK_DEGREES = {"QG": 2, "QI": 2, "GI": 6, "GQ": 14, "IQ": 18}
 
 def _unit_slacks(edges: TetraEdges) -> dict:
     """The slacks on the unit shape before the rounding window, each with
-    its factor: name -> (slack, f)."""
+    the scalar c that clears its denominators: name -> (slack, c), the
+    slack c^2 times the pair's squared distance."""
     r2 = edges._circumradius ** 2
     fa = edges._face_areas
     aux = edges._circum_aux
@@ -163,9 +163,12 @@ def _unit_slacks(edges: TetraEdges) -> dict:
     gq = -_pair_sum((4.0 * u0 - utot, 4.0 * u1 - utot, 4.0 * u2 - utot, 4.0 * u3 - utot), edges)[0]
     iq = -_pair_sum((stot * u0 - s0 * utot, stot * u1 - s1 * utot,
                      stot * u2 - s2 * utot, stot * u3 - s3 * utot), edges)[0]
-    su = stot * utot
-    return {"QG": (qg, 1.0), "QI": (qi, 1.0), "GI": (gi, 16.0 * stot * stot),
-            "GQ": (gq, 16.0 * utot * utot), "IQ": (iq, su * su)}
+    return {"QG": (qg, 1.0), "QI": (qi, 1.0), "GI": (gi, 4.0 * stot),
+            "GQ": (gq, 4.0 * utot), "IQ": (iq, stot * utot)}
+
+
+def _root(x):
+    return math.sqrt(x) if x > 0.0 else 0.0
 
 
 # The transcribed forms' index tables: each vertex x with the other three in
@@ -176,50 +179,31 @@ _SPLITS = tuple((x, y) + tuple(v for v in range(4) if v not in (x, y)) for x, y 
 
 def transcribed_closed_forms4(edges: TetraEdges) -> dict:
     """Independently transcribed center-pair distance formulas (regression
-    guards for the generic engine): QG, QI, GI, GQ, IQ, and the families
-    GE_X, IE_X, QE_X, E_XE_Y, all in terms of face areas S^X, their
-    complements T^X = S - 2*S^X, and the circumcenter weights U_X.  A form
-    whose denominator rounds to zero raises GeometryError."""
+    guards for the generic engine): the families GE_X, IE_X, QE_X, E_XE_Y,
+    in terms of face areas S^X, their complements T^X = S - 2*S^X, and the
+    circumcenter weights U_X; QG, QI, GI, GQ and IQ are the roots of their
+    inequality slacks over the clearing scalar c.  A form whose denominator
+    rounds to zero raises GeometryError."""
     _shape(edges, 4)
     try:
-        out = _transcribed_forms4(edges, edges._face_areas, edges._circum_aux,
-                                  edges._circumradius ** 2)
+        out = _transcribed_forms4(edges)
     except ZeroDivisionError:
         raise GeometryError(f"a transcribed form of edges {edges.as_tuple()} has a zero "
                             f"denominator") from None
     return dict(zip(out, _scaled(out.values(), 1, edges._k, "a transcribed form", edges)))
 
 
-def _transcribed_forms4(edges, fa, aux, r2) -> dict:
+def _transcribed_forms4(edges) -> dict:
     """transcribed_closed_forms4's values on the unit shape."""
-    s, u = fa.by_vertex, aux.by_vertex
-    stot, utot = fa.s, aux.u
-    s0, s1, s2, s3 = s
-    u0, u1, u2, u3 = u
-    t = (stot - 2.0 * s0, stot - 2.0 * s1, stot - 2.0 * s2, stot - 2.0 * s3)  # T^X
-    e2 = edges._E
-    e01, e02, e03, e12, e13, e23 = edges._pair_e
-
-    def root(x):
-        return math.sqrt(x) if x > 0.0 else 0.0
+    out = {}
+    for name, (slack, c) in _unit_slacks(edges).items():
+        out[name] = _root(slack) / c
+    fa, r2, e2 = edges._face_areas, edges._circumradius ** 2, edges._E
+    s, stot = fa.by_vertex, fa.s
+    t = (stot - 2.0 * s[0], stot - 2.0 * s[1], stot - 2.0 * s[2], stot - 2.0 * s[3])  # T^X
 
     # fsum over tuple literals, not generators: fsum is correctly rounded, so
     # the terms' order cannot move a bit, and a generator builds a frame per call
-    g0, g1, g2, g3 = s0 - stot / 4.0, s1 - stot / 4.0, s2 - stot / 4.0, s3 - stot / 4.0
-    q0, q1, q2, q3 = 4.0 * u0 - utot, 4.0 * u1 - utot, 4.0 * u2 - utot, 4.0 * u3 - utot
-    h0, h1, h2, h3 = (stot * u0 - s0 * utot, stot * u1 - s1 * utot,
-                      stot * u2 - s2 * utot, stot * u3 - s3 * utot)
-    out = {
-        "QG": 0.25 * root(16.0 * r2 - math.fsum((e01, e02, e03, e12, e13, e23))),
-        "QI": root(r2 - math.fsum((s0 * s1 * e01, s0 * s2 * e02, s0 * s3 * e03, s1 * s2 * e12,
-                                   s1 * s3 * e13, s2 * s3 * e23)) / stot ** 2),
-        "GI": root(-math.fsum((g0 * g1 * e01, g0 * g2 * e02, g0 * g3 * e03, g1 * g2 * e12,
-                               g1 * g3 * e13, g2 * g3 * e23))) / stot,
-        "GQ": root(-math.fsum((q0 * q1 * e01, q0 * q2 * e02, q0 * q3 * e03, q1 * q2 * e12,
-                               q1 * q3 * e13, q2 * q3 * e23))) / (4.0 * utot),
-        "IQ": root(-math.fsum((h0 * h1 * e01, h0 * h2 * e02, h0 * h3 * e03, h1 * h2 * e12,
-                               h1 * h3 * e13, h2 * h3 * e23))) / (stot * utot),
-    }
     for x, y, z, w in _OTHERS:
         name, sx, sy, sz, sw, tx, ex = VERTICES[x], s[x], s[y], s[z], s[w], t[x], e2[x]
         eyz, eyw, ezw = e2[y][z], e2[y][w], e2[z][w]
@@ -228,10 +212,10 @@ def _transcribed_forms4(edges, fa, aux, r2) -> dict:
         gx, gy, gz, gw = 4.0 * sx + tx, 4.0 * sy - tx, 4.0 * sz - tx, 4.0 * sw - tx
         ge = math.fsum((gx * gy * ex[y], gx * gz * ex[z], gx * gw * ex[w]))
         ge -= math.fsum((gy * gz * eyz, gy * gw * eyw, gz * gw * ezw))
-        out[f"GE_{name}"] = root(ge) / (4.0 * tx)
-        out[f"IE_{name}"] = root((stot ** 2 - tx ** 2) * inc
-                                 - (stot - tx) ** 2 * non) / (stot * tx)
-        out[f"QE_{name}"] = root(r2 - (non - inc) / tx ** 2)
+        out[f"GE_{name}"] = _root(ge) / (4.0 * tx)
+        out[f"IE_{name}"] = _root((stot ** 2 - tx ** 2) * inc
+                                  - (stot - tx) ** 2 * non) / (stot * tx)
+        out[f"QE_{name}"] = _root(r2 - (non - inc) / tx ** 2)
     for x, y, z, w in _SPLITS:
         acc = s[x] * s[y] * (t[x] + t[y]) ** 2 * e2[x][y]
         acc -= (t[x] ** 2 - t[y] ** 2) * (s[x] * s[z] * e2[x][z]
@@ -239,5 +223,5 @@ def _transcribed_forms4(edges, fa, aux, r2) -> dict:
         acc += (t[x] ** 2 - t[y] ** 2) * (s[y] * s[z] * e2[y][z]
                                           + s[y] * s[w] * e2[y][w])
         acc -= (t[x] - t[y]) ** 2 * s[z] * s[w] * e2[z][w]
-        out[f"E_{VERTICES[x]}E_{VERTICES[y]}"] = root(acc) / (t[x] * t[y])
+        out[f"E_{VERTICES[x]}E_{VERTICES[y]}"] = _root(acc) / (t[x] * t[y])
     return out

@@ -100,16 +100,16 @@ def inequality_slacks(sides: TriangleSides) -> dict:
 
     QG, QI, QH are R^2 minus the respective pair sums (the squared distance
     from the circumcenter, directly).  GI, GH, IH are the cleared-denominator
-    inner sums: 36*p^2*GI^2, 9*K^2*GH^2, and (2*p*K)^2*IH^2.  A slack in
-    [-ATOL*f*max(E), 0), with f its factor (1 for QG, QI, QH), is rounding
-    noise and reads 0.0; ``verify`` certifies the slacks before this window.
+    inner sums c^2*d^2, with c = 6*p, 3*K and 2*p*K.  A slack in
+    [-ATOL*c^2*max(E), 0), with c 1 for QG, QI, QH, is rounding noise and
+    reads 0.0; ``verify`` certifies the slacks before this window.
     """
     return _slack_report(_unit_slacks(_shape(sides, 3)), _SLACK_DEGREES, sides)
 
 
 def _inequality_slacks(sides: TriangleSides) -> dict:
     """``inequality_slacks`` before the rounding window, each with its
-    factor: name -> (slack, f)."""
+    factor: name -> (slack, f), f = c^2."""
     return _user_slacks(_unit_slacks(_shape(sides, 3)), _SLACK_DEGREES, sides)
 
 
@@ -119,7 +119,8 @@ _SLACK_DEGREES = {"QG": 2, "QI": 2, "QH": 2, "GI": 4, "GH": 10, "IH": 12}
 
 def _unit_slacks(sides: TriangleSides) -> dict:
     """The slacks on the unit shape before the rounding window, each with
-    its factor: name -> (slack, f)."""
+    the scalar c that clears its denominators: name -> (slack, c), the
+    slack c^2 times the pair's squared distance."""
     a, b, c = sides._u
     c2, b2, a2 = sides._pair_e
     p = 0.5 * (a + b + c)
@@ -135,9 +136,8 @@ def _unit_slacks(sides: TriangleSides) -> dict:
     ih = -_pair_sum((2.0 * p * db * dc - a * k, 2.0 * p * dc * da - b * k,
                      2.0 * p * da * db - c * k), sides)[0]
 
-    pk = 2.0 * p * k
     return {"QG": (qg, 1.0), "QI": (qi, 1.0), "QH": (qh, 1.0),
-            "GI": (gi, 36.0 * p * p), "GH": (gh, 9.0 * k * k), "IH": (ih, pk * pk)}
+            "GI": (gi, 6.0 * p), "GH": (gh, 3.0 * k), "IH": (ih, 2.0 * p * k)}
 
 
 def transcribed_closed_forms(sides: TriangleSides) -> dict:

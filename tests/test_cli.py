@@ -600,7 +600,7 @@ def test_verify_certifies_the_slacks_before_their_rounding_window(monkeypatch):
         assert sides._k == 0
         slacks = unit(sides)
         threshold = 1e-12 * max(1.0, (2.0 * sides.semiperimeter) ** 4)
-        slacks["IH"] = (-1.5 * threshold, 2.0 * threshold / (ATOL * max(sides._pair_e)))
+        slacks["IH"] = (-1.5 * threshold, math.sqrt(2.0 * threshold / (ATOL * max(sides._pair_e))))
         return slacks
 
     monkeypatch.setattr(tri_metrics, "_unit_slacks", noisy)

@@ -1221,12 +1221,19 @@ def test_ratio_determinant_outside_the_float_range_raises(ratios):
 
 
 @pytest.mark.parametrize("dists, comps, sides", [
-    ((1e200,) * 3, (2, -1, 0.5), (3, 4, 5)),  # fsum met -inf + inf: a bare ValueError
-    ((1e200,) * 3, (1, 1, 1), (3, 4, 5)),  # the distance came out inf
+    ((1e200,) * 3, (2, -1, 0.5), (3, 4, 5)),  # squares that cancel past the range at 2**-3
+    ((1e200,) * 3, (1, 1, 1), (3, 4, 5)),  # squares past the range at 2**-3
 ])
-def test_origin_distances_whose_squares_overflow_raise(dists, comps, sides):
-    with pytest.raises(GeometryError, match="leaves the floating-point range"):
-        dist_origin_to_center(dists, Components(comps), validate_triangle(*sides))
+def test_origin_distances_far_from_a_small_shape_answer(dists, comps, sides):
+    # the origin's distances and the shape share one scale, the origin's:
+    # the answer is the one on the inputs scaled by 2**-m, times 2**m
+    m = math.frexp(max(dists))[1]
+    comps = Components(comps)
+    got = dist_origin_to_center(dists, comps, validate_triangle(*sides))
+    reference = dist_origin_to_center([math.ldexp(x, -m) for x in dists], comps,
+                                      validate_triangle(*(math.ldexp(x, -m) for x in sides)))
+    assert math.isfinite(got) and got == math.ldexp(reference, m)
+    assert got == pytest.approx(1e200, rel=1e-12)
 
 
 def test_origin_distances_with_finite_squares_on_the_unit_shape_answer():

@@ -53,7 +53,7 @@ def ref_magnitude_sum(values, what):
 
 def ref_normalized(values):
     try:
-        scale = ref_magnitude_sum(values, "a weight sum") + 1.0
+        scale = ref_magnitude_sum(values, "a weight sum")
     except GeometryError:
         if not all(map(math.isfinite, values)):
             raise GeometryError(f"weights {values} are not all finite") from None
@@ -196,7 +196,9 @@ def test_pair_distance_matches_the_generic_form_bitwise(n):
 def test_components_match_the_generic_normalization_bitwise(n):
     rng = random.Random(1620 + n)
     seen = set()
-    for w in _weights(rng, n, 3000) + [(1, 2, 3, 4)[:n], (0.0, -0.0, 1e-300, 5e-324)[:n]]:
+    # the floor is relative: tiny weights normalize, and weights that cancel do not
+    for w in _weights(rng, n, 3000) + [(1, 2, 3, 4)[:n], (0.0, -0.0, 1e-300, 5e-324)[:n],
+                                       (0.5, -0.5, 0.0, -0.0)[:n]]:
         got = outcome(lambda: Components(w).weights)
         assert got == outcome(lambda: ref_components(w)), w
         seen.add(got[0])
@@ -285,9 +287,6 @@ RANGE = "a pair sum leaves the floating-point range"
     (lambda: pair_sum((1e154,) * 4, validate_tetrahedron(*(1,) * 6)),
      "a pair sum of the lengths (1.0, 1.0, 1.0, 1.0, 1.0, 1.0) leaves the floating-point "
      "range"),
-    (lambda: dist_origin_to_center((1e200,) * 3, Components((0.9, 0.9, -0.8)),
-                                   validate_triangle(1, 1, 1)),
-     "a weighted squared vertex-distance sum leaves the floating-point range"),
     (lambda: pair_sum((math.nan, 1.0, 1.0), TRI), RANGE),
     (lambda: pair_sum((math.inf, 1.0, 1.0, 1.0), TET), RANGE),
     (lambda: pair_sum((math.inf, -math.inf, 1.0), TRI), RANGE),  # fsum would meet -inf + inf
@@ -315,6 +314,10 @@ def test_overflow_nan_and_inf_raise_typed_errors_with_their_messages(call, messa
         (1.25e154 * x,) * 3, Components((0.9, 0.9, -0.8)), s), 600),
     ((1e150, 1e150, 1.5e150), lambda s, x: dist_between_centers(
         Components((1e11, -1e11, 1.0)), Components((-1e11, 1e11, 1.0)), s), 600),
+    # an origin far from a small shape: its squared distances were past the
+    # range on the shape's unit scale, and are not on the origin's
+    ((1.0, 1.0, 1.0), lambda s, x: dist_origin_to_center(
+        (1e200 * x,) * 3, Components((0.9, 0.9, -0.8)), s), 600),
 ])
 def test_distances_in_the_float_range_answer_from_their_scaled_value(lengths, call, k):
     got = call(validate_triangle(*lengths), 1.0)

@@ -404,3 +404,23 @@ def test_a_power_of_two_scale_keeps_every_weight_and_scales_every_value_exactly(
             assert "leaves the floating-point range" in str(got)
         else:
             assert got == landed, (name, j)
+
+
+# weights that stay normal floats at every 2**j below: zero, or of magnitude 1e-6 to 1e6
+_WEIGHT = st.floats(-1e6, 1e6).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(_WEIGHT, min_size=3, max_size=4), st.integers(-500, 500))
+@example([1.0, 1.0, 1.0], -43)  # all below 1e-12, which an absolute floor refused
+@example([0.5, -0.5, 0.0, -0.0], 500)  # a sum that cancels is refused at every scale
+def test_caller_weights_normalize_to_the_same_bits_at_every_power_of_two(w, j):
+    # the normalization floor is relative to the weights' magnitudes
+    scaled = [math.ldexp(x, j) for x in w]
+    try:
+        want = core_model.Components(w).weights
+    except GeometryError as exc:
+        with pytest.raises(type(exc)):
+            core_model.Components(scaled)
+        return
+    assert core_model.Components(scaled).weights == want

@@ -20,7 +20,7 @@ from cevian.core_model import (
     pair_table,
     validate_tetrahedron,
 )
-from cevian import coord_oracle as oracle
+from cevian import coord_oracle as oracle, verify
 from cevian.tet_metrics import (
     _tet_inequality_slacks,
     circumradius_forms,
@@ -220,7 +220,7 @@ def test_mismatched_arity_is_a_typed_error():
 
 
 def test_a_slack_reads_zero_only_inside_its_window():
-    w = ATOL * 2.0 * 3.0  # ATOL * f * scale
+    w = ATOL * 4.0 * 3.0  # ATOL * c^2 * scale, with c = 2
     below = math.nextafter(-w, -math.inf)
     out = _windowed({"edge": (-w, 2.0), "inside": (-w / 3.0, 2.0), "below": (below, 2.0),
                      "minus_zero": (-0.0, 2.0), "positive": (0.5, 2.0), "nan": (math.nan, 2.0)},
@@ -232,8 +232,14 @@ def test_a_slack_reads_zero_only_inside_its_window():
 
 def test_each_slack_factor_clears_its_squared_distance():
     # a slack is f * d^2 for the distance d of its pair of centers, and its
-    # rounding window scales with the same f
-    for name, (slack, f) in _tet_inequality_slacks(IRREGULAR).items():
-        d = dist_between_centers(center_components(name[0], IRREGULAR),
-                                 center_components(name[1], IRREGULAR), IRREGULAR)
-        assert slack == pytest.approx(f * d * d, rel=1e-9), name
+    # rounding window scales with the same f: on a seeded sample of verify's
+    # band, leaving out pairs whose centers coincide
+    rngs = [np.random.default_rng(233 + i) for i in range(64)]
+    sample = [e for e in verify._random_tetras(rngs) if e is not None]
+    assert len(sample) > 48
+    for edges in sample:
+        for name, (slack, f) in _tet_inequality_slacks(edges).items():
+            d = dist_between_centers(center_components(name[0], edges),
+                                     center_components(name[1], edges), edges)
+            if d > 0.0:
+                assert slack == pytest.approx(f * d * d, rel=1e-9), (name, edges)

@@ -19,7 +19,7 @@ from cevian.core_model import (
     pair_table,
     validate_triangle,
 )
-from cevian import coord_oracle as oracle
+from cevian import coord_oracle as oracle, verify
 from cevian.tri_metrics import (
     _inequality_slacks,
     ict_altitudes,
@@ -197,9 +197,14 @@ def test_mismatched_arity_is_a_typed_error():
 
 def test_each_slack_factor_clears_its_squared_distance():
     # a slack is f * d^2 for the distance d of its pair of centers, and its
-    # rounding window scales with the same f
-    sides = validate_triangle(4, 5, 6)
-    for name, (slack, f) in _inequality_slacks(sides).items():
-        d = dist_between_centers(center_components(name[0], sides),
-                                 center_components(name[1], sides), sides)
-        assert slack == pytest.approx(f * d * d, rel=1e-9), name
+    # rounding window scales with the same f: on a seeded sample of verify's
+    # band, leaving out pairs whose centers coincide
+    rng = np.random.default_rng(198)
+    sample = [s for s in (verify._random_triangle(rng) for _ in range(64)) if s is not None]
+    assert len(sample) > 48
+    for sides in sample:
+        for name, (slack, f) in _inequality_slacks(sides).items():
+            d = dist_between_centers(center_components(name[0], sides),
+                                     center_components(name[1], sides), sides)
+            if d > 0.0:
+                assert slack == pytest.approx(f * d * d, rel=1e-9), (name, sides)
