@@ -362,6 +362,32 @@ class TriangleSides(_Simplex):
         a, b, c = self._u
         return a * b * c / (4.0 * self._area)
 
+    # each inequality slack's degree in the lengths
+    _SLACK_DEGREES = {"QG": 2, "QI": 2, "QH": 2, "GI": 4, "GH": 10, "IH": 12}
+
+    @_cached
+    def _slacks(self) -> dict:
+        """The unit shape's inequality slacks before the rounding window,
+        each with the scalar c that clears its denominators: name -> (slack,
+        c), the slack c^2 times the pair's squared distance."""
+        a, b, c = self._u
+        c2, b2, a2 = self._pair_e
+        p = 0.5 * (a + b + c)
+        k = _k_invariant(a2, b2, c2)
+        r2 = self._circumradius ** 2
+        da, db, dc = self._dots
+
+        qg = r2 - (a2 + b2 + c2) / 9.0
+        qi = r2 - a * b * c / (2.0 * p)
+        qh = r2 - _pair_sum(center_components("H", self).as_tuple(), self)[0]
+        gi = -_pair_sum((3.0 * a - 2.0 * p, 3.0 * b - 2.0 * p, 3.0 * c - 2.0 * p), self)[0]
+        gh = -_pair_sum((3.0 * db * dc - k, 3.0 * dc * da - k, 3.0 * da * db - k), self)[0]
+        ih = -_pair_sum((2.0 * p * db * dc - a * k, 2.0 * p * dc * da - b * k,
+                         2.0 * p * da * db - c * k), self)[0]
+
+        return {"QG": (qg, 1.0), "QI": (qi, 1.0), "QH": (qh, 1.0),
+                "GI": (gi, 6.0 * p), "GH": (gh, 3.0 * k), "IH": (ih, 2.0 * p * k)}
+
     def as_tuple(self):
         return (self.a, self.b, self.c)
 
@@ -495,8 +521,9 @@ class TetraEdges(_Simplex):
     Components (see center_components) and tet_centers' vertex feet
     ``_feet``; the values whose build can raise come on first use: the face
     areas ``_face_areas``, R^2 along the circumcenter's components
-    ``_q_pair_sum``, and the user-scale ``volume_term``, ``face_areas`` and
-    ``circum_aux``.  None of them takes part in equality, hashing or repr.
+    ``_q_pair_sum``, the inequality slacks ``_slacks``, and the user-scale
+    ``volume_term``, ``face_areas`` and ``circum_aux``.  None of them takes
+    part in equality, hashing or repr.
     """
 
     __match_args__ = ("ab", "ac", "ad", "bc", "cd", "db")
@@ -598,6 +625,32 @@ class TetraEdges(_Simplex):
     def _q_pair_sum(self) -> float:
         """ps(beta_Q), the unit shape's R^2 along the circumcenter-component route."""
         return _pair_sum(center_components("Q", self).weights, self)[0]
+
+    # each inequality slack's degree in the lengths
+    _SLACK_DEGREES = {"QG": 2, "QI": 2, "GI": 6, "GQ": 14, "IQ": 18}
+
+    @_cached
+    def _slacks(self) -> dict:
+        """The unit shape's inequality slacks before the rounding window,
+        each with the scalar c that clears its denominators: name -> (slack,
+        c), the slack c^2 times the pair's squared distance."""
+        r2 = self._circumradius ** 2
+        fa = self._face_areas
+        aux = self._circum_aux
+        s0, s1, s2, s3 = s_by = fa.by_vertex
+        u0, u1, u2, u3 = aux.by_vertex
+        stot, utot, e = fa.s, aux.u, self._pair_e
+
+        qg = r2 - math.fsum(e) / 16.0  # the squared edges: fsum is correctly rounded
+        qi = r2 - _pair_sum(s_by, self)[0] / stot ** 2
+        gi = -_pair_sum((4.0 * s0 - stot, 4.0 * s1 - stot, 4.0 * s2 - stot, 4.0 * s3 - stot),
+                        self)[0]
+        gq = -_pair_sum((4.0 * u0 - utot, 4.0 * u1 - utot, 4.0 * u2 - utot, 4.0 * u3 - utot),
+                        self)[0]
+        iq = -_pair_sum((stot * u0 - s0 * utot, stot * u1 - s1 * utot,
+                         stot * u2 - s2 * utot, stot * u3 - s3 * utot), self)[0]
+        return {"QG": (qg, 1.0), "QI": (qi, 1.0), "GI": (gi, 4.0 * stot),
+                "GQ": (gq, 4.0 * utot), "IQ": (iq, stot * utot)}
 
 
 def validate_tetrahedron(ab, ac, ad, bc, cd, db) -> TetraEdges:
@@ -1255,36 +1308,49 @@ def dist_vertex_to_foot(vertex: str, comps, shape) -> float:
     return _scaled((ap / abs(1.0 - w[i]),), 1, shape._k, "a distance", shape)[0]
 
 
-def _windowed(slacks: dict, scale: float) -> dict:
-    """The inequality slacks ``slacks`` (name -> (slack, c), c the scalar
-    that clears the slack's denominators, the slack c*c times a squared
-    distance) with rounding noise in [-ATOL*c*c*scale, 0) read as 0.0; -0.0
-    and anything below the window stay as they are."""
-    out = {}
-    for name, (value, c) in slacks.items():
-        out[name] = 0.0 if -ATOL * (c * c) * scale <= value < 0.0 else value
+def _windowed(shape) -> dict:
+    """The shape's inequality slacks (see _slacks) on the unit shape, each
+    with its rounding window: name -> (slack, ATOL*c*c*max(_pair_e)), c the
+    slack's clearing scalar.  A slack in [-window, 0) is rounding noise,
+    which a report reads as 0.0 and ``verify`` passes; one below it is a
+    violated inequality."""
+    scale, out = max(shape._pair_e), {}
+    for name, (value, c) in shape._slacks.items():
+        out[name] = value, ATOL * (c * c) * scale
     return out
 
 
-def _slack_report(slacks: dict, degrees: dict, shape) -> dict:
-    """The shape's unit-shape inequality slacks ``slacks`` (name -> (slack,
-    c)), each of the degree ``degrees`` names, through the window at
-    max(_pair_e), at the user's scale."""
-    out = _windowed(slacks, max(shape._pair_e))
-    for name, value in out.items():
+def _slack_report(shape) -> dict:
+    """The shape's inequality slacks at the user's scale, each inside its
+    window (see _windowed) read as 0.0; -0.0 and anything below the window
+    stay as they are."""
+    degrees, out = shape._SLACK_DEGREES, {}
+    for name, (value, window) in _windowed(shape).items():
+        if -window <= value < 0.0:
+            value = 0.0
         (out[name],) = _scaled((value,), degrees[name], shape._k, f"the {name} slack", shape)
     return out
 
 
-def _user_slacks(slacks: dict, degrees: dict, shape) -> dict:
-    """The shape's unit-shape inequality slacks ``slacks`` (name -> (slack,
-    c)) as they are computed, each of the degree ``degrees`` names, at the
-    user's scale, with its factor f = c*c: a slack is f times a squared
-    distance, so f is of degree two less."""
-    return {name: (_scaled((v,), degrees[name], shape._k, f"the {name} slack", shape)[0],
-                   _scaled((c * c,), degrees[name] - 2, shape._k, f"the {name} factor",
-                           shape)[0])
-            for name, (v, c) in slacks.items()}
+def _user_slacks(shape) -> dict:
+    """The shape's inequality slacks as they are computed, each with its
+    window (see _windowed), at the user's scale: name -> (slack, window),
+    both of the slack's degree."""
+    degrees = shape._SLACK_DEGREES
+    return {name: tuple(_scaled((v, w), degrees[name], shape._k, f"the {name} slack", shape))
+            for name, (v, w) in _windowed(shape).items()}
+
+
+def _transcribed(forms, shape) -> dict:
+    """The transcribed distance forms ``forms(shape)`` computes on the unit
+    shape, at the user's scale; a form whose denominator rounds to zero
+    raises GeometryError."""
+    try:
+        out = forms(shape)
+    except ZeroDivisionError:
+        raise GeometryError(f"a transcribed form of the lengths {shape.as_tuple()} has a zero "
+                            f"denominator") from None
+    return dict(zip(out, _scaled(out.values(), 1, shape._k, "a transcribed form", shape)))
 
 
 def _clamped_pair_root(ps, scale, w1, w2, shape) -> float:

@@ -18,17 +18,15 @@ import math
 
 from .core_model import (
     CENTER_KINDS,
-    GeometryError,
     TetraEdges,
     VERTICES,
     _Frozen,
     _PAIRS,
-    _pair_sum,
     _reals,
     _scaled,
     _shape,
     _slack_report,
-    _user_slacks,
+    _transcribed,
     center_components,
     circumradius,
     pair_table,
@@ -131,40 +129,9 @@ def tet_inequality_slacks(edges: TetraEdges) -> dict:
     QG and QI are R^2 minus the respective pair sums.  GI, GQ, IQ are the
     cleared-denominator inner sums c^2*d^2, with c = 4*S, 4*U and S*U.  A
     slack in [-ATOL*c^2*max(E), 0), with c 1 for QG and QI, is rounding noise
-    and reads 0.0; ``verify`` certifies the slacks before this window.
+    and reads 0.0; ``verify`` fails exactly the slacks below that window.
     """
-    return _slack_report(_unit_slacks(_shape(edges, 4)), _SLACK_DEGREES, edges)
-
-
-def _tet_inequality_slacks(edges: TetraEdges) -> dict:
-    """``tet_inequality_slacks`` before the rounding window, each with its
-    factor: name -> (slack, f), f = c^2."""
-    return _user_slacks(_unit_slacks(_shape(edges, 4)), _SLACK_DEGREES, edges)
-
-
-# each slack's degree in the lengths
-_SLACK_DEGREES = {"QG": 2, "QI": 2, "GI": 6, "GQ": 14, "IQ": 18}
-
-
-def _unit_slacks(edges: TetraEdges) -> dict:
-    """The slacks on the unit shape before the rounding window, each with
-    the scalar c that clears its denominators: name -> (slack, c), the
-    slack c^2 times the pair's squared distance."""
-    r2 = edges._circumradius ** 2
-    fa = edges._face_areas
-    aux = edges._circum_aux
-    s0, s1, s2, s3 = s_by = fa.by_vertex
-    u0, u1, u2, u3 = aux.by_vertex
-    stot, utot, e = fa.s, aux.u, edges._pair_e
-
-    qg = r2 - math.fsum(e) / 16.0  # the squared edges: fsum is correctly rounded
-    qi = r2 - _pair_sum(s_by, edges)[0] / stot ** 2
-    gi = -_pair_sum((4.0 * s0 - stot, 4.0 * s1 - stot, 4.0 * s2 - stot, 4.0 * s3 - stot), edges)[0]
-    gq = -_pair_sum((4.0 * u0 - utot, 4.0 * u1 - utot, 4.0 * u2 - utot, 4.0 * u3 - utot), edges)[0]
-    iq = -_pair_sum((stot * u0 - s0 * utot, stot * u1 - s1 * utot,
-                     stot * u2 - s2 * utot, stot * u3 - s3 * utot), edges)[0]
-    return {"QG": (qg, 1.0), "QI": (qi, 1.0), "GI": (gi, 4.0 * stot),
-            "GQ": (gq, 4.0 * utot), "IQ": (iq, stot * utot)}
+    return _slack_report(_shape(edges, 4))
 
 
 def _root(x):
@@ -184,19 +151,13 @@ def transcribed_closed_forms4(edges: TetraEdges) -> dict:
     circumcenter weights U_X; QG, QI, GI, GQ and IQ are the roots of their
     inequality slacks over the clearing scalar c.  A form whose denominator
     rounds to zero raises GeometryError."""
-    _shape(edges, 4)
-    try:
-        out = _transcribed_forms4(edges)
-    except ZeroDivisionError:
-        raise GeometryError(f"a transcribed form of edges {edges.as_tuple()} has a zero "
-                            f"denominator") from None
-    return dict(zip(out, _scaled(out.values(), 1, edges._k, "a transcribed form", edges)))
+    return _transcribed(_transcribed_forms4, _shape(edges, 4))
 
 
 def _transcribed_forms4(edges) -> dict:
     """transcribed_closed_forms4's values on the unit shape."""
     out = {}
-    for name, (slack, c) in _unit_slacks(edges).items():
+    for name, (slack, c) in edges._slacks.items():
         out[name] = _root(slack) / c
     fa, r2, e2 = edges._face_areas, edges._circumradius ** 2, edges._E
     s, stot = fa.by_vertex, fa.s

@@ -23,11 +23,10 @@ from .core_model import (
     _components,
     _k_invariant,
     _lengths,
-    _pair_sum,
     _scaled,
     _shape,
     _slack_report,
-    _user_slacks,
+    _transcribed,
     center_components,
     circumradius as _circumradius,
     pair_table,
@@ -102,42 +101,9 @@ def inequality_slacks(sides: TriangleSides) -> dict:
     from the circumcenter, directly).  GI, GH, IH are the cleared-denominator
     inner sums c^2*d^2, with c = 6*p, 3*K and 2*p*K.  A slack in
     [-ATOL*c^2*max(E), 0), with c 1 for QG, QI, QH, is rounding noise and
-    reads 0.0; ``verify`` certifies the slacks before this window.
+    reads 0.0; ``verify`` fails exactly the slacks below that window.
     """
-    return _slack_report(_unit_slacks(_shape(sides, 3)), _SLACK_DEGREES, sides)
-
-
-def _inequality_slacks(sides: TriangleSides) -> dict:
-    """``inequality_slacks`` before the rounding window, each with its
-    factor: name -> (slack, f), f = c^2."""
-    return _user_slacks(_unit_slacks(_shape(sides, 3)), _SLACK_DEGREES, sides)
-
-
-# each slack's degree in the lengths
-_SLACK_DEGREES = {"QG": 2, "QI": 2, "QH": 2, "GI": 4, "GH": 10, "IH": 12}
-
-
-def _unit_slacks(sides: TriangleSides) -> dict:
-    """The slacks on the unit shape before the rounding window, each with
-    the scalar c that clears its denominators: name -> (slack, c), the
-    slack c^2 times the pair's squared distance."""
-    a, b, c = sides._u
-    c2, b2, a2 = sides._pair_e
-    p = 0.5 * (a + b + c)
-    k = _k_invariant(a2, b2, c2)
-    r2 = sides._circumradius ** 2
-    da, db, dc = sides._dots
-
-    qg = r2 - (a2 + b2 + c2) / 9.0
-    qi = r2 - a * b * c / (2.0 * p)
-    qh = r2 - _pair_sum(center_components("H", sides).as_tuple(), sides)[0]
-    gi = -_pair_sum((3.0 * a - 2.0 * p, 3.0 * b - 2.0 * p, 3.0 * c - 2.0 * p), sides)[0]
-    gh = -_pair_sum((3.0 * db * dc - k, 3.0 * dc * da - k, 3.0 * da * db - k), sides)[0]
-    ih = -_pair_sum((2.0 * p * db * dc - a * k, 2.0 * p * dc * da - b * k,
-                     2.0 * p * da * db - c * k), sides)[0]
-
-    return {"QG": (qg, 1.0), "QI": (qi, 1.0), "QH": (qh, 1.0),
-            "GI": (gi, 6.0 * p), "GH": (gh, 3.0 * k), "IH": (ih, 2.0 * p * k)}
+    return _slack_report(_shape(sides, 3))
 
 
 def transcribed_closed_forms(sides: TriangleSides) -> dict:
@@ -149,11 +115,16 @@ def transcribed_closed_forms(sides: TriangleSides) -> dict:
       QG^2   = R^2 - (a^2+b^2+c^2)/9
       QI^2   = R^2 - abc/(2p)
     """
-    a, b, c = _shape(sides, 3)._u
+    return _transcribed(_transcribed_forms, _shape(sides, 3))
+
+
+def _transcribed_forms(sides) -> dict:
+    """transcribed_closed_forms's values on the unit shape."""
+    a, b, c = sides._u
     c2, b2, a2 = sides._pair_e
     p = 0.5 * (a + b + c)
     r2 = sides._circumradius ** 2
-    forms = {
+    return {
         "IE_A": a * math.sqrt(b * c / (p * (p - a))),
         "IE_B": b * math.sqrt(c * a / (p * (p - b))),
         "IE_C": c * math.sqrt(a * b / (p * (p - c))),
@@ -163,4 +134,3 @@ def transcribed_closed_forms(sides: TriangleSides) -> dict:
         "QG": math.sqrt(max(r2 - (a2 + b2 + c2) / 9.0, 0.0)),
         "QI": math.sqrt(max(r2 - a * b * c / (2.0 * p), 0.0)),
     }
-    return dict(zip(forms, _scaled(forms.values(), 1, sides._k, "a transcribed form", sides)))

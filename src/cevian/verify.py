@@ -50,6 +50,7 @@ from .core_model import (
     _PAIRS,
     PowerIncenter,
     _pierce,
+    _user_slacks,
     center_components,
     circumradius,
     fractional_ratio_determinant,
@@ -209,12 +210,8 @@ def _circum_components_det(pair_e) -> list:
 # few enough that a block's arrays stay small
 _BLOCK = 128
 
-# per arity: the transcribed distance forms and the inequality slacks as
-# computed, before the rounding window a report reads them through
-_SHAPE_FORMS = {
-    3: (tri_metrics.transcribed_closed_forms, tri_metrics._inequality_slacks),
-    4: (tet_metrics.transcribed_closed_forms4, tet_metrics._tet_inequality_slacks),
-}
+# per arity: the transcribed distance forms
+_SHAPE_FORMS = {3: tri_metrics.transcribed_closed_forms, 4: tet_metrics.transcribed_closed_forms4}
 
 # per arity, over the pairs of center kinds in pair-table order: the
 # indices of each pair's first and second kind, and the column of each
@@ -249,7 +246,7 @@ class _BlockCenters:
                                    for k1, k2 in combinations(kinds, 2)], axis=-1)
 
 
-def _verify_shared(shapes, insts, centers, scales, degree, allow, tol_len, suites):
+def _verify_shared(shapes, insts, centers, scales, allow, tol_len, suites):
     """Fill the suites both halves share (distances, closed forms,
     inequalities) for a block of triangles or tetrahedra, their instances
     and their ``_BlockCenters``, and return the block's rows for the centers
@@ -257,18 +254,19 @@ def _verify_shared(shapes, insts, centers, scales, degree, allow, tol_len, suite
 
     ``scales`` holds each shape's length scale (a triangle's perimeter, a
     tetrahedron's longest edge), ``tol_len`` (N,) the length tolerance at
-    that scale, and ``degree`` is the degree of the inequality slacks.
-    ``allow`` (N, kinds) holds each case's condition allowance per center
-    kind, in CENTER_KINDS order (1.0 but for a tetrahedron's excenters): a
-    check on a pair of centers widens by the product of theirs.  Also
-    returns each case's engine distances, in pair-table order, and its
-    transcribed forms, for the half's own checks.
+    that scale.  ``allow`` (N, kinds) holds each case's condition allowance
+    per center kind, in CENTER_KINDS order (1.0 but for a tetrahedron's
+    excenters): a check on a pair of centers widens by the product of
+    theirs.  An inequality slack fails below its rounding window, where a
+    report would print it negative.  Also returns each case's engine
+    distances, in pair-table order, and its transcribed forms, for the
+    half's own checks.
     """
     n = len(shapes[0].E)
     half = "tri" if n == 3 else "tet"
     kinds = CENTER_KINDS[n]
     tol = tol_len[:, None]
-    forms_of, slacks_of = _SHAPE_FORMS[n]
+    forms_of = _SHAPE_FORMS[n]
 
     engine = [[rep.distance for rep in pair_table(comps, shape)]
               for comps, shape in zip(centers.comps, shapes)]
@@ -292,10 +290,8 @@ def _verify_shared(shapes, insts, centers, scales, degree, allow, tol_len, suite
             closed_forms.append((case, abs(d2 - f2),
                                  (1e-9 * max(d2, f2) + 1e-13 * scale * scale)
                                  * (allowed[index[k1]] * allowed[index[k2]]) ** 2))
-
-        # the slacks carry lengths to powers up to ``degree``
-        for slack, _ in slacks_of(shape).values():
-            inequalities.append((case, max(0.0, -slack), 1e-12 * max(1.0, scale ** degree)))
+        for slack, window in _user_slacks(shape).values():
+            inequalities.append((case, max(0.0, -slack), window))
     suites[half + ".closed_forms"].check(insts, closed_forms)
     suites[half + ".inequalities"].check(insts, inequalities)
     errors = np.stack([centers.errors[k] for k in kinds], axis=-1)
@@ -339,7 +335,7 @@ def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
     insts = [s.as_tuple() for s in shapes]
     perims = [s.perimeter for s in shapes]
     tol_len = atol + rtol * np.array(perims)
-    center_checks, _, _ = _verify_shared(shapes, insts, centers, perims, 4,
+    center_checks, _, _ = _verify_shared(shapes, insts, centers, perims,
                                          np.ones((len(shapes), len(kinds))), tol_len, suites)
     suites["tri.centers"].check(insts, center_checks, _rows(frame, tol_len[:, None]))
 
@@ -427,7 +423,7 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
     total = np.array([e.face_areas.s for e in shapes])[:, None]
     allow = np.column_stack([np.ones((len(shapes), 3)),
                              np.maximum(1.0, total / (total - 2.0 * areas))])
-    center_checks, engine, forms = _verify_shared(shapes, insts, centers, emaxes, 6, allow,
+    center_checks, engine, forms = _verify_shared(shapes, insts, centers, emaxes, allow,
                                                   tol_len, suites)
     suites["tet.centers"].check(insts, center_checks, _rows(power_err, tol_len))
 

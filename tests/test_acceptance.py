@@ -20,6 +20,7 @@ from cevian.core_model import (
     CENTER_KINDS,
     FACES,
     PowerIncenter,
+    _user_slacks,
     center_components,
     circumradius,
     dist_between_centers,
@@ -37,16 +38,12 @@ from cevian.tri_centers import (
     center_ir,
     euler_relation,
 )
-from cevian.tri_metrics import (
-    _inequality_slacks,
-    transcribed_closed_forms,
-)
+from cevian.tri_metrics import transcribed_closed_forms
 from cevian.tet_centers import (
     projection_components,
     projection_of_center,
 )
 from cevian.tet_metrics import (
-    _tet_inequality_slacks,
     crelle_check,
     inradius,
     transcribed_closed_forms4,
@@ -297,19 +294,18 @@ def test_criterion_8_inequality_suites():
             sides = _random_triangle(np.random.default_rng([SEED + 1, i]))
             if sides is not None:
                 n_tri += 1
-                for slack, _ in _inequality_slacks(sides).values():
+                for slack, _ in _user_slacks(sides).values():
                     worst = min(worst, slack)
         if n_tet < 5000:
             (edges,) = _random_tetras([np.random.default_rng([SEED + 2, i])])
             if edges is not None:
                 n_tet += 1
-                for slack, _ in _tet_inequality_slacks(edges).values():
+                for slack, _ in _user_slacks(edges).values():
                     worst = min(worst, slack)
     eq_worst = 0.0
-    for slack, _ in _inequality_slacks(validate_triangle(1, 1, 1)).values():
+    for slack, _ in _user_slacks(validate_triangle(1, 1, 1)).values():
         eq_worst = max(eq_worst, abs(slack))
-    for slack, _ in _tet_inequality_slacks(
-            validate_tetrahedron(1, 1, 1, 1, 1, 1)).values():
+    for slack, _ in _user_slacks(validate_tetrahedron(1, 1, 1, 1, 1, 1)).values():
         eq_worst = max(eq_worst, abs(slack))
     ok = worst >= -1e-12 and eq_worst <= 1e-9 and n_tri + n_tet == 10000
     record(8, ok, f"{n_tri + n_tet} instances, most negative slack "

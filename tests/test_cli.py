@@ -583,30 +583,39 @@ def test_verify_blocks_load_no_module_the_parent_lacks():
 
 
 
-def test_verify_certifies_the_slacks_before_their_rounding_window(monkeypatch):
-    # a report reads a slack inside its rounding window as 0.0, however wide
-    # the window; verify checks the slack as computed against its own threshold
-    from cevian import tri_metrics, verify
-    from cevian.core_model import ATOL, validate_triangle
-    _, raw = verify._SHAPE_FORMS[3]
-    assert raw is tri_metrics._inequality_slacks
-    suites, ran, _ = verify._run_block("tri", 42, 0, 4, 1e-9, 1e-12)
-    assert ran and suites["tri.inequalities"].passed
-    unit = tri_metrics._unit_slacks  # both read the slacks on the unit shape here
+@pytest.mark.parametrize("scale", [0.05, 5.0])
+@pytest.mark.parametrize("half, name", [("tri", "QG"), ("tri", "IH"), ("tet", "QG"),
+                                        ("tet", "IQ")])
+def test_the_window_is_verify_threshold(monkeypatch, half, name, scale):
+    # a raw slack at -window reads 0.0 in a report and passes verify; the
+    # next float below it prints negative and fails verify's suite.  The
+    # shapes are scaled off the unit shape, so k != 0
+    from cevian import tet_metrics, tri_metrics, verify
+    from cevian.core_model import ATOL, TetraEdges, TriangleSides
+    from numpy.random import default_rng
+    cls, report = ((TriangleSides, tri_metrics.inequality_slacks) if half == "tri"
+                   else (TetraEdges, tet_metrics.tet_inequality_slacks))
+    table = cls._slacks.method
+    _, draw, run_block, suites = verify._HALVES[half]
+    rngs = [default_rng([42, i]) for i in range(8)]
+    base = next(s for s in draw(rngs) if s is not None)
+    shape = type(base)(*(scale * x for x in base.as_tuple()))
+    assert shape._k != 0
+    for below in (False, True):
+        def noisy(self):
+            slacks = dict(table(self))
+            c = slacks[name][1]
+            edge = -ATOL * (c * c) * max(self._pair_e)
+            slacks[name] = (math.nextafter(edge, -math.inf) if below else edge, c)
+            return slacks
 
-    def noisy(sides):
-        # IH just below verify's threshold, inside a window twice as wide; the
-        # shapes here have a longest side in [0.5, 1), so the unit shape is theirs
-        assert sides._k == 0
-        slacks = unit(sides)
-        threshold = 1e-12 * max(1.0, (2.0 * sides.semiperimeter) ** 4)
-        slacks["IH"] = (-1.5 * threshold, math.sqrt(2.0 * threshold / (ATOL * max(sides._pair_e))))
-        return slacks
+        monkeypatch.setattr(cls._slacks, "method", noisy)
+        value = report(type(shape)(*shape.as_tuple()))[name]
+        assert value < 0.0 if below else value == 0.0
+        by_name = {n: verify._Suite(n) for n in suites}
+        run_block([type(shape)(*shape.as_tuple())], [default_rng(7)], by_name, 1e-9, 1e-12)
+        assert by_name[half + ".inequalities"].passed is not below
 
-    monkeypatch.setattr(tri_metrics, "_unit_slacks", noisy)
-    assert tri_metrics.inequality_slacks(validate_triangle(0.5, 0.6, 0.7))["IH"] == 0.0
-    suites, ran, _ = verify._run_block("tri", 42, 0, 4, 1e-9, 1e-12)
-    assert ran and not suites["tri.inequalities"].passed
 
 # full reports: every section each subcommand has
 FULL_TRI = ("--centers", "all", "--distances", "all", "--metrics", "--inequalities", "--areas")

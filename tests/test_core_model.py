@@ -491,8 +491,9 @@ def test_areas_scale_exactly_with_a_power_of_two():
 # every per-instance cache a shape can fill, the values whose build can
 # raise, and every entry its constructor sets besides the fields; none is a
 # field
-_CACHES = {3: ("_area", "area", "_circumradius"),
-           4: ("volume_term", "_face_areas", "face_areas", "circum_aux", "_q_pair_sum")}
+_CACHES = {3: ("_area", "area", "_circumradius", "_slacks"),
+           4: ("volume_term", "_face_areas", "face_areas", "circum_aux", "_q_pair_sum",
+               "_slacks")}
 _DERIVED = {3: ("E", "_k", "_u", "_E", "_pair_e", "_dots", "perimeter", "semiperimeter",
                 "_centers"),
             4: ("E", "_k", "_u", "_E", "_pair_e", "_delta2", "_volume_term", "_faces",
@@ -519,6 +520,7 @@ def test_filled_cache_keeps_value_semantics(edges):
             vertex_projection_components(edges, face)
         edges._q_pair_sum
     circumradius(edges)
+    edges._slacks
     assert set(_CACHES[len(edges.E)]) <= set(vars(edges))
     fresh = type(edges)(*edges.as_tuple())
     assert edges == fresh

@@ -6,6 +6,7 @@ GeometryError.  Never a bare exception, an infinity or a NaN (README,
 
 import inspect
 import math
+import random
 import time
 
 import pytest
@@ -117,6 +118,25 @@ def _public_functions(module):
     return {name for name in module.__all__ if inspect.isfunction(getattr(module, name))}
 
 
+def problems_of(shape, called):
+    """(function name, what it gave) for every call the sweep covers on
+    ``shape`` that gives a float that is not finite or raises anything but
+    GeometryError; adds each function name to ``called``."""
+    problems = []
+    for name, call in calls(shape):
+        called.add(name)
+        try:
+            bad = [x for x in floats(call()) if not math.isfinite(x)]
+        except GeometryError:
+            continue
+        except Exception as exc:  # a bare exception is a finding
+            problems.append((name, f"{type(exc).__name__}: {exc}"))
+            continue
+        if bad:
+            problems.append((name, bad))
+    return problems
+
+
 def sweep():
     """(every function name called, the problems found, the shapes built)."""
     called, problems, built = set(), [], 0
@@ -128,17 +148,7 @@ def sweep():
             except GeometryError:
                 continue
             built += 1
-            for name, call in calls(shape):
-                called.add(name)
-                try:
-                    bad = [x for x in floats(call()) if not math.isfinite(x)]
-                except GeometryError:
-                    continue
-                except Exception as exc:  # a bare exception is a finding
-                    problems.append((name, lengths, s, f"{type(exc).__name__}: {exc}"))
-                    continue
-                if bad:
-                    problems.append((name, lengths, s, bad))
+            problems += [(name, lengths, s, what) for name, what in problems_of(shape, called)]
     return called, problems, built
 
 
@@ -152,6 +162,34 @@ def test_every_function_over_the_float_range_gives_finite_floats_or_a_typed_erro
     assert called == want
     assert built > 600  # every shape at most scales, not only at a few
     assert elapsed < 10.0  # about 2 s on a 2-vCPU x86 machine, with room for slow CI
+
+
+def _nudged(x, steps, toward):
+    for _ in range(steps):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def test_needles_and_caps_give_finite_floats_or_a_typed_error():
+    # c = a - b nudged up by 1 to 3 ulps (a needle where a ~ b, else a cap),
+    # and c = a + b nudged down as far (a cap whose angle at C is near 180
+    # degrees): p minus a side can round to 0.0 although the triangle
+    # inequality holds, and the transcribed forms divide by it
+    rng = random.Random(8)
+    called, problems, built = set(), [], 0
+    for _ in range(600):
+        b, a = sorted((rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)))
+        steps = rng.randint(1, 3)
+        c = _nudged(a + b, steps, 0.0) if rng.random() < 0.5 else _nudged(a - b, steps, math.inf)
+        try:
+            shape = validate_triangle(a, b, c)
+        except GeometryError:
+            continue
+        built += 1
+        problems += [(name, (a, b, c), what) for name, what in problems_of(shape, called)]
+    assert problems == []
+    assert called == set(CORE).union(*map(_public_functions, (tri_centers, tri_metrics)))
+    assert built > 400
 
 
 def _with_unit_reference(lengths, s):

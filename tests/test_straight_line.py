@@ -23,8 +23,10 @@ HOT = {
         "_ratios": (),
         "_windowed": (),
         "TriangleSides.__init__": (),
+        "TriangleSides._slacks": (),
         "TetraEdges.__init__": (),
         "TetraEdges._face_areas": (),
+        "TetraEdges._slacks": (),
         "TetraEdges.face_areas": (),
         "_scaled": (),
         "_slack_report": (),
@@ -33,8 +35,7 @@ HOT = {
     },
     "tet_centers.py": {"tet_center_ir_tensor": ()},
     "tet_metrics.py": {"transcribed_closed_forms4": (), "_transcribed_forms4": (),
-                       "tet_inequality_slacks": (), "_tet_inequality_slacks": (),
-                       "_unit_slacks": ()},
+                       "tet_inequality_slacks": ()},
     "tri_centers.py": {"euler_relation": ()},
 }
 

@@ -10,6 +10,7 @@ from cevian.core_model import (
     Components,
     GeometryError,
     PowerIncenter,
+    _user_slacks,
     _windowed,
     center_components,
     circumradius,
@@ -20,9 +21,8 @@ from cevian.core_model import (
     pair_table,
     validate_tetrahedron,
 )
-from cevian import coord_oracle as oracle, verify
+from cevian import coord_oracle as oracle, core_model, verify
 from cevian.tet_metrics import (
-    _tet_inequality_slacks,
     circumradius_forms,
     crelle_check,
     inradius,
@@ -183,7 +183,7 @@ def test_slacks_nonnegative_and_tight_at_regular():
     for edges in CORPUS:
         scale = max(edges.as_tuple()) ** 6
         # as computed: the rounding window is far wider than this at scale
-        for key, (slack, _) in _tet_inequality_slacks(edges).items():
+        for key, (slack, _) in _user_slacks(edges).items():
             assert slack >= -1e-12 * max(1.0, scale), key
 
 
@@ -219,27 +219,56 @@ def test_mismatched_arity_is_a_typed_error():
         dist_from_circumcenter(Components((0.2, 0.3, 0.5)), IRREGULAR)
 
 
+def test_the_slack_table_is_built_once_per_shape(monkeypatch):
+    # its four pair sums (QI, GI, GQ, IQ), whichever readers ask for it
+    pair_sum, sums = core_model._pair_sum, []
+
+    def counted(weights, shape):
+        sums.append(weights)
+        return pair_sum(weights, shape)
+
+    monkeypatch.setattr(core_model, "_pair_sum", counted)
+    edges = validate_tetrahedron(3, 4, 5, 5, 6, 7)
+    tet_inequality_slacks(edges)
+    _user_slacks(edges)
+    transcribed_closed_forms4(edges)
+    assert len(sums) == 4
+
+
 def test_a_slack_reads_zero_only_inside_its_window():
-    w = ATOL * 4.0 * 3.0  # ATOL * c^2 * scale, with c = 2
+    # edges of 0.5: the unit shape is the user's, with max(E) = 0.25, so a
+    # slack with c = 2 has the window ATOL * 4 * 0.25
+    edges, nan = validate_tetrahedron(*(0.5,) * 6), validate_tetrahedron(*(0.5,) * 6)
+    w = ATOL * 4.0 * 0.25
     below = math.nextafter(-w, -math.inf)
-    out = _windowed({"edge": (-w, 2.0), "inside": (-w / 3.0, 2.0), "below": (below, 2.0),
-                     "minus_zero": (-0.0, 2.0), "positive": (0.5, 2.0), "nan": (math.nan, 2.0)},
-                    3.0)
+    cases = {"edge": -w, "inside": -w / 3.0, "below": below, "minus_zero": -0.0,
+             "positive": 0.5}
+    names = dict(zip(edges._SLACK_DEGREES, cases))
+    edges.__dict__["_slacks"] = {name: (cases[case], 2.0) for name, case in names.items()}
+    windows = {name: window for name, (_, window) in _windowed(edges).items()}
+    assert windows == dict.fromkeys(names, w)
+    out = {case: tet_inequality_slacks(edges)[name] for name, case in names.items()}
     assert out["edge"] == 0.0 and out["inside"] == 0.0 and out["below"] == below
     assert math.copysign(1.0, out["minus_zero"]) == -1.0
-    assert out["positive"] == 0.5 and math.isnan(out["nan"])
+    assert out["positive"] == 0.5
+    # a NaN is not rounding noise: the report raises rather than print it
+    nan.__dict__["_slacks"] = dict.fromkeys(names, (math.nan, 2.0))
+    assert all(math.isnan(value) for value, _ in _windowed(nan).values())
+    with pytest.raises(GeometryError, match="slack"):
+        tet_inequality_slacks(nan)
 
 
 def test_each_slack_factor_clears_its_squared_distance():
-    # a slack is f * d^2 for the distance d of its pair of centers, and its
-    # rounding window scales with the same f: on a seeded sample of verify's
-    # band, leaving out pairs whose centers coincide
+    # a slack is c^2 * d^2 for the distance d of its pair of centers, on the
+    # unit shape, and its rounding window scales with the same c^2: on a
+    # seeded sample of verify's band, leaving out pairs whose centers coincide
     rngs = [np.random.default_rng(233 + i) for i in range(64)]
     sample = [e for e in verify._random_tetras(rngs) if e is not None]
     assert len(sample) > 48
     for edges in sample:
-        for name, (slack, f) in _tet_inequality_slacks(edges).items():
-            d = dist_between_centers(center_components(name[0], edges),
-                                     center_components(name[1], edges), edges)
+        for name, (slack, c) in edges._slacks.items():
+            d = math.ldexp(dist_between_centers(center_components(name[0], edges),
+                                                center_components(name[1], edges), edges),
+                           -edges._k)
             if d > 0.0:
-                assert slack == pytest.approx(f * d * d, rel=1e-9), (name, edges)
+                assert slack == pytest.approx(c * c * d * d, rel=1e-9), (name, edges)

@@ -9,6 +9,7 @@ from cevian.core_model import (
     Components,
     GeometryError,
     UnitComponent,
+    _user_slacks,
     center_components,
     circumradius,
     dist_between_centers,
@@ -21,7 +22,6 @@ from cevian.core_model import (
 )
 from cevian import coord_oracle as oracle, verify
 from cevian.tri_metrics import (
-    _inequality_slacks,
     ict_altitudes,
     ict_areas,
     inequality_slacks,
@@ -150,7 +150,7 @@ def test_slacks_never_negative(raw):
     sides = validate_triangle(*raw)
     scale = sides.perimeter ** 4
     # as computed: the rounding window is far wider than this at scale
-    for key, (slack, _) in _inequality_slacks(sides).items():
+    for key, (slack, _) in _user_slacks(sides).items():
         assert slack >= -1e-12 * max(1.0, scale), key
 
 
@@ -196,15 +196,25 @@ def test_mismatched_arity_is_a_typed_error():
 
 
 def test_each_slack_factor_clears_its_squared_distance():
-    # a slack is f * d^2 for the distance d of its pair of centers, and its
-    # rounding window scales with the same f: on a seeded sample of verify's
-    # band, leaving out pairs whose centers coincide
+    # a slack is c^2 * d^2 for the distance d of its pair of centers, on the
+    # unit shape, and its rounding window scales with the same c^2: on a
+    # seeded sample of verify's band, leaving out pairs whose centers coincide
     rng = np.random.default_rng(198)
     sample = [s for s in (verify._random_triangle(rng) for _ in range(64)) if s is not None]
     assert len(sample) > 48
     for sides in sample:
-        for name, (slack, f) in _inequality_slacks(sides).items():
-            d = dist_between_centers(center_components(name[0], sides),
-                                     center_components(name[1], sides), sides)
+        for name, (slack, c) in sides._slacks.items():
+            d = math.ldexp(dist_between_centers(center_components(name[0], sides),
+                                                center_components(name[1], sides), sides),
+                           -sides._k)
             if d > 0.0:
-                assert slack == pytest.approx(f * d * d, rel=1e-9), (name, sides)
+                assert slack == pytest.approx(c * c * d * d, rel=1e-9), (name, sides)
+
+
+@pytest.mark.parametrize("sides", [(0.5733979450979236, 0.8629263007232576, 0.2895283556253341),
+                                   (0.4823237887878221, 0.2038862833549737, 0.6862100721427957)])
+def test_a_transcribed_form_with_a_zero_denominator_raises(sides):
+    # p - b (first) and p - c (second) round to 0.0, although c + a - b and
+    # a + b - c are positive: the forms divide by them
+    with pytest.raises(GeometryError, match="zero denominator"):
+        transcribed_closed_forms(validate_triangle(*sides))
