@@ -20,6 +20,15 @@ a block's checks in one call, as rows (case, residual, threshold); as only a
 suite's first failing case depends on the order of its checks, every suite
 records what a case-by-case run records.
 
+Per-case Python is left to the library calls under test: their floats are
+gathered into (cases x checks) arrays, and each suite's residuals and
+thresholds are array expressions over those and the oracle's arrays.  Three
+kinds of rows stay Python rows, as their presence or form varies by case:
+the incenter's vertex-foot-ratio identities (absent where
+``vertex_foot_ratios`` raises), the Menelaus product (absent where no drawn
+transversal was admissible) and the concurrency rows (whose second check
+depends on whether the face points reassemble at all).
+
 Blocks are independent, so they run in forked worker processes, one per CPU
 the process may use, each into fresh suites; the parent folds those into the
 run's suites in block order, which records what a case-by-case run records.
@@ -188,12 +197,12 @@ def _filtered_tetra(lengths):
     return edges
 
 
-def _circum_components_det(pair_e) -> list:
+def _circum_components_det(pair_e):
     """Circumcenter components via the 4x4 replaced-column determinant route
-    (independent of the polynomial weights), for the rows of squared edges
-    ``pair_e`` (N, 6), each a tetrahedron's in _PAIRS order: Cramer's rule, each
-    determinant of the system with column c replaced by the right-hand side
-    over the system's own."""
+    (independent of the polynomial weights), as an (N, 4) array, for the rows
+    of squared edges ``pair_e`` (N, 6), each a tetrahedron's in _PAIRS order:
+    Cramer's rule, each determinant of the system with column c replaced by
+    the right-hand side over the system's own."""
     ab2, ac2, ad2, bc2, db2, cd2 = np.asarray(pair_e, dtype=float).T
     one = np.ones_like(ab2)
     m = np.array([[one, one, one, one],
@@ -203,7 +212,8 @@ def _circum_components_det(pair_e) -> list:
     systems = np.repeat(np.moveaxis(m, -1, 0)[:, None], 5, axis=1)
     for col in range(4):
         systems[:, col + 1, :, col] = (1.0, 0.0, 0.0, 0.0)
-    return [[d / dets[0] for d in dets[1:]] for dets in np.linalg.det(systems).tolist()]
+    dets = np.linalg.det(systems)
+    return dets[:, 1:] / dets[:, :1]
 
 
 # cases per stacked oracle call: enough to amortize numpy's per-call cost,
@@ -221,6 +231,16 @@ _PAIR_INDICES = {n: np.array(list(combinations(range(len(kinds)), 2))).T
 _PAIR_COLUMN = {n: {p: j for j, pair in enumerate(combinations(kinds, 2))
                     for p in (pair, pair[::-1])}
                 for n, kinds in CENTER_KINDS.items()}
+
+# per arity: the transcribed forms' keys, in the order every shape's forms
+# dict holds them, read off one shape
+_FORM_KEYS = {n: tuple(_SHAPE_FORMS[n](shape)) for n, shape in
+              ((3, validate_triangle(3.0, 4.0, 5.0)), (4, validate_tetrahedron(*[1.0] * 6)))}
+# per arity, over those forms: each form's pair column, and the indices of
+# its pair's first and second kind
+_FORM_INDICES = {n: np.array([(_PAIR_COLUMN[n][FORM_PAIRS[key]],
+                               *map(CENTER_KINDS[n].index, FORM_PAIRS[key])) for key in keys]).T
+                 for n, keys in _FORM_KEYS.items()}
 
 
 class _BlockCenters:
@@ -252,49 +272,42 @@ def _verify_shared(shapes, insts, centers, scales, allow, tol_len, suites):
     and their ``_BlockCenters``, and return the block's rows for the centers
     suite, which the half extends with its own center checks.
 
-    ``scales`` holds each shape's length scale (a triangle's perimeter, a
-    tetrahedron's longest edge), ``tol_len`` (N,) the length tolerance at
+    ``scales`` (N,) holds each shape's length scale (a triangle's perimeter,
+    a tetrahedron's longest edge), ``tol_len`` (N,) the length tolerance at
     that scale.  ``allow`` (N, kinds) holds each case's condition allowance
     per center kind, in CENTER_KINDS order (1.0 but for a tetrahedron's
     excenters): a check on a pair of centers widens by the product of
     theirs.  An inequality slack fails below its rounding window, where a
-    report would print it negative.  Also returns each case's engine
-    distances, in pair-table order, and its transcribed forms, for the
-    half's own checks.
+    report would print it negative.  Also returns the engine distances (N,
+    pairs), in pair-table order, and the transcribed forms (N, forms), in
+    _FORM_KEYS order, for the half's own checks.
     """
     n = len(shapes[0].E)
     half = "tri" if n == 3 else "tet"
-    kinds = CENTER_KINDS[n]
     tol = tol_len[:, None]
-    forms_of = _SHAPE_FORMS[n]
 
-    engine = [[rep.distance for rep in pair_table(comps, shape)]
-              for comps, shape in zip(centers.comps, shapes)]
+    engine = np.array([[rep.distance for rep in pair_table(comps, shape)]
+                       for comps, shape in zip(centers.comps, shapes)])
     first, second = _PAIR_INDICES[n]
     suites[half + ".distances"].check(
-        insts, _rows(np.abs(np.array(engine) - centers.distances),
+        insts, _rows(np.abs(engine - centers.distances),
                      tol * (allow[:, first] * allow[:, second])))
 
     # compared on squared distances: near coincident centers the root turns
     # one ulp under the radical into ~sqrt(eps), which no relative tolerance
     # on the roots can absorb
-    column, index = _PAIR_COLUMN[n], {k: i for i, k in enumerate(kinds)}
-    forms = [forms_of(shape) for shape in shapes]
-    closed_forms, inequalities = [], []
-    for case, (shape, scale, allowed, dist, case_forms) in enumerate(
-            zip(shapes, scales, allow.tolist(), engine, forms)):
-        for key, form in case_forms.items():
-            k1, k2 = FORM_PAIRS[key]
-            d2 = dist[column[k1, k2]] ** 2
-            f2 = form ** 2
-            closed_forms.append((case, abs(d2 - f2),
-                                 (1e-9 * max(d2, f2) + 1e-13 * scale * scale)
-                                 * (allowed[index[k1]] * allowed[index[k2]]) ** 2))
-        for slack, window in _user_slacks(shape).values():
-            inequalities.append((case, max(0.0, -slack), window))
-    suites[half + ".closed_forms"].check(insts, closed_forms)
-    suites[half + ".inequalities"].check(insts, inequalities)
-    errors = np.stack([centers.errors[k] for k in kinds], axis=-1)
+    forms = np.array([list(_SHAPE_FORMS[n](shape).values()) for shape in shapes])
+    column, first, second = _FORM_INDICES[n]
+    dist = engine[:, column]
+    d2, f2 = dist * dist, forms * forms
+    allowed = allow[:, first] * allow[:, second]
+    suites[half + ".closed_forms"].check(insts, _rows(np.abs(d2 - f2), (
+        1e-9 * np.maximum(d2, f2) + (1e-13 * scales * scales)[:, None]) * (allowed * allowed)))
+    # (N, slacks, 2): each slack and its window
+    slacks = np.array([list(_user_slacks(shape).values()) for shape in shapes])
+    suites[half + ".inequalities"].check(
+        insts, _rows(np.maximum(0.0, -slacks[..., 0]), slacks[..., 1]))
+    errors = np.stack([centers.errors[k] for k in CENTER_KINDS[n]], axis=-1)
     return _rows(errors, tol * allow), engine, forms
 
 
@@ -333,37 +346,42 @@ def _verify_triangle_block(shapes, rngs, suites, rtol, atol):
                       for k in kinds], axis=-1)
     products = _menelaus_products(shapes, rngs, emb)
     insts = [s.as_tuple() for s in shapes]
-    perims = [s.perimeter for s in shapes]
-    tol_len = atol + rtol * np.array(perims)
+    perims = np.array([s.perimeter for s in shapes])
+    tol_len = atol + rtol * perims
     center_checks, _, _ = _verify_shared(shapes, insts, centers, perims,
                                          np.ones((len(shapes), len(kinds))), tol_len, suites)
     suites["tri.centers"].check(insts, center_checks, _rows(frame, tol_len[:, None]))
 
-    identities = []
-    for case, (sides, tol) in enumerate(zip(shapes, tol_len.tolist())):
-        # identity family: cevian ratio products, kappa sums, reciprocal sums,
-        # the three-ratio determinant, the Euler collinearity, Menelaus
+    # identity family: cevian ratio products, kappa sums, reciprocal sums,
+    # the three-ratio determinant, the Euler collinearity, Menelaus.  The
+    # foot-ratio rows are absent where vertex_foot_ratios raises, and the
+    # Menelaus row where no transversal was admissible
+    ceva, euler, ragged = [], [], []
+    for case, sides in enumerate(shapes):
         for k in ("G", "I", "E_A"):
             ir = tri_centers.center_ir(k, sides)
-            identities.append((case, abs(ir.lambda_ab * ir.lambda_bc * ir.lambda_ca - 1.0), 1e-9))
+            ceva.append((ir.lambda_ab, ir.lambda_bc, ir.lambda_ca))
         try:
             ratios = vertex_foot_ratios(centers.comps[case]["I"])
         except GeometryError:
             pass
         else:
-            identities += [
+            ragged += [
                 (case, abs(ratios["kap_a"] + ratios["kap_b"] + ratios["kap_c"] - 2.0), 1e-9),
                 (case, abs(1.0 / (1.0 + ratios["lam_a"]) + 1.0 / (1.0 + ratios["lam_b"])
                            + 1.0 / (1.0 + ratios["lam_c"]) - 1.0), 1e-9),
                 (case, abs(fractional_ratio_determinant(
                     ratios["lam_a"], ratios["lam_b"], ratios["lam_c"])), 1e-9)]
-        euler = tri_centers.euler_relation(sides)
-        identities += [(case, abs(euler["gh_over_gq"] + 2.0), 1e-9),
-                       (case, euler["collinearity_residual"], tol)]
+        rel = tri_centers.euler_relation(sides)
+        euler.append((rel["gh_over_gq"], rel["collinearity_residual"]))
         # the product of the case's first admissible transversal, if any
         if products[case] is not None:
-            identities.append((case, abs(products[case] + 1.0), 1e-9))
-    suites["tri.identities"].check(insts, identities)
+            ragged.append((case, abs(products[case] + 1.0), 1e-9))
+    ab, bc, ca = np.array(ceva).reshape(len(shapes), 3, 3).T  # each (kind, case)
+    ratio, collinear = np.array(euler).T
+    suites["tri.identities"].check(
+        insts, _rows(np.abs(ab * bc * ca - 1.0).T, 1e-9), _rows(np.abs(ratio + 2.0), 1e-9),
+        _rows(collinear, tol_len), ragged)
 
 
 # the points the projection checks drop onto every face: a random point in
@@ -406,15 +424,14 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
         oracle.point_from_components(emb, [c.weights for c in c2]),
         oracle.definitional_center(emb, power))
     beta_det = _circum_components_det([[e.E[i][j] for i, j in _PAIRS[4]] for e in shapes])
-    signed_vol6 = np.linalg.det(np.swapaxes(verts[:, 1:] - verts[:, :1], -1, -2)).tolist()
-    incenter_dists = oracle.facet_distances(emb, centers.points["I"]).tolist()
-    rr_oracle = oracle.distance(centers.points["Q"], verts[:, 0]).tolist()
+    vol_oracle = np.abs(np.linalg.det(np.swapaxes(verts[:, 1:] - verts[:, :1], -1, -2))) / 6.0
+    incenter_dist = np.abs(oracle.facet_distances(emb, centers.points["I"])).min(axis=-1)
+    rr_oracle = oracle.distance(centers.points["Q"], verts[:, 0])
     foot_err, ifoot_dist = _projection_errors(shapes, emb, centers, pts)
 
     insts = [e.as_tuple() for e in shapes]
-    emaxes = [max(inst) for inst in insts]
-    radii = [tet_metrics.inradius(e) for e in shapes]
-    longest, inradii = np.array(emaxes), np.array(radii)
+    longest = np.array([max(inst) for inst in insts])
+    inradii = np.array([tet_metrics.inradius(e) for e in shapes])
     tol_len = atol + rtol * longest
     # excenter checks get a condition allowance: E_X sits ~S/T^X edge
     # lengths out, T^X = S - 2*S^X, so every fixed-precision path loses
@@ -423,7 +440,7 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
     total = np.array([e.face_areas.s for e in shapes])[:, None]
     allow = np.column_stack([np.ones((len(shapes), 3)),
                              np.maximum(1.0, total / (total - 2.0 * areas))])
-    center_checks, engine, forms = _verify_shared(shapes, insts, centers, emaxes, allow,
+    center_checks, engine, forms = _verify_shared(shapes, insts, centers, longest, allow,
                                                   tol_len, suites)
     suites["tet.centers"].check(insts, center_checks, _rows(power_err, tol_len))
 
@@ -433,37 +450,38 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
         insts, _rows(foot_err / longest[:, None], 1e-8),
         _rows(np.abs(ifoot_dist - inradii) / inradii, 1e-8))
 
-    q_errors = centers.errors["Q"].tolist()
+    # circumcenter: polynomial weights vs determinant route vs oracle solve
+    beta = centers.weights["Q"]
+    suites["tet.circumcenter"].check(
+        insts, _rows(np.abs(beta - beta_det),
+                     1e-8 * np.maximum(np.maximum(np.abs(beta), np.abs(beta_det)), 0.05)),
+        _rows(centers.errors["Q"] / longest, 1e-8))
+
+    # metric formulas vs coordinate geometry
+    vol, rr, crelle, u = np.array([
+        (tet_metrics.volume(e), circumradius(e), tet_metrics.crelle_check(e), e.circum_aux.u)
+        for e in shapes]).T
+    suites["tet.metrics"].check(insts, _rows(np.column_stack([
+        np.abs(vol - vol_oracle) / vol_oracle,
+        np.abs(inradii - incenter_dist) / inradii,
+        np.abs(rr - rr_oracle) / rr_oracle,
+        crelle,
+        np.abs(u - 144.0 * vol * vol) / u]), 1e-9))
+
+    # centroid-incenter: transcribed form vs engine vs oracle
     gi = _PAIR_COLUMN[4]["G", "I"]
-    gi_oracle = centers.distances[:, gi].tolist()
-    circumcenter, metrics, gi_rows, concurrency = [], [], [], []
-    for case, (edges, emax, r, tol) in enumerate(zip(shapes, emaxes, radii, tol_len.tolist())):
-        # circumcenter: polynomial weights vs determinant route vs oracle solve
-        beta_poly = centers.comps[case]["Q"].weights
-        for x, y in zip(beta_poly, beta_det[case]):
-            circumcenter.append((case, abs(x - y), 1e-8 * max(abs(x), abs(y), 0.05)))
-        circumcenter.append((case, q_errors[case] / emax, 1e-8))
+    gi_engine, gi_form = engine[:, gi], forms[:, _FORM_KEYS[4].index("GI")]
+    top = np.maximum(gi_engine, gi_form)
+    suites["tet.GI"].check(insts, _rows(
+        np.column_stack([np.abs(gi_form * gi_form - gi_engine * gi_engine),
+                         np.abs(gi_engine - centers.distances[:, gi])]),
+        np.column_stack([1e-9 * (top * top) + 1e-13 * longest * longest, tol_len])))
 
-        # metric formulas vs coordinate geometry
-        vol = tet_metrics.volume(edges)
-        vol_oracle = abs(signed_vol6[case]) / 6.0
-        rr = circumradius(edges)
-        aux = edges.circum_aux
-        metrics += [(case, abs(vol - vol_oracle) / vol_oracle, 1e-9),
-                    (case, abs(r - min(abs(d) for d in incenter_dists[case])) / r, 1e-9),
-                    (case, abs(rr - rr_oracle[case]) / rr_oracle[case], 1e-9),
-                    (case, tet_metrics.crelle_check(edges), 1e-9),
-                    (case, abs(aux.u - 144.0 * vol * vol) / aux.u, 1e-9)]
-
-        # centroid-incenter: transcribed form vs engine vs oracle
-        gi_engine = engine[case][gi]
-        gi_form = forms[case]["GI"]
-        gi_rows += [(case, abs(gi_form ** 2 - gi_engine ** 2),
-                     1e-9 * max(gi_engine, gi_form) ** 2 + 1e-13 * emax * emax),
-                    (case, abs(gi_engine - gi_oracle[case]), tol)]
-
-        # concurrency: the power center's four face points reassemble to it
-        weights = c2[case].weights
+    # concurrency: the power center's four face points reassemble to it; a
+    # case without reassembled components gets a row that always fails
+    concurrency = []
+    for case, comps in enumerate(c2):
+        weights = comps.weights
         rep = tet_centers.concurrency_conditions({f: _pierce(weights, f) for f in FACES})
         concurrency.append((case, rep["max_residual"], 1e-9))
         if rep["components"] is None:
@@ -471,9 +489,7 @@ def _verify_tetra_block(shapes, rngs, suites, rtol, atol):
         else:
             concurrency.append((case, max(abs(x - y) for x, y in
                                           zip(rep["components"].weights, weights)), 1e-9))
-    for name, rows in (("tet.circumcenter", circumcenter), ("tet.metrics", metrics),
-                       ("tet.GI", gi_rows), ("tet.concurrency", concurrency)):
-        suites[name].check(insts, rows)
+    suites["tet.concurrency"].check(insts, concurrency)
 
 
 # each half of the run by name: its generator's stream offset, its shape

@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cevian import cli
 from cevian.cli import main
+from cevian.core_model import Components
 
 
 def run_cli(capsys, *argv):
@@ -615,6 +617,94 @@ def test_the_window_is_verify_threshold(monkeypatch, half, name, scale):
         by_name = {n: verify._Suite(n) for n in suites}
         run_block([type(shape)(*shape.as_tuple())], [default_rng(7)], by_name, 1e-9, 1e-12)
         assert by_name[half + ".inequalities"].passed is not below
+
+
+def _spoiled(value):
+    return value * (1.0 + 1e-6)
+
+
+def _spoiled_form(key):
+    return lambda forms, shape: {**forms, key: _spoiled(forms[key])}
+
+
+# per rewritten suite, a certified value verify reads: the module (or dict)
+# and name it reads it through, and how(value, *args) spoils what
+# owner.name(*args) returns.  E_A is the last of the three kinds whose
+# Ceva ratios tri.identities reads, so rows taken kind-major would name
+# case 2, not the spoiled case 1
+_SPOILS = {
+    "IE_A form": ("tri.closed_forms", "verify._SHAPE_FORMS", 3, _spoiled_form("IE_A")),
+    "Euler ratio": ("tri.identities", "tri_centers", "euler_relation",
+                    lambda rel, sides: {**rel, "gh_over_gq": _spoiled(rel["gh_over_gq"])}),
+    "E_A Ceva ratio": ("tri.identities", "tri_centers", "center_ir",
+                       lambda ir, kind, sides: ir if kind != "E_A" else SimpleNamespace(
+                           lambda_ab=_spoiled(ir.lambda_ab), lambda_bc=ir.lambda_bc,
+                           lambda_ca=ir.lambda_ca)),
+    "GE_A form": ("tet.closed_forms", "verify._SHAPE_FORMS", 4, _spoiled_form("GE_A")),
+    "Q weight": ("tet.circumcenter", "verify", "center_components",
+                 lambda comps, kind, edges: comps if kind != "Q" else Components(
+                     (_spoiled(comps.weights[0]), *comps.weights[1:]))),
+    "volume": ("tet.metrics", "tet_metrics", "volume", lambda vol, edges: _spoiled(vol)),
+    "GI form": ("tet.GI", "verify._SHAPE_FORMS", 4, _spoiled_form("GI")),
+}
+
+
+@pytest.mark.parametrize("value", list(_SPOILS))
+def test_a_spoiled_value_fails_its_suite_at_the_earliest_spoiled_case(monkeypatch, value):
+    # one certified value, off by a relative 1e-6 on two cases of a block,
+    # fails its suite at the earlier of the two; the suite makes the checks
+    # it makes on the unspoiled block.  The cases sit off the block's ends
+    # and its middle, so reading the cases in another order names another
+    from cevian import tet_metrics, tri_centers, verify
+    from numpy.random import default_rng
+    suite, where, name, how = _SPOILS[value]
+    owner = {"verify": verify, "verify._SHAPE_FORMS": verify._SHAPE_FORMS,
+             "tri_centers": tri_centers, "tet_metrics": tet_metrics}[where]
+    half = suite.split(".")[0]
+    offset, draw, run_block, names = verify._HALVES[half]
+
+    def run():
+        rngs = [default_rng([42, 2 * case + offset]) for case in range(16)]
+        shapes, rngs = zip(*[(s, rng) for s, rng in zip(draw(rngs), rngs) if s is not None])
+        suites = {n: verify._Suite(n) for n in names}
+        run_block(shapes, rngs, suites, 1e-9, 1e-12)
+        return shapes, suites[suite]
+
+    shapes, clean = run()
+    assert len(shapes) >= 8 and clean.passed
+    bad = {shapes[4].as_tuple(), shapes[1].as_tuple()}
+    by_key = isinstance(owner, dict)
+    original = owner[name] if by_key else getattr(owner, name)
+
+    def patched(*args):
+        out = original(*args)
+        return how(out, *args) if args[-1].as_tuple() in bad else out
+
+    (monkeypatch.setitem if by_key else monkeypatch.setattr)(owner, name, patched)
+    spoiled_shapes, spoiled = run()
+    assert spoiled_shapes == shapes
+    assert not spoiled.passed
+    assert spoiled.fail_instance == verify._rounded(shapes[1].as_tuple())
+    assert spoiled.checks == clean.checks
+
+
+def test_the_halves_of_a_run_add_up_to_the_run(capsys):
+    # the suite lines of --scope tri and --scope tet are those of --scope
+    # all, and so are their ran and skipped counts, on a run of three
+    # blocks per half.  The benchmark times the halves apart on this premise
+    verdict = re.compile(r"^verify: PASS seed=5 cases=300 scope=(\w+) "
+                         r"ran tri=(\d+) tet=(\d+) skipped=(\d+)$")
+    suites, counts = {}, {}
+    for scope in ("tri", "tet", "all"):
+        code, out, _ = run_cli(capsys, "verify", "--seed", "5", "--cases", "300", "--scope", scope)
+        assert code == 0
+        *suites[scope], last = out.splitlines()
+        counts[scope] = [int(x) for x in verdict.match(last).groups()[1:]]
+    assert suites["all"] == suites["tri"] + suites["tet"]
+    assert len(suites["all"]) == 14
+    assert counts["tri"][1] == counts["tet"][0] == 0
+    assert counts["all"] == [a + b for a, b in zip(counts["tri"], counts["tet"])]
+    assert counts["all"][0] + counts["all"][1] + counts["all"][2] == 600
 
 
 # full reports: every section each subcommand has
