@@ -411,31 +411,51 @@ def _heron(a2: float, b2: float, c2: float) -> float:
     return 0.25 * math.sqrt(k)
 
 
-def _edge_polynomials(ab2, ac2, ad2, bc2, cd2, db2) -> tuple:
-    """(delta2, q2, t1, t2, t3) of the six squared edges; see edge_polynomials."""
-    delta2 = 0.5 * (ab2 + ac2 + ad2 + bc2 + cd2 + db2)
+def _tet_rational(e) -> tuple:
+    """The tetrahedron's rational invariants of its six squared edges e in
+    _PAIRS order (AB, AC, AD, BC, DB, CD): (delta2, q2, t1, t2, t3, see
+    edge_polynomials; the squared-edge matrix; by face name, the face's
+    vertex indices (V1, V2, V3, opposite), its squared edges (V1V2, V2V3,
+    V3V1), each one's delta2f - e^2, with delta2f their half sum, and the
+    sum of (delta2f - e^2)*e^2, which is 8*area^2; the circumcenter weights
+    u_V in vertex order).  It uses only +, -, * and division by an integer
+    constant, so it runs unchanged on any number type that has them, such as
+    Fraction: the diagonal zero is 0 * AB^2, of e's own type, and on floats
+    x / 2 rounds the exact half once, as 0.5 * x does."""
+    ab2, ac2, ad2, bc2, db2, cd2 = e
+    delta2 = (ab2 + ac2 + ad2 + bc2 + cd2 + db2) / 2
     # opposite edge pairs: AB-CD, AC-DB, AD-BC
-    q2 = 0.5 * (ab2 * cd2 + ac2 * db2 + ad2 * bc2)
+    q2 = (ab2 * cd2 + ac2 * db2 + ad2 * bc2) / 2
     t1 = q2 * delta2
-    t2 = 0.5 * (
-        ab2 * cd2 * (ab2 + cd2)
-        + ac2 * db2 * (ac2 + db2)
-        + ad2 * bc2 * (ad2 + bc2)
-    )
-    # one product of squared edges per face
-    t3 = 0.25 * (
-        bc2 * cd2 * db2  # BCD
-        + cd2 * ad2 * ac2  # CDA
-        + ad2 * ab2 * db2  # DAB
-        + ab2 * bc2 * ac2  # ABC
-    )
-    return delta2, q2, t1, t2, t3
+    t2 = (ab2 * cd2 * (ab2 + cd2) + ac2 * db2 * (ac2 + db2) + ad2 * bc2 * (ad2 + bc2)) / 2
+    # one product of squared edges per face: BCD, CDA, DAB, ABC
+    t3 = (bc2 * cd2 * db2 + cd2 * ad2 * ac2 + ad2 * ab2 * db2 + ab2 * bc2 * ac2) / 4
+    zero = 0 * ab2
+    m = ((zero, ab2, ac2, ad2), (ab2, zero, bc2, db2), (ac2, bc2, zero, cd2),
+         (ad2, db2, cd2, zero))
+    # circumcenter weights: for each vertex V with opposite face (X, Y, Z),
+    #     u_V = sum over face edges e, with R the face vertex off e, of
+    #           (delta2f - e^2) * e^2 * VR^2   minus   XY^2*YZ^2*ZX^2;
+    # u_V/u are the circumcenter's components, and u = 4*(t1 - t2 - t3)
+    faces, u = {}, [zero] * 4
+    for face, verts in FACE_INDICES.items():
+        v1, v2, v3, opp = verts
+        e12, e23, e31 = m[v1][v2], m[v2][v3], m[v3][v1]
+        delta2f = (e12 + e23 + e31) / 2
+        f12, f23, f31 = delta2f - e12, delta2f - e23, delta2f - e31
+        faces[face] = (verts, (e12, e23, e31), (f12, f23, f31),
+                       f12 * e12 + f23 * e23 + f31 * e31)
+        mo = m[opp]
+        u[opp] = (f12 * e12 * mo[v3] + f23 * e23 * mo[v1] + f31 * e31 * mo[v2]
+                  - e12 * e23 * e31)
+    return delta2, q2, t1, t2, t3, m, faces, tuple(u)
 
 
 def _unit_polynomials(edges) -> tuple:
-    """(k, the lengths, _edge_polynomials of the unit lengths)."""
+    """(k, the lengths, (delta2, q2, t1, t2, t3) of the unit lengths; see
+    _tet_rational)."""
     k, lengths, (ab, ac, ad, bc, cd, db) = _lengths(edges, 4)
-    return k, lengths, _edge_polynomials(ab * ab, ac * ac, ad * ad, bc * bc, cd * cd, db * db)
+    return k, lengths, _tet_rational((ab * ab, ac * ac, ad * ad, bc * bc, db * db, cd * cd))[:5]
 
 
 def edge_polynomials(edges) -> dict:
@@ -514,16 +534,19 @@ class TetraEdges(_Simplex):
 
     Construction validates the lengths.  The invariants the center and
     metric formulas share are derived from the six unit lengths once per
-    instance and read by every caller: the constructor sets ``E``, ``_E``,
-    ``_pair_e``, the volume gate's ``_delta2`` and ``_volume_term``, each
-    face's geometry ``_faces``, the circumcenter weights ``_circum_aux``, the
-    Crelle product ``_crelle`` and R, and empty caches for the centers'
-    Components (see center_components) and tet_centers' vertex feet
-    ``_feet``; the values whose build can raise come on first use: the face
-    areas ``_face_areas``, R^2 along the circumcenter's components
-    ``_q_pair_sum``, the inequality slacks ``_slacks``, and the user-scale
-    ``volume_term``, ``face_areas`` and ``circum_aux``.  None of them takes
-    part in equality, hashing or repr.
+    instance and read by every caller.  The rational ones come from one
+    function of the unit squares, _tet_rational, which edge_polynomials and
+    gram_volume_term read too; the constructor adds the float steps: the
+    volume gate, the weights' fsum and R, from the Crelle product of the
+    lengths.  It sets ``E``, ``_E``, ``_pair_e``, the volume gate's
+    ``_delta2`` and ``_volume_term``, each face's geometry ``_faces``, the
+    circumcenter weights ``_circum_aux``, the Crelle product ``_crelle`` and
+    R, and empty caches for the centers' Components (see center_components)
+    and tet_centers' vertex feet ``_feet``; the values whose build can raise
+    come on first use: the face areas ``_face_areas``, R^2 along the
+    circumcenter's components ``_q_pair_sum``, the inequality slacks
+    ``_slacks``, and the user-scale ``volume_term``, ``face_areas`` and
+    ``circum_aux``.  None of them takes part in equality, hashing or repr.
     """
 
     __match_args__ = ("ab", "ac", "ad", "bc", "cd", "db")
@@ -539,9 +562,9 @@ class TetraEdges(_Simplex):
                 raise FaceTriangleInequalityViolated(
                     f"face {face} edges ({x}, {y}, {z}) violate the triangle inequality"
                 )
-        ab2, ac2, ad2, bc2, cd2, db2 = (uab * uab, uac * uac, uad * uad, ubc * ubc, ucd * ucd,
-                                        udb * udb)
-        delta2, _, t1, t2, t3 = _edge_polynomials(ab2, ac2, ad2, bc2, cd2, db2)
+        d = self.__dict__
+        d["_pair_e"] = e = (uab * uab, uac * uac, uad * uad, ubc * ubc, udb * udb, ucd * ucd)
+        delta2, _, t1, t2, t3, d["_E"], d["_faces"], u = _tet_rational(e)
         gram = t1 - t2 - t3
         # strict positivity gate relative to the shape: delta2**3 has the same degree
         if not (gram > ATOL * delta2 ** 3):
@@ -549,35 +572,12 @@ class TetraEdges(_Simplex):
                 f"edge set does not realize a nondegenerate tetrahedron "
                 f"(volume term {gram:.6g} on the unit shape)"
             )
-        d = self.__dict__
-        d["E"] = e = ((0.0, ab * ab, ac * ac, ad * ad), (ab * ab, 0.0, bc * bc, db * db),
-                      (ac * ac, bc * bc, 0.0, cd * cd), (ad * ad, db * db, cd * cd, 0.0))
-        if self._k:  # else the unit shape is the user's
-            e = ((0.0, ab2, ac2, ad2), (ab2, 0.0, bc2, db2), (ac2, bc2, 0.0, cd2),
-                 (ad2, db2, cd2, 0.0))
-        d["_E"] = e
-        d["_pair_e"] = (ab2, ac2, ad2, bc2, db2, cd2)
+        # at k = 0 the unit shape is the user's
+        d["E"] = d["_E"] if not self._k else (
+            (0.0, ab * ab, ac * ac, ad * ad), (ab * ab, 0.0, bc * bc, db * db),
+            (ac * ac, bc * bc, 0.0, cd * cd), (ad * ad, db * db, cd * cd, 0.0))
         d["_delta2"], d["_volume_term"] = delta2, gram
-        # by face name: its vertex indices (V1, V2, V3, opposite), squared
-        # edges e^2 (V1V2, V2V3, V3V1), each one's delta2f - e^2, with delta2f
-        # their half sum, and the sum of (delta2f - e^2)*e^2, which is 8*area^2
-        d["_faces"] = faces = {}
-        # circumcenter weights: for each vertex V with opposite face (X, Y, Z),
-        #     u_V = sum over face edges e, with R the face vertex off e, of
-        #           (delta2f - e^2) * e^2 * VR^2   minus   XY^2*YZ^2*ZX^2;
-        # u_V/u are the circumcenter's components, and u = 4*(t1 - t2 - t3) > 0
-        u = [0.0] * 4
-        for face, verts in FACE_INDICES.items():
-            v1, v2, v3, opp = verts
-            e12, e23, e31 = e[v1][v2], e[v2][v3], e[v3][v1]
-            delta2f = 0.5 * (e12 + e23 + e31)
-            f12, f23, f31 = delta2f - e12, delta2f - e23, delta2f - e31
-            faces[face] = (verts, (e12, e23, e31), (f12, f23, f31),
-                           f12 * e12 + f23 * e23 + f31 * e31)
-            eo = e[opp]
-            u[opp] = (f12 * e12 * eo[v3] + f23 * e23 * eo[v1] + f31 * e31 * eo[v2]
-                      - e12 * e23 * e31)
-        d["_circum_aux"] = CircumAux(tuple(u), math.fsum(u))
+        d["_circum_aux"] = CircumAux(u, math.fsum(u))
         # Crelle's q(q - AB*CD)(q - BC*AD)(q - CA*BD) = 36*V^2*R^2, with 2q
         # = AB*CD + BC*AD + CA*BD
         m1, m2, m3 = uab * ucd, ubc * uad, uac * udb
